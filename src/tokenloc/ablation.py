@@ -17,11 +17,13 @@ from .errors import ContractError
 from .localization import (
     DEFAULT_GRID,
     best_threshold,
-    gt_class_heats,
+    box_table,
+    class_heat,
     gt_known_table,
     max_box_acc_v2_over_grid,
     threshold_grid,
 )
+from .pipeline import branch_forward, two_branch_forward
 from .token_refine import adaptive_select
 
 
@@ -112,17 +114,25 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
     if not strategies:
         raise ContractError("ablation needs at least one strategy")
     modes = (True, False) if reattention_on is None else (bool(reattention_on),)
+    settings = [(spec, _strategy_selector(spec, cfg.selection_mass), reatt)
+                for spec in strategies for reatt in modes]
     thetas = threshold_grid(*(grid or DEFAULT_GRID))
     side = cfg.image_size
+    heats = [[] for _ in settings]
+    for image, label, _ in samples:
+        # one backbone pass per image: later settings re-run only the branches
+        result = None
+        for setting_heats, (_, selector, reatt) in zip(heats, settings):
+            kwargs = dict(selector=selector, reattention_on=reatt)
+            result = (two_branch_forward(params, cfg, image, **kwargs) if result is None else
+                      branch_forward(params, cfg, result.tokens, result.stack, **kwargs))
+            setting_heats.append(class_heat(result, int(label), side))
     rows = []
-    for spec in strategies:
-        selector = _strategy_selector(spec, cfg.selection_mass)
-        for reatt in modes:
-            heats = gt_class_heats(params, cfg, samples, selector=selector,
-                                   reattention_on=reatt)
-            table = gt_known_table(heats, samples, thetas, side, side)
-            theta_star = best_threshold(table)
-            gt_known = dict(table)[theta_star]
-            mbav2 = max_box_acc_v2_over_grid(heats, samples, thetas, side, side)
-            rows.append((spec.label(), reatt, theta_star, gt_known, mbav2))
+    for setting_heats, (spec, _, reatt) in zip(heats, settings):
+        boxes = box_table(setting_heats, thetas, side, side)
+        table = gt_known_table(boxes, samples, thetas)
+        theta_star = best_threshold(table)
+        gt_known = dict(table)[theta_star]
+        mbav2 = max_box_acc_v2_over_grid(boxes, samples)
+        rows.append((spec.label(), reatt, theta_star, gt_known, mbav2))
     return rows

@@ -23,6 +23,7 @@ from .formats import (
     load_samples,
     parse_manifest,
     read_checkpoint,
+    read_image,
     read_tensor,
     write_checkpoint,
     write_heatmap,
@@ -32,14 +33,15 @@ from .localization import (
     DEFAULT_GRID,
     best_threshold,
     box_from_heat,
-    fuse,
-    gt_class_heats,
+    box_table,
+    class_heat,
+    grid_search_threshold,
     gt_known_table,
     localize,
     max_box_acc_v2_over_grid,
     threshold_grid,
 )
-from .metrics import EvalRecord, loc_acc, max_box_acc_v2
+from .metrics import EvalRecord, loc_acc
 from .pipeline import two_branch_forward
 from .training import ToyTaskConfig, TrainConfig, train_toy
 
@@ -67,18 +69,6 @@ def _ranking(p_cam: np.ndarray) -> list:
     return [int(i) for i in np.argsort(-p_cam, kind="stable")]
 
 
-def prediction_heats(params, cfg, samples, *, selection_mass=None):
-    """Per sample: class ranking by CAM probability and the fused map of
-    the top-ranked class."""
-    out = []
-    for image, _, _ in samples:
-        result = two_branch_forward(params, cfg, image, selection_mass=selection_mass)
-        ranking = _ranking(nm.value_of(result.p_cam))
-        fused = fuse(result.refined_map, result.cam_maps, ranking[0])
-        out.append((ranking, nm.bilinear_resize(fused, cfg.image_size, cfg.image_size)))
-    return out
-
-
 def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid=None,
                      selection_mass=None):
     """Shared engine behind `eval`: returns (theta_star, {metric: value}).
@@ -86,39 +76,38 @@ def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid
     With a grid, theta_star maximises GT-known accuracy and the class-
     aware metrics are computed there; maxboxaccv2 takes each IoU level's
     own best threshold. With a fixed theta everything uses that theta.
+    Each image gets one forward pass, and each (heat, theta) pair one box.
     """
     side = cfg.image_size
-    heats_gt = gt_class_heats(params, cfg, samples, selection_mass=selection_mass)
+    rankings, heats_gt, heats_pred = [], [], []
+    for image, label, _ in samples:
+        result = two_branch_forward(params, cfg, image, selection_mass=selection_mass)
+        ranking = _ranking(nm.value_of(result.p_cam))
+        rankings.append(ranking)
+        heats_gt.append(class_heat(result, int(label), side))
+        heats_pred.append(None if ranking[0] == label else class_heat(result, ranking[0], side))
     thetas = threshold_grid(*grid) if grid is not None else [float(theta)]
-    table = gt_known_table(heats_gt, samples, thetas, side, side)
+    boxes = box_table(heats_gt, thetas, side, side)
+    table = gt_known_table(boxes, samples, thetas)
     theta_star = best_threshold(table) if grid is not None else float(theta)
 
-    def records_at(heats, rankings, value):
-        built = []
-        for record, heat, ranking in zip(records, heats, rankings):
-            box, _ = box_from_heat(heat, value, side, side)
-            built.append(EvalRecord(image_id=record.image_id, box=box,
-                                    gt_boxes=record.boxes, gt_class=record.label,
-                                    class_ranking=ranking))
-        return built
-
-    identity_ranking = [list(range(cfg.num_classes)) for _ in samples]
+    if any(m in metrics for m in ("top1", "top5")):
+        star = thetas.index(theta_star)
+        records_pred = []
+        for record, row, ranking, heat in zip(records, boxes, rankings, heats_pred):
+            # when the top-ranked class is the GT class, its box is already in the table
+            box = row[star] if heat is None else box_from_heat(heat, theta_star, side, side)[0]
+            records_pred.append(EvalRecord(image_id=record.image_id, box=box,
+                                           gt_boxes=record.boxes, gt_class=record.label,
+                                           class_ranking=ranking))
     results = {}
-    needs_prediction = any(m in metrics for m in ("top1", "top5"))
-    predictions = prediction_heats(params, cfg, samples,
-                                   selection_mass=selection_mass) if needs_prediction else None
     for metric in metrics:
         if metric == "gt-known":
             results[metric] = dict(table)[theta_star]
         elif metric == "maxboxaccv2":
-            if grid is not None:
-                results[metric] = max_box_acc_v2_over_grid(heats_gt, samples, thetas, side, side)
-            else:
-                results[metric] = max_box_acc_v2(records_at(heats_gt, identity_ranking, theta_star))
+            results[metric] = max_box_acc_v2_over_grid(boxes, samples)
         else:
-            rankings = [ranking for ranking, _ in predictions]
-            heats_pred = [heat for _, heat in predictions]
-            results[metric] = loc_acc(records_at(heats_pred, rankings, theta_star), metric)
+            results[metric] = loc_acc(records_pred, metric)
     return theta_star, results
 
 
@@ -138,7 +127,7 @@ def _load_manifest_samples(path):
 
 def cmd_infer(args):
     cfg, params = read_checkpoint(args.ckpt)
-    image = read_tensor(args.input)
+    image = read_image(args.input)
     result = two_branch_forward(params, cfg, image, selection_mass=args.u)
     write_tensor(args.out_logits, nm.value_of(result.p_cam))
     write_tensor(args.out_pt, nm.value_of(result.p_refine))
@@ -147,7 +136,7 @@ def cmd_infer(args):
 
 def cmd_localize(args):
     cfg, params = read_checkpoint(args.ckpt)
-    image = read_tensor(args.input)
+    image = read_image(args.input)
     class_id = "predicted" if args.class_id == "auto" else int(args.class_id)
     result = localize(params, cfg, image, class_id, selection_mass=args.u, theta=args.theta)
     box = result.box
@@ -181,11 +170,8 @@ def cmd_eval(args):
 def cmd_calibrate(args):
     cfg, params = read_checkpoint(args.ckpt)
     _, samples = _load_manifest_samples(args.manifest)
-    grid = _parse_grid(args.grid)
-    heats = gt_class_heats(params, cfg, samples, selection_mass=args.u)
-    side = cfg.image_size
-    table = gt_known_table(heats, samples, threshold_grid(*grid), side, side)
-    theta_star = best_threshold(table)
+    theta_star, table = grid_search_threshold(params, cfg, samples, selection_mass=args.u,
+                                              grid=_parse_grid(args.grid))
     _write_csv(args.out_table, ("theta", "gt_known"),
                [(repr(theta), repr(acc)) for theta, acc in table])
     print(f"theta_star={theta_star!r}")
@@ -238,7 +224,7 @@ def cmd_ablate(args):
 
 def cmd_heatmap(args):
     heat = read_tensor(args.map)
-    image = read_tensor(args.image)
+    image = read_image(args.image)
     write_heatmap(args.out, heat, image, args.alpha)
     return 0
 

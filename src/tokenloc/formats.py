@@ -12,6 +12,7 @@ always produce identical bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ from .backbone import ModelConfig, parameter_shapes
 from .errors import (
     BadMagicError,
     CheckpointError,
+    ContractError,
     DimensionError,
     ManifestError,
     TruncationError,
@@ -69,7 +71,7 @@ def tensor_from_bytes(buffer: bytes, offset: int = 0):
     shape = struct.unpack(f"<{ndim}I", raw)
     if any(s < 1 for s in shape):
         raise DimensionError(f"non-positive extent in {shape}")
-    count = int(np.prod(shape, dtype=np.int64))
+    count = math.prod(shape)  # Python ints: a fixed-width product can wrap to 0
     payload, offset = _take(buffer, offset, 4 * count, "tensor payload")
     array = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     return array, offset
@@ -85,6 +87,16 @@ def read_tensor(path) -> np.ndarray:
     if offset != len(data):
         raise TruncationError(f"{len(data) - offset} trailing bytes after tensor payload")
     return array
+
+
+def read_image(path) -> np.ndarray:
+    """Read an image tensor, rejecting the first non-finite pixel."""
+    image = read_tensor(path)
+    bad = np.argwhere(~np.isfinite(image))
+    if bad.size:
+        where = tuple(int(i) for i in bad[0])
+        raise ContractError(f"{path}: non-finite pixel {image[where]} at index {where}")
+    return image
 
 
 def read_tensor_shape(path) -> tuple:
@@ -252,7 +264,7 @@ def parse_manifest(path) -> list:
 
 def load_samples(records) -> list:
     """Materialise manifest records into (image, label, boxes) samples."""
-    return [(read_tensor(r.image_path), r.label, r.boxes) for r in records]
+    return [(read_image(r.image_path), r.label, r.boxes) for r in records]
 
 
 def write_heatmap(path, heat, image, alpha: float) -> None:

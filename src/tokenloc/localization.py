@@ -8,10 +8,10 @@ bounding box of the largest 8-connected foreground component.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from . import numerics as nm
 from .backbone import ModelConfig
@@ -19,6 +19,7 @@ from .errors import ContractError, DimensionError
 from .pipeline import two_branch_forward
 
 DEFAULT_GRID = (0.05, 0.95, 0.05)
+_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -85,33 +86,14 @@ def largest_component(mask: np.ndarray):
     """Largest 8-connected foreground component, or None when empty.
 
     Size ties go to the component containing the smallest raster-order
-    pixel (labels are assigned in raster scan order).
+    pixel (scipy numbers labels in raster scan order, and argmax keeps
+    the earliest label on ties).
     """
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    sizes = []
-    for sy in range(h):
-        for sx in range(w):
-            if not mask[sy, sx] or labels[sy, sx]:
-                continue
-            label = len(sizes) + 1
-            queue = deque([(sy, sx)])
-            labels[sy, sx] = label
-            count = 0
-            while queue:
-                y, x = queue.popleft()
-                count += 1
-                for ny in range(max(0, y - 1), min(h, y + 2)):
-                    for nx in range(max(0, x - 1), min(w, x + 2)):
-                        if mask[ny, nx] and not labels[ny, nx]:
-                            labels[ny, nx] = label
-                            queue.append((ny, nx))
-            sizes.append(count)
-    if not sizes:
+    labels, count = ndimage.label(np.asarray(mask, dtype=bool), structure=_EIGHT_CONNECTED)
+    if count == 0:
         return None
-    best = 1 + int(np.argmax(sizes))  # argmax keeps the earliest label on ties
-    return labels == best
+    sizes = np.bincount(labels.ravel())
+    return labels == 1 + int(np.argmax(sizes[1:]))
 
 
 def tight_bbox(component: np.ndarray) -> BoundingBox:
@@ -134,13 +116,9 @@ def box_from_heat(heat: np.ndarray, theta: float, width: int, height: int):
     return tight_bbox(component), False
 
 
-def image_heat(params, cfg: ModelConfig, image, class_id: int, *, selection_mass=None,
-               selector=None, reattention_on: bool = True) -> np.ndarray:
-    """Fused localization map for one class at image resolution."""
-    result = two_branch_forward(params, cfg, image, selection_mass=selection_mass,
-                                selector=selector, reattention_on=reattention_on)
-    fused = fuse(result.refined_map, result.cam_maps, class_id)
-    return nm.bilinear_resize(fused, cfg.image_size, cfg.image_size)
+def class_heat(result, class_id: int, side: int) -> np.ndarray:
+    """Fused localization map of one class of a forward result, at image resolution."""
+    return nm.bilinear_resize(fuse(result.refined_map, result.cam_maps, class_id), side, side)
 
 
 def localize(params, cfg: ModelConfig, image, class_id="predicted", *, selection_mass=None,
@@ -154,8 +132,7 @@ def localize(params, cfg: ModelConfig, image, class_id="predicted", *, selection
                                 selector=selector, reattention_on=reattention_on)
     if class_id == "predicted":
         class_id = int(np.argmax(nm.value_of(result.p_cam)))
-    fused = fuse(result.refined_map, result.cam_maps, int(class_id))
-    heat = nm.bilinear_resize(fused, cfg.image_size, cfg.image_size)
+    heat = class_heat(result, int(class_id), cfg.image_size)
     box, degenerate = box_from_heat(heat, theta, cfg.image_size, cfg.image_size)
     return LocalizationResult(heat=heat, threshold=float(theta), box=box,
                               class_id=int(class_id), degenerate=degenerate)
@@ -172,27 +149,34 @@ def threshold_grid(start: float, stop: float, step: float) -> list:
 def gt_class_heats(params, cfg: ModelConfig, samples, *, selection_mass=None,
                    selector=None, reattention_on: bool = True) -> list:
     """Fused map per sample for that sample's ground-truth class."""
-    return [image_heat(params, cfg, image, int(label), selection_mass=selection_mass,
-                       selector=selector, reattention_on=reattention_on)
+    return [class_heat(two_branch_forward(params, cfg, image, selection_mass=selection_mass,
+                                          selector=selector, reattention_on=reattention_on),
+                       int(label), cfg.image_size)
             for image, label, _ in samples]
 
 
-def hit_fraction(heats, samples, theta: float, iou_level: float, width: int, height: int) -> float:
-    """Fraction of samples whose box at `theta` beats `iou_level` (strict)."""
+def box_table(heats, thetas, width: int, height: int) -> list:
+    """boxes[sample][k]: the box of each heat at thresholds[k], labelled once per pair."""
+    return [[box_from_heat(heat, theta, width, height)[0] for theta in thetas] for heat in heats]
+
+
+def _best_ious(boxes, samples) -> list:
+    """Per sample and threshold: IoU of the box with its best-matching ground truth."""
     from .metrics import iou
 
-    hits = 0
-    for heat, (_, _, gt_boxes) in zip(heats, samples):
-        box, _ = box_from_heat(heat, theta, width, height)
-        if max(iou(box, gt) for gt in gt_boxes) > iou_level:
-            hits += 1
-    return hits / len(samples)
+    return [[max(iou(box, gt) for gt in gt_boxes) for box in row]
+            for row, (_, _, gt_boxes) in zip(boxes, samples)]
 
 
-def gt_known_table(heats, samples, thetas, width: int, height: int) -> list:
-    """(theta, GT-known accuracy) rows at IoU level 0.5."""
-    return [(theta, hit_fraction(heats, samples, theta, 0.5, width, height))
-            for theta in thetas]
+def _hit_fractions(ious, iou_level: float) -> list:
+    """Per threshold: fraction of samples whose best IoU beats `iou_level` (strict)."""
+    return [sum(1 for row in ious if row[k] > iou_level) / len(ious)
+            for k in range(len(ious[0]))]
+
+
+def gt_known_table(boxes, samples, thetas) -> list:
+    """(theta, GT-known accuracy) rows at IoU level 0.5, from a box table."""
+    return list(zip(thetas, _hit_fractions(_best_ious(boxes, samples), 0.5)))
 
 
 def best_threshold(table) -> float:
@@ -214,17 +198,17 @@ def grid_search_threshold(params, cfg: ModelConfig, samples, *, selection_mass=N
     thetas = threshold_grid(*(grid or DEFAULT_GRID))
     heats = gt_class_heats(params, cfg, samples, selection_mass=selection_mass,
                            selector=selector, reattention_on=reattention_on)
-    table = gt_known_table(heats, samples, thetas, cfg.image_size, cfg.image_size)
+    boxes = box_table(heats, thetas, cfg.image_size, cfg.image_size)
+    table = gt_known_table(boxes, samples, thetas)
     return best_threshold(table), table
 
 
-def max_box_acc_v2_over_grid(heats, samples, thetas, width: int, height: int) -> float:
-    """Calibrated-threshold MaxBoxAccV2: for each IoU level pick the best
-    threshold on the grid, then average the three best hit rates."""
+def max_box_acc_v2_over_grid(boxes, samples) -> float:
+    """Calibrated-threshold MaxBoxAccV2 from a box table: for each IoU
+    level pick the best threshold on the grid, then average the three
+    best hit rates."""
     from .metrics import MAX_BOX_ACC_LEVELS
 
-    per_level = [
-        max(hit_fraction(heats, samples, theta, level, width, height) for theta in thetas)
-        for level in MAX_BOX_ACC_LEVELS
-    ]
+    ious = _best_ious(boxes, samples)
+    per_level = [max(_hit_fractions(ious, level)) for level in MAX_BOX_ACC_LEVELS]
     return sum(per_level) / len(per_level)

@@ -40,16 +40,6 @@ class ForwardResult:
     p_cam: object             # CAM-branch class probabilities
     p_refine: object          # scoring-branch class probabilities
 
-    @property
-    def z_cls(self):
-        d = nm.value_of(self.tokens).shape[1]
-        return nm.crop(self.tokens, (0, 0), (1, d))
-
-    @property
-    def z_patches(self):
-        n_plus_1, d = nm.value_of(self.tokens).shape
-        return nm.crop(self.tokens, (1, 0), (n_plus_1 - 1, d))
-
 
 def select_tokens(priorities: np.ndarray, mass: float) -> tuple:
     """Adaptive selection with the degenerate fallback: a zero-mass
@@ -71,11 +61,22 @@ def two_branch_forward(params, cfg: ModelConfig, image, *, selection_mass=None,
     in place of the adaptive rule; `selection_override` pins a previously
     computed (threshold, mask) pair.
     """
-    mass = cfg.selection_mass if selection_mass is None else float(selection_mass)
     patches = patchify(image, cfg.patch_size)
     z0 = embed(patches, params, cfg)
     tokens, stack = backbone_forward(z0, params, cfg)
+    return branch_forward(params, cfg, tokens, stack, selection_mass=selection_mass,
+                          selector=selector, reattention_on=reattention_on,
+                          selection_override=selection_override)
 
+
+def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selection_mass=None,
+                   selector=None, reattention_on: bool = True,
+                   selection_override=None) -> ForwardResult:
+    """Both branches on top of a backbone output (`tokens`, `stack`), with
+    the keyword arguments of `two_branch_forward`. Selection rules can be
+    compared on one backbone pass by calling this on a result's tokens
+    and stack."""
+    mass = cfg.selection_mass if selection_mass is None else float(selection_mass)
     n_plus_1, d = nm.value_of(tokens).shape
     z_cls = nm.crop(tokens, (0, 0), (1, d))
     z_p = nm.crop(tokens, (1, 0), (n_plus_1 - 1, d))

@@ -2,15 +2,32 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from tokenloc import cli
+from tokenloc import localization as loc
 from tokenloc.cli import main
-from tokenloc.formats import read_tensor, write_checkpoint, write_tensor
-from tokenloc.localization import localize
+from tokenloc.errors import TruncationError
+from tokenloc.formats import (
+    load_samples,
+    parse_manifest,
+    read_tensor,
+    write_checkpoint,
+    write_tensor,
+)
+from tokenloc.localization import (
+    DEFAULT_GRID,
+    best_threshold,
+    gt_class_heats,
+    localize,
+    threshold_grid,
+)
+from tokenloc.metrics import MAX_BOX_ACC_LEVELS, iou
 
-from test_localization import brightness_checkpoint, planted_image
+from test_localization import brightness_checkpoint, hit_fraction_oracle, planted_image
 
 
 @pytest.fixture()
@@ -105,6 +122,66 @@ def test_eval_top1_top5(workspace):
     rows = dict(_read_csv(report)[1:])
     assert float(rows["top5"]) == 1.0  # two classes, always within top 5
     assert 0.0 <= float(rows["top1"]) <= float(rows["top5"])
+
+
+def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, monkeypatch):
+    tmp, cfg, params, ckpt, _ = workspace
+    manifest = _write_manifest(tmp, cfg, params, count=4)
+    lines = manifest.read_text().splitlines()
+    lines[1::2] = [line.replace("label:0", "label:1") for line in lines[1::2]]
+    manifest.write_text("\n".join(lines) + "\n")
+    samples = load_samples(parse_manifest(manifest))
+    thetas = threshold_grid(*DEFAULT_GRID)
+
+    forwards, labellings, pairs, boxed = [], [], set(), []
+    real_forward, real_label, real_box = (cli.two_branch_forward, loc.largest_component,
+                                          loc.box_from_heat)
+
+    def counting_forward(params, cfg, image, **kwargs):
+        forwards.append(id(image))
+        return real_forward(params, cfg, image, **kwargs)
+
+    def counting_label(mask):
+        labellings.append(1)
+        return real_label(mask)
+
+    def recording_box(heat, theta, width, height):
+        boxed.append(heat)  # keeps every heat alive, so ids stay distinct
+        pairs.add((id(heat), theta))
+        return real_box(heat, theta, width, height)
+
+    for module in (cli, loc):
+        monkeypatch.setattr(module, "two_branch_forward", counting_forward)
+        monkeypatch.setattr(module, "box_from_heat", recording_box)
+    monkeypatch.setattr(loc, "largest_component", counting_label)
+    report = tmp / "report.csv"
+    assert main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "grid",
+                 "--out-report", str(report)]) == 0
+    monkeypatch.undo()
+
+    images = len(samples)
+    assert len(forwards) == len(set(forwards)) == images
+    assert len(labellings) <= len(pairs) <= images * (len(thetas) + 1)
+
+    rows = dict(_read_csv(report)[1:])
+    heats = gt_class_heats(params, cfg, samples)
+    table = [(theta, hit_fraction_oracle(heats, samples, theta, 0.5, 32, 32))
+             for theta in thetas]
+    theta_star = best_threshold(table)
+    per_level = [max(hit_fraction_oracle(heats, samples, theta, level, 32, 32)
+                     for theta in thetas) for level in MAX_BOX_ACC_LEVELS]
+    assert rows["theta"] == repr(theta_star)
+    assert rows["gt-known"] == repr(dict(table)[theta_star])
+    assert rows["maxboxaccv2"] == repr(sum(per_level) / len(per_level))
+    top1 = 0
+    for image, label, gt_boxes in samples:
+        predicted = localize(params, cfg, image, "predicted", theta=theta_star)
+        top1 += predicted.class_id == label and max(iou(predicted.box, gt)
+                                                    for gt in gt_boxes) > 0.5
+    assert rows["top1"] == repr(top1 / images)
+    # both classes share one CAM kernel, so every class's box is the GT box,
+    # and with two classes every label is in the top 5
+    assert rows["top5"] == rows["gt-known"]
 
 
 def test_calibrate_singleton_matches_eval(workspace):
@@ -209,6 +286,47 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys):
                  "--out-logits", str(tmp_path / "a.trt"), "--out-pt", str(tmp_path / "b.trt")])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: format:")
+
+
+def test_tensor_extent_overflow_exits_3(workspace, capsys):
+    tmp, cfg, params, ckpt, _ = workspace
+    huge = tmp / "huge.trt"
+    # eight extents of 2**31: their product wraps to 0 in 64-bit integers
+    huge.write_bytes(b"TRT1" + struct.pack("<BB", 0, 8) + struct.pack("<8I", *[2 ** 31] * 8))
+    with pytest.raises(TruncationError):
+        read_tensor(huge)
+    code = main(["infer", "--ckpt", str(ckpt), "--input", str(huge),
+                 "--out-logits", str(tmp / "a.trt"), "--out-pt", str(tmp / "b.trt")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: format: file ended inside tensor payload")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_pixel_exits_4(workspace, capsys, value):
+    tmp, cfg, params, ckpt, image_path = workspace
+    image = read_tensor(image_path)
+    image[1, 5, 7] = value
+    bad = tmp / "bad.trt"
+    write_tensor(bad, image)
+    manifest = tmp / "bad.manifest"
+    manifest.write_text("id:bad image:bad.trt label:0 boxes:12,8,20,16\n")
+    commands = [
+        ["infer", "--ckpt", str(ckpt), "--input", str(bad),
+         "--out-logits", str(tmp / "a.trt"), "--out-pt", str(tmp / "b.trt")],
+        ["localize", "--ckpt", str(ckpt), "--input", str(bad), "--theta", "0.5",
+         "--out-box", str(tmp / "box.txt")],
+        ["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "0.5",
+         "--out-report", str(tmp / "r.csv")],
+        ["calibrate", "--ckpt", str(ckpt), "--manifest", str(manifest),
+         "--out-table", str(tmp / "t.csv")],
+    ]
+    for argv in commands:
+        assert main(argv) == 4, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: contract: ") and err.count("\n") == 1, err
+        assert f"non-finite pixel {np.float32(value)} at index (1, 5, 7)" in err, err
 
 
 def test_contract_violation_exits_4(workspace, capsys):

@@ -5,20 +5,25 @@ import sys
 import numpy as np
 import pytest
 
+from tokenloc import numerics as nm
 from tokenloc.backbone import ModelConfig, parameter_shapes
 from tokenloc.errors import ContractError, DimensionError
 from tokenloc.localization import (
+    DEFAULT_GRID,
     BoundingBox,
     binarize,
     box_from_heat,
+    box_table,
     fuse,
     grid_search_threshold,
+    gt_known_table,
     largest_component,
     localize,
+    max_box_acc_v2_over_grid,
     threshold_grid,
     tight_bbox,
 )
-from tokenloc.metrics import iou
+from tokenloc.metrics import MAX_BOX_ACC_LEVELS, iou
 
 
 def flood_fill_largest(mask):
@@ -52,6 +57,17 @@ def flood_fill_largest(mask):
     for y, x in best:
         out[y, x] = True
     return out
+
+
+def hit_fraction_oracle(heats, samples, theta, iou_level, width, height):
+    """Relabel every heat at `theta` and count strict IoU hits: the
+    per-threshold loop that the box table replaces."""
+    hits = 0
+    for heat, (_, _, gt_boxes) in zip(heats, samples):
+        box, _ = box_from_heat(heat, theta, width, height)
+        if max(iou(box, gt) for gt in gt_boxes) > iou_level:
+            hits += 1
+    return hits / len(samples)
 
 
 def brightness_checkpoint():
@@ -189,6 +205,77 @@ def test_largest_component_matches_flood_fill_oracle():
             assert got is None
         else:
             assert np.array_equal(got, expected)
+
+
+def _assert_matches_oracle(mask):
+    got = largest_component(mask)
+    expected = flood_fill_largest(mask)
+    if expected is None:
+        assert got is None
+    else:
+        assert got.dtype == bool and np.array_equal(got, expected)
+
+
+def test_largest_component_size_ties_go_to_earliest_raster_component():
+    # Two 5-pixel components; the V's arms start at (0, 0) and (0, 4) and
+    # only join lower down, while the bar starts at (0, 2) between them.
+    mask = np.zeros((6, 7), bool)
+    mask[0, 0] = mask[1, 1] = mask[2, 2] = mask[1, 3] = mask[0, 4] = True
+    mask[[0, 1, 2, 3, 4], 6] = True
+    got = largest_component(mask)
+    assert got[0, 0] and got.sum() == 5 and not got[0, 6]
+    _assert_matches_oracle(mask)
+
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        blob = rng.random((5, 5)) < 0.6
+        blob[2, 2] = True
+        blob = largest_component(blob)
+        copies = int(rng.integers(2, 5))
+        mask = np.zeros((32, 32), bool)
+        for slot in rng.choice(16, size=copies, replace=False):
+            y, x = 8 * (slot // 4), 8 * (slot % 4)
+            mask[y:y + 5, x:x + 5] = blob
+        got = largest_component(mask)
+        first = np.unravel_index(np.flatnonzero(mask)[0], mask.shape)
+        assert got[first] and got.sum() == blob.sum()
+        _assert_matches_oracle(mask)
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (7, 19), (23, 5), (1, 12), (12, 1)])
+def test_largest_component_oracle_across_shapes(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for _ in range(30):
+        _assert_matches_oracle(rng.random(shape) < rng.uniform(0.2, 0.8))
+    heat = nm.bilinear_resize(rng.random((8, 8)).astype(np.float32), *shape)
+    for theta in threshold_grid(*DEFAULT_GRID):
+        _assert_matches_oracle(binarize(heat, theta))
+    assert np.array_equal(largest_component(np.ones(shape, bool)), np.ones(shape, bool))
+    assert largest_component(np.zeros(shape, bool)) is None
+
+
+def test_box_table_matches_hit_fraction_oracle():
+    rng = np.random.default_rng(9)
+    side = 32
+    thetas = threshold_grid(*DEFAULT_GRID)
+    heats, samples = [], []
+    for _ in range(12):
+        heat = nm.bilinear_resize(rng.random((8, 8)).astype(np.float32), side, side)
+        gt_boxes = []
+        for _ in range(int(rng.integers(1, 3))):
+            box, _ = box_from_heat(heat, float(rng.choice(thetas)), side, side)
+            dx, dy = (int(v) for v in rng.integers(-3, 4, size=2))
+            gt_boxes.append(BoundingBox(max(0, box.x0 + dx), max(0, box.y0 + dy),
+                                        min(side, box.x1 + dx), min(side, box.y1 + dy)))
+        heats.append(heat)
+        samples.append((None, 0, gt_boxes))
+    boxes = box_table(heats, thetas, side, side)
+    assert gt_known_table(boxes, samples, thetas) == [
+        (theta, hit_fraction_oracle(heats, samples, theta, 0.5, side, side)) for theta in thetas]
+    per_level = [max(hit_fraction_oracle(heats, samples, theta, level, side, side)
+                     for theta in thetas) for level in MAX_BOX_ACC_LEVELS]
+    assert 0.0 < sum(per_level) < len(per_level)
+    assert max_box_acc_v2_over_grid(boxes, samples) == sum(per_level) / len(per_level)
 
 
 def test_tight_bbox_cases():

@@ -4,7 +4,7 @@ import numpy as np
 
 from tokenloc import numerics as nm
 from tokenloc.backbone import ModelConfig, init_params, parameter_shapes, mhsa
-from tokenloc.pipeline import select_tokens, two_branch_forward
+from tokenloc.pipeline import branch_forward, select_tokens, two_branch_forward
 from tokenloc.token_refine import adaptive_select, masked_mhsa, selection_matrix
 
 CFG = ModelConfig(image_size=16, patch_size=4, embed_dim=8, num_blocks=2,
@@ -89,3 +89,22 @@ def test_taped_forward_matches_untaped_values():
     assert np.array_equal(nm.value_of(plain.p_cam), nm.value_of(taped.p_cam))
     assert np.array_equal(nm.value_of(plain.p_refine), nm.value_of(taped.p_refine))
     assert np.array_equal(nm.value_of(plain.refined_map), nm.value_of(taped.refined_map))
+
+
+def test_branch_forward_on_a_result_equals_a_fresh_forward():
+    params = init_params(CFG, 10)
+    image = np.random.default_rng(11).random((3, 16, 16)).astype(np.float32)
+
+    def take_three(m):
+        mask = np.zeros_like(m)
+        mask[np.argsort(-m, kind="stable")[:3]] = 1.0
+        return 0.0, mask
+
+    first = two_branch_forward(params, CFG, image)
+    for kwargs in ({"selector": take_three}, {"selection_mass": 0.3, "reattention_on": False}):
+        fresh = two_branch_forward(params, CFG, image, **kwargs)
+        reused = branch_forward(params, CFG, first.tokens, first.stack, **kwargs)
+        assert np.array_equal(reused.selection.mask, fresh.selection.mask)
+        for field in ("refined_map", "cam_maps", "cam_logits", "p_cam", "p_refine"):
+            assert np.array_equal(nm.value_of(getattr(reused, field)),
+                                  nm.value_of(getattr(fresh, field))), field
