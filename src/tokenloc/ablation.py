@@ -124,7 +124,7 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
         result = None
         for setting_heats, (_, selector, reatt) in zip(heats, settings):
             kwargs = dict(selector=selector, reattention_on=reatt)
-            result = (two_branch_forward(params, cfg, image, **kwargs) if result is None else
+            result = (two_branch_forward(params, cfg, image[None], **kwargs) if result is None else
                       branch_forward(params, cfg, result.tokens, result.stack, **kwargs))
             setting_heats.append(class_heat(result, int(label), side))
     rows = []

@@ -1,14 +1,15 @@
 """Patch embedding and the transformer backbone with attention capture.
 
-The backbone runs blocks 1..L-1 and records every block's per-head
-attention matrix; the final (L-th) block lives in the token-refinement
-classification head. Blocks are pre-norm with a GELU MLP; attention
-scores are scaled by sqrt(head_dim).
+Tokens carry a leading batch axis: (B, T, D). The backbone runs blocks
+1..L-1 and records every block's (B, H, T, T) attention probabilities;
+the final (L-th) block lives in the token-refinement classification
+head. Blocks are pre-norm with a GELU MLP; the linear layers run on the
+B*T token rows, and all heads of all sequences go through one fused
+attention op, with scores scaled by 1/sqrt(head_dim).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,89 +145,88 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
 
 
 def patchify(image, patch_size: int) -> np.ndarray:
-    """Split a 3xHxW image into rows of flattened non-overlapping patches.
+    """Split 3xHxW images (any leading batch axes) into rows of flattened
+    non-overlapping patches.
 
     Row n holds patch n (raster order over the patch grid) flattened
     channel-major, then row, then column.
     """
     img = nm.as_f32(image)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise DimensionError(f"expected a 3xHxW image, got shape {img.shape}")
-    _, h, w = img.shape
+    if img.ndim < 3 or img.shape[-3] != 3:
+        raise DimensionError(f"expected 3xHxW images, got shape {img.shape}")
+    *lead, _, h, w = img.shape
     if h % patch_size != 0 or w % patch_size != 0:
         raise DimensionError(f"image {h}x{w} not divisible by patch size {patch_size}")
     gh, gw = h // patch_size, w // patch_size
-    tiles = img.reshape(3, gh, patch_size, gw, patch_size)
+    tiles = img.reshape(*lead, 3, gh, patch_size, gw, patch_size)
+    axes = len(lead)
+    order = (*range(axes), axes + 1, axes + 3, axes, axes + 2, axes + 4)
     return np.ascontiguousarray(
-        tiles.transpose(1, 3, 0, 2, 4).reshape(gh * gw, 3 * patch_size * patch_size)
+        tiles.transpose(order).reshape(*lead, gh * gw, 3 * patch_size * patch_size)
     )
 
 
 def unpatchify(patches: np.ndarray, patch_size: int, h: int, w: int) -> np.ndarray:
-    """Inverse of patchify, reassembling the 3xHxW image."""
+    """Inverse of patchify for one image, reassembling the 3xHxW image."""
     gh, gw = h // patch_size, w // patch_size
     tiles = nm.as_f32(patches).reshape(gh, gw, 3, patch_size, patch_size)
     return np.ascontiguousarray(tiles.transpose(2, 0, 3, 1, 4).reshape(3, h, w))
 
 
 def embed(patches, params, cfg: ModelConfig):
-    """Project patches, prepend the class token, add position embeddings."""
-    projected = nm.matmul(patches, params["embed.patch.weight"])
-    tokens = nm.concat([params["embed.cls"], projected], axis=0)
-    return nm.add(tokens, params["embed.pos"])
+    """Project (B, N, P) patches, prepend the class token and add position
+    embeddings, giving (B, N+1, D) tokens."""
+    b, n, width = np.shape(patches)
+    d = cfg.embed_dim
+    projected = nm.reshape(nm.matmul(np.reshape(patches, (b * n, width)),
+                                     params["embed.patch.weight"]), (b, n, d))
+    cls = nm.add(np.zeros((b, 1, d), dtype=np.float32), params["embed.cls"])
+    return nm.add(nm.concat([cls, projected], axis=1), params["embed.pos"])
 
 
-def mhsa(z, params, prefix: str, num_heads: int):
-    """Multi-head self-attention returning the output and per-head attention.
+def _linear(rows, params, name: str):
+    return nm.add(nm.matmul(rows, params[f"{name}.weight"]), params[f"{name}.bias"])
 
-    Each head computes softmax(Q K^T / sqrt(head_dim)); heads are
-    concatenated then output-projected.
+
+def mhsa(z, params, prefix: str, num_heads: int, mask=None):
+    """Multi-head self-attention over (B, T, D) sequences, optionally
+    restricted row-wise by a (B, T, T) mask.
+
+    Returns the output-projected result as (B*T, D) rows and the
+    (B, H, T, T) attention probabilities.
     """
-    d = nm.value_of(z).shape[-1]
-    if d % num_heads != 0:
-        raise DimensionError(f"embedding size {d} not divisible by {num_heads} heads")
-    hd = d // num_heads
-    n = nm.value_of(z).shape[0]
-    q = nm.add(nm.matmul(z, params[f"{prefix}.attn.q.weight"]), params[f"{prefix}.attn.q.bias"])
-    k = nm.add(nm.matmul(z, params[f"{prefix}.attn.k.weight"]), params[f"{prefix}.attn.k.bias"])
-    v = nm.add(nm.matmul(z, params[f"{prefix}.attn.v.weight"]), params[f"{prefix}.attn.v.bias"])
-    contexts, attn = [], []
-    for head in range(num_heads):
-        qh = nm.crop(q, (0, head * hd), (n, hd))
-        kh = nm.crop(k, (0, head * hd), (n, hd))
-        vh = nm.crop(v, (0, head * hd), (n, hd))
-        scores = nm.scale(nm.matmul(qh, nm.transpose(kh)), 1.0 / math.sqrt(hd))
-        a = nm.softmax(scores)
-        attn.append(a)
-        contexts.append(nm.matmul(a, vh))
-    merged = nm.concat(contexts, axis=1)
-    out = nm.add(nm.matmul(merged, params[f"{prefix}.attn.out.weight"]),
-                 params[f"{prefix}.attn.out.bias"])
-    return out, attn
+    b, t, d = nm.value_of(z).shape
+    rows = nm.reshape(z, (b * t, d))
+    q, k, v = (nm.reshape(_linear(rows, params, f"{prefix}.attn.{name}"), (b, t, d))
+               for name in ("q", "k", "v"))
+    context, probs = nm.attention(q, k, v, num_heads, mask)
+    return _linear(context, params, f"{prefix}.attn.out"), probs
 
 
-def block_forward(z, params, prefix: str, num_heads: int):
-    """Pre-norm transformer block: attention residual then GELU MLP residual."""
-    attn_out, attn = mhsa(
+def block_forward(z, params, prefix: str, num_heads: int, mask=None):
+    """Pre-norm transformer block over (B, T, D) sequences: attention
+    residual then GELU MLP residual. A (B, T, T) mask restricts which
+    tokens each token attends to. Returns the (B, T, D) output and the
+    (B, H, T, T) attention probabilities."""
+    b, t, d = nm.value_of(z).shape
+    attn_out, probs = mhsa(
         nm.layer_norm(z, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"]),
-        params, prefix, num_heads,
+        params, prefix, num_heads, mask,
     )
-    z = nm.add(z, attn_out)
-    hidden = nm.gelu(nm.add(
-        nm.matmul(nm.layer_norm(z, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"]),
-                  params[f"{prefix}.mlp.fc1.weight"]),
-        params[f"{prefix}.mlp.fc1.bias"],
-    ))
-    mlp_out = nm.add(nm.matmul(hidden, params[f"{prefix}.mlp.fc2.weight"]),
-                     params[f"{prefix}.mlp.fc2.bias"])
-    return nm.add(z, mlp_out), attn
+    mid = nm.add(nm.reshape(z, (b * t, d)), attn_out)
+    hidden = nm.gelu(_linear(
+        nm.layer_norm(mid, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"]),
+        params, f"{prefix}.mlp.fc1"))
+    out = nm.add(mid, _linear(hidden, params, f"{prefix}.mlp.fc2"))
+    return nm.reshape(out, (b, t, d)), probs
 
 
 def backbone_forward(z0, params, cfg: ModelConfig):
-    """Run blocks 1..L-1 and capture each block's per-head attention."""
+    """Run blocks 1..L-1 over (B, N+1, D) tokens and capture each block's
+    (B, H, N+1, N+1) attention probabilities."""
     z = z0
     stack = []
     for i in range(cfg.num_blocks - 1):
-        z, attn = block_forward(z, params, f"backbone.block{i}", cfg.num_heads)
-        stack.append(attn)
+        z, probs = block_forward(z, params, f"backbone.block{i}", cfg.num_heads)
+        stack.append(probs)
     return z, stack

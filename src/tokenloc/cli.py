@@ -81,8 +81,8 @@ def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid
     side = cfg.image_size
     rankings, heats_gt, heats_pred = [], [], []
     for image, label, _ in samples:
-        result = two_branch_forward(params, cfg, image, selection_mass=selection_mass)
-        ranking = _ranking(nm.value_of(result.p_cam))
+        result = two_branch_forward(params, cfg, image[None], selection_mass=selection_mass)
+        ranking = _ranking(nm.value_of(result.p_cam)[0])
         rankings.append(ranking)
         heats_gt.append(class_heat(result, int(label), side))
         heats_pred.append(None if ranking[0] == label else class_heat(result, ranking[0], side))
@@ -128,9 +128,9 @@ def _load_manifest_samples(path):
 def cmd_infer(args):
     cfg, params = read_checkpoint(args.ckpt)
     image = read_image(args.input)
-    result = two_branch_forward(params, cfg, image, selection_mass=args.u)
-    write_tensor(args.out_logits, nm.value_of(result.p_cam))
-    write_tensor(args.out_pt, nm.value_of(result.p_refine))
+    result = two_branch_forward(params, cfg, image[None], selection_mass=args.u)
+    write_tensor(args.out_logits, nm.value_of(result.p_cam)[0])
+    write_tensor(args.out_pt, nm.value_of(result.p_refine)[0])
     return 0
 
 

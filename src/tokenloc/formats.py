@@ -222,12 +222,14 @@ def parse_manifest(path) -> list:
     Each non-blank line holds space-separated key:value fields,
     e.g. `id:img0 image:img0.trt label:1 boxes:4,5,20,21;0,0,8,8`.
     Image paths are resolved relative to the manifest's directory and
-    their headers are read to bounds-check the boxes. Errors cite the
+    their headers are read to bounds-check the boxes. A key repeated on
+    one line and an id repeated across lines are errors. Errors cite the
     1-based line number.
     """
     path = Path(path)
     base = path.parent
     records = []
+    id_lines = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -239,10 +241,16 @@ def parse_manifest(path) -> list:
                     key, sep, value = token.partition(":")
                     if not sep:
                         raise ValueError(f"token {token!r} is not key:value")
+                    if key in fields:
+                        raise ValueError(f"key {key!r} repeated")
                     fields[key] = value
                 for key in ("id", "image", "label", "boxes"):
                     if key not in fields:
                         raise ValueError(f"missing field {key!r}")
+                if fields["id"] in id_lines:
+                    raise ValueError(
+                        f"id {fields['id']!r} already used on line {id_lines[fields['id']]}")
+                id_lines[fields["id"]] = line_no
                 image_path = base / fields["image"]
                 shape = read_tensor_shape(image_path)
                 if len(shape) != 3 or shape[0] != 3:
@@ -277,6 +285,10 @@ def write_heatmap(path, heat, image, alpha: float) -> None:
     image = np.asarray(image, dtype=np.float64)
     if heat.ndim != 2 or image.shape != (3,) + heat.shape:
         raise DimensionError(f"heat {heat.shape} does not match image {image.shape}")
+    bad = np.argwhere(~np.isfinite(heat))
+    if bad.size:
+        where = tuple(int(i) for i in bad[0])
+        raise ContractError(f"heat map has non-finite value {heat[where]} at index {where}")
     if not 0.0 <= alpha <= 1.0:
         raise DimensionError(f"alpha must be in [0, 1], got {alpha}")
     h, w = heat.shape

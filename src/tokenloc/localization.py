@@ -117,8 +117,10 @@ def box_from_heat(heat: np.ndarray, theta: float, width: int, height: int):
 
 
 def class_heat(result, class_id: int, side: int) -> np.ndarray:
-    """Fused localization map of one class of a forward result, at image resolution."""
-    return nm.bilinear_resize(fuse(result.refined_map, result.cam_maps, class_id), side, side)
+    """Fused localization map of one class of a forward result on a stack
+    of one image, at image resolution."""
+    fused = fuse(nm.value_of(result.refined_map)[0], nm.value_of(result.cam_maps)[0], class_id)
+    return nm.bilinear_resize(fused, side, side)
 
 
 def localize(params, cfg: ModelConfig, image, class_id="predicted", *, selection_mass=None,
@@ -128,10 +130,10 @@ def localize(params, cfg: ModelConfig, image, class_id="predicted", *, selection
     class_id may be an integer or "predicted" (argmax of the CAM-branch
     probabilities, smallest id on ties).
     """
-    result = two_branch_forward(params, cfg, image, selection_mass=selection_mass,
+    result = two_branch_forward(params, cfg, image[None], selection_mass=selection_mass,
                                 selector=selector, reattention_on=reattention_on)
     if class_id == "predicted":
-        class_id = int(np.argmax(nm.value_of(result.p_cam)))
+        class_id = int(np.argmax(nm.value_of(result.p_cam)[0]))
     heat = class_heat(result, int(class_id), cfg.image_size)
     box, degenerate = box_from_heat(heat, theta, cfg.image_size, cfg.image_size)
     return LocalizationResult(heat=heat, threshold=float(theta), box=box,
@@ -149,7 +151,7 @@ def threshold_grid(start: float, stop: float, step: float) -> list:
 def gt_class_heats(params, cfg: ModelConfig, samples, *, selection_mass=None,
                    selector=None, reattention_on: bool = True) -> list:
     """Fused map per sample for that sample's ground-truth class."""
-    return [class_heat(two_branch_forward(params, cfg, image, selection_mass=selection_mass,
+    return [class_heat(two_branch_forward(params, cfg, image[None], selection_mass=selection_mass,
                                           selector=selector, reattention_on=reattention_on),
                        int(label), cfg.image_size)
             for image, label, _ in samples]

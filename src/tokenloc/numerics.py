@@ -9,6 +9,8 @@ a Node and the adjoint step is recorded on that tape.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
@@ -66,6 +68,10 @@ class GradTape:
         """Wrap a parameter so downstream operations record gradients for it."""
         return Node(as_f32(value), self)
 
+    def __len__(self) -> int:
+        """Number of recorded adjoint steps not yet replayed."""
+        return len(self._records)
+
     def _record(self, node: Node, backward) -> None:
         self._records.append((node, backward))
 
@@ -73,7 +79,10 @@ class GradTape:
         """Seed d(loss)/d(loss)=1 and replay all adjoint rules in reverse.
 
         After the call every leaf reachable from the loss holds its
-        gradient in `.grad` (float64); unreachable leaves keep None.
+        gradient in `.grad` (float64); unreachable leaves keep None. Each
+        record is released as it is replayed, so intermediate values,
+        adjoints and closures are freed by reference counting instead of
+        waiting for the cyclic garbage collector.
         """
         if self._spent:
             raise ContractError("tape already replayed; record a fresh forward pass")
@@ -83,7 +92,9 @@ class GradTape:
             raise ContractError(f"loss must be a scalar, got shape {loss.value.shape}")
         self._spent = True
         loss.grad = np.ones((), dtype=np.float64)
-        for node, backward in reversed(self._records):
+        records, self._records = self._records, []
+        while records:
+            node, backward = records.pop()
             if node.grad is not None:
                 backward(node.grad)
 
@@ -147,23 +158,41 @@ def matmul(a, b):
     return _emit(tape, out, backward)
 
 
+def _softmax64(x, keep=None) -> np.ndarray:
+    """Float64 softmax over the last axis, restricted to `keep` when given.
+
+    Unrestricted rows subtract their max; restricted rows subtract the
+    max over kept entries and are exactly zero elsewhere. Every row of
+    `keep` must hold at least one entry.
+    """
+    z = _f64(x)
+    if keep is None:
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+    else:
+        if not keep.any(axis=-1).all():
+            raise DegenerateInputError("mask selects no entries in at least one row")
+        top = np.where(keep, z, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(keep, z - top, -np.inf))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_adjoint(g, out64) -> np.ndarray:
+    return out64 * (g - (g * out64).sum(axis=-1, keepdims=True))
+
+
 def softmax(x):
     """Row-wise softmax over the last axis, stabilised by max subtraction."""
     xv = value_of(x)
     if xv.size == 0:
         raise DimensionError("softmax needs at least one entry")
-    z = _f64(xv)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out64 = e / e.sum(axis=-1, keepdims=True)
+    out64 = _softmax64(xv)
     out = out64.astype(np.float32)
     tape = _tape_of(x)
     if tape is None:
         return out
 
     def backward(g):
-        inner = (g * out64).sum(axis=-1, keepdims=True)
-        x.add_grad(out64 * (g - inner))
+        x.add_grad(_softmax_adjoint(g, out64))
 
     return _emit(tape, out, backward)
 
@@ -179,23 +208,79 @@ def masked_softmax(scores, mask):
     mv = value_of(mask)
     if sv.shape != mv.shape:
         raise DimensionError(f"scores shape {sv.shape} does not match mask shape {mv.shape}")
-    keep = mv > 0
-    if not keep.reshape(-1, keep.shape[-1]).any(axis=-1).all():
-        raise DegenerateInputError("mask selects no entries in at least one row")
-    z = _f64(sv)
-    top = np.where(keep, z, -np.inf).max(axis=-1, keepdims=True)
-    e = np.exp(np.where(keep, z - top, -np.inf))
-    out64 = e / e.sum(axis=-1, keepdims=True)
+    out64 = _softmax64(sv, mv > 0)
     out = out64.astype(np.float32)
     tape = _tape_of(scores)
     if tape is None:
         return out
 
     def backward(g):
-        inner = (g * out64).sum(axis=-1, keepdims=True)
-        scores.add_grad(out64 * (g - inner))
+        scores.add_grad(_softmax_adjoint(g, out64))
 
     return _emit(tape, out, backward)
+
+
+def attention(q, k, v, num_heads: int, mask=None):
+    """Multi-head scaled dot-product attention over a batch of sequences.
+
+    q, k, v: (B, T, D), split into num_heads heads of D / num_heads
+    features; mask: optional (B, T, T), nonzero where a query may attend
+    (each row must keep at least one key). Returns the context as
+    (B*T, D) rows, heads side by side, and the (B, H, T, T)
+    probabilities. Each head rounds where the composed contract ops do:
+    scores Q K^T to float32, the 1/sqrt(head_dim) scale to float32, the
+    (masked) softmax computed in float64 to float32, and the context
+    P V accumulated in float64 to float32. Gradients flow from both
+    outputs into q, k and v; none flows into the mask.
+    """
+    qv, kv, vv = value_of(q), value_of(k), value_of(v)
+    if qv.ndim != 3 or kv.shape != qv.shape or vv.shape != qv.shape:
+        raise DimensionError(
+            f"attention expects equal (B, T, D) operands, got {qv.shape}, {kv.shape}, {vv.shape}")
+    b, t, d = qv.shape
+    if d % num_heads != 0:
+        raise DimensionError(f"embedding size {d} not divisible by {num_heads} heads")
+    hd = d // num_heads
+    keep = None
+    if mask is not None:
+        mv = value_of(mask)
+        if mv.shape != (b, t, t):
+            raise DimensionError(f"attention mask shape {mv.shape} does not match {(b, t, t)}")
+        keep = (mv > 0)[:, None]
+    c = 1.0 / math.sqrt(hd)
+
+    def split(x):  # (B, T, D) or (B*T, D) -> (B, H, T, hd) float64
+        return _f64(x).reshape(b, t, num_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x):  # (B, H, T, hd) -> (B, T, D)
+        return x.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    q64, k64, v64 = split(qv), split(kv), split(vv)
+    raw = (q64 @ k64.swapaxes(-1, -2)).astype(np.float32)
+    probs64 = _softmax64((_f64(raw) * c).astype(np.float32), keep)
+    probs = probs64.astype(np.float32)
+    p64 = _f64(probs)
+    context = merge((p64 @ v64).astype(np.float32)).reshape(b * t, d)
+    tape = _tape_of(q, k, v)
+    if tape is None:
+        return context, probs
+
+    def probs_backward(g):
+        g_raw = _softmax_adjoint(g, probs64) * c
+        if isinstance(q, Node):
+            q.add_grad(merge(g_raw @ k64))
+        if isinstance(k, Node):
+            k.add_grad(merge(g_raw.swapaxes(-1, -2) @ q64))
+
+    probs_node = _emit(tape, probs, probs_backward)
+
+    def context_backward(g):
+        g_heads = split(g)
+        probs_node.add_grad(g_heads @ v64.swapaxes(-1, -2))
+        if isinstance(v, Node):
+            v.add_grad(merge(p64.swapaxes(-1, -2) @ g_heads))
+
+    return _emit(tape, context, context_backward), probs_node
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6):
@@ -409,7 +494,7 @@ def transpose(x):
 def reshape(x, shape):
     xv = value_of(x)
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != xv.size:
+    if math.prod(shape) != xv.size:
         raise DimensionError(f"cannot reshape {xv.shape} into {shape}")
     out = xv.reshape(shape).copy()
     tape = _tape_of(x)
@@ -462,10 +547,10 @@ def crop(x, starts, sizes):
     return _emit(tape, out, backward)
 
 
-def reduce_sum(x, axis=None):
+def reduce_sum(x, axis=None, keepdims: bool = False):
     """Sum over the given axes (all axes when None), float64 accumulation."""
     xv = value_of(x)
-    out64 = _f64(xv).sum(axis=axis)
+    out64 = _f64(xv).sum(axis=axis, keepdims=keepdims)
     out = np.asarray(out64, dtype=np.float32)
     tape = _tape_of(x)
     if tape is None:
@@ -479,8 +564,8 @@ def reduce_sum(x, axis=None):
 
     def backward(g):
         expanded = np.asarray(g, dtype=np.float64)
-        for a in sorted(axes):
-            expanded = np.expand_dims(expanded, a)
+        if not keepdims:
+            expanded = np.expand_dims(expanded, axes)
         x.add_grad(np.broadcast_to(expanded, xv.shape))
 
     return _emit(tape, out, backward)
@@ -520,24 +605,26 @@ def clip_min(x, lo: float):
 def conv2d3x3(x, kernel, bias):
     """3x3 convolution with zero padding 1 and stride 1.
 
-    x: (H, W, C); kernel: (K, C, 3, 3); bias: (K,). Returns (K, H, W).
+    x: (..., H, W, C) with any leading batch axes; kernel: (K, C, 3, 3);
+    bias: (K,). Returns (..., K, H, W).
     """
     xv, kv, bv = value_of(x), value_of(kernel), value_of(bias)
-    if xv.ndim != 3:
-        raise DimensionError(f"conv input must be (H, W, C), got {xv.shape}")
-    h, w, c = xv.shape
+    if xv.ndim < 3:
+        raise DimensionError(f"conv input must be (..., H, W, C), got {xv.shape}")
+    *lead, h, w, c = xv.shape
     if kv.ndim != 4 or kv.shape[1:] != (c, 3, 3):
         raise DimensionError(f"kernel shape {kv.shape} does not match input channels {c}")
     k = kv.shape[0]
     if bv.shape != (k,):
         raise DimensionError(f"bias shape {bv.shape} does not match {k} output channels")
     x64, k64, b64 = _f64(xv), _f64(kv), _f64(bv)
-    xp = np.zeros((h + 2, w + 2, c), dtype=np.float64)
-    xp[1:-1, 1:-1] = x64
-    out64 = np.zeros((k, h, w), dtype=np.float64)
+    xp = np.zeros((*lead, h + 2, w + 2, c), dtype=np.float64)
+    xp[..., 1:-1, 1:-1, :] = x64
+    out64 = np.zeros((*lead, k, h, w), dtype=np.float64)
     for di in range(3):
         for dj in range(3):
-            out64 += np.einsum("ijc,kc->kij", xp[di:di + h, dj:dj + w], k64[:, :, di, dj])
+            out64 += np.einsum("...ijc,kc->...kij", xp[..., di:di + h, dj:dj + w, :],
+                               k64[:, :, di, dj])
     out64 += b64[:, None, None]
     out = out64.astype(np.float32)
     tape = _tape_of(x, kernel, bias)
@@ -546,18 +633,21 @@ def conv2d3x3(x, kernel, bias):
 
     def backward(g):
         if isinstance(kernel, Node):
+            g_rows, xp_rows = g.reshape(-1, k, h, w), xp.reshape(-1, h + 2, w + 2, c)
             gk = np.zeros((k, c, 3, 3), dtype=np.float64)
             for di in range(3):
                 for dj in range(3):
-                    gk[:, :, di, dj] = np.einsum("kij,ijc->kc", g, xp[di:di + h, dj:dj + w])
+                    gk[:, :, di, dj] = np.einsum("bkij,bijc->kc", g_rows,
+                                                 xp_rows[:, di:di + h, dj:dj + w])
             kernel.add_grad(gk)
         if isinstance(x, Node):
-            gxp = np.zeros((h + 2, w + 2, c), dtype=np.float64)
+            gxp = np.zeros(xp.shape, dtype=np.float64)
             for di in range(3):
                 for dj in range(3):
-                    gxp[di:di + h, dj:dj + w] += np.einsum("kij,kc->ijc", g, k64[:, :, di, dj])
-            x.add_grad(gxp[1:-1, 1:-1])
+                    gxp[..., di:di + h, dj:dj + w, :] += np.einsum("...kij,kc->...ijc", g,
+                                                                   k64[:, :, di, dj])
+            x.add_grad(gxp[..., 1:-1, 1:-1, :])
         if isinstance(bias, Node):
-            bias.add_grad(g.sum(axis=(1, 2)))
+            bias.add_grad(g.reshape(-1, k, h * w).sum(axis=(0, 2)))
 
     return _emit(tape, out, backward)

@@ -1,8 +1,10 @@
 """Full two-branch forward pass: backbone, token refinement, CAM.
 
-Used taped (training) and untaped (inference). Token selection is
-discrete: during a taped pass it is computed from the current priority
-values and treated as a constant, and callers may pin it explicitly via
+The pass runs on a (B, 3, H, W) stack: training sends a whole batch,
+inference a stack of one. Used taped (training) and untaped
+(inference). Token selection is discrete and runs per image in numpy:
+during a taped pass it is computed from the current priority values and
+treated as a constant, and callers may pin it explicitly via
 `selection_override` (that is what makes finite-difference checks of the
 composed loss well-posed).
 """
@@ -16,7 +18,7 @@ import numpy as np
 from . import numerics as nm
 from .backbone import ModelConfig, backbone_forward, embed, patchify
 from .cam import cam_forward
-from .errors import DegenerateInputError
+from .errors import ContractError, DegenerateInputError
 from .token_refine import (
     TokenSelection,
     adaptive_select,
@@ -31,14 +33,17 @@ from .token_refine import (
 
 @dataclass
 class ForwardResult:
-    tokens: object            # (N+1) x D output of the backbone
-    stack: list               # per-block list of per-head attention matrices
+    """Outputs of one forward pass over a (B, 3, H, W) image stack; every
+    field carries the batch axis first."""
+
+    tokens: object            # (B, N+1, D) output of the backbone
+    stack: list               # per-block (B, H, N+1, N+1) attention probabilities
     selection: TokenSelection
-    refined_map: object       # sqrt(N) x sqrt(N) scoring-branch map
-    cam_maps: object          # K x sqrt(N) x sqrt(N)
-    cam_logits: object
-    p_cam: object             # CAM-branch class probabilities
-    p_refine: object          # scoring-branch class probabilities
+    refined_map: object       # (B, sqrt(N), sqrt(N)) scoring-branch maps
+    cam_maps: object          # (B, K, sqrt(N), sqrt(N))
+    cam_logits: object        # (B, K)
+    p_cam: object             # (B, K) CAM-branch class probabilities
+    p_refine: object          # (B, K) scoring-branch class probabilities
 
 
 def select_tokens(priorities: np.ndarray, mass: float) -> tuple:
@@ -52,19 +57,27 @@ def select_tokens(priorities: np.ndarray, mass: float) -> tuple:
         return float(priorities.max()), mask
 
 
-def two_branch_forward(params, cfg: ModelConfig, image, *, selection_mass=None,
+def two_branch_forward(params, cfg: ModelConfig, images, *, selection_mass=None,
                        selector=None, reattention_on: bool = True,
                        selection_override=None) -> ForwardResult:
-    """Run the whole pipeline on one image.
+    """Run the whole pipeline on a (B, 3, H, W) stack of images.
 
-    `selector`, when given, maps the priority vector to (threshold, mask)
-    in place of the adaptive rule; `selection_override` pins a previously
-    computed (threshold, mask) pair.
+    `selector`, when given, maps each image's priority vector to
+    (threshold, mask) in place of the adaptive rule;
+    `selection_override` pins one previously computed (threshold, mask)
+    pair for every image.
     """
-    patches = patchify(image, cfg.patch_size)
-    z0 = embed(patches, params, cfg)
-    tokens, stack = backbone_forward(z0, params, cfg)
-    return branch_forward(params, cfg, tokens, stack, selection_mass=selection_mass,
+    stack = nm.as_f32(images)
+    expected = (3, cfg.image_size, cfg.image_size)
+    if stack.ndim != 4:
+        raise ContractError(f"expected a (B, {', '.join(map(str, expected))}) image stack, "
+                            f"got shape {stack.shape}")
+    if stack.shape[1:] != expected:
+        raise ContractError(f"image shape {stack.shape[1:]} does not match the checkpoint's "
+                            f"{expected}")
+    z0 = embed(patchify(stack, cfg.patch_size), params, cfg)
+    tokens, attention = backbone_forward(z0, params, cfg)
+    return branch_forward(params, cfg, tokens, attention, selection_mass=selection_mass,
                           selector=selector, reattention_on=reattention_on,
                           selection_override=selection_override)
 
@@ -77,19 +90,19 @@ def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selection_mass=No
     compared on one backbone pass by calling this on a result's tokens
     and stack."""
     mass = cfg.selection_mass if selection_mass is None else float(selection_mass)
-    n_plus_1, d = nm.value_of(tokens).shape
-    z_cls = nm.crop(tokens, (0, 0), (1, d))
-    z_p = nm.crop(tokens, (1, 0), (n_plus_1 - 1, d))
+    b, n_plus_1, d = nm.value_of(tokens).shape
+    z_cls = nm.crop(tokens, (0, 0, 0), (b, 1, d))
+    z_p = nm.crop(tokens, (0, 1, 0), (b, n_plus_1 - 1, d))
 
     priorities = preliminary_attention(stack)
     m_val = nm.value_of(priorities)
     if selection_override is not None:
-        tau, mask = selection_override
-    elif selector is not None:
-        tau, mask = selector(m_val)
+        picks = [selection_override] * b
     else:
-        tau, mask = select_tokens(m_val, mass)
-    selection = TokenSelection(priorities=m_val.copy(), threshold=float(tau),
+        picks = [select_tokens(row, mass) if selector is None else selector(row) for row in m_val]
+    mask = np.stack([np.asarray(row_mask, dtype=np.float32) for _, row_mask in picks])
+    selection = TokenSelection(priorities=m_val.copy(),
+                               threshold=np.array([float(tau) for tau, _ in picks]),
                                mask=mask, matrix=selection_matrix(mask))
 
     lam = importance_weights(z_p, selection, params, cfg.num_heads)

@@ -1,9 +1,10 @@
 """Token priority scoring and re-attention.
 
 Aggregates the class-token attention rows into a preliminary priority
-vector, selects tokens adaptively by cumulative attention mass, runs a
-masked transformer block over the selected set to learn importance
-weights, and redistributes the selected attention mass accordingly.
+vector per image, selects tokens adaptively by cumulative attention mass
+(per image, in numpy), runs a masked transformer block over the selected
+sets of the whole batch to learn importance weights, and redistributes
+the selected attention mass accordingly.
 The discrete selection (threshold, mask, selection matrix) is a constant
 for gradient purposes; gradients flow through the importance weights,
 the masked attention values and the fused embedding.
@@ -23,37 +24,43 @@ from .errors import ContractError, DegenerateInputError, DimensionError
 
 @dataclass
 class TokenSelection:
-    """Everything the selection step derives from the priority vector m.
+    """Everything the selection step derives from the priorities m, one
+    row per image of the batch.
 
-    mask[k] = 1 iff priorities[k] >= threshold (inclusive, so the token
-    defining the threshold is always kept); weights is zero off the
-    selected support and sums to 1; refined redistributes the selected
-    mass while conserving the total.
+    priorities (B, N); threshold: B floats; mask (B, N) with
+    mask[b, k] = 1 iff token k is selected (for the adaptive rule,
+    priorities[b, k] >= threshold[b], inclusive, so the token defining
+    the threshold is always kept); matrix (B, N, N); weights (lambda) is
+    zero off each image's selected support and sums to 1 per image;
+    refined redistributes each image's selected mass while conserving
+    its total.
     """
 
     priorities: np.ndarray
-    threshold: float
+    threshold: np.ndarray
     mask: np.ndarray
     matrix: np.ndarray
-    weights: object = None   # lambda, possibly a tape Node during training
-    refined: object = None   # m', possibly a tape Node during training
+    weights: object = None   # lambda (B, N), possibly a tape Node during training
+    refined: object = None   # m' (B, N), possibly a tape Node during training
 
 
 def preliminary_attention(stack):
     """Sum the head-averaged class-token attention rows over all blocks.
 
-    Returns the length-N priority vector (class column excluded).
+    `stack` holds one (B, H, N+1, N+1) probability array per block.
+    Returns the (B, N) priorities (class column excluded). Heads are
+    added one at a time in float32, then scaled by 1/H.
     """
     if not stack:
         raise ContractError("attention stack is empty")
     total = None
-    for heads in stack:
-        mean = heads[0]
-        for a in heads[1:]:
-            mean = nm.add(mean, a)
-        mean = nm.scale(mean, 1.0 / len(heads))
-        n_plus_1 = nm.value_of(mean).shape[0]
-        row = nm.reshape(nm.crop(mean, (0, 1), (1, n_plus_1 - 1)), (n_plus_1 - 1,))
+    for probs in stack:
+        b, heads, n_plus_1, _ = nm.value_of(probs).shape
+        rows = [nm.crop(probs, (0, h, 0, 1), (b, 1, 1, n_plus_1 - 1)) for h in range(heads)]
+        mean = rows[0]
+        for row in rows[1:]:
+            mean = nm.add(mean, row)
+        row = nm.reshape(nm.scale(mean, 1.0 / heads), (b, n_plus_1 - 1))
         total = row if total is None else nm.add(total, row)
     return total
 
@@ -86,104 +93,80 @@ def adaptive_select(priorities, mass: float):
 
 
 def selection_matrix(mask) -> np.ndarray:
-    """N x N attention mask: every token sees all selected tokens plus itself."""
+    """(..., N, N) attention mask from (..., N) token masks: every token
+    sees all selected tokens plus itself."""
     b = nm.value_of(mask)
-    if b.ndim != 1:
-        raise DimensionError(f"mask must be a vector, got shape {b.shape}")
-    matrix = np.tile(b, (b.size, 1)).astype(np.float32)
-    np.fill_diagonal(matrix, 1.0)
+    if b.ndim < 1:
+        raise DimensionError(f"mask must have a token axis, got shape {b.shape}")
+    n = b.shape[-1]
+    matrix = np.repeat(b[..., None, :], n, axis=-2).astype(np.float32)
+    matrix[..., np.arange(n), np.arange(n)] = 1.0
     return matrix
 
 
-def masked_mhsa(z_p, matrix, params, prefix: str, num_heads: int):
-    """Self-attention over patch tokens restricted row-wise by the selection matrix."""
-    n, d = nm.value_of(z_p).shape
-    if d % num_heads != 0:
-        raise DimensionError(f"embedding size {d} not divisible by {num_heads} heads")
-    hd = d // num_heads
-    q = nm.add(nm.matmul(z_p, params[f"{prefix}.attn.q.weight"]), params[f"{prefix}.attn.q.bias"])
-    k = nm.add(nm.matmul(z_p, params[f"{prefix}.attn.k.weight"]), params[f"{prefix}.attn.k.bias"])
-    v = nm.add(nm.matmul(z_p, params[f"{prefix}.attn.v.weight"]), params[f"{prefix}.attn.v.bias"])
-    contexts, attn = [], []
-    for head in range(num_heads):
-        qh = nm.crop(q, (0, head * hd), (n, hd))
-        kh = nm.crop(k, (0, head * hd), (n, hd))
-        vh = nm.crop(v, (0, head * hd), (n, hd))
-        scores = nm.scale(nm.matmul(qh, nm.transpose(kh)), 1.0 / math.sqrt(hd))
-        a = nm.masked_softmax(scores, matrix)
-        attn.append(a)
-        contexts.append(nm.matmul(a, vh))
-    merged = nm.concat(contexts, axis=1)
-    out = nm.add(nm.matmul(merged, params[f"{prefix}.attn.out.weight"]),
-                 params[f"{prefix}.attn.out.bias"])
-    return out, attn
-
-
-def _masked_block_forward(z_p, matrix, params, prefix: str, num_heads: int):
-    """Pre-norm block identical to the backbone's but with masked attention."""
-    attn_out, attn = masked_mhsa(
-        nm.layer_norm(z_p, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"]),
-        matrix, params, prefix, num_heads,
-    )
-    z = nm.add(z_p, attn_out)
-    hidden = nm.gelu(nm.add(
-        nm.matmul(nm.layer_norm(z, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"]),
-                  params[f"{prefix}.mlp.fc1.weight"]),
-        params[f"{prefix}.mlp.fc1.bias"],
-    ))
-    mlp_out = nm.add(nm.matmul(hidden, params[f"{prefix}.mlp.fc2.weight"]),
-                     params[f"{prefix}.mlp.fc2.bias"])
-    return nm.add(z, mlp_out), attn
-
-
 def importance_weights(z_p, selection: TokenSelection, params, num_heads: int):
-    """Masked transformer block, per-token scalar score, masked softmax
-    over the selected tokens. Zero off-support, sums to 1."""
-    if float(nm.value_of(selection.mask).sum()) < 1.0:
+    """Masked transformer block over (B, N, D) patch tokens, per-token
+    scalar score, masked softmax over each image's selected tokens.
+    Zero off-support, sums to 1 per image."""
+    if (nm.value_of(selection.mask).sum(axis=-1) < 1.0).any():
         raise ContractError("selection mask must keep at least one token")
-    n = nm.value_of(z_p).shape[0]
-    z, _ = _masked_block_forward(z_p, selection.matrix, params, "refine.mask_block", num_heads)
-    scores = nm.add(nm.matmul(z, params["refine.score.weight"]), params["refine.score.bias"])
-    return nm.masked_softmax(nm.reshape(scores, (n,)), selection.mask)
+    b, n, d = nm.value_of(z_p).shape
+    z, _ = block_forward(z_p, params, "refine.mask_block", num_heads, mask=selection.matrix)
+    scores = nm.add(nm.matmul(nm.reshape(z, (b * n, d)), params["refine.score.weight"]),
+                    params["refine.score.bias"])
+    return nm.masked_softmax(nm.reshape(scores, (b, n)), selection.mask)
 
 
 def reattention(priorities, mask, weights):
-    """Redistribute the selected tokens' mass by the importance weights.
+    """Redistribute the selected tokens' mass by the importance weights,
+    independently for each row (last axis = tokens).
 
     r = sum(m * b) / sum(lambda); m' = m * (1 - b) + lambda * r.
-    Total mass is conserved; an all-zero mask passes m through unchanged.
+    Total mass is conserved; a row with an all-zero mask passes m through
+    unchanged.
     """
     b = nm.value_of(mask)
-    if float(b.sum()) == 0.0:
+    empty = b.sum(axis=-1, keepdims=True) == 0.0
+    if empty.all():
         return nm.scale(priorities, 1.0)
-    lam_total = float(nm.value_of(weights).astype(np.float64).sum())
-    if lam_total == 0.0:
+    lam_total = nm.value_of(weights).astype(np.float64).sum(axis=-1, keepdims=True)
+    if np.any((lam_total == 0.0) & ~empty):
         raise ContractError("importance weights sum to zero over a non-empty selection")
-    ratio = nm.div(nm.reduce_sum(nm.mul(priorities, b)), nm.reduce_sum(weights))
+    lam_sum = nm.reduce_sum(weights, axis=-1, keepdims=True)
+    if empty.any():
+        # an empty row has nothing to redistribute: r = 0 / (sum(lambda) + 1)
+        lam_sum = nm.add(lam_sum, empty.astype(np.float32))
+    ratio = nm.div(nm.reduce_sum(nm.mul(priorities, b), axis=-1, keepdims=True), lam_sum)
     kept = nm.mul(priorities, (1.0 - b).astype(np.float32))
     return nm.add(kept, nm.mul(weights, ratio))
 
 
 def spatial_map(refined):
-    """Reshape a length-N vector to its sqrt(N) x sqrt(N) spatial grid."""
+    """Reshape (..., N) vectors to their sqrt(N) x sqrt(N) spatial grids."""
     v = nm.value_of(refined)
-    side = math.isqrt(v.size)
-    if side * side != v.size:
-        raise DimensionError(f"vector length {v.size} is not a perfect square")
-    return nm.reshape(refined, (side, side))
+    n = v.shape[-1]
+    side = math.isqrt(n)
+    if side * side != n:
+        raise DimensionError(f"vector length {n} is not a perfect square")
+    return nm.reshape(refined, (*v.shape[:-1], side, side))
 
 
 def refine_classify(z_cls, z_p, weights, params, cfg: ModelConfig):
     """Classification head of the scoring branch.
 
-    Fuses patch tokens by the importance weights, runs the final
-    transformer block over [class token; fusion], projects the class row
-    to logits and normalises.
+    Fuses each image's (N, D) patch tokens by its (1, N) importance
+    weights, runs the final transformer block over [class token; fusion],
+    projects the class row to logits and normalises, giving (B, K)
+    probabilities. The fusion runs as one (B, B*N) @ (B*N, D) product
+    whose left factor holds each image's weights on its own diagonal
+    block, so every image keeps its (1, N) @ (N, D) product.
     """
-    n = nm.value_of(z_p).shape[0]
-    fusion = nm.matmul(nm.reshape(weights, (1, n)), z_p)
-    seq = nm.concat([z_cls, fusion], axis=0)
+    b, n, d = nm.value_of(z_p).shape
+    diagonal = np.eye(b, dtype=np.float32)[:, :, None]
+    lam_rows = nm.reshape(nm.mul(nm.reshape(weights, (b, 1, n)), diagonal), (b, b * n))
+    fusion = nm.matmul(lam_rows, nm.reshape(z_p, (b * n, d)))
+    seq = nm.concat([z_cls, nm.reshape(fusion, (b, 1, d))], axis=1)
     out, _ = block_forward(seq, params, "refine.final_block", cfg.num_heads)
-    cls_row = nm.crop(out, (0, 0), (1, cfg.embed_dim))
-    logits = nm.add(nm.matmul(cls_row, params["refine.head.weight"]), params["refine.head.bias"])
-    return nm.softmax(nm.reshape(logits, (cfg.num_classes,)))
+    cls_rows = nm.reshape(nm.crop(out, (0, 0, 0), (b, 1, d)), (b, d))
+    logits = nm.add(nm.matmul(cls_rows, params["refine.head.weight"]), params["refine.head.bias"])
+    return nm.softmax(logits)

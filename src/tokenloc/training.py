@@ -1,10 +1,11 @@
 """Joint cross-entropy training on a synthetic localization task.
 
 Phase 1 trains the backbone and scoring branch; phase 2 freezes them and
-trains only the CAM convolution. The loss is the sum of both branches'
-cross entropies in both phases; the phase merely masks which parameters
-receive updates. Everything is a pure function of the two configs, so
-repeated runs are byte-identical.
+trains only the CAM convolution. The loss is the mean over the batch of
+both branches' summed cross entropies in both phases, computed by one
+taped forward over the stacked batch; the phase selects which
+parameters are tape leaves and receive updates. Everything is a pure
+function of the two configs, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -96,16 +97,27 @@ def make_dataset(toy: ToyTaskConfig) -> list:
     return samples
 
 
-def cross_entropy_joint(p_cam, p_refine, label: int):
-    """-(log p_cam[y] + log p_refine[y]), probabilities floored at 1e-12."""
-    k = nm.value_of(p_cam).shape[0]
-    if not 0 <= label < k:
-        raise ContractError(f"class id {label} out of range for {k} classes")
-    if nm.value_of(p_refine).shape[0] != k:
-        raise DimensionError("branch probability vectors disagree in length")
+def cross_entropy_joint(p_cam, p_refine, labels):
+    """-(log p_cam[y] + log p_refine[y]) per image, probabilities floored
+    at 1e-12.
+
+    p_cam and p_refine are (..., K); labels holds one class id per
+    leading index (a plain int for a single K-vector). Returns the
+    per-image losses with the leading shape.
+    """
+    shape = nm.value_of(p_cam).shape
+    k = shape[-1]
+    if nm.value_of(p_refine).shape != shape:
+        raise DimensionError("branch probability vectors disagree in shape")
+    labels = np.asarray(labels)
+    if labels.shape != shape[:-1]:
+        raise DimensionError(f"{labels.size} labels for probabilities of shape {shape}")
+    if np.any((labels < 0) | (labels >= k)):
+        raise ContractError(f"class id out of range for {k} classes: {labels.tolist()}")
+    one_hot = (np.arange(k) == labels[..., None]).astype(np.float32)
 
     def pick_log(p):
-        entry = nm.reshape(nm.crop(p, (label,), (1,)), ())
+        entry = nm.reduce_sum(nm.mul(p, one_hot), axis=-1)
         return nm.log(nm.clip_min(entry, PROB_FLOOR))
 
     return nm.neg(nm.add(pick_log(p_cam), pick_log(p_refine)))
@@ -136,13 +148,12 @@ def sgd_step(params: dict, grads: dict, lr: float, weight_decay: float) -> dict:
     return updated
 
 
-def _batch_loss(params_nodes, cfg, batch, tape):
-    total = None
-    for image, label, _ in batch:
-        result = two_branch_forward(params_nodes, cfg, image)
-        loss = cross_entropy_joint(result.p_cam, result.p_refine, label)
-        total = loss if total is None else nm.add(total, loss)
-    return nm.scale(total, 1.0 / len(batch))
+def _batch_loss(params, cfg, batch):
+    """Mean joint cross entropy of one taped forward over the stacked batch."""
+    images = np.stack([image for image, _, _ in batch])
+    result = two_branch_forward(params, cfg, images)
+    losses = cross_entropy_joint(result.p_cam, result.p_refine, [label for _, label, _ in batch])
+    return nm.scale(nm.reduce_sum(losses), 1.0 / len(batch))
 
 
 def _is_cam_param(name: str) -> bool:
@@ -175,13 +186,14 @@ def train_toy(toy: ToyTaskConfig, train: TrainConfig, model: ModelConfig | None 
     for phase, steps in ((1, train.steps_phase1), (2, train.steps_phase2)):
         for _ in range(steps):
             step += 1
+            # only this phase's parameters are tape leaves; frozen ones go in
+            # as plain arrays, so the frozen part of the network runs untaped
             tape = nm.GradTape()
-            leaves = {name: tape.leaf(value) for name, value in params.items()}
-            loss = _batch_loss(leaves, model, next_batch(), tape)
+            leaves = {name: tape.leaf(value) for name, value in params.items()
+                      if _is_cam_param(name) == (phase == 2)}
+            loss = _batch_loss({**params, **leaves}, model, next_batch())
             grads = backward(loss, tape, leaves)
-            trainable = {name: p for name, p in params.items()
-                         if _is_cam_param(name) == (phase == 2)}
-            stepped = sgd_step(trainable, {n: grads[n] for n in trainable},
+            stepped = sgd_step({name: params[name] for name in leaves}, grads,
                                train.learning_rate, train.weight_decay)
             params = {name: stepped.get(name, value) for name, value in params.items()}
             curve.append((step, phase, float(nm.value_of(loss))))

@@ -125,8 +125,8 @@ def test_duplicate_strategies_give_identical_rows():
 def test_adaptive_mass_sweep_selection_sizes_monotone():
     cfg, params = brightness_checkpoint()
     image = planted_image(8, 8, 12)
-    result = two_branch_forward(params, cfg, image)
-    m = result.selection.priorities
+    result = two_branch_forward(params, cfg, image[None])
+    m = result.selection.priorities[0]
     sizes = []
     for u in (0.25, 0.45, 0.65, 0.85):
         _, mask = select_with_strategy(m, StrategySpec("adaptive", u), 0.65)
@@ -160,12 +160,12 @@ def test_reattention_flag_changes_only_refined_map():
     cfg = ModelConfig(image_size=16, patch_size=4, embed_dim=8, num_blocks=2,
                       num_heads=2, num_classes=3)
     params = init_params(cfg, 13)
-    image = np.random.default_rng(14).random((3, 16, 16)).astype(np.float32)
+    image = np.random.default_rng(14).random((1, 3, 16, 16)).astype(np.float32)
     on = two_branch_forward(params, cfg, image, reattention_on=True)
     off = two_branch_forward(params, cfg, image, reattention_on=False)
     assert np.array_equal(nm.value_of(on.cam_maps), nm.value_of(off.cam_maps))
     assert np.array_equal(nm.value_of(on.p_cam), nm.value_of(off.p_cam))
-    assert np.array_equal(nm.value_of(off.refined_map).ravel(), off.selection.priorities)
+    assert np.array_equal(nm.value_of(off.refined_map).ravel(), off.selection.priorities.ravel())
     assert not np.array_equal(nm.value_of(on.refined_map), nm.value_of(off.refined_map))
 
 

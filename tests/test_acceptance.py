@@ -12,7 +12,7 @@ import pytest
 
 from tokenloc import numerics as nm
 from tokenloc.ablation import StrategySpec, run_ablation
-from tokenloc.backbone import ModelConfig, init_params
+from tokenloc.backbone import ModelConfig, init_params, mhsa
 from tokenloc.cli import main
 from tokenloc.errors import BadMagicError, TruncationError, UnsupportedDtypeError
 from tokenloc.formats import read_checkpoint, write_checkpoint, write_tensor, read_tensor
@@ -21,7 +21,6 @@ from tokenloc.metrics import EvalRecord, loc_acc, max_box_acc_v2
 from tokenloc.pipeline import two_branch_forward
 from tokenloc.token_refine import (
     adaptive_select,
-    masked_mhsa,
     reattention,
     selection_matrix,
 )
@@ -95,22 +94,22 @@ def test_criterion_gradient_suite():
 
     # full composed two-branch loss on the tiny config
     params = init_params(TINY, 1)
-    image = rng.random((3, 8, 8)).astype(np.float32)
-    label = 2
+    image = rng.random((1, 3, 8, 8)).astype(np.float32)
+    label = [2]
     base = two_branch_forward(params, TINY, image)
-    frozen = (base.selection.threshold, base.selection.mask)
+    frozen = (base.selection.threshold[0], base.selection.mask[0])
 
     tape = nm.GradTape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
     result = two_branch_forward(leaves, TINY, image, selection_override=frozen)
-    loss = cross_entropy_joint(result.p_cam, result.p_refine, label)
+    loss = nm.reduce_sum(cross_entropy_joint(result.p_cam, result.p_refine, label))
     grads = backward(loss, tape, leaves)
 
     def loss_at(name, value):
         probe = dict(params)
         probe[name] = value
         out = two_branch_forward(probe, TINY, image, selection_override=frozen)
-        return float(nm.value_of(cross_entropy_joint(out.p_cam, out.p_refine, label)))
+        return float(nm.value_of(cross_entropy_joint(out.p_cam, out.p_refine, label))[0])
 
     total = 0
     for name, base_value in params.items():
@@ -130,11 +129,10 @@ def test_criterion_attention_contracts():
         cfg = ModelConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=2,
                           num_heads=heads, num_classes=2)
         params = init_params(cfg, 100 + trial)
-        image = rng.random((3, 8, 8)).astype(np.float32)
+        image = rng.random((1, 3, 8, 8)).astype(np.float32)
         result = two_branch_forward(params, cfg, image)
         for block in result.stack:
-            for a in block:
-                a = nm.value_of(a)
+            for a in nm.value_of(block)[0]:
                 assert np.all(a >= 0)
                 assert np.allclose(a.sum(axis=1), 1.0, atol=1e-5)
                 checked_rows += a.shape[0]
@@ -143,10 +141,9 @@ def test_criterion_attention_contracts():
         if b.sum() == 0:
             b[int(rng.integers(n))] = 1.0
         matrix = selection_matrix(b)
-        z_p = rng.standard_normal((n, cfg.embed_dim)).astype(np.float32)
-        _, masked = masked_mhsa(z_p, matrix, params, "refine.mask_block", heads)
-        for a in masked:
-            a = nm.value_of(a)
+        z_p = rng.standard_normal((1, n, cfg.embed_dim)).astype(np.float32)
+        _, masked = mhsa(z_p, params, "refine.mask_block", heads, mask=matrix[None])
+        for a in masked[0]:
             assert np.all(a[matrix == 0] == 0.0)
             assert np.all(a >= 0)
             assert np.allclose(a.sum(axis=1), 1.0, atol=1e-5)

@@ -128,6 +128,41 @@ def test_conv2d_backward():
         [_rand(4, 4, 3), _rand(2, 3, 3, 3), _rand(2)], what="conv2d3x3")
 
 
+def test_conv2d_batched_backward():
+    w = _rand(2, 2, 3, 3)
+    check_op_gradients(
+        lambda x, k, b: nm.reduce_sum(nm.mul(nm.conv2d3x3(x, k, b), w)),
+        [_rand(2, 3, 3, 2), _rand(2, 2, 3, 3), _rand(2)], what="batched conv2d3x3")
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_backward(masked):
+    # a batch of two sequences of four tokens, two heads of width two
+    mask = None
+    if masked:
+        mask = np.array([[[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1]],
+                         [[1, 1, 0, 0], [1, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1]]], np.float32)
+    w_context, w_probs = _rand(8, 4), _rand(2, 2, 4, 4)
+
+    def fold(q, k, v):
+        context, probs = nm.attention(q, k, v, 2, mask)
+        return nm.add(nm.reduce_sum(nm.mul(context, w_context)),
+                      nm.reduce_sum(nm.mul(probs, w_probs)))
+
+    check_op_gradients(fold, [_rand(2, 4, 4) * 2, _rand(2, 4, 4) * 2, _rand(2, 4, 4)],
+                       what=f"attention (masked={masked})")
+
+
+def test_replayed_tape_holds_no_records():
+    tape = nm.GradTape()
+    leaf = tape.leaf(_rand(3))
+    loss = nm.reduce_sum(nm.mul(nm.softmax(leaf), leaf))
+    assert len(tape) == 3
+    tape.backward(loss)
+    assert len(tape) == 0
+    assert leaf.grad is not None
+
+
 def test_unused_leaf_has_no_gradient():
     tape = nm.GradTape()
     used = tape.leaf(_rand(3))

@@ -74,21 +74,22 @@ def test_embed_zero_cases():
 
     cls = np.arange(d, dtype=np.float32).reshape(1, d)
     with_cls = dict(zeros, **{"embed.cls": cls})
-    z0 = embed(np.zeros((n, TINY.patch_dim), np.float32), with_cls, TINY)
-    assert np.array_equal(z0[0], cls[0])
-    assert np.array_equal(z0[1:], np.zeros((n, d), np.float32))
+    z0 = embed(np.zeros((2, n, TINY.patch_dim), np.float32), with_cls, TINY)
+    assert z0.shape == (2, n + 1, d)
+    assert np.array_equal(z0[:, 0], np.vstack([cls, cls]))
+    assert np.array_equal(z0[:, 1:], np.zeros((2, n, d), np.float32))
 
     pos = np.random.default_rng(1).standard_normal((n + 1, d)).astype(np.float32)
     with_pos = dict(zeros, **{"embed.pos": pos})
-    z0 = embed(np.ones((n, TINY.patch_dim), np.float32), with_pos, TINY)
-    assert np.array_equal(z0, pos)
+    z0 = embed(np.ones((1, n, TINY.patch_dim), np.float32), with_pos, TINY)
+    assert np.array_equal(z0[0], pos)
 
 
 def test_embed_matches_composition_oracle():
     rng = np.random.default_rng(2)
     params = init_params(TINY, 3)
     patches = rng.standard_normal((TINY.num_tokens, TINY.patch_dim)).astype(np.float32)
-    z0 = embed(patches, params, TINY)
+    z0 = embed(patches[None], params, TINY)[0]
     proj = patches.astype(np.float64) @ params["embed.patch.weight"].astype(np.float64)
     expected = np.vstack([params["embed.cls"].astype(np.float64), proj])
     expected += params["embed.pos"].astype(np.float64)
@@ -98,11 +99,10 @@ def test_embed_matches_composition_oracle():
 def test_mhsa_rows_sum_to_one():
     rng = np.random.default_rng(3)
     params = init_params(TINY, 4)
-    z = rng.standard_normal((5, 8)).astype(np.float32)
+    z = rng.standard_normal((3, 5, 8)).astype(np.float32)
     _, attn = mhsa(z, params, "backbone.block0", TINY.num_heads)
-    assert len(attn) == TINY.num_heads
-    for a in attn:
-        assert np.allclose(np.asarray(a).sum(axis=1), 1.0, atol=1e-5)
+    assert attn.shape == (3, TINY.num_heads, 5, 5)
+    assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
 
 
 def test_mhsa_equal_keys_give_uniform_attention():
@@ -110,10 +110,9 @@ def test_mhsa_equal_keys_give_uniform_attention():
     params = init_params(TINY, 5)
     params = dict(params)
     params["backbone.block0.attn.k.weight"] = np.zeros((8, 8), np.float32)
-    z = rng.standard_normal((5, 8)).astype(np.float32)
+    z = rng.standard_normal((2, 5, 8)).astype(np.float32)
     _, attn = mhsa(z, params, "backbone.block0", TINY.num_heads)
-    for a in attn:
-        assert np.allclose(np.asarray(a), 1.0 / 5.0, atol=1e-6)
+    assert np.allclose(attn, 1.0 / 5.0, atol=1e-6)
 
 
 def test_mhsa_single_head_matches_step_oracle():
@@ -126,7 +125,7 @@ def test_mhsa_single_head_matches_step_oracle():
         params[f"blk.attn.{name}.bias"] = rng.standard_normal(d).astype(np.float32)
     z = rng.standard_normal((n, d)).astype(np.float32)
 
-    out, attn = mhsa(z, params, "blk", 1)
+    out, attn = mhsa(z[None], params, "blk", 1)
 
     z64 = z.astype(np.float64)
     q = z64 @ params["blk.attn.q.weight"] + params["blk.attn.q.bias"]
@@ -137,7 +136,7 @@ def test_mhsa_single_head_matches_step_oracle():
     a = e / e.sum(axis=1, keepdims=True)
     expected = a @ v @ params["blk.attn.out.weight"] + params["blk.attn.out.bias"]
 
-    assert np.allclose(np.asarray(attn[0]), a, atol=1e-5)
+    assert np.allclose(attn[0, 0], a, atol=1e-5)
     assert np.allclose(out, expected, atol=1e-5)
 
 
@@ -152,7 +151,7 @@ def _zero_block(params, prefix):
 def test_block_zero_weights_is_identity():
     rng = np.random.default_rng(6)
     params = _zero_block(init_params(TINY, 7), "backbone.block0")
-    z = rng.standard_normal((5, 8)).astype(np.float32)
+    z = rng.standard_normal((2, 5, 8)).astype(np.float32)
     out, _ = block_forward(z, params, "backbone.block0", TINY.num_heads)
     assert np.array_equal(out, z)
 
@@ -160,21 +159,21 @@ def test_block_zero_weights_is_identity():
 def test_block_preserves_shape():
     rng = np.random.default_rng(7)
     params = init_params(TINY, 8)
-    z = rng.standard_normal((5, 8)).astype(np.float32)
+    z = rng.standard_normal((3, 5, 8)).astype(np.float32)
     out, attn = block_forward(z, params, "backbone.block0", TINY.num_heads)
     assert out.shape == z.shape
-    assert all(np.asarray(a).shape == (5, 5) for a in attn)
+    assert attn.shape == (3, TINY.num_heads, 5, 5)
 
 
 def test_block_matches_composition_oracle():
     rng = np.random.default_rng(8)
     params = init_params(TINY, 9)
     z = rng.standard_normal((5, 8)).astype(np.float32)
-    out, _ = block_forward(z, params, "backbone.block0", TINY.num_heads)
+    out, _ = block_forward(z[None], params, "backbone.block0", TINY.num_heads)
 
     attn_in = nm.layer_norm(z, params["backbone.block0.ln1.gamma"],
                             params["backbone.block0.ln1.beta"])
-    attn_out, _ = mhsa(attn_in, params, "backbone.block0", TINY.num_heads)
+    attn_out, _ = mhsa(attn_in[None], params, "backbone.block0", TINY.num_heads)
     mid = nm.add(z, attn_out)
     hidden = nm.gelu(nm.add(nm.matmul(
         nm.layer_norm(mid, params["backbone.block0.ln2.gamma"],
@@ -182,7 +181,7 @@ def test_block_matches_composition_oracle():
         params["backbone.block0.mlp.fc1.weight"]), params["backbone.block0.mlp.fc1.bias"]))
     expected = nm.add(mid, nm.add(nm.matmul(hidden, params["backbone.block0.mlp.fc2.weight"]),
                                   params["backbone.block0.mlp.fc2.bias"]))
-    assert np.allclose(out, expected, atol=1e-5)
+    assert np.allclose(out[0], expected, atol=1e-5)
 
 
 def test_backbone_stack_length_and_shapes():
@@ -191,35 +190,46 @@ def test_backbone_stack_length_and_shapes():
                           num_heads=2, num_classes=3)
         params = init_params(cfg, 10)
         rng = np.random.default_rng(blocks)
-        z0 = rng.standard_normal((cfg.num_tokens + 1, 8)).astype(np.float32)
+        z0 = rng.standard_normal((2, cfg.num_tokens + 1, 8)).astype(np.float32)
         out, stack = backbone_forward(z0, params, cfg)
-        assert out.shape == (cfg.num_tokens + 1, 8)
+        assert out.shape == (2, cfg.num_tokens + 1, 8)
         assert len(stack) == blocks - 1
+        assert all(probs.shape == (2, 2, cfg.num_tokens + 1, cfg.num_tokens + 1)
+                   for probs in stack)
 
 
 def test_backbone_deterministic():
     cfg = ModelConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=3,
                       num_heads=2, num_classes=3)
     params = init_params(cfg, 11)
-    z0 = np.random.default_rng(12).standard_normal((5, 8)).astype(np.float32)
+    z0 = np.random.default_rng(12).standard_normal((1, 5, 8)).astype(np.float32)
     out1, stack1 = backbone_forward(z0, params, cfg)
     out2, stack2 = backbone_forward(z0, params, cfg)
     assert np.array_equal(out1, out2)
-    for h1, h2 in zip(stack1, stack2):
-        for a1, a2 in zip(h1, h2):
-            assert np.array_equal(np.asarray(a1), np.asarray(a2))
+    for a1, a2 in zip(stack1, stack2):
+        assert np.array_equal(a1, a2)
 
 
 def test_backbone_equals_manual_block_chain():
     cfg = ModelConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=3,
                       num_heads=2, num_classes=3)
     params = init_params(cfg, 13)
-    z0 = np.random.default_rng(14).standard_normal((5, 8)).astype(np.float32)
+    z0 = np.random.default_rng(14).standard_normal((1, 5, 8)).astype(np.float32)
     out, stack = backbone_forward(z0, params, cfg)
     z1, a1 = block_forward(z0, params, "backbone.block0", 2)
     z2, a2 = block_forward(z1, params, "backbone.block1", 2)
     assert np.array_equal(out, z2)
     assert len(stack) == 2
+    assert np.array_equal(stack[0], a1) and np.array_equal(stack[1], a2)
+
+
+def test_patchify_stack_equals_single_images():
+    rng = np.random.default_rng(22)
+    images = rng.random((3, 3, 8, 8)).astype(np.float32)
+    patches = patchify(images, 4)
+    assert patches.shape == (3, 4, 48)
+    for image, rows in zip(images, patches):
+        assert np.array_equal(rows, patchify(image, 4))
 
 
 def test_init_params_covers_every_shape_and_is_seeded():

@@ -137,9 +137,9 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     real_forward, real_label, real_box = (cli.two_branch_forward, loc.largest_component,
                                           loc.box_from_heat)
 
-    def counting_forward(params, cfg, image, **kwargs):
-        forwards.append(id(image))
-        return real_forward(params, cfg, image, **kwargs)
+    def counting_forward(params, cfg, images, **kwargs):
+        forwards.append(images)  # keeps every stack alive, so ids stay distinct
+        return real_forward(params, cfg, images, **kwargs)
 
     def counting_label(mask):
         labellings.append(1)
@@ -160,7 +160,9 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     monkeypatch.undo()
 
     images = len(samples)
-    assert len(forwards) == len(set(forwards)) == images
+    assert len(forwards) == len({id(stack) for stack in forwards}) == images
+    for stack, (image, _, _) in zip(forwards, samples):
+        assert stack.shape == (1,) + image.shape and np.array_equal(stack[0], image)
     assert len(labellings) <= len(pairs) <= images * (len(thetas) + 1)
 
     rows = dict(_read_csv(report)[1:])
@@ -327,6 +329,59 @@ def test_non_finite_pixel_exits_4(workspace, capsys, value):
         err = capsys.readouterr().err
         assert err.startswith("error: contract: ") and err.count("\n") == 1, err
         assert f"non-finite pixel {np.float32(value)} at index (1, 5, 7)" in err, err
+
+
+def test_image_size_mismatch_exits_4(workspace, capsys):
+    tmp, cfg, params, ckpt, _ = workspace
+    small = tmp / "small.trt"
+    write_tensor(small, np.zeros((3, 16, 16), np.float32))
+    commands = [
+        ["infer", "--ckpt", str(ckpt), "--input", str(small),
+         "--out-logits", str(tmp / "a.trt"), "--out-pt", str(tmp / "b.trt")],
+        ["localize", "--ckpt", str(ckpt), "--input", str(small), "--theta", "0.5",
+         "--out-box", str(tmp / "box.txt")],
+    ]
+    for argv in commands:
+        assert main(argv) == 4, argv[0]
+        err = capsys.readouterr().err
+        assert err == ("error: contract: image shape (3, 16, 16) does not match the "
+                       "checkpoint's (3, 32, 32)\n"), err
+    assert not (tmp / "a.trt").exists() and not (tmp / "box.txt").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_heat_map_exits_4(workspace, capsys, value):
+    tmp, cfg, params, ckpt, image = workspace
+    heat = np.full((32, 32), 0.5, np.float32)
+    heat[3, 4:] = value
+    heat_path = tmp / "heat.trt"
+    write_tensor(heat_path, heat)
+    out = tmp / "overlay.ppm"
+    code = main(["heatmap", "--map", str(heat_path), "--image", str(image),
+                 "--alpha", "0.5", "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == (f"error: contract: heat map has non-finite value {value} "
+                   f"at index (3, 4)\n"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, line_no, what", [
+    (["id:a image:img.trt label:1 label:0 boxes:12,8,20,16"], 1, "key 'label' repeated"),
+    (["id:a image:img.trt label:0 boxes:12,8,20,16",
+      "id:b image:img.trt label:0 boxes:12,8,20,16",
+      "id:a image:img.trt label:1 boxes:12,8,20,16"], 3, "id 'a' already used on line 1"),
+])
+def test_duplicate_manifest_key_or_id_exits_3(workspace, capsys, lines, line_no, what):
+    tmp, cfg, params, ckpt, _ = workspace
+    manifest = tmp / "dup.manifest"
+    manifest.write_text("\n".join(lines) + "\n")
+    code = main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "0.5",
+                 "--out-report", str(tmp / "r.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"error: format: {manifest}:{line_no}: {what}\n", err
+    assert not (tmp / "r.csv").exists()
 
 
 def test_contract_violation_exits_4(workspace, capsys):

@@ -242,6 +242,24 @@ def test_manifest_missing_field(tmp_path):
         parse_manifest(path)
 
 
+def test_manifest_repeated_key_cites_line(tmp_path):
+    _write_image(tmp_path, "a.trt")
+    path = tmp_path / "m.manifest"
+    path.write_text("id:a image:a.trt label:0 boxes:0,0,4,4\n"
+                    "id:b image:a.trt label:1 boxes:0,0,4,4 boxes:1,1,2,2\n")
+    with pytest.raises(ManifestError, match=":2: key 'boxes' repeated"):
+        parse_manifest(path)
+
+
+def test_manifest_repeated_id_cites_both_lines(tmp_path):
+    _write_image(tmp_path, "a.trt")
+    path = tmp_path / "m.manifest"
+    path.write_text("id:a image:a.trt label:0 boxes:0,0,4,4\n\n"
+                    "id:a image:a.trt label:1 boxes:0,0,4,4\n")
+    with pytest.raises(ManifestError, match=":3: id 'a' already used on line 1"):
+        parse_manifest(path)
+
+
 def test_manifest_missing_image_file(tmp_path):
     path = tmp_path / "m.manifest"
     path.write_text("id:a image:gone.trt label:0 boxes:0,0,4,4\n")

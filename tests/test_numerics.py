@@ -246,3 +246,95 @@ def test_operations_do_not_mutate_inputs():
     nm.gelu(a)
     nm.bilinear_resize(a, 7, 3)
     assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
+
+
+def per_head_attention(q, k, v, num_heads, mask=None):
+    """Oracle for `attention` on one (T, D) sequence: the per-head
+    composition of contract ops it replaced (crop each head, Q K^T,
+    scale, (masked) softmax, P V, concatenate the heads)."""
+    n, d = nm.value_of(q).shape
+    hd = d // num_heads
+    contexts, probs = [], []
+    for head in range(num_heads):
+        qh = nm.crop(q, (0, head * hd), (n, hd))
+        kh = nm.crop(k, (0, head * hd), (n, hd))
+        vh = nm.crop(v, (0, head * hd), (n, hd))
+        scores = nm.scale(nm.matmul(qh, nm.transpose(kh)), 1.0 / math.sqrt(hd))
+        a = nm.softmax(scores) if mask is None else nm.masked_softmax(scores, mask)
+        probs.append(a)
+        contexts.append(nm.matmul(a, vh))
+    return nm.concat(contexts, axis=1), probs
+
+
+def _attention_inputs(rng, b, t, d):
+    q, k, v = (rng.standard_normal((b, t, d)).astype(np.float32) * 2 for _ in range(3))
+    keep = (rng.random((b, t, t)) < 0.5).astype(np.float32)
+    keep[:, np.arange(t), np.arange(t)] = 1.0
+    return q, k, v, keep
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_is_bit_identical_to_the_per_head_oracle(heads, masked):
+    rng = np.random.default_rng(30 + heads)
+    q, k, v, keep = _attention_inputs(rng, 3, 7, 8)
+    context, probs = nm.attention(q, k, v, heads, keep if masked else None)
+    assert context.shape == (3 * 7, 8) and probs.shape == (3, heads, 7, 7)
+    for i in range(3):
+        want_context, want_probs = per_head_attention(q[i], k[i], v[i], heads,
+                                                      keep[i] if masked else None)
+        assert np.array_equal(context[i * 7:(i + 1) * 7], want_context)
+        for h in range(heads):
+            assert np.array_equal(probs[i, h], want_probs[h])
+    if masked:
+        assert np.all(probs[np.broadcast_to(keep[:, None] == 0, probs.shape)] == 0.0)
+
+
+def test_attention_gradients_equal_the_per_head_oracle():
+    rng = np.random.default_rng(36)
+    q, k, v, keep = _attention_inputs(rng, 2, 5, 8)
+    w_context = rng.standard_normal((10, 8)).astype(np.float32)
+    w_probs = rng.standard_normal((2, 2, 5, 5)).astype(np.float32)
+    for mask in (None, keep):
+        tape = nm.GradTape()
+        leaves = [tape.leaf(x) for x in (q, k, v)]
+        context, probs = nm.attention(*leaves, 2, mask)
+        tape.backward(nm.add(nm.reduce_sum(nm.mul(context, w_context)),
+                             nm.reduce_sum(nm.mul(probs, w_probs))))
+        for i in range(2):
+            tape_i = nm.GradTape()
+            leaves_i = [tape_i.leaf(x[i]) for x in (q, k, v)]
+            context_i, probs_i = per_head_attention(*leaves_i, 2,
+                                                    None if mask is None else mask[i])
+            loss = nm.reduce_sum(nm.mul(context_i, w_context[i * 5:(i + 1) * 5]))
+            for h in range(2):
+                loss = nm.add(loss, nm.reduce_sum(nm.mul(probs_i[h], w_probs[i, h])))
+            tape_i.backward(loss)
+            for leaf, leaf_i in zip(leaves, leaves_i):
+                assert_grads_close(leaf.grad[i], leaf_i.grad, rel=1e-9, floor=1e-12,
+                                   what="attention vs per-head oracle")
+
+
+def test_attention_contract_errors():
+    q = np.zeros((2, 3, 4), np.float32)
+    with pytest.raises(DimensionError):
+        nm.attention(q[0], q[0], q[0], 2)
+    with pytest.raises(DimensionError):
+        nm.attention(q, q, q, 3)
+    with pytest.raises(DimensionError):
+        nm.attention(q, q, q, 2, np.ones((2, 3, 4), np.float32))
+    empty_row = np.ones((2, 3, 3), np.float32)
+    empty_row[1, 2] = 0.0
+    with pytest.raises(DegenerateInputError):
+        nm.attention(q, q, q, 2, empty_row)
+
+
+def test_conv2d3x3_batch_rows_equal_single_images():
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((3, 5, 4, 6)).astype(np.float32)
+    kernel = rng.standard_normal((2, 6, 3, 3)).astype(np.float32)
+    bias = rng.standard_normal(2).astype(np.float32)
+    out = nm.conv2d3x3(x, kernel, bias)
+    assert out.shape == (3, 2, 5, 4)
+    for i in range(3):
+        assert np.array_equal(out[i], nm.conv2d3x3(x[i], kernel, bias))

@@ -1,12 +1,19 @@
 """Two-branch pipeline composition tests."""
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from tokenloc import numerics as nm
 from tokenloc.backbone import ModelConfig, init_params, parameter_shapes, mhsa
+from tokenloc.errors import ContractError
+from tokenloc.formats import read_checkpoint
 from tokenloc.pipeline import branch_forward, select_tokens, two_branch_forward
-from tokenloc.token_refine import adaptive_select, masked_mhsa, selection_matrix
+from tokenloc.token_refine import adaptive_select, selection_matrix
+from tokenloc.training import ToyTaskConfig, make_dataset
 
+ACCEPTANCE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "acceptance.ckpt"
 CFG = ModelConfig(image_size=16, patch_size=4, embed_dim=8, num_blocks=2,
                   num_heads=2, num_classes=3)
 
@@ -19,8 +26,8 @@ def test_degenerate_priorities_fall_back_to_argmax():
 def test_zero_model_runs_end_to_end():
     params = {name: np.zeros(shape, np.float32)
               for name, shape in parameter_shapes(CFG).items()}
-    result = two_branch_forward(params, CFG, np.zeros((3, 16, 16), np.float32))
-    assert nm.value_of(result.p_cam).shape == (3,)
+    result = two_branch_forward(params, CFG, np.zeros((1, 3, 16, 16), np.float32))
+    assert nm.value_of(result.p_cam).shape == (1, 3)
     assert abs(float(nm.value_of(result.p_cam).sum()) - 1.0) < 1e-6
     assert abs(float(nm.value_of(result.p_refine).sum()) - 1.0) < 1e-6
 
@@ -30,11 +37,12 @@ def test_selection_override_pins_selection():
     image = np.random.default_rng(1).random((3, 16, 16)).astype(np.float32)
     mask = np.zeros(CFG.num_tokens, np.float32)
     mask[3] = 1.0
-    result = two_branch_forward(params, CFG, image, selection_override=(0.5, mask))
-    assert np.array_equal(result.selection.mask, mask)
-    assert result.selection.threshold == 0.5
+    result = two_branch_forward(params, CFG, np.stack([image, image[:, ::-1]]),
+                                selection_override=(0.5, mask))
+    assert np.array_equal(result.selection.mask, [mask, mask])
+    assert list(result.selection.threshold) == [0.5, 0.5]
     lam = nm.value_of(result.selection.weights)
-    assert np.array_equal(lam, mask)  # single selected token takes all the weight
+    assert np.array_equal(lam, [mask, mask])  # single selected token takes all the weight
 
 
 def test_custom_selector_hook():
@@ -48,10 +56,11 @@ def test_custom_selector_hook():
         mask[:2] = 1.0
         return float(m[1]), mask
 
-    result = two_branch_forward(params, CFG, image, selector=take_two)
+    result = two_branch_forward(params, CFG, image[None], selector=take_two)
     assert len(calls) == 1
-    assert np.array_equal(result.selection.mask[:2], [1, 1])
-    assert result.selection.mask[2:].sum() == 0
+    assert np.array_equal(result.selection.mask[0, :2], [1, 1])
+    assert result.selection.mask[0, 2:].sum() == 0
+    assert result.selection.threshold[0] == float(calls[0][1])
 
 
 def test_full_mass_selection_reduces_masked_attention_to_plain():
@@ -63,15 +72,15 @@ def test_full_mass_selection_reduces_masked_attention_to_plain():
     _, mask = adaptive_select(m, 1.0)
     assert np.array_equal(mask, np.ones(CFG.num_tokens, np.float32))
     matrix = selection_matrix(mask)
-    z_p = rng.standard_normal((CFG.num_tokens, CFG.embed_dim)).astype(np.float32)
-    masked_out, _ = masked_mhsa(z_p, matrix, params, "refine.mask_block", CFG.num_heads)
+    z_p = rng.standard_normal((1, CFG.num_tokens, CFG.embed_dim)).astype(np.float32)
+    masked_out, _ = mhsa(z_p, params, "refine.mask_block", CFG.num_heads, mask=matrix[None])
     plain_out, _ = mhsa(z_p, params, "refine.mask_block", CFG.num_heads)
     assert np.allclose(masked_out, plain_out, atol=1e-6)
 
 
 def test_forward_deterministic():
     params = init_params(CFG, 6)
-    image = np.random.default_rng(7).random((3, 16, 16)).astype(np.float32)
+    image = np.random.default_rng(7).random((1, 3, 16, 16)).astype(np.float32)
     a = two_branch_forward(params, CFG, image)
     b = two_branch_forward(params, CFG, image)
     assert np.array_equal(nm.value_of(a.refined_map), nm.value_of(b.refined_map))
@@ -81,7 +90,7 @@ def test_forward_deterministic():
 
 def test_taped_forward_matches_untaped_values():
     params = init_params(CFG, 8)
-    image = np.random.default_rng(9).random((3, 16, 16)).astype(np.float32)
+    image = np.random.default_rng(9).random((2, 3, 16, 16)).astype(np.float32)
     plain = two_branch_forward(params, CFG, image)
     tape = nm.GradTape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
@@ -93,7 +102,7 @@ def test_taped_forward_matches_untaped_values():
 
 def test_branch_forward_on_a_result_equals_a_fresh_forward():
     params = init_params(CFG, 10)
-    image = np.random.default_rng(11).random((3, 16, 16)).astype(np.float32)
+    image = np.random.default_rng(11).random((2, 3, 16, 16)).astype(np.float32)
 
     def take_three(m):
         mask = np.zeros_like(m)
@@ -108,3 +117,46 @@ def test_branch_forward_on_a_result_equals_a_fresh_forward():
         for field in ("refined_map", "cam_maps", "cam_logits", "p_cam", "p_refine"):
             assert np.array_equal(nm.value_of(getattr(reused, field)),
                                   nm.value_of(getattr(fresh, field))), field
+
+
+@pytest.mark.parametrize("shape", [(3, 16, 16), (1, 3, 32, 32), (2, 3, 16, 8), (1, 1, 16, 16)])
+def test_image_stack_shape_is_checked_against_the_config(shape):
+    params = init_params(CFG, 12)
+    with pytest.raises(ContractError, match=r"\(3, 16, 16\)") as info:
+        two_branch_forward(params, CFG, np.zeros(shape, np.float32))
+    assert str(shape[-3:]) in str(info.value)
+    assert "\n" not in str(info.value)
+
+
+def test_each_image_of_a_stack_is_selected_alone():
+    params = init_params(CFG, 13)
+    images = np.random.default_rng(14).random((3, 3, 16, 16)).astype(np.float32)
+    seen = []
+
+    def record(m):
+        seen.append(m.copy())
+        return select_tokens(m, CFG.selection_mass)
+
+    batched = two_branch_forward(params, CFG, images, selector=record)
+    assert len(seen) == 3
+    for i in range(3):
+        single = two_branch_forward(params, CFG, images[i:i + 1])
+        assert np.array_equal(seen[i], single.selection.priorities[0])
+        assert np.array_equal(batched.selection.mask[i], single.selection.mask[0])
+        assert np.array_equal(batched.selection.matrix[i], single.selection.matrix[0])
+        assert batched.selection.threshold[i] == single.selection.threshold[0]
+
+
+def test_batched_forward_is_bit_identical_to_single_images_on_the_acceptance_heldout_set():
+    # the checkpoint trained on the acceptance toy task, and its 50 held-out images
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    heldout = make_dataset(ToyTaskConfig(samples_per_epoch=50, seed=99))
+    images = np.stack([image for image, _, _ in heldout])
+    batched = two_branch_forward(params, cfg, images)
+    for i in range(len(images)):
+        alone = two_branch_forward(params, cfg, images[i:i + 1])
+        for field in ("refined_map", "cam_maps", "cam_logits", "p_cam", "p_refine"):
+            assert np.array_equal(getattr(batched, field)[i], getattr(alone, field)[0]), field
+        for field in ("priorities", "threshold", "mask", "weights", "refined"):
+            assert np.array_equal(nm.value_of(getattr(batched.selection, field))[i],
+                                  nm.value_of(getattr(alone.selection, field))[0]), field

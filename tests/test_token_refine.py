@@ -12,7 +12,6 @@ from tokenloc.token_refine import (
     TokenSelection,
     adaptive_select,
     importance_weights,
-    masked_mhsa,
     preliminary_attention,
     reattention,
     refine_classify,
@@ -47,29 +46,42 @@ def selection_oracle(m, u):
 
 def test_preliminary_attention_uniform():
     n = 4
-    uniform = np.full((n + 1, n + 1), 1.0 / (n + 1), np.float32)
-    m = preliminary_attention([[uniform]])
+    uniform = np.full((1, 1, n + 1, n + 1), 1.0 / (n + 1), np.float32)
+    m = preliminary_attention([uniform])
+    assert m.shape == (1, n)
     assert np.allclose(m, np.full(n, 1.0 / (n + 1)), atol=1e-7)
 
 
 def test_preliminary_attention_additive_over_blocks():
     rng = np.random.default_rng(0)
-    a = nm.softmax(rng.standard_normal((5, 5)).astype(np.float32))
-    one = preliminary_attention([[a]])
-    two = preliminary_attention([[a], [a]])
+    a = nm.softmax(rng.standard_normal((1, 1, 5, 5)).astype(np.float32))
+    one = preliminary_attention([a])
+    two = preliminary_attention([a, a])
     assert np.allclose(two, 2.0 * one.astype(np.float64), atol=1e-6)
 
 
 def test_preliminary_attention_matches_hand_composition():
     rng = np.random.default_rng(1)
-    stack = [[nm.softmax(rng.standard_normal((5, 5)).astype(np.float32)) for _ in range(2)]
+    # two blocks, a batch of three images, two heads
+    stack = [nm.softmax(rng.standard_normal((3, 2, 5, 5)).astype(np.float32))
              for _ in range(2)]
     m = preliminary_attention(stack)
-    expected = np.zeros(4)
-    for heads in stack:
-        mean = (heads[0].astype(np.float64) + heads[1].astype(np.float64)) / 2.0
-        expected += mean[0, 1:]
+    expected = np.zeros((3, 4))
+    for probs in stack:
+        mean = (probs[:, 0].astype(np.float64) + probs[:, 1].astype(np.float64)) / 2.0
+        expected += mean[:, 0, 1:]
     assert np.allclose(m, expected, atol=1e-6)
+
+
+def test_preliminary_attention_adds_heads_one_at_a_time_in_float32():
+    rng = np.random.default_rng(17)
+    probs = nm.softmax(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
+    m = preliminary_attention([probs])
+    for image in range(2):
+        mean = probs[image, 0]
+        for head in range(1, 4):
+            mean = nm.add(mean, probs[image, head])
+        assert np.array_equal(m[image], nm.scale(mean, 0.25)[0, 1:])
 
 
 def test_preliminary_attention_empty_stack_rejected():
@@ -178,25 +190,25 @@ def test_selection_matrix_row_expansion():
 def test_masked_mhsa_all_ones_equals_plain():
     rng = np.random.default_rng(6)
     params = init_params(TINY, 7)
-    z_p = rng.standard_normal((4, 8)).astype(np.float32)
-    ones = np.ones((4, 4), np.float32)
-    masked_out, masked_attn = masked_mhsa(z_p, ones, params, "refine.mask_block", 2)
+    z_p = rng.standard_normal((1, 4, 8)).astype(np.float32)
+    ones = np.ones((1, 4, 4), np.float32)
+    masked_out, masked_attn = mhsa(z_p, params, "refine.mask_block", 2, mask=ones)
     plain_out, plain_attn = mhsa(z_p, params, "refine.mask_block", 2)
     assert np.allclose(masked_out, plain_out, atol=1e-6)
-    for a, b in zip(masked_attn, plain_attn):
-        assert np.allclose(np.asarray(a), np.asarray(b), atol=1e-6)
+    assert masked_attn.shape == plain_attn.shape == (1, 2, 4, 4)
+    assert np.allclose(masked_attn, plain_attn, atol=1e-6)
 
 
 def test_masked_mhsa_mask_contract():
     rng = np.random.default_rng(7)
     params = init_params(TINY, 8)
-    z_p = rng.standard_normal((4, 8)).astype(np.float32)
-    matrix = selection_matrix(np.array([1, 0, 0, 1], np.float32))
-    _, attn = masked_mhsa(z_p, matrix, params, "refine.mask_block", 2)
-    for a in attn:
-        a = np.asarray(a)
-        assert np.all(a[matrix == 0] == 0.0)
-        assert np.allclose(a.sum(axis=1), 1.0, atol=1e-5)
+    z_p = rng.standard_normal((2, 4, 8)).astype(np.float32)
+    matrix = selection_matrix(np.array([[1, 0, 0, 1], [0, 1, 0, 0]], np.float32))
+    _, attn = mhsa(z_p, params, "refine.mask_block", 2, mask=matrix)
+    for image in range(2):
+        for a in attn[image]:
+            assert np.all(a[matrix[image] == 0] == 0.0)
+            assert np.allclose(a.sum(axis=1), 1.0, atol=1e-5)
 
 
 def test_masked_mhsa_matches_composition_oracle():
@@ -209,7 +221,8 @@ def test_masked_mhsa_matches_composition_oracle():
     z_p = rng.standard_normal((n, d)).astype(np.float32)
     matrix = selection_matrix(np.array([1, 0, 1], np.float32))
 
-    out, attn = masked_mhsa(z_p, matrix, params, "mb", 1)
+    out, attn = mhsa(z_p[None], params, "mb", 1, mask=matrix[None])
+    attn = attn[:, 0]
 
     z64 = z_p.astype(np.float64)
     q = z64 @ params["mb.attn.q.weight"] + params["mb.attn.q.bias"]
@@ -229,28 +242,38 @@ def test_masked_mhsa_matches_composition_oracle():
 # --- importance weights -----------------------------------------------------
 
 def _selection_for(mask):
+    """A batch-of-one selection for one mask vector, or a batch for a matrix."""
     mask = np.asarray(mask, np.float32)
-    return TokenSelection(priorities=mask.copy(), threshold=1.0, mask=mask,
+    if mask.ndim == 1:
+        mask = mask[None]
+    return TokenSelection(priorities=mask.copy(), threshold=np.ones(len(mask)), mask=mask,
                           matrix=selection_matrix(mask))
 
 
 def test_importance_weights_single_token():
     rng = np.random.default_rng(9)
     params = init_params(TINY, 10)
-    z_p = rng.standard_normal((4, 8)).astype(np.float32)
+    z_p = rng.standard_normal((1, 4, 8)).astype(np.float32)
     lam = importance_weights(z_p, _selection_for([0, 0, 1, 0]), params, 2)
-    assert np.array_equal(nm.value_of(lam), [0, 0, 1, 0])
+    assert np.array_equal(nm.value_of(lam), [[0, 0, 1, 0]])
+
+
+def test_importance_weights_reject_an_empty_row_in_a_batch():
+    params = init_params(TINY, 10)
+    z_p = np.random.default_rng(9).standard_normal((2, 4, 8)).astype(np.float32)
+    with pytest.raises(ContractError):
+        importance_weights(z_p, _selection_for([[0, 0, 1, 0], [0, 0, 0, 0]]), params, 2)
 
 
 def test_importance_weights_support_and_sum():
     rng = np.random.default_rng(10)
     for trial in range(10):
         params = init_params(TINY, 20 + trial)
-        z_p = rng.standard_normal((4, 8)).astype(np.float32)
+        z_p = rng.standard_normal((1, 4, 8)).astype(np.float32)
         mask = (rng.random(4) < 0.5).astype(np.float32)
         if mask.sum() == 0:
             mask[0] = 1.0
-        lam = nm.value_of(importance_weights(z_p, _selection_for(mask), params, 2))
+        lam = nm.value_of(importance_weights(z_p, _selection_for(mask), params, 2))[0]
         assert abs(float(lam.sum()) - 1.0) < 1e-6
         assert np.all(lam * (1.0 - mask) == 0.0)
         assert np.all(lam >= 0.0)
@@ -263,7 +286,7 @@ def test_importance_weights_matches_step_oracle():
     params = init_params(cfg, 12)
     z_p = rng.standard_normal((4, 4)).astype(np.float32)
     mask = np.array([1, 1, 0, 1], np.float32)
-    lam = nm.value_of(importance_weights(z_p, _selection_for(mask), params, 1))
+    lam = nm.value_of(importance_weights(z_p[None], _selection_for(mask), params, 1))[0]
 
     def ln(x, g, b):
         mu = x.mean(axis=-1, keepdims=True)
@@ -321,6 +344,22 @@ def test_reattention_zero_weights_rejected():
                     np.zeros(2, np.float32))
 
 
+def test_reattention_rows_of_a_batch_are_independent():
+    rng = np.random.default_rng(18)
+    m = rng.random((3, 5)).astype(np.float32)
+    b = np.array([[1, 0, 1, 0, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1]], np.float32)
+    lam = (rng.random((3, 5)) * b).astype(np.float32)
+    lam[0] /= lam[0].sum()
+    lam[2] /= lam[2].sum()
+    refined = reattention(m, b, lam)
+    for row in range(3):
+        assert np.array_equal(refined[row], reattention(m[row], b[row], lam[row]))
+    assert np.array_equal(refined[1], m[1])  # the empty row passes through
+    lam[2] = 0.0
+    with pytest.raises(ContractError):
+        reattention(m, b, lam)
+
+
 def test_reattention_conserves_mass():
     rng = np.random.default_rng(12)
     for _ in range(200):
@@ -351,6 +390,7 @@ def test_spatial_map_roundtrip():
 
 def test_spatial_map_dimensions():
     assert spatial_map(np.zeros(196, np.float32)).shape == (14, 14)
+    assert spatial_map(np.zeros((3, 16), np.float32)).shape == (3, 4, 4)
     with pytest.raises(DimensionError):
         spatial_map(np.zeros(5, np.float32))
 
@@ -358,13 +398,13 @@ def test_spatial_map_dimensions():
 def test_refine_classify_probability_contract():
     rng = np.random.default_rng(14)
     params = init_params(TINY, 15)
-    z_cls = rng.standard_normal((1, 8)).astype(np.float32)
-    z_p = rng.standard_normal((4, 8)).astype(np.float32)
-    lam = np.array([0.25, 0.25, 0.25, 0.25], np.float32)
+    z_cls = rng.standard_normal((2, 1, 8)).astype(np.float32)
+    z_p = rng.standard_normal((2, 4, 8)).astype(np.float32)
+    lam = np.array([[0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]], np.float32)
     p = nm.value_of(refine_classify(z_cls, z_p, lam, params, TINY))
-    assert p.shape == (3,)
+    assert p.shape == (2, 3)
     assert np.all(p > 0)
-    assert abs(float(p.sum()) - 1.0) < 1e-6
+    assert np.allclose(p.astype(np.float64).sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_one_hot_weights_fuse_to_single_token():
@@ -381,13 +421,26 @@ def test_refine_classify_matches_composition_oracle():
     z_cls = rng.standard_normal((1, 8)).astype(np.float32)
     z_p = rng.standard_normal((4, 8)).astype(np.float32)
     lam = np.array([0.5, 0.1, 0.3, 0.1], np.float32)
-    p = nm.value_of(refine_classify(z_cls, z_p, lam, params, TINY))
+    p = nm.value_of(refine_classify(z_cls[None], z_p[None], lam[None], params, TINY))[0]
 
     from tokenloc.backbone import block_forward
     fusion = nm.matmul(lam.reshape(1, 4), z_p)
     seq = np.vstack([z_cls, fusion])
-    out, _ = block_forward(seq, params, "refine.final_block", TINY.num_heads)
-    logits = (out[0].astype(np.float64) @ params["refine.head.weight"].astype(np.float64)
+    out, _ = block_forward(seq[None], params, "refine.final_block", TINY.num_heads)
+    logits = (out[0, 0].astype(np.float64) @ params["refine.head.weight"].astype(np.float64)
               + params["refine.head.bias"].astype(np.float64))
     e = np.exp(logits - logits.max())
     assert np.allclose(p, e / e.sum(), atol=1e-5)
+
+
+def test_refine_classify_batch_rows_equal_single_images():
+    rng = np.random.default_rng(19)
+    params = init_params(TINY, 20)
+    z_cls = rng.standard_normal((3, 1, 8)).astype(np.float32)
+    z_p = rng.standard_normal((3, 4, 8)).astype(np.float32)
+    lam = rng.random((3, 4)).astype(np.float32)
+    lam /= lam.sum(axis=1, keepdims=True)
+    batched = refine_classify(z_cls, z_p, lam, params, TINY)
+    for i in range(3):
+        single = refine_classify(z_cls[i:i + 1], z_p[i:i + 1], lam[i:i + 1], params, TINY)
+        assert np.array_equal(batched[i], single[0])

@@ -6,18 +6,23 @@ import numpy as np
 import pytest
 
 from tokenloc import numerics as nm
+from tokenloc import training
 from tokenloc.backbone import ModelConfig, init_params
 from tokenloc.errors import ContractError, DimensionError
 from tokenloc.pipeline import two_branch_forward
 from tokenloc.training import (
     ToyTaskConfig,
     TrainConfig,
+    _batch_loss,
     backward,
     cross_entropy_joint,
+    default_model_config,
     make_dataset,
     sgd_step,
     train_toy,
 )
+
+from util import assert_grads_close
 
 TOY = ToyTaskConfig(image_size=32, num_classes=2, min_object=14, max_object=24,
                     noise_level=0.6, samples_per_epoch=8, seed=7)
@@ -76,13 +81,14 @@ def test_loss_scaling_linearity_through_pipeline():
     cfg = ModelConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=2,
                       num_heads=2, num_classes=3)
     params = init_params(cfg, 0)
-    image = np.random.default_rng(1).random((3, 8, 8)).astype(np.float32)
+    image = np.random.default_rng(1).random((1, 3, 8, 8)).astype(np.float32)
 
     def grads_scaled(factor):
         tape = nm.GradTape()
         leaves = {k: tape.leaf(v) for k, v in params.items()}
         result = two_branch_forward(leaves, cfg, image)
-        loss = nm.scale(cross_entropy_joint(result.p_cam, result.p_refine, 1), factor)
+        loss = nm.scale(nm.reduce_sum(cross_entropy_joint(result.p_cam, result.p_refine, [1])),
+                        factor)
         return backward(loss, tape, leaves)
 
     ones = grads_scaled(1.0)
@@ -193,3 +199,100 @@ def test_model_config_mismatch_rejected():
     with pytest.raises(ContractError):
         train_toy(TOY, TrainConfig(steps_phase1=1, steps_phase2=0, batch_size=1, seed=0),
                   model)
+
+
+def per_image_loss(params, cfg, batch):
+    """Oracle for the batched loss: the per-image loop it replaced, one
+    forward per image, losses added in float32, then averaged."""
+    total = None
+    for image, label, _ in batch:
+        result = two_branch_forward(params, cfg, image[None])
+        loss = nm.reshape(cross_entropy_joint(result.p_cam, result.p_refine, [label]), ())
+        total = loss if total is None else nm.add(total, loss)
+    return nm.scale(total, 1.0 / len(batch))
+
+
+def _loss_and_grads(loss_fn, params, cfg, batch, names):
+    tape = nm.GradTape()
+    leaves = {name: tape.leaf(params[name]) for name in names}
+    loss = loss_fn({**params, **leaves}, cfg, batch)
+    return float(nm.value_of(loss)), backward(loss, tape, leaves)
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_batched_loss_and_gradients_match_the_per_image_loop(phase):
+    toy = ToyTaskConfig(samples_per_epoch=8, seed=3)
+    cfg = default_model_config(toy)
+    params = init_params(cfg, 4)
+    batch = make_dataset(toy)
+    names = [name for name in params if name.startswith("cam.") == (phase == 2)]
+    loss, grads = _loss_and_grads(_batch_loss, params, cfg, batch, names)
+    want_loss, want_grads = _loss_and_grads(per_image_loss, params, cfg, batch, names)
+    assert loss == pytest.approx(want_loss, rel=1e-6)
+    for name in names:
+        assert_grads_close(grads[name], want_grads[name], rel=1e-4, floor=1e-7, what=name)
+
+
+def zero_mass_checkpoint():
+    """A one-head model whose class token attends only to itself on an
+    all-zero image (every patch probability underflows to 0, so selection
+    falls back to the argmax token) but spreads attention on a bright one."""
+    cfg = ModelConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=2,
+                      num_heads=1, num_classes=2)
+    params = init_params(cfg, 5)
+    pattern = np.zeros(8, np.float32)
+    pattern[:2] = (1.0, -1.0)
+    params["embed.patch.weight"] = np.tile(pattern, (cfg.patch_dim, 1))
+    params["embed.cls"] = pattern[None]
+    params["embed.pos"] = np.zeros_like(params["embed.pos"])
+    params["backbone.block0.attn.q.weight"] = np.zeros((8, 8), np.float32)
+    params["backbone.block0.attn.q.bias"] = 10.0 * np.eye(8, dtype=np.float32)[0]
+    params["backbone.block0.attn.k.weight"] = np.zeros((8, 8), np.float32)
+    params["backbone.block0.attn.k.weight"][0, 0] = 100.0
+    params["backbone.block0.attn.k.bias"] = np.zeros(8, np.float32)
+    return cfg, params
+
+
+def test_mixed_batch_with_a_zero_mass_fallback_matches_each_image_alone():
+    cfg, params = zero_mass_checkpoint()
+    dark = np.zeros((3, 8, 8), np.float32)
+    bright = np.random.default_rng(6).uniform(0.2, 1.0, (3, 8, 8)).astype(np.float32)
+    batch = [(dark, 0, None), (bright, 1, None)]
+    result = two_branch_forward(params, cfg, np.stack([dark, bright]))
+    assert np.all(result.selection.priorities[0] == 0.0)
+    assert np.array_equal(result.selection.mask[0], [1, 0, 0, 0])
+    assert result.selection.priorities[1].sum() > 0.0
+    for i, (image, _, _) in enumerate(batch):
+        alone = two_branch_forward(params, cfg, image[None])
+        for field in ("refined_map", "cam_maps", "p_cam", "p_refine"):
+            assert np.array_equal(getattr(result, field)[i], getattr(alone, field)[0]), field
+        for field in ("priorities", "mask", "weights", "threshold"):
+            assert np.array_equal(nm.value_of(getattr(result.selection, field))[i],
+                                  nm.value_of(getattr(alone.selection, field))[0]), field
+    names = list(params)
+    loss, grads = _loss_and_grads(_batch_loss, params, cfg, batch, names)
+    want_loss, want_grads = _loss_and_grads(per_image_loss, params, cfg, batch, names)
+    assert loss == pytest.approx(want_loss, rel=1e-6)
+    for name in names:
+        assert_grads_close(grads[name], want_grads[name], rel=1e-4, floor=1e-7, what=name)
+
+
+def test_training_step_tape_size_and_release(monkeypatch):
+    sizes = []
+    real_backward = training.backward
+
+    def sizing_backward(loss, tape, leaves):
+        before = len(tape)
+        grads = real_backward(loss, tape, leaves)
+        sizes.append((before, len(tape), sorted(leaves)))
+        return grads
+
+    monkeypatch.setattr(training, "backward", sizing_backward)
+    toy = ToyTaskConfig(samples_per_epoch=8, seed=7)
+    train_toy(toy, TrainConfig(steps_phase1=1, steps_phase2=1, batch_size=8, seed=9))
+    (phase1, after1, names1), (phase2, after2, names2) = sizes
+    assert phase1 <= 150, phase1        # one taped forward over the batch
+    assert phase2 <= 20, phase2         # only the CAM branch is taped in phase 2
+    assert after1 == after2 == 0        # a replayed tape holds no records
+    assert not any(name.startswith("cam.") for name in names1)
+    assert names2 == ["cam.conv.bias", "cam.conv.weight"]
