@@ -18,12 +18,12 @@ from .localization import (
     DEFAULT_GRID,
     best_threshold,
     box_table,
-    class_heat,
+    class_heats,
     gt_known_table,
     max_box_acc_v2_over_grid,
     threshold_grid,
 )
-from .pipeline import branch_forward, two_branch_forward
+from .pipeline import branch_forward, forward_chunks
 from .token_refine import adaptive_select
 
 
@@ -119,14 +119,15 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
     thetas = threshold_grid(*(grid or DEFAULT_GRID))
     side = cfg.image_size
     heats = [[] for _ in settings]
-    for image, label, _ in samples:
-        # one backbone pass per image: later settings re-run only the branches
-        result = None
-        for setting_heats, (_, selector, reatt) in zip(heats, settings):
-            kwargs = dict(selector=selector, reattention_on=reatt)
-            result = (two_branch_forward(params, cfg, image[None], **kwargs) if result is None else
-                      branch_forward(params, cfg, result.tokens, result.stack, **kwargs))
-            setting_heats.append(class_heat(result, int(label), side))
+    (_, first_selector, first_reatt), later = settings[0], settings[1:]
+    for labels, result in forward_chunks(params, cfg, samples, selector=first_selector,
+                                         reattention_on=first_reatt):
+        heats[0].extend(class_heats(result, labels, side))
+        # one backbone pass per stack: later settings re-run only the branches
+        for setting_heats, (_, selector, reatt) in zip(heats[1:], later):
+            branches = branch_forward(params, cfg, result.tokens, result.stack,
+                                      selector=selector, reattention_on=reatt)
+            setting_heats.extend(class_heats(branches, labels, side))
     rows = []
     for setting_heats, (spec, _, reatt) in zip(heats, settings):
         boxes = box_table(setting_heats, thetas, side, side)

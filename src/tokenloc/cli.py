@@ -31,10 +31,11 @@ from .formats import (
 )
 from .localization import (
     DEFAULT_GRID,
+    BoundingBox,
     best_threshold,
     box_from_heat,
     box_table,
-    class_heat,
+    class_heats,
     grid_search_threshold,
     gt_known_table,
     localize,
@@ -42,7 +43,7 @@ from .localization import (
     threshold_grid,
 )
 from .metrics import EvalRecord, loc_acc
-from .pipeline import two_branch_forward
+from .pipeline import forward_chunks, two_branch_forward
 from .training import ToyTaskConfig, TrainConfig, train_toy
 
 METRIC_NAMES = ("gt-known", "top1", "top5", "maxboxaccv2")
@@ -76,16 +77,20 @@ def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid
     With a grid, theta_star maximises GT-known accuracy and the class-
     aware metrics are computed there; maxboxaccv2 takes each IoU level's
     own best threshold. With a fixed theta everything uses that theta.
-    Each image gets one forward pass, and each (heat, theta) pair one box.
+    The images go through the forward pass once each, in stacks of
+    `pipeline.FORWARD_CHUNK`; each GT-class heat is labelled once over
+    the whole grid, and each differing predicted-class heat once at
+    theta_star.
     """
     side = cfg.image_size
     rankings, heats_gt, heats_pred = [], [], []
-    for image, label, _ in samples:
-        result = two_branch_forward(params, cfg, image[None], selection_mass=selection_mass)
-        ranking = _ranking(nm.value_of(result.p_cam)[0])
-        rankings.append(ranking)
-        heats_gt.append(class_heat(result, int(label), side))
-        heats_pred.append(None if ranking[0] == label else class_heat(result, ranking[0], side))
+    for labels, result in forward_chunks(params, cfg, samples, selection_mass=selection_mass):
+        ranked = [_ranking(row) for row in nm.value_of(result.p_cam)]
+        rankings += ranked
+        heats_gt.extend(class_heats(result, labels, side))
+        top = [ranking[0] for ranking in ranked]
+        heats_pred.extend(None if predicted == label else heat for predicted, label, heat
+                          in zip(top, labels, class_heats(result, top, side)))
     thetas = threshold_grid(*grid) if grid is not None else [float(theta)]
     boxes = box_table(heats_gt, thetas, side, side)
     table = gt_known_table(boxes, samples, thetas)
@@ -96,7 +101,8 @@ def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid
         records_pred = []
         for record, row, ranking, heat in zip(records, boxes, rankings, heats_pred):
             # when the top-ranked class is the GT class, its box is already in the table
-            box = row[star] if heat is None else box_from_heat(heat, theta_star, side, side)[0]
+            box = (BoundingBox(*row[star].tolist()) if heat is None else
+                   box_from_heat(heat, theta_star, side, side)[0])
             records_pred.append(EvalRecord(image_id=record.image_id, box=box,
                                            gt_boxes=record.boxes, gt_class=record.label,
                                            class_ranking=ranking))

@@ -126,9 +126,12 @@ def _config_to_bytes(cfg: ModelConfig) -> bytes:
 
 def _config_from_bytes(raw: bytes) -> ModelConfig:
     w, p, d, blocks, heads, ratio, k, mass = _CONFIG_STRUCT.unpack(raw)
-    return ModelConfig(image_size=w, patch_size=p, embed_dim=d, num_blocks=blocks,
-                       num_heads=heads, num_classes=k, mlp_ratio=ratio,
-                       selection_mass=mass / MASS_FIXED_POINT)
+    try:
+        return ModelConfig(image_size=w, patch_size=p, embed_dim=d, num_blocks=blocks,
+                           num_heads=heads, num_classes=k, mlp_ratio=ratio,
+                           selection_mass=mass / MASS_FIXED_POINT)
+    except DimensionError as exc:
+        raise CheckpointError(f"invalid config entry: {exc}") from exc
 
 
 def write_checkpoint(path, cfg: ModelConfig, params: dict) -> None:
@@ -170,7 +173,10 @@ def read_checkpoint(path):
         raw, offset = _take(data, offset, 2, "entry name length")
         (name_len,) = struct.unpack("<H", raw)
         raw, offset = _take(data, offset, name_len, "entry name")
-        name = raw.decode("utf-8")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"entry name {raw!r} is not UTF-8: {exc.reason}") from exc
         if name == CONFIG_ENTRY:
             if cfg is not None:
                 raise CheckpointError("duplicate config entry")

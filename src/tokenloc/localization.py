@@ -3,7 +3,9 @@
 The scoring-branch map and the chosen class's activation map are each
 min-max normalised (a constant map normalises to zeros), multiplied,
 upsampled to image resolution, thresholded, and reduced to the tight
-bounding box of the largest 8-connected foreground component.
+bounding box of the largest 8-connected foreground component. Fusion
+runs over the rows of a forward result's stack, and each heat map is
+labelled at every threshold of a grid in one call.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from scipy import ndimage
 from . import numerics as nm
 from .backbone import ModelConfig
 from .errors import ContractError, DimensionError
-from .pipeline import two_branch_forward
+from .pipeline import forward_chunks, two_branch_forward
 
 DEFAULT_GRID = (0.05, 0.95, 0.05)
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+# 8-connectivity within each (H, W) plane of a (T, H, W) mask stack, none across planes
+_PLANE_EIGHT_CONNECTED = np.stack([np.zeros((3, 3)), np.ones((3, 3)), np.zeros((3, 3))]) > 0
 
 
 @dataclass(frozen=True)
@@ -52,75 +55,93 @@ class LocalizationResult:
 
 
 def _minmax(x: np.ndarray) -> np.ndarray:
+    """Min-max normalise each (H, W) plane in float64; a constant plane
+    normalises to zeros."""
     x = x.astype(np.float64)
-    span = x.max() - x.min()
-    if span <= 0.0:
-        return np.zeros(x.shape, dtype=np.float32)
-    return ((x - x.min()) / span).astype(np.float32)
+    low = x.min(axis=(-2, -1), keepdims=True)
+    span = x.max(axis=(-2, -1), keepdims=True) - low
+    out = np.zeros(x.shape)
+    np.divide(x - low, span, out=out, where=~(span <= 0.0))
+    return out.astype(np.float32)
 
 
-def fuse(refined_map, cam_maps, class_id: int) -> np.ndarray:
-    """Elementwise product of the normalised maps for one class.
+def fuse(refined_map, cam_maps, class_id) -> np.ndarray:
+    """Elementwise product of the normalised maps for one class per row.
 
-    The class map is rectified at zero first; both maps are min-max
-    normalised to [0, 1], so a constant map zeroes the fusion.
+    refined_map is (..., h, w) and cam_maps (..., K, h, w); class_id is
+    an int or an array over the leading axes. The class map is rectified
+    at zero first; both maps are min-max normalised to [0, 1] per plane,
+    so a constant map zeroes the fusion.
     """
     mt = nm.value_of(refined_map)
     mc = nm.value_of(cam_maps)
-    if mc.ndim != 3 or mt.shape != mc.shape[1:]:
+    if (mt.ndim < 2 or mc.ndim != mt.ndim + 1 or mc.shape[:-3] != mt.shape[:-2]
+            or mc.shape[-2:] != mt.shape[-2:]):
         raise DimensionError(f"map shapes disagree: {mt.shape} vs {mc.shape}")
-    if not 0 <= class_id < mc.shape[0]:
-        raise ContractError(f"class id {class_id} out of range for {mc.shape[0]} classes")
-    rectified = np.maximum(mc[class_id], 0.0)
-    return _minmax(mt) * _minmax(rectified)
+    ids = np.broadcast_to(np.asarray(class_id, dtype=np.int64), mt.shape[:-2])
+    bad = (ids < 0) | (ids >= mc.shape[-3])
+    if bad.any():
+        raise ContractError(f"class id {ids[bad][0]} out of range for {mc.shape[-3]} classes")
+    picked = np.take_along_axis(mc, ids[..., None, None, None], axis=-3)[..., 0, :, :]
+    return _minmax(mt) * _minmax(np.maximum(picked, 0.0))
 
 
-def binarize(heat: np.ndarray, theta: float) -> np.ndarray:
-    """Foreground mask [heat >= theta]."""
-    if not 0.0 <= theta <= 1.0:
+def binarize(heat: np.ndarray, theta) -> np.ndarray:
+    """Foreground mask [heat >= theta]; a sequence of T thresholds gives a
+    (T, H, W) stack of masks."""
+    thetas = np.asarray(theta, dtype=np.float64)
+    if not np.all((thetas >= 0.0) & (thetas <= 1.0)):
         raise ContractError(f"threshold must be in [0, 1], got {theta}")
-    return nm.value_of(heat) >= np.float32(theta)
+    return nm.value_of(heat) >= thetas.astype(np.float32)[..., None, None]
 
 
-def largest_component(mask: np.ndarray):
-    """Largest 8-connected foreground component, or None when empty.
+def heat_boxes(heat: np.ndarray, thetas, width: int, height: int):
+    """Box the largest 8-connected component of [heat >= theta] for each
+    threshold. Returns a (T, 4) int array of half-open (x0, y0, x1, y1)
+    rows and a (T,) flag of empty foregrounds, which get the full-image
+    box.
 
-    Size ties go to the component containing the smallest raster-order
-    pixel (scipy numbers labels in raster scan order, and argmax keeps
-    the earliest label on ties).
+    The non-empty planes of the (T, H, W) mask stack are labelled in one
+    `ndimage.label` call whose structure connects pixels only within a
+    plane. Labels are numbered in raster order, so each plane holds one
+    contiguous label range, and size ties go to the earliest label: the
+    component whose first pixel comes first.
     """
-    labels, count = ndimage.label(np.asarray(mask, dtype=bool), structure=_EIGHT_CONNECTED)
-    if count == 0:
-        return None
-    sizes = np.bincount(labels.ravel())
-    return labels == 1 + int(np.argmax(sizes[1:]))
-
-
-def tight_bbox(component: np.ndarray) -> BoundingBox:
-    """Tight half-open box around the set pixels of a component mask."""
-    ys, xs = np.nonzero(np.asarray(component, dtype=bool))
-    if ys.size == 0:
-        raise ContractError("cannot box an empty component")
-    return BoundingBox(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
+    masks = binarize(heat, thetas)
+    occupied = masks.reshape(len(masks), -1).any(axis=1)
+    boxes = np.tile(np.array([0, 0, width, height]), (len(masks), 1))
+    if occupied.any():
+        labels, count = ndimage.label(masks[occupied], structure=_PLANE_EIGHT_CONNECTED)
+        planes = labels.reshape(len(labels), -1)
+        starts = np.concatenate(([0], planes.max(axis=1)[:-1]))  # plane i: labels starts[i]+1..
+        # per plane, the largest size wins and then the smallest label: one
+        # integer key per label orders both, and reduceat takes each range's max
+        key = np.bincount(planes.ravel())[1:] * (count + 1) + np.arange(count, 0, -1)
+        best = count + 1 - np.maximum.reduceat(key, starts) % (count + 1)
+        chosen = labels == best[:, None, None]
+        rows, cols = chosen.any(axis=2), chosen.any(axis=1)
+        h, w = heat.shape
+        boxes[occupied] = np.stack([cols.argmax(axis=1), rows.argmax(axis=1),
+                                    w - cols[:, ::-1].argmax(axis=1),
+                                    h - rows[:, ::-1].argmax(axis=1)], axis=1)
+    return boxes, ~occupied
 
 
 def box_from_heat(heat: np.ndarray, theta: float, width: int, height: int):
-    """Threshold a heat map and box its largest component.
+    """Threshold a heat map and box its largest component: `heat_boxes`
+    at one threshold.
 
     Empty foreground falls back to the full-image box with a degenerate
     flag so downstream metrics never crash.
     """
-    component = largest_component(binarize(heat, theta))
-    if component is None:
-        return BoundingBox(0, 0, width, height), True
-    return tight_bbox(component), False
+    boxes, degenerate = heat_boxes(heat, [theta], width, height)
+    return BoundingBox(*boxes[0].tolist()), bool(degenerate[0])
 
 
-def class_heat(result, class_id: int, side: int) -> np.ndarray:
-    """Fused localization map of one class of a forward result on a stack
-    of one image, at image resolution."""
-    fused = fuse(nm.value_of(result.refined_map)[0], nm.value_of(result.cam_maps)[0], class_id)
-    return nm.bilinear_resize(fused, side, side)
+def class_heats(result, class_ids, side: int) -> np.ndarray:
+    """(B, side, side) fused localization maps of a forward result, one
+    class per row of its stack."""
+    return nm.bilinear_resize(fuse(result.refined_map, result.cam_maps, class_ids), side, side)
 
 
 def localize(params, cfg: ModelConfig, image, class_id="predicted", *, selection_mass=None,
@@ -134,7 +155,7 @@ def localize(params, cfg: ModelConfig, image, class_id="predicted", *, selection
                                 selector=selector, reattention_on=reattention_on)
     if class_id == "predicted":
         class_id = int(np.argmax(nm.value_of(result.p_cam)[0]))
-    heat = class_heat(result, int(class_id), cfg.image_size)
+    heat = class_heats(result, [int(class_id)], cfg.image_size)[0]
     box, degenerate = box_from_heat(heat, theta, cfg.image_size, cfg.image_size)
     return LocalizationResult(heat=heat, threshold=float(theta), box=box,
                               class_id=int(class_id), degenerate=degenerate)
@@ -151,29 +172,44 @@ def threshold_grid(start: float, stop: float, step: float) -> list:
 def gt_class_heats(params, cfg: ModelConfig, samples, *, selection_mass=None,
                    selector=None, reattention_on: bool = True) -> list:
     """Fused map per sample for that sample's ground-truth class."""
-    return [class_heat(two_branch_forward(params, cfg, image[None], selection_mass=selection_mass,
-                                          selector=selector, reattention_on=reattention_on),
-                       int(label), cfg.image_size)
-            for image, label, _ in samples]
+    heats = []
+    for labels, result in forward_chunks(params, cfg, samples, selection_mass=selection_mass,
+                                         selector=selector, reattention_on=reattention_on):
+        heats.extend(class_heats(result, labels, cfg.image_size))
+    return heats
 
 
-def box_table(heats, thetas, width: int, height: int) -> list:
-    """boxes[sample][k]: the box of each heat at thresholds[k], labelled once per pair."""
-    return [[box_from_heat(heat, theta, width, height)[0] for theta in thetas] for heat in heats]
+def box_table(heats, thetas, width: int, height: int) -> np.ndarray:
+    """(S, T, 4) table of half-open (x0, y0, x1, y1) boxes: sample s's
+    heat at thresholds[t], from one labelling call per heat."""
+    return np.array([heat_boxes(heat, thetas, width, height)[0] for heat in heats])
 
 
-def _best_ious(boxes, samples) -> list:
-    """Per sample and threshold: IoU of the box with its best-matching ground truth."""
-    from .metrics import iou
+def _area(c: np.ndarray) -> np.ndarray:
+    return (c[..., 2] - c[..., 0]) * (c[..., 3] - c[..., 1])
 
-    return [[max(iou(box, gt) for gt in gt_boxes) for box in row]
-            for row, (_, _, gt_boxes) in zip(boxes, samples)]
+
+def _box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of (..., 4) integer box arrays, broadcast. The intersection
+    and union are exact integers, so the float64 quotient equals
+    `metrics.iou`; an all-zero box overlaps nothing."""
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.maximum(ix, 0) * np.maximum(iy, 0)
+    return inter / (_area(a) + _area(b) - inter)
+
+
+def _best_ious(boxes, samples) -> np.ndarray:
+    """(S, T) IoU of each box with its sample's best-matching ground truth."""
+    gts = np.zeros((len(samples), max(len(gt_boxes) for _, _, gt_boxes in samples), 4), np.int64)
+    for row, (_, _, gt_boxes) in zip(gts, samples):
+        row[:len(gt_boxes)] = [(g.x0, g.y0, g.x1, g.y1) for g in gt_boxes]
+    return _box_ious(np.asarray(boxes)[:, :, None], gts[:, None]).max(axis=2)
 
 
 def _hit_fractions(ious, iou_level: float) -> list:
     """Per threshold: fraction of samples whose best IoU beats `iou_level` (strict)."""
-    return [sum(1 for row in ious if row[k] > iou_level) / len(ious)
-            for k in range(len(ious[0]))]
+    return (np.count_nonzero(ious > iou_level, axis=0) / len(ious)).tolist()
 
 
 def gt_known_table(boxes, samples, thetas) -> list:

@@ -336,49 +336,43 @@ def gelu(x):
 
 
 def bilinear_resize(m, out_h: int, out_w: int):
-    """Resample a matrix with half-pixel-centre bilinear interpolation.
+    """Resample the last two axes with half-pixel-centre bilinear
+    interpolation; leading axes are carried through.
 
     The source coordinate of output (i, j) is
     ((i+0.5)*h/out_h - 0.5, (j+0.5)*w/out_w - 0.5), clamped to the valid
     range, then blended from the 4 surrounding samples.
     """
     mv = value_of(m)
-    if mv.ndim != 2:
-        raise DimensionError(f"bilinear_resize expects a matrix, got shape {mv.shape}")
+    if mv.ndim < 2:
+        raise DimensionError(f"bilinear_resize expects a matrix or a stack, got shape {mv.shape}")
     if out_h < 1 or out_w < 1:
         raise DimensionError(f"output extents must be positive, got {out_h}x{out_w}")
-    h, w = mv.shape
+    h, w = mv.shape[-2:]
     si = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
     sj = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
-    i0 = np.floor(si).astype(np.int64)
-    j0 = np.floor(sj).astype(np.int64)
+    i0 = np.floor(si).astype(np.int64)[:, None]
+    j0 = np.floor(sj).astype(np.int64)[None, :]
     i1 = np.minimum(i0 + 1, h - 1)
     j1 = np.minimum(j0 + 1, w - 1)
-    fi = (si - i0)[:, None]
-    fj = (sj - j0)[None, :]
-    w00 = (1.0 - fi) * (1.0 - fj)
-    w01 = (1.0 - fi) * fj
-    w10 = fi * (1.0 - fj)
-    w11 = fi * fj
+    fi = si[:, None] - i0
+    fj = sj[None, :] - j0
+    corners = ((i0, j0, (1.0 - fi) * (1.0 - fj)), (i0, j1, (1.0 - fi) * fj),
+               (i1, j0, fi * (1.0 - fj)), (i1, j1, fi * fj))
     z = _f64(mv)
-    out64 = (w00 * z[np.ix_(i0, j0)] + w01 * z[np.ix_(i0, j1)]
-             + w10 * z[np.ix_(i1, j0)] + w11 * z[np.ix_(i1, j1)])
-    out = out64.astype(np.float32)
+    terms = [weight * z[..., ii, jj] for ii, jj, weight in corners]
+    out = (terms[0] + terms[1] + terms[2] + terms[3]).astype(np.float32)
     tape = _tape_of(m)
     if tape is None:
         return out
 
     def backward(g):
-        gm = np.zeros((h, w), dtype=np.float64)
-        ii0 = np.broadcast_to(i0[:, None], g.shape)
-        ii1 = np.broadcast_to(i1[:, None], g.shape)
-        jj0 = np.broadcast_to(j0[None, :], g.shape)
-        jj1 = np.broadcast_to(j1[None, :], g.shape)
-        np.add.at(gm, (ii0, jj0), g * w00)
-        np.add.at(gm, (ii0, jj1), g * w01)
-        np.add.at(gm, (ii1, jj0), g * w10)
-        np.add.at(gm, (ii1, jj1), g * w11)
-        m.add_grad(gm)
+        g = g.reshape(-1, out_h, out_w)
+        gm = np.zeros((len(g), h, w), dtype=np.float64)
+        rows = np.arange(len(g))[:, None, None]
+        for ii, jj, weight in corners:
+            np.add.at(gm, (rows, ii, jj), g * weight)
+        m.add_grad(gm.reshape(mv.shape))
 
     return _emit(tape, out, backward)
 

@@ -16,7 +16,7 @@ from tokenloc.backbone import ModelConfig, init_params, mhsa
 from tokenloc.cli import main
 from tokenloc.errors import BadMagicError, TruncationError, UnsupportedDtypeError
 from tokenloc.formats import read_checkpoint, write_checkpoint, write_tensor, read_tensor
-from tokenloc.localization import BoundingBox, grid_search_threshold, largest_component
+from tokenloc.localization import BoundingBox, grid_search_threshold
 from tokenloc.metrics import EvalRecord, loc_acc, max_box_acc_v2
 from tokenloc.pipeline import two_branch_forward
 from tokenloc.token_refine import (
@@ -34,7 +34,11 @@ from tokenloc.training import (
 )
 
 from util import assert_grads_close, check_op_gradients
-from test_localization import brightness_checkpoint, flood_fill_largest, planted_image
+from test_localization import (
+    assert_labeller_matches_oracle,
+    brightness_checkpoint,
+    planted_image,
+)
 from test_metrics import _loc_acc_oracle, _max_box_acc_oracle, random_records
 from test_token_refine import selection_oracle
 
@@ -241,12 +245,7 @@ def test_criterion_component_oracle():
     rng = np.random.default_rng(5)
     for trial in range(200):
         mask = rng.random((16, 16)) < rng.uniform(0.3, 0.7)
-        got = largest_component(mask)
-        expected = flood_fill_largest(mask)
-        if expected is None:
-            assert got is None
-        else:
-            assert np.array_equal(got, expected)
+        assert_labeller_matches_oracle(mask.astype(np.float32), [0.5])
     _report("component oracle", time.monotonic() - start, 5.0,
             "200 random 16x16 masks vs recursive flood fill, exact")
 

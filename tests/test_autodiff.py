@@ -60,6 +60,12 @@ def test_bilinear_resize_backward():
                        [_rand(3, 4)], what="bilinear_resize")
 
 
+def test_bilinear_resize_stack_backward():
+    w = _rand(2, 3, 5, 6)
+    check_op_gradients(lambda m: nm.reduce_sum(nm.mul(nm.bilinear_resize(m, 5, 6), w)),
+                       [_rand(2, 3, 4, 3)], what="bilinear_resize stack")
+
+
 def test_add_broadcast_backward():
     w = _rand(4, 6)
     check_op_gradients(lambda a, b: nm.reduce_sum(nm.mul(nm.add(a, b), w)),

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from tokenloc import cli
+from tokenloc import cli, pipeline
 from tokenloc import localization as loc
 from tokenloc.cli import main
 from tokenloc.errors import TruncationError
@@ -26,8 +26,11 @@ from tokenloc.localization import (
     threshold_grid,
 )
 from tokenloc.metrics import MAX_BOX_ACC_LEVELS, iou
+from tokenloc.pipeline import FORWARD_CHUNK
+from tokenloc.training import ToyTaskConfig, make_dataset
 
 from test_localization import brightness_checkpoint, hit_fraction_oracle, planted_image
+from test_pipeline import ACCEPTANCE_CKPT
 
 
 @pytest.fixture()
@@ -126,44 +129,53 @@ def test_eval_top1_top5(workspace):
 
 def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, monkeypatch):
     tmp, cfg, params, ckpt, _ = workspace
-    manifest = _write_manifest(tmp, cfg, params, count=4)
+    manifest = _write_manifest(tmp, cfg, params, count=FORWARD_CHUNK + 2)
     lines = manifest.read_text().splitlines()
     lines[1::2] = [line.replace("label:0", "label:1") for line in lines[1::2]]
     manifest.write_text("\n".join(lines) + "\n")
     samples = load_samples(parse_manifest(manifest))
     thetas = threshold_grid(*DEFAULT_GRID)
 
-    forwards, labellings, pairs, boxed = [], [], set(), []
-    real_forward, real_label, real_box = (cli.two_branch_forward, loc.largest_component,
-                                          loc.box_from_heat)
+    forwards, labellings, pairs, boxed = [], [], [], []
+    real_forward, real_label, real_boxes = (pipeline.two_branch_forward, loc.ndimage.label,
+                                            loc.heat_boxes)
 
     def counting_forward(params, cfg, images, **kwargs):
-        forwards.append(images)  # keeps every stack alive, so ids stay distinct
+        forwards.append(images)
         return real_forward(params, cfg, images, **kwargs)
 
-    def counting_label(mask):
-        labellings.append(1)
-        return real_label(mask)
+    def counting_label(masks, **kwargs):
+        labellings.append(masks.shape)
+        return real_label(masks, **kwargs)
 
-    def recording_box(heat, theta, width, height):
+    def recording_boxes(heat, thetas, width, height):
         boxed.append(heat)  # keeps every heat alive, so ids stay distinct
-        pairs.add((id(heat), theta))
-        return real_box(heat, theta, width, height)
+        pairs.extend((id(heat), theta) for theta in thetas)
+        return real_boxes(heat, thetas, width, height)
 
-    for module in (cli, loc):
-        monkeypatch.setattr(module, "two_branch_forward", counting_forward)
-        monkeypatch.setattr(module, "box_from_heat", recording_box)
-    monkeypatch.setattr(loc, "largest_component", counting_label)
+    monkeypatch.setattr(pipeline, "two_branch_forward", counting_forward)
+    monkeypatch.setattr(cli, "two_branch_forward", counting_forward)
+    monkeypatch.setattr(loc.ndimage, "label", counting_label)
+    monkeypatch.setattr(loc, "heat_boxes", recording_boxes)
     report = tmp / "report.csv"
     assert main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "grid",
                  "--out-report", str(report)]) == 0
     monkeypatch.undo()
 
+    # every image forwarded once, in manifest order, in stacks of at most FORWARD_CHUNK
     images = len(samples)
-    assert len(forwards) == len({id(stack) for stack in forwards}) == images
-    for stack, (image, _, _) in zip(forwards, samples):
-        assert stack.shape == (1,) + image.shape and np.array_equal(stack[0], image)
-    assert len(labellings) <= len(pairs) <= images * (len(thetas) + 1)
+    assert len(forwards) == -(-images // FORWARD_CHUNK)
+    assert all(1 <= len(stack) <= FORWARD_CHUNK for stack in forwards)
+    assert np.array_equal(np.concatenate(forwards), np.stack([image for image, _, _ in samples]))
+    # one labelling call per heat: each GT-class heat over the grid, then each
+    # predicted-class heat that differs from it at theta_star
+    mispredicted = sum(localize(params, cfg, image, "predicted", theta=0.5).class_id != label
+                       for image, label, _ in samples)
+    assert mispredicted > 0
+    assert labellings == ([(len(thetas), 32, 32)] * images + [(1, 32, 32)] * mispredicted)
+    assert len(boxed) == images + mispredicted
+    # every (heat, theta) pair boxed once
+    assert len(pairs) == len(set(pairs)) == images * len(thetas) + mispredicted
 
     rows = dict(_read_csv(report)[1:])
     heats = gt_class_heats(params, cfg, samples)
@@ -184,6 +196,33 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     # both classes share one CAM kernel, so every class's box is the GT box,
     # and with two classes every label is in the top 5
     assert rows["top5"] == rows["gt-known"]
+
+
+def test_chunked_evaluation_csvs_equal_the_stack_of_one_path(tmp_path, monkeypatch):
+    # 9 held-out images: two full stacks and a tail of one at FORWARD_CHUNK = 4
+    heldout = make_dataset(ToyTaskConfig(samples_per_epoch=9, seed=99))
+    lines = []
+    for i, (image, label, box) in enumerate(heldout):
+        write_tensor(tmp_path / f"img{i}.trt", image)
+        lines.append(f"id:img{i} image:img{i}.trt label:{label} "
+                     f"boxes:{box.x0},{box.y0},{box.x1},{box.y1}")
+    manifest = tmp_path / "heldout.manifest"
+    manifest.write_text("\n".join(lines) + "\n")
+    ckpt = ["--ckpt", str(ACCEPTANCE_CKPT), "--manifest", str(manifest)]
+
+    def outputs(tag):
+        runs = [["eval", *ckpt, "--theta", "grid", "--out-report", str(tmp_path / f"{tag}.eval")],
+                ["calibrate", *ckpt, "--out-table", str(tmp_path / f"{tag}.cal")],
+                ["ablate-selection", *ckpt, "--strategies", "adaptive,fixed:mean,topk:8",
+                 "--out-table", str(tmp_path / f"{tag}.abl")]]
+        for argv in runs:
+            assert main(argv) == 0, argv[0]
+        return [(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("eval", "cal", "abl")]
+
+    chunked = outputs("chunked")
+    monkeypatch.setattr(pipeline, "FORWARD_CHUNK", 1)
+    assert outputs("single") == chunked
+    assert len(chunked[2].splitlines()) == 1 + 3 * 2  # header, 3 strategies x re-attention on/off
 
 
 def test_calibrate_singleton_matches_eval(workspace):
@@ -288,6 +327,41 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys):
                  "--out-logits", str(tmp_path / "a.trt"), "--out-pt", str(tmp_path / "b.trt")])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: format:")
+
+
+# the config entry comes first: magic, entry count, name length, b"config", eight u32 fields
+_CONFIG_AT = 4 + 4 + 2 + len(b"config")
+
+
+@pytest.mark.parametrize("offset, patch, detail", [
+    (10, b"c\xffnfig",
+     "entry name b'c\\xffnfig' is not UTF-8: invalid start byte"),
+    (_CONFIG_AT + 7 * 4, struct.pack("<I", 0),
+     "invalid config entry: selection_mass must be in (0, 1], got 0.0"),
+    (_CONFIG_AT + 3 * 4, struct.pack("<I", 1),
+     "invalid config entry: num_blocks must be at least 2 (backbone plus final block)"),
+    (_CONFIG_AT + 1 * 4, struct.pack("<I", 5),
+     "invalid config entry: image_size 32 not divisible by patch_size 5"),
+])
+def test_checkpoint_decode_errors_exit_3(workspace, capsys, offset, patch, detail):
+    tmp, cfg, params, ckpt, image = workspace
+    data = bytearray(ckpt.read_bytes())
+    data[offset:offset + len(patch)] = patch
+    bad = tmp / "bad.ckpt"
+    bad.write_bytes(bytes(data))
+    manifest = tmp / "one.manifest"
+    manifest.write_text(f"id:a image:{image.name} label:0 boxes:12,8,20,16\n")
+    commands = [
+        ["infer", "--ckpt", str(bad), "--input", str(image),
+         "--out-logits", str(tmp / "a.trt"), "--out-pt", str(tmp / "b.trt")],
+        ["eval", "--ckpt", str(bad), "--manifest", str(manifest), "--theta", "0.5",
+         "--out-report", str(tmp / "r.csv")],
+    ]
+    for argv in commands:
+        assert main(argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err == f"error: format: {detail}\n", err
+    assert not (tmp / "a.trt").exists() and not (tmp / "r.csv").exists()
 
 
 def test_tensor_extent_overflow_exits_3(workspace, capsys):

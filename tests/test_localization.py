@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from tokenloc import numerics as nm
 from tokenloc.backbone import ModelConfig, parameter_shapes
@@ -17,11 +18,10 @@ from tokenloc.localization import (
     fuse,
     grid_search_threshold,
     gt_known_table,
-    largest_component,
+    heat_boxes,
     localize,
     max_box_acc_v2_over_grid,
     threshold_grid,
-    tight_bbox,
 )
 from tokenloc.metrics import MAX_BOX_ACC_LEVELS, iou
 
@@ -57,6 +57,44 @@ def flood_fill_largest(mask):
     for y, x in best:
         out[y, x] = True
     return out
+
+
+def largest_component(mask):
+    """Oracle: largest 8-connected component of one 2-D mask, or None when
+    empty, from one `ndimage.label` call per mask (size ties go to the
+    earliest raster-order label)."""
+    labels, count = ndimage.label(np.asarray(mask, dtype=bool), structure=np.ones((3, 3)))
+    if count == 0:
+        return None
+    sizes = np.bincount(labels.ravel())
+    return labels == 1 + int(np.argmax(sizes[1:]))
+
+
+def tight_bbox(component):
+    """Oracle: tight half-open box around the set pixels of a component mask."""
+    ys, xs = np.nonzero(np.asarray(component, dtype=bool))
+    if ys.size == 0:
+        raise ContractError("cannot box an empty component")
+    return BoundingBox(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
+
+
+def oracle_boxes(heat, thetas):
+    """Per threshold: the flood-fill oracle's tight box, or the full-image
+    box and True when the foreground is empty."""
+    height, width = heat.shape
+    out = []
+    for theta in thetas:
+        component = flood_fill_largest(heat >= np.float32(theta))
+        out.append((BoundingBox(0, 0, width, height), True) if component is None
+                   else (tight_bbox(component), False))
+    return out
+
+
+def assert_labeller_matches_oracle(heat, thetas):
+    boxes, degenerate = heat_boxes(heat, thetas, heat.shape[1], heat.shape[0])
+    assert boxes.shape == (len(thetas), 4) and degenerate.shape == (len(thetas),)
+    got = [(BoundingBox(*row.tolist()), bool(flag)) for row, flag in zip(boxes, degenerate)]
+    assert got == oracle_boxes(heat, thetas)
 
 
 def hit_fraction_oracle(heats, samples, theta, iou_level, width, height):
@@ -123,6 +161,32 @@ def test_fuse_matches_per_pixel_oracle():
     mc = (mc - mc.min()) / (mc.max() - mc.min()) if mc.max() > mc.min() else np.zeros((2, 2))
     assert np.allclose(got, mt * mc, atol=1e-6)
     assert got.min() >= 0.0 and got.max() <= 1.0
+
+
+def test_fuse_stack_rows_equal_single_rows():
+    rng = np.random.default_rng(16)
+    refined = rng.random((4, 3, 3)).astype(np.float32)
+    cams = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
+    refined[1] = 0.25       # a constant row zeroes only its own fusion
+    cams[2, 1] = -1.0       # as does a class map that is negative everywhere
+    classes = np.array([0, 1, 1, 0])
+    got = fuse(refined, cams, classes)
+    assert got.shape == (4, 3, 3) and got.dtype == np.float32
+    def minmax(x):  # one plane, the float64 arithmetic of the single-map fusion
+        x = x.astype(np.float64)
+        span = x.max() - x.min()
+        return np.zeros(x.shape, np.float32) if span <= 0 else ((x - x.min()) / span).astype(
+            np.float32)
+
+    for i in range(4):
+        expected = minmax(refined[i]) * minmax(np.maximum(cams[i, classes[i]], 0.0))
+        assert np.array_equal(got[i], expected)
+        assert np.array_equal(got[i], fuse(refined[i], cams[i], int(classes[i])))
+    assert not got[1].any() and not got[2].any() and got[0].any()
+    with pytest.raises(ContractError):
+        fuse(refined, cams, [0, 1, 2, 0])
+    with pytest.raises(DimensionError):
+        fuse(refined, cams[:3], classes)
 
 
 def test_fuse_invalid_class_rejected():
@@ -214,6 +278,8 @@ def _assert_matches_oracle(mask):
         assert got is None
     else:
         assert got.dtype == bool and np.array_equal(got, expected)
+    # the labeller boxes the same component: a 0/1 heat at threshold 0.5 is the mask
+    assert_labeller_matches_oracle(np.asarray(mask, np.float32), [0.5])
 
 
 def test_largest_component_size_ties_go_to_earliest_raster_component():
@@ -252,6 +318,94 @@ def test_largest_component_oracle_across_shapes(shape):
         _assert_matches_oracle(binarize(heat, theta))
     assert np.array_equal(largest_component(np.ones(shape, bool)), np.ones(shape, bool))
     assert largest_component(np.zeros(shape, bool)) is None
+
+
+# --- the threshold-stack labeller ------------------------------------------------
+
+def test_heat_boxes_match_oracle_over_grid():
+    rng = np.random.default_rng(12)
+    thetas = threshold_grid(*DEFAULT_GRID)
+    for _ in range(15):
+        assert_labeller_matches_oracle(rng.random((32, 32)).astype(np.float32), thetas)
+        coarse = rng.random((8, 8)).astype(np.float32) ** 2
+        assert_labeller_matches_oracle(nm.bilinear_resize(coarse, 32, 32), thetas)
+
+
+def test_heat_boxes_size_ties_within_a_plane_go_to_earliest_component():
+    rng = np.random.default_rng(13)
+    thetas = threshold_grid(*DEFAULT_GRID)
+    for _ in range(30):
+        # equal 3x4 blocks at random slots, each with its own height: at every
+        # threshold the surviving blocks tie, and the first in raster order wins
+        heat = np.zeros((32, 32), np.float32)
+        slots = rng.choice(16, size=int(rng.integers(2, 6)), replace=False)
+        for slot in slots:
+            heat[8 * (slot // 4):8 * (slot // 4) + 3,
+                 8 * (slot % 4):8 * (slot % 4) + 4] = rng.choice([0.3, 0.6, 0.9])
+        boxes, degenerate = heat_boxes(heat, thetas, 32, 32)
+        for row, flag, theta in zip(boxes.tolist(), degenerate, thetas):
+            alive = [slot for slot in sorted(slots)
+                     if heat[8 * (slot // 4), 8 * (slot % 4)] >= np.float32(theta)]
+            if not alive:
+                assert flag and row == [0, 0, 32, 32]
+                continue
+            y, x = 8 * (alive[0] // 4), 8 * (alive[0] % 4)
+            assert not flag and row == [x, y, x + 4, y + 3]
+        assert_labeller_matches_oracle(heat, thetas)
+
+
+def test_heat_boxes_never_connect_across_thresholds():
+    # identical masks in adjacent planes would form one component if planes
+    # connected; empty and all-true planes sit between them
+    heat = np.zeros((16, 16), np.float32)
+    heat[2:5, 3:9] = 0.6      # 18 pixels
+    heat[10:14, 10:15] = 0.8  # 20 pixels
+    thetas = [0.5, 0.5, 0.9, 0.0, 0.7, 0.7, 1.0, 0.5]
+    boxes, degenerate = heat_boxes(heat, thetas, 16, 16)
+    assert degenerate.tolist() == [False, False, True, False, False, False, True, False]
+    assert boxes.tolist() == [[10, 10, 15, 14], [10, 10, 15, 14], [0, 0, 16, 16],
+                              [0, 0, 16, 16], [10, 10, 15, 14], [10, 10, 15, 14],
+                              [0, 0, 16, 16], [10, 10, 15, 14]]
+    assert_labeller_matches_oracle(heat, thetas)
+
+
+def test_heat_boxes_all_true_and_all_false_planes():
+    thetas = threshold_grid(*DEFAULT_GRID)
+    for shape in ((32, 32), (5, 9)):
+        boxes, degenerate = heat_boxes(np.ones(shape, np.float32), thetas, shape[1], shape[0])
+        assert not degenerate.any()
+        assert boxes.tolist() == [[0, 0, shape[1], shape[0]]] * len(thetas)
+        boxes, degenerate = heat_boxes(np.zeros(shape, np.float32), thetas, shape[1], shape[0])
+        assert degenerate.all()
+        assert boxes.tolist() == [[0, 0, shape[1], shape[0]]] * len(thetas)
+        assert_labeller_matches_oracle(np.ones(shape, np.float32), [0.0, 1.0, 0.5])
+
+
+@pytest.mark.parametrize("shape", [(7, 19), (23, 5), (1, 12), (12, 1), (32, 17)])
+def test_heat_boxes_match_oracle_on_non_square_heats(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    thetas = threshold_grid(*DEFAULT_GRID)
+    for _ in range(5):
+        assert_labeller_matches_oracle(rng.random(shape).astype(np.float32), thetas)
+        coarse = rng.random((4, 4)).astype(np.float32)
+        assert_labeller_matches_oracle(nm.bilinear_resize(coarse, *shape), thetas)
+
+
+def test_box_from_heat_is_one_threshold_of_the_labeller():
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        shape = tuple(int(v) for v in rng.integers(1, 33, size=2))
+        heat = nm.bilinear_resize(rng.random((6, 6)).astype(np.float32), *shape)
+        theta = float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))
+        assert box_from_heat(heat, theta, shape[1], shape[0]) == oracle_boxes(heat, [theta])[0]
+        assert_labeller_matches_oracle(heat, [theta])
+
+
+def test_heat_boxes_reject_thresholds_outside_unit_interval():
+    with pytest.raises(ContractError):
+        heat_boxes(np.zeros((4, 4), np.float32), [0.5, 1.5], 4, 4)
+    with pytest.raises(ContractError):
+        heat_boxes(np.zeros((4, 4), np.float32), [float("nan")], 4, 4)
 
 
 def test_box_table_matches_hit_fraction_oracle():

@@ -188,6 +188,17 @@ def test_bilinear_2x2_to_4x4_closed_form():
     assert np.allclose(nm.bilinear_resize(src, 4, 4), _bilinear_oracle(src, 4, 4), atol=1e-6)
 
 
+def test_bilinear_stack_rows_equal_matrix_calls():
+    src = np.random.default_rng(15).random((2, 3, 8, 5)).astype(np.float32)
+    out = nm.bilinear_resize(src, 32, 11)
+    assert out.shape == (2, 3, 32, 11) and out.dtype == np.float32
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(out[i, j], nm.bilinear_resize(src[i, j], 32, 11))
+    with pytest.raises(DimensionError):
+        nm.bilinear_resize(np.zeros(4, np.float32), 2, 2)
+
+
 def test_bilinear_reproduces_ramp():
     a, b, c = 0.7, 0.3, -0.2
     h, w = 5, 6

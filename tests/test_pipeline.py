@@ -1,5 +1,6 @@
 """Two-branch pipeline composition tests."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,14 @@ from tokenloc import numerics as nm
 from tokenloc.backbone import ModelConfig, init_params, parameter_shapes, mhsa
 from tokenloc.errors import ContractError
 from tokenloc.formats import read_checkpoint
-from tokenloc.pipeline import branch_forward, select_tokens, two_branch_forward
+from tokenloc.localization import class_heats, fuse, gt_class_heats
+from tokenloc.pipeline import (
+    FORWARD_CHUNK,
+    branch_forward,
+    forward_chunks,
+    select_tokens,
+    two_branch_forward,
+)
 from tokenloc.token_refine import adaptive_select, selection_matrix
 from tokenloc.training import ToyTaskConfig, make_dataset
 
@@ -160,3 +168,66 @@ def test_batched_forward_is_bit_identical_to_single_images_on_the_acceptance_hel
         for field in ("priorities", "threshold", "mask", "weights", "refined"):
             assert np.array_equal(nm.value_of(getattr(batched.selection, field))[i],
                                   nm.value_of(getattr(alone.selection, field))[0]), field
+
+
+# One untaped forward of FORWARD_CHUNK acceptance-size images, plus a
+# second `branch_forward` on its backbone output, allocates about 0.75 MB
+# per image at its peak (3.1 MB at 4 images, 6.1 MB at 8). The budget
+# keeps the chunk at a size whose evaluation peak RSS stays near the
+# single-image one.
+CHUNK_FORWARD_BUDGET = 4_000_000
+
+
+def _acceptance_samples(count):
+    heldout = make_dataset(ToyTaskConfig(samples_per_epoch=count, seed=99))
+    return [(image, label, [box]) for image, label, box in heldout]
+
+
+def _single_image_heat(params, cfg, image, class_id):
+    """The per-image path: a stack of one, fused and upsampled as matrices."""
+    alone = two_branch_forward(params, cfg, image[None])
+    fused = fuse(nm.value_of(alone.refined_map)[0], nm.value_of(alone.cam_maps)[0], class_id)
+    return alone, nm.bilinear_resize(fused, cfg.image_size, cfg.image_size)
+
+
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 9])
+def test_forward_chunks_are_bit_identical_to_single_image_forwards(count):
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    samples = _acceptance_samples(count)
+    chunks = list(forward_chunks(params, cfg, samples))
+    assert [len(labels) for labels, _ in chunks] == [
+        min(FORWARD_CHUNK, count - start) for start in range(0, count, FORWARD_CHUNK)]
+    assert sum((labels for labels, _ in chunks), []) == [label for _, label, _ in samples]
+    p_cam = np.concatenate([nm.value_of(result.p_cam) for _, result in chunks])
+    p_refine = np.concatenate([nm.value_of(result.p_refine) for _, result in chunks])
+    heats = gt_class_heats(params, cfg, samples)
+    assert len(heats) == count
+    for i, (image, label, _) in enumerate(samples):
+        alone, heat = _single_image_heat(params, cfg, image, label)
+        assert np.array_equal(p_cam[i], nm.value_of(alone.p_cam)[0])
+        assert np.array_equal(p_refine[i], nm.value_of(alone.p_refine)[0])
+        assert np.array_equal(heats[i], heat)
+
+
+def test_class_heats_rows_equal_one_row_stacks():
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    samples = _acceptance_samples(5)
+    stack = two_branch_forward(params, cfg, np.stack([image for image, _, _ in samples]))
+    classes = [0, 1, 1, 0, 1]
+    heats = class_heats(stack, classes, cfg.image_size)
+    assert heats.shape == (5, cfg.image_size, cfg.image_size) and heats.dtype == np.float32
+    for i, (image, _, _) in enumerate(samples):
+        assert np.array_equal(heats[i], _single_image_heat(params, cfg, image, classes[i])[1])
+
+
+def test_one_chunk_forward_stays_under_its_memory_budget():
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    samples = _acceptance_samples(FORWARD_CHUNK)
+    tracemalloc.start()
+    try:
+        for _, result in forward_chunks(params, cfg, samples):
+            branch_forward(params, cfg, result.tokens, result.stack, reattention_on=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHUNK_FORWARD_BUDGET, f"one chunk's forward peaked at {peak} bytes"
