@@ -33,6 +33,10 @@ class UnsupportedDtypeError(FormatError):
     """Tensor file declares a dtype code this implementation does not know."""
 
 
+class TensorHeaderError(FormatError):
+    """Tensor header declares no dimensions or a zero extent."""
+
+
 class CheckpointError(FormatError):
     """Checkpoint structure is invalid (duplicate, missing or mismatched entries)."""
 

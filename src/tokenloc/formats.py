@@ -25,7 +25,9 @@ from .errors import (
     CheckpointError,
     ContractError,
     DimensionError,
+    FormatError,
     ManifestError,
+    TensorHeaderError,
     TruncationError,
     UnsupportedDtypeError,
 )
@@ -37,6 +39,7 @@ DTYPE_F32 = 0
 CONFIG_ENTRY = "config"
 _CONFIG_STRUCT = struct.Struct("<8I")
 MASS_FIXED_POINT = 10 ** 6
+_MAX_HEADER = 4 + 2 + 4 * 255  # magic, dtype and rank, 255 extents
 
 
 def tensor_to_bytes(array) -> bytes:
@@ -56,8 +59,8 @@ def _take(buffer: bytes, offset: int, count: int, what: str):
     return buffer[offset:offset + count], offset + count
 
 
-def tensor_from_bytes(buffer: bytes, offset: int = 0):
-    """Decode one tensor record, returning (array, next offset)."""
+def _tensor_header(buffer: bytes, offset: int):
+    """Decode the tensor header at `offset`, returning (shape, payload offset)."""
     magic, offset = _take(buffer, offset, 4, "tensor magic")
     if magic != TENSOR_MAGIC:
         raise BadMagicError(f"expected magic {TENSOR_MAGIC!r}, found {magic!r}")
@@ -66,11 +69,17 @@ def tensor_from_bytes(buffer: bytes, offset: int = 0):
     if dtype != DTYPE_F32:
         raise UnsupportedDtypeError(f"unsupported dtype code {dtype}")
     if ndim < 1:
-        raise DimensionError("tensor files need at least one dimension")
+        raise TensorHeaderError("tensor files need at least one dimension")
     raw, offset = _take(buffer, offset, 4 * ndim, "tensor extents")
     shape = struct.unpack(f"<{ndim}I", raw)
     if any(s < 1 for s in shape):
-        raise DimensionError(f"non-positive extent in {shape}")
+        raise TensorHeaderError(f"non-positive extent in {shape}")
+    return shape, offset
+
+
+def tensor_from_bytes(buffer: bytes, offset: int = 0):
+    """Decode one tensor record, returning (array, next offset)."""
+    shape, offset = _tensor_header(buffer, offset)
     count = math.prod(shape)  # Python ints: a fixed-width product can wrap to 0
     payload, offset = _take(buffer, offset, 4 * count, "tensor payload")
     array = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
@@ -102,18 +111,11 @@ def read_image(path) -> np.ndarray:
 def read_tensor_shape(path) -> tuple:
     """Decode only the header, cheap bounds checking for manifests."""
     with open(path, "rb") as fh:
-        head = fh.read(6)
-        if len(head) < 6:
-            raise TruncationError(f"{path}: file shorter than a tensor header")
-        if head[:4] != TENSOR_MAGIC:
-            raise BadMagicError(f"{path}: expected magic {TENSOR_MAGIC!r}, found {head[:4]!r}")
-        dtype, ndim = struct.unpack("<BB", head[4:6])
-        if dtype != DTYPE_F32:
-            raise UnsupportedDtypeError(f"{path}: unsupported dtype code {dtype}")
-        raw = fh.read(4 * ndim)
-        if len(raw) < 4 * ndim:
-            raise TruncationError(f"{path}: file ended inside tensor extents")
-        return struct.unpack(f"<{ndim}I", raw)
+        head = fh.read(_MAX_HEADER)
+    try:
+        return _tensor_header(head, 0)[0]
+    except FormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _config_to_bytes(cfg: ModelConfig) -> bytes:
@@ -270,8 +272,7 @@ def parse_manifest(path) -> list:
                                             label=int(fields["label"]),
                                             boxes=boxes,
                                             image_id=fields["id"]))
-            except (ValueError, DimensionError, OSError,
-                    BadMagicError, TruncationError, UnsupportedDtypeError) as exc:
+            except (ValueError, OSError, FormatError) as exc:
                 raise ManifestError(f"{path}:{line_no}: {exc}") from exc
     return records
 

@@ -18,6 +18,9 @@ from .errors import ContractError, DegenerateInputError, DimensionError
 
 _SQRT_2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+# indexed by a softmax keep mask (0 masked, 1 kept)
+_MASK_CAP = np.array([-np.inf, np.inf])
+_MASK_FLOOR = np.array([0.0, -np.inf])
 
 
 def as_f32(x) -> np.ndarray:
@@ -158,22 +161,32 @@ def matmul(a, b):
     return _emit(tape, out, backward)
 
 
-def _softmax64(x, keep=None) -> np.ndarray:
-    """Float64 softmax over the last axis, restricted to `keep` when given.
+def _softmax64(z: np.ndarray, keep=None) -> np.ndarray:
+    """Softmax over the last axis of the float64 array `z`, restricted to
+    `keep` when given, computed in place; returns `z`.
 
     Unrestricted rows subtract their max; restricted rows subtract the
     max over kept entries and are exactly zero elsewhere. Every row of
-    `keep` must hold at least one entry.
+    `keep` must hold at least one entry; `keep` may broadcast against
+    `z`.
     """
-    z = _f64(x)
     if keep is None:
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
     else:
         if not keep.any(axis=-1).all():
             raise DegenerateInputError("mask selects no entries in at least one row")
-        top = np.where(keep, z, -np.inf).max(axis=-1, keepdims=True)
-        e = np.exp(np.where(keep, z - top, -np.inf))
-    return e / e.sum(axis=-1, keepdims=True)
+        # masked entries go to -inf (NaN included) for the row max, then to
+        # an exponent of 0 and to 0 after exp: exp of -inf takes a slow
+        # path, and multiplying by 1 leaves every kept entry as it was
+        kept = keep.astype(np.intp)
+        np.fmin(z, _MASK_CAP[kept], out=z)
+        z -= z.max(axis=-1, keepdims=True)
+        np.maximum(z, _MASK_FLOOR[kept], out=z)
+        np.exp(z, out=z)
+        z *= keep
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _softmax_adjoint(g, out64) -> np.ndarray:
@@ -185,7 +198,7 @@ def softmax(x):
     xv = value_of(x)
     if xv.size == 0:
         raise DimensionError("softmax needs at least one entry")
-    out64 = _softmax64(xv)
+    out64 = _softmax64(np.array(xv, dtype=np.float64))
     out = out64.astype(np.float32)
     tape = _tape_of(x)
     if tape is None:
@@ -208,7 +221,7 @@ def masked_softmax(scores, mask):
     mv = value_of(mask)
     if sv.shape != mv.shape:
         raise DimensionError(f"scores shape {sv.shape} does not match mask shape {mv.shape}")
-    out64 = _softmax64(sv, mv > 0)
+    out64 = _softmax64(np.array(sv, dtype=np.float64), mv > 0)
     out = out64.astype(np.float32)
     tape = _tape_of(scores)
     if tape is None:
@@ -256,12 +269,21 @@ def attention(q, k, v, num_heads: int, mask=None):
         return x.transpose(0, 2, 1, 3).reshape(b, t, d)
 
     q64, k64, v64 = split(qv), split(kv), split(vv)
-    raw = (q64 @ k64.swapaxes(-1, -2)).astype(np.float32)
-    probs64 = _softmax64((_f64(raw) * c).astype(np.float32), keep)
+    # one float64 and one float32 array hold the raw scores, then the
+    # scaled scores, then the probabilities
+    probs64 = q64 @ k64.swapaxes(-1, -2)
     probs = probs64.astype(np.float32)
-    p64 = _f64(probs)
-    context = merge((p64 @ v64).astype(np.float32)).reshape(b * t, d)
+    np.multiply(probs, c, out=probs64, dtype=np.float64)
+    np.copyto(probs, probs64, casting="same_kind")
+    np.copyto(probs64, probs)
+    _softmax64(probs64, keep)
+    np.copyto(probs, probs64, casting="same_kind")
     tape = _tape_of(q, k, v)
+    # the P V operand: the float32 probabilities in float64, written over
+    # probs64 unless the backward rule needs it
+    p64 = probs64 if tape is None else np.empty_like(probs64)
+    np.copyto(p64, probs)
+    context = merge((p64 @ v64).astype(np.float32)).reshape(b * t, d)
     if tape is None:
         return context, probs
 
@@ -322,7 +344,10 @@ def gelu(x):
     """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF."""
     xv = value_of(x)
     z = _f64(xv)
-    cdf = 0.5 * (1.0 + erf(z / _SQRT_2))
+    cdf = np.divide(z, _SQRT_2, out=np.empty_like(z))  # an array even for 0-d z
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = (z * cdf).astype(np.float32)
     tape = _tape_of(x)
     if tape is None:

@@ -13,6 +13,7 @@ finite-difference checks of the composed loss well-posed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,11 @@ from .token_refine import (
 # Images per untaped evaluation stack. A larger stack runs fewer, larger
 # kernel calls but holds more activations at once (every block's
 # (B, H, N+1, N+1) attention stays alive for the scoring branch, beside
-# float64 softmax temporaries), so the size is chosen by peak memory:
-# at the toy model size a stack of 8 raised evaluation's peak RSS by
-# 11% over stacks of one, a stack of 4 by 6%.
+# one float64 and one float32 attention work array), so the size is
+# chosen by peak memory: at the toy model size one stack's forward plus
+# a second branch pass peaks at 2.07 MB (tracemalloc) with 4 images and
+# 4.06 MB with 8, and a stack of 8 ran evaluation about 8% faster than
+# 4 at a 4% higher peak RSS.
 FORWARD_CHUNK = 4
 
 
@@ -53,7 +56,14 @@ class ForwardResult:
     cam_maps: object          # (B, K, sqrt(N), sqrt(N))
     cam_logits: object        # (B, K)
     p_cam: object             # (B, K) CAM-branch class probabilities
-    p_refine: object          # (B, K) scoring-branch class probabilities
+    _refine: object           # () -> p_refine
+
+    @cached_property
+    def p_refine(self):
+        """(B, K) scoring-branch class probabilities. The final block and
+        head run the first time this is read, so callers that only need
+        the maps never run them; a taped pass records them at that read."""
+        return self._refine()
 
 
 def select_tokens(priorities: np.ndarray, mass: float) -> tuple:
@@ -121,7 +131,6 @@ def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selection_mass=No
     selection.refined = refined
 
     cam_maps, cam_logits, p_cam = cam_forward(z_p, params, cfg)
-    p_refine = refine_classify(z_cls, z_p, lam, params, cfg)
 
     return ForwardResult(
         tokens=tokens,
@@ -131,7 +140,7 @@ def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selection_mass=No
         cam_maps=cam_maps,
         cam_logits=cam_logits,
         p_cam=p_cam,
-        p_refine=p_refine,
+        _refine=lambda: refine_classify(z_cls, z_p, lam, params, cfg),
     )
 
 

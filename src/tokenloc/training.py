@@ -90,8 +90,7 @@ def make_dataset(toy: ToyTaskConfig) -> list:
         x0 = int(rng.integers(side - size + 1))
         y0 = int(rng.integers(side - size + 1))
         clutter = rng.random((3, 4, 4))
-        image = np.stack([np.kron(clutter[c], np.ones((tile, tile))) for c in range(3)])
-        image = (toy.noise_level * image).astype(np.float32)
+        image = (toy.noise_level * clutter.repeat(tile, 1).repeat(tile, 2)).astype(np.float32)
         image[:, y0:y0 + size, x0:x0 + size] = class_color(label, toy.num_classes)[:, None, None]
         samples.append((image, label, BoundingBox(x0, y0, x0 + size, y0 + size)))
     return samples

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tokenloc import cli, pipeline
+from tokenloc import numerics as nm
 from tokenloc import localization as loc
 from tokenloc.cli import main
 from tokenloc.errors import TruncationError
@@ -58,6 +59,42 @@ def test_infer_writes_probability_vectors(workspace):
     pc, pt = read_tensor(out_pc), read_tensor(out_pt)
     assert pc.shape == pt.shape == (2,)
     assert abs(pc.sum() - 1.0) < 1e-6 and abs(pt.sum() - 1.0) < 1e-6
+
+
+def test_refine_branch_runs_only_for_commands_that_read_p_refine(workspace, monkeypatch):
+    tmp, cfg, params, ckpt, image = workspace
+    manifest = _write_manifest(tmp, cfg, params, count=FORWARD_CHUNK + 1)
+    calls = []
+    real_refine = pipeline.refine_classify
+
+    def counting_refine(*args):
+        calls.append(args)
+        return real_refine(*args)
+
+    monkeypatch.setattr(pipeline, "refine_classify", counting_refine)
+    commands = [
+        ["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "0.45",
+         "--out-report", str(tmp / "r.csv")],
+        ["calibrate", "--ckpt", str(ckpt), "--manifest", str(manifest),
+         "--out-table", str(tmp / "t.csv")],
+        ["ablate-selection", "--ckpt", str(ckpt), "--manifest", str(manifest),
+         "--strategies", "adaptive:0.5,topk:4", "--out-table", str(tmp / "a.csv")],
+        ["localize", "--ckpt", str(ckpt), "--input", str(image), "--theta", "0.45",
+         "--out-box", str(tmp / "box.txt")],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv[0]
+    assert calls == []
+    out_pt = tmp / "pt.trt"
+    assert main(["infer", "--ckpt", str(ckpt), "--input", str(image),
+                 "--out-logits", str(tmp / "pc.trt"), "--out-pt", str(out_pt)]) == 0
+    assert len(calls) == 1
+    result = pipeline.two_branch_forward(params, cfg, read_tensor(image)[None])
+    n_plus_1 = result.tokens.shape[1]
+    eager = real_refine(nm.crop(result.tokens, (0, 0, 0), (1, 1, cfg.embed_dim)),
+                        nm.crop(result.tokens, (0, 1, 0), (1, n_plus_1 - 1, cfg.embed_dim)),
+                        result.selection.weights, params, cfg)
+    assert np.array_equal(read_tensor(out_pt), eager[0])
 
 
 def test_localize_writes_box_and_map(workspace):
@@ -377,6 +414,30 @@ def test_tensor_extent_overflow_exits_3(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: format: file ended inside tensor payload")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("header, detail", [
+    (struct.pack("<BB", 0, 0), "tensor files need at least one dimension"),
+    (struct.pack("<BB3I", 0, 3, 3, 0, 32), "non-positive extent in (3, 0, 32)"),
+])
+@pytest.mark.parametrize("command", ["infer", "manifest"])
+def test_malformed_tensor_header_exits_3(workspace, capsys, header, detail, command):
+    tmp, cfg, params, ckpt, _ = workspace
+    bad = tmp / "bad.trt"
+    bad.write_bytes(b"TRT1" + header)
+    if command == "infer":
+        argv = ["infer", "--ckpt", str(ckpt), "--input", str(bad),
+                "--out-logits", str(tmp / "a.trt"), "--out-pt", str(tmp / "b.trt")]
+        want = f"error: format: {detail}\n"
+    else:
+        manifest = tmp / "bad.manifest"
+        manifest.write_text("id:bad image:bad.trt label:0 boxes:12,8,20,16\n")
+        argv = ["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "0.5",
+                "--out-report", str(tmp / "r.csv")]
+        want = f"error: format: {manifest}:1: {bad}: {detail}\n"
+    assert main(argv) == 3
+    assert capsys.readouterr().err == want
+    assert not (tmp / "a.trt").exists() and not (tmp / "r.csv").exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

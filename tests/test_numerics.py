@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import erf
+
 from tokenloc import numerics as nm
 from tokenloc.errors import DegenerateInputError, DimensionError
 
@@ -157,6 +159,69 @@ def test_gelu_matches_erf_oracle():
     assert abs(float(nm.gelu(np.float32(1.0))) - expected) < 1e-6
 
 
+def softmax64_oracle(x, keep=None):
+    """The float64 softmax written with a fresh array per step: the
+    reference for the in-place `_softmax64`."""
+    z = np.asarray(x, dtype=np.float64)
+    if keep is None:
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+    else:
+        top = np.where(keep, z, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(keep, z - top, -np.inf))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def gelu_oracle(x):
+    """The GELU expression written with a fresh array per step."""
+    z = np.asarray(x, dtype=np.float64)
+    cdf = 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+    return (z * cdf).astype(np.float32)
+
+
+def _softmax_cases():
+    rng = np.random.default_rng(40)
+    x = (rng.standard_normal((3, 4, 9, 9)) * 6).astype(np.float32)
+    keep = rng.random((3, 4, 9, 9)) < 0.4
+    keep[..., 0] = True
+    shared = rng.random((3, 1, 9, 9)) < 0.4
+    shared[..., 4] = True
+    single = np.zeros((3, 4, 9, 9), bool)
+    single[..., :, rng.integers(9)] = True
+    spiky = x.copy()  # NaN and infinities in kept and in masked entries
+    spiky.flat[rng.choice(x.size, 40, replace=False)] = np.repeat(
+        [np.nan, np.inf, -np.inf, -900.0], 10)
+    return {"unmasked": (x, None), "masked": (x, keep),
+            "mask broadcast over heads": (x, shared), "one kept entry per row": (x, single),
+            "float64 input": (x.astype(np.float64) * np.pi, keep),
+            "non-finite unmasked": (spiky, None), "non-finite masked": (spiky, shared)}
+
+
+@pytest.mark.parametrize("case", list(_softmax_cases()))
+def test_softmax64_is_bit_identical_to_its_oracle(case):
+    x, keep = _softmax_cases()[case]
+    with np.errstate(invalid="ignore"):
+        got = nm._softmax64(np.array(x, dtype=np.float64), keep)
+        want64 = softmax64_oracle(x, keep)
+        x32 = x.astype(np.float32)  # the public ops take float32 values
+        want = softmax64_oracle(x32, keep).astype(np.float32)
+        if keep is None:
+            public = nm.softmax(x32)
+        else:
+            public = nm.masked_softmax(x32, np.broadcast_to(keep, x.shape).astype(np.float32))
+    assert got.dtype == np.float64 and np.array_equal(got, want64, equal_nan=True)
+    assert np.array_equal(public, want, equal_nan=True)
+    if keep is not None and np.isfinite(x).all():
+        assert np.all(got[~np.broadcast_to(keep, got.shape)] == 0.0)
+
+
+@pytest.mark.parametrize("x", [
+    np.float32(-0.75), np.array(1.5, np.float32), np.linspace(-9, 9, 37, dtype=np.float32),
+    (np.random.default_rng(41).standard_normal((5, 7)) * 4).astype(np.float32)])
+def test_gelu_is_bit_identical_to_its_oracle(x):
+    got, want = nm.gelu(x), gelu_oracle(x)
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
 def _bilinear_oracle(src, out_h, out_w):
     h, w = src.shape
     out = np.zeros((out_h, out_w))
@@ -253,6 +318,8 @@ def test_operations_do_not_mutate_inputs():
     a_copy, b_copy = a.copy(), b.copy()
     nm.matmul(a, b)
     nm.softmax(a)
+    nm.masked_softmax(a, np.eye(4, dtype=np.float32))
+    nm.attention(a[None], a[None], b[None], 2)
     nm.layer_norm(a, np.ones(4, np.float32), np.zeros(4, np.float32))
     nm.gelu(a)
     nm.bilinear_resize(a, 7, 3)
@@ -324,6 +391,17 @@ def test_attention_gradients_equal_the_per_head_oracle():
             for leaf, leaf_i in zip(leaves, leaves_i):
                 assert_grads_close(leaf.grad[i], leaf_i.grad, rel=1e-9, floor=1e-12,
                                    what="attention vs per-head oracle")
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_taped_and_untaped_attention_return_the_same_bits(masked):
+    q, k, v, keep = _attention_inputs(np.random.default_rng(42), 2, 9, 8)
+    mask = keep if masked else None
+    context, probs = nm.attention(q, k, v, 4, mask)
+    tape = nm.GradTape()
+    taped_context, taped_probs = nm.attention(*(tape.leaf(x) for x in (q, k, v)), 4, mask)
+    assert np.array_equal(context, taped_context.value)
+    assert np.array_equal(probs, taped_probs.value)
 
 
 def test_attention_contract_errors():

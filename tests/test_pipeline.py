@@ -171,11 +171,12 @@ def test_batched_forward_is_bit_identical_to_single_images_on_the_acceptance_hel
 
 
 # One untaped forward of FORWARD_CHUNK acceptance-size images, plus a
-# second `branch_forward` on its backbone output, allocates about 0.75 MB
-# per image at its peak (3.1 MB at 4 images, 6.1 MB at 8). The budget
-# keeps the chunk at a size whose evaluation peak RSS stays near the
-# single-image one.
-CHUNK_FORWARD_BUDGET = 4_000_000
+# second `branch_forward` on its backbone output, allocates about 0.5 MB
+# per image at its peak (2.07 MB at 4 images, 4.06 MB at 8). The budget,
+# that peak at 4 images plus 15%, keeps the chunk at a size whose
+# evaluation peak RSS stays near the single-image one and catches float64
+# temporaries coming back into the forward.
+CHUNK_FORWARD_BUDGET = 2_385_000
 
 
 def _acceptance_samples(count):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tokenloc import numerics as nm
-from tokenloc import training
+from tokenloc import pipeline, training
 from tokenloc.backbone import ModelConfig, init_params
 from tokenloc.errors import ContractError, DimensionError
 from tokenloc.pipeline import two_branch_forward
@@ -139,6 +139,38 @@ def test_dataset_is_deterministic_and_labeled():
         assert ba.y1 - ba.y0 == size
 
 
+def kron_dataset(toy):
+    """Oracle for `make_dataset`: the clutter upscaled by one np.kron per
+    channel, with the same random draws in the same order."""
+    rng = np.random.Generator(np.random.PCG64(toy.seed))
+    side = toy.image_size
+    tile = side // 4
+    samples = []
+    for _ in range(toy.samples_per_epoch):
+        label = int(rng.integers(toy.num_classes))
+        size = int(rng.integers(toy.min_object, toy.max_object + 1))
+        x0 = int(rng.integers(side - size + 1))
+        y0 = int(rng.integers(side - size + 1))
+        clutter = rng.random((3, 4, 4))
+        image = np.stack([np.kron(clutter[c], np.ones((tile, tile))) for c in range(3)])
+        image = (toy.noise_level * image).astype(np.float32)
+        image[:, y0:y0 + size, x0:x0 + size] = training.class_color(label, toy.num_classes)[
+            :, None, None]
+        samples.append((image, label, (x0, y0, x0 + size, y0 + size)))
+    return samples
+
+
+@pytest.mark.parametrize("toy", [TOY, ToyTaskConfig(image_size=16, num_classes=3, min_object=4,
+                                                    max_object=12, samples_per_epoch=5, seed=2)])
+def test_dataset_is_bit_identical_to_the_kron_oracle(toy):
+    got = make_dataset(toy)
+    want = kron_dataset(toy)
+    assert len(got) == len(want)
+    for (image, label, box), (want_image, want_label, want_box) in zip(got, want):
+        assert image.dtype == np.float32 and np.array_equal(image, want_image)
+        assert label == want_label and (box.x0, box.y0, box.x1, box.y1) == want_box
+
+
 def test_training_is_deterministic():
     train = TrainConfig(learning_rate=0.1, weight_decay=5e-4, steps_phase1=4,
                         steps_phase2=3, batch_size=4, seed=5)
@@ -231,6 +263,32 @@ def test_batched_loss_and_gradients_match_the_per_image_loop(phase):
     assert loss == pytest.approx(want_loss, rel=1e-6)
     for name in names:
         assert_grads_close(grads[name], want_grads[name], rel=1e-4, floor=1e-7, what=name)
+
+
+def test_taped_loss_reads_p_refine_where_an_eager_forward_computes_it(monkeypatch):
+    # the scoring branch runs when p_refine is first read; forcing it as
+    # the forward returns must record the same tape and give the same bits
+    toy = ToyTaskConfig(samples_per_epoch=4, seed=3)
+    cfg = default_model_config(toy)
+    params = init_params(cfg, 4)
+    batch = make_dataset(toy)
+    lazy = {phase: _loss_and_grads(_batch_loss, params, cfg, batch,
+                                   [n for n in params if n.startswith("cam.") == (phase == 2)])
+            for phase in (1, 2)}
+    real_branch_forward = pipeline.branch_forward
+
+    def eager_branch_forward(*args, **kwargs):
+        result = real_branch_forward(*args, **kwargs)
+        result.p_refine
+        return result
+
+    monkeypatch.setattr(pipeline, "branch_forward", eager_branch_forward)
+    for phase, (loss, grads) in lazy.items():
+        want_loss, want_grads = _loss_and_grads(
+            _batch_loss, params, cfg, batch, list(grads))
+        assert loss == want_loss
+        for name in grads:
+            assert np.array_equal(grads[name], want_grads[name]), name
 
 
 def zero_mass_checkpoint():
