@@ -166,13 +166,6 @@ def patchify(image, patch_size: int) -> np.ndarray:
     )
 
 
-def unpatchify(patches: np.ndarray, patch_size: int, h: int, w: int) -> np.ndarray:
-    """Inverse of patchify for one image, reassembling the 3xHxW image."""
-    gh, gw = h // patch_size, w // patch_size
-    tiles = nm.as_f32(patches).reshape(gh, gw, 3, patch_size, patch_size)
-    return np.ascontiguousarray(tiles.transpose(2, 0, 3, 1, 4).reshape(3, h, w))
-
-
 def embed(patches, params, cfg: ModelConfig):
     """Project (B, N, P) patches, prepend the class token and add position
     embeddings, giving (B, N+1, D) tokens."""

@@ -192,6 +192,11 @@ def read_checkpoint(path):
         raise CheckpointError(f"{len(data) - offset} trailing bytes after the last entry")
     if cfg is None:
         raise CheckpointError("checkpoint has no config entry")
+    # 16 parameters per block: the entry count bounds num_blocks before a
+    # shape table is built, and the stored shapes bound the other extents
+    if 16 * (cfg.num_blocks + 1) > len(params):
+        raise CheckpointError(f"config's {cfg.num_blocks} blocks need {16 * (cfg.num_blocks + 1)} "
+                              f"parameters, the checkpoint holds {len(params)}")
     expected = parameter_shapes(cfg)
     missing = sorted(set(expected) - set(params))
     if missing:

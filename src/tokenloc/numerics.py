@@ -268,17 +268,20 @@ def attention(q, k, v, num_heads: int, mask=None):
     def merge(x):  # (B, H, T, hd) -> (B, T, D)
         return x.transpose(0, 2, 1, 3).reshape(b, t, d)
 
-    q64, k64, v64 = split(qv), split(kv), split(vv)
+    tape = _tape_of(q, k, v)
+    q64, k64 = split(qv), split(kv)
     # one float64 and one float32 array hold the raw scores, then the
     # scaled scores, then the probabilities
     probs64 = q64 @ k64.swapaxes(-1, -2)
+    if tape is None:
+        del q64, k64  # only the backward rule reads them again
     probs = probs64.astype(np.float32)
     np.multiply(probs, c, out=probs64, dtype=np.float64)
     np.copyto(probs, probs64, casting="same_kind")
     np.copyto(probs64, probs)
     _softmax64(probs64, keep)
     np.copyto(probs, probs64, casting="same_kind")
-    tape = _tape_of(q, k, v)
+    v64 = split(vv)
     # the P V operand: the float32 probabilities in float64, written over
     # probs64 unless the backward rule needs it
     p64 = probs64 if tape is None else np.empty_like(probs64)
@@ -400,27 +403,6 @@ def bilinear_resize(m, out_h: int, out_w: int):
         m.add_grad(gm.reshape(mv.shape))
 
     return _emit(tape, out, backward)
-
-
-def finite_diff_grad(f, x, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
-
-    The divisor is the realised float32 step (x+h) - (x-h), which equals 2h
-    up to storage rounding and keeps linear functions exact.
-    """
-    xv = as_f32(x).copy()
-    grad = np.zeros(xv.shape, dtype=np.float64)
-    for idx in np.ndindex(xv.shape):
-        orig = xv[idx]
-        xv[idx] = orig + np.float32(h)
-        hi = float(f(xv))
-        up = float(xv[idx])
-        xv[idx] = orig - np.float32(h)
-        lo = float(f(xv))
-        down = float(xv[idx])
-        xv[idx] = orig
-        grad[idx] = (hi - lo) / (up - down)
-    return grad.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +543,24 @@ def crop(x, starts, sizes):
     def backward(g):
         gx = np.zeros(xv.shape, dtype=np.float64)
         gx[index] = g
+        x.add_grad(gx)
+
+    return _emit(tape, out, backward)
+
+
+def take(x, index):
+    """Entries of x picked by integer arrays: x[index], where one array
+    picks rows and a tuple of broadcasting arrays picks along the leading
+    axes. Entries picked more than once sum their gradients."""
+    xv = value_of(x)
+    out = xv[index]
+    tape = _tape_of(x)
+    if tape is None:
+        return out
+
+    def backward(g):
+        gx = np.zeros(xv.shape, dtype=np.float64)
+        np.add.at(gx, index, g)
         x.add_grad(gx)
 
     return _emit(tape, out, backward)

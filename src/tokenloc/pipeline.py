@@ -28,7 +28,6 @@ from .token_refine import (
     preliminary_attention,
     reattention,
     refine_classify,
-    selection_matrix,
     spatial_map,
 )
 
@@ -38,9 +37,9 @@ from .token_refine import (
 # (B, H, N+1, N+1) attention stays alive for the scoring branch, beside
 # one float64 and one float32 attention work array), so the size is
 # chosen by peak memory: at the toy model size one stack's forward plus
-# a second branch pass peaks at 2.07 MB (tracemalloc) with 4 images and
-# 4.06 MB with 8, and a stack of 8 ran evaluation about 8% faster than
-# 4 at a 4% higher peak RSS.
+# a second branch pass peaks at 1.23 MB (tracemalloc) with 4 images and
+# 2.46 MB with 8, which is over the 2.385 MB one-stack budget that
+# tests/test_pipeline.py holds it to.
 FORWARD_CHUNK = 4
 
 
@@ -122,8 +121,7 @@ def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selection_mass=No
         picks = [select_tokens(row, mass) if selector is None else selector(row) for row in m_val]
     mask = np.stack([np.asarray(row_mask, dtype=np.float32) for _, row_mask in picks])
     selection = TokenSelection(priorities=m_val.copy(),
-                               threshold=np.array([float(tau) for tau, _ in picks]),
-                               mask=mask, matrix=selection_matrix(mask))
+                               threshold=np.array([float(tau) for tau, _ in picks]), mask=mask)
 
     lam = importance_weights(z_p, selection, params, cfg.num_heads)
     selection.weights = lam

@@ -2,12 +2,12 @@
 
 Aggregates the class-token attention rows into a preliminary priority
 vector per image, selects tokens adaptively by cumulative attention mass
-(per image, in numpy), runs a masked transformer block over the selected
-sets of the whole batch to learn importance weights, and redistributes
+(per image, in numpy), runs a transformer block over each image's
+gathered selected tokens to learn importance weights, and redistributes
 the selected attention mass accordingly.
-The discrete selection (threshold, mask, selection matrix) is a constant
+The discrete selection (threshold, mask, gather indices) is a constant
 for gradient purposes; gradients flow through the importance weights,
-the masked attention values and the fused embedding.
+the selected attention values and the fused embedding.
 """
 
 from __future__ import annotations
@@ -30,16 +30,14 @@ class TokenSelection:
     priorities (B, N); threshold: B floats; mask (B, N) with
     mask[b, k] = 1 iff token k is selected (for the adaptive rule,
     priorities[b, k] >= threshold[b], inclusive, so the token defining
-    the threshold is always kept); matrix (B, N, N); weights (lambda) is
-    zero off each image's selected support and sums to 1 per image;
-    refined redistributes each image's selected mass while conserving
-    its total.
+    the threshold is always kept); weights (lambda) is zero off each
+    image's selected support and sums to 1 per image; refined
+    redistributes each image's selected mass while conserving its total.
     """
 
     priorities: np.ndarray
     threshold: np.ndarray
     mask: np.ndarray
-    matrix: np.ndarray
     weights: object = None   # lambda (B, N), possibly a tape Node during training
     refined: object = None   # m' (B, N), possibly a tape Node during training
 
@@ -92,29 +90,30 @@ def adaptive_select(priorities, mass: float):
     return tau, mask
 
 
-def selection_matrix(mask) -> np.ndarray:
-    """(..., N, N) attention mask from (..., N) token masks: every token
-    sees all selected tokens plus itself."""
-    b = nm.value_of(mask)
-    if b.ndim < 1:
-        raise DimensionError(f"mask must have a token axis, got shape {b.shape}")
-    n = b.shape[-1]
-    matrix = np.repeat(b[..., None, :], n, axis=-2).astype(np.float32)
-    matrix[..., np.arange(n), np.arange(n)] = 1.0
-    return matrix
-
-
 def importance_weights(z_p, selection: TokenSelection, params, num_heads: int):
-    """Masked transformer block over (B, N, D) patch tokens, per-token
-    scalar score, masked softmax over each image's selected tokens.
-    Zero off-support, sums to 1 per image."""
-    if (nm.value_of(selection.mask).sum(axis=-1) < 1.0).any():
+    """Transformer block over each image's selected patch tokens, a
+    per-token scalar score and a softmax over them, scattered back to
+    (B, N): zero off-support, sums to 1 per image. A selected token
+    attends only to selected tokens, so each image's selected rows are
+    gathered first in token order, padded to the stack's largest count
+    m, and a (B, m, m) key-padding mask keeps the padding out of every
+    softmax."""
+    mask = nm.value_of(selection.mask) > 0
+    counts = mask.sum(axis=-1)
+    if (counts < 1).any():
         raise ContractError("selection mask must keep at least one token")
-    b, n, d = nm.value_of(z_p).shape
-    z, _ = block_forward(z_p, params, "refine.mask_block", num_heads, mask=selection.matrix)
-    scores = nm.add(nm.matmul(nm.reshape(z, (b * n, d)), params["refine.score.weight"]),
+    b, _, d = nm.value_of(z_p).shape
+    m, image = int(counts.max()), np.arange(b)[:, None]
+    order = np.argsort(~mask, axis=-1, kind="stable")[:, :m]
+    valid = np.arange(m) < counts[:, None]
+    z, _ = block_forward(nm.take(z_p, (image, order)), params, "refine.mask_block", num_heads,
+                         mask=np.broadcast_to(valid[:, None], (b, m, m)))
+    scores = nm.add(nm.matmul(nm.reshape(z, (b * m, d)), params["refine.score.weight"]),
                     params["refine.score.bias"])
-    return nm.masked_softmax(nm.reshape(scores, (b, n)), selection.mask)
+    lam = nm.masked_softmax(nm.reshape(scores, (b, m)), valid)
+    # each selected token reads its slot, every other token the zero column
+    slots = np.where(mask, np.cumsum(mask, axis=-1) - 1, m)
+    return nm.take(nm.concat([lam, np.zeros((b, 1), np.float32)], axis=1), (image, slots))
 
 
 def reattention(priorities, mask, weights):

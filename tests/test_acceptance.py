@@ -19,11 +19,7 @@ from tokenloc.formats import read_checkpoint, write_checkpoint, write_tensor, re
 from tokenloc.localization import BoundingBox, grid_search_threshold
 from tokenloc.metrics import EvalRecord, loc_acc, max_box_acc_v2
 from tokenloc.pipeline import two_branch_forward
-from tokenloc.token_refine import (
-    adaptive_select,
-    reattention,
-    selection_matrix,
-)
+from tokenloc.token_refine import adaptive_select, reattention
 from tokenloc.training import (
     ToyTaskConfig,
     TrainConfig,
@@ -33,7 +29,7 @@ from tokenloc.training import (
     train_toy,
 )
 
-from util import assert_grads_close, check_op_gradients
+from util import assert_grads_close, check_op_gradients, finite_diff_grad, selection_matrix
 from test_localization import (
     assert_labeller_matches_oracle,
     brightness_checkpoint,
@@ -117,7 +113,7 @@ def test_criterion_gradient_suite():
 
     total = 0
     for name, base_value in params.items():
-        fd = nm.finite_diff_grad(lambda v, n=name: loss_at(n, v), base_value, 1e-2)
+        fd = finite_diff_grad(lambda v, n=name: loss_at(n, v), base_value, 1e-2)
         assert_grads_close(grads[name], fd, what=f"composed loss wrt {name}")
         total += base_value.size
     _report("gradient suite", time.monotonic() - start, 60.0,

@@ -223,3 +223,28 @@ def test_fanout_accumulates():
     loss = nm.add(nm.reduce_sum(leaf), nm.reduce_sum(nm.mul(leaf, leaf)))
     tape.backward(loss)
     assert np.allclose(leaf.grad, 1.0 + 2.0 * x.astype(np.float64), atol=1e-6)
+
+
+def test_take_picks_rows_and_sums_gradients_of_repeated_rows():
+    local = np.random.default_rng(43)
+    x = local.uniform(-1.0, 1.0, size=(3, 4)).astype(np.float32)
+    index = np.array([[2, 0], [2, 2], [1, 0]])
+    assert np.array_equal(nm.take(x, index), x[index])
+    w = local.uniform(-1.0, 1.0, size=(3, 2, 4)).astype(np.float32)
+    check_op_gradients(lambda a: nm.reduce_sum(nm.mul(nm.take(a, index), w)), [x],
+                       what="take rows")
+    # the scatter form: a vector read back by a (B, N) index with one row repeated
+    scatter = np.array([[0, 3, 1], [3, 2, 3]])
+    w2 = local.uniform(-1.0, 1.0, size=(2, 3)).astype(np.float32)
+    check_op_gradients(lambda a: nm.reduce_sum(nm.mul(nm.take(a, scatter), w2)),
+                       [local.uniform(-1.0, 1.0, size=4).astype(np.float32)], what="take scatter")
+
+
+def test_take_with_a_tuple_index_gathers_along_the_leading_axes():
+    local = np.random.default_rng(44)
+    x = local.uniform(-1.0, 1.0, size=(2, 4, 3)).astype(np.float32)
+    index = (np.arange(2)[:, None], np.array([[3, 1, 3], [0, 2, 1]]))
+    assert np.array_equal(nm.take(x, index), x[index])
+    w = local.uniform(-1.0, 1.0, size=(2, 3, 3)).astype(np.float32)
+    check_op_gradients(lambda a: nm.reduce_sum(nm.mul(nm.take(a, index), w)), [x],
+                       what="take tuple")

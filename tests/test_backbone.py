@@ -15,9 +15,10 @@ from tokenloc.backbone import (
     mhsa,
     parameter_shapes,
     patchify,
-    unpatchify,
 )
 from tokenloc.errors import DimensionError
+
+from util import unpatchify
 
 TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=2,
                    num_heads=2, num_classes=3)

@@ -379,6 +379,15 @@ _CONFIG_AT = 4 + 4 + 2 + len(b"config")
      "invalid config entry: num_blocks must be at least 2 (backbone plus final block)"),
     (_CONFIG_AT + 1 * 4, struct.pack("<I", 5),
      "invalid config entry: image_size 32 not divisible by patch_size 5"),
+    # one byte flipped to 0x7f in each extent: caught before, or by, the shape table
+    (_CONFIG_AT + 3 * 4 + 3, b"\x7f",
+     "config's 2130706434 blocks need 34091302960 parameters, the checkpoint holds 57"),
+    (_CONFIG_AT + 0 * 4 + 3, b"\x7f",
+     "parameter 'embed.pos' has shape (65, 8), config implies (283744377233211457, 8)"),
+    (_CONFIG_AT + 2 * 4 + 3, b"\x7f",
+     "parameter 'embed.patch.weight' has shape (48, 8), config implies (48, 2130706440)"),
+    (_CONFIG_AT + 6 * 4 + 3, b"\x7f",
+     "parameter 'refine.head.weight' has shape (8, 2), config implies (8, 2130706434)"),
 ])
 def test_checkpoint_decode_errors_exit_3(workspace, capsys, offset, patch, detail):
     tmp, cfg, params, ckpt, image = workspace

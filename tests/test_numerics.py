@@ -10,7 +10,7 @@ from scipy.special import erf
 from tokenloc import numerics as nm
 from tokenloc.errors import DegenerateInputError, DimensionError
 
-from util import assert_grads_close
+from util import assert_grads_close, finite_diff_grad
 
 
 def test_matmul_identity():
@@ -279,15 +279,15 @@ def test_bilinear_reproduces_ramp():
 
 def test_finite_diff_quadratic():
     h = 1e-3
-    grad = nm.finite_diff_grad(lambda x: float((x.astype(np.float64) ** 2).sum()),
-                               np.array([1.0, -2.0], np.float32), h)
+    grad = finite_diff_grad(lambda x: float((x.astype(np.float64) ** 2).sum()),
+                            np.array([1.0, -2.0], np.float32), h)
     assert np.allclose(grad, [2.0, -4.0], atol=h * h + 1e-5)
 
 
 def test_finite_diff_linear_exact():
     slope = np.array([3.0, -1.5, 0.25], np.float32)
     for h in (1e-1, 1e-2, 1e-3):
-        grad = nm.finite_diff_grad(
+        grad = finite_diff_grad(
             lambda x: float((x.astype(np.float64) * slope.astype(np.float64)).sum()),
             np.array([0.4, 0.2, -0.7], np.float32), h)
         assert np.allclose(grad, slope, atol=1e-6)
@@ -307,7 +307,7 @@ def test_finite_diff_matches_backward_on_softmax_pick_first():
         e = np.exp(z - z.max())
         return float((e / e.sum())[0])
 
-    fd = nm.finite_diff_grad(oracle, x, 1e-3)
+    fd = finite_diff_grad(oracle, x, 1e-3)
     assert_grads_close(leaf.grad, fd, rel=1e-4, floor=1e-6, what="softmax-pick-first")
 
 

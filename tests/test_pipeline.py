@@ -18,8 +18,10 @@ from tokenloc.pipeline import (
     select_tokens,
     two_branch_forward,
 )
-from tokenloc.token_refine import adaptive_select, selection_matrix
+from tokenloc.token_refine import adaptive_select
 from tokenloc.training import ToyTaskConfig, make_dataset
+
+from util import selection_matrix
 
 ACCEPTANCE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "acceptance.ckpt"
 CFG = ModelConfig(image_size=16, patch_size=4, embed_dim=8, num_blocks=2,
@@ -151,7 +153,7 @@ def test_each_image_of_a_stack_is_selected_alone():
         single = two_branch_forward(params, CFG, images[i:i + 1])
         assert np.array_equal(seen[i], single.selection.priorities[0])
         assert np.array_equal(batched.selection.mask[i], single.selection.mask[0])
-        assert np.array_equal(batched.selection.matrix[i], single.selection.matrix[0])
+        assert np.array_equal(batched.selection.weights[i], single.selection.weights[0])
         assert batched.selection.threshold[i] == single.selection.threshold[0]
 
 
@@ -171,11 +173,13 @@ def test_batched_forward_is_bit_identical_to_single_images_on_the_acceptance_hel
 
 
 # One untaped forward of FORWARD_CHUNK acceptance-size images, plus a
-# second `branch_forward` on its backbone output, allocates about 0.5 MB
-# per image at its peak (2.07 MB at 4 images, 4.06 MB at 8). The budget,
-# that peak at 4 images plus 15%, keeps the chunk at a size whose
-# evaluation peak RSS stays near the single-image one and catches float64
-# temporaries coming back into the forward.
+# second `branch_forward` on its backbone output, allocated about 0.5 MB
+# per image at its peak when this budget was set (2.07 MB at 4 images,
+# 4.06 MB at 8; 1.23 MB and 2.46 MB since the mask block runs on the
+# gathered selected tokens). The budget, that first peak at 4 images
+# plus 15%, keeps the chunk at a size whose evaluation peak RSS stays
+# near the single-image one and catches float64 temporaries coming back
+# into the forward.
 CHUNK_FORWARD_BUDGET = 2_385_000
 
 

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from tokenloc import numerics as nm
+from tokenloc import pipeline
+from tokenloc.ablation import parse_strategy, select_with_strategy
 from tokenloc.backbone import ModelConfig, init_params, mhsa
 from tokenloc.errors import ContractError, DegenerateInputError, DimensionError
+from tokenloc.formats import read_checkpoint
+from tokenloc.pipeline import select_tokens, two_branch_forward
 from tokenloc.token_refine import (
     TokenSelection,
     adaptive_select,
@@ -15,9 +19,19 @@ from tokenloc.token_refine import (
     preliminary_attention,
     reattention,
     refine_classify,
-    selection_matrix,
     spatial_map,
 )
+from tokenloc.training import (
+    ToyTaskConfig,
+    _batch_loss,
+    backward,
+    cross_entropy_joint,
+    default_model_config,
+    make_dataset,
+)
+
+from util import masked_importance_weights, selection_matrix
+from test_pipeline import ACCEPTANCE_CKPT, _acceptance_samples
 
 TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=2,
                    num_heads=2, num_classes=3)
@@ -246,8 +260,7 @@ def _selection_for(mask):
     mask = np.asarray(mask, np.float32)
     if mask.ndim == 1:
         mask = mask[None]
-    return TokenSelection(priorities=mask.copy(), threshold=np.ones(len(mask)), mask=mask,
-                          matrix=selection_matrix(mask))
+    return TokenSelection(priorities=mask.copy(), threshold=np.ones(len(mask)), mask=mask)
 
 
 def test_importance_weights_single_token():
@@ -320,6 +333,105 @@ def test_importance_weights_matches_step_oracle():
     expected = np.zeros(4)
     expected[keep] = e / e.sum()
     assert np.allclose(lam, expected, atol=1e-5)
+
+
+# --- gathered mask block against the masked oracle --------------------------
+
+def _oracle_weights(params, cfg, result):
+    z_p = nm.value_of(result.tokens)[:, 1:]
+    return masked_importance_weights(z_p, result.selection, params, cfg.num_heads)
+
+
+@pytest.mark.parametrize("stack", [1, 4])
+def test_gathered_weights_equal_the_masked_oracle_on_the_heldout_set(stack):
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    images = np.stack([image for image, _, _ in _acceptance_samples(50)])
+    for start in range(0, len(images), stack):
+        result = two_branch_forward(params, cfg, images[start:start + stack])
+        lam = _oracle_weights(params, cfg, result)
+        assert np.array_equal(result.selection.weights, lam), start
+        refined = reattention(result.selection.priorities, result.selection.mask, lam)
+        assert np.array_equal(result.refined_map, spatial_map(refined)), start
+
+
+def test_gathered_weights_equal_the_masked_oracle_on_mixed_counts():
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    images = np.stack([image for image, _, _ in _acceptance_samples(4)])
+    result = two_branch_forward(params, cfg, images)
+    m, mass = result.selection.priorities, cfg.selection_mass
+    mixed = np.stack([
+        select_with_strategy(m[0], parse_strategy("topk:1"), mass)[1],
+        select_with_strategy(m[1], parse_strategy("fixed:mean"), mass)[1],
+        select_tokens(np.zeros_like(m[2]), mass)[1],   # the argmax fallback
+        np.ones_like(m[3]),
+    ])
+    assert sorted(mixed.sum(axis=-1)) == [1, 1, mixed[1].sum(), cfg.num_tokens]
+    z_p = nm.value_of(result.tokens)[:, 1:]
+    for mask in (mixed, np.ones_like(m)):   # the second stack has m = N
+        selection = TokenSelection(priorities=m, threshold=np.zeros(len(m)), mask=mask)
+        assert np.array_equal(importance_weights(z_p, selection, params, cfg.num_heads),
+                              masked_importance_weights(z_p, selection, params, cfg.num_heads))
+
+
+def _shift_invariant(name):
+    """Parameters whose gradient is zero in exact arithmetic, because a
+    softmax ignores a shift of its inputs: key biases, and the biases
+    that shift every importance score alike. Both paths leave float64
+    rounding residue of about 1e-21 there, in an order-dependent way."""
+    return name.endswith("attn.k.bias") or name in (
+        "refine.score.bias", "refine.mask_block.mlp.fc2.bias")
+
+
+def _cycling_topk():
+    """A selector keeping the top 1, 64, 7, 42, ... tokens of successive
+    images, so one stack mixes padded and unpadded images."""
+    counts = iter([1, 64, 7, 42, 1, 30, 64, 12])
+
+    def select(m):
+        mask = np.zeros_like(m)
+        mask[np.argsort(-m, kind="stable")[:next(counts)]] = 1.0
+        return 0.0, mask
+
+    return select
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+@pytest.mark.parametrize("trained", [False, True])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_gathered_weights_give_the_masked_oracle_loss_and_gradients(phase, trained, mixed,
+                                                                     monkeypatch):
+    toy = ToyTaskConfig(seed=7)
+    if trained:
+        cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    else:
+        cfg = default_model_config(toy)
+        params = init_params(cfg, 9)
+    batch = make_dataset(toy)[:8]
+    images = np.stack([image for image, _, _ in batch])
+
+    def loss_and_grads():
+        tape = nm.GradTape()
+        leaves = {name: tape.leaf(value) for name, value in params.items()
+                  if name.startswith("cam.") == (phase == 2)}
+        if mixed:
+            result = two_branch_forward({**params, **leaves}, cfg, images,
+                                        selector=_cycling_topk())
+            loss = nm.reduce_sum(cross_entropy_joint(result.p_cam, result.p_refine,
+                                                     [label for _, label, _ in batch]))
+        else:
+            loss = _batch_loss({**params, **leaves}, cfg, batch)   # the training step's loss
+        return nm.value_of(loss), backward(loss, tape, leaves)
+
+    loss, grads = loss_and_grads()
+    monkeypatch.setattr(pipeline, "importance_weights", masked_importance_weights)
+    oracle_loss, oracle_grads = loss_and_grads()
+    assert np.array_equal(loss, oracle_loss)
+    assert grads.keys() == oracle_grads.keys()
+    for name, grad in grads.items():
+        if _shift_invariant(name):
+            assert max(np.abs(grad).max(), np.abs(oracle_grads[name]).max()) < 1e-18, name
+        else:
+            assert np.array_equal(grad, oracle_grads[name]), name
 
 
 # --- re-attention -----------------------------------------------------------

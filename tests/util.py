@@ -1,8 +1,11 @@
-"""Shared test helpers: tolerance checks and gradient verification."""
+"""Shared test helpers: tolerance checks, gradient verification and
+the reference paths that the program's fast paths are checked against."""
 
 import numpy as np
 
 from tokenloc import numerics as nm
+from tokenloc.backbone import block_forward
+from tokenloc.errors import ContractError, DimensionError
 
 
 def assert_grads_close(analytic, numeric, rel=1e-3, floor=1e-4, what=""):
@@ -15,6 +18,27 @@ def assert_grads_close(analytic, numeric, rel=1e-3, floor=1e-4, what=""):
     assert np.all(gap <= tol), (
         f"{what}: gradient mismatch, worst excess {worst:.3e} "
         f"(max gap {gap.max():.3e})")
+
+
+def finite_diff_grad(f, x, h: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function, one coordinate at a time.
+
+    The divisor is the realised float32 step (x+h) - (x-h), which equals 2h
+    up to storage rounding and keeps linear functions exact.
+    """
+    xv = nm.as_f32(x).copy()
+    grad = np.zeros(xv.shape, dtype=np.float64)
+    for idx in np.ndindex(xv.shape):
+        orig = xv[idx]
+        xv[idx] = orig + np.float32(h)
+        hi = float(f(xv))
+        up = float(xv[idx])
+        xv[idx] = orig - np.float32(h)
+        lo = float(f(xv))
+        down = float(xv[idx])
+        xv[idx] = orig
+        grad[idx] = (hi - lo) / (up - down)
+    return grad.astype(np.float32)
 
 
 def check_op_gradients(build_loss, arrays, h=1e-2, rel=1e-3, floor=1e-4, what=""):
@@ -34,7 +58,7 @@ def check_op_gradients(build_loss, arrays, h=1e-2, rel=1e-3, floor=1e-4, what=""
             plain[i] = x
             return float(nm.value_of(build_loss(*plain)))
 
-        fd = nm.finite_diff_grad(f, base, h)
+        fd = finite_diff_grad(f, base, h)
         ad = leaf.grad if leaf.grad is not None else np.zeros_like(base, dtype=np.float64)
         assert_grads_close(ad, fd, rel=rel, floor=floor, what=f"{what} arg{i}")
 
@@ -44,3 +68,37 @@ def weighted_sum(weights):
     def fold(out):
         return nm.reduce_sum(nm.mul(out, weights))
     return fold
+
+
+def unpatchify(patches: np.ndarray, patch_size: int, h: int, w: int) -> np.ndarray:
+    """Inverse of patchify for one image, reassembling the 3xHxW image."""
+    gh, gw = h // patch_size, w // patch_size
+    tiles = nm.as_f32(patches).reshape(gh, gw, 3, patch_size, patch_size)
+    return np.ascontiguousarray(tiles.transpose(2, 0, 3, 1, 4).reshape(3, h, w))
+
+
+def selection_matrix(mask) -> np.ndarray:
+    """(..., N, N) attention mask from (..., N) token masks: every token
+    sees all selected tokens plus itself."""
+    b = nm.value_of(mask)
+    if b.ndim < 1:
+        raise DimensionError(f"mask must have a token axis, got shape {b.shape}")
+    n = b.shape[-1]
+    matrix = np.repeat(b[..., None, :], n, axis=-2).astype(np.float32)
+    matrix[..., np.arange(n), np.arange(n)] = 1.0
+    return matrix
+
+
+def masked_importance_weights(z_p, selection, params, num_heads: int):
+    """Reference for `token_refine.importance_weights`: the mask block over
+    all (B, N, D) patch tokens under the (B, N, N) selection matrix, a
+    per-token scalar score, and a masked softmax over each image's
+    selected tokens."""
+    if (nm.value_of(selection.mask).sum(axis=-1) < 1.0).any():
+        raise ContractError("selection mask must keep at least one token")
+    b, n, d = nm.value_of(z_p).shape
+    z, _ = block_forward(z_p, params, "refine.mask_block", num_heads,
+                         mask=selection_matrix(selection.mask))
+    scores = nm.add(nm.matmul(nm.reshape(z, (b * n, d)), params["refine.score.weight"]),
+                    params["refine.score.bias"])
+    return nm.masked_softmax(nm.reshape(scores, (b, n)), selection.mask)
