@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -79,30 +81,33 @@ def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid
     own best threshold. With a fixed theta everything uses that theta.
     The images go through the forward pass once each, in stacks of
     `pipeline.FORWARD_CHUNK`; each GT-class heat is labelled once over
-    the whole grid, and each differing predicted-class heat once at
-    theta_star.
+    the whole grid. A predicted-class heat is fused and labelled, once
+    at theta_star, only where the top-ranked class is not the GT class.
     """
     side = cfg.image_size
-    rankings, heats_gt, heats_pred = [], [], []
+    ranked_metrics = any(m in metrics for m in ("top1", "top5"))
+    rankings, heats_gt, heats_pred = [], [], {}
     for labels, result in forward_chunks(params, cfg, samples, selection_mass=selection_mass):
         ranked = [_ranking(row) for row in nm.value_of(result.p_cam)]
-        rankings += ranked
         heats_gt.extend(class_heats(result, labels, side))
-        top = [ranking[0] for ranking in ranked]
-        heats_pred.extend(None if predicted == label else heat for predicted, label, heat
-                          in zip(top, labels, class_heats(result, top, side)))
+        # a predicted-class heat is needed only where that class is not the GT class
+        differ = [i for i, label in enumerate(labels) if ranked[i][0] != label]
+        if ranked_metrics and differ:
+            heats = class_heats(result, [ranked[i][0] for i in differ], side, rows=differ)
+            heats_pred.update(zip([len(rankings) + i for i in differ], heats))
+        rankings += ranked
     thetas = threshold_grid(*grid) if grid is not None else [float(theta)]
     boxes = box_table(heats_gt, thetas, side, side)
     table = gt_known_table(boxes, samples, thetas)
     theta_star = best_threshold(table) if grid is not None else float(theta)
 
-    if any(m in metrics for m in ("top1", "top5")):
+    if ranked_metrics:
         star = thetas.index(theta_star)
         records_pred = []
-        for record, row, ranking, heat in zip(records, boxes, rankings, heats_pred):
+        for s, (record, row, ranking) in enumerate(zip(records, boxes, rankings)):
             # when the top-ranked class is the GT class, its box is already in the table
-            box = (BoundingBox(*row[star].tolist()) if heat is None else
-                   box_from_heat(heat, theta_star, side, side)[0])
+            box = (BoundingBox(*row[star].tolist()) if s not in heats_pred else
+                   box_from_heat(heats_pred[s], theta_star, side, side)[0])
             records_pred.append(EvalRecord(image_id=record.image_id, box=box,
                                            gt_boxes=record.boxes, gt_class=record.label,
                                            class_ranking=ranking))
@@ -184,30 +189,48 @@ def cmd_calibrate(args):
     return 0
 
 
-def _dataclass_from_json(cls, path, extra=()):
+# JSON types each dataclass field type accepts; bool is an int subclass, not a number here
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
+def _config_from_json(cls, payload, where, **given):
+    """Build config dataclass `cls` from a JSON object, checking each
+    field's JSON type first; `given` fields come from elsewhere."""
+    for name, kind in typing.get_type_hints(cls).items():
+        types, what = _JSON_TYPES[kind]
+        value = payload.get(name)
+        if name in payload and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ContractError(f"{where}: field {name!r} must be {what}, got {value!r}")
+    try:
+        return cls(**payload, **given)
+    except TypeError as exc:
+        raise ContractError(f"{where}: {exc}") from exc
+
+
+def _read_json_object(path) -> dict:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object")
-    known = {k: v for k, v in payload.items() if k not in extra}
-    try:
-        return cls(**known), {k: payload[k] for k in extra if k in payload}
-    except TypeError as exc:
-        raise ContractError(f"{path}: {exc}") from exc
+    return payload
 
 
 def cmd_train_toy(args):
-    toy, _ = _dataclass_from_json(ToyTaskConfig, args.toy_config)
-    train, extras = _dataclass_from_json(TrainConfig, args.train_config, extra=("model",))
+    toy = _config_from_json(ToyTaskConfig, _read_json_object(args.toy_config), args.toy_config)
+    sections = _read_json_object(args.train_config)
+    train = _config_from_json(TrainConfig, {k: v for k, v in sections.items() if k != "model"},
+                              args.train_config)
     model = None
-    if "model" in extras:
-        try:
-            model = ModelConfig(image_size=toy.image_size, num_classes=toy.num_classes,
-                                **extras["model"])
-        except TypeError as exc:
-            raise ContractError(f"{args.train_config}: model section: {exc}") from exc
+    if "model" in sections:
+        where = f"{args.train_config}: model section"
+        if not isinstance(sections["model"], dict):
+            raise ContractError(f"{where}: expected a JSON object")
+        model = _config_from_json(ModelConfig, sections["model"], where,
+                                  image_size=toy.image_size, num_classes=toy.num_classes)
     cfg, params, curve = train_toy(toy, train, model)
     write_checkpoint(args.out_ckpt, cfg, params)
     _write_csv(args.out_curve, ("step", "phase", "loss"),
@@ -235,7 +258,10 @@ def cmd_heatmap(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command grammar, built on the first call and shared after it:
+    `parse_args` returns a fresh namespace and leaves the parser as it was."""
     parser = _Parser(prog="tokenloc",
                      description="Token re-attention localization pipeline")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -305,9 +331,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

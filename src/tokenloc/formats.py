@@ -12,6 +12,7 @@ always produce identical bytes.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -38,6 +39,11 @@ CHECKPOINT_MAGIC = b"TRTC"
 DTYPE_F32 = 0
 CONFIG_ENTRY = "config"
 _CONFIG_STRUCT = struct.Struct("<8I")
+_DTYPE_NDIM = struct.Struct("<BB")
+_EXTENTS = tuple(struct.Struct(f"<{ndim}I") for ndim in range(256))  # by the u8 rank
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_F32 = np.dtype("<f4")
 MASS_FIXED_POINT = 10 ** 6
 _MAX_HEADER = 4 + 2 + 4 * 255  # magic, dtype and rank, 255 extents
 
@@ -53,37 +59,41 @@ def tensor_to_bytes(array) -> bytes:
     return header + arr.tobytes()
 
 
-def _take(buffer: bytes, offset: int, count: int, what: str):
-    if offset + count > len(buffer):
-        raise TruncationError(f"file ended inside {what} ({offset + count} > {len(buffer)} bytes)")
-    return buffer[offset:offset + count], offset + count
+def _truncated(what: str, end: int, size: int) -> TruncationError:
+    return TruncationError(f"file ended inside {what} ({end} > {size} bytes)")
 
 
 def _tensor_header(buffer: bytes, offset: int):
     """Decode the tensor header at `offset`, returning (shape, payload offset)."""
-    magic, offset = _take(buffer, offset, 4, "tensor magic")
+    size = len(buffer)
+    magic = buffer[offset:offset + 4]
     if magic != TENSOR_MAGIC:
+        if offset + 4 > size:
+            raise _truncated("tensor magic", offset + 4, size)
         raise BadMagicError(f"expected magic {TENSOR_MAGIC!r}, found {magic!r}")
-    head, offset = _take(buffer, offset, 2, "tensor header")
-    dtype, ndim = struct.unpack("<BB", head)
+    if offset + 6 > size:
+        raise _truncated("tensor header", offset + 6, size)
+    dtype, ndim = _DTYPE_NDIM.unpack_from(buffer, offset + 4)
     if dtype != DTYPE_F32:
         raise UnsupportedDtypeError(f"unsupported dtype code {dtype}")
     if ndim < 1:
         raise TensorHeaderError("tensor files need at least one dimension")
-    raw, offset = _take(buffer, offset, 4 * ndim, "tensor extents")
-    shape = struct.unpack(f"<{ndim}I", raw)
-    if any(s < 1 for s in shape):
+    offset += 6
+    if offset + 4 * ndim > size:
+        raise _truncated("tensor extents", offset + 4 * ndim, size)
+    shape = _EXTENTS[ndim].unpack_from(buffer, offset)
+    if 0 in shape:
         raise TensorHeaderError(f"non-positive extent in {shape}")
-    return shape, offset
+    return shape, offset + 4 * ndim
 
 
 def tensor_from_bytes(buffer: bytes, offset: int = 0):
     """Decode one tensor record, returning (array, next offset)."""
     shape, offset = _tensor_header(buffer, offset)
-    count = math.prod(shape)  # Python ints: a fixed-width product can wrap to 0
-    payload, offset = _take(buffer, offset, 4 * count, "tensor payload")
-    array = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-    return array, offset
+    end = offset + 4 * math.prod(shape)  # Python ints: a fixed-width product can wrap to 0
+    if end > len(buffer):
+        raise _truncated("tensor payload", end, len(buffer))
+    return np.ndarray(shape, _F32, buffer, offset).copy(), end
 
 
 def write_tensor(path, array) -> None:
@@ -164,17 +174,26 @@ def write_checkpoint(path, cfg: ModelConfig, params: dict) -> None:
 def read_checkpoint(path):
     """Read and validate a checkpoint, returning (config, params dict)."""
     data = Path(path).read_bytes()
-    magic, offset = _take(data, 0, 4, "checkpoint magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"expected magic {CHECKPOINT_MAGIC!r}, found {magic!r}")
-    raw, offset = _take(data, offset, 4, "entry count")
-    (count,) = struct.unpack("<I", raw)
+    size = len(data)
+    if data[:4] != CHECKPOINT_MAGIC:
+        if size < 4:
+            raise _truncated("checkpoint magic", 4, size)
+        raise BadMagicError(f"expected magic {CHECKPOINT_MAGIC!r}, found {data[:4]!r}")
+    if size < 8:
+        raise _truncated("entry count", 8, size)
+    (count,) = _U32.unpack_from(data, 4)
+    offset = 8
     cfg = None
     params = {}
     for _ in range(count):
-        raw, offset = _take(data, offset, 2, "entry name length")
-        (name_len,) = struct.unpack("<H", raw)
-        raw, offset = _take(data, offset, name_len, "entry name")
+        if offset + 2 > size:
+            raise _truncated("entry name length", offset + 2, size)
+        (name_len,) = _U16.unpack_from(data, offset)
+        offset += 2
+        raw = data[offset:offset + name_len]
+        offset += name_len
+        if offset > size:
+            raise _truncated("entry name", offset, size)
         try:
             name = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -182,8 +201,11 @@ def read_checkpoint(path):
         if name == CONFIG_ENTRY:
             if cfg is not None:
                 raise CheckpointError("duplicate config entry")
-            raw, offset = _take(data, offset, _CONFIG_STRUCT.size, "config block")
-            cfg = _config_from_bytes(raw)
+            end = offset + _CONFIG_STRUCT.size
+            if end > size:
+                raise _truncated("config block", end, size)
+            cfg = _config_from_bytes(data[offset:end])
+            offset = end
         else:
             if name in params:
                 raise CheckpointError(f"duplicate entry {name!r}")
@@ -198,11 +220,11 @@ def read_checkpoint(path):
         raise CheckpointError(f"config's {cfg.num_blocks} blocks need {16 * (cfg.num_blocks + 1)} "
                               f"parameters, the checkpoint holds {len(params)}")
     expected = parameter_shapes(cfg)
-    missing = sorted(set(expected) - set(params))
-    if missing:
-        raise CheckpointError(f"checkpoint is missing parameters: {', '.join(missing)}")
-    extra = sorted(set(params) - set(expected))
-    if extra:
+    if expected.keys() != params.keys():
+        missing = sorted(expected.keys() - params.keys())
+        if missing:
+            raise CheckpointError(f"checkpoint is missing parameters: {', '.join(missing)}")
+        extra = sorted(params.keys() - expected.keys())
         raise CheckpointError(f"checkpoint has unexpected parameters: {', '.join(extra)}")
     for name, shape in expected.items():
         if params[name].shape != shape:
@@ -243,7 +265,15 @@ def parse_manifest(path) -> list:
     base = path.parent
     records = []
     id_lines = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # universal newlines, as in the parse below
+        line_no = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).getvalue().count("\n")
+        raise ManifestError(f"{path}:{line_no + 1}: not UTF-8 at byte {exc.start}: "
+                            f"{exc.reason}") from exc
+    with io.StringIO(text, newline=None) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

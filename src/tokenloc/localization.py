@@ -138,10 +138,11 @@ def box_from_heat(heat: np.ndarray, theta: float, width: int, height: int):
     return BoundingBox(*boxes[0].tolist()), bool(degenerate[0])
 
 
-def class_heats(result, class_ids, side: int) -> np.ndarray:
-    """(B, side, side) fused localization maps of a forward result, one
-    class per row of its stack."""
-    return nm.bilinear_resize(fuse(result.refined_map, result.cam_maps, class_ids), side, side)
+def class_heats(result, class_ids, side: int, rows=slice(None)) -> np.ndarray:
+    """(R, side, side) fused localization maps of the `rows` of a forward
+    result's stack (all of them by default), one class per row."""
+    maps = nm.value_of(result.refined_map)[rows], nm.value_of(result.cam_maps)[rows]
+    return nm.bilinear_resize(fuse(*maps, class_ids), side, side)
 
 
 def localize(params, cfg: ModelConfig, image, class_id="predicted", *, selection_mass=None,

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from tokenloc.errors import TruncationError
 from tokenloc.formats import (
     load_samples,
     parse_manifest,
+    read_checkpoint,
     read_tensor,
     write_checkpoint,
     write_tensor,
@@ -26,7 +31,7 @@ from tokenloc.localization import (
     localize,
     threshold_grid,
 )
-from tokenloc.metrics import MAX_BOX_ACC_LEVELS, iou
+from tokenloc.metrics import MAX_BOX_ACC_LEVELS, EvalRecord, iou, loc_acc
 from tokenloc.pipeline import FORWARD_CHUNK
 from tokenloc.training import ToyTaskConfig, make_dataset
 
@@ -308,7 +313,6 @@ def test_train_toy_command(tmp_path):
     rows = _read_csv(curve)
     assert rows[0] == ["step", "phase", "loss"]
     assert len(rows) == 6
-    from tokenloc.formats import read_checkpoint
     cfg, params = read_checkpoint(ckpt)
     assert cfg.embed_dim == 16 and cfg.num_classes == 2
 
@@ -370,7 +374,8 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys):
 _CONFIG_AT = 4 + 4 + 2 + len(b"config")
 
 
-@pytest.mark.parametrize("offset, patch, detail", [
+# (offset, bytes written there, error detail) on the workspace checkpoint
+CHECKPOINT_PATCHES = [
     (10, b"c\xffnfig",
      "entry name b'c\\xffnfig' is not UTF-8: invalid start byte"),
     (_CONFIG_AT + 7 * 4, struct.pack("<I", 0),
@@ -388,7 +393,10 @@ _CONFIG_AT = 4 + 4 + 2 + len(b"config")
      "parameter 'embed.patch.weight' has shape (48, 8), config implies (48, 2130706440)"),
     (_CONFIG_AT + 6 * 4 + 3, b"\x7f",
      "parameter 'refine.head.weight' has shape (8, 2), config implies (8, 2130706434)"),
-])
+]
+
+
+@pytest.mark.parametrize("offset, patch, detail", CHECKPOINT_PATCHES)
 def test_checkpoint_decode_errors_exit_3(workspace, capsys, offset, patch, detail):
     tmp, cfg, params, ckpt, image = workspace
     data = bytearray(ckpt.read_bytes())
@@ -547,3 +555,168 @@ def test_invalid_class_id_exits_4(workspace, capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
+
+
+def test_main_builds_the_parser_once_per_process(workspace, monkeypatch, capsys):
+    tmp, cfg, params, ckpt, image = workspace
+    progs = []
+    real_init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    localize_argv = ["localize", "--ckpt", str(ckpt), "--input", str(image), "--theta", "0.45",
+                     "--out-box", str(tmp / "box.txt")]
+    assert main(localize_argv) == 0
+    built = len(progs)
+    for argv in [localize_argv] * 3 + [["--help"], ["localize", "--nonsense"], []]:
+        main(argv)
+    assert progs.count("tokenloc") == 1 and len(progs) == built  # the 8 subparsers too
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_repeated_main_calls_write_what_fresh_processes_write(workspace, capsys):
+    tmp, cfg, params, ckpt, image = workspace
+
+    def commands(out):
+        out.mkdir()
+        return [["localize", "--ckpt", ckpt, "--input", image, "--class", "auto",
+                 "--theta", "0.45", "--out-box", out / "box.txt", "--out-map", out / "map.trt"],
+                ["infer", "--ckpt", ckpt, "--input", image,
+                 "--out-logits", out / "pc.trt", "--out-pt", out / "pt.trt"]]
+
+    assert main(["localize", "--ckpt", str(ckpt), "--theta", "oops"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and err.count("\n") == 1, err
+    assert main(["--help"]) == 0
+    assert "localize" in capsys.readouterr().out
+    for argv in commands(tmp / "same"):
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv in commands(tmp / "fresh"):
+        subprocess.run([sys.executable, "-m", "tokenloc.cli", *map(str, argv)], env=env,
+                       check=True, timeout=120)
+    for name in ("box.txt", "map.trt", "pc.trt", "pt.trt"):
+        assert (tmp / "same" / name).read_bytes() == (tmp / "fresh" / name).read_bytes(), name
+
+
+_TOY_JSON = {"image_size": 32, "num_classes": 2, "min_object": 14, "max_object": 24,
+             "noise_level": 0.6, "samples_per_epoch": 4, "seed": 7}
+_TRAIN_JSON = {"learning_rate": 0.1, "weight_decay": 5e-4, "steps_phase1": 1,
+               "steps_phase2": 1, "batch_size": 2, "seed": 5,
+               "model": {"patch_size": 8, "embed_dim": 8, "num_blocks": 2,
+                         "num_heads": 2, "mlp_ratio": 1, "selection_mass": 0.65}}
+
+
+def _train_toy_argv(tmp, toy=_TOY_JSON, train=_TRAIN_JSON):
+    toy_path, train_path = tmp / "toy.json", tmp / "train.json"
+    toy_path.write_text(json.dumps(toy))
+    train_path.write_text(json.dumps(train))
+    return ["train-toy", "--toy-config", str(toy_path), "--train-config", str(train_path),
+            "--out-ckpt", str(tmp / "out.ckpt"), "--out-curve", str(tmp / "curve.csv")]
+
+
+# each manifest command's arguments after --manifest, up to its output path
+_MANIFEST_ARGS = {"calibrate": ["--out-table"], "eval": ["--theta", "0.5", "--out-report"],
+                  "ablate-selection": ["--strategies", "adaptive", "--out-table"]}
+
+
+@pytest.mark.parametrize("command", [*_MANIFEST_ARGS, "train-toy:toy", "train-toy:train"])
+def test_non_utf8_input_exits_3(workspace, capsys, command):
+    tmp, cfg, params, ckpt, image = workspace
+    if command.startswith("train-toy"):
+        argv = _train_toy_argv(tmp)
+        bad = tmp / f"{command.split(':')[1]}.json"
+        bad.write_bytes(bad.read_bytes() + b"\xff")
+        where = f"{bad}: not UTF-8 at byte {bad.stat().st_size - 1}"
+    else:
+        bad = tmp / "bad.manifest"
+        first = b"id:a image:img.trt label:0 boxes:12,8,20,16\n"
+        bad.write_bytes(first + b"\xff\xfeid:b image:img.trt label:0 boxes:12,8,20,16\n")
+        argv = [command, "--ckpt", str(ckpt), "--manifest", str(bad), *_MANIFEST_ARGS[command],
+                str(tmp / "out.csv")]
+        where = f"{bad}:2: not UTF-8 at byte {len(first)}"
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: format: {where}: invalid start byte\n"
+    assert not (tmp / "out.csv").exists() and not (tmp / "out.ckpt").exists()
+
+
+@pytest.mark.parametrize("section, field, value, kind", [
+    ("train", "batch_size", 2.5, "an integer"),
+    ("train", "seed", 1.5, "an integer"),
+    ("train", "steps_phase1", True, "an integer"),
+    ("train", "learning_rate", "0.1", "a number"),
+    ("model", "patch_size", 4.0, "an integer"),
+    ("model", "selection_mass", False, "a number"),
+    ("toy", "seed", None, "an integer"),
+    ("toy", "noise_level", [0.6], "a number"),
+])
+def test_train_toy_config_field_types_exit_4(tmp_path, capsys, section, field, value, kind):
+    toy, train = dict(_TOY_JSON), dict(_TRAIN_JSON, model=dict(_TRAIN_JSON["model"]))
+    {"toy": toy, "train": train, "model": train["model"]}[section][field] = value
+    argv = _train_toy_argv(tmp_path, toy, train)
+    where = {"toy": f"{tmp_path / 'toy.json'}", "train": f"{tmp_path / 'train.json'}",
+             "model": f"{tmp_path / 'train.json'}: model section"}[section]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: contract: {where}: field {field!r} must be {kind}, got {value!r}\n"
+    assert not (tmp_path / "out.ckpt").exists()
+
+
+def test_train_toy_takes_json_integers_for_float_fields(tmp_path):
+    train = dict(_TRAIN_JSON, learning_rate=0, weight_decay=0)
+    assert main(_train_toy_argv(tmp_path, dict(_TOY_JSON, noise_level=1), train)) == 0
+    assert len(_read_csv(tmp_path / "curve.csv")) == 3
+
+
+def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_path,
+                                                                           monkeypatch):
+    heldout = make_dataset(ToyTaskConfig(samples_per_epoch=9, seed=99))
+    lines = []
+    for i, (image, label, box) in enumerate(heldout):
+        write_tensor(tmp_path / f"img{i}.trt", image)
+        label = 1 - label if i % 2 else label  # flipped labels force mispredictions
+        lines.append(f"id:img{i} image:img{i}.trt label:{label} "
+                     f"boxes:{box.x0},{box.y0},{box.x1},{box.y1}")
+    manifest = tmp_path / "flipped.manifest"
+    manifest.write_text("\n".join(lines) + "\n")
+    fused = []
+    real_heats = cli.class_heats
+
+    def counting_heats(result, class_ids, side, **kwargs):
+        heats = real_heats(result, class_ids, side, **kwargs)
+        fused.append(("rows" in kwargs, len(heats)))
+        return heats
+
+    monkeypatch.setattr(cli, "class_heats", counting_heats)
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--ckpt", str(ACCEPTANCE_CKPT), "--manifest", str(manifest),
+                 "--theta", "grid", "--out-report", str(report)]) == 0
+    monkeypatch.undo()
+
+    # the per-image path: one forward and one predicted-class heat per image
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    records = parse_manifest(manifest)
+    samples = load_samples(records)
+    theta_star, table = loc.grid_search_threshold(params, cfg, samples)
+    boxes = loc.box_table(gt_class_heats(params, cfg, samples),
+                          threshold_grid(*DEFAULT_GRID), 32, 32)
+    ranked = []
+    for record, (image, label, _) in zip(records, samples):
+        p_cam = nm.value_of(pipeline.two_branch_forward(params, cfg, image[None]).p_cam)[0]
+        ranked.append(EvalRecord(
+            image_id=record.image_id, gt_boxes=record.boxes, gt_class=label,
+            box=localize(params, cfg, image, "predicted", theta=theta_star).box,
+            class_ranking=[int(k) for k in np.argsort(-p_cam, kind="stable")]))
+    mispredicted = sum(r.class_ranking[0] != r.gt_class for r in ranked)
+    assert 0 < mispredicted < len(samples)
+    assert sum(n for predicted, n in fused if predicted) == mispredicted
+    assert sum(n for predicted, n in fused if not predicted) == len(samples)
+    assert _read_csv(report) == [
+        ["metric", "value"], ["gt-known", repr(dict(table)[theta_star])],
+        ["top1", repr(loc_acc(ranked, "top1"))], ["top5", repr(loc_acc(ranked, "top5"))],
+        ["maxboxaccv2", repr(loc.max_box_acc_v2_over_grid(boxes, samples))],
+        ["theta", repr(theta_star)]]

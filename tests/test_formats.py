@@ -10,6 +10,7 @@ from tokenloc.errors import (
     BadMagicError,
     CheckpointError,
     ManifestError,
+    TensorHeaderError,
     TruncationError,
     UnsupportedDtypeError,
 )
@@ -304,3 +305,142 @@ def test_heatmap_deterministic_bytes(tmp_path):
     write_heatmap(tmp_path / "a.ppm", heat, image, 0.4)
     write_heatmap(tmp_path / "b.ppm", heat, image, 0.4)
     assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
+
+
+def _decode_outcome(decode, data):
+    """('ok', result) or (error class, message) of one decode."""
+    try:
+        return "ok", decode(data)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+def _assert_same_decode(got, want, what):
+    assert got[0] == want[0], (what, got, want)
+    if got[0] != "ok":
+        assert got[1] == want[1], what
+        return
+    if isinstance(want[1], np.ndarray):
+        pairs = [(got[1], want[1])]
+    else:
+        (cfg, params), (want_cfg, want_params) = got[1], want[1]
+        assert cfg == want_cfg and list(params) == list(want_params), what
+        pairs = [(params[name], want_params[name]) for name in want_params]
+    for array, want_array in pairs:
+        assert array.dtype == want_array.dtype == np.float32 and array.flags.writeable, what
+        assert array.shape == want_array.shape, what
+        assert array.tobytes() == want_array.tobytes(), what
+
+
+def _structure_offsets(data):
+    """Offsets of a checkpoint's non-payload bytes, and one offset inside
+    each tensor payload."""
+    offsets, inside = list(range(8)), []
+    offset = 8
+    while offset < len(data):
+        (name_len,) = struct.unpack("<H", data[offset:offset + 2])
+        name = data[offset + 2:offset + 2 + name_len]
+        head = offset + 2 + name_len
+        if name == b"config":
+            end = head + 32
+        else:
+            (ndim,) = struct.unpack("<B", data[head + 5:head + 6])
+            shape = struct.unpack(f"<{ndim}I", data[head + 6:head + 6 + 4 * ndim])
+            payload = head + 6 + 4 * ndim
+            end = payload + 4 * int(np.prod(shape))
+            inside.append((payload + end) // 2)
+            head = payload
+        offsets += range(offset, head)
+        offset = end
+    return offsets, inside
+
+
+def _checkpoint_cases():
+    """Checkpoint bytes: valid files, the broken files of the checkpoint
+    tests above and of the CLI decode table, and truncations and 0x7f and
+    0xff bytes at the first 200 structure bytes and inside each payload."""
+    from test_cli import CHECKPOINT_PATCHES
+    from test_localization import brightness_checkpoint
+    from test_pipeline import ACCEPTANCE_CKPT
+
+    def blob(cfg, params, names, config=None):
+        out = b"TRTC" + struct.pack("<I", len(names) + 1)
+        config = config or struct.pack("<8I", cfg.image_size, cfg.patch_size, cfg.embed_dim,
+                                       cfg.num_blocks, cfg.num_heads, cfg.mlp_ratio,
+                                       cfg.num_classes, 650000)
+        for name, payload in [("config", config)] + [(n, tensor_to_bytes(params[n]))
+                                                     for n in names]:
+            out += struct.pack("<H", len(name.encode())) + name.encode() + payload
+        return out
+
+    params = init_params(CFG, 2)
+    small = blob(CFG, params, sorted(params))
+    bright_cfg, bright_params = brightness_checkpoint()
+    bright = blob(bright_cfg, bright_params, sorted(bright_params))
+    cases = {"acceptance": ACCEPTANCE_CKPT.read_bytes(), "small": small, "bright": bright,
+             "missing": blob(CFG, params, sorted(set(params) - {"cam.conv.weight"})),
+             "duplicate": blob(CFG, params, sorted(params) + ["embed.cls"]),
+             "extra": blob(CFG, {**params, "zz": np.ones(1, np.float32)},
+                           sorted(params) + ["zz"]),
+             "no config": b"TRTC" + struct.pack("<I", 0),
+             "two configs": small[:48] + small[8:],
+             "bad magic": b"NOPE" + b"\x00" * 32, "junk": b"JUNKJUNKJUNK",
+             "trailing": small + b"x"}
+    for offset, patch, _ in CHECKPOINT_PATCHES:
+        cases[f"patch {offset} {patch!r}"] = (bright[:offset] + patch
+                                               + bright[offset + len(patch):])
+    offsets, inside = _structure_offsets(small)
+    offsets = offsets[:200] + inside  # the header, the config and the first tensor entries
+    for cut in offsets:
+        cases[f"cut {cut}"] = small[:cut]
+    for offset in offsets:
+        for byte in (0x7F, 0xFF):
+            cases[f"flip {offset} {byte}"] = small[:offset] + bytes([byte]) + small[offset + 1:]
+    return cases
+
+
+def test_checkpoint_decoder_matches_the_sliced_oracle(tmp_path):
+    from util import read_checkpoint_oracle
+
+    path = tmp_path / "case.ckpt"
+    outcomes = set()
+    for what, data in _checkpoint_cases().items():
+        path.write_bytes(data)
+        got = _decode_outcome(read_checkpoint, path)
+        _assert_same_decode(got, _decode_outcome(read_checkpoint_oracle, data), what)
+        outcomes.add(got[0])
+    # every class of outcome the format has shows up in the table
+    assert {"ok", BadMagicError, CheckpointError, TruncationError,
+            UnsupportedDtypeError, TensorHeaderError} <= outcomes
+
+
+def test_tensor_decoder_matches_the_sliced_oracle(tmp_path):
+    from util import read_tensor_oracle, tensor_header_oracle
+
+    blob = tensor_to_bytes(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+    cases = {"valid": blob, "scalar row": tensor_to_bytes(np.array([1.5], np.float32)),
+             "bad magic": b"XXXX" + b"\x00" * 16, "cut payload": blob[:-5],
+             "trailing": blob + b"xx", "dtype": blob[:4] + b"\x09" + blob[5:],
+             "rank 0": b"TRT1" + struct.pack("<BB", 0, 0),
+             "zero extent": b"TRT1" + struct.pack("<BB3I", 0, 3, 3, 0, 32),
+             "extent overflow": (b"TRT1" + struct.pack("<BB", 0, 8)
+                                 + struct.pack("<8I", *[2 ** 31] * 8))}
+    for cut in range(len(blob)):
+        cases[f"cut {cut}"] = blob[:cut]
+    for offset in range(18):
+        for byte in (0x7F, 0xFF, 0x00):
+            cases[f"flip {offset} {byte}"] = blob[:offset] + bytes([byte]) + blob[offset + 1:]
+    path = tmp_path / "case.trt"
+    outcomes = set()
+    for what, data in cases.items():
+        path.write_bytes(data)
+        got = _decode_outcome(read_tensor, path)
+        _assert_same_decode(got, _decode_outcome(read_tensor_oracle, data), what)
+        shape = _decode_outcome(read_tensor_shape, path)
+        want = _decode_outcome(lambda d: tensor_header_oracle(d, 0)[0], data)
+        if want[0] != "ok":  # read_tensor_shape prefixes the path to the message
+            want = (want[0], f"{path}: {want[1]}")
+        assert shape == want, what
+        outcomes.add(got[0])
+    assert {"ok", BadMagicError, TruncationError, UnsupportedDtypeError,
+            TensorHeaderError} <= outcomes

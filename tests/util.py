@@ -1,11 +1,30 @@
 """Shared test helpers: tolerance checks, gradient verification and
 the reference paths that the program's fast paths are checked against."""
 
+import math
+import struct
+
 import numpy as np
 
 from tokenloc import numerics as nm
-from tokenloc.backbone import block_forward
-from tokenloc.errors import ContractError, DimensionError
+from tokenloc.backbone import block_forward, parameter_shapes
+from tokenloc.errors import (
+    BadMagicError,
+    CheckpointError,
+    ContractError,
+    DimensionError,
+    TensorHeaderError,
+    TruncationError,
+    UnsupportedDtypeError,
+)
+from tokenloc.formats import (
+    _CONFIG_STRUCT,
+    CHECKPOINT_MAGIC,
+    CONFIG_ENTRY,
+    DTYPE_F32,
+    TENSOR_MAGIC,
+    _config_from_bytes,
+)
 
 
 def assert_grads_close(analytic, numeric, rel=1e-3, floor=1e-4, what=""):
@@ -102,3 +121,93 @@ def masked_importance_weights(z_p, selection, params, num_heads: int):
     scores = nm.add(nm.matmul(nm.reshape(z, (b * n, d)), params["refine.score.weight"]),
                     params["refine.score.bias"])
     return nm.masked_softmax(nm.reshape(scores, (b, n)), selection.mask)
+
+
+# Reference decoders for `tokenloc.formats`: every field is sliced out of
+# the file bytes with `_take`, one copy per field.
+
+def _take(buffer: bytes, offset: int, count: int, what: str):
+    if offset + count > len(buffer):
+        raise TruncationError(f"file ended inside {what} ({offset + count} > {len(buffer)} bytes)")
+    return buffer[offset:offset + count], offset + count
+
+
+def tensor_header_oracle(buffer: bytes, offset: int):
+    """Decode the tensor header at `offset`, returning (shape, payload offset)."""
+    magic, offset = _take(buffer, offset, 4, "tensor magic")
+    if magic != TENSOR_MAGIC:
+        raise BadMagicError(f"expected magic {TENSOR_MAGIC!r}, found {magic!r}")
+    head, offset = _take(buffer, offset, 2, "tensor header")
+    dtype, ndim = struct.unpack("<BB", head)
+    if dtype != DTYPE_F32:
+        raise UnsupportedDtypeError(f"unsupported dtype code {dtype}")
+    if ndim < 1:
+        raise TensorHeaderError("tensor files need at least one dimension")
+    raw, offset = _take(buffer, offset, 4 * ndim, "tensor extents")
+    shape = struct.unpack(f"<{ndim}I", raw)
+    if any(s < 1 for s in shape):
+        raise TensorHeaderError(f"non-positive extent in {shape}")
+    return shape, offset
+
+
+def tensor_from_bytes_oracle(buffer: bytes, offset: int = 0):
+    """Decode one tensor record, returning (array, next offset)."""
+    shape, offset = tensor_header_oracle(buffer, offset)
+    count = math.prod(shape)
+    payload, offset = _take(buffer, offset, 4 * count, "tensor payload")
+    return np.frombuffer(payload, dtype="<f4").reshape(shape).copy(), offset
+
+
+def read_tensor_oracle(data: bytes) -> np.ndarray:
+    """`formats.read_tensor` on the bytes of a tensor file."""
+    array, offset = tensor_from_bytes_oracle(data)
+    if offset != len(data):
+        raise TruncationError(f"{len(data) - offset} trailing bytes after tensor payload")
+    return array
+
+
+def read_checkpoint_oracle(data: bytes):
+    """`formats.read_checkpoint` on the bytes of a checkpoint file."""
+    magic, offset = _take(data, 0, 4, "checkpoint magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise BadMagicError(f"expected magic {CHECKPOINT_MAGIC!r}, found {magic!r}")
+    raw, offset = _take(data, offset, 4, "entry count")
+    (count,) = struct.unpack("<I", raw)
+    cfg = None
+    params = {}
+    for _ in range(count):
+        raw, offset = _take(data, offset, 2, "entry name length")
+        (name_len,) = struct.unpack("<H", raw)
+        raw, offset = _take(data, offset, name_len, "entry name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"entry name {raw!r} is not UTF-8: {exc.reason}") from exc
+        if name == CONFIG_ENTRY:
+            if cfg is not None:
+                raise CheckpointError("duplicate config entry")
+            raw, offset = _take(data, offset, _CONFIG_STRUCT.size, "config block")
+            cfg = _config_from_bytes(raw)
+        else:
+            if name in params:
+                raise CheckpointError(f"duplicate entry {name!r}")
+            params[name], offset = tensor_from_bytes_oracle(data, offset)
+    if offset != len(data):
+        raise CheckpointError(f"{len(data) - offset} trailing bytes after the last entry")
+    if cfg is None:
+        raise CheckpointError("checkpoint has no config entry")
+    if 16 * (cfg.num_blocks + 1) > len(params):
+        raise CheckpointError(f"config's {cfg.num_blocks} blocks need {16 * (cfg.num_blocks + 1)} "
+                              f"parameters, the checkpoint holds {len(params)}")
+    expected = parameter_shapes(cfg)
+    missing = sorted(set(expected) - set(params))
+    if missing:
+        raise CheckpointError(f"checkpoint is missing parameters: {', '.join(missing)}")
+    extra = sorted(set(params) - set(expected))
+    if extra:
+        raise CheckpointError(f"checkpoint has unexpected parameters: {', '.join(extra)}")
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise CheckpointError(
+                f"parameter {name!r} has shape {params[name].shape}, config implies {shape}")
+    return cfg, params
