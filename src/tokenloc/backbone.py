@@ -1,11 +1,12 @@
 """Patch embedding and the transformer backbone with attention capture.
 
 Tokens carry a leading batch axis: (B, T, D). The backbone runs blocks
-1..L-1 and records every block's (B, H, T, T) attention probabilities;
-the final (L-th) block lives in the token-refinement classification
-head. Blocks are pre-norm with a GELU MLP; the linear layers run on the
-B*T token rows, and all heads of all sequences go through one fused
-attention op, with scores scaled by 1/sqrt(head_dim).
+1..L-1 and keeps each block's class-token attention rows, (B, H, 1, T),
+which is all that token scoring reads; the final (L-th) block lives in
+the token-refinement classification head. Blocks are pre-norm with a
+GELU MLP; the linear layers run on the B*T token rows, and all heads of
+all sequences go through one fused attention op, with scores scaled by
+1/sqrt(head_dim).
 """
 
 from __future__ import annotations
@@ -192,6 +193,7 @@ def mhsa(z, params, prefix: str, num_heads: int, mask=None):
     rows = nm.reshape(z, (b * t, d))
     q, k, v = (nm.reshape(_linear(rows, params, f"{prefix}.attn.{name}"), (b, t, d))
                for name in ("q", "k", "v"))
+    del rows  # freed before the attention allocates its work arrays
     context, probs = nm.attention(q, k, v, num_heads, mask)
     return _linear(context, params, f"{prefix}.attn.out"), probs
 
@@ -215,11 +217,13 @@ def block_forward(z, params, prefix: str, num_heads: int, mask=None):
 
 
 def backbone_forward(z0, params, cfg: ModelConfig):
-    """Run blocks 1..L-1 over (B, N+1, D) tokens and capture each block's
-    (B, H, N+1, N+1) attention probabilities."""
+    """Run blocks 1..L-1 over (B, N+1, D) tokens and keep each block's
+    class-token row of its attention probabilities, (B, H, 1, N+1); the
+    rest of each (B, H, N+1, N+1) array is freed with its block."""
     z = z0
     stack = []
     for i in range(cfg.num_blocks - 1):
         z, probs = block_forward(z, params, f"backbone.block{i}", cfg.num_heads)
-        stack.append(probs)
+        b, heads, _, t = nm.value_of(probs).shape
+        stack.append(nm.crop(probs, (0, 0, 0, 0), (b, heads, 1, t)))
     return z, stack

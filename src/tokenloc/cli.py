@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import numerics as nm
 from .ablation import parse_strategy, run_ablation
-from .backbone import ModelConfig
 from .errors import ContractError, DegenerateInputError, DimensionError, FormatError
 from .formats import (
     load_samples,
@@ -35,18 +35,18 @@ from .localization import (
     DEFAULT_GRID,
     BoundingBox,
     best_threshold,
-    box_from_heat,
     box_table,
     class_heats,
     grid_search_threshold,
     gt_known_table,
+    heat_boxes,
     localize,
     max_box_acc_v2_over_grid,
     threshold_grid,
 )
 from .metrics import EvalRecord, loc_acc
 from .pipeline import forward_chunks, two_branch_forward
-from .training import ToyTaskConfig, TrainConfig, train_toy
+from .training import ToyTaskConfig, TrainConfig, default_model_config, train_toy
 
 METRIC_NAMES = ("gt-known", "top1", "top5", "maxboxaccv2")
 
@@ -80,21 +80,23 @@ def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid
     aware metrics are computed there; maxboxaccv2 takes each IoU level's
     own best threshold. With a fixed theta everything uses that theta.
     The images go through the forward pass once each, in stacks of
-    `pipeline.FORWARD_CHUNK`; each GT-class heat is labelled once over
-    the whole grid. A predicted-class heat is fused and labelled, once
-    at theta_star, only where the top-ranked class is not the GT class.
+    `pipeline.FORWARD_CHUNK`; the GT-class heats are labelled over the
+    whole grid one stack at a time. A predicted-class heat is fused only
+    where the top-ranked class is not the GT class, and all of them are
+    labelled at theta_star in one call.
     """
     side = cfg.image_size
     ranked_metrics = any(m in metrics for m in ("top1", "top5"))
-    rankings, heats_gt, heats_pred = [], [], {}
+    rankings, heats_gt, pred_rows, heats_pred = [], [], [], []
     for labels, result in forward_chunks(params, cfg, samples, selection_mass=selection_mass):
         ranked = [_ranking(row) for row in nm.value_of(result.p_cam)]
         heats_gt.extend(class_heats(result, labels, side))
         # a predicted-class heat is needed only where that class is not the GT class
         differ = [i for i, label in enumerate(labels) if ranked[i][0] != label]
         if ranked_metrics and differ:
-            heats = class_heats(result, [ranked[i][0] for i in differ], side, rows=differ)
-            heats_pred.update(zip([len(rankings) + i for i in differ], heats))
+            heats_pred.extend(class_heats(result, [ranked[i][0] for i in differ], side,
+                                          rows=differ))
+            pred_rows += [len(rankings) + i for i in differ]
         rankings += ranked
     thetas = threshold_grid(*grid) if grid is not None else [float(theta)]
     boxes = box_table(heats_gt, thetas, side, side)
@@ -102,15 +104,14 @@ def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid
     theta_star = best_threshold(table) if grid is not None else float(theta)
 
     if ranked_metrics:
-        star = thetas.index(theta_star)
-        records_pred = []
-        for s, (record, row, ranking) in enumerate(zip(records, boxes, rankings)):
-            # when the top-ranked class is the GT class, its box is already in the table
-            box = (BoundingBox(*row[star].tolist()) if s not in heats_pred else
-                   box_from_heat(heats_pred[s], theta_star, side, side)[0])
-            records_pred.append(EvalRecord(image_id=record.image_id, box=box,
-                                           gt_boxes=record.boxes, gt_class=record.label,
-                                           class_ranking=ranking))
+        # where the top-ranked class is the GT class, its box is already in the table
+        top_boxes = boxes[:, thetas.index(theta_star)].copy()
+        if heats_pred:
+            top_boxes[pred_rows] = heat_boxes(heats_pred, [theta_star], side, side)[0][:, 0]
+        records_pred = [EvalRecord(image_id=record.image_id, box=BoundingBox(*box.tolist()),
+                                   gt_boxes=record.boxes, gt_class=record.label,
+                                   class_ranking=ranking)
+                        for record, box, ranking in zip(records, top_boxes, rankings)]
     results = {}
     for metric in metrics:
         if metric == "gt-known":
@@ -193,17 +194,17 @@ def cmd_calibrate(args):
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 
-def _config_from_json(cls, payload, where, **given):
-    """Build config dataclass `cls` from a JSON object, checking each
-    field's JSON type first; `given` fields come from elsewhere."""
-    for name, kind in typing.get_type_hints(cls).items():
+def _config_from_json(base, payload, where):
+    """Config dataclass `base` with the fields of a JSON object put over
+    it, checking each field's JSON type first."""
+    for name, kind in typing.get_type_hints(type(base)).items():
         types, what = _JSON_TYPES[kind]
         value = payload.get(name)
         if name in payload and (isinstance(value, bool) or not isinstance(value, types)):
             raise ContractError(f"{where}: field {name!r} must be {what}, got {value!r}")
     try:
-        return cls(**payload, **given)
-    except TypeError as exc:
+        return dataclasses.replace(base, **payload)
+    except (TypeError, ContractError) as exc:
         raise ContractError(f"{where}: {exc}") from exc
 
 
@@ -220,17 +221,15 @@ def _read_json_object(path) -> dict:
 
 
 def cmd_train_toy(args):
-    toy = _config_from_json(ToyTaskConfig, _read_json_object(args.toy_config), args.toy_config)
+    toy = _config_from_json(ToyTaskConfig(), _read_json_object(args.toy_config), args.toy_config)
     sections = _read_json_object(args.train_config)
-    train = _config_from_json(TrainConfig, {k: v for k, v in sections.items() if k != "model"},
+    train = _config_from_json(TrainConfig(), {k: v for k, v in sections.items() if k != "model"},
                               args.train_config)
-    model = None
-    if "model" in sections:
-        where = f"{args.train_config}: model section"
-        if not isinstance(sections["model"], dict):
-            raise ContractError(f"{where}: expected a JSON object")
-        model = _config_from_json(ModelConfig, sections["model"], where,
-                                  image_size=toy.image_size, num_classes=toy.num_classes)
+    # a partial "model" object overrides the defaults field by field
+    model, where = sections.get("model", {}), f"{args.train_config}: model section"
+    if not isinstance(model, dict):
+        raise ContractError(f"{where}: expected a JSON object")
+    model = _config_from_json(default_model_config(toy), model, where)
     cfg, params, curve = train_toy(toy, train, model)
     write_checkpoint(args.out_ckpt, cfg, params)
     _write_csv(args.out_curve, ("step", "phase", "loss"),

@@ -4,8 +4,8 @@ The scoring-branch map and the chosen class's activation map are each
 min-max normalised (a constant map normalises to zeros), multiplied,
 upsampled to image resolution, thresholded, and reduced to the tight
 bounding box of the largest 8-connected foreground component. Fusion
-runs over the rows of a forward result's stack, and each heat map is
-labelled at every threshold of a grid in one call.
+runs over the rows of a forward result's stack, and a stack of heat
+maps is labelled at every threshold of a grid in one call.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import numerics as nm
+from . import pipeline
 from .backbone import ModelConfig
 from .errors import ContractError, DimensionError
 from .pipeline import forward_chunks, two_branch_forward
@@ -95,19 +96,21 @@ def binarize(heat: np.ndarray, theta) -> np.ndarray:
     return nm.value_of(heat) >= thetas.astype(np.float32)[..., None, None]
 
 
-def heat_boxes(heat: np.ndarray, thetas, width: int, height: int):
+def heat_boxes(heats: np.ndarray, thetas, width: int, height: int):
     """Box the largest 8-connected component of [heat >= theta] for each
-    threshold. Returns a (T, 4) int array of half-open (x0, y0, x1, y1)
-    rows and a (T,) flag of empty foregrounds, which get the full-image
-    box.
+    heat of an (..., H, W) stack and each threshold. Returns an
+    (..., T, 4) int array of half-open (x0, y0, x1, y1) rows and an
+    (..., T) flag of empty foregrounds, which get the full-image box.
 
-    The non-empty planes of the (T, H, W) mask stack are labelled in one
-    `ndimage.label` call whose structure connects pixels only within a
-    plane. Labels are numbered in raster order, so each plane holds one
-    contiguous label range, and size ties go to the earliest label: the
-    component whose first pixel comes first.
+    The non-empty planes of the (..., T, H, W) mask stack are labelled
+    in one `ndimage.label` call whose structure connects pixels only
+    within a plane. Labels are numbered in raster order, so each plane
+    holds one contiguous label range, and size ties go to the earliest
+    label: the component whose first pixel comes first.
     """
-    masks = binarize(heat, thetas)
+    masks = binarize(nm.value_of(heats)[..., None, :, :], thetas)
+    lead, (h, w) = masks.shape[:-2], masks.shape[-2:]
+    masks = masks.reshape(-1, h, w)
     occupied = masks.reshape(len(masks), -1).any(axis=1)
     boxes = np.tile(np.array([0, 0, width, height]), (len(masks), 1))
     if occupied.any():
@@ -120,11 +123,10 @@ def heat_boxes(heat: np.ndarray, thetas, width: int, height: int):
         best = count + 1 - np.maximum.reduceat(key, starts) % (count + 1)
         chosen = labels == best[:, None, None]
         rows, cols = chosen.any(axis=2), chosen.any(axis=1)
-        h, w = heat.shape
         boxes[occupied] = np.stack([cols.argmax(axis=1), rows.argmax(axis=1),
                                     w - cols[:, ::-1].argmax(axis=1),
                                     h - rows[:, ::-1].argmax(axis=1)], axis=1)
-    return boxes, ~occupied
+    return boxes.reshape(*lead, 4), ~occupied.reshape(lead)
 
 
 def box_from_heat(heat: np.ndarray, theta: float, width: int, height: int):
@@ -182,8 +184,12 @@ def gt_class_heats(params, cfg: ModelConfig, samples, *, selection_mass=None,
 
 def box_table(heats, thetas, width: int, height: int) -> np.ndarray:
     """(S, T, 4) table of half-open (x0, y0, x1, y1) boxes: sample s's
-    heat at thresholds[t], from one labelling call per heat."""
-    return np.array([heat_boxes(heat, thetas, width, height)[0] for heat in heats])
+    heat at thresholds[t], from one labelling call per stack of
+    `pipeline.FORWARD_CHUNK` heats (one call for the whole table would
+    hold every sample's labels at once)."""
+    step = pipeline.FORWARD_CHUNK
+    return np.concatenate([heat_boxes(heats[start:start + step], thetas, width, height)[0]
+                           for start in range(0, len(heats), step)])
 
 
 def _area(c: np.ndarray) -> np.ndarray:

@@ -286,7 +286,10 @@ def attention(q, k, v, num_heads: int, mask=None):
     # probs64 unless the backward rule needs it
     p64 = probs64 if tape is None else np.empty_like(probs64)
     np.copyto(p64, probs)
-    context = merge((p64 @ v64).astype(np.float32)).reshape(b * t, d)
+    context = p64 @ v64
+    if tape is None:
+        del probs64, p64, v64  # freed before the context is rounded and merged
+    context = merge(context.astype(np.float32)).reshape(b * t, d)
     if tape is None:
         return context, probs
 

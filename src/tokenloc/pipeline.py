@@ -32,15 +32,15 @@ from .token_refine import (
 )
 
 
-# Images per untaped evaluation stack. A larger stack runs fewer, larger
-# kernel calls but holds more activations at once (every block's
-# (B, H, N+1, N+1) attention stays alive for the scoring branch, beside
-# one float64 and one float32 attention work array), so the size is
-# chosen by peak memory: at the toy model size one stack's forward plus
-# a second branch pass peaks at 1.23 MB (tracemalloc) with 4 images and
-# 2.46 MB with 8, which is over the 2.385 MB one-stack budget that
-# tests/test_pipeline.py holds it to.
-FORWARD_CHUNK = 4
+# Images per untaped evaluation stack, and heats per labelling call. A
+# larger stack runs fewer, larger kernel calls but holds more at once, so
+# the size is chosen by peak memory: the backbone keeps only each block's
+# class-token attention rows, and the untaped attention frees its float64
+# work arrays before the context is merged, so at the toy model size one
+# stack's forward plus a second branch pass peaks at 1.17 MB
+# (tracemalloc) with 4 images and 2.32 MB with 8, under the 2.385 MB
+# one-stack budget that tests/test_pipeline.py holds it to.
+FORWARD_CHUNK = 8
 
 
 @dataclass
@@ -49,7 +49,7 @@ class ForwardResult:
     field carries the batch axis first."""
 
     tokens: object            # (B, N+1, D) output of the backbone
-    stack: list               # per-block (B, H, N+1, N+1) attention probabilities
+    stack: list               # per-block (B, H, 1, N+1) class-token attention rows
     selection: TokenSelection
     refined_map: object       # (B, sqrt(N), sqrt(N)) scoring-branch maps
     cam_maps: object          # (B, K, sqrt(N), sqrt(N))

@@ -45,7 +45,8 @@ class TokenSelection:
 def preliminary_attention(stack):
     """Sum the head-averaged class-token attention rows over all blocks.
 
-    `stack` holds one (B, H, N+1, N+1) probability array per block.
+    `stack` holds one (B, H, R, N+1) probability array per block, whose
+    row 0 is the class token's (the backbone keeps that row alone).
     Returns the (B, N) priorities (class column excluded). Heads are
     added one at a time in float32, then scaled by 1/H.
     """
@@ -53,7 +54,7 @@ def preliminary_attention(stack):
         raise ContractError("attention stack is empty")
     total = None
     for probs in stack:
-        b, heads, n_plus_1, _ = nm.value_of(probs).shape
+        b, heads, _, n_plus_1 = nm.value_of(probs).shape
         rows = [nm.crop(probs, (0, h, 0, 1), (b, 1, 1, n_plus_1 - 1)) for h in range(heads)]
         mean = rows[0]
         for row in rows[1:]:

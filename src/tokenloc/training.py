@@ -11,6 +11,7 @@ function of the two configs, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import colorsys
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ContractError("rates must be nonnegative")
+        for name in ("learning_rate", "weight_decay"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ContractError(f"field {name!r} must be a finite nonnegative number, "
+                                    f"got {rate!r}")
         if self.steps_phase1 < 0 or self.steps_phase2 < 0 or self.batch_size < 1:
             raise ContractError("step and batch counts must be positive")
 

@@ -12,7 +12,7 @@ import pytest
 
 from tokenloc import numerics as nm
 from tokenloc.ablation import StrategySpec, run_ablation
-from tokenloc.backbone import ModelConfig, init_params, mhsa
+from tokenloc.backbone import ModelConfig, block_forward, embed, init_params, mhsa, patchify
 from tokenloc.cli import main
 from tokenloc.errors import BadMagicError, TruncationError, UnsupportedDtypeError
 from tokenloc.formats import read_checkpoint, write_checkpoint, write_tensor, read_tensor
@@ -131,11 +131,16 @@ def test_criterion_attention_contracts():
         params = init_params(cfg, 100 + trial)
         image = rng.random((1, 3, 8, 8)).astype(np.float32)
         result = two_branch_forward(params, cfg, image)
-        for block in result.stack:
-            for a in nm.value_of(block)[0]:
-                assert np.all(a >= 0)
-                assert np.allclose(a.sum(axis=1), 1.0, atol=1e-5)
-                checked_rows += a.shape[0]
+        # the backbone keeps each block's class-token rows; check its whole
+        # attention, and that the kept rows are that attention's first rows
+        _, probs = block_forward(embed(patchify(image, cfg.patch_size), params, cfg), params,
+                                 "backbone.block0", heads)
+        assert len(result.stack) == 1
+        assert np.array_equal(result.stack[0], probs[:, :, :1])
+        for a in probs[0]:
+            assert np.all(a >= 0)
+            assert np.allclose(a.sum(axis=1), 1.0, atol=1e-5)
+            checked_rows += a.shape[0]
         n = cfg.num_tokens
         b = (rng.random(n) < rng.uniform(0.2, 0.9)).astype(np.float32)
         if b.sum() == 0:

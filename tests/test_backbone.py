@@ -195,8 +195,8 @@ def test_backbone_stack_length_and_shapes():
         out, stack = backbone_forward(z0, params, cfg)
         assert out.shape == (2, cfg.num_tokens + 1, 8)
         assert len(stack) == blocks - 1
-        assert all(probs.shape == (2, 2, cfg.num_tokens + 1, cfg.num_tokens + 1)
-                   for probs in stack)
+        # each block keeps its class-token row alone
+        assert all(probs.shape == (2, 2, 1, cfg.num_tokens + 1) for probs in stack)
 
 
 def test_backbone_deterministic():
@@ -221,7 +221,7 @@ def test_backbone_equals_manual_block_chain():
     z2, a2 = block_forward(z1, params, "backbone.block1", 2)
     assert np.array_equal(out, z2)
     assert len(stack) == 2
-    assert np.array_equal(stack[0], a1) and np.array_equal(stack[1], a2)
+    assert np.array_equal(stack[0], a1[:, :, :1]) and np.array_equal(stack[1], a2[:, :, :1])
 
 
 def test_patchify_stack_equals_single_images():

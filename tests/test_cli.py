@@ -6,6 +6,8 @@ import os
 import struct
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ from tokenloc.localization import (
 )
 from tokenloc.metrics import MAX_BOX_ACC_LEVELS, EvalRecord, iou, loc_acc
 from tokenloc.pipeline import FORWARD_CHUNK
-from tokenloc.training import ToyTaskConfig, make_dataset
+from tokenloc.training import ToyTaskConfig, default_model_config, make_dataset
 
 from test_localization import brightness_checkpoint, hit_fraction_oracle, planted_image
 from test_pipeline import ACCEPTANCE_CKPT
@@ -178,7 +180,7 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     samples = load_samples(parse_manifest(manifest))
     thetas = threshold_grid(*DEFAULT_GRID)
 
-    forwards, labellings, pairs, boxed = [], [], [], []
+    forwards, labellings, boxed = [], [], []
     real_forward, real_label, real_boxes = (pipeline.two_branch_forward, loc.ndimage.label,
                                             loc.heat_boxes)
 
@@ -190,15 +192,15 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
         labellings.append(masks.shape)
         return real_label(masks, **kwargs)
 
-    def recording_boxes(heat, thetas, width, height):
-        boxed.append(heat)  # keeps every heat alive, so ids stay distinct
-        pairs.extend((id(heat), theta) for theta in thetas)
-        return real_boxes(heat, thetas, width, height)
+    def recording_boxes(heats, thetas, width, height):
+        boxed.append((np.array(heats, np.float32), list(thetas)))
+        return real_boxes(heats, thetas, width, height)
 
     monkeypatch.setattr(pipeline, "two_branch_forward", counting_forward)
     monkeypatch.setattr(cli, "two_branch_forward", counting_forward)
     monkeypatch.setattr(loc.ndimage, "label", counting_label)
     monkeypatch.setattr(loc, "heat_boxes", recording_boxes)
+    monkeypatch.setattr(cli, "heat_boxes", recording_boxes)
     report = tmp / "report.csv"
     assert main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "grid",
                  "--out-report", str(report)]) == 0
@@ -206,18 +208,21 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
 
     # every image forwarded once, in manifest order, in stacks of at most FORWARD_CHUNK
     images = len(samples)
-    assert len(forwards) == -(-images // FORWARD_CHUNK)
-    assert all(1 <= len(stack) <= FORWARD_CHUNK for stack in forwards)
+    stacks = [min(FORWARD_CHUNK, images - start) for start in range(0, images, FORWARD_CHUNK)]
+    assert stacks[-1] < FORWARD_CHUNK  # a short final stack
+    assert [len(stack) for stack in forwards] == stacks
     assert np.array_equal(np.concatenate(forwards), np.stack([image for image, _, _ in samples]))
-    # one labelling call per heat: each GT-class heat over the grid, then each
-    # predicted-class heat that differs from it at theta_star
-    mispredicted = sum(localize(params, cfg, image, "predicted", theta=0.5).class_id != label
-                       for image, label, _ in samples)
-    assert mispredicted > 0
-    assert labellings == ([(len(thetas), 32, 32)] * images + [(1, 32, 32)] * mispredicted)
-    assert len(boxed) == images + mispredicted
-    # every (heat, theta) pair boxed once
-    assert len(pairs) == len(set(pairs)) == images * len(thetas) + mispredicted
+    # one labelling call per stack of GT-class heats over the whole grid, then
+    # one call for every predicted-class heat that differs from it, at theta_star
+    mispredicted = [i for i, (image, label, _) in enumerate(samples)
+                    if localize(params, cfg, image, "predicted", theta=0.5).class_id != label]
+    assert 0 < len(mispredicted) < images
+    assert [len(heats) for heats, _ in boxed] == stacks + [len(mispredicted)]
+    assert [len(call_thetas) for _, call_thetas in boxed] == [len(thetas)] * len(stacks) + [1]
+    assert len(labellings) == len(boxed)
+    for (planes, height, width), (heats, call_thetas) in zip(labellings, boxed):
+        assert (height, width) == (32, 32)
+        assert planes <= len(heats) * len(call_thetas) <= FORWARD_CHUNK * len(thetas)
 
     rows = dict(_read_csv(report)[1:])
     heats = gt_class_heats(params, cfg, samples)
@@ -229,6 +234,13 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     assert rows["theta"] == repr(theta_star)
     assert rows["gt-known"] == repr(dict(table)[theta_star])
     assert rows["maxboxaccv2"] == repr(sum(per_level) / len(per_level))
+    # every (image, theta) pair boxed once: each GT-class heat over the grid,
+    # and each differing predicted-class heat at theta_star
+    expected = Counter((heat.tobytes(), theta) for heat in heats for theta in thetas)
+    expected.update((localize(params, cfg, samples[i][0], "predicted", theta=theta_star)
+                     .heat.tobytes(), theta_star) for i in mispredicted)
+    assert Counter((heat.tobytes(), theta) for stack, call_thetas in boxed
+                   for heat in stack for theta in call_thetas) == expected
     top1 = 0
     for image, label, gt_boxes in samples:
         predicted = localize(params, cfg, image, "predicted", theta=theta_star)
@@ -241,8 +253,8 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
 
 
 def test_chunked_evaluation_csvs_equal_the_stack_of_one_path(tmp_path, monkeypatch):
-    # 9 held-out images: two full stacks and a tail of one at FORWARD_CHUNK = 4
-    heldout = make_dataset(ToyTaskConfig(samples_per_epoch=9, seed=99))
+    # two full stacks and a tail of one
+    heldout = make_dataset(ToyTaskConfig(samples_per_epoch=2 * FORWARD_CHUNK + 1, seed=99))
     lines = []
     for i, (image, label, box) in enumerate(heldout):
         write_tensor(tmp_path / f"img{i}.trt", image)
@@ -653,6 +665,8 @@ def test_non_utf8_input_exits_3(workspace, capsys, command):
     ("model", "selection_mass", False, "a number"),
     ("toy", "seed", None, "an integer"),
     ("toy", "noise_level", [0.6], "a number"),
+    ("train", "learning_rate", float("nan"), "a finite nonnegative number"),
+    ("train", "weight_decay", float("inf"), "a finite nonnegative number"),
 ])
 def test_train_toy_config_field_types_exit_4(tmp_path, capsys, section, field, value, kind):
     toy, train = dict(_TOY_JSON), dict(_TRAIN_JSON, model=dict(_TRAIN_JSON["model"]))
@@ -670,6 +684,21 @@ def test_train_toy_takes_json_integers_for_float_fields(tmp_path):
     train = dict(_TRAIN_JSON, learning_rate=0, weight_decay=0)
     assert main(_train_toy_argv(tmp_path, dict(_TOY_JSON, noise_level=1), train)) == 0
     assert len(_read_csv(tmp_path / "curve.csv")) == 3
+
+
+def test_train_toy_model_section_overrides_the_defaults_field_by_field(tmp_path, capsys):
+    train = dict(_TRAIN_JSON, model={"embed_dim": 8, "num_heads": 2})
+    assert main(_train_toy_argv(tmp_path, train=train)) == 0
+    cfg, _ = read_checkpoint(tmp_path / "out.ckpt")
+    assert cfg == replace(default_model_config(ToyTaskConfig(**_TOY_JSON)),
+                          embed_dim=8, num_heads=2)
+    (tmp_path / "out.ckpt").unlink()
+    train = dict(_TRAIN_JSON, model={"embed_dim": 8, "depth": 2})
+    assert main(_train_toy_argv(tmp_path, train=train)) == 4
+    assert capsys.readouterr().err == (
+        f"error: contract: {tmp_path / 'train.json'}: model section: "
+        "ModelConfig.__init__() got an unexpected keyword argument 'depth'\n")
+    assert not (tmp_path / "out.ckpt").exists()
 
 
 def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_path,

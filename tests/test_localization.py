@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from tokenloc import localization as loc
 from tokenloc import numerics as nm
 from tokenloc.backbone import ModelConfig, parameter_shapes
 from tokenloc.errors import ContractError, DimensionError
@@ -24,6 +25,7 @@ from tokenloc.localization import (
     threshold_grid,
 )
 from tokenloc.metrics import MAX_BOX_ACC_LEVELS, iou
+from tokenloc.pipeline import FORWARD_CHUNK
 
 
 def flood_fill_largest(mask):
@@ -389,6 +391,47 @@ def test_heat_boxes_match_oracle_on_non_square_heats(shape):
         assert_labeller_matches_oracle(rng.random(shape).astype(np.float32), thetas)
         coarse = rng.random((4, 4)).astype(np.float32)
         assert_labeller_matches_oracle(nm.bilinear_resize(coarse, *shape), thetas)
+
+
+def test_stacked_heat_boxes_equal_per_heat_calls_and_the_oracle(monkeypatch):
+    rng = np.random.default_rng(16)
+    thetas = threshold_grid(*DEFAULT_GRID)
+    ties = np.zeros((32, 32), np.float32)
+    ties[2:5, 3:7] = ties[20:23, 9:13] = ties[11:14, 25:29] = 0.7  # three equal blocks
+    heats = [np.zeros((32, 32), np.float32),                         # empty at every theta
+             np.ones((32, 32), np.float32),                          # all-true at every theta
+             ties, np.zeros((32, 32), np.float32)]
+    heats += [rng.random((32, 32)).astype(np.float32) for _ in range(3)]
+    heats += [nm.bilinear_resize(rng.random((8, 8)).astype(np.float32) ** 2, 32, 32)
+              for _ in range(FORWARD_CHUNK + 3 - len(heats))]
+    boxes, degenerate = heat_boxes(np.stack(heats), thetas, 32, 32)
+    assert boxes.shape == (len(heats), len(thetas), 4)
+    assert degenerate.shape == (len(heats), len(thetas))
+    assert degenerate[0].all() and degenerate[3].all() and not degenerate[1].any()
+    assert boxes[2, :14].tolist() == [[3, 2, 7, 5]] * 14  # theta <= 0.7: earliest block
+    assert degenerate[2, 14:].all()
+    for heat, rows, flags in zip(heats, boxes, degenerate):
+        single_rows, single_flags = heat_boxes(heat, thetas, 32, 32)
+        assert np.array_equal(rows, single_rows) and np.array_equal(flags, single_flags)
+        got = [(BoundingBox(*row.tolist()), bool(flag)) for row, flag in zip(rows, flags)]
+        assert got == oracle_boxes(heat, thetas)
+    # any leading axes, and one threshold
+    square = heat_boxes(np.stack(heats[:8]).reshape(2, 4, 32, 32), thetas, 32, 32)
+    assert np.array_equal(square[0], boxes[:8].reshape(2, 4, len(thetas), 4))
+    assert np.array_equal(square[1], degenerate[:8].reshape(2, 4, len(thetas)))
+    at_half, _ = heat_boxes(np.stack(heats), [0.5], 32, 32)
+    assert np.array_equal(at_half[:, 0], boxes[:, thetas.index(0.5)])
+    # box_table: full stacks of FORWARD_CHUNK heats and a short final one
+    calls = []
+    real = loc.heat_boxes
+
+    def recording(stack, *args):
+        calls.append(len(stack))
+        return real(stack, *args)
+
+    monkeypatch.setattr(loc, "heat_boxes", recording)
+    assert np.array_equal(box_table(heats, thetas, 32, 32), boxes)
+    assert calls == [FORWARD_CHUNK, 3]
 
 
 def test_box_from_heat_is_one_threshold_of_the_labeller():

@@ -10,7 +10,14 @@ from tokenloc import numerics as nm
 from tokenloc.backbone import ModelConfig, init_params, parameter_shapes, mhsa
 from tokenloc.errors import ContractError
 from tokenloc.formats import read_checkpoint
-from tokenloc.localization import class_heats, fuse, gt_class_heats
+from tokenloc.localization import (
+    DEFAULT_GRID,
+    box_table,
+    class_heats,
+    fuse,
+    gt_class_heats,
+    threshold_grid,
+)
 from tokenloc.pipeline import (
     FORWARD_CHUNK,
     branch_forward,
@@ -175,11 +182,14 @@ def test_batched_forward_is_bit_identical_to_single_images_on_the_acceptance_hel
 # One untaped forward of FORWARD_CHUNK acceptance-size images, plus a
 # second `branch_forward` on its backbone output, allocated about 0.5 MB
 # per image at its peak when this budget was set (2.07 MB at 4 images,
-# 4.06 MB at 8; 1.23 MB and 2.46 MB since the mask block runs on the
-# gathered selected tokens). The budget, that first peak at 4 images
-# plus 15%, keeps the chunk at a size whose evaluation peak RSS stays
-# near the single-image one and catches float64 temporaries coming back
-# into the forward.
+# 4.06 MB at 8; 1.23 MB and 2.46 MB once the mask block ran on the
+# gathered selected tokens; 1.17 MB and 2.32 MB since the backbone keeps
+# only the class-token attention rows and the untaped attention frees
+# its float64 work array and V copy before the merge, which lets
+# FORWARD_CHUNK be 8). The budget, that first peak at 4 images plus 15%,
+# keeps the chunk at a size whose evaluation peak RSS stays near the
+# single-image one and catches float64 temporaries coming back into the
+# forward.
 CHUNK_FORWARD_BUDGET = 2_385_000
 
 
@@ -236,3 +246,26 @@ def test_one_chunk_forward_stays_under_its_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak <= CHUNK_FORWARD_BUDGET, f"one chunk's forward peaked at {peak} bytes"
+
+
+# Labelling the 50 acceptance held-out heats over the default 19-theta
+# grid, one stack of FORWARD_CHUNK heats per `ndimage.label` call, peaked
+# at 1,921,440 B (tracemalloc) when this budget was set; the budget is
+# that peak plus 15%. One call over all 50 heats peaked at 10,160,682 B,
+# so this catches the table being labelled in one call again.
+BOX_TABLE_BUDGET = 2_210_000
+
+
+def test_box_table_labels_one_stack_at_a_time_under_its_memory_budget():
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    samples = _acceptance_samples(50)
+    heats = gt_class_heats(params, cfg, samples)
+    thetas = threshold_grid(*DEFAULT_GRID)
+    tracemalloc.start()
+    try:
+        boxes = box_table(heats, thetas, cfg.image_size, cfg.image_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert boxes.shape == (50, len(thetas), 4)
+    assert peak <= BOX_TABLE_BUDGET, f"labelling the box table peaked at {peak} bytes"
