@@ -2,7 +2,6 @@
 
 from .backbone import ModelConfig, init_params
 from .localization import BoundingBox, LocalizationResult, grid_search_threshold, localize
-from .metrics import EvalRecord, iou, loc_acc, max_box_acc_v2
 from .numerics import GradTape
 from .pipeline import ForwardResult, two_branch_forward
 from .training import ToyTaskConfig, TrainConfig, train_toy
@@ -11,7 +10,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox",
-    "EvalRecord",
     "ForwardResult",
     "GradTape",
     "LocalizationResult",
@@ -21,10 +19,7 @@ __all__ = [
     "__version__",
     "grid_search_threshold",
     "init_params",
-    "iou",
-    "loc_acc",
     "localize",
-    "max_box_acc_v2",
     "train_toy",
     "two_branch_forward",
 ]

@@ -8,10 +8,6 @@ each at its own grid-calibrated threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .backbone import ModelConfig
 from .errors import ContractError
 from .localization import (
@@ -24,87 +20,39 @@ from .localization import (
     threshold_grid,
 )
 from .pipeline import branch_forward, forward_chunks
-from .token_refine import adaptive_select
+from .token_refine import adaptive, fixed, top_k
 
 
-@dataclass(frozen=True)
-class StrategySpec:
-    """kind: adaptive (parameter = mass u, None = checkpoint default),
-    topk (parameter = k) or fixed (parameter = threshold, or "mean" for
-    the per-image mean of the priority vector)."""
-
-    kind: str
-    parameter: object = None
-
-    def __post_init__(self):
-        if self.kind not in ("adaptive", "topk", "fixed"):
-            raise ContractError(f"unknown selection strategy {self.kind!r}")
-        if self.kind == "adaptive" and self.parameter is not None:
-            if not 0.0 < float(self.parameter) <= 1.0:
-                raise ContractError(f"adaptive mass must be in (0, 1], got {self.parameter}")
-        if self.kind == "topk":
-            if self.parameter is None or int(self.parameter) < 1:
-                raise ContractError(f"topk needs k >= 1, got {self.parameter}")
-        if self.kind == "fixed" and self.parameter != "mean":
-            if self.parameter is None or float(self.parameter) < 0.0:
-                raise ContractError(f"fixed threshold must be >= 0, got {self.parameter}")
-
-    def label(self) -> str:
-        if self.kind == "adaptive":
-            return "adaptive" if self.parameter is None else f"adaptive:{self.parameter:g}"
-        if self.kind == "topk":
-            return f"topk:{int(self.parameter)}"
-        return f"fixed:{self.parameter}" if self.parameter == "mean" else f"fixed:{float(self.parameter):g}"
-
-
-def parse_strategy(text: str) -> StrategySpec:
-    """Parse CLI forms: adaptive[:u], topk:<k>, fixed:<t|mean>."""
+def parse_strategy(text: str, default_mass: float) -> tuple:
+    """Parse a CLI form, adaptive[:u], topk:<k> or fixed:<t|mean>, into
+    (label, selector); a bare `adaptive` selects at `default_mass`."""
     kind, _, arg = text.partition(":")
     kind = kind.strip()
     if kind == "adaptive":
-        return StrategySpec("adaptive", float(arg) if arg else None)
+        if not arg:
+            return "adaptive", adaptive(default_mass)
+        mass = float(arg)
+        return f"adaptive:{mass:g}", adaptive(mass)
     if kind == "topk":
         if not arg:
             raise ContractError("topk strategy needs a k value, e.g. topk:8")
-        return StrategySpec("topk", int(arg))
+        k = int(arg)
+        return f"topk:{k}", top_k(k)
     if kind == "fixed":
         if not arg:
             raise ContractError("fixed strategy needs a threshold, e.g. fixed:0.01 or fixed:mean")
-        return StrategySpec("fixed", "mean" if arg == "mean" else float(arg))
+        if arg == "mean":
+            return "fixed:mean", fixed("mean")
+        tau = float(arg)
+        return f"fixed:{tau:g}", fixed(tau)
     raise ContractError(f"unknown selection strategy {kind!r}")
-
-
-def select_with_strategy(priorities: np.ndarray, spec: StrategySpec, default_mass: float):
-    """Apply one selection rule to a priority vector, returning
-    (effective threshold, binary mask). Empty selections fall back to the
-    argmax token."""
-    m = np.asarray(priorities, dtype=np.float32)
-    if spec.kind == "adaptive":
-        mass = default_mass if spec.parameter is None else float(spec.parameter)
-        return adaptive_select(m, mass)
-    if spec.kind == "topk":
-        k = int(spec.parameter)
-        if k > m.size:
-            raise ContractError(f"topk k={k} exceeds {m.size} tokens")
-        order = np.argsort(-m, kind="stable")
-        mask = np.zeros(m.shape, dtype=np.float32)
-        mask[order[:k]] = 1.0
-        return float(m[order[k - 1]]), mask
-    tau = float(m.mean()) if spec.parameter == "mean" else float(spec.parameter)
-    mask = (m >= tau).astype(np.float32)
-    if mask.sum() == 0:
-        mask[int(np.argmax(m))] = 1.0
-    return tau, mask
-
-
-def _strategy_selector(spec: StrategySpec, default_mass: float):
-    return lambda m: select_with_strategy(m, spec, default_mass)
 
 
 def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
                  reattention_on=None, grid=None):
-    """Evaluate each strategy (optionally restricted to one re-attention
-    setting; default covers on and off) on the given samples.
+    """Evaluate each (label, selector) strategy (optionally restricted to
+    one re-attention setting; default covers on and off) on the given
+    samples.
 
     Returns rows of (strategy label, reattention flag, theta_star,
     gt_known accuracy, max_box_acc_v2).
@@ -114,8 +62,7 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
     if not strategies:
         raise ContractError("ablation needs at least one strategy")
     modes = (True, False) if reattention_on is None else (bool(reattention_on),)
-    settings = [(spec, _strategy_selector(spec, cfg.selection_mass), reatt)
-                for spec in strategies for reatt in modes]
+    settings = [(label, selector, reatt) for label, selector in strategies for reatt in modes]
     thetas = threshold_grid(*(grid or DEFAULT_GRID))
     side = cfg.image_size
     heats = [[] for _ in settings]
@@ -129,11 +76,11 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
                                       selector=selector, reattention_on=reatt)
             setting_heats.extend(class_heats(branches, labels, side))
     rows = []
-    for setting_heats, (spec, _, reatt) in zip(heats, settings):
+    for setting_heats, (label, _, reatt) in zip(heats, settings):
         boxes = box_table(setting_heats, thetas, side, side)
         table = gt_known_table(boxes, samples, thetas)
         theta_star = best_threshold(table)
         gt_known = dict(table)[theta_star]
         mbav2 = max_box_acc_v2_over_grid(boxes, samples)
-        rows.append((spec.label(), reatt, theta_star, gt_known, mbav2))
+        rows.append((label, reatt, theta_star, gt_known, mbav2))
     return rows

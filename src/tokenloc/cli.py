@@ -33,7 +33,6 @@ from .formats import (
 )
 from .localization import (
     DEFAULT_GRID,
-    BoundingBox,
     best_threshold,
     box_table,
     class_heats,
@@ -43,9 +42,10 @@ from .localization import (
     localize,
     max_box_acc_v2_over_grid,
     threshold_grid,
+    top_k_loc_acc,
 )
-from .metrics import EvalRecord, loc_acc
 from .pipeline import forward_chunks, two_branch_forward
+from .token_refine import adaptive
 from .training import ToyTaskConfig, TrainConfig, default_model_config, train_toy
 
 METRIC_NAMES = ("gt-known", "top1", "top5", "maxboxaccv2")
@@ -68,12 +68,12 @@ def _parse_grid(text: str) -> tuple:
     return tuple(float(p) for p in parts)
 
 
-def _ranking(p_cam: np.ndarray) -> list:
-    return [int(i) for i in np.argsort(-p_cam, kind="stable")]
+def _selector(args):
+    """The adaptive selector at `--u`; None leaves the checkpoint's mass."""
+    return None if args.u is None else adaptive(args.u)
 
 
-def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid=None,
-                     selection_mass=None):
+def evaluate_samples(params, cfg, samples, metrics, *, theta=None, grid=None, selector=None):
     """Shared engine behind `eval`: returns (theta_star, {metric: value}).
 
     With a grid, theta_star maximises GT-known accuracy and the class-
@@ -83,21 +83,21 @@ def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid
     `pipeline.FORWARD_CHUNK`; the GT-class heats are labelled over the
     whole grid one stack at a time. A predicted-class heat is fused only
     where the top-ranked class is not the GT class, and all of them are
-    labelled at theta_star in one call.
+    labelled at theta_star in one call. Classes rank by CAM-branch
+    probability, ties by id.
     """
     side = cfg.image_size
     ranked_metrics = any(m in metrics for m in ("top1", "top5"))
-    rankings, heats_gt, pred_rows, heats_pred = [], [], [], []
-    for labels, result in forward_chunks(params, cfg, samples, selection_mass=selection_mass):
-        ranked = [_ranking(row) for row in nm.value_of(result.p_cam)]
+    ranks, heats_gt, pred_rows, heats_pred = [], [], [], []
+    for labels, result in forward_chunks(params, cfg, samples, selector=selector):
+        order = np.argsort(-nm.value_of(result.p_cam), axis=1, kind="stable")
         heats_gt.extend(class_heats(result, labels, side))
         # a predicted-class heat is needed only where that class is not the GT class
-        differ = [i for i, label in enumerate(labels) if ranked[i][0] != label]
-        if ranked_metrics and differ:
-            heats_pred.extend(class_heats(result, [ranked[i][0] for i in differ], side,
-                                          rows=differ))
-            pred_rows += [len(rankings) + i for i in differ]
-        rankings += ranked
+        differ = np.flatnonzero(order[:, 0] != labels)
+        if ranked_metrics and differ.size:
+            heats_pred.extend(class_heats(result, order[differ, 0], side, rows=differ))
+            pred_rows.extend(len(ranks) + differ)
+        ranks.extend((order == np.array(labels)[:, None]).argmax(axis=1))
     thetas = threshold_grid(*grid) if grid is not None else [float(theta)]
     boxes = box_table(heats_gt, thetas, side, side)
     table = gt_known_table(boxes, samples, thetas)
@@ -108,10 +108,6 @@ def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid
         top_boxes = boxes[:, thetas.index(theta_star)].copy()
         if heats_pred:
             top_boxes[pred_rows] = heat_boxes(heats_pred, [theta_star], side, side)[0][:, 0]
-        records_pred = [EvalRecord(image_id=record.image_id, box=BoundingBox(*box.tolist()),
-                                   gt_boxes=record.boxes, gt_class=record.label,
-                                   class_ranking=ranking)
-                        for record, box, ranking in zip(records, top_boxes, rankings)]
     results = {}
     for metric in metrics:
         if metric == "gt-known":
@@ -119,7 +115,8 @@ def evaluate_samples(params, cfg, samples, records, metrics, *, theta=None, grid
         elif metric == "maxboxaccv2":
             results[metric] = max_box_acc_v2_over_grid(boxes, samples)
         else:
-            results[metric] = loc_acc(records_pred, metric)
+            k = {"top1": 1, "top5": 5}[metric]
+            results[metric] = top_k_loc_acc(top_boxes, samples, ranks, k)
     return theta_star, results
 
 
@@ -134,13 +131,13 @@ def _load_manifest_samples(path):
     records = parse_manifest(path)
     if not records:
         raise ContractError(f"manifest {path} is empty")
-    return records, load_samples(records)
+    return load_samples(records)
 
 
 def cmd_infer(args):
     cfg, params = read_checkpoint(args.ckpt)
     image = read_image(args.input)
-    result = two_branch_forward(params, cfg, image[None], selection_mass=args.u)
+    result = two_branch_forward(params, cfg, image[None], selector=_selector(args))
     write_tensor(args.out_logits, nm.value_of(result.p_cam)[0])
     write_tensor(args.out_pt, nm.value_of(result.p_refine)[0])
     return 0
@@ -150,7 +147,7 @@ def cmd_localize(args):
     cfg, params = read_checkpoint(args.ckpt)
     image = read_image(args.input)
     class_id = "predicted" if args.class_id == "auto" else int(args.class_id)
-    result = localize(params, cfg, image, class_id, selection_mass=args.u, theta=args.theta)
+    result = localize(params, cfg, image, class_id, theta=args.theta, selector=_selector(args))
     box = result.box
     Path(args.out_box).write_text(f"{box.x0} {box.y0} {box.x1} {box.y1}\n", encoding="ascii")
     if args.out_map:
@@ -162,7 +159,7 @@ def cmd_localize(args):
 
 def cmd_eval(args):
     cfg, params = read_checkpoint(args.ckpt)
-    records, samples = _load_manifest_samples(args.manifest)
+    samples = _load_manifest_samples(args.manifest)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     for metric in metrics:
         if metric not in METRIC_NAMES:
@@ -171,8 +168,8 @@ def cmd_eval(args):
         theta, grid = None, _parse_grid(args.theta)
     else:
         theta, grid = float(args.theta), None
-    theta_star, results = evaluate_samples(params, cfg, samples, records, metrics,
-                                           theta=theta, grid=grid, selection_mass=args.u)
+    theta_star, results = evaluate_samples(params, cfg, samples, metrics, theta=theta,
+                                           grid=grid, selector=_selector(args))
     rows = [(metric, repr(results[metric])) for metric in metrics]
     rows.append(("theta", repr(theta_star)))
     _write_csv(args.out_report, ("metric", "value"), rows)
@@ -181,9 +178,9 @@ def cmd_eval(args):
 
 def cmd_calibrate(args):
     cfg, params = read_checkpoint(args.ckpt)
-    _, samples = _load_manifest_samples(args.manifest)
-    theta_star, table = grid_search_threshold(params, cfg, samples, selection_mass=args.u,
-                                              grid=_parse_grid(args.grid))
+    samples = _load_manifest_samples(args.manifest)
+    theta_star, table = grid_search_threshold(params, cfg, samples, grid=_parse_grid(args.grid),
+                                              selector=_selector(args))
     _write_csv(args.out_table, ("theta", "gt_known"),
                [(repr(theta), repr(acc)) for theta, acc in table])
     print(f"theta_star={theta_star!r}")
@@ -239,8 +236,9 @@ def cmd_train_toy(args):
 
 def cmd_ablate(args):
     cfg, params = read_checkpoint(args.ckpt)
-    _, samples = _load_manifest_samples(args.manifest)
-    strategies = [parse_strategy(part) for part in args.strategies.split(",") if part]
+    samples = _load_manifest_samples(args.manifest)
+    strategies = [parse_strategy(part, cfg.selection_mass)
+                  for part in args.strategies.split(",") if part]
     modes = {"both": None, "on": True, "off": False}[args.reattention]
     grid = _parse_grid(args.grid) if args.grid else None
     rows = run_ablation(params, cfg, samples, strategies, reattention_on=modes, grid=grid)

@@ -5,11 +5,15 @@ min-max normalised (a constant map normalises to zeros), multiplied,
 upsampled to image resolution, thresholded, and reduced to the tight
 bounding box of the largest 8-connected foreground component. Fusion
 runs over the rows of a forward result's stack, and a stack of heat
-maps is labelled at every threshold of a grid in one call.
+maps is labelled at every threshold of a grid in one call. The boxes
+are scored by GT-known, top-1 and top-5 localization accuracy and
+MaxBoxAccV2 (Choe et al., CVPR 2020): strict IoU comparisons, each
+sample against its best-matching ground-truth box.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +26,9 @@ from .errors import ContractError, DimensionError
 from .pipeline import forward_chunks, two_branch_forward
 
 DEFAULT_GRID = (0.05, 0.95, 0.05)
+# the 0:1:1e-4 grid: a labelling call holds FORWARD_CHUNK * T image-size masks
+MAX_GRID_THRESHOLDS = 10_001
+MAX_BOX_ACC_LEVELS = (0.3, 0.5, 0.7)
 # 8-connectivity within each (H, W) plane of a (T, H, W) mask stack, none across planes
 _PLANE_EIGHT_CONNECTED = np.stack([np.zeros((3, 3)), np.ones((3, 3)), np.zeros((3, 3))]) > 0
 
@@ -147,15 +154,14 @@ def class_heats(result, class_ids, side: int, rows=slice(None)) -> np.ndarray:
     return nm.bilinear_resize(fuse(*maps, class_ids), side, side)
 
 
-def localize(params, cfg: ModelConfig, image, class_id="predicted", *, selection_mass=None,
-             theta: float = 0.5, selector=None, reattention_on: bool = True) -> LocalizationResult:
+def localize(params, cfg: ModelConfig, image, class_id="predicted", *,
+             theta: float = 0.5, selector=None) -> LocalizationResult:
     """Full pipeline from image to bounding box.
 
     class_id may be an integer or "predicted" (argmax of the CAM-branch
     probabilities, smallest id on ties).
     """
-    result = two_branch_forward(params, cfg, image[None], selection_mass=selection_mass,
-                                selector=selector, reattention_on=reattention_on)
+    result = two_branch_forward(params, cfg, image[None], selector=selector)
     if class_id == "predicted":
         class_id = int(np.argmax(nm.value_of(result.p_cam)[0]))
     heat = class_heats(result, [int(class_id)], cfg.image_size)[0]
@@ -165,19 +171,23 @@ def localize(params, cfg: ModelConfig, image, class_id="predicted", *, selection
 
 
 def threshold_grid(start: float, stop: float, step: float) -> list:
-    """Inclusive arithmetic grid of thresholds."""
-    if step <= 0 or stop < start:
-        raise ContractError(f"invalid grid {start}:{stop}:{step}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [float(round(start + i * step, 9)) for i in range(count)]
+    """Inclusive arithmetic grid of thresholds in [0, 1], at most
+    MAX_GRID_THRESHOLDS of them."""
+    if not (all(map(math.isfinite, (start, stop, step))) and 0.0 <= start <= stop <= 1.0
+            and step > 0):
+        raise ContractError(f"invalid grid {start}:{stop}:{step}: need finite "
+                            f"0 <= start <= stop <= 1 and step > 0")
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if count > MAX_GRID_THRESHOLDS:
+        raise ContractError(f"grid {start}:{stop}:{step} has {count:.0f} thresholds, "
+                            f"more than {MAX_GRID_THRESHOLDS}")
+    return [float(round(start + i * step, 9)) for i in range(int(count))]
 
 
-def gt_class_heats(params, cfg: ModelConfig, samples, *, selection_mass=None,
-                   selector=None, reattention_on: bool = True) -> list:
+def gt_class_heats(params, cfg: ModelConfig, samples, *, selector=None) -> list:
     """Fused map per sample for that sample's ground-truth class."""
     heats = []
-    for labels, result in forward_chunks(params, cfg, samples, selection_mass=selection_mass,
-                                         selector=selector, reattention_on=reattention_on):
+    for labels, result in forward_chunks(params, cfg, samples, selector=selector):
         heats.extend(class_heats(result, labels, cfg.image_size))
     return heats
 
@@ -198,8 +208,8 @@ def _area(c: np.ndarray) -> np.ndarray:
 
 def _box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of (..., 4) integer box arrays, broadcast. The intersection
-    and union are exact integers, so the float64 quotient equals
-    `metrics.iou`; an all-zero box overlaps nothing."""
+    and union are exact integers, so the float64 quotient is the
+    correctly rounded IoU; an all-zero box overlaps nothing."""
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.maximum(ix, 0) * np.maximum(iy, 0)
@@ -208,6 +218,8 @@ def _box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _best_ious(boxes, samples) -> np.ndarray:
     """(S, T) IoU of each box with its sample's best-matching ground truth."""
+    if not samples:
+        raise ContractError("localization metrics need at least one sample")
     gts = np.zeros((len(samples), max(len(gt_boxes) for _, _, gt_boxes in samples), 4), np.int64)
     for row, (_, _, gt_boxes) in zip(gts, samples):
         row[:len(gt_boxes)] = [(g.x0, g.y0, g.x1, g.y1) for g in gt_boxes]
@@ -230,8 +242,7 @@ def best_threshold(table) -> float:
     return theta
 
 
-def grid_search_threshold(params, cfg: ModelConfig, samples, *, selection_mass=None,
-                          grid=None, selector=None, reattention_on: bool = True):
+def grid_search_threshold(params, cfg: ModelConfig, samples, *, grid=None, selector=None):
     """Pick the threshold maximising ground-truth-known accuracy (IoU > 0.5).
 
     `samples` is a list of (image, label, gt_boxes). Returns
@@ -241,8 +252,7 @@ def grid_search_threshold(params, cfg: ModelConfig, samples, *, selection_mass=N
     if not samples:
         raise ContractError("grid search needs a non-empty manifest")
     thetas = threshold_grid(*(grid or DEFAULT_GRID))
-    heats = gt_class_heats(params, cfg, samples, selection_mass=selection_mass,
-                           selector=selector, reattention_on=reattention_on)
+    heats = gt_class_heats(params, cfg, samples, selector=selector)
     boxes = box_table(heats, thetas, cfg.image_size, cfg.image_size)
     table = gt_known_table(boxes, samples, thetas)
     return best_threshold(table), table
@@ -252,8 +262,14 @@ def max_box_acc_v2_over_grid(boxes, samples) -> float:
     """Calibrated-threshold MaxBoxAccV2 from a box table: for each IoU
     level pick the best threshold on the grid, then average the three
     best hit rates."""
-    from .metrics import MAX_BOX_ACC_LEVELS
-
     ious = _best_ious(boxes, samples)
     per_level = [max(_hit_fractions(ious, level)) for level in MAX_BOX_ACC_LEVELS]
     return sum(per_level) / len(per_level)
+
+
+def top_k_loc_acc(pred_boxes, samples, ranks, k: int) -> float:
+    """Top-k localization accuracy: the fraction of samples whose label
+    is among the k highest-ranked classes (`ranks` holds each label's
+    0-based rank) and whose (S, 4) predicted-class box beats IoU 0.5."""
+    ious = _best_ious(np.asarray(pred_boxes)[:, None], samples)[:, 0]
+    return int(np.count_nonzero((ious > 0.5) & (np.asarray(ranks) < k))) / len(samples)

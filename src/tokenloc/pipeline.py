@@ -5,8 +5,8 @@ single-image commands a stack of one, and evaluation consecutive
 stacks of FORWARD_CHUNK images (`forward_chunks`). Used taped
 (training) and untaped (inference). Token selection is discrete and
 runs per image in numpy: during a taped pass it is computed from the
-current priority values and treated as a constant, and callers may pin
-it explicitly via `selection_override` (that is what makes
+current priority values and treated as a constant, and a selector that
+returns one constant (threshold, mask) pins it (that is what makes
 finite-difference checks of the composed loss well-posed).
 """
 
@@ -20,14 +20,15 @@ import numpy as np
 from . import numerics as nm
 from .backbone import ModelConfig, backbone_forward, embed, patchify
 from .cam import cam_forward
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError
 from .token_refine import (
     TokenSelection,
-    adaptive_select,
+    adaptive,
     importance_weights,
     preliminary_attention,
     reattention,
     refine_classify,
+    select,
     spatial_map,
 )
 
@@ -65,26 +66,13 @@ class ForwardResult:
         return self._refine()
 
 
-def select_tokens(priorities: np.ndarray, mass: float) -> tuple:
-    """Adaptive selection with the degenerate fallback: a zero-mass
-    priority vector selects the argmax token alone."""
-    try:
-        return adaptive_select(priorities, mass)
-    except DegenerateInputError:
-        mask = np.zeros(priorities.shape, dtype=np.float32)
-        mask[int(np.argmax(priorities))] = 1.0
-        return float(priorities.max()), mask
-
-
-def two_branch_forward(params, cfg: ModelConfig, images, *, selection_mass=None,
-                       selector=None, reattention_on: bool = True,
-                       selection_override=None) -> ForwardResult:
+def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None,
+                       reattention_on: bool = True) -> ForwardResult:
     """Run the whole pipeline on a (B, 3, H, W) stack of images.
 
-    `selector`, when given, maps each image's priority vector to
-    (threshold, mask) in place of the adaptive rule;
-    `selection_override` pins one previously computed (threshold, mask)
-    pair for every image.
+    `selector` maps each image's priority row to (threshold, mask)
+    through `token_refine.select`; None means
+    `adaptive(cfg.selection_mass)`.
     """
     stack = nm.as_f32(images)
     expected = (3, cfg.image_size, cfg.image_size)
@@ -96,29 +84,24 @@ def two_branch_forward(params, cfg: ModelConfig, images, *, selection_mass=None,
                             f"{expected}")
     z0 = embed(patchify(stack, cfg.patch_size), params, cfg)
     tokens, attention = backbone_forward(z0, params, cfg)
-    return branch_forward(params, cfg, tokens, attention, selection_mass=selection_mass,
-                          selector=selector, reattention_on=reattention_on,
-                          selection_override=selection_override)
+    return branch_forward(params, cfg, tokens, attention, selector=selector,
+                          reattention_on=reattention_on)
 
 
-def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selection_mass=None,
-                   selector=None, reattention_on: bool = True,
-                   selection_override=None) -> ForwardResult:
+def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None,
+                   reattention_on: bool = True) -> ForwardResult:
     """Both branches on top of a backbone output (`tokens`, `stack`), with
     the keyword arguments of `two_branch_forward`. Selection rules can be
     compared on one backbone pass by calling this on a result's tokens
     and stack."""
-    mass = cfg.selection_mass if selection_mass is None else float(selection_mass)
+    selector = adaptive(cfg.selection_mass) if selector is None else selector
     b, n_plus_1, d = nm.value_of(tokens).shape
     z_cls = nm.crop(tokens, (0, 0, 0), (b, 1, d))
     z_p = nm.crop(tokens, (0, 1, 0), (b, n_plus_1 - 1, d))
 
     priorities = preliminary_attention(stack)
     m_val = nm.value_of(priorities)
-    if selection_override is not None:
-        picks = [selection_override] * b
-    else:
-        picks = [select_tokens(row, mass) if selector is None else selector(row) for row in m_val]
+    picks = [select(row, selector) for row in m_val]
     mask = np.stack([np.asarray(row_mask, dtype=np.float32) for _, row_mask in picks])
     selection = TokenSelection(priorities=m_val.copy(),
                                threshold=np.array([float(tau) for tau, _ in picks]), mask=mask)

@@ -1,10 +1,10 @@
 """Token priority scoring and re-attention.
 
 Aggregates the class-token attention rows into a preliminary priority
-vector per image, selects tokens adaptively by cumulative attention mass
-(per image, in numpy), runs a transformer block over each image's
-gathered selected tokens to learn importance weights, and redistributes
-the selected attention mass accordingly.
+vector per image, selects tokens per image in numpy (by default
+adaptively, by cumulative attention mass), runs a transformer block over
+each image's gathered selected tokens to learn importance weights, and
+redistributes the selected attention mass accordingly.
 The discrete selection (threshold, mask, gather indices) is a constant
 for gradient purposes; gradients flow through the importance weights,
 the selected attention values and the fused embedding.
@@ -70,10 +70,8 @@ def adaptive_select(priorities, mass: float):
 
     Sorting is stable descending (lower index first on ties); the
     threshold is the raw priority at the last prefix position and the
-    mask is inclusive (p >= threshold).
+    mask is inclusive (p >= threshold). `adaptive` checks the mass.
     """
-    if not 0.0 < mass <= 1.0:
-        raise ContractError(f"mass fraction must be in (0, 1], got {mass}")
     m = nm.value_of(priorities)
     if m.ndim != 1 or m.size == 0:
         raise DimensionError(f"priorities must be a non-empty vector, got shape {m.shape}")
@@ -89,6 +87,62 @@ def adaptive_select(priorities, mass: float):
     tau = float(m[order[k_star]])
     mask = (m >= tau).astype(np.float32)
     return tau, mask
+
+
+# A selector maps one image's (N,) priority row to (threshold, mask);
+# each builder checks its parameter once, when the selector is built.
+
+def adaptive(mass: float):
+    """The paper's rule: `adaptive_select` at cumulative mass `mass`."""
+    if not 0.0 < mass <= 1.0:
+        raise ContractError(f"mass fraction must be in (0, 1], got {mass}")
+    return lambda m: adaptive_select(m, mass)
+
+
+def top_k(k: int):
+    """The k highest priorities, lower index first on ties; the threshold
+    is the k-th priority."""
+    if k < 1:
+        raise ContractError(f"topk needs k >= 1, got {k}")
+
+    def rule(m):
+        if k > m.size:
+            raise ContractError(f"topk k={k} exceeds {m.size} tokens")
+        order = np.argsort(-m, kind="stable")
+        mask = np.zeros(m.shape, dtype=np.float32)
+        mask[order[:k]] = 1.0
+        return float(m[order[k - 1]]), mask
+    return rule
+
+
+def fixed(tau):
+    """Every priority at or above a fixed threshold `tau`, or at or above
+    the row's own mean for tau = "mean"."""
+    if tau != "mean" and not (math.isfinite(tau) and tau >= 0.0):
+        raise ContractError(f"fixed threshold must be a finite number >= 0, got {tau}")
+
+    def rule(m):
+        t = float(m.mean()) if tau == "mean" else float(tau)
+        return t, (m >= t).astype(np.float32)
+    return rule
+
+
+def select(row, selector):
+    """Apply `selector` to one priority row, returning (threshold, mask).
+
+    A row with zero total mass, or a rule that keeps no token, selects
+    the argmax token alone (lowest index on ties) at its own priority:
+    the one fallback for every rule.
+    """
+    m = np.asarray(row, dtype=np.float32)
+    if m.sum(dtype=np.float64) > 0.0:
+        tau, mask = selector(m)
+        if np.any(mask):
+            return tau, mask
+    mask = np.zeros(m.shape, dtype=np.float32)
+    top = int(np.argmax(m))
+    mask[top] = 1.0
+    return float(m[top]), mask
 
 
 def importance_weights(z_p, selection: TokenSelection, params, num_heads: int):

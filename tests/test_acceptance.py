@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from tokenloc import numerics as nm
-from tokenloc.ablation import StrategySpec, run_ablation
+from tokenloc.ablation import parse_strategy, run_ablation
 from tokenloc.backbone import ModelConfig, block_forward, embed, init_params, mhsa, patchify
 from tokenloc.cli import main
 from tokenloc.errors import BadMagicError, TruncationError, UnsupportedDtypeError
 from tokenloc.formats import read_checkpoint, write_checkpoint, write_tensor, read_tensor
 from tokenloc.localization import BoundingBox, grid_search_threshold
-from tokenloc.metrics import EvalRecord, loc_acc, max_box_acc_v2
 from tokenloc.pipeline import two_branch_forward
 from tokenloc.token_refine import adaptive_select, reattention
 from tokenloc.training import (
@@ -35,7 +34,14 @@ from test_localization import (
     brightness_checkpoint,
     planted_image,
 )
-from test_metrics import _loc_acc_oracle, _max_box_acc_oracle, random_records
+from test_metrics import (
+    Record,
+    _loc_acc_oracle,
+    _max_box_acc_oracle,
+    array_loc_acc,
+    array_max_box_acc_v2,
+    random_records,
+)
 from test_token_refine import selection_oracle
 
 TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=2,
@@ -99,16 +105,19 @@ def test_criterion_gradient_suite():
     base = two_branch_forward(params, TINY, image)
     frozen = (base.selection.threshold[0], base.selection.mask[0])
 
+    def pinned(_):
+        return frozen
+
     tape = nm.GradTape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
-    result = two_branch_forward(leaves, TINY, image, selection_override=frozen)
+    result = two_branch_forward(leaves, TINY, image, selector=pinned)
     loss = nm.reduce_sum(cross_entropy_joint(result.p_cam, result.p_refine, label))
     grads = backward(loss, tape, leaves)
 
     def loss_at(name, value):
         probe = dict(params)
         probe[name] = value
-        out = two_branch_forward(probe, TINY, image, selection_override=frozen)
+        out = two_branch_forward(probe, TINY, image, selector=pinned)
         return float(nm.value_of(cross_entropy_joint(out.p_cam, out.p_refine, label))[0])
 
     total = 0
@@ -228,15 +237,14 @@ def test_criterion_metric_oracles():
     start = time.monotonic()
     pred = BoundingBox(0, 0, 10, 6)
     gt = BoundingBox(0, 0, 10, 10)
-    record = EvalRecord("x", pred, [gt], 0, [0, 1])
-    assert max_box_acc_v2([record]) == pytest.approx(2 / 3)
+    assert array_max_box_acc_v2([Record(pred, [gt], 0, [0, 1])]) == pytest.approx(2 / 3)
 
     rng = np.random.default_rng(4)
     for trial in range(100):
         records = random_records(rng, int(rng.integers(1, 12)), size=16)
         for mode in ("gt-known", "top1", "top5"):
-            assert loc_acc(records, mode) == _loc_acc_oracle(records, mode)
-        assert max_box_acc_v2(records) == _max_box_acc_oracle(records)
+            assert array_loc_acc(records, mode) == _loc_acc_oracle(records, mode)
+        assert array_max_box_acc_v2(records) == _max_box_acc_oracle(records)
     _report("metric oracles", time.monotonic() - start, 10.0,
             "100 record sets, exact, incl. single-record 2/3 case")
 
@@ -262,7 +270,8 @@ def test_criterion_end_to_end_synthetic(trained):
     assert gt_known >= 0.70, f"GT-known accuracy {gt_known} below 0.70"
 
     rows = run_ablation(params, cfg, samples,
-                        [StrategySpec("adaptive", 0.65), StrategySpec("fixed", "mean")],
+                        [parse_strategy(text, cfg.selection_mass)
+                         for text in ("adaptive:0.65", "fixed:mean")],
                         reattention_on=True)
     by_label = {label: acc for label, _, _, acc, _ in rows}
     assert by_label["adaptive:0.65"] >= by_label["fixed:mean"], by_label

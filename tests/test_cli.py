@@ -33,12 +33,13 @@ from tokenloc.localization import (
     localize,
     threshold_grid,
 )
-from tokenloc.metrics import MAX_BOX_ACC_LEVELS, EvalRecord, iou, loc_acc
 from tokenloc.pipeline import FORWARD_CHUNK
 from tokenloc.training import ToyTaskConfig, default_model_config, make_dataset
 
 from test_localization import brightness_checkpoint, hit_fraction_oracle, planted_image
+from test_metrics import Record, _loc_acc_oracle
 from test_pipeline import ACCEPTANCE_CKPT
+from util import iou
 
 
 @pytest.fixture()
@@ -230,7 +231,7 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
              for theta in thetas]
     theta_star = best_threshold(table)
     per_level = [max(hit_fraction_oracle(heats, samples, theta, level, 32, 32)
-                     for theta in thetas) for level in MAX_BOX_ACC_LEVELS]
+                     for theta in thetas) for level in loc.MAX_BOX_ACC_LEVELS]
     assert rows["theta"] == repr(theta_star)
     assert rows["gt-known"] == repr(dict(table)[theta_star])
     assert rows["maxboxaccv2"] == repr(sum(per_level) / len(per_level))
@@ -346,15 +347,16 @@ def test_ablate_selection_command(workspace):
     tmp, cfg, params, ckpt, _ = workspace
     manifest = _write_manifest(tmp, cfg, params, count=3)
     table = tmp / "ablation.csv"
+    labels = ["adaptive", "adaptive:0.8", "topk:5", "fixed:0.25", "fixed:mean"]
     code = main(["ablate-selection", "--ckpt", str(ckpt), "--manifest", str(manifest),
-                 "--strategies", "adaptive:0.5,topk:4,fixed:mean",
+                 "--strategies", ",".join(labels),
                  "--grid", "grid:0.45:0.45:0.1", "--out-table", str(table)])
     assert code == 0
     rows = _read_csv(table)
     assert rows[0] == ["strategy", "reattention", "theta", "gt_known", "max_box_acc_v2"]
-    assert len(rows) == 1 + 3 * 2  # three strategies x {on, off}
-    labels = {(row[0], row[1]) for row in rows[1:]}
-    assert ("adaptive:0.5", "on") in labels and ("fixed:mean", "off") in labels
+    # each strategy x {on, off}, labelled as written
+    assert [(row[0], row[1]) for row in rows[1:]] == [
+        (label, mode) for label in labels for mode in ("on", "off")]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -656,6 +658,74 @@ def test_non_utf8_input_exits_3(workspace, capsys, command):
     assert not (tmp / "out.csv").exists() and not (tmp / "out.ckpt").exists()
 
 
+def _manifest_argv(tmp, ckpt, command, *extra,
+                   lines="id:a image:img.trt label:0 boxes:12,8,20,16\n"):
+    """`command` on tmp/one.manifest holding `lines` (by default one line
+    of the workspace image), writing tmp/out.csv, with `extra` arguments
+    last (a repeated option's last value wins)."""
+    manifest = tmp / "one.manifest"
+    manifest.write_text(lines)
+    return [command, "--ckpt", str(ckpt), "--manifest", str(manifest), *_MANIFEST_ARGS[command],
+            str(tmp / "out.csv"), *extra]
+
+
+def _assert_one_contract_line(capsys, tmp, argv):
+    assert main(argv) == 4, argv
+    err = capsys.readouterr().err
+    assert err.startswith("error: contract: ") and err.count("\n") == 1, err
+    assert not any(tmp.glob("out*")), argv
+    return err
+
+
+@pytest.mark.parametrize("command", ["infer", "localize", "eval", "calibrate"])
+@pytest.mark.parametrize("u", ["0", "1.5", "nan"])
+def test_selection_mass_outside_unit_interval_exits_4(workspace, capsys, command, u):
+    tmp, cfg, params, ckpt, image = workspace
+    if command == "infer":
+        argv = ["infer", "--ckpt", str(ckpt), "--input", str(image),
+                "--out-logits", str(tmp / "out.trt"), "--out-pt", str(tmp / "out2.trt"), "--u", u]
+    elif command == "localize":
+        argv = ["localize", "--ckpt", str(ckpt), "--input", str(image), "--theta", "0.5",
+                "--out-box", str(tmp / "out.txt"), "--u", u]
+    else:
+        argv = _manifest_argv(tmp, ckpt, command, "--u", u)
+    err = _assert_one_contract_line(capsys, tmp, argv)
+    assert f"mass fraction must be in (0, 1], got {float(u)}" in err
+
+
+@pytest.mark.parametrize("strategy", ["adaptive:0", "adaptive:nan", "topk", "topk:0", "topk:1.5",
+                                      "topk:65", "fixed:-1", "fixed:nan", "fixed:inf",
+                                      "nonsense:1"])
+def test_malformed_selection_strategy_exits_4(workspace, capsys, strategy):
+    tmp, cfg, params, ckpt, _ = workspace
+    assert cfg.num_tokens == 64   # so topk:65 asks for more tokens than there are
+    _assert_one_contract_line(
+        capsys, tmp, _manifest_argv(tmp, ckpt, "ablate-selection", "--strategies", strategy))
+
+
+@pytest.mark.parametrize("grid", ["0:1:1e-7", "0.05:0.95:nan", "nan:0.95:0.05", "0.05:inf:0.05",
+                                  "-0.1:0.9:0.1", "0:1.5:0.1", "0.9:0.1:0.1", "0:1:0"])
+@pytest.mark.parametrize("command", ["calibrate", "eval", "ablate-selection"])
+def test_invalid_threshold_grid_exits_4(workspace, capsys, command, grid):
+    # 0:1:1e-7 would ask for a (1, 10000001, 32, 32) mask stack
+    tmp, cfg, params, ckpt, _ = workspace
+    option = "--theta" if command == "eval" else "--grid"
+    err = _assert_one_contract_line(
+        capsys, tmp, _manifest_argv(tmp, ckpt, command, option, f"grid:{grid}"))
+    assert "grid" in err
+
+
+@pytest.mark.parametrize("command", _MANIFEST_ARGS)
+def test_manifest_line_without_boxes_exits_3(workspace, capsys, command):
+    tmp, cfg, params, ckpt, _ = workspace
+    argv = _manifest_argv(tmp, ckpt, command, lines="id:a image:img.trt label:0 boxes:12,8,20,16\n"
+                                                    "id:b image:img.trt label:0 boxes:\n")
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (f"error: format: {tmp / 'one.manifest'}:2: "
+                                       f"line has no ground-truth boxes\n")
+    assert not (tmp / "out.csv").exists()
+
+
 @pytest.mark.parametrize("section, field, value, kind", [
     ("train", "batch_size", 2.5, "an integer"),
     ("train", "seed", 1.5, "an integer"),
@@ -734,11 +804,11 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
     boxes = loc.box_table(gt_class_heats(params, cfg, samples),
                           threshold_grid(*DEFAULT_GRID), 32, 32)
     ranked = []
-    for record, (image, label, _) in zip(records, samples):
+    for image, label, gt_boxes in samples:
         p_cam = nm.value_of(pipeline.two_branch_forward(params, cfg, image[None]).p_cam)[0]
-        ranked.append(EvalRecord(
-            image_id=record.image_id, gt_boxes=record.boxes, gt_class=label,
+        ranked.append(Record(
             box=localize(params, cfg, image, "predicted", theta=theta_star).box,
+            gt_boxes=gt_boxes, gt_class=label,
             class_ranking=[int(k) for k in np.argsort(-p_cam, kind="stable")]))
     mispredicted = sum(r.class_ranking[0] != r.gt_class for r in ranked)
     assert 0 < mispredicted < len(samples)
@@ -746,6 +816,7 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
     assert sum(n for predicted, n in fused if not predicted) == len(samples)
     assert _read_csv(report) == [
         ["metric", "value"], ["gt-known", repr(dict(table)[theta_star])],
-        ["top1", repr(loc_acc(ranked, "top1"))], ["top5", repr(loc_acc(ranked, "top5"))],
+        ["top1", repr(_loc_acc_oracle(ranked, "top1"))],
+        ["top5", repr(_loc_acc_oracle(ranked, "top5"))],
         ["maxboxaccv2", repr(loc.max_box_acc_v2_over_grid(boxes, samples))],
         ["theta", repr(theta_star)]]

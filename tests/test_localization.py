@@ -12,6 +12,7 @@ from tokenloc.backbone import ModelConfig, parameter_shapes
 from tokenloc.errors import ContractError, DimensionError
 from tokenloc.localization import (
     DEFAULT_GRID,
+    MAX_BOX_ACC_LEVELS,
     BoundingBox,
     binarize,
     box_from_heat,
@@ -24,8 +25,9 @@ from tokenloc.localization import (
     max_box_acc_v2_over_grid,
     threshold_grid,
 )
-from tokenloc.metrics import MAX_BOX_ACC_LEVELS, iou
 from tokenloc.pipeline import FORWARD_CHUNK
+
+from util import iou
 
 
 def flood_fill_largest(mask):
@@ -573,8 +575,13 @@ def test_threshold_grid_contents():
     assert threshold_grid(0.05, 0.95, 0.05) == pytest.approx(
         [round(0.05 * i, 9) for i in range(1, 20)])
     assert threshold_grid(0.3, 0.3, 0.1) == [0.3]
-    with pytest.raises(ContractError):
-        threshold_grid(0.5, 0.3, 0.1)
+    assert len(threshold_grid(0.0, 1.0, 1e-4)) == loc.MAX_GRID_THRESHOLDS == 10_001
+    nan, inf = float("nan"), float("inf")
+    for bad in [(0.5, 0.3, 0.1), (0.0, 1.0, 1e-7), (0.0, 1.0, 5e-324), (0.05, 0.95, nan),
+                (nan, 0.95, 0.05), (0.05, inf, 0.05), (-0.1, 0.9, 0.1), (0.0, 1.5, 0.1),
+                (0.0, 1.0, 0.0), (0.0, 1.0, -0.1)]:
+        with pytest.raises(ContractError):
+            threshold_grid(*bad)
 
 
 def test_grid_search_singleton():

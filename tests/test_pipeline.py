@@ -22,10 +22,9 @@ from tokenloc.pipeline import (
     FORWARD_CHUNK,
     branch_forward,
     forward_chunks,
-    select_tokens,
     two_branch_forward,
 )
-from tokenloc.token_refine import adaptive_select
+from tokenloc.token_refine import adaptive, adaptive_select, fixed, select, top_k
 from tokenloc.training import ToyTaskConfig, make_dataset
 
 from util import selection_matrix
@@ -36,8 +35,12 @@ CFG = ModelConfig(image_size=16, patch_size=4, embed_dim=8, num_blocks=2,
 
 
 def test_degenerate_priorities_fall_back_to_argmax():
-    tau, mask = select_tokens(np.zeros(6, np.float32), 0.65)
-    assert np.array_equal(mask, [1, 0, 0, 0, 0, 0])
+    # every rule, whatever it would keep, gets the one fallback on a zero-mass row
+    for selector in (adaptive(CFG.selection_mass), adaptive(0.3), top_k(4), fixed(0.0),
+                     fixed(0.01), fixed("mean")):
+        tau, mask = select(np.zeros(6, np.float32), selector)
+        assert tau == 0.0
+        assert np.array_equal(mask, [1, 0, 0, 0, 0, 0])
 
 
 def test_zero_model_runs_end_to_end():
@@ -49,13 +52,13 @@ def test_zero_model_runs_end_to_end():
     assert abs(float(nm.value_of(result.p_refine).sum()) - 1.0) < 1e-6
 
 
-def test_selection_override_pins_selection():
+def test_constant_selector_pins_selection():
     params = init_params(CFG, 0)
     image = np.random.default_rng(1).random((3, 16, 16)).astype(np.float32)
     mask = np.zeros(CFG.num_tokens, np.float32)
     mask[3] = 1.0
     result = two_branch_forward(params, CFG, np.stack([image, image[:, ::-1]]),
-                                selection_override=(0.5, mask))
+                                selector=lambda _: (0.5, mask))
     assert np.array_equal(result.selection.mask, [mask, mask])
     assert list(result.selection.threshold) == [0.5, 0.5]
     lam = nm.value_of(result.selection.weights)
@@ -127,7 +130,7 @@ def test_branch_forward_on_a_result_equals_a_fresh_forward():
         return 0.0, mask
 
     first = two_branch_forward(params, CFG, image)
-    for kwargs in ({"selector": take_three}, {"selection_mass": 0.3, "reattention_on": False}):
+    for kwargs in ({"selector": take_three}, {"selector": adaptive(0.3), "reattention_on": False}):
         fresh = two_branch_forward(params, CFG, image, **kwargs)
         reused = branch_forward(params, CFG, first.tokens, first.stack, **kwargs)
         assert np.array_equal(reused.selection.mask, fresh.selection.mask)
@@ -152,7 +155,7 @@ def test_each_image_of_a_stack_is_selected_alone():
 
     def record(m):
         seen.append(m.copy())
-        return select_tokens(m, CFG.selection_mass)
+        return adaptive_select(m, CFG.selection_mass)
 
     batched = two_branch_forward(params, CFG, images, selector=record)
     assert len(seen) == 3

@@ -7,19 +7,22 @@ import pytest
 
 from tokenloc import numerics as nm
 from tokenloc import pipeline
-from tokenloc.ablation import parse_strategy, select_with_strategy
 from tokenloc.backbone import ModelConfig, init_params, mhsa
 from tokenloc.errors import ContractError, DegenerateInputError, DimensionError
 from tokenloc.formats import read_checkpoint
-from tokenloc.pipeline import select_tokens, two_branch_forward
+from tokenloc.pipeline import two_branch_forward
 from tokenloc.token_refine import (
     TokenSelection,
+    adaptive,
     adaptive_select,
+    fixed,
     importance_weights,
     preliminary_attention,
     reattention,
     refine_classify,
+    select,
     spatial_map,
+    top_k,
 )
 from tokenloc.training import (
     ToyTaskConfig,
@@ -126,7 +129,7 @@ def test_adaptive_select_zero_mass_rejected():
     with pytest.raises(DegenerateInputError):
         adaptive_select(np.zeros(4, np.float32), 0.5)
     with pytest.raises(ContractError):
-        adaptive_select(np.array([0.5, 0.5], np.float32), 0.0)
+        adaptive(0.0)
 
 
 def test_adaptive_select_monotone_nesting():
@@ -358,11 +361,11 @@ def test_gathered_weights_equal_the_masked_oracle_on_mixed_counts():
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     images = np.stack([image for image, _, _ in _acceptance_samples(4)])
     result = two_branch_forward(params, cfg, images)
-    m, mass = result.selection.priorities, cfg.selection_mass
+    m = result.selection.priorities
     mixed = np.stack([
-        select_with_strategy(m[0], parse_strategy("topk:1"), mass)[1],
-        select_with_strategy(m[1], parse_strategy("fixed:mean"), mass)[1],
-        select_tokens(np.zeros_like(m[2]), mass)[1],   # the argmax fallback
+        select(m[0], top_k(1))[1],
+        select(m[1], fixed("mean"))[1],
+        select(np.zeros_like(m[2]), adaptive(cfg.selection_mass))[1],   # the argmax fallback
         np.ones_like(m[3]),
     ])
     assert sorted(mixed.sum(axis=-1)) == [1, 1, mixed[1].sum(), cfg.num_tokens]

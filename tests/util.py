@@ -123,6 +123,19 @@ def masked_importance_weights(z_p, selection, params, num_heads: int):
     return nm.masked_softmax(nm.reshape(scores, (b, n)), selection.mask)
 
 
+def iou(a, b) -> float:
+    """Intersection over union of two half-open BoundingBoxes, one pair at
+    a time: the reference for the array IoU tables in
+    `tokenloc.localization` (itself checked against pixel sets in
+    test_metrics)."""
+    ix = min(a.x1, b.x1) - max(a.x0, b.x0)
+    iy = min(a.y1, b.y1) - max(a.y0, b.y0)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.area + b.area - inter)
+
+
 # Reference decoders for `tokenloc.formats`: every field is sliced out of
 # the file bytes with `_take`, one copy per field.
 
