@@ -1,7 +1,7 @@
 """Token re-attention pipeline for weakly supervised object localization."""
 
 from .backbone import ModelConfig, init_params
-from .localization import BoundingBox, LocalizationResult, grid_search_threshold, localize
+from .localization import grid_search_threshold, localize
 from .numerics import GradTape
 from .pipeline import ForwardResult, two_branch_forward
 from .training import ToyTaskConfig, TrainConfig, train_toy
@@ -9,10 +9,8 @@ from .training import ToyTaskConfig, TrainConfig, train_toy
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox",
     "ForwardResult",
     "GradTape",
-    "LocalizationResult",
     "ModelConfig",
     "ToyTaskConfig",
     "TrainConfig",

@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from .backbone import ModelConfig
 from .errors import ContractError
-from .localization import (
-    DEFAULT_GRID,
-    best_threshold,
-    box_table,
-    class_heats,
-    gt_known_table,
-    max_box_acc_v2_over_grid,
-    threshold_grid,
-)
+from .localization import DEFAULT_GRID, class_heats, evaluate_heats, max_box_acc_v2, threshold_grid
 from .pipeline import branch_forward, forward_chunks
 from .token_refine import adaptive, fixed, top_k
 
@@ -57,8 +49,6 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
     Returns rows of (strategy label, reattention flag, theta_star,
     gt_known accuracy, max_box_acc_v2).
     """
-    if not samples:
-        raise ContractError("ablation needs a non-empty manifest")
     if not strategies:
         raise ContractError("ablation needs at least one strategy")
     modes = (True, False) if reattention_on is None else (bool(reattention_on),)
@@ -75,12 +65,9 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
             branches = branch_forward(params, cfg, result.tokens, result.stack,
                                       selector=selector, reattention_on=reatt)
             setting_heats.extend(class_heats(branches, labels, side))
+    gts = [gt for _, _, gt in samples]
     rows = []
     for setting_heats, (label, _, reatt) in zip(heats, settings):
-        boxes = box_table(setting_heats, thetas, side, side)
-        table = gt_known_table(boxes, samples, thetas)
-        theta_star = best_threshold(table)
-        gt_known = dict(table)[theta_star]
-        mbav2 = max_box_acc_v2_over_grid(boxes, samples)
-        rows.append((label, reatt, theta_star, gt_known, mbav2))
+        _, ious, table, theta_star, _ = evaluate_heats(setting_heats, gts, thetas, side)
+        rows.append((label, reatt, theta_star, dict(table)[theta_star], max_box_acc_v2(ious)))
     return rows

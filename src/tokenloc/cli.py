@@ -33,14 +33,13 @@ from .formats import (
 )
 from .localization import (
     DEFAULT_GRID,
-    best_threshold,
-    box_table,
+    best_ious,
     class_heats,
+    evaluate_heats,
     grid_search_threshold,
-    gt_known_table,
     heat_boxes,
     localize,
-    max_box_acc_v2_over_grid,
+    max_box_acc_v2,
     threshold_grid,
     top_k_loc_acc,
 )
@@ -73,18 +72,18 @@ def _selector(args):
     return None if args.u is None else adaptive(args.u)
 
 
-def evaluate_samples(params, cfg, samples, metrics, *, theta=None, grid=None, selector=None):
+def evaluate_samples(params, cfg, samples, metrics, thetas, *, selector=None):
     """Shared engine behind `eval`: returns (theta_star, {metric: value}).
 
-    With a grid, theta_star maximises GT-known accuracy and the class-
-    aware metrics are computed there; maxboxaccv2 takes each IoU level's
-    own best threshold. With a fixed theta everything uses that theta.
-    The images go through the forward pass once each, in stacks of
-    `pipeline.FORWARD_CHUNK`; the GT-class heats are labelled over the
-    whole grid one stack at a time. A predicted-class heat is fused only
-    where the top-ranked class is not the GT class, and all of them are
-    labelled at theta_star in one call. Classes rank by CAM-branch
-    probability, ties by id.
+    theta_star maximises GT-known accuracy over `thetas` (a fixed
+    threshold is a grid of one) and the class-aware metrics are computed
+    there; maxboxaccv2 takes each IoU level's own best threshold. The
+    images go through the forward pass once each, in stacks of
+    `pipeline.FORWARD_CHUNK`, and `evaluate_heats` boxes and scores the
+    GT-class heats. A predicted-class heat is fused only where the
+    top-ranked class is not the GT class, and all of them are labelled at
+    theta_star in one call. Classes rank by CAM-branch probability, ties
+    by id.
     """
     side = cfg.image_size
     ranked_metrics = any(m in metrics for m in ("top1", "top5"))
@@ -98,25 +97,22 @@ def evaluate_samples(params, cfg, samples, metrics, *, theta=None, grid=None, se
             heats_pred.extend(class_heats(result, order[differ, 0], side, rows=differ))
             pred_rows.extend(len(ranks) + differ)
         ranks.extend((order == np.array(labels)[:, None]).argmax(axis=1))
-    thetas = threshold_grid(*grid) if grid is not None else [float(theta)]
-    boxes = box_table(heats_gt, thetas, side, side)
-    table = gt_known_table(boxes, samples, thetas)
-    theta_star = best_threshold(table) if grid is not None else float(theta)
-
+    boxes, ious, table, theta_star, gt = evaluate_heats(heats_gt, [g for _, _, g in samples],
+                                                        thetas, side)
     if ranked_metrics:
         # where the top-ranked class is the GT class, its box is already in the table
         top_boxes = boxes[:, thetas.index(theta_star)].copy()
         if heats_pred:
             top_boxes[pred_rows] = heat_boxes(heats_pred, [theta_star], side, side)[0][:, 0]
+        top_ious = best_ious(top_boxes[:, None], gt)[:, 0]
     results = {}
     for metric in metrics:
         if metric == "gt-known":
             results[metric] = dict(table)[theta_star]
         elif metric == "maxboxaccv2":
-            results[metric] = max_box_acc_v2_over_grid(boxes, samples)
+            results[metric] = max_box_acc_v2(ious)
         else:
-            k = {"top1": 1, "top5": 5}[metric]
-            results[metric] = top_k_loc_acc(top_boxes, samples, ranks, k)
+            results[metric] = top_k_loc_acc(top_ious, ranks, {"top1": 1, "top5": 5}[metric])
     return theta_star, results
 
 
@@ -147,12 +143,12 @@ def cmd_localize(args):
     cfg, params = read_checkpoint(args.ckpt)
     image = read_image(args.input)
     class_id = "predicted" if args.class_id == "auto" else int(args.class_id)
-    result = localize(params, cfg, image, class_id, theta=args.theta, selector=_selector(args))
-    box = result.box
-    Path(args.out_box).write_text(f"{box.x0} {box.y0} {box.x1} {box.y1}\n", encoding="ascii")
+    heat, box, _, empty = localize(params, cfg, image, class_id, theta=args.theta,
+                                   selector=_selector(args))
+    Path(args.out_box).write_text(" ".join(map(str, box.tolist())) + "\n", encoding="ascii")
     if args.out_map:
-        write_tensor(args.out_map, result.heat)
-    if result.degenerate:
+        write_tensor(args.out_map, heat)
+    if empty:
         print("warning: empty foreground, emitted the full-image box", file=sys.stderr)
     return 0
 
@@ -160,16 +156,16 @@ def cmd_localize(args):
 def cmd_eval(args):
     cfg, params = read_checkpoint(args.ckpt)
     samples = _load_manifest_samples(args.manifest)
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    metrics = [m.strip() for m in args.metrics.split(",")]
     for metric in metrics:
         if metric not in METRIC_NAMES:
             raise ContractError(f"unknown metric {metric!r}, expected one of {METRIC_NAMES}")
-    if args.theta.startswith("grid"):
-        theta, grid = None, _parse_grid(args.theta)
-    else:
-        theta, grid = float(args.theta), None
-    theta_star, results = evaluate_samples(params, cfg, samples, metrics, theta=theta,
-                                           grid=grid, selector=_selector(args))
+    if len(set(metrics)) < len(metrics):
+        raise ContractError(f"--metrics {args.metrics!r} names a metric more than once")
+    thetas = (threshold_grid(*_parse_grid(args.theta)) if args.theta.startswith("grid")
+              else [float(args.theta)])
+    theta_star, results = evaluate_samples(params, cfg, samples, metrics, thetas,
+                                           selector=_selector(args))
     rows = [(metric, repr(results[metric])) for metric in metrics]
     rows.append(("theta", repr(theta_star)))
     _write_csv(args.out_report, ("metric", "value"), rows)

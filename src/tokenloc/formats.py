@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,6 @@ from .errors import (
     TruncationError,
     UnsupportedDtypeError,
 )
-from .localization import BoundingBox
 
 TENSOR_MAGIC = b"TRT1"
 CHECKPOINT_MAGIC = b"TRTC"
@@ -46,6 +46,8 @@ _U32 = struct.Struct("<I")
 _F32 = np.dtype("<f4")
 MASS_FIXED_POINT = 10 ** 6
 _MAX_HEADER = 4 + 2 + 4 * 255  # magic, dtype and rank, 255 extents
+# ASCII digits only (no sign, underscore or other script), and few enough for an int64
+_DECIMAL = re.compile("[0-9]{1,18}")
 
 
 def tensor_to_bytes(array) -> bytes:
@@ -237,18 +239,30 @@ def read_checkpoint(path):
 class ManifestLine:
     image_path: Path
     label: int
-    boxes: list
+    boxes: np.ndarray       # (G, 4) int64 half-open (x0, y0, x1, y1) rows
     image_id: str
 
 
-def _parse_box(text: str, width: int, height: int) -> BoundingBox:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"box needs 4 coordinates, got {len(parts)}")
-    x0, y0, x1, y1 = (int(p) for p in parts)
-    if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
-        raise ValueError(f"box ({x0},{y0},{x1},{y1}) outside {width}x{height} image")
-    return BoundingBox(x0, y0, x1, y1)
+def _decimal(text: str, what: str) -> int:
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{what} {text!r} is not a decimal integer of at most 18 digits")
+    return int(text)
+
+
+def _parse_boxes(text: str, width: int, height: int) -> np.ndarray:
+    """The `x0,y0,x1,y1[;...]` boxes of a line as a (G, 4) int64 array,
+    each non-empty and inside the width x height image."""
+    rows = [[_decimal(c, "box coordinate") for c in part.split(",")]
+            for part in text.split(";") if part]
+    for row in rows:
+        if len(row) != 4:
+            raise ValueError(f"box needs 4 coordinates, got {len(row)}")
+        x0, y0, x1, y1 = row
+        if not (x0 < x1 <= width and y0 < y1 <= height):
+            raise ValueError(f"box ({x0},{y0},{x1},{y1}) outside {width}x{height} image")
+    if not rows:
+        raise ValueError("line has no ground-truth boxes")
+    return np.array(rows, np.int64)
 
 
 def parse_manifest(path) -> list:
@@ -257,8 +271,9 @@ def parse_manifest(path) -> list:
     Each non-blank line holds space-separated key:value fields,
     e.g. `id:img0 image:img0.trt label:1 boxes:4,5,20,21;0,0,8,8`.
     Image paths are resolved relative to the manifest's directory and
-    their headers are read to bounds-check the boxes. A key repeated on
-    one line and an id repeated across lines are errors. Errors cite the
+    their headers are read to bounds-check the boxes. The label and the
+    box coordinates are ASCII decimal integers. A key repeated on one
+    line and an id repeated across lines are errors. Errors cite the
     1-based line number.
     """
     path = Path(path)
@@ -299,13 +314,9 @@ def parse_manifest(path) -> list:
                 if len(shape) != 3 or shape[0] != 3:
                     raise ValueError(f"image tensor must be 3xHxW, got {shape}")
                 height, width = shape[1], shape[2]
-                boxes = [_parse_box(part, width, height)
-                         for part in fields["boxes"].split(";") if part]
-                if not boxes:
-                    raise ValueError("line has no ground-truth boxes")
                 records.append(ManifestLine(image_path=image_path,
-                                            label=int(fields["label"]),
-                                            boxes=boxes,
+                                            label=_decimal(fields["label"], "label"),
+                                            boxes=_parse_boxes(fields["boxes"], width, height),
                                             image_id=fields["id"]))
             except (ValueError, OSError, FormatError) as exc:
                 raise ManifestError(f"{path}:{line_no}: {exc}") from exc
@@ -313,7 +324,7 @@ def parse_manifest(path) -> list:
 
 
 def load_samples(records) -> list:
-    """Materialise manifest records into (image, label, boxes) samples."""
+    """Materialise manifest records into (image, label, (G, 4) boxes) samples."""
     return [(read_image(r.image_path), r.label, r.boxes) for r in records]
 
 

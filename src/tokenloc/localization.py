@@ -5,16 +5,17 @@ min-max normalised (a constant map normalises to zeros), multiplied,
 upsampled to image resolution, thresholded, and reduced to the tight
 bounding box of the largest 8-connected foreground component. Fusion
 runs over the rows of a forward result's stack, and a stack of heat
-maps is labelled at every threshold of a grid in one call. The boxes
-are scored by GT-known, top-1 and top-5 localization accuracy and
-MaxBoxAccV2 (Choe et al., CVPR 2020): strict IoU comparisons, each
-sample against its best-matching ground-truth box.
+maps is labelled at every threshold of a grid in one call. A box is a
+half-open (x0, y0, x1, y1) int64 row. `evaluate_heats` turns heats into
+a box table, its best-IoU table and the calibrated threshold; GT-known,
+top-1 and top-5 localization accuracy and MaxBoxAccV2 (Choe et al.,
+CVPR 2020) read those IoUs: strict comparisons, each sample against its
+best-matching ground-truth box.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -31,35 +32,6 @@ MAX_GRID_THRESHOLDS = 10_001
 MAX_BOX_ACC_LEVELS = (0.3, 0.5, 0.7)
 # 8-connectivity within each (H, W) plane of a (T, H, W) mask stack, none across planes
 _PLANE_EIGHT_CONNECTED = np.stack([np.zeros((3, 3)), np.ones((3, 3)), np.zeros((3, 3))]) > 0
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Pixel-space box, half-open: x0 <= x < x1, y0 <= y < y1."""
-
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-
-    def __post_init__(self):
-        if self.x0 >= self.x1 or self.y0 >= self.y1:
-            raise DimensionError(f"degenerate box ({self.x0},{self.y0},{self.x1},{self.y1})")
-        if self.x0 < 0 or self.y0 < 0:
-            raise DimensionError(f"negative box corner ({self.x0},{self.y0})")
-
-    @property
-    def area(self) -> int:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-
-@dataclass
-class LocalizationResult:
-    heat: np.ndarray        # image-resolution fused map in [0, 1]
-    threshold: float
-    box: BoundingBox
-    class_id: int
-    degenerate: bool        # empty foreground, box fell back to the full image
 
 
 def _minmax(x: np.ndarray) -> np.ndarray:
@@ -136,17 +108,6 @@ def heat_boxes(heats: np.ndarray, thetas, width: int, height: int):
     return boxes.reshape(*lead, 4), ~occupied.reshape(lead)
 
 
-def box_from_heat(heat: np.ndarray, theta: float, width: int, height: int):
-    """Threshold a heat map and box its largest component: `heat_boxes`
-    at one threshold.
-
-    Empty foreground falls back to the full-image box with a degenerate
-    flag so downstream metrics never crash.
-    """
-    boxes, degenerate = heat_boxes(heat, [theta], width, height)
-    return BoundingBox(*boxes[0].tolist()), bool(degenerate[0])
-
-
 def class_heats(result, class_ids, side: int, rows=slice(None)) -> np.ndarray:
     """(R, side, side) fused localization maps of the `rows` of a forward
     result's stack (all of them by default), one class per row."""
@@ -155,19 +116,18 @@ def class_heats(result, class_ids, side: int, rows=slice(None)) -> np.ndarray:
 
 
 def localize(params, cfg: ModelConfig, image, class_id="predicted", *,
-             theta: float = 0.5, selector=None) -> LocalizationResult:
-    """Full pipeline from image to bounding box.
-
-    class_id may be an integer or "predicted" (argmax of the CAM-branch
-    probabilities, smallest id on ties).
-    """
+             theta: float = 0.5, selector=None) -> tuple:
+    """Full pipeline from image to box: returns (heat, box, class_id,
+    empty), the image-resolution fused map, its (4,) int box at `theta`,
+    the class and whether the foreground was empty (the box then spans
+    the image). class_id may be an integer or "predicted" (argmax of the
+    CAM-branch probabilities, smallest id on ties)."""
     result = two_branch_forward(params, cfg, image[None], selector=selector)
     if class_id == "predicted":
         class_id = int(np.argmax(nm.value_of(result.p_cam)[0]))
     heat = class_heats(result, [int(class_id)], cfg.image_size)[0]
-    box, degenerate = box_from_heat(heat, theta, cfg.image_size, cfg.image_size)
-    return LocalizationResult(heat=heat, threshold=float(theta), box=box,
-                              class_id=int(class_id), degenerate=degenerate)
+    boxes, empty = heat_boxes(heat, [theta], cfg.image_size, cfg.image_size)
+    return heat, boxes[0], int(class_id), bool(empty[0])
 
 
 def threshold_grid(start: float, stop: float, step: float) -> list:
@@ -192,20 +152,6 @@ def gt_class_heats(params, cfg: ModelConfig, samples, *, selector=None) -> list:
     return heats
 
 
-def box_table(heats, thetas, width: int, height: int) -> np.ndarray:
-    """(S, T, 4) table of half-open (x0, y0, x1, y1) boxes: sample s's
-    heat at thresholds[t], from one labelling call per stack of
-    `pipeline.FORWARD_CHUNK` heats (one call for the whole table would
-    hold every sample's labels at once)."""
-    step = pipeline.FORWARD_CHUNK
-    return np.concatenate([heat_boxes(heats[start:start + step], thetas, width, height)[0]
-                           for start in range(0, len(heats), step)])
-
-
-def _area(c: np.ndarray) -> np.ndarray:
-    return (c[..., 2] - c[..., 0]) * (c[..., 3] - c[..., 1])
-
-
 def _box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of (..., 4) integer box arrays, broadcast. The intersection
     and union are exact integers, so the float64 quotient is the
@@ -213,63 +159,67 @@ def _box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.maximum(ix, 0) * np.maximum(iy, 0)
-    return inter / (_area(a) + _area(b) - inter)
+    areas = np.prod(a[..., 2:] - a[..., :2], axis=-1) + np.prod(b[..., 2:] - b[..., :2], axis=-1)
+    return inter / (areas - inter)
 
 
-def _best_ious(boxes, samples) -> np.ndarray:
-    """(S, T) IoU of each box with its sample's best-matching ground truth."""
-    if not samples:
+def _gt_array(gts) -> np.ndarray:
+    """(S, G, 4) int array of each sample's (G_s, 4) ground-truth boxes,
+    zero-padded to the longest list (a zero box overlaps nothing)."""
+    out = np.zeros((len(gts), max(map(len, gts)), 4), np.int64)
+    for row, boxes in zip(out, gts):
+        row[:len(boxes)] = boxes
+    return out
+
+
+def best_ious(boxes, gt) -> np.ndarray:
+    """(S, T) IoU of each of an (S, T, 4) box table's boxes with its
+    sample's best-matching box of the (S, G, 4) ground-truth array."""
+    return _box_ious(boxes[:, :, None], gt[:, None]).max(axis=2)
+
+
+def evaluate_heats(heats, gts, thetas, side: int) -> tuple:
+    """Box S heat maps at every threshold and score the boxes against
+    `gts`, each sample's (G, 4) ground-truth boxes. The heats are labelled
+    one stack of `pipeline.FORWARD_CHUNK` at a time (one call for all of
+    them would hold every sample's labels at once). Returns the (S, T, 4)
+    box table, its (S, T) best IoUs, the (theta, GT-known accuracy) rows
+    at IoU level 0.5, the best theta (ties to the smallest) and the
+    (S, G, 4) ground-truth array."""
+    if not len(gts):
         raise ContractError("localization metrics need at least one sample")
-    gts = np.zeros((len(samples), max(len(gt_boxes) for _, _, gt_boxes in samples), 4), np.int64)
-    for row, (_, _, gt_boxes) in zip(gts, samples):
-        row[:len(gt_boxes)] = [(g.x0, g.y0, g.x1, g.y1) for g in gt_boxes]
-    return _box_ious(np.asarray(boxes)[:, :, None], gts[:, None]).max(axis=2)
-
-
-def _hit_fractions(ious, iou_level: float) -> list:
-    """Per threshold: fraction of samples whose best IoU beats `iou_level` (strict)."""
-    return (np.count_nonzero(ious > iou_level, axis=0) / len(ious)).tolist()
-
-
-def gt_known_table(boxes, samples, thetas) -> list:
-    """(theta, GT-known accuracy) rows at IoU level 0.5, from a box table."""
-    return list(zip(thetas, _hit_fractions(_best_ious(boxes, samples), 0.5)))
-
-
-def best_threshold(table) -> float:
-    """Threshold with the highest accuracy; ties go to the smallest theta."""
-    theta, _ = max(table, key=lambda row: (row[1], -row[0]))
-    return theta
+    step = pipeline.FORWARD_CHUNK
+    boxes = np.concatenate([heat_boxes(heats[start:start + step], thetas, side, side)[0]
+                            for start in range(0, len(heats), step)])
+    gt = _gt_array(gts)
+    ious = best_ious(boxes, gt)
+    table = list(zip(thetas, (np.count_nonzero(ious > 0.5, axis=0) / len(ious)).tolist()))
+    theta_star, _ = max(table, key=lambda row: (row[1], -row[0]))
+    return boxes, ious, table, theta_star, gt
 
 
 def grid_search_threshold(params, cfg: ModelConfig, samples, *, grid=None, selector=None):
-    """Pick the threshold maximising ground-truth-known accuracy (IoU > 0.5).
-
-    `samples` is a list of (image, label, gt_boxes). Returns
-    (theta_star, table) where table rows are (theta, accuracy); ties go
-    to the smallest theta.
-    """
-    if not samples:
-        raise ContractError("grid search needs a non-empty manifest")
+    """Pick the threshold maximising ground-truth-known accuracy (IoU > 0.5)
+    over (image, label, (G, 4) boxes) samples. Returns (theta_star, table)
+    where table rows are (theta, accuracy); ties go to the smallest theta."""
     thetas = threshold_grid(*(grid or DEFAULT_GRID))
     heats = gt_class_heats(params, cfg, samples, selector=selector)
-    boxes = box_table(heats, thetas, cfg.image_size, cfg.image_size)
-    table = gt_known_table(boxes, samples, thetas)
-    return best_threshold(table), table
+    _, _, table, theta_star, _ = evaluate_heats(heats, [gt for _, _, gt in samples], thetas,
+                                                cfg.image_size)
+    return theta_star, table
 
 
-def max_box_acc_v2_over_grid(boxes, samples) -> float:
-    """Calibrated-threshold MaxBoxAccV2 from a box table: for each IoU
-    level pick the best threshold on the grid, then average the three
-    best hit rates."""
-    ious = _best_ious(boxes, samples)
-    per_level = [max(_hit_fractions(ious, level)) for level in MAX_BOX_ACC_LEVELS]
+def max_box_acc_v2(ious) -> float:
+    """Calibrated-threshold MaxBoxAccV2 from an (S, T) best-IoU table: for
+    each IoU level pick the best threshold, then average the three best
+    hit rates."""
+    per_level = [max((np.count_nonzero(ious > level, axis=0) / len(ious)).tolist())
+                 for level in MAX_BOX_ACC_LEVELS]
     return sum(per_level) / len(per_level)
 
 
-def top_k_loc_acc(pred_boxes, samples, ranks, k: int) -> float:
+def top_k_loc_acc(ious, ranks, k: int) -> float:
     """Top-k localization accuracy: the fraction of samples whose label
     is among the k highest-ranked classes (`ranks` holds each label's
-    0-based rank) and whose (S, 4) predicted-class box beats IoU 0.5."""
-    ious = _best_ious(np.asarray(pred_boxes)[:, None], samples)[:, 0]
-    return int(np.count_nonzero((ious > 0.5) & (np.asarray(ranks) < k))) / len(samples)
+    0-based rank) and whose (S,) predicted-class box IoU beats 0.5."""
+    return int(np.count_nonzero((ious > 0.5) & (np.asarray(ranks) < k))) / len(ious)

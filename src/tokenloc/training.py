@@ -19,10 +19,10 @@ import numpy as np
 from . import numerics as nm
 from .backbone import ModelConfig, init_params
 from .errors import ContractError, DimensionError
-from .localization import BoundingBox
 from .pipeline import two_branch_forward
 
 PROB_FLOOR = 1e-12
+MAX_TOY_DATASET_BYTES = 64 << 20  # float32 images; 85x the 64 32x32 ones of the defaults
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,12 @@ class ToyTaskConfig:
             raise ContractError("samples_per_epoch must be positive")
         if self.image_size % 4 != 0:
             raise ContractError("image_size must be divisible by 4")
+        # checked before make_dataset allocates the images
+        side = math.isqrt(MAX_TOY_DATASET_BYTES // (4 * 3 * self.samples_per_epoch))
+        if self.image_size > side:
+            raise ContractError(f"field 'image_size' must be at most {side} with samples_per_epoch "
+                                f"{self.samples_per_epoch} (a toy dataset holds at most "
+                                f"{MAX_TOY_DATASET_BYTES} bytes of float32), got {self.image_size}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ def class_color(k: int, num_classes: int) -> np.ndarray:
 
 
 def make_dataset(toy: ToyTaskConfig) -> list:
-    """Deterministic list of (image 3xHxW, label, BoundingBox) samples."""
+    """Deterministic list of (image 3xHxW, label, (1, 4) int64 box) samples."""
     rng = np.random.Generator(np.random.PCG64(toy.seed))
     side = toy.image_size
     tile = side // 4
@@ -96,7 +102,7 @@ def make_dataset(toy: ToyTaskConfig) -> list:
         clutter = rng.random((3, 4, 4))
         image = (toy.noise_level * clutter.repeat(tile, 1).repeat(tile, 2)).astype(np.float32)
         image[:, y0:y0 + size, x0:x0 + size] = class_color(label, toy.num_classes)[:, None, None]
-        samples.append((image, label, BoundingBox(x0, y0, x0 + size, y0 + size)))
+        samples.append((image, label, np.array([[x0, y0, x0 + size, y0 + size]], np.int64)))
     return samples
 
 
@@ -174,6 +180,9 @@ def train_toy(toy: ToyTaskConfig, train: TrainConfig, model: ModelConfig | None 
         model = default_model_config(toy)
     if model.image_size != toy.image_size or model.num_classes != toy.num_classes:
         raise ContractError("model config does not match the toy task")
+    if train.batch_size > toy.samples_per_epoch:
+        raise ContractError(f"field 'batch_size' must be at most the toy task's samples_per_epoch "
+                            f"({toy.samples_per_epoch}), got {train.batch_size}")
     dataset = make_dataset(toy)
     params = init_params(model, train.seed)
     curve = []

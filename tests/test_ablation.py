@@ -12,7 +12,7 @@ from tokenloc.pipeline import two_branch_forward
 from tokenloc.token_refine import adaptive, adaptive_select, fixed, select, top_k
 
 from test_localization import brightness_checkpoint, planted_image
-from tokenloc.localization import BoundingBox, grid_search_threshold
+from tokenloc.localization import grid_search_threshold, threshold_grid
 
 
 def test_parse_strategy_forms():
@@ -110,8 +110,7 @@ def _samples(count, seed=11):
         size = int(rng.choice([8, 12]))
         x0 = int(rng.integers(0, (32 - size) // 4 + 1)) * 4
         y0 = int(rng.integers(0, (32 - size) // 4 + 1)) * 4
-        out.append((planted_image(x0, y0, size), 0,
-                    [BoundingBox(x0, y0, x0 + size, y0 + size)]))
+        out.append((planted_image(x0, y0, size), 0, np.array([[x0, y0, x0 + size, y0 + size]])))
     return out
 
 
@@ -214,7 +213,7 @@ def test_zero_mass_rows_fall_back_alike_in_the_ablation_and_in_eval(monkeypatch)
                         reattention_on=True, grid=grid)
     ablation_masks = np.concatenate(masks)
     masks.clear()
-    theta, results = evaluate_samples(params, cfg, samples, ["gt-known"], grid=grid)
+    theta, results = evaluate_samples(params, cfg, samples, ["gt-known"], threshold_grid(*grid))
     # both select the argmax token, the first one of an all-zero row
     one_hot = np.eye(cfg.num_tokens, dtype=np.float32)[[0] * len(samples)]
     assert np.array_equal(ablation_masks, one_hot)

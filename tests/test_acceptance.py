@@ -16,7 +16,7 @@ from tokenloc.backbone import ModelConfig, block_forward, embed, init_params, mh
 from tokenloc.cli import main
 from tokenloc.errors import BadMagicError, TruncationError, UnsupportedDtypeError
 from tokenloc.formats import read_checkpoint, write_checkpoint, write_tensor, read_tensor
-from tokenloc.localization import BoundingBox, grid_search_threshold
+from tokenloc.localization import grid_search_threshold
 from tokenloc.pipeline import two_branch_forward
 from tokenloc.token_refine import adaptive_select, reattention
 from tokenloc.training import (
@@ -235,8 +235,7 @@ def test_criterion_selection_matrix_structure():
 
 def test_criterion_metric_oracles():
     start = time.monotonic()
-    pred = BoundingBox(0, 0, 10, 6)
-    gt = BoundingBox(0, 0, 10, 10)
+    pred, gt = (0, 0, 10, 6), (0, 0, 10, 10)
     assert array_max_box_acc_v2([Record(pred, [gt], 0, [0, 1])]) == pytest.approx(2 / 3)
 
     rng = np.random.default_rng(4)
@@ -262,8 +261,7 @@ def test_criterion_component_oracle():
 def test_criterion_end_to_end_synthetic(trained):
     start = time.monotonic()
     cfg, params, _ = trained
-    heldout = make_dataset(replace(TOY, samples_per_epoch=50, seed=HELDOUT_SEED))
-    samples = [(image, label, [box]) for image, label, box in heldout]
+    samples = make_dataset(replace(TOY, samples_per_epoch=50, seed=HELDOUT_SEED))
 
     theta_star, table = grid_search_threshold(params, cfg, samples)
     gt_known = dict(table)[theta_star]

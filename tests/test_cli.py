@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenloc import cli, pipeline
+from tokenloc import ablation, cli, pipeline
 from tokenloc import numerics as nm
 from tokenloc import localization as loc
 from tokenloc.cli import main
@@ -26,13 +26,7 @@ from tokenloc.formats import (
     write_checkpoint,
     write_tensor,
 )
-from tokenloc.localization import (
-    DEFAULT_GRID,
-    best_threshold,
-    gt_class_heats,
-    localize,
-    threshold_grid,
-)
+from tokenloc.localization import DEFAULT_GRID, gt_class_heats, localize, threshold_grid
 from tokenloc.pipeline import FORWARD_CHUNK
 from tokenloc.training import ToyTaskConfig, default_model_config, make_dataset
 
@@ -137,9 +131,9 @@ def _write_manifest(tmp, cfg, params, count=5, theta=0.45):
         y0 = int(rng.integers(0, (32 - size) // 4 + 1)) * 4
         image = planted_image(x0, y0, size)
         write_tensor(tmp / f"img{i}.trt", image)
-        predicted = localize(params, cfg, image, 0, theta=theta).box
+        _, predicted, _, _ = localize(params, cfg, image, 0, theta=theta)
         lines.append(f"id:img{i} image:img{i}.trt label:0 "
-                     f"boxes:{predicted.x0},{predicted.y0},{predicted.x1},{predicted.y1}")
+                     f"boxes:{','.join(map(str, predicted.tolist()))}")
     manifest = tmp / "data.manifest"
     manifest.write_text("\n".join(lines) + "\n")
     return manifest
@@ -216,7 +210,7 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     # one labelling call per stack of GT-class heats over the whole grid, then
     # one call for every predicted-class heat that differs from it, at theta_star
     mispredicted = [i for i, (image, label, _) in enumerate(samples)
-                    if localize(params, cfg, image, "predicted", theta=0.5).class_id != label]
+                    if localize(params, cfg, image, "predicted", theta=0.5)[2] != label]
     assert 0 < len(mispredicted) < images
     assert [len(heats) for heats, _ in boxed] == stacks + [len(mispredicted)]
     assert [len(call_thetas) for _, call_thetas in boxed] == [len(thetas)] * len(stacks) + [1]
@@ -229,7 +223,7 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     heats = gt_class_heats(params, cfg, samples)
     table = [(theta, hit_fraction_oracle(heats, samples, theta, 0.5, 32, 32))
              for theta in thetas]
-    theta_star = best_threshold(table)
+    theta_star = min(theta for theta, acc in table if acc == max(acc for _, acc in table))
     per_level = [max(hit_fraction_oracle(heats, samples, theta, level, 32, 32)
                      for theta in thetas) for level in loc.MAX_BOX_ACC_LEVELS]
     assert rows["theta"] == repr(theta_star)
@@ -238,29 +232,67 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     # every (image, theta) pair boxed once: each GT-class heat over the grid,
     # and each differing predicted-class heat at theta_star
     expected = Counter((heat.tobytes(), theta) for heat in heats for theta in thetas)
-    expected.update((localize(params, cfg, samples[i][0], "predicted", theta=theta_star)
-                     .heat.tobytes(), theta_star) for i in mispredicted)
+    expected.update((localize(params, cfg, samples[i][0], "predicted", theta=theta_star)[0]
+                     .tobytes(), theta_star) for i in mispredicted)
     assert Counter((heat.tobytes(), theta) for stack, call_thetas in boxed
                    for heat in stack for theta in call_thetas) == expected
     top1 = 0
     for image, label, gt_boxes in samples:
-        predicted = localize(params, cfg, image, "predicted", theta=theta_star)
-        top1 += predicted.class_id == label and max(iou(predicted.box, gt)
-                                                    for gt in gt_boxes) > 0.5
+        _, box, class_id, _ = localize(params, cfg, image, "predicted", theta=theta_star)
+        top1 += class_id == label and max(iou(box, gt) for gt in gt_boxes) > 0.5
     assert rows["top1"] == repr(top1 / images)
     # both classes share one CAM kernel, so every class's box is the GT box,
     # and with two classes every label is in the top 5
     assert rows["top5"] == rows["gt-known"]
 
 
+def test_each_grid_command_runs_the_engine_once_per_setting(workspace, monkeypatch):
+    tmp, cfg, params, ckpt, _ = workspace
+    manifest = _write_manifest(tmp, cfg, params, count=FORWARD_CHUNK + 2)
+    lines = manifest.read_text().splitlines()
+    lines[1::2] = [line.replace("label:0", "label:1") for line in lines[1::2]]
+    manifest.write_text("\n".join(lines) + "\n")
+    calls = Counter()
+
+    def count(name, *modules):
+        real = getattr(loc, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+
+    count("evaluate_heats", loc, cli, ablation)
+    count("_gt_array", loc)
+    count("_box_ious", loc)
+    common = ["--ckpt", str(ckpt), "--manifest", str(manifest)]
+    for argv, engine_runs, ious_runs in [
+        (["eval", *common, "--theta", "grid", "--out-report", str(tmp / "r.csv")], 1, 2),
+        (["eval", *common, "--theta", "0.45", "--out-report", str(tmp / "r.csv")], 1, 2),
+        (["eval", *common, "--theta", "grid", "--metrics", "gt-known,maxboxaccv2",
+          "--out-report", str(tmp / "r.csv")], 1, 1),
+        (["calibrate", *common, "--out-table", str(tmp / "t.csv")], 1, 1),
+        (["ablate-selection", *common, "--strategies", "adaptive,topk:4",
+          "--out-table", str(tmp / "a.csv")], 4, 4),
+    ]:
+        calls.clear()
+        assert main(argv) == 0, argv
+        # one ground-truth array and one GT-class IoU table per setting; all
+        # four metrics of eval add one IoU call for the predicted-class boxes
+        assert calls == {"evaluate_heats": engine_runs, "_gt_array": engine_runs,
+                         "_box_ious": ious_runs}, argv
+
+
 def test_chunked_evaluation_csvs_equal_the_stack_of_one_path(tmp_path, monkeypatch):
     # two full stacks and a tail of one
     heldout = make_dataset(ToyTaskConfig(samples_per_epoch=2 * FORWARD_CHUNK + 1, seed=99))
     lines = []
-    for i, (image, label, box) in enumerate(heldout):
+    for i, (image, label, boxes) in enumerate(heldout):
         write_tensor(tmp_path / f"img{i}.trt", image)
         lines.append(f"id:img{i} image:img{i}.trt label:{label} "
-                     f"boxes:{box.x0},{box.y0},{box.x1},{box.y1}")
+                     f"boxes:{','.join(map(str, boxes[0].tolist()))}")
     manifest = tmp_path / "heldout.manifest"
     manifest.write_text("\n".join(lines) + "\n")
     ckpt = ["--ckpt", str(ACCEPTANCE_CKPT), "--manifest", str(manifest)]
@@ -550,6 +582,27 @@ def test_duplicate_manifest_key_or_id_exits_3(workspace, capsys, lines, line_no,
     assert not (tmp / "r.csv").exists()
 
 
+@pytest.mark.parametrize("field, text", [
+    ("label", "1_0"), ("label", "+1"), ("label", "\u0661"), ("label", "-1"), ("label", ""),
+    ("label", "1" * 19),
+    ("box coordinate", "1_2"), ("box coordinate", "+12"), ("box coordinate", "\u06612"),
+    ("box coordinate", "-1"),
+])
+def test_manifest_integer_that_is_not_ascii_decimal_exits_3(workspace, capsys, field, text):
+    tmp, cfg, params, ckpt, _ = workspace
+    line = (f"id:a image:img.trt label:{text} boxes:12,8,20,16" if field == "label"
+            else f"id:a image:img.trt label:0 boxes:12,8,20,16;{text},8,20,16")
+    manifest = tmp / "one.manifest"
+    manifest.write_text("id:b image:img.trt label:0 boxes:12,8,20,16\n" + line + "\n",
+                        encoding="utf-8")
+    argv = ["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "0.5",
+            "--out-report", str(tmp / "r.csv")]
+    detail = f"{field} {text!r} is not a decimal integer of at most 18 digits"
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: format: {manifest}:2: {detail}\n"
+    assert not (tmp / "r.csv").exists()
+
+
 def test_contract_violation_exits_4(workspace, capsys):
     tmp, cfg, params, ckpt, image = workspace
     manifest = _write_manifest(tmp, cfg, params, count=2)
@@ -558,6 +611,13 @@ def test_contract_violation_exits_4(workspace, capsys):
                  "--out-report", str(tmp / "r.csv")])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: contract:")
+
+
+@pytest.mark.parametrize("metrics", [",", "", "top1,top1", "gt-known,,top5", " top1,top1 ",
+                                     "gt-known,maxboxaccv2,gt-known"])
+def test_metric_list_naming_a_metric_other_than_once_exits_4(workspace, capsys, metrics):
+    tmp, cfg, params, ckpt, _ = workspace
+    _assert_one_contract_line(capsys, tmp, _manifest_argv(tmp, ckpt, "eval", "--metrics", metrics))
 
 
 def test_invalid_class_id_exits_4(workspace, capsys):
@@ -737,16 +797,23 @@ def test_manifest_line_without_boxes_exits_3(workspace, capsys, command):
     ("toy", "noise_level", [0.6], "a number"),
     ("train", "learning_rate", float("nan"), "a finite nonnegative number"),
     ("train", "weight_decay", float("inf"), "a finite nonnegative number"),
+    # sizes that cannot be allocated, rejected before any array is built
+    ("toy", "image_size", 1_048_576, "at most 1182 with samples_per_epoch 4 "
+                                     "(a toy dataset holds at most 67108864 bytes of float32)"),
+    ("toy+train", "batch_size", 10_000_000, "at most the toy task's samples_per_epoch (4)"),
+    ("toy+train", "batch_size", 5, "at most the toy task's samples_per_epoch (4)"),
 ])
 def test_train_toy_config_field_types_exit_4(tmp_path, capsys, section, field, value, kind):
     toy, train = dict(_TOY_JSON), dict(_TRAIN_JSON, model=dict(_TRAIN_JSON["model"]))
-    {"toy": toy, "train": train, "model": train["model"]}[section][field] = value
+    target = {"toy": toy, "train": train, "toy+train": train, "model": train["model"]}[section]
+    target[field] = value
     argv = _train_toy_argv(tmp_path, toy, train)
-    where = {"toy": f"{tmp_path / 'toy.json'}", "train": f"{tmp_path / 'train.json'}",
-             "model": f"{tmp_path / 'train.json'}: model section"}[section]
+    # a field checked against the other config's fields cites neither file
+    where = {"toy": f"{tmp_path / 'toy.json'}: ", "train": f"{tmp_path / 'train.json'}: ",
+             "model": f"{tmp_path / 'train.json'}: model section: ", "toy+train": ""}[section]
     assert main(argv) == 4
     err = capsys.readouterr().err
-    assert err == f"error: contract: {where}: field {field!r} must be {kind}, got {value!r}\n"
+    assert err == f"error: contract: {where}field {field!r} must be {kind}, got {value!r}\n"
     assert not (tmp_path / "out.ckpt").exists()
 
 
@@ -775,11 +842,11 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
                                                                            monkeypatch):
     heldout = make_dataset(ToyTaskConfig(samples_per_epoch=9, seed=99))
     lines = []
-    for i, (image, label, box) in enumerate(heldout):
+    for i, (image, label, boxes) in enumerate(heldout):
         write_tensor(tmp_path / f"img{i}.trt", image)
         label = 1 - label if i % 2 else label  # flipped labels force mispredictions
         lines.append(f"id:img{i} image:img{i}.trt label:{label} "
-                     f"boxes:{box.x0},{box.y0},{box.x1},{box.y1}")
+                     f"boxes:{','.join(map(str, boxes[0].tolist()))}")
     manifest = tmp_path / "flipped.manifest"
     manifest.write_text("\n".join(lines) + "\n")
     fused = []
@@ -801,13 +868,15 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
     records = parse_manifest(manifest)
     samples = load_samples(records)
     theta_star, table = loc.grid_search_threshold(params, cfg, samples)
-    boxes = loc.box_table(gt_class_heats(params, cfg, samples),
-                          threshold_grid(*DEFAULT_GRID), 32, 32)
+    heats = gt_class_heats(params, cfg, samples)
+    per_level = [max(hit_fraction_oracle(heats, samples, theta, level, 32, 32)
+                     for theta in threshold_grid(*DEFAULT_GRID))
+                 for level in loc.MAX_BOX_ACC_LEVELS]
     ranked = []
     for image, label, gt_boxes in samples:
         p_cam = nm.value_of(pipeline.two_branch_forward(params, cfg, image[None]).p_cam)[0]
         ranked.append(Record(
-            box=localize(params, cfg, image, "predicted", theta=theta_star).box,
+            box=localize(params, cfg, image, "predicted", theta=theta_star)[1],
             gt_boxes=gt_boxes, gt_class=label,
             class_ranking=[int(k) for k in np.argsort(-p_cam, kind="stable")]))
     mispredicted = sum(r.class_ranking[0] != r.gt_class for r in ranked)
@@ -818,5 +887,5 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
         ["metric", "value"], ["gt-known", repr(dict(table)[theta_star])],
         ["top1", repr(_loc_acc_oracle(ranked, "top1"))],
         ["top5", repr(_loc_acc_oracle(ranked, "top5"))],
-        ["maxboxaccv2", repr(loc.max_box_acc_v2_over_grid(boxes, samples))],
+        ["maxboxaccv2", repr(sum(per_level) / len(per_level))],
         ["theta", repr(theta_star)]]

@@ -214,8 +214,8 @@ def test_manifest_three_line_fixture(tmp_path):
     records = parse_manifest(path)
     assert [r.image_id for r in records] == ["a", "b", "c"]
     assert records[1].label == 1
-    assert len(records[1].boxes) == 2
-    assert (records[2].boxes[0].x0, records[2].boxes[0].y1) == (2, 3)
+    assert records[1].boxes.tolist() == [[1, 2, 5, 6], [0, 0, 8, 8]]
+    assert records[2].boxes.dtype == np.int64 and records[2].boxes.tolist() == [[2, 2, 3, 3]]
 
 
 def test_manifest_inverted_box_cites_line(tmp_path):

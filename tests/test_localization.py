@@ -13,16 +13,13 @@ from tokenloc.errors import ContractError, DimensionError
 from tokenloc.localization import (
     DEFAULT_GRID,
     MAX_BOX_ACC_LEVELS,
-    BoundingBox,
     binarize,
-    box_from_heat,
-    box_table,
+    evaluate_heats,
     fuse,
     grid_search_threshold,
-    gt_known_table,
     heat_boxes,
     localize,
-    max_box_acc_v2_over_grid,
+    max_box_acc_v2,
     threshold_grid,
 )
 from tokenloc.pipeline import FORWARD_CHUNK
@@ -79,7 +76,7 @@ def tight_bbox(component):
     ys, xs = np.nonzero(np.asarray(component, dtype=bool))
     if ys.size == 0:
         raise ContractError("cannot box an empty component")
-    return BoundingBox(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
+    return int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1
 
 
 def oracle_boxes(heat, thetas):
@@ -89,7 +86,7 @@ def oracle_boxes(heat, thetas):
     out = []
     for theta in thetas:
         component = flood_fill_largest(heat >= np.float32(theta))
-        out.append((BoundingBox(0, 0, width, height), True) if component is None
+        out.append(((0, 0, width, height), True) if component is None
                    else (tight_bbox(component), False))
     return out
 
@@ -97,16 +94,16 @@ def oracle_boxes(heat, thetas):
 def assert_labeller_matches_oracle(heat, thetas):
     boxes, degenerate = heat_boxes(heat, thetas, heat.shape[1], heat.shape[0])
     assert boxes.shape == (len(thetas), 4) and degenerate.shape == (len(thetas),)
-    got = [(BoundingBox(*row.tolist()), bool(flag)) for row, flag in zip(boxes, degenerate)]
+    got = [(tuple(row.tolist()), bool(flag)) for row, flag in zip(boxes, degenerate)]
     assert got == oracle_boxes(heat, thetas)
 
 
 def hit_fraction_oracle(heats, samples, theta, iou_level, width, height):
-    """Relabel every heat at `theta` and count strict IoU hits: the
+    """Relabel every heat at `theta` alone and count strict IoU hits: the
     per-threshold loop that the box table replaces."""
     hits = 0
     for heat, (_, _, gt_boxes) in zip(heats, samples):
-        box, _ = box_from_heat(heat, theta, width, height)
+        box = heat_boxes(heat, [theta], width, height)[0][0]
         if max(iou(box, gt) for gt in gt_boxes) > iou_level:
             hits += 1
     return hits / len(samples)
@@ -415,7 +412,7 @@ def test_stacked_heat_boxes_equal_per_heat_calls_and_the_oracle(monkeypatch):
     for heat, rows, flags in zip(heats, boxes, degenerate):
         single_rows, single_flags = heat_boxes(heat, thetas, 32, 32)
         assert np.array_equal(rows, single_rows) and np.array_equal(flags, single_flags)
-        got = [(BoundingBox(*row.tolist()), bool(flag)) for row, flag in zip(rows, flags)]
+        got = [(tuple(row.tolist()), bool(flag)) for row, flag in zip(rows, flags)]
         assert got == oracle_boxes(heat, thetas)
     # any leading axes, and one threshold
     square = heat_boxes(np.stack(heats[:8]).reshape(2, 4, 32, 32), thetas, 32, 32)
@@ -423,7 +420,7 @@ def test_stacked_heat_boxes_equal_per_heat_calls_and_the_oracle(monkeypatch):
     assert np.array_equal(square[1], degenerate[:8].reshape(2, 4, len(thetas)))
     at_half, _ = heat_boxes(np.stack(heats), [0.5], 32, 32)
     assert np.array_equal(at_half[:, 0], boxes[:, thetas.index(0.5)])
-    # box_table: full stacks of FORWARD_CHUNK heats and a short final one
+    # evaluate_heats' box table: full stacks of FORWARD_CHUNK heats and a short final one
     calls = []
     real = loc.heat_boxes
 
@@ -432,17 +429,17 @@ def test_stacked_heat_boxes_equal_per_heat_calls_and_the_oracle(monkeypatch):
         return real(stack, *args)
 
     monkeypatch.setattr(loc, "heat_boxes", recording)
-    assert np.array_equal(box_table(heats, thetas, 32, 32), boxes)
+    box_table, *_ = evaluate_heats(heats, [np.array([[0, 0, 1, 1]])] * len(heats), thetas, 32)
+    assert np.array_equal(box_table, boxes)
     assert calls == [FORWARD_CHUNK, 3]
 
 
-def test_box_from_heat_is_one_threshold_of_the_labeller():
+def test_heat_boxes_at_one_threshold_match_the_oracle():
     rng = np.random.default_rng(14)
     for _ in range(40):
         shape = tuple(int(v) for v in rng.integers(1, 33, size=2))
         heat = nm.bilinear_resize(rng.random((6, 6)).astype(np.float32), *shape)
         theta = float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))
-        assert box_from_heat(heat, theta, shape[1], shape[0]) == oracle_boxes(heat, [theta])[0]
         assert_labeller_matches_oracle(heat, [theta])
 
 
@@ -462,35 +459,40 @@ def test_box_table_matches_hit_fraction_oracle():
         heat = nm.bilinear_resize(rng.random((8, 8)).astype(np.float32), side, side)
         gt_boxes = []
         for _ in range(int(rng.integers(1, 3))):
-            box, _ = box_from_heat(heat, float(rng.choice(thetas)), side, side)
+            (x0, y0, x1, y1), = heat_boxes(heat, [float(rng.choice(thetas))], side, side)[0]
             dx, dy = (int(v) for v in rng.integers(-3, 4, size=2))
-            gt_boxes.append(BoundingBox(max(0, box.x0 + dx), max(0, box.y0 + dy),
-                                        min(side, box.x1 + dx), min(side, box.y1 + dy)))
+            gt_boxes.append((max(0, x0 + dx), max(0, y0 + dy),
+                             min(side, x1 + dx), min(side, y1 + dy)))
         heats.append(heat)
-        samples.append((None, 0, gt_boxes))
-    boxes = box_table(heats, thetas, side, side)
-    assert gt_known_table(boxes, samples, thetas) == [
+        samples.append((None, 0, np.array(gt_boxes)))
+    boxes, ious, table, theta_star, _ = evaluate_heats(heats, [gt for _, _, gt in samples],
+                                                       thetas, side)
+    assert np.array_equal(boxes, heat_boxes(np.stack(heats), thetas, side, side)[0])
+    assert table == [
         (theta, hit_fraction_oracle(heats, samples, theta, 0.5, side, side)) for theta in thetas]
+    assert all(type(theta) is float and type(acc) is float for theta, acc in table)
+    best = max(acc for _, acc in table)
+    assert theta_star == min(theta for theta, acc in table if acc == best)
     per_level = [max(hit_fraction_oracle(heats, samples, theta, level, side, side)
                      for theta in thetas) for level in MAX_BOX_ACC_LEVELS]
     assert 0.0 < sum(per_level) < len(per_level)
-    assert max_box_acc_v2_over_grid(boxes, samples) == sum(per_level) / len(per_level)
+    assert max_box_acc_v2(ious) == sum(per_level) / len(per_level)
+    assert type(max_box_acc_v2(ious)) is float
 
 
 def test_tight_bbox_cases():
     single = np.zeros((6, 7), bool)
     single[4, 2] = True
-    assert tight_bbox(single) == BoundingBox(2, 4, 3, 5)
-    assert tight_bbox(np.ones((5, 9), bool)) == BoundingBox(0, 0, 9, 5)
+    assert tight_bbox(single) == (2, 4, 3, 5)
+    assert tight_bbox(np.ones((5, 9), bool)) == (0, 0, 9, 5)
 
 
 def test_tight_bbox_l_shape_matches_scan():
     mask = np.zeros((8, 8), bool)
     mask[2:6, 3] = True
     mask[5, 3:7] = True
-    box = tight_bbox(mask)
     ys, xs = np.nonzero(mask)
-    assert (box.x0, box.y0, box.x1, box.y1) == (xs.min(), ys.min(), xs.max() + 1, ys.max() + 1)
+    assert tight_bbox(mask) == (xs.min(), ys.min(), xs.max() + 1, ys.max() + 1)
 
 
 def test_tight_bbox_empty_rejected():
@@ -498,44 +500,38 @@ def test_tight_bbox_empty_rejected():
         tight_bbox(np.zeros((4, 4), bool))
 
 
-def test_bounding_box_validation():
-    with pytest.raises(DimensionError):
-        BoundingBox(3, 0, 3, 5)
-    with pytest.raises(DimensionError):
-        BoundingBox(-1, 0, 3, 5)
-
-
 # --- localize ------------------------------------------------------------------
 
 def test_localize_deterministic():
     cfg, params = brightness_checkpoint()
     image = planted_image(12, 8, 8)
-    a = localize(params, cfg, image, 0, theta=0.25)
-    b = localize(params, cfg, image, 0, theta=0.25)
-    assert a.box == b.box and a.class_id == b.class_id and a.degenerate == b.degenerate
-    assert np.array_equal(a.heat, b.heat)
+    heat, box, class_id, empty = localize(params, cfg, image, 0, theta=0.25)
+    again = localize(params, cfg, image, 0, theta=0.25)
+    assert box.dtype == np.int64 and box.tolist() == again[1].tolist()
+    assert (class_id, empty) == again[2:] == (0, False)
+    assert np.array_equal(heat, again[0])
 
 
 def test_localize_recovers_planted_square():
     cfg, params = brightness_checkpoint()
     for x0, y0, size in ((12, 8, 8), (4, 16, 8), (20, 20, 8), (8, 8, 12)):
         image = planted_image(x0, y0, size)
-        result = localize(params, cfg, image, 0, theta=0.45)
-        gt = BoundingBox(x0, y0, x0 + size, y0 + size)
-        assert not result.degenerate
-        assert iou(result.box, gt) >= 0.8, (result.box, gt)
+        _, box, _, empty = localize(params, cfg, image, 0, theta=0.45)
+        gt = (x0, y0, x0 + size, y0 + size)
+        assert not empty
+        assert iou(box, gt) >= 0.8, (box, gt)
 
 
 def test_localize_theta_zero_gives_full_image_box():
     cfg, params = brightness_checkpoint()
-    result = localize(params, cfg, planted_image(12, 8, 8), 0, theta=0.0)
-    assert result.box == BoundingBox(0, 0, 32, 32)
+    _, box, _, _ = localize(params, cfg, planted_image(12, 8, 8), 0, theta=0.0)
+    assert box.tolist() == [0, 0, 32, 32]
 
 
 def test_localize_predicted_class():
     cfg, params = brightness_checkpoint()
-    result = localize(params, cfg, planted_image(12, 8, 8), "predicted", theta=0.25)
-    assert result.class_id in (0, 1)
+    _, _, class_id, _ = localize(params, cfg, planted_image(12, 8, 8), "predicted", theta=0.25)
+    assert type(class_id) is int and class_id in (0, 1)
 
 
 def test_localize_degenerate_map_falls_back_to_full_box():
@@ -543,18 +539,18 @@ def test_localize_degenerate_map_falls_back_to_full_box():
                       num_heads=2, num_classes=2)
     zero_params = {name: np.zeros(shape, np.float32)
                    for name, shape in parameter_shapes(cfg).items()}
-    result = localize(zero_params, cfg, np.zeros((3, 8, 8), np.float32), 0, theta=0.5)
-    assert result.degenerate
-    assert result.box == BoundingBox(0, 0, 8, 8)
+    _, box, _, empty = localize(zero_params, cfg, np.zeros((3, 8, 8), np.float32), 0, theta=0.5)
+    assert empty is True
+    assert box.tolist() == [0, 0, 8, 8]
 
 
-def test_box_from_heat_stays_in_bounds():
+def test_heat_boxes_stay_in_bounds():
     rng = np.random.default_rng(6)
     for _ in range(25):
         heat = rng.random((16, 16)).astype(np.float32)
-        box, degenerate = box_from_heat(heat, float(rng.uniform(0, 1)), 16, 16)
-        assert 0 <= box.x0 < box.x1 <= 16
-        assert 0 <= box.y0 < box.y1 <= 16
+        (x0, y0, x1, y1), = heat_boxes(heat, [float(rng.uniform(0, 1))], 16, 16)[0].tolist()
+        assert 0 <= x0 < x1 <= 16
+        assert 0 <= y0 < y1 <= 16
 
 
 # --- grid search -----------------------------------------------------------------
@@ -566,8 +562,7 @@ def _samples(count=10, seed=7):
         size = int(rng.choice([8, 12]))
         x0 = int(rng.integers(0, (32 - size) // 4 + 1)) * 4
         y0 = int(rng.integers(0, (32 - size) // 4 + 1)) * 4
-        out.append((planted_image(x0, y0, size), 0,
-                    [BoundingBox(x0, y0, x0 + size, y0 + size)]))
+        out.append((planted_image(x0, y0, size), 0, np.array([[x0, y0, x0 + size, y0 + size]])))
     return out
 
 
@@ -609,8 +604,8 @@ def test_grid_search_matches_exhaustive_per_theta_oracle():
     for theta in threshold_grid(*grid):
         hits = 0
         for image, label, gt_boxes in samples:
-            result = localize(params, cfg, image, label, theta=theta)
-            if max(iou(result.box, gt) for gt in gt_boxes) > 0.5:
+            _, box, _, _ = localize(params, cfg, image, label, theta=theta)
+            if max(iou(box, gt) for gt in gt_boxes) > 0.5:
                 hits += 1
         oracle_table.append((theta, hits / len(samples)))
     assert table == oracle_table

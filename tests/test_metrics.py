@@ -1,5 +1,5 @@
-"""Metric tests: the array metrics of `tokenloc.localization` against
-independent brute-force oracles."""
+"""Metric tests: the array metrics of `tokenloc.localization`, read
+from `evaluate_heats`, against independent brute-force oracles."""
 
 from collections import namedtuple
 
@@ -7,25 +7,20 @@ import numpy as np
 import pytest
 
 from tokenloc.errors import ContractError
-from tokenloc.localization import (
-    BoundingBox,
-    _box_ious,
-    gt_known_table,
-    max_box_acc_v2_over_grid,
-    top_k_loc_acc,
-)
+from tokenloc.localization import _box_ious, evaluate_heats, max_box_acc_v2, top_k_loc_acc
 
 from util import iou
 
-# one prediction: its box, the ground truth, and all class ids ordered by
-# predicted probability
+# one prediction: its (x0, y0, x1, y1) box, the ground-truth boxes, and
+# all class ids ordered by predicted probability
 Record = namedtuple("Record", "box gt_boxes gt_class class_ranking")
+SIDE = 32  # image side of the heats that stand for the records' boxes
 
 
 def iou_oracle(a, b):
     """Pixel-set IoU; integer boxes make this exactly the analytic value."""
-    pa = {(x, y) for x in range(a.x0, a.x1) for y in range(a.y0, a.y1)}
-    pb = {(x, y) for x in range(b.x0, b.x1) for y in range(b.y0, b.y1)}
+    pa = {(x, y) for x in range(a[0], a[2]) for y in range(a[1], a[3])}
+    pb = {(x, y) for x in range(b[0], b[2]) for y in range(b[1], b[3])}
     inter = len(pa & pb)
     union = len(pa | pb)
     return inter / union if union else 0.0
@@ -37,52 +32,55 @@ def random_records(rng, count, num_classes=6, size=30):
         def box():
             x0 = int(rng.integers(0, size - 2))
             y0 = int(rng.integers(0, size - 2))
-            return BoundingBox(x0, y0,
-                               x0 + int(rng.integers(1, size - x0)),
-                               y0 + int(rng.integers(1, size - y0)))
+            return (x0, y0, x0 + int(rng.integers(1, size - x0)),
+                    y0 + int(rng.integers(1, size - y0)))
         ranking = list(rng.permutation(num_classes).astype(int))
         records.append(Record(box=box(), gt_boxes=[box() for _ in range(int(rng.integers(1, 4)))],
                               gt_class=int(rng.integers(num_classes)), class_ranking=ranking))
     return records
 
 
-def _arrays(records):
-    """(S, 4) predicted boxes, (image, label, gt_boxes) samples and each
-    label's rank, as `eval` hands them to the metrics."""
-    pred = np.array([(r.box.x0, r.box.y0, r.box.x1, r.box.y1) for r in records])
-    samples = [(None, r.gt_class, r.gt_boxes) for r in records]
-    return pred, samples, [r.class_ranking.index(r.gt_class) for r in records]
+def _evaluate(records):
+    """`evaluate_heats` at threshold 0.5 on one heat per record that is 1
+    inside the record's box and 0 elsewhere, so the box table holds the
+    records' boxes. Returns the (S, 1) best IoUs, the one-row GT-known
+    table and each label's rank, as `eval` hands them to the metrics."""
+    heats = np.zeros((len(records), SIDE, SIDE), np.float32)
+    for heat, (x0, y0, x1, y1) in zip(heats, (r.box for r in records)):
+        heat[y0:y1, x0:x1] = 1.0
+    boxes, ious, table, _, _ = evaluate_heats(heats, [np.array(r.gt_boxes) for r in records],
+                                              [0.5], SIDE)
+    assert boxes[:, 0].tolist() == [list(r.box) for r in records]
+    return ious, table, [r.class_ranking.index(r.gt_class) for r in records]
 
 
 def array_iou(a, b):
-    return float(_box_ious(np.array([a.x0, a.y0, a.x1, a.y1]), np.array([b.x0, b.y0, b.x1, b.y1])))
+    return float(_box_ious(np.array(a), np.array(b)))
 
 
 def array_loc_acc(records, mode):
-    """GT-known from a one-threshold box table, top-1/top-5 from
-    `top_k_loc_acc`."""
-    pred, samples, ranks = _arrays(records)
+    """GT-known from the engine's table, top-1/top-5 from `top_k_loc_acc`."""
+    ious, table, ranks = _evaluate(records)
     if mode == "gt-known":
-        return gt_known_table(pred[:, None], samples, [0.5])[0][1]
-    return top_k_loc_acc(pred, samples, ranks, {"top1": 1, "top5": 5}[mode])
+        return table[0][1]
+    return top_k_loc_acc(ious[:, 0], ranks, {"top1": 1, "top5": 5}[mode])
 
 
 def array_max_box_acc_v2(records):
-    pred, samples, _ = _arrays(records)
-    return max_box_acc_v2_over_grid(pred[:, None], samples)
+    return max_box_acc_v2(_evaluate(records)[0])
 
 
 def test_iou_identity():
-    b = BoundingBox(2, 3, 10, 12)
+    b = (2, 3, 10, 12)
     assert array_iou(b, b) == 1.0
 
 
 def test_iou_disjoint():
-    assert array_iou(BoundingBox(0, 0, 4, 4), BoundingBox(10, 10, 12, 12)) == 0.0
+    assert array_iou((0, 0, 4, 4), (10, 10, 12, 12)) == 0.0
 
 
 def test_iou_forced_arithmetic():
-    assert array_iou(BoundingBox(0, 0, 10, 10), BoundingBox(5, 0, 15, 10)) == pytest.approx(1 / 3)
+    assert array_iou((0, 0, 10, 10), (5, 0, 15, 10)) == pytest.approx(1 / 3)
 
 
 def test_iou_symmetric_and_bounded():
@@ -102,7 +100,7 @@ def test_iou_matches_pixel_set_oracle():
 
 
 def test_loc_acc_perfect_records():
-    box = BoundingBox(1, 1, 9, 9)
+    box = (1, 1, 9, 9)
     records = [Record(box, [box], 2, [2, 0, 1, 3, 4, 5])]
     for mode in ("gt-known", "top1", "top5"):
         assert array_loc_acc(records, mode) == 1.0
@@ -110,8 +108,7 @@ def test_loc_acc_perfect_records():
 
 def test_loc_acc_rank_rules():
     # IoU 0.6 but ground-truth class at rank 3: counts for gt-known and top5 only
-    pred = BoundingBox(0, 0, 10, 6)
-    gt = BoundingBox(0, 0, 10, 10)
+    pred, gt = (0, 0, 10, 6), (0, 0, 10, 10)
     assert array_iou(pred, gt) == pytest.approx(0.6)
     records = [Record(pred, [gt], 7, [1, 2, 7, 0, 3, 4, 5, 6])]
     assert array_loc_acc(records, "gt-known") == 1.0
@@ -120,8 +117,7 @@ def test_loc_acc_rank_rules():
 
 
 def test_loc_acc_strict_threshold():
-    pred = BoundingBox(0, 0, 10, 5)
-    gt = BoundingBox(0, 0, 10, 10)
+    pred, gt = (0, 0, 10, 5), (0, 0, 10, 10)
     assert array_iou(pred, gt) == 0.5
     records = [Record(pred, [gt], 0, [0, 1])]
     for mode in ("gt-known", "top1", "top5"):
@@ -129,24 +125,20 @@ def test_loc_acc_strict_threshold():
 
 
 def test_loc_acc_empty_rejected():
-    no_boxes = np.zeros((0, 4), np.int64)
+    # the metrics read the engine's IoU tables, and the engine takes no empty set
     with pytest.raises(ContractError):
-        top_k_loc_acc(no_boxes, [], [], 1)
+        evaluate_heats(np.zeros((0, SIDE, SIDE), np.float32), [], [0.5], SIDE)
     with pytest.raises(ContractError):
-        gt_known_table(no_boxes[:, None], [], [0.5])
-    with pytest.raises(ContractError):
-        max_box_acc_v2_over_grid(no_boxes[:, None], [])
+        evaluate_heats([], [], [0.5], SIDE)
 
 
 def test_max_box_acc_single_record_two_thirds():
-    pred = BoundingBox(0, 0, 10, 6)
-    gt = BoundingBox(0, 0, 10, 10)
-    records = [Record(pred, [gt], 0, [0, 1])]
+    records = [Record((0, 0, 10, 6), [(0, 0, 10, 10)], 0, [0, 1])]
     assert array_max_box_acc_v2(records) == pytest.approx(2 / 3)
 
 
 def test_max_box_acc_perfect():
-    box = BoundingBox(0, 0, 5, 5)
+    box = (0, 0, 5, 5)
     records = [Record(box, [box], 0, [0, 1]) for _ in range(4)]
     assert array_max_box_acc_v2(records) == 1.0
 

@@ -12,8 +12,8 @@ from tokenloc.errors import ContractError
 from tokenloc.formats import read_checkpoint
 from tokenloc.localization import (
     DEFAULT_GRID,
-    box_table,
     class_heats,
+    evaluate_heats,
     fuse,
     gt_class_heats,
     threshold_grid,
@@ -197,8 +197,7 @@ CHUNK_FORWARD_BUDGET = 2_385_000
 
 
 def _acceptance_samples(count):
-    heldout = make_dataset(ToyTaskConfig(samples_per_epoch=count, seed=99))
-    return [(image, label, [box]) for image, label, box in heldout]
+    return make_dataset(ToyTaskConfig(samples_per_epoch=count, seed=99))
 
 
 def _single_image_heat(params, cfg, image, class_id):
@@ -255,7 +254,8 @@ def test_one_chunk_forward_stays_under_its_memory_budget():
 # grid, one stack of FORWARD_CHUNK heats per `ndimage.label` call, peaked
 # at 1,921,440 B (tracemalloc) when this budget was set; the budget is
 # that peak plus 15%. One call over all 50 heats peaked at 10,160,682 B,
-# so this catches the table being labelled in one call again.
+# so this catches the table being labelled in one call again. Scoring
+# the table in `evaluate_heats` stays well under it.
 BOX_TABLE_BUDGET = 2_210_000
 
 
@@ -266,7 +266,7 @@ def test_box_table_labels_one_stack_at_a_time_under_its_memory_budget():
     thetas = threshold_grid(*DEFAULT_GRID)
     tracemalloc.start()
     try:
-        boxes = box_table(heats, thetas, cfg.image_size, cfg.image_size)
+        boxes, *_ = evaluate_heats(heats, [gt for _, _, gt in samples], thetas, cfg.image_size)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

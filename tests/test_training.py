@@ -131,12 +131,14 @@ def test_dataset_is_deterministic_and_labeled():
     b = make_dataset(TOY)
     assert len(a) == TOY.samples_per_epoch
     for (ia, la, ba), (ib, lb, bb) in zip(a, b):
-        assert np.array_equal(ia, ib) and la == lb and ba == bb
+        assert np.array_equal(ia, ib) and la == lb and np.array_equal(ba, bb)
         assert 0 <= la < TOY.num_classes
         assert ia.shape == (3, 32, 32)
-        size = ba.x1 - ba.x0
+        assert ba.shape == (1, 4) and ba.dtype == np.int64
+        (x0, y0, x1, y1), = ba.tolist()
+        size = x1 - x0
         assert TOY.min_object <= size <= TOY.max_object
-        assert ba.y1 - ba.y0 == size
+        assert y1 - y0 == size
 
 
 def kron_dataset(toy):
@@ -168,7 +170,7 @@ def test_dataset_is_bit_identical_to_the_kron_oracle(toy):
     assert len(got) == len(want)
     for (image, label, box), (want_image, want_label, want_box) in zip(got, want):
         assert image.dtype == np.float32 and np.array_equal(image, want_image)
-        assert label == want_label and (box.x0, box.y0, box.x1, box.y1) == want_box
+        assert label == want_label and box.tolist() == [list(want_box)]
 
 
 def test_training_is_deterministic():

@@ -124,16 +124,18 @@ def masked_importance_weights(z_p, selection, params, num_heads: int):
 
 
 def iou(a, b) -> float:
-    """Intersection over union of two half-open BoundingBoxes, one pair at
-    a time: the reference for the array IoU tables in
+    """Intersection over union of two half-open (x0, y0, x1, y1) boxes,
+    one pair at a time: the reference for the array IoU tables in
     `tokenloc.localization` (itself checked against pixel sets in
     test_metrics)."""
-    ix = min(a.x1, b.x1) - max(a.x0, b.x0)
-    iy = min(a.y1, b.y1) - max(a.y0, b.y0)
+    ax0, ay0, ax1, ay1 = (int(v) for v in a)
+    bx0, by0, bx1, by1 = (int(v) for v in b)
+    ix = min(ax1, bx1) - max(ax0, bx0)
+    iy = min(ay1, by1) - max(ay0, by0)
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
 
 
 # Reference decoders for `tokenloc.formats`: every field is sliced out of
