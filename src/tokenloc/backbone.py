@@ -74,10 +74,6 @@ class ModelConfig:
     def mlp_hidden(self) -> int:
         return self.mlp_ratio * self.embed_dim
 
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.num_heads
-
 
 def _block_shapes(cfg: ModelConfig, prefix: str) -> dict:
     d, hidden = cfg.embed_dim, cfg.mlp_hidden

@@ -22,7 +22,6 @@ from . import numerics as nm
 from .ablation import parse_strategy, run_ablation
 from .errors import ContractError, DegenerateInputError, DimensionError, FormatError
 from .formats import (
-    load_samples,
     parse_manifest,
     read_checkpoint,
     read_image,
@@ -124,10 +123,10 @@ def _write_csv(path, header, rows):
 
 
 def _load_manifest_samples(path):
-    records = parse_manifest(path)
-    if not records:
+    samples = parse_manifest(path)
+    if not samples:
         raise ContractError(f"manifest {path} is empty")
-    return load_samples(records)
+    return samples
 
 
 def cmd_infer(args):

@@ -16,7 +16,6 @@ import io
 import math
 import re
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,6 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _F32 = np.dtype("<f4")
 MASS_FIXED_POINT = 10 ** 6
-_MAX_HEADER = 4 + 2 + 4 * 255  # magic, dtype and rank, 255 extents
 # ASCII digits only (no sign, underscore or other script), and few enough for an int64
 _DECIMAL = re.compile("[0-9]{1,18}")
 
@@ -120,16 +118,6 @@ def read_image(path) -> np.ndarray:
     return image
 
 
-def read_tensor_shape(path) -> tuple:
-    """Decode only the header, cheap bounds checking for manifests."""
-    with open(path, "rb") as fh:
-        head = fh.read(_MAX_HEADER)
-    try:
-        return _tensor_header(head, 0)[0]
-    except FormatError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
 def _config_to_bytes(cfg: ModelConfig) -> bytes:
     return _CONFIG_STRUCT.pack(
         cfg.image_size, cfg.patch_size, cfg.embed_dim, cfg.num_blocks,
@@ -148,23 +136,28 @@ def _config_from_bytes(raw: bytes) -> ModelConfig:
         raise CheckpointError(f"invalid config entry: {exc}") from exc
 
 
+def _check_params(cfg: ModelConfig, params: dict) -> None:
+    """Raise CheckpointError unless `params` holds exactly the parameters
+    `cfg` implies, each of its shape."""
+    expected = parameter_shapes(cfg)
+    if expected.keys() != params.keys():
+        missing = sorted(expected.keys() - params.keys())
+        if missing:
+            raise CheckpointError(f"checkpoint is missing parameters: {', '.join(missing)}")
+        extra = sorted(params.keys() - expected.keys())
+        raise CheckpointError(f"checkpoint has unexpected parameters: {', '.join(extra)}")
+    for name, shape in expected.items():
+        if np.shape(params[name]) != shape:
+            raise CheckpointError(
+                f"parameter {name!r} has shape {np.shape(params[name])}, config implies {shape}")
+
+
 def write_checkpoint(path, cfg: ModelConfig, params: dict) -> None:
     """Write config plus every parameter; validates completeness first."""
-    expected = parameter_shapes(cfg)
-    missing = sorted(set(expected) - set(params))
-    if missing:
-        raise CheckpointError(f"cannot write checkpoint, missing parameters: {', '.join(missing)}")
-    extra = sorted(set(params) - set(expected))
-    if extra:
-        raise CheckpointError(f"cannot write checkpoint, unexpected parameters: {', '.join(extra)}")
-    for name, shape in expected.items():
-        if tuple(np.asarray(params[name]).shape) != shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {np.asarray(params[name]).shape}, "
-                f"config implies {shape}")
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", len(expected) + 1)]
+    _check_params(cfg, params)
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", len(params) + 1)]
     ordered = [(CONFIG_ENTRY, _config_to_bytes(cfg))]
-    ordered += [(name, tensor_to_bytes(params[name])) for name in sorted(expected)]
+    ordered += [(name, tensor_to_bytes(params[name])) for name in sorted(params)]
     for name, payload in ordered:
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
@@ -221,26 +214,8 @@ def read_checkpoint(path):
     if 16 * (cfg.num_blocks + 1) > len(params):
         raise CheckpointError(f"config's {cfg.num_blocks} blocks need {16 * (cfg.num_blocks + 1)} "
                               f"parameters, the checkpoint holds {len(params)}")
-    expected = parameter_shapes(cfg)
-    if expected.keys() != params.keys():
-        missing = sorted(expected.keys() - params.keys())
-        if missing:
-            raise CheckpointError(f"checkpoint is missing parameters: {', '.join(missing)}")
-        extra = sorted(params.keys() - expected.keys())
-        raise CheckpointError(f"checkpoint has unexpected parameters: {', '.join(extra)}")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {params[name].shape}, config implies {shape}")
+    _check_params(cfg, params)
     return cfg, params
-
-
-@dataclass
-class ManifestLine:
-    image_path: Path
-    label: int
-    boxes: np.ndarray       # (G, 4) int64 half-open (x0, y0, x1, y1) rows
-    image_id: str
 
 
 def _decimal(text: str, what: str) -> int:
@@ -270,15 +245,17 @@ def parse_manifest(path) -> list:
 
     Each non-blank line holds space-separated key:value fields,
     e.g. `id:img0 image:img0.trt label:1 boxes:4,5,20,21;0,0,8,8`.
-    Image paths are resolved relative to the manifest's directory and
-    their headers are read to bounds-check the boxes. The label and the
-    box coordinates are ASCII decimal integers. A key repeated on one
-    line and an id repeated across lines are errors. Errors cite the
-    1-based line number.
+    Image paths are resolved relative to the manifest's directory; each
+    line's image is read once, with `read_image`, and its shape bounds
+    the boxes. The label and the box coordinates are ASCII decimal
+    integers. A key repeated on one line and an id repeated across lines
+    are errors. Errors cite the 1-based line number (and the image, for
+    a malformed image file). Returns one (image, label, (G, 4) int64
+    boxes) sample per line.
     """
     path = Path(path)
     base = path.parent
-    records = []
+    samples = []
     id_lines = {}
     data = path.read_bytes()
     try:
@@ -310,22 +287,18 @@ def parse_manifest(path) -> list:
                         f"id {fields['id']!r} already used on line {id_lines[fields['id']]}")
                 id_lines[fields["id"]] = line_no
                 image_path = base / fields["image"]
-                shape = read_tensor_shape(image_path)
-                if len(shape) != 3 or shape[0] != 3:
-                    raise ValueError(f"image tensor must be 3xHxW, got {shape}")
-                height, width = shape[1], shape[2]
-                records.append(ManifestLine(image_path=image_path,
-                                            label=_decimal(fields["label"], "label"),
-                                            boxes=_parse_boxes(fields["boxes"], width, height),
-                                            image_id=fields["id"]))
-            except (ValueError, OSError, FormatError) as exc:
+                try:
+                    image = read_image(image_path)
+                except FormatError as exc:
+                    raise ValueError(f"{image_path}: {exc}") from exc
+                if image.ndim != 3 or image.shape[0] != 3:
+                    raise ValueError(f"image tensor must be 3xHxW, got {image.shape}")
+                _, height, width = image.shape
+                samples.append((image, _decimal(fields["label"], "label"),
+                                _parse_boxes(fields["boxes"], width, height)))
+            except (ValueError, OSError) as exc:
                 raise ManifestError(f"{path}:{line_no}: {exc}") from exc
-    return records
-
-
-def load_samples(records) -> list:
-    """Materialise manifest records into (image, label, (G, 4) boxes) samples."""
-    return [(read_image(r.image_path), r.label, r.boxes) for r in records]
+    return samples
 
 
 def write_heatmap(path, heat, image, alpha: float) -> None:

@@ -193,12 +193,23 @@ def _softmax_adjoint(g, out64) -> np.ndarray:
     return out64 * (g - (g * out64).sum(axis=-1, keepdims=True))
 
 
-def softmax(x):
-    """Row-wise softmax over the last axis, stabilised by max subtraction."""
+def softmax(x, keep=None):
+    """Row-wise softmax over the last axis, stabilised by max subtraction.
+
+    With `keep` (the shape of x), the softmax is restricted to positions
+    where keep is nonzero: the others are exactly zero in the output, and
+    each row of keep must select at least one position. keep is treated
+    as a constant: no gradient flows into it.
+    """
     xv = value_of(x)
     if xv.size == 0:
         raise DimensionError("softmax needs at least one entry")
-    out64 = _softmax64(np.array(xv, dtype=np.float64))
+    if keep is not None:
+        keep = value_of(keep)
+        if xv.shape != keep.shape:
+            raise DimensionError(f"scores shape {xv.shape} does not match mask shape {keep.shape}")
+        keep = keep > 0
+    out64 = _softmax64(np.array(xv, dtype=np.float64), keep)
     out = out64.astype(np.float32)
     tape = _tape_of(x)
     if tape is None:
@@ -206,29 +217,6 @@ def softmax(x):
 
     def backward(g):
         x.add_grad(_softmax_adjoint(g, out64))
-
-    return _emit(tape, out, backward)
-
-
-def masked_softmax(scores, mask):
-    """Softmax restricted to positions where mask is nonzero.
-
-    Masked positions are exactly zero in the output; each row of the mask
-    must select at least one position. The mask is treated as a constant:
-    no gradient flows into it.
-    """
-    sv = value_of(scores)
-    mv = value_of(mask)
-    if sv.shape != mv.shape:
-        raise DimensionError(f"scores shape {sv.shape} does not match mask shape {mv.shape}")
-    out64 = _softmax64(np.array(sv, dtype=np.float64), mv > 0)
-    out = out64.astype(np.float32)
-    tape = _tape_of(scores)
-    if tape is None:
-        return out
-
-    def backward(g):
-        scores.add_grad(_softmax_adjoint(g, out64))
 
     return _emit(tape, out, backward)
 
@@ -474,10 +462,6 @@ def scale(x, c: float):
         x.add_grad(g * float(c))
 
     return _emit(tape, out, backward)
-
-
-def neg(x):
-    return scale(x, -1.0)
 
 
 def transpose(x):

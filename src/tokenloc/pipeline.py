@@ -109,7 +109,6 @@ def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None,
     lam = importance_weights(z_p, selection, params, cfg.num_heads)
     selection.weights = lam
     refined = reattention(priorities, mask, lam) if reattention_on else priorities
-    selection.refined = refined
 
     cam_maps, cam_logits, p_cam = cam_forward(z_p, params, cfg)
 

@@ -31,15 +31,13 @@ class TokenSelection:
     mask[b, k] = 1 iff token k is selected (for the adaptive rule,
     priorities[b, k] >= threshold[b], inclusive, so the token defining
     the threshold is always kept); weights (lambda) is zero off each
-    image's selected support and sums to 1 per image; refined
-    redistributes each image's selected mass while conserving its total.
+    image's selected support and sums to 1 per image.
     """
 
     priorities: np.ndarray
     threshold: np.ndarray
     mask: np.ndarray
     weights: object = None   # lambda (B, N), possibly a tape Node during training
-    refined: object = None   # m' (B, N), possibly a tape Node during training
 
 
 def preliminary_attention(stack):
@@ -165,7 +163,7 @@ def importance_weights(z_p, selection: TokenSelection, params, num_heads: int):
                          mask=np.broadcast_to(valid[:, None], (b, m, m)))
     scores = nm.add(nm.matmul(nm.reshape(z, (b * m, d)), params["refine.score.weight"]),
                     params["refine.score.bias"])
-    lam = nm.masked_softmax(nm.reshape(scores, (b, m)), valid)
+    lam = nm.softmax(nm.reshape(scores, (b, m)), valid)
     # each selected token reads its slot, every other token the zero column
     slots = np.where(mask, np.cumsum(mask, axis=-1) - 1, m)
     return nm.take(nm.concat([lam, np.zeros((b, 1), np.float32)], axis=1), (image, slots))

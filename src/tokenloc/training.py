@@ -129,7 +129,7 @@ def cross_entropy_joint(p_cam, p_refine, labels):
         entry = nm.reduce_sum(nm.mul(p, one_hot), axis=-1)
         return nm.log(nm.clip_min(entry, PROB_FLOOR))
 
-    return nm.neg(nm.add(pick_log(p_cam), pick_log(p_refine)))
+    return nm.scale(nm.add(pick_log(p_cam), pick_log(p_refine)), -1.0)
 
 
 def backward(loss, tape: nm.GradTape, leaves: dict) -> dict:

@@ -19,7 +19,6 @@ from tokenloc import localization as loc
 from tokenloc.cli import main
 from tokenloc.errors import TruncationError
 from tokenloc.formats import (
-    load_samples,
     parse_manifest,
     read_checkpoint,
     read_tensor,
@@ -172,7 +171,7 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     lines = manifest.read_text().splitlines()
     lines[1::2] = [line.replace("label:0", "label:1") for line in lines[1::2]]
     manifest.write_text("\n".join(lines) + "\n")
-    samples = load_samples(parse_manifest(manifest))
+    samples = parse_manifest(manifest)
     thetas = threshold_grid(*DEFAULT_GRID)
 
     forwards, labellings, boxed = [], [], []
@@ -479,9 +478,16 @@ def test_tensor_extent_overflow_exits_3(workspace, capsys):
     assert err.count("\n") == 1
 
 
+# a 3x32x32 zero image, everything after its magic
+_IMAGE_32 = struct.pack("<BB3I", 0, 3, 3, 32, 32) + bytes(4 * 3 * 32 * 32)
+
+
 @pytest.mark.parametrize("header, detail", [
     (struct.pack("<BB", 0, 0), "tensor files need at least one dimension"),
     (struct.pack("<BB3I", 0, 3, 3, 0, 32), "non-positive extent in (3, 0, 32)"),
+    pytest.param(_IMAGE_32[:-7], "file ended inside tensor payload (12306 > 12299 bytes)",
+                 id="cut-payload"),
+    pytest.param(_IMAGE_32 + b"xx", "2 trailing bytes after tensor payload", id="trailing-bytes"),
 ])
 @pytest.mark.parametrize("command", ["infer", "manifest"])
 def test_malformed_tensor_header_exits_3(workspace, capsys, header, detail, command):
@@ -865,8 +871,7 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
 
     # the per-image path: one forward and one predicted-class heat per image
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
-    records = parse_manifest(manifest)
-    samples = load_samples(records)
+    samples = parse_manifest(manifest)
     theta_star, table = loc.grid_search_threshold(params, cfg, samples)
     heats = gt_class_heats(params, cfg, samples)
     per_level = [max(hit_fraction_oracle(heats, samples, theta, level, 32, 32)

@@ -18,7 +18,6 @@ from tokenloc.formats import (
     parse_manifest,
     read_checkpoint,
     read_tensor,
-    read_tensor_shape,
     tensor_to_bytes,
     write_checkpoint,
     write_heatmap,
@@ -84,12 +83,6 @@ def test_tensor_trailing_garbage(tmp_path):
     path.write_bytes(tensor_to_bytes(np.zeros(2, np.float32)) + b"xx")
     with pytest.raises(TruncationError):
         read_tensor(path)
-
-
-def test_read_tensor_shape_header_only(tmp_path):
-    path = tmp_path / "h.trt"
-    write_tensor(path, np.zeros((3, 5, 2), np.float32))
-    assert read_tensor_shape(path) == (3, 5, 2)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -211,11 +204,11 @@ def test_manifest_three_line_fixture(tmp_path):
     ]
     path = tmp_path / "m.manifest"
     path.write_text("\n".join(lines) + "\n")
-    records = parse_manifest(path)
-    assert [r.image_id for r in records] == ["a", "b", "c"]
-    assert records[1].label == 1
-    assert records[1].boxes.tolist() == [[1, 2, 5, 6], [0, 0, 8, 8]]
-    assert records[2].boxes.dtype == np.int64 and records[2].boxes.tolist() == [[2, 2, 3, 3]]
+    samples = parse_manifest(path)
+    assert [label for _, label, _ in samples] == [0, 1, 0]
+    assert all(image.shape == (3, 8, 8) for image, _, _ in samples)
+    assert samples[1][2].tolist() == [[1, 2, 5, 6], [0, 0, 8, 8]]
+    assert samples[2][2].dtype == np.int64 and samples[2][2].tolist() == [[2, 2, 3, 3]]
 
 
 def test_manifest_inverted_box_cites_line(tmp_path):
@@ -415,7 +408,7 @@ def test_checkpoint_decoder_matches_the_sliced_oracle(tmp_path):
 
 
 def test_tensor_decoder_matches_the_sliced_oracle(tmp_path):
-    from util import read_tensor_oracle, tensor_header_oracle
+    from util import read_tensor_oracle
 
     blob = tensor_to_bytes(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
     cases = {"valid": blob, "scalar row": tensor_to_bytes(np.array([1.5], np.float32)),
@@ -436,11 +429,6 @@ def test_tensor_decoder_matches_the_sliced_oracle(tmp_path):
         path.write_bytes(data)
         got = _decode_outcome(read_tensor, path)
         _assert_same_decode(got, _decode_outcome(read_tensor_oracle, data), what)
-        shape = _decode_outcome(read_tensor_shape, path)
-        want = _decode_outcome(lambda d: tensor_header_oracle(d, 0)[0], data)
-        if want[0] != "ok":  # read_tensor_shape prefixes the path to the message
-            want = (want[0], f"{path}: {want[1]}")
-        assert shape == want, what
         outcomes.add(got[0])
     assert {"ok", BadMagicError, TruncationError, UnsupportedDtypeError,
             TensorHeaderError} <= outcomes

@@ -85,17 +85,17 @@ def test_softmax_empty_rejected():
 def test_masked_softmax_all_ones_equals_softmax():
     rng = np.random.default_rng(6)
     v = rng.standard_normal(8).astype(np.float32)
-    assert np.allclose(nm.masked_softmax(v, np.ones(8, np.float32)), nm.softmax(v), atol=1e-7)
+    assert np.allclose(nm.softmax(v, np.ones(8, np.float32)), nm.softmax(v), atol=1e-7)
 
 
 def test_masked_softmax_single_entry():
     v = np.array([5.0, -3.0, 0.25], np.float32)
-    out = nm.masked_softmax(v, np.array([0, 0, 1], np.float32))
+    out = nm.softmax(v, np.array([0, 0, 1], np.float32))
     assert np.array_equal(out, np.array([0, 0, 1], np.float32))
 
 
 def test_masked_softmax_symmetric_pair():
-    out = nm.masked_softmax(np.array([1.5, 1.5, 1.5], np.float32),
+    out = nm.softmax(np.array([1.5, 1.5, 1.5], np.float32),
                             np.array([1, 1, 0], np.float32))
     assert np.allclose(out, [0.5, 0.5, 0.0], atol=1e-6)
     assert out[2] == 0.0
@@ -103,7 +103,7 @@ def test_masked_softmax_symmetric_pair():
 
 def test_masked_softmax_all_zero_mask_rejected():
     with pytest.raises(DegenerateInputError):
-        nm.masked_softmax(np.ones(4, np.float32), np.zeros(4, np.float32))
+        nm.softmax(np.ones(4, np.float32), np.zeros(4, np.float32))
 
 
 def test_masked_softmax_equals_restricted_renormalized_softmax():
@@ -114,7 +114,7 @@ def test_masked_softmax_equals_restricted_renormalized_softmax():
         mask = (rng.random(n) < 0.6).astype(np.float32)
         if mask.sum() == 0:
             mask[int(rng.integers(n))] = 1.0
-        out = nm.masked_softmax(scores, mask)
+        out = nm.softmax(scores, mask)
         plain = nm.softmax(scores).astype(np.float64) * mask
         assert np.allclose(out, plain / plain.sum(), atol=1e-6)
         assert np.all(out[mask == 0] == 0.0)
@@ -207,7 +207,7 @@ def test_softmax64_is_bit_identical_to_its_oracle(case):
         if keep is None:
             public = nm.softmax(x32)
         else:
-            public = nm.masked_softmax(x32, np.broadcast_to(keep, x.shape).astype(np.float32))
+            public = nm.softmax(x32, np.broadcast_to(keep, x.shape).astype(np.float32))
     assert got.dtype == np.float64 and np.array_equal(got, want64, equal_nan=True)
     assert np.array_equal(public, want, equal_nan=True)
     if keep is not None and np.isfinite(x).all():
@@ -318,7 +318,7 @@ def test_operations_do_not_mutate_inputs():
     a_copy, b_copy = a.copy(), b.copy()
     nm.matmul(a, b)
     nm.softmax(a)
-    nm.masked_softmax(a, np.eye(4, dtype=np.float32))
+    nm.softmax(a, np.eye(4, dtype=np.float32))
     nm.attention(a[None], a[None], b[None], 2)
     nm.layer_norm(a, np.ones(4, np.float32), np.zeros(4, np.float32))
     nm.gelu(a)
@@ -338,7 +338,7 @@ def per_head_attention(q, k, v, num_heads, mask=None):
         kh = nm.crop(k, (0, head * hd), (n, hd))
         vh = nm.crop(v, (0, head * hd), (n, hd))
         scores = nm.scale(nm.matmul(qh, nm.transpose(kh)), 1.0 / math.sqrt(hd))
-        a = nm.softmax(scores) if mask is None else nm.masked_softmax(scores, mask)
+        a = nm.softmax(scores, mask)
         probs.append(a)
         contexts.append(nm.matmul(a, vh))
     return nm.concat(contexts, axis=1), probs

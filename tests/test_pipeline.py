@@ -177,7 +177,7 @@ def test_batched_forward_is_bit_identical_to_single_images_on_the_acceptance_hel
         alone = two_branch_forward(params, cfg, images[i:i + 1])
         for field in ("refined_map", "cam_maps", "cam_logits", "p_cam", "p_refine"):
             assert np.array_equal(getattr(batched, field)[i], getattr(alone, field)[0]), field
-        for field in ("priorities", "threshold", "mask", "weights", "refined"):
+        for field in ("priorities", "threshold", "mask", "weights"):
             assert np.array_equal(nm.value_of(getattr(batched.selection, field))[i],
                                   nm.value_of(getattr(alone.selection, field))[0]), field
 

@@ -120,7 +120,7 @@ def masked_importance_weights(z_p, selection, params, num_heads: int):
                          mask=selection_matrix(selection.mask))
     scores = nm.add(nm.matmul(nm.reshape(z, (b * n, d)), params["refine.score.weight"]),
                     params["refine.score.bias"])
-    return nm.masked_softmax(nm.reshape(scores, (b, n)), selection.mask)
+    return nm.softmax(nm.reshape(scores, (b, n)), selection.mask)
 
 
 def iou(a, b) -> float:
