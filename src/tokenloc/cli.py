@@ -234,6 +234,8 @@ def cmd_ablate(args):
     samples = _load_manifest_samples(args.manifest)
     strategies = [parse_strategy(part, cfg.selection_mass)
                   for part in args.strategies.split(",") if part]
+    if len({label for label, _ in strategies}) < len(strategies):
+        raise ContractError(f"--strategies {args.strategies!r} names a strategy more than once")
     modes = {"both": None, "on": True, "off": False}[args.reattention]
     grid = _parse_grid(args.grid) if args.grid else None
     rows = run_ablation(params, cfg, samples, strategies, reattention_on=modes, grid=grid)

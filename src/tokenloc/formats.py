@@ -250,8 +250,8 @@ def parse_manifest(path) -> list:
     the boxes. The label and the box coordinates are ASCII decimal
     integers. A key repeated on one line and an id repeated across lines
     are errors. Errors cite the 1-based line number (and the image, for
-    a malformed image file). Returns one (image, label, (G, 4) int64
-    boxes) sample per line.
+    a malformed image file or a non-finite pixel). Returns one (image,
+    label, (G, 4) int64 boxes) sample per line.
     """
     path = Path(path)
     base = path.parent
@@ -291,6 +291,8 @@ def parse_manifest(path) -> list:
                     image = read_image(image_path)
                 except FormatError as exc:
                     raise ValueError(f"{image_path}: {exc}") from exc
+                except ContractError as exc:  # a non-finite pixel: still a contract error
+                    raise ContractError(f"{path}:{line_no}: {exc}") from exc
                 if image.ndim != 3 or image.shape[0] != 3:
                     raise ValueError(f"image tensor must be 3xHxW, got {image.shape}")
                 _, height, width = image.shape

@@ -4,13 +4,13 @@ The scoring-branch map and the chosen class's activation map are each
 min-max normalised (a constant map normalises to zeros), multiplied,
 upsampled to image resolution, thresholded, and reduced to the tight
 bounding box of the largest 8-connected foreground component. Fusion
-runs over the rows of a forward result's stack, and a stack of heat
-maps is labelled at every threshold of a grid in one call. A box is a
-half-open (x0, y0, x1, y1) int64 row. `evaluate_heats` turns heats into
-a box table, its best-IoU table and the calibrated threshold; GT-known,
-top-1 and top-5 localization accuracy and MaxBoxAccV2 (Choe et al.,
-CVPR 2020) read those IoUs: strict comparisons, each sample against its
-best-matching ground-truth box.
+runs over the rows of a forward result's stack, and a stack of heat maps
+is labelled by foreground runs at every threshold of a grid in one call.
+A box is a half-open (x0, y0, x1, y1) int64 row. `evaluate_heats` turns
+heats into a box table, its best-IoU table and the calibrated threshold;
+GT-known, top-1 and top-5 localization accuracy and MaxBoxAccV2 (Choe et
+al., CVPR 2020) read those IoUs: strict comparisons, each sample against
+its best-matching ground-truth box.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import ndimage
 
 from . import numerics as nm
 from . import pipeline
@@ -30,8 +29,6 @@ DEFAULT_GRID = (0.05, 0.95, 0.05)
 # the 0:1:1e-4 grid: a labelling call holds FORWARD_CHUNK * T image-size masks
 MAX_GRID_THRESHOLDS = 10_001
 MAX_BOX_ACC_LEVELS = (0.3, 0.5, 0.7)
-# 8-connectivity within each (H, W) plane of a (T, H, W) mask stack, none across planes
-_PLANE_EIGHT_CONNECTED = np.stack([np.zeros((3, 3)), np.ones((3, 3)), np.zeros((3, 3))]) > 0
 
 
 def _minmax(x: np.ndarray) -> np.ndarray:
@@ -81,31 +78,51 @@ def heat_boxes(heats: np.ndarray, thetas, width: int, height: int):
     (..., T, 4) int array of half-open (x0, y0, x1, y1) rows and an
     (..., T) flag of empty foregrounds, which get the full-image box.
 
-    The non-empty planes of the (..., T, H, W) mask stack are labelled
-    in one `ndimage.label` call whose structure connects pixels only
-    within a plane. Labels are numbered in raster order, so each plane
-    holds one contiguous label range, and size ties go to the earliest
-    label: the component whose first pixel comes first.
+    Components join foreground runs (He, Chao & Suzuki, IEEE TIP 2008):
+    run a touches run b of the next row iff start_b <= stop_a and start_a
+    <= stop_b. Hooking and pointer jumping over the run graph (Shiloach &
+    Vishkin, 1982) name each component by its first run in raster order,
+    and size ties go to the earliest.
     """
     masks = binarize(nm.value_of(heats)[..., None, :, :], thetas)
     lead, (h, w) = masks.shape[:-2], masks.shape[-2:]
-    masks = masks.reshape(-1, h, w)
-    occupied = masks.reshape(len(masks), -1).any(axis=1)
-    boxes = np.tile(np.array([0, 0, width, height]), (len(masks), 1))
-    if occupied.any():
-        labels, count = ndimage.label(masks[occupied], structure=_PLANE_EIGHT_CONNECTED)
-        planes = labels.reshape(len(labels), -1)
-        starts = np.concatenate(([0], planes.max(axis=1)[:-1]))  # plane i: labels starts[i]+1..
-        # per plane, the largest size wins and then the smallest label: one
-        # integer key per label orders both, and reduceat takes each range's max
-        key = np.bincount(planes.ravel())[1:] * (count + 1) + np.arange(count, 0, -1)
-        best = count + 1 - np.maximum.reduceat(key, starts) % (count + 1)
-        chosen = labels == best[:, None, None]
-        rows, cols = chosen.any(axis=2), chosen.any(axis=1)
-        boxes[occupied] = np.stack([cols.argmax(axis=1), rows.argmax(axis=1),
-                                    w - cols[:, ::-1].argmax(axis=1),
-                                    h - rows[:, ::-1].argmax(axis=1)], axis=1)
-    return boxes.reshape(*lead, 4), ~occupied.reshape(lead)
+    padded = np.zeros((masks.size // w, w + 2), bool)
+    padded[:, 1:-1] = masks.reshape(-1, w)
+    flat = padded.ravel()
+    # with background at both ends of every row, the flat mask's changes alternate
+    # run start, run stop (half-open), in raster order
+    rows, cols = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]).reshape(-1, 2), w + 2)
+    (plane, y), (start, stop), n = np.divmod(rows[:, 0], h), cols.T, len(rows)
+    boxes = np.tile(np.array([0, 0, width, height]), (len(padded) // h, 1))
+    empty = np.bincount(plane, minlength=len(boxes)) == 0
+    del masks, padded, flat  # free the masks: only the runs are read below
+    if n:
+        # keys with a gap row between planes: the runs touching a run from below are a range
+        key = (rows[:, 0] + plane) * (w + 1)
+        lo = np.searchsorted(key + stop, key + w + 1 + start)
+        count = np.maximum(np.searchsorted(key + start, key + w + 1 + stop, "right") - lo, 0)
+        above = np.repeat(np.arange(n), count)
+        below = np.arange(len(above)) + np.repeat(lo + count - np.cumsum(count), count)
+        # hook the larger root of each edge to the smaller, then jump every run to its
+        # root: head[a] <= a throughout, so each component ends on its first run
+        head = np.arange(n)
+        while (head[above] != head[below]).any():
+            low, high = np.sort([head[above], head[below]], axis=0)
+            np.minimum.at(head, high, low)
+            while (head[head] != head).any():
+                head = head[head]
+        # a component is named by its head, its first run: per plane the largest
+        # size wins, then the first head, by one key per run (0 off the heads)
+        size = np.bincount(head, stop - start, minlength=n).astype(np.int64)
+        plane_start = np.concatenate(([True], plane[1:] != plane[:-1]))
+        groups = np.flatnonzero(plane_start)
+        best = n - np.maximum.reduceat(size * (n + 1) + np.arange(n, 0, -1), groups) % (n + 1)
+        kept = head == best[np.cumsum(plane_start) - 1]
+        runs = np.array([start, y, stop, y + 1])[:, kept]
+        cuts = np.searchsorted(np.flatnonzero(kept), groups)
+        boxes[plane[groups]] = np.concatenate([np.minimum.reduceat(runs[:2], cuts, axis=1),
+                                               np.maximum.reduceat(runs[2:], cuts, axis=1)]).T
+    return boxes.reshape(*lead, 4), empty.reshape(lead)
 
 
 def class_heats(result, class_ids, side: int, rows=slice(None)) -> np.ndarray:

@@ -150,7 +150,7 @@ def importance_weights(z_p, selection: TokenSelection, params, num_heads: int):
     attends only to selected tokens, so each image's selected rows are
     gathered first in token order, padded to the stack's largest count
     m, and a (B, m, m) key-padding mask keeps the padding out of every
-    softmax."""
+    softmax (an unpadded stack, every count m, runs unmasked)."""
     mask = nm.value_of(selection.mask) > 0
     counts = mask.sum(axis=-1)
     if (counts < 1).any():
@@ -158,9 +158,9 @@ def importance_weights(z_p, selection: TokenSelection, params, num_heads: int):
     b, _, d = nm.value_of(z_p).shape
     m, image = int(counts.max()), np.arange(b)[:, None]
     order = np.argsort(~mask, axis=-1, kind="stable")[:, :m]
-    valid = np.arange(m) < counts[:, None]
-    z, _ = block_forward(nm.take(z_p, (image, order)), params, "refine.mask_block", num_heads,
-                         mask=np.broadcast_to(valid[:, None], (b, m, m)))
+    valid = None if (counts == m).all() else np.arange(m) < counts[:, None]
+    keys = None if valid is None else np.broadcast_to(valid[:, None], (b, m, m))
+    z, _ = block_forward(nm.take(z_p, (image, order)), params, "refine.mask_block", num_heads, keys)
     scores = nm.add(nm.matmul(nm.reshape(z, (b * m, d)), params["refine.score.weight"]),
                     params["refine.score.bias"])
     lam = nm.softmax(nm.reshape(scores, (b, m)), valid)

@@ -174,17 +174,12 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     samples = parse_manifest(manifest)
     thetas = threshold_grid(*DEFAULT_GRID)
 
-    forwards, labellings, boxed = [], [], []
-    real_forward, real_label, real_boxes = (pipeline.two_branch_forward, loc.ndimage.label,
-                                            loc.heat_boxes)
+    forwards, boxed = [], []
+    real_forward, real_boxes = pipeline.two_branch_forward, loc.heat_boxes
 
     def counting_forward(params, cfg, images, **kwargs):
         forwards.append(images)
         return real_forward(params, cfg, images, **kwargs)
-
-    def counting_label(masks, **kwargs):
-        labellings.append(masks.shape)
-        return real_label(masks, **kwargs)
 
     def recording_boxes(heats, thetas, width, height):
         boxed.append((np.array(heats, np.float32), list(thetas)))
@@ -192,7 +187,6 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
 
     monkeypatch.setattr(pipeline, "two_branch_forward", counting_forward)
     monkeypatch.setattr(cli, "two_branch_forward", counting_forward)
-    monkeypatch.setattr(loc.ndimage, "label", counting_label)
     monkeypatch.setattr(loc, "heat_boxes", recording_boxes)
     monkeypatch.setattr(cli, "heat_boxes", recording_boxes)
     report = tmp / "report.csv"
@@ -213,10 +207,10 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     assert 0 < len(mispredicted) < images
     assert [len(heats) for heats, _ in boxed] == stacks + [len(mispredicted)]
     assert [len(call_thetas) for _, call_thetas in boxed] == [len(thetas)] * len(stacks) + [1]
-    assert len(labellings) == len(boxed)
-    for (planes, height, width), (heats, call_thetas) in zip(labellings, boxed):
-        assert (height, width) == (32, 32)
-        assert planes <= len(heats) * len(call_thetas) <= FORWARD_CHUNK * len(thetas)
+    # `heat_boxes` labels internally, so each of its calls is one labelling
+    for heats, call_thetas in boxed:
+        assert heats.shape[1:] == (32, 32)
+        assert len(heats) * len(call_thetas) <= FORWARD_CHUNK * len(thetas)
 
     rows = dict(_read_csv(report)[1:])
     heats = gt_class_heats(params, cfg, samples)
@@ -518,21 +512,25 @@ def test_non_finite_pixel_exits_4(workspace, capsys, value):
     write_tensor(bad, image)
     manifest = tmp / "bad.manifest"
     manifest.write_text("id:bad image:bad.trt label:0 boxes:12,8,20,16\n")
+    # (command, what the message cites before the image): a manifest's
+    # image is cited after its manifest line
     commands = [
-        ["infer", "--ckpt", str(ckpt), "--input", str(bad),
-         "--out-logits", str(tmp / "a.trt"), "--out-pt", str(tmp / "b.trt")],
-        ["localize", "--ckpt", str(ckpt), "--input", str(bad), "--theta", "0.5",
-         "--out-box", str(tmp / "box.txt")],
-        ["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "0.5",
-         "--out-report", str(tmp / "r.csv")],
-        ["calibrate", "--ckpt", str(ckpt), "--manifest", str(manifest),
-         "--out-table", str(tmp / "t.csv")],
+        (["infer", "--ckpt", str(ckpt), "--input", str(bad),
+          "--out-logits", str(tmp / "a.trt"), "--out-pt", str(tmp / "b.trt")], ""),
+        (["localize", "--ckpt", str(ckpt), "--input", str(bad), "--theta", "0.5",
+          "--out-box", str(tmp / "box.txt")], ""),
+        (["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "0.5",
+          "--out-report", str(tmp / "r.csv")], f"{manifest}:1: "),
+        (["calibrate", "--ckpt", str(ckpt), "--manifest", str(manifest),
+          "--out-table", str(tmp / "t.csv")], f"{manifest}:1: "),
+        (["ablate-selection", "--ckpt", str(ckpt), "--manifest", str(manifest),
+          "--strategies", "adaptive", "--out-table", str(tmp / "t.csv")], f"{manifest}:1: "),
     ]
-    for argv in commands:
+    for argv, where in commands:
         assert main(argv) == 4, argv[0]
         err = capsys.readouterr().err
-        assert err.startswith("error: contract: ") and err.count("\n") == 1, err
-        assert f"non-finite pixel {np.float32(value)} at index (1, 5, 7)" in err, err
+        assert err == (f"error: contract: {where}{bad}: non-finite pixel {np.float32(value)} "
+                       f"at index (1, 5, 7)\n"), err
 
 
 def test_image_size_mismatch_exits_4(workspace, capsys):
@@ -761,12 +759,15 @@ def test_selection_mass_outside_unit_interval_exits_4(workspace, capsys, command
 
 @pytest.mark.parametrize("strategy", ["adaptive:0", "adaptive:nan", "topk", "topk:0", "topk:1.5",
                                       "topk:65", "fixed:-1", "fixed:nan", "fixed:inf",
-                                      "nonsense:1"])
+                                      "nonsense:1", "adaptive,adaptive", "topk:8,topk:8",
+                                      "adaptive:0.5,fixed:mean,adaptive:0.50"])
 def test_malformed_selection_strategy_exits_4(workspace, capsys, strategy):
     tmp, cfg, params, ckpt, _ = workspace
     assert cfg.num_tokens == 64   # so topk:65 asks for more tokens than there are
-    _assert_one_contract_line(
+    err = _assert_one_contract_line(
         capsys, tmp, _manifest_argv(tmp, ckpt, "ablate-selection", "--strategies", strategy))
+    if "," in strategy:
+        assert f"--strategies {strategy!r} names a strategy more than once" in err
 
 
 @pytest.mark.parametrize("grid", ["0:1:1e-7", "0.05:0.95:nan", "nan:0.95:0.05", "0.05:inf:0.05",

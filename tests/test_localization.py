@@ -98,6 +98,44 @@ def assert_labeller_matches_oracle(heat, thetas):
     assert got == oracle_boxes(heat, thetas)
 
 
+# 8-connectivity within each (H, W) plane of a (P, H, W) mask stack, none across planes
+_PLANE_EIGHT_CONNECTED = np.stack([np.zeros((3, 3)), np.ones((3, 3)), np.zeros((3, 3))]) > 0
+
+
+def stacked_label_boxes(heats, thetas, width, height):
+    """Reference for `heat_boxes`: the pixel labeller it replaced. The
+    non-empty planes of the (..., T, H, W) mask stack are labelled in one
+    `ndimage.label` call whose structure connects pixels only within a
+    plane. Labels are numbered in raster order, so each plane holds one
+    contiguous label range, and size ties go to the earliest label."""
+    masks = binarize(np.asarray(heats)[..., None, :, :], thetas)
+    lead, (h, w) = masks.shape[:-2], masks.shape[-2:]
+    masks = masks.reshape(-1, h, w)
+    occupied = masks.reshape(len(masks), -1).any(axis=1)
+    boxes = np.tile(np.array([0, 0, width, height]), (len(masks), 1))
+    if occupied.any():
+        labels, count = ndimage.label(masks[occupied], structure=_PLANE_EIGHT_CONNECTED)
+        planes = labels.reshape(len(labels), -1)
+        starts = np.concatenate(([0], planes.max(axis=1)[:-1]))  # plane i: labels starts[i]+1..
+        key = np.bincount(planes.ravel())[1:] * (count + 1) + np.arange(count, 0, -1)
+        best = count + 1 - np.maximum.reduceat(key, starts) % (count + 1)
+        chosen = labels == best[:, None, None]
+        rows, cols = chosen.any(axis=2), chosen.any(axis=1)
+        boxes[occupied] = np.stack([cols.argmax(axis=1), rows.argmax(axis=1),
+                                    w - cols[:, ::-1].argmax(axis=1),
+                                    h - rows[:, ::-1].argmax(axis=1)], axis=1)
+    return boxes.reshape(*lead, 4), ~occupied.reshape(lead)
+
+
+def assert_matches_stacked_labeller(heats, thetas):
+    height, width = np.shape(heats)[-2:]
+    boxes, empty = heat_boxes(heats, thetas, width, height)
+    ref_boxes, ref_empty = stacked_label_boxes(heats, thetas, width, height)
+    assert boxes.dtype == ref_boxes.dtype and empty.dtype == ref_empty.dtype
+    assert np.array_equal(boxes, ref_boxes) and np.array_equal(empty, ref_empty)
+    return boxes, empty
+
+
 def hit_fraction_oracle(heats, samples, theta, iou_level, width, height):
     """Relabel every heat at `theta` alone and count strict IoU hits: the
     per-threshold loop that the box table replaces."""
@@ -432,6 +470,69 @@ def test_stacked_heat_boxes_equal_per_heat_calls_and_the_oracle(monkeypatch):
     box_table, *_ = evaluate_heats(heats, [np.array([[0, 0, 1, 1]])] * len(heats), thetas, 32)
     assert np.array_equal(box_table, boxes)
     assert calls == [FORWARD_CHUNK, 3]
+
+
+def test_heat_boxes_equal_the_stacked_pixel_labeller_on_random_stacks():
+    rng = np.random.default_rng(21)
+    grid = threshold_grid(*DEFAULT_GRID)
+    for _ in range(2400):
+        h, w = (int(v) for v in rng.integers(1, 13, size=2))
+        lead = tuple(int(v) for v in rng.integers(1, 4, size=int(rng.integers(0, 3))))
+        if rng.random() < 0.5:
+            heats = (rng.random((*lead, h, w)) ** rng.uniform(0.3, 3.0)).astype(np.float32)
+        else:
+            coarse = rng.random((*lead, 3, 3)).astype(np.float32)
+            heats = nm.bilinear_resize(coarse.reshape(-1, 3, 3), h, w).reshape(*lead, h, w)
+        thetas = sorted(rng.choice(grid, size=int(rng.integers(1, 5))).tolist())
+        boxes, empty = assert_matches_stacked_labeller(heats, thetas)
+        assert boxes.shape == (*lead, len(thetas), 4) and empty.shape == (*lead, len(thetas))
+
+
+def _mask(*rows):
+    return np.array([[c == "#" for c in row] for row in rows], np.float32)
+
+
+# (name, (P, H, W) 0/1 planes, boxes at threshold 0.5); each plane is a heat
+ADVERSARIAL_PLANES = [
+    ("last row of a plane, first row of the next",
+     [_mask("..###", "#...."), _mask("###..", "....#")],
+     [[2, 0, 5, 1], [0, 0, 3, 1]]),
+    ("a U merges two runs above it",
+     [_mask("#.#...", "#.#.##", "###.##")], [[0, 0, 3, 3]]),
+    ("a diagonal-only touch connects",
+     [_mask("#....", ".#..#", "..#.#")], [[0, 0, 3, 3]]),
+    ("a one-column gap below does not connect",
+     [_mask("#....", "..###")], [[2, 1, 5, 2]]),
+    ("a corner touch below connects",
+     [_mask("##...", "..##.")], [[0, 0, 4, 2]]),
+    ("a one-column gap in a row does not connect",
+     [_mask("##.##", ".....", "..#..")], [[0, 0, 2, 1]]),
+    ("a serpentine is one chain",
+     [_mask("#####", "....#", "#####", "#....", "#####")], [[0, 0, 5, 5]]),
+    ("diagonals that meet only in the last row",
+     [_mask("#...#", "#..#.", "#.#..", "##...", "....#")], [[0, 0, 5, 4]]),
+    ("a comb joins runs through its spine",
+     [_mask("#.#.#.#", "#######", "#.....#", "#.#.#.#")], [[0, 0, 7, 4]]),
+    ("equal sizes: the first pixel in raster order wins",
+     [_mask("..##", "#...", "#..."), _mask("#...", "#.##", "....")],
+     [[2, 0, 4, 1], [0, 0, 1, 2]]),
+    ("a one-row plane", [_mask("#.##.###.#")], [[5, 0, 8, 1]]),
+    ("a one-column plane", [_mask("#", ".", "#", "#", ".", "#")], [[0, 2, 1, 4]]),
+    ("full and empty planes",
+     [_mask("###", "###"), _mask("...", "..."), _mask("###", "###")],
+     [[0, 0, 3, 2], [0, 0, 3, 2], [0, 0, 3, 2]]),
+]
+
+
+@pytest.mark.parametrize("planes, expected", [pytest.param(planes, expected, id=name)
+                                              for name, planes, expected in ADVERSARIAL_PLANES])
+def test_heat_boxes_adversarial_planes(planes, expected):
+    heats = np.stack(planes)
+    boxes, empty = assert_matches_stacked_labeller(heats, [0.5])
+    assert boxes[:, 0].tolist() == expected
+    assert empty[:, 0].tolist() == [not plane.any() for plane in planes]
+    for heat, box in zip(heats, boxes[:, 0].tolist()):
+        assert oracle_boxes(heat, [0.5]) == [(tuple(box), not heat.any())]
 
 
 def test_heat_boxes_at_one_threshold_match_the_oracle():

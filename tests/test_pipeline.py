@@ -251,11 +251,13 @@ def test_one_chunk_forward_stays_under_its_memory_budget():
 
 
 # Labelling the 50 acceptance held-out heats over the default 19-theta
-# grid, one stack of FORWARD_CHUNK heats per `ndimage.label` call, peaked
-# at 1,921,440 B (tracemalloc) when this budget was set; the budget is
-# that peak plus 15%. One call over all 50 heats peaked at 10,160,682 B,
-# so this catches the table being labelled in one call again. Scoring
-# the table in `evaluate_heats` stays well under it.
+# grid, one stack of FORWARD_CHUNK heats per call, peaked at 1,921,440 B
+# (tracemalloc) when this budget was set, with the pixel labeller
+# (`ndimage.label`); the budget is that peak plus 15%. The run labeller
+# peaks at 556,293 B, and one call over all 50 heats at 3,288,919 B (the
+# pixel labeller: 10,160,682 B), so this still catches the table being
+# labelled in one call again. Scoring the table in `evaluate_heats`
+# stays well under it.
 BOX_TABLE_BUDGET = 2_210_000
 
 

@@ -376,6 +376,31 @@ def test_gathered_weights_equal_the_masked_oracle_on_mixed_counts():
                               masked_importance_weights(z_p, selection, params, cfg.num_heads))
 
 
+def test_unpadded_stack_runs_the_mask_block_without_a_mask(monkeypatch):
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    images = np.stack([image for image, _, _ in _acceptance_samples(4)])
+    result = two_branch_forward(params, cfg, images)
+    m, z_p = result.selection.priorities, nm.value_of(result.tokens)[:, 1:]
+    sevens = np.stack([select(row, top_k(7))[1] for row in m])
+    mixed = np.concatenate([select(m[0], top_k(1))[1][None], sevens[1:]])
+    masks = []
+    real = nm.attention
+
+    def recording(q, k, v, num_heads, mask=None):
+        masks.append(mask)
+        return real(q, k, v, num_heads, mask)
+
+    # every image keeps 7 tokens, then the first image keeps 1
+    for mask, padded in ((sevens, False), (mixed, True)):
+        selection = TokenSelection(priorities=m, threshold=np.zeros(len(m)), mask=mask)
+        monkeypatch.setattr(nm, "attention", recording)
+        lam = importance_weights(z_p, selection, params, cfg.num_heads)
+        monkeypatch.undo()
+        assert len(masks) == 1 and (masks.pop() is not None) == padded
+        assert np.array_equal(lam, masked_importance_weights(z_p, selection, params,
+                                                             cfg.num_heads))
+
+
 def _shift_invariant(name):
     """Parameters whose gradient is zero in exact arithmetic, because a
     softmax ignores a shift of its inputs: key biases, and the biases
