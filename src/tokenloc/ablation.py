@@ -3,7 +3,8 @@
 Runs inference with adaptive, top-k or fixed-threshold selection, with
 re-attention on and off, on a fixed checkpoint (no per-strategy
 retraining) and reports ground-truth-known accuracy plus MaxBoxAccV2,
-each at its own grid-calibrated threshold.
+each at its own grid-calibrated threshold. One branch pass per strategy
+serves both modes: re-attention off reads the pass's priority vector.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from .backbone import ModelConfig
 from .errors import ContractError
 from .localization import DEFAULT_GRID, class_heats, evaluate_heats, max_box_acc_v2, threshold_grid
 from .pipeline import branch_forward, forward_chunks
-from .token_refine import adaptive, fixed, top_k
+from .token_refine import adaptive, fixed, spatial_map, top_k
 
 
 def parse_strategy(text: str, default_mass: float) -> tuple:
@@ -47,27 +48,26 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
     samples.
 
     Returns rows of (strategy label, reattention flag, theta_star,
-    gt_known accuracy, max_box_acc_v2).
+    gt_known accuracy, max_box_acc_v2), strategy-major, on before off.
     """
     if not strategies:
         raise ContractError("ablation needs at least one strategy")
     modes = (True, False) if reattention_on is None else (bool(reattention_on),)
-    settings = [(label, selector, reatt) for label, selector in strategies for reatt in modes]
     thetas = threshold_grid(*(grid or DEFAULT_GRID))
     side = cfg.image_size
-    heats = [[] for _ in settings]
-    (_, first_selector, first_reatt), later = settings[0], settings[1:]
-    for labels, result in forward_chunks(params, cfg, samples, selector=first_selector,
-                                         reattention_on=first_reatt):
-        heats[0].extend(class_heats(result, labels, side))
-        # one backbone pass per stack: later settings re-run only the branches
-        for setting_heats, (_, selector, reatt) in zip(heats[1:], later):
-            branches = branch_forward(params, cfg, result.tokens, result.stack,
-                                      selector=selector, reattention_on=reatt)
-            setting_heats.extend(class_heats(branches, labels, side))
+    heats = {(i, reatt): [] for i in range(len(strategies)) for reatt in modes}
+    for labels, first in forward_chunks(params, cfg, samples, selector=strategies[0][1]):
+        for i, (_, selector) in enumerate(strategies):
+            # one backbone pass per stack: later strategies re-run only the branches
+            result = first if i == 0 else branch_forward(params, cfg, first.tokens, first.stack,
+                                                         selector=selector)
+            for reatt in modes:
+                scoring = result.refined_map if reatt else spatial_map(result.selection.priorities)
+                heats[i, reatt].extend(class_heats(scoring, result.cam_maps, labels, side))
     gts = [gt for _, _, gt in samples]
     rows = []
-    for setting_heats, (label, _, reatt) in zip(heats, settings):
+    for (i, reatt), setting_heats in heats.items():
         _, ious, table, theta_star, _ = evaluate_heats(setting_heats, gts, thetas, side)
-        rows.append((label, reatt, theta_star, dict(table)[theta_star], max_box_acc_v2(ious)))
+        rows.append((strategies[i][0], reatt, theta_star, dict(table)[theta_star],
+                     max_box_acc_v2(ious)))
     return rows

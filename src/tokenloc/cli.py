@@ -16,8 +16,6 @@ import sys
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from . import numerics as nm
 from .ablation import parse_strategy, run_ablation
 from .errors import ContractError, DegenerateInputError, DimensionError, FormatError
@@ -32,21 +30,15 @@ from .formats import (
 )
 from .localization import (
     DEFAULT_GRID,
-    best_ious,
-    class_heats,
-    evaluate_heats,
+    METRIC_NAMES,
+    evaluate_samples,
     grid_search_threshold,
-    heat_boxes,
     localize,
-    max_box_acc_v2,
     threshold_grid,
-    top_k_loc_acc,
 )
-from .pipeline import forward_chunks, two_branch_forward
+from .pipeline import two_branch_forward
 from .token_refine import adaptive
 from .training import ToyTaskConfig, TrainConfig, default_model_config, train_toy
-
-METRIC_NAMES = ("gt-known", "top1", "top5", "maxboxaccv2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,50 +61,6 @@ def _parse_grid(text: str) -> tuple:
 def _selector(args):
     """The adaptive selector at `--u`; None leaves the checkpoint's mass."""
     return None if args.u is None else adaptive(args.u)
-
-
-def evaluate_samples(params, cfg, samples, metrics, thetas, *, selector=None):
-    """Shared engine behind `eval`: returns (theta_star, {metric: value}).
-
-    theta_star maximises GT-known accuracy over `thetas` (a fixed
-    threshold is a grid of one) and the class-aware metrics are computed
-    there; maxboxaccv2 takes each IoU level's own best threshold. The
-    images go through the forward pass once each, in stacks of
-    `pipeline.FORWARD_CHUNK`, and `evaluate_heats` boxes and scores the
-    GT-class heats. A predicted-class heat is fused only where the
-    top-ranked class is not the GT class, and all of them are labelled at
-    theta_star in one call. Classes rank by CAM-branch probability, ties
-    by id.
-    """
-    side = cfg.image_size
-    ranked_metrics = any(m in metrics for m in ("top1", "top5"))
-    ranks, heats_gt, pred_rows, heats_pred = [], [], [], []
-    for labels, result in forward_chunks(params, cfg, samples, selector=selector):
-        order = np.argsort(-nm.value_of(result.p_cam), axis=1, kind="stable")
-        heats_gt.extend(class_heats(result, labels, side))
-        # a predicted-class heat is needed only where that class is not the GT class
-        differ = np.flatnonzero(order[:, 0] != labels)
-        if ranked_metrics and differ.size:
-            heats_pred.extend(class_heats(result, order[differ, 0], side, rows=differ))
-            pred_rows.extend(len(ranks) + differ)
-        ranks.extend((order == np.array(labels)[:, None]).argmax(axis=1))
-    boxes, ious, table, theta_star, gt = evaluate_heats(heats_gt, [g for _, _, g in samples],
-                                                        thetas, side)
-    if ranked_metrics:
-        # where the top-ranked class is the GT class, its box is already in the table
-        top_boxes = boxes[:, thetas.index(theta_star)].copy()
-        if heats_pred:
-            top_boxes[pred_rows] = heat_boxes(heats_pred, [theta_star], side, side)[0][:, 0]
-        top_ious = best_ious(top_boxes[:, None], gt)[:, 0]
-    results = {}
-    for metric in metrics:
-        if metric == "gt-known":
-            results[metric] = dict(table)[theta_star]
-        elif metric == "maxboxaccv2":
-            results[metric] = max_box_acc_v2(ious)
-        else:
-            results[metric] = top_k_loc_acc(top_ious, ranks, {"top1": 1, "top5": 5}[metric])
-    return theta_star, results
 
 
 def _write_csv(path, header, rows):
@@ -163,8 +111,8 @@ def cmd_eval(args):
         raise ContractError(f"--metrics {args.metrics!r} names a metric more than once")
     thetas = (threshold_grid(*_parse_grid(args.theta)) if args.theta.startswith("grid")
               else [float(args.theta)])
-    theta_star, results = evaluate_samples(params, cfg, samples, metrics, thetas,
-                                           selector=_selector(args))
+    theta_star, _, results = evaluate_samples(params, cfg, samples, metrics, thetas,
+                                              selector=_selector(args))
     rows = [(metric, repr(results[metric])) for metric in metrics]
     rows.append(("theta", repr(theta_star)))
     _write_csv(args.out_report, ("metric", "value"), rows)
@@ -234,7 +182,10 @@ def cmd_ablate(args):
     samples = _load_manifest_samples(args.manifest)
     strategies = [parse_strategy(part, cfg.selection_mass)
                   for part in args.strategies.split(",") if part]
-    if len({label for label, _ in strategies}) < len(strategies):
+    # compared as resolved: a bare `adaptive` selects at the checkpoint's mass
+    resolved = {f"adaptive:{cfg.selection_mass:g}" if label == "adaptive" else label
+                for label, _ in strategies}
+    if len(resolved) < len(strategies):
         raise ContractError(f"--strategies {args.strategies!r} names a strategy more than once")
     modes = {"both": None, "on": True, "off": False}[args.reattention]
     grid = _parse_grid(args.grid) if args.grid else None

@@ -37,6 +37,7 @@ TENSOR_MAGIC = b"TRT1"
 CHECKPOINT_MAGIC = b"TRTC"
 DTYPE_F32 = 0
 CONFIG_ENTRY = "config"
+# header fields, one layout each for the readers and the writers
 _CONFIG_STRUCT = struct.Struct("<8I")
 _DTYPE_NDIM = struct.Struct("<BB")
 _EXTENTS = tuple(struct.Struct(f"<{ndim}I") for ndim in range(256))  # by the u8 rank
@@ -54,9 +55,8 @@ def tensor_to_bytes(array) -> bytes:
         raise DimensionError("tensor files need at least one dimension (use shape (1,))")
     if arr.ndim > 255:
         raise DimensionError(f"too many dimensions: {arr.ndim}")
-    header = TENSOR_MAGIC + struct.pack("<BB", DTYPE_F32, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return header + arr.tobytes()
+    header = TENSOR_MAGIC + _DTYPE_NDIM.pack(DTYPE_F32, arr.ndim)
+    return header + _EXTENTS[arr.ndim].pack(*arr.shape) + arr.tobytes()
 
 
 def _truncated(what: str, end: int, size: int) -> TruncationError:
@@ -155,12 +155,12 @@ def _check_params(cfg: ModelConfig, params: dict) -> None:
 def write_checkpoint(path, cfg: ModelConfig, params: dict) -> None:
     """Write config plus every parameter; validates completeness first."""
     _check_params(cfg, params)
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", len(params) + 1)]
+    chunks = [CHECKPOINT_MAGIC, _U32.pack(len(params) + 1)]
     ordered = [(CONFIG_ENTRY, _config_to_bytes(cfg))]
     ordered += [(name, tensor_to_bytes(params[name])) for name in sorted(params)]
     for name, payload in ordered:
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
+        chunks.append(_U16.pack(len(encoded)))
         chunks.append(encoded)
         chunks.append(payload)
     Path(path).write_bytes(b"".join(chunks))

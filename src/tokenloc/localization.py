@@ -4,13 +4,14 @@ The scoring-branch map and the chosen class's activation map are each
 min-max normalised (a constant map normalises to zeros), multiplied,
 upsampled to image resolution, thresholded, and reduced to the tight
 bounding box of the largest 8-connected foreground component. Fusion
-runs over the rows of a forward result's stack, and a stack of heat maps
+runs over a stack of scoring and class maps, and a stack of heat maps
 is labelled by foreground runs at every threshold of a grid in one call.
 A box is a half-open (x0, y0, x1, y1) int64 row. `evaluate_heats` turns
 heats into a box table, its best-IoU table and the calibrated threshold;
 GT-known, top-1 and top-5 localization accuracy and MaxBoxAccV2 (Choe et
 al., CVPR 2020) read those IoUs: strict comparisons, each sample against
-its best-matching ground-truth box.
+its best-matching ground-truth box. `evaluate_samples` is the one loop
+from samples to heats to metrics, behind both `calibrate` and `eval`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ DEFAULT_GRID = (0.05, 0.95, 0.05)
 # the 0:1:1e-4 grid: a labelling call holds FORWARD_CHUNK * T image-size masks
 MAX_GRID_THRESHOLDS = 10_001
 MAX_BOX_ACC_LEVELS = (0.3, 0.5, 0.7)
+METRIC_NAMES = ("gt-known", "top1", "top5", "maxboxaccv2")
 
 
 def _minmax(x: np.ndarray) -> np.ndarray:
@@ -125,11 +127,10 @@ def heat_boxes(heats: np.ndarray, thetas, width: int, height: int):
     return boxes.reshape(*lead, 4), empty.reshape(lead)
 
 
-def class_heats(result, class_ids, side: int, rows=slice(None)) -> np.ndarray:
-    """(R, side, side) fused localization maps of the `rows` of a forward
-    result's stack (all of them by default), one class per row."""
-    maps = nm.value_of(result.refined_map)[rows], nm.value_of(result.cam_maps)[rows]
-    return nm.bilinear_resize(fuse(*maps, class_ids), side, side)
+def class_heats(scoring_map, cam_maps, class_ids, side: int) -> np.ndarray:
+    """(R, side, side) fused localization maps of R (h, w) scoring maps
+    and their (K, h, w) class maps, one class per row."""
+    return nm.bilinear_resize(fuse(scoring_map, cam_maps, class_ids), side, side)
 
 
 def localize(params, cfg: ModelConfig, image, class_id="predicted", *,
@@ -142,7 +143,7 @@ def localize(params, cfg: ModelConfig, image, class_id="predicted", *,
     result = two_branch_forward(params, cfg, image[None], selector=selector)
     if class_id == "predicted":
         class_id = int(np.argmax(nm.value_of(result.p_cam)[0]))
-    heat = class_heats(result, [int(class_id)], cfg.image_size)[0]
+    heat = class_heats(result.refined_map, result.cam_maps, [int(class_id)], cfg.image_size)[0]
     boxes, empty = heat_boxes(heat, [theta], cfg.image_size, cfg.image_size)
     return heat, boxes[0], int(class_id), bool(empty[0])
 
@@ -159,14 +160,6 @@ def threshold_grid(start: float, stop: float, step: float) -> list:
         raise ContractError(f"grid {start}:{stop}:{step} has {count:.0f} thresholds, "
                             f"more than {MAX_GRID_THRESHOLDS}")
     return [float(round(start + i * step, 9)) for i in range(int(count))]
-
-
-def gt_class_heats(params, cfg: ModelConfig, samples, *, selector=None) -> list:
-    """Fused map per sample for that sample's ground-truth class."""
-    heats = []
-    for labels, result in forward_chunks(params, cfg, samples, selector=selector):
-        heats.extend(class_heats(result, labels, cfg.image_size))
-    return heats
 
 
 def _box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,17 +208,6 @@ def evaluate_heats(heats, gts, thetas, side: int) -> tuple:
     return boxes, ious, table, theta_star, gt
 
 
-def grid_search_threshold(params, cfg: ModelConfig, samples, *, grid=None, selector=None):
-    """Pick the threshold maximising ground-truth-known accuracy (IoU > 0.5)
-    over (image, label, (G, 4) boxes) samples. Returns (theta_star, table)
-    where table rows are (theta, accuracy); ties go to the smallest theta."""
-    thetas = threshold_grid(*(grid or DEFAULT_GRID))
-    heats = gt_class_heats(params, cfg, samples, selector=selector)
-    _, _, table, theta_star, _ = evaluate_heats(heats, [gt for _, _, gt in samples], thetas,
-                                                cfg.image_size)
-    return theta_star, table
-
-
 def max_box_acc_v2(ious) -> float:
     """Calibrated-threshold MaxBoxAccV2 from an (S, T) best-IoU table: for
     each IoU level pick the best threshold, then average the three best
@@ -240,3 +222,59 @@ def top_k_loc_acc(ious, ranks, k: int) -> float:
     is among the k highest-ranked classes (`ranks` holds each label's
     0-based rank) and whose (S,) predicted-class box IoU beats 0.5."""
     return int(np.count_nonzero((ious > 0.5) & (np.asarray(ranks) < k))) / len(ious)
+
+
+def evaluate_samples(params, cfg: ModelConfig, samples, metrics, thetas, *, selector=None):
+    """The engine behind `calibrate` and `eval` on (image, label, (G, 4)
+    boxes) samples: returns (theta_star, table, {metric: value}).
+
+    theta_star maximises GT-known accuracy over `thetas` (a fixed
+    threshold is a grid of one), table holds the (theta, GT-known) rows,
+    and `metrics` names any of METRIC_NAMES: the class-aware ones are
+    computed at theta_star, and maxboxaccv2 takes each IoU level's own
+    best threshold. The images go through the forward pass once each, in
+    stacks of `pipeline.FORWARD_CHUNK`, and `evaluate_heats` boxes and
+    scores the GT-class heats. A predicted-class heat is fused only where
+    the top-ranked class is not the GT class, and all of them are labelled
+    at theta_star in one call. Classes rank by CAM-branch probability,
+    ties by id.
+    """
+    side = cfg.image_size
+    ranked_metrics = any(m in metrics for m in ("top1", "top5"))
+    ranks, heats_gt, pred_rows, heats_pred = [], [], [], []
+    for labels, result in forward_chunks(params, cfg, samples, selector=selector):
+        order = np.argsort(-nm.value_of(result.p_cam), axis=1, kind="stable")
+        heats_gt.extend(class_heats(result.refined_map, result.cam_maps, labels, side))
+        # a predicted-class heat is needed only where that class is not the GT class
+        differ = np.flatnonzero(order[:, 0] != labels)
+        if ranked_metrics and differ.size:
+            heats_pred.extend(class_heats(result.refined_map[differ], result.cam_maps[differ],
+                                          order[differ, 0], side))
+            pred_rows.extend(len(ranks) + differ)
+        ranks.extend((order == np.array(labels)[:, None]).argmax(axis=1))
+    boxes, ious, table, theta_star, gt = evaluate_heats(heats_gt, [g for _, _, g in samples],
+                                                        thetas, side)
+    if ranked_metrics:
+        # where the top-ranked class is the GT class, its box is already in the table
+        top_boxes = boxes[:, thetas.index(theta_star)].copy()
+        if heats_pred:
+            top_boxes[pred_rows] = heat_boxes(heats_pred, [theta_star], side, side)[0][:, 0]
+        top_ious = best_ious(top_boxes[:, None], gt)[:, 0]
+    results = {}
+    for metric in metrics:
+        if metric == "gt-known":
+            results[metric] = dict(table)[theta_star]
+        elif metric == "maxboxaccv2":
+            results[metric] = max_box_acc_v2(ious)
+        else:
+            results[metric] = top_k_loc_acc(top_ious, ranks, {"top1": 1, "top5": 5}[metric])
+    return theta_star, table, results
+
+
+def grid_search_threshold(params, cfg: ModelConfig, samples, *, grid=None, selector=None):
+    """Pick the threshold maximising ground-truth-known accuracy (IoU > 0.5)
+    over (image, label, (G, 4) boxes) samples. Returns (theta_star, table)
+    where table rows are (theta, accuracy); ties go to the smallest theta."""
+    thetas = threshold_grid(*(grid or DEFAULT_GRID))
+    theta_star, table, _ = evaluate_samples(params, cfg, samples, (), thetas, selector=selector)
+    return theta_star, table

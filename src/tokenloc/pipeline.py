@@ -7,7 +7,9 @@ stacks of FORWARD_CHUNK images (`forward_chunks`). Used taped
 runs per image in numpy: during a taped pass it is computed from the
 current priority values and treated as a constant, and a selector that
 returns one constant (threshold, mask) pins it (that is what makes
-finite-difference checks of the composed loss well-posed).
+finite-difference checks of the composed loss well-posed). Re-attention
+always runs: the map without it is the priority vector itself, which
+every result carries as `selection.priorities`.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ class ForwardResult:
         return self._refine()
 
 
-def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None,
-                       reattention_on: bool = True) -> ForwardResult:
+def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None) -> ForwardResult:
     """Run the whole pipeline on a (B, 3, H, W) stack of images.
 
     `selector` maps each image's priority row to (threshold, mask)
@@ -84,16 +85,13 @@ def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None,
                             f"{expected}")
     z0 = embed(patchify(stack, cfg.patch_size), params, cfg)
     tokens, attention = backbone_forward(z0, params, cfg)
-    return branch_forward(params, cfg, tokens, attention, selector=selector,
-                          reattention_on=reattention_on)
+    return branch_forward(params, cfg, tokens, attention, selector=selector)
 
 
-def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None,
-                   reattention_on: bool = True) -> ForwardResult:
+def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None) -> ForwardResult:
     """Both branches on top of a backbone output (`tokens`, `stack`), with
-    the keyword arguments of `two_branch_forward`. Selection rules can be
-    compared on one backbone pass by calling this on a result's tokens
-    and stack."""
+    the selector of `two_branch_forward`. Selection rules can be compared
+    on one backbone pass by calling this on a result's tokens and stack."""
     selector = adaptive(cfg.selection_mass) if selector is None else selector
     b, n_plus_1, d = nm.value_of(tokens).shape
     z_cls = nm.crop(tokens, (0, 0, 0), (b, 1, d))
@@ -108,7 +106,7 @@ def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None,
 
     lam = importance_weights(z_p, selection, params, cfg.num_heads)
     selection.weights = lam
-    refined = reattention(priorities, mask, lam) if reattention_on else priorities
+    refined = reattention(priorities, mask, lam)
 
     cam_maps, cam_logits, p_cam = cam_forward(z_p, params, cfg)
 
@@ -124,13 +122,13 @@ def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None,
     )
 
 
-def forward_chunks(params, cfg: ModelConfig, samples, **kwargs):
+def forward_chunks(params, cfg: ModelConfig, samples, *, selector=None):
     """Untaped forward passes over (image, label, ...) samples in
     consecutive stacks of FORWARD_CHUNK images (the last stack may be
-    shorter), in order. Yields (labels, result) per stack; keyword
-    arguments go to `two_branch_forward`."""
+    shorter), in order, with `selector` as in `two_branch_forward`.
+    Yields (labels, result) per stack."""
     for start in range(0, len(samples), FORWARD_CHUNK):
         chunk = samples[start:start + FORWARD_CHUNK]
         images = np.stack([sample[0] for sample in chunk])
         yield ([int(sample[1]) for sample in chunk],
-               two_branch_forward(params, cfg, images, **kwargs))
+               two_branch_forward(params, cfg, images, selector=selector))

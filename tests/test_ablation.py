@@ -6,13 +6,12 @@ import pytest
 from tokenloc import numerics as nm
 from tokenloc import pipeline
 from tokenloc.ablation import parse_strategy, run_ablation
-from tokenloc.cli import evaluate_samples
 from tokenloc.errors import ContractError
 from tokenloc.pipeline import two_branch_forward
-from tokenloc.token_refine import adaptive, adaptive_select, fixed, select, top_k
+from tokenloc.token_refine import adaptive, adaptive_select, fixed, select, spatial_map, top_k
 
 from test_localization import brightness_checkpoint, planted_image
-from tokenloc.localization import grid_search_threshold, threshold_grid
+from tokenloc.localization import evaluate_samples, grid_search_threshold, threshold_grid
 
 
 def test_parse_strategy_forms():
@@ -169,19 +168,32 @@ def test_adaptive_equals_topk_when_masses_align():
     assert np.array_equal(adaptive_mask, topk_mask)
 
 
-def test_reattention_flag_changes_only_refined_map():
+def test_reattention_flag_changes_only_refined_map(monkeypatch):
+    from tokenloc import ablation
     from tokenloc.backbone import ModelConfig, init_params
 
     cfg = ModelConfig(image_size=16, patch_size=4, embed_dim=8, num_blocks=2,
                       num_heads=2, num_classes=3)
     params = init_params(cfg, 13)
-    image = np.random.default_rng(14).random((1, 3, 16, 16)).astype(np.float32)
-    on = two_branch_forward(params, cfg, image, reattention_on=True)
-    off = two_branch_forward(params, cfg, image, reattention_on=False)
-    assert np.array_equal(nm.value_of(on.cam_maps), nm.value_of(off.cam_maps))
-    assert np.array_equal(nm.value_of(on.p_cam), nm.value_of(off.p_cam))
-    assert np.array_equal(nm.value_of(off.refined_map).ravel(), off.selection.priorities.ravel())
-    assert not np.array_equal(nm.value_of(on.refined_map), nm.value_of(off.refined_map))
+    image = np.random.default_rng(14).random((3, 16, 16)).astype(np.float32)
+    result = two_branch_forward(params, cfg, image[None])
+    maps = []
+    real_heats = ablation.class_heats
+
+    def recording_heats(scoring_map, cam_maps, class_ids, side):
+        maps.append((nm.value_of(scoring_map).copy(), nm.value_of(cam_maps).copy()))
+        return real_heats(scoring_map, cam_maps, class_ids, side)
+
+    monkeypatch.setattr(ablation, "class_heats", recording_heats)
+    run_ablation(params, cfg, [(image, 0, np.array([[0, 0, 8, 8]]))],
+                 [parse_strategy("adaptive", cfg.selection_mass)], grid=(0.5, 0.5, 0.1))
+    (on, on_cam), (off, off_cam) = maps
+    assert np.array_equal(on_cam, nm.value_of(result.cam_maps))
+    assert np.array_equal(off_cam, on_cam)
+    assert np.array_equal(on, nm.value_of(result.refined_map))
+    assert np.array_equal(off, spatial_map(result.selection.priorities))
+    assert np.array_equal(off.ravel(), result.selection.priorities.ravel())
+    assert not np.array_equal(on, off)
 
 
 def test_run_ablation_covers_both_modes_by_default():
@@ -213,9 +225,42 @@ def test_zero_mass_rows_fall_back_alike_in_the_ablation_and_in_eval(monkeypatch)
                         reattention_on=True, grid=grid)
     ablation_masks = np.concatenate(masks)
     masks.clear()
-    theta, results = evaluate_samples(params, cfg, samples, ["gt-known"], threshold_grid(*grid))
+    theta, _, results = evaluate_samples(params, cfg, samples, ["gt-known"],
+                                         threshold_grid(*grid))
     # both select the argmax token, the first one of an all-zero row
     one_hot = np.eye(cfg.num_tokens, dtype=np.float32)[[0] * len(samples)]
     assert np.array_equal(ablation_masks, one_hot)
     assert np.array_equal(np.concatenate(masks), one_hot)
     assert rows[0][2:4] == (theta, results["gt-known"])
+
+
+def test_both_modes_run_the_mask_block_once_per_strategy_per_stack(monkeypatch):
+    cfg, params = brightness_checkpoint()
+    samples = _samples(pipeline.FORWARD_CHUNK + 1)
+    calls = []
+    weights = pipeline.importance_weights
+
+    def counting_weights(z_p, *args):
+        calls.append(len(nm.value_of(z_p)))
+        return weights(z_p, *args)
+
+    monkeypatch.setattr(pipeline, "importance_weights", counting_weights)
+    strategies = [parse_strategy(text, cfg.selection_mass) for text in ("adaptive", "topk:4")]
+    rows = run_ablation(params, cfg, samples, strategies, grid=(0.45, 0.45, 0.1))
+    assert len(rows) == 4
+    # two stacks (8 images and 1), each through the mask block once per strategy
+    assert calls == [pipeline.FORWARD_CHUNK, pipeline.FORWARD_CHUNK, 1, 1]
+
+
+def test_both_mode_rows_equal_the_on_and_off_runs_in_order():
+    cfg, params = brightness_checkpoint()
+    samples = _samples(5)
+    strategies = [parse_strategy(text, cfg.selection_mass)
+                  for text in ("adaptive", "fixed:mean", "topk:4", "adaptive")]
+    grid = (0.25, 0.65, 0.2)
+    both = run_ablation(params, cfg, samples, strategies, grid=grid)
+    on = run_ablation(params, cfg, samples, strategies, reattention_on=True, grid=grid)
+    off = run_ablation(params, cfg, samples, strategies, reattention_on=False, grid=grid)
+    assert [row[:2] for row in both] == [(label, mode) for label, _ in strategies
+                                        for mode in (True, False)]
+    assert both == [row for pair in zip(on, off) for row in pair]

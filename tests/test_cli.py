@@ -25,14 +25,14 @@ from tokenloc.formats import (
     write_checkpoint,
     write_tensor,
 )
-from tokenloc.localization import DEFAULT_GRID, gt_class_heats, localize, threshold_grid
+from tokenloc.localization import DEFAULT_GRID, localize, threshold_grid
 from tokenloc.pipeline import FORWARD_CHUNK
 from tokenloc.training import ToyTaskConfig, default_model_config, make_dataset
 
 from test_localization import brightness_checkpoint, hit_fraction_oracle, planted_image
 from test_metrics import Record, _loc_acc_oracle
 from test_pipeline import ACCEPTANCE_CKPT
-from util import iou
+from util import gt_heats, iou
 
 
 @pytest.fixture()
@@ -188,7 +188,6 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     monkeypatch.setattr(pipeline, "two_branch_forward", counting_forward)
     monkeypatch.setattr(cli, "two_branch_forward", counting_forward)
     monkeypatch.setattr(loc, "heat_boxes", recording_boxes)
-    monkeypatch.setattr(cli, "heat_boxes", recording_boxes)
     report = tmp / "report.csv"
     assert main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "grid",
                  "--out-report", str(report)]) == 0
@@ -213,7 +212,7 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
         assert len(heats) * len(call_thetas) <= FORWARD_CHUNK * len(thetas)
 
     rows = dict(_read_csv(report)[1:])
-    heats = gt_class_heats(params, cfg, samples)
+    heats = gt_heats(params, cfg, samples)
     table = [(theta, hit_fraction_oracle(heats, samples, theta, 0.5, 32, 32))
              for theta in thetas]
     theta_star = min(theta for theta, acc in table if acc == max(acc for _, acc in table))
@@ -257,7 +256,7 @@ def test_each_grid_command_runs_the_engine_once_per_setting(workspace, monkeypat
         for module in modules:
             monkeypatch.setattr(module, name, counting)
 
-    count("evaluate_heats", loc, cli, ablation)
+    count("evaluate_heats", loc, ablation)
     count("_gt_array", loc)
     count("_box_ious", loc)
     common = ["--ckpt", str(ckpt), "--manifest", str(manifest)]
@@ -760,10 +759,13 @@ def test_selection_mass_outside_unit_interval_exits_4(workspace, capsys, command
 @pytest.mark.parametrize("strategy", ["adaptive:0", "adaptive:nan", "topk", "topk:0", "topk:1.5",
                                       "topk:65", "fixed:-1", "fixed:nan", "fixed:inf",
                                       "nonsense:1", "adaptive,adaptive", "topk:8,topk:8",
-                                      "adaptive:0.5,fixed:mean,adaptive:0.50"])
+                                      "adaptive:0.5,fixed:mean,adaptive:0.50",
+                                      "adaptive,adaptive:0.65", "adaptive:0.65,adaptive"])
 def test_malformed_selection_strategy_exits_4(workspace, capsys, strategy):
     tmp, cfg, params, ckpt, _ = workspace
     assert cfg.num_tokens == 64   # so topk:65 asks for more tokens than there are
+    # a bare `adaptive` selects at the checkpoint's mass, so it duplicates adaptive:0.65
+    write_checkpoint(ckpt, replace(cfg, selection_mass=0.65), params)
     err = _assert_one_contract_line(
         capsys, tmp, _manifest_argv(tmp, ckpt, "ablate-selection", "--strategies", strategy))
     if "," in strategy:
@@ -857,14 +859,16 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
     manifest = tmp_path / "flipped.manifest"
     manifest.write_text("\n".join(lines) + "\n")
     fused = []
-    real_heats = cli.class_heats
+    real_heats = loc.class_heats
 
-    def counting_heats(result, class_ids, side, **kwargs):
-        heats = real_heats(result, class_ids, side, **kwargs)
-        fused.append(("rows" in kwargs, len(heats)))
+    def counting_heats(scoring_map, cam_maps, class_ids, side):
+        heats = real_heats(scoring_map, cam_maps, class_ids, side)
+        # GT-class heats take the stack's label list, predicted-class heats
+        # an array of the top-ranked classes of the rows that differ
+        fused.append((isinstance(class_ids, np.ndarray), len(heats)))
         return heats
 
-    monkeypatch.setattr(cli, "class_heats", counting_heats)
+    monkeypatch.setattr(loc, "class_heats", counting_heats)
     report = tmp_path / "report.csv"
     assert main(["eval", "--ckpt", str(ACCEPTANCE_CKPT), "--manifest", str(manifest),
                  "--theta", "grid", "--out-report", str(report)]) == 0
@@ -874,7 +878,7 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     samples = parse_manifest(manifest)
     theta_star, table = loc.grid_search_threshold(params, cfg, samples)
-    heats = gt_class_heats(params, cfg, samples)
+    heats = gt_heats(params, cfg, samples)
     per_level = [max(hit_fraction_oracle(heats, samples, theta, level, 32, 32)
                      for theta in threshold_grid(*DEFAULT_GRID))
                  for level in loc.MAX_BOX_ACC_LEVELS]

@@ -15,7 +15,6 @@ from tokenloc.localization import (
     class_heats,
     evaluate_heats,
     fuse,
-    gt_class_heats,
     threshold_grid,
 )
 from tokenloc.pipeline import (
@@ -27,7 +26,7 @@ from tokenloc.pipeline import (
 from tokenloc.token_refine import adaptive, adaptive_select, fixed, select, top_k
 from tokenloc.training import ToyTaskConfig, make_dataset
 
-from util import selection_matrix
+from util import gt_heats, selection_matrix
 
 ACCEPTANCE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "acceptance.ckpt"
 CFG = ModelConfig(image_size=16, patch_size=4, embed_dim=8, num_blocks=2,
@@ -130,7 +129,7 @@ def test_branch_forward_on_a_result_equals_a_fresh_forward():
         return 0.0, mask
 
     first = two_branch_forward(params, CFG, image)
-    for kwargs in ({"selector": take_three}, {"selector": adaptive(0.3), "reattention_on": False}):
+    for kwargs in ({"selector": take_three}, {"selector": adaptive(0.3)}):
         fresh = two_branch_forward(params, CFG, image, **kwargs)
         reused = branch_forward(params, CFG, first.tokens, first.stack, **kwargs)
         assert np.array_equal(reused.selection.mask, fresh.selection.mask)
@@ -217,7 +216,7 @@ def test_forward_chunks_are_bit_identical_to_single_image_forwards(count):
     assert sum((labels for labels, _ in chunks), []) == [label for _, label, _ in samples]
     p_cam = np.concatenate([nm.value_of(result.p_cam) for _, result in chunks])
     p_refine = np.concatenate([nm.value_of(result.p_refine) for _, result in chunks])
-    heats = gt_class_heats(params, cfg, samples)
+    heats = gt_heats(params, cfg, samples)
     assert len(heats) == count
     for i, (image, label, _) in enumerate(samples):
         alone, heat = _single_image_heat(params, cfg, image, label)
@@ -231,7 +230,7 @@ def test_class_heats_rows_equal_one_row_stacks():
     samples = _acceptance_samples(5)
     stack = two_branch_forward(params, cfg, np.stack([image for image, _, _ in samples]))
     classes = [0, 1, 1, 0, 1]
-    heats = class_heats(stack, classes, cfg.image_size)
+    heats = class_heats(stack.refined_map, stack.cam_maps, classes, cfg.image_size)
     assert heats.shape == (5, cfg.image_size, cfg.image_size) and heats.dtype == np.float32
     for i, (image, _, _) in enumerate(samples):
         assert np.array_equal(heats[i], _single_image_heat(params, cfg, image, classes[i])[1])
@@ -243,7 +242,7 @@ def test_one_chunk_forward_stays_under_its_memory_budget():
     tracemalloc.start()
     try:
         for _, result in forward_chunks(params, cfg, samples):
-            branch_forward(params, cfg, result.tokens, result.stack, reattention_on=False)
+            branch_forward(params, cfg, result.tokens, result.stack)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -264,7 +263,7 @@ BOX_TABLE_BUDGET = 2_210_000
 def test_box_table_labels_one_stack_at_a_time_under_its_memory_budget():
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     samples = _acceptance_samples(50)
-    heats = gt_class_heats(params, cfg, samples)
+    heats = gt_heats(params, cfg, samples)
     thetas = threshold_grid(*DEFAULT_GRID)
     tracemalloc.start()
     try:

@@ -25,6 +25,8 @@ from tokenloc.formats import (
     TENSOR_MAGIC,
     _config_from_bytes,
 )
+from tokenloc.localization import class_heats
+from tokenloc.pipeline import forward_chunks
 
 
 def assert_grads_close(analytic, numeric, rel=1e-3, floor=1e-4, what=""):
@@ -121,6 +123,15 @@ def masked_importance_weights(z_p, selection, params, num_heads: int):
     scores = nm.add(nm.matmul(nm.reshape(z, (b * n, d)), params["refine.score.weight"]),
                     params["refine.score.bias"])
     return nm.softmax(nm.reshape(scores, (b, n)), selection.mask)
+
+
+def gt_heats(params, cfg, samples, selector=None) -> list:
+    """Fused map per (image, label, ...) sample for that sample's label,
+    as the evaluation loop builds them."""
+    heats = []
+    for labels, result in forward_chunks(params, cfg, samples, selector=selector):
+        heats.extend(class_heats(result.refined_map, result.cam_maps, labels, cfg.image_size))
+    return heats
 
 
 def iou(a, b) -> float:

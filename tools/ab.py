@@ -24,7 +24,14 @@ of 8 heats x 19 thresholds, on one plane whose run graph is a set of
 chains and on one whose run graph forks (both at the fixture's
 calibrated threshold), and ``token_refine.importance_weights`` (the
 mask block) on an unpadded stack of 8, with the tracemalloc peak of
-``evaluate_heats`` on all 50 heats.
+``evaluate_heats`` on all 50 heats. ``ablation.run_ablation`` in its
+default mode (re-attention on and off) with perfbench's strategies on
+all 50 images is timed base against head and, for its noise floor, head
+against the A/A copy. Last comes the kernel-op level: forward and
+backward of each op of ``op_cases`` at the toy shapes (65 tokens, width
+32, 4 heads), base against head. A backward is timed alone, on a tape
+recorded beforehand, and includes the adjoint of the sum that reduces
+the op's output to a scalar loss.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import argparse
 import importlib
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -48,8 +56,10 @@ SRC = ROOT / "src"
 PERFBENCH = ROOT / "perfbench"
 BUILD = ROOT / ".bench_build" / "ab"
 WORKLOADS = ("evaluate", "localize", "train")
-MODULES = ("cli", "formats", "localization", "pipeline", "token_refine")
+MODULES = ("ablation", "cli", "formats", "localization", "numerics", "pipeline", "token_refine")
 STAGE_REPEATS = 60
+ABLATION_REPEATS = 20
+TOKENS, WIDTH, HEADS = 65, 32, 4
 
 
 def quartiles(values) -> dict:
@@ -144,19 +154,31 @@ def verdict(ab: dict, aa: dict) -> str:
 
 
 def timed(cases: dict, repeats: int, inner: int) -> dict:
-    """Median and quartiles in microseconds per call of each zero-argument
-    case, the cases interleaved and their order reversed every repeat."""
-    names = list(cases)
+    """Median and quartiles in microseconds per call of each case, the
+    cases interleaved and their order reversed every repeat. A case is a
+    zero-argument callable, or a (prepare, run) pair: then `inner`
+    prepare() results are made before the clock starts and run(prepared)
+    is timed on each. With cases "base" and "head", the per-repeat ratio
+    head / base is reported as ``pair_ratio_head_over_base``."""
+    pairs = {name: case if isinstance(case, tuple) else (lambda: None, lambda _, f=case: f())
+             for name, case in cases.items()}
+    names = list(pairs)
     samples = {name: [] for name in names}
-    for name in names:
-        cases[name]()   # warm-up
+    for prepare, run in pairs.values():
+        run(prepare())   # warm-up
     for r in range(repeats):
         for name in (names if r % 2 == 0 else names[::-1]):
+            prepare, run = pairs[name]
+            states = [prepare() for _ in range(inner)]
             start = time.perf_counter()
-            for _ in range(inner):
-                cases[name]()
+            for state in states:
+                run(state)
             samples[name].append((time.perf_counter() - start) / inner * 1e6)
-    return {name: quartiles(values) for name, values in samples.items()}
+    out = {name: quartiles(values) for name, values in samples.items()}
+    if {"base", "head"} <= samples.keys():
+        out["pair_ratio_head_over_base"] = quartiles(
+            [h / b for b, h in zip(samples["base"], samples["head"])])
+    return out
 
 
 def forks(mask) -> bool:
@@ -183,10 +205,12 @@ def stages(base, head, inp) -> dict:
     loc, base_loc = head.localization, base.localization
     cfg, params = head.formats.read_checkpoint(inp.checkpoint)
     samples = head.formats.parse_manifest(inp.manifest)
-    heats = np.stack(loc.gt_class_heats(params, cfg, samples))
+    side = cfg.image_size
+    heats = np.concatenate([loc.class_heats(result.refined_map, result.cam_maps, labels, side)
+                            for labels, result in head.pipeline.forward_chunks(params, cfg,
+                                                                               samples)])
     thetas = loc.threshold_grid(*loc.DEFAULT_GRID)
     theta = float(inp.expected["theta_star"])
-    side = cfg.image_size
 
     forked = [forks(heat >= np.float32(theta)) for heat in heats]
     chain_plane, fork_plane = heats[forked.index(False)], heats[forked.index(True)]
@@ -226,6 +250,78 @@ def stages(base, head, inp) -> dict:
         finally:
             tracemalloc.stop()
     out["evaluate_heats_tracemalloc_peak_bytes"] = peaks
+    return out
+
+
+def ablation_stage(packages: dict, head, inp) -> dict:
+    """``run_ablation`` in its default mode on the held-out set, base
+    against head for each of `packages` ("ab": the base revision, "aa":
+    the copy of the working tree), with the rows of both checked equal."""
+    from workloads import ABLATE_STRATEGIES
+
+    cfg, params = head.formats.read_checkpoint(inp.checkpoint)
+    samples = head.formats.parse_manifest(inp.manifest)
+
+    def run(package):
+        strategies = [package.ablation.parse_strategy(text, cfg.selection_mass)
+                      for text in ABLATE_STRATEGIES.split(",")]
+        return lambda: package.ablation.run_ablation(params, cfg, samples, strategies)
+
+    out = {"strategies": ABLATE_STRATEGIES, "images": len(samples)}
+    for kind, base in packages.items():
+        same = run(base)() == run(head)()
+        out[kind] = {"identical": same, **timed({"base": run(base), "head": run(head)},
+                                                ABLATION_REPEATS, 1)}
+    if "ab" in out:
+        out["verdict"] = verdict(out["ab"], out["aa"])
+    return out
+
+
+def op_cases(rng) -> dict:
+    """(call(nm, *args), args) per kernel op at the toy shapes: a
+    (65, 32) @ (32, 32) product, softmax over (4, 65, 65) scores, 4-head
+    attention over one (65, 32) sequence, layer_norm over (65, 32), gelu
+    over the (65, 128) MLP hidden layer, the CAM's 3x3 convolution of the
+    8 x 8 x 32 token grid into 2 maps, and an 8 x 8 -> 32 x 32 resize."""
+    side = math.isqrt(TOKENS - 1)
+
+    def arrays(*shapes):
+        return [rng.standard_normal(shape).astype("float32") for shape in shapes]
+
+    return {
+        "matmul": (lambda nm, a, b: nm.matmul(a, b), arrays((TOKENS, WIDTH), (WIDTH, WIDTH))),
+        "softmax": (lambda nm, x: nm.softmax(x), arrays((HEADS, TOKENS, TOKENS))),
+        "attention": (lambda nm, q, k, v: nm.attention(q, k, v, HEADS)[0],
+                      arrays(*[(1, TOKENS, WIDTH)] * 3)),
+        "layer_norm": (lambda nm, x, g, b: nm.layer_norm(x, g, b),
+                       arrays((TOKENS, WIDTH), (WIDTH,), (WIDTH,))),
+        "gelu": (lambda nm, x: nm.gelu(x), arrays((TOKENS, 4 * WIDTH))),
+        "conv2d3x3": (lambda nm, x, k, b: nm.conv2d3x3(x, k, b),
+                      arrays((side, side, WIDTH), (2, WIDTH, 3, 3), (2,))),
+        "bilinear_resize": (lambda nm, m: nm.bilinear_resize(m, 4 * side, 4 * side),
+                            arrays((side, side))),
+    }
+
+
+def kernel_ops(base, head) -> dict:
+    """Forward and backward of each kernel op, base against head; see
+    the module docstring."""
+    import numpy as np
+
+    out = {}
+    for op, (call, args) in op_cases(np.random.default_rng(0)).items():
+        def forward(nm, call=call, args=args):
+            return lambda: call(nm, *args)
+
+        def backward(nm, call=call, args=args):
+            def prepare():
+                tape = nm.GradTape()
+                return tape, nm.reduce_sum(call(nm, *[tape.leaf(a) for a in args]))
+            return prepare, lambda recorded: recorded[0].backward(recorded[1])
+
+        out[op] = {direction: timed({"base": build(base.numerics), "head": build(head.numerics)},
+                                    STAGE_REPEATS, 20)
+                   for direction, build in (("forward", forward), ("backward", backward))}
     return out
 
 
@@ -290,8 +386,10 @@ def main(argv=None) -> int:
                                            or entry[kind]["head_failed"])
             if not args.aa:
                 entry["verdict"] = verdict(entry["ab"], entry["aa"])
+        report["ablation_us"] = ablation_stage(packages, head, inp)
         if not args.aa:
             report["stages_us"] = stages(packages["ab"], head, inp)
+            report["kernel_ops_us"] = kernel_ops(packages["ab"], head)
     report["outputs_correct"] = correct
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
