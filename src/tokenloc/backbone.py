@@ -19,6 +19,11 @@ from . import numerics as nm
 from .errors import DimensionError
 
 PARAM_STD = 0.02
+# float32 parameter bytes; the toy defaults need 119,828
+MAX_PARAM_BYTES = 64 << 20
+# one image's (H, T, T) float64 attention array; the toy defaults need
+# 135,200 bytes, and patch size 1 at 32 px 33,620,000
+MAX_ATTENTION_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,8 @@ class ModelConfig:
             raise DimensionError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
             )
+        if self.embed_dim < 1 or self.num_heads < 1:
+            raise DimensionError("embed_dim and num_heads must be positive")
         if self.embed_dim % self.num_heads != 0:
             raise DimensionError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
@@ -73,6 +80,29 @@ class ModelConfig:
     @property
     def mlp_hidden(self) -> int:
         return self.mlp_ratio * self.embed_dim
+
+    @property
+    def num_parameters(self) -> int:
+        """Entries of all `parameter_shapes(self)`, counted without building them."""
+        d, h, k = self.embed_dim, self.mlp_hidden, self.num_classes
+        block = 4 * d * d + 2 * d * h + 9 * d + h
+        return (d * (self.patch_dim + self.num_tokens + 3 + 10 * k) + 1 + 2 * k
+                + (self.num_blocks + 1) * block)
+
+    def check_memory(self) -> None:
+        """Raise DimensionError unless the parameters and one image's
+        attention fit MAX_PARAM_BYTES and MAX_ATTENTION_BYTES; arithmetic
+        only, so an oversized config is rejected before any allocation."""
+        param_bytes = 4 * self.num_parameters
+        if param_bytes > MAX_PARAM_BYTES:
+            raise DimensionError(f"the parameters take {param_bytes} bytes of float32, more than "
+                                 f"the budget of {MAX_PARAM_BYTES}")
+        t = self.num_tokens + 1
+        attention_bytes = 8 * self.num_heads * t * t
+        if attention_bytes > MAX_ATTENTION_BYTES:
+            raise DimensionError(f"one image's attention over {self.num_heads} heads and {t} "
+                                 f"tokens takes {attention_bytes} bytes of float64, more than the "
+                                 f"budget of {MAX_ATTENTION_BYTES}")
 
 
 def _block_shapes(cfg: ModelConfig, prefix: str) -> dict:

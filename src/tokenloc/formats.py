@@ -215,6 +215,11 @@ def read_checkpoint(path):
         raise CheckpointError(f"config's {cfg.num_blocks} blocks need {16 * (cfg.num_blocks + 1)} "
                               f"parameters, the checkpoint holds {len(params)}")
     _check_params(cfg, params)
+    # after the shapes, so that a corrupt extent is named by the checks above
+    try:
+        cfg.check_memory()
+    except DimensionError as exc:
+        raise CheckpointError(f"invalid config entry: {exc}") from exc
     return cfg, params
 
 

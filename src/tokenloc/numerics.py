@@ -3,8 +3,10 @@
 Values are stored as float32; reductions (dot products, softmax sums,
 mean/variance) accumulate in float64 before rounding back. No operation
 mutates its inputs. Every differentiable operation carries a backward
-rule: when any argument is a Node created from a GradTape, the result is
-a Node and the adjoint step is recorded on that tape.
+rule and returns through `_emit`, the one place that applies the
+recording rule: when any argument is a Node created from a GradTape, the
+result is a Node and the adjoint step is recorded on that tape;
+otherwise the plain float32 array is returned.
 """
 
 from __future__ import annotations
@@ -75,9 +77,6 @@ class GradTape:
         """Number of recorded adjoint steps not yet replayed."""
         return len(self._records)
 
-    def _record(self, node: Node, backward) -> None:
-        self._records.append((node, backward))
-
     def backward(self, loss: Node) -> None:
         """Seed d(loss)/d(loss)=1 and replay all adjoint rules in reverse.
 
@@ -104,10 +103,11 @@ class GradTape:
 
 def value_of(x) -> np.ndarray:
     """Underlying float32 array of a Node or plain array-like."""
-    return x.value if isinstance(x, Node) else as_f32(x)
+    return x.value if isinstance(x, Node) else np.asarray(x, dtype=np.float32)
 
 
-def _tape_of(*xs):
+def _tape_of(xs):
+    """The one tape the Nodes among `xs` were recorded on; None without Nodes."""
     tape = None
     for x in xs:
         if isinstance(x, Node):
@@ -118,9 +118,14 @@ def _tape_of(*xs):
     return tape
 
 
-def _emit(tape, out_value, backward):
+def _emit(out_value, backward, *inputs):
+    """`out_value` as it is when no input is a Node; otherwise a Node
+    recorded with `backward` on the inputs' tape."""
+    tape = _tape_of(inputs)
+    if tape is None:
+        return out_value
     node = Node(out_value, tape)
-    tape._record(node, backward)
+    tape._records.append((node, backward))
     return node
 
 
@@ -148,9 +153,6 @@ def matmul(a, b):
         raise DimensionError(f"matmul inner extents disagree: {av.shape} vs {bv.shape}")
     a64, b64 = _f64(av), _f64(bv)
     out = (a64 @ b64).astype(np.float32)
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out
 
     def backward(g):
         if isinstance(a, Node):
@@ -158,7 +160,7 @@ def matmul(a, b):
         if isinstance(b, Node):
             b.add_grad(a64.T @ g)
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, a, b)
 
 
 def _softmax64(z: np.ndarray, keep=None) -> np.ndarray:
@@ -211,14 +213,11 @@ def softmax(x, keep=None):
         keep = keep > 0
     out64 = _softmax64(np.array(xv, dtype=np.float64), keep)
     out = out64.astype(np.float32)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g):
         x.add_grad(_softmax_adjoint(g, out64))
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x)
 
 
 def attention(q, k, v, num_heads: int, mask=None):
@@ -256,7 +255,7 @@ def attention(q, k, v, num_heads: int, mask=None):
     def merge(x):  # (B, H, T, hd) -> (B, T, D)
         return x.transpose(0, 2, 1, 3).reshape(b, t, d)
 
-    tape = _tape_of(q, k, v)
+    tape = _tape_of((q, k, v))  # only to free what no backward rule will read
     q64, k64 = split(qv), split(kv)
     # one float64 and one float32 array hold the raw scores, then the
     # scaled scores, then the probabilities
@@ -278,8 +277,6 @@ def attention(q, k, v, num_heads: int, mask=None):
     if tape is None:
         del probs64, p64, v64  # freed before the context is rounded and merged
     context = merge(context.astype(np.float32)).reshape(b * t, d)
-    if tape is None:
-        return context, probs
 
     def probs_backward(g):
         g_raw = _softmax_adjoint(g, probs64) * c
@@ -288,15 +285,15 @@ def attention(q, k, v, num_heads: int, mask=None):
         if isinstance(k, Node):
             k.add_grad(merge(g_raw.swapaxes(-1, -2) @ q64))
 
-    probs_node = _emit(tape, probs, probs_backward)
+    probs = _emit(probs, probs_backward, q, k, v)
 
     def context_backward(g):
         g_heads = split(g)
-        probs_node.add_grad(g_heads @ v64.swapaxes(-1, -2))
+        probs.add_grad(g_heads @ v64.swapaxes(-1, -2))
         if isinstance(v, Node):
             v.add_grad(merge(p64.swapaxes(-1, -2) @ g_heads))
 
-    return _emit(tape, context, context_backward), probs_node
+    return _emit(context, context_backward, probs, v), probs
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6):
@@ -315,13 +312,9 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6):
     xhat = centred * inv
     g64, b64 = _f64(gv), _f64(bv)
     out = (xhat * g64 + b64).astype(np.float32)
-    tape = _tape_of(x, gamma, beta)
-    if tape is None:
-        return out
-
-    lead = tuple(range(xv.ndim - 1))
 
     def backward(g):
+        lead = tuple(range(xv.ndim - 1))
         if isinstance(x, Node):
             gg = g * g64
             x.add_grad(inv * (gg - gg.mean(axis=-1, keepdims=True)
@@ -331,7 +324,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6):
         if isinstance(beta, Node):
             beta.add_grad(g.sum(axis=lead) if lead else g)
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x, gamma, beta)
 
 
 def gelu(x):
@@ -343,15 +336,12 @@ def gelu(x):
     cdf += 1.0
     cdf *= 0.5
     out = (z * cdf).astype(np.float32)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
         x.add_grad(g * (cdf + z * pdf))
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x)
 
 
 def bilinear_resize(m, out_h: int, out_w: int):
@@ -381,9 +371,6 @@ def bilinear_resize(m, out_h: int, out_w: int):
     z = _f64(mv)
     terms = [weight * z[..., ii, jj] for ii, jj, weight in corners]
     out = (terms[0] + terms[1] + terms[2] + terms[3]).astype(np.float32)
-    tape = _tape_of(m)
-    if tape is None:
-        return out
 
     def backward(g):
         g = g.reshape(-1, out_h, out_w)
@@ -393,7 +380,7 @@ def bilinear_resize(m, out_h: int, out_w: int):
             np.add.at(gm, (rows, ii, jj), g * weight)
         m.add_grad(gm.reshape(mv.shape))
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, m)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +391,6 @@ def add(a, b):
     av, bv = value_of(a), value_of(b)
     out64 = _f64(av) + _f64(bv)
     out = out64.astype(np.float32)
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out
 
     def backward(g):
         if isinstance(a, Node):
@@ -414,16 +398,13 @@ def add(a, b):
         if isinstance(b, Node):
             b.add_grad(_unbroadcast(g, bv.shape))
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, a, b)
 
 
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
     a64, b64 = _f64(av), _f64(bv)
     out = (a64 * b64).astype(np.float32)
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out
 
     def backward(g):
         if isinstance(a, Node):
@@ -431,16 +412,13 @@ def mul(a, b):
         if isinstance(b, Node):
             b.add_grad(_unbroadcast(g * a64, bv.shape))
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, a, b)
 
 
 def div(a, b):
     av, bv = value_of(a), value_of(b)
     a64, b64 = _f64(av), _f64(bv)
     out = (a64 / b64).astype(np.float32)
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out
 
     def backward(g):
         if isinstance(a, Node):
@@ -448,20 +426,17 @@ def div(a, b):
         if isinstance(b, Node):
             b.add_grad(_unbroadcast(-g * a64 / (b64 * b64), bv.shape))
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, a, b)
 
 
 def scale(x, c: float):
     xv = value_of(x)
     out = (_f64(xv) * float(c)).astype(np.float32)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g):
         x.add_grad(g * float(c))
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x)
 
 
 def transpose(x):
@@ -469,48 +444,40 @@ def transpose(x):
     if xv.ndim != 2:
         raise DimensionError(f"transpose expects a matrix, got shape {xv.shape}")
     out = np.ascontiguousarray(xv.T)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g):
         x.add_grad(g.T)
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x)
 
 
 def reshape(x, shape):
     xv = value_of(x)
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(map(int, shape))
     if math.prod(shape) != xv.size:
         raise DimensionError(f"cannot reshape {xv.shape} into {shape}")
     out = xv.reshape(shape).copy()
-    tape = _tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g):
         x.add_grad(g.reshape(xv.shape))
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x)
 
 
 def concat(parts, axis: int = 0):
     values = [value_of(p) for p in parts]
     out = np.concatenate(values, axis=axis)
-    tape = _tape_of(*parts)
-    if tape is None:
-        return out
-    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
 
     def backward(g):
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        index = [slice(None)] * g.ndim
+        hi = 0
+        for part, value in zip(parts, values):
+            lo, hi = hi, hi + value.shape[axis]
             if isinstance(part, Node):
-                index = [slice(None)] * g.ndim
                 index[axis] = slice(lo, hi)
                 part.add_grad(g[tuple(index)])
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, *parts)
 
 
 def crop(x, starts, sizes):
@@ -523,16 +490,13 @@ def crop(x, starts, sizes):
             raise DimensionError(f"crop {starts}+{sizes} exceeds shape {xv.shape}")
     index = tuple(slice(s, s + n) for s, n in zip(starts, sizes))
     out = xv[index].copy()
-    tape = _tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g):
         gx = np.zeros(xv.shape, dtype=np.float64)
         gx[index] = g
         x.add_grad(gx)
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x)
 
 
 def take(x, index):
@@ -541,16 +505,13 @@ def take(x, index):
     axes. Entries picked more than once sum their gradients."""
     xv = value_of(x)
     out = xv[index]
-    tape = _tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g):
         gx = np.zeros(xv.shape, dtype=np.float64)
         np.add.at(gx, index, g)
         x.add_grad(gx)
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x)
 
 
 def reduce_sum(x, axis=None, keepdims: bool = False):
@@ -558,23 +519,14 @@ def reduce_sum(x, axis=None, keepdims: bool = False):
     xv = value_of(x)
     out64 = _f64(xv).sum(axis=axis, keepdims=keepdims)
     out = np.asarray(out64, dtype=np.float32)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
-    if axis is None:
-        axes = tuple(range(xv.ndim))
-    elif isinstance(axis, int):
-        axes = (axis % xv.ndim,)
-    else:
-        axes = tuple(a % xv.ndim for a in axis)
 
     def backward(g):
         expanded = np.asarray(g, dtype=np.float64)
-        if not keepdims:
-            expanded = np.expand_dims(expanded, axes)
+        if not keepdims and axis is not None:  # a sum over all axes broadcasts as it is
+            expanded = np.expand_dims(expanded, axis)
         x.add_grad(np.broadcast_to(expanded, xv.shape))
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x)
 
 
 def log(x):
@@ -582,14 +534,11 @@ def log(x):
     xv = value_of(x)
     z = _f64(xv)
     out = np.log(z).astype(np.float32)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g):
         x.add_grad(g / z)
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x)
 
 
 def clip_min(x, lo: float):
@@ -597,15 +546,11 @@ def clip_min(x, lo: float):
     xv = value_of(x)
     z = _f64(xv)
     out = np.maximum(z, float(lo)).astype(np.float32)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
-    mask = z > float(lo)
 
     def backward(g):
-        x.add_grad(g * mask)
+        x.add_grad(g * (z > float(lo)))
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x)
 
 
 def conv2d3x3(x, kernel, bias):
@@ -633,9 +578,6 @@ def conv2d3x3(x, kernel, bias):
                                k64[:, :, di, dj])
     out64 += b64[:, None, None]
     out = out64.astype(np.float32)
-    tape = _tape_of(x, kernel, bias)
-    if tape is None:
-        return out
 
     def backward(g):
         if isinstance(kernel, Node):
@@ -656,4 +598,4 @@ def conv2d3x3(x, kernel, bias):
         if isinstance(bias, Node):
             bias.add_grad(g.reshape(-1, k, h * w).sum(axis=(0, 2)))
 
-    return _emit(tape, out, backward)
+    return _emit(out, backward, x, kernel, bias)

@@ -169,12 +169,18 @@ def _is_cam_param(name: str) -> bool:
     return name.startswith("cam.")
 
 
+# a run that overflows is reported by the finiteness checks on its losses
+# and final parameters instead of by numpy's warnings
+@np.errstate(all="ignore")
 def train_toy(toy: ToyTaskConfig, train: TrainConfig, model: ModelConfig | None = None):
     """Two-phase training loop on the synthetic task.
 
     Returns (model config, trained parameters, loss curve) with curve
     rows (step, phase, loss). Batches cycle through the fixed dataset in
-    order, so the whole run is reproducible from the two configs.
+    order, so the whole run is reproducible from the two configs. A
+    model over its memory budgets is rejected before anything is
+    allocated, and a run that diverges (a non-finite loss, or a
+    non-finite parameter after the last step) raises ContractError.
     """
     if model is None:
         model = default_model_config(toy)
@@ -183,6 +189,7 @@ def train_toy(toy: ToyTaskConfig, train: TrainConfig, model: ModelConfig | None 
     if train.batch_size > toy.samples_per_epoch:
         raise ContractError(f"field 'batch_size' must be at most the toy task's samples_per_epoch "
                             f"({toy.samples_per_epoch}), got {train.batch_size}")
+    model.check_memory()
     dataset = make_dataset(toy)
     params = init_params(model, train.seed)
     curve = []
@@ -204,11 +211,19 @@ def train_toy(toy: ToyTaskConfig, train: TrainConfig, model: ModelConfig | None 
             leaves = {name: tape.leaf(value) for name, value in params.items()
                       if _is_cam_param(name) == (phase == 2)}
             loss = _batch_loss({**params, **leaves}, model, next_batch())
+            loss_value = float(nm.value_of(loss))
+            if not math.isfinite(loss_value):
+                raise ContractError(f"training diverged: the loss is {loss_value} at step {step} "
+                                    f"with learning_rate {train.learning_rate!r}")
             grads = backward(loss, tape, leaves)
             stepped = sgd_step({name: params[name] for name in leaves}, grads,
                                train.learning_rate, train.weight_decay)
             params = {name: stepped.get(name, value) for name, value in params.items()}
-            curve.append((step, phase, float(nm.value_of(loss))))
+            curve.append((step, phase, loss_value))
+    bad = sum(int(np.count_nonzero(~np.isfinite(p))) for p in params.values())
+    if bad:
+        raise ContractError(f"training diverged: {bad} parameters are not finite after step "
+                            f"{step} with learning_rate {train.learning_rate!r}")
     return model, params, curve
 
 

@@ -246,3 +246,83 @@ def test_take_with_a_tuple_index_gathers_along_the_leading_axes():
     w = local.uniform(-1.0, 1.0, size=(2, 3, 3)).astype(np.float32)
     check_op_gradients(lambda a: nm.reduce_sum(nm.mul(nm.take(a, index), w)), [x],
                        what="take tuple")
+
+
+def _recording_cases():
+    """op -> (call, float32 inputs, records per call); every input is an
+    argument the op differentiates."""
+    local = np.random.default_rng(45)
+
+    def arrays(*shapes):
+        return [local.uniform(-1.0, 1.0, size=shape).astype(np.float32) for shape in shapes]
+
+    positive = [np.float32(0.5) + np.abs(a) for a in arrays((3, 4))]
+    return {
+        "matmul": (nm.matmul, arrays((3, 4), (4, 2)), 1),
+        "softmax": (nm.softmax, arrays((2, 5)), 1),
+        "attention": (lambda q, k, v: nm.attention(q, k, v, 2), arrays(*[(1, 3, 4)] * 3), 2),
+        "layer_norm": (nm.layer_norm, arrays((3, 4), (4,), (4,)), 1),
+        "gelu": (nm.gelu, arrays((3, 4)), 1),
+        "bilinear_resize": (lambda m: nm.bilinear_resize(m, 5, 6), arrays((3, 4)), 1),
+        "add": (nm.add, arrays((3, 4), (4,)), 1),
+        "mul": (nm.mul, arrays((3, 4), (3, 1)), 1),
+        "div": (nm.div, arrays((3, 4)) + positive, 1),
+        "scale": (lambda x: nm.scale(x, -1.5), arrays((3, 4)), 1),
+        "transpose": (nm.transpose, arrays((3, 4)), 1),
+        "reshape": (lambda x: nm.reshape(x, (2, 6)), arrays((3, 4)), 1),
+        "concat": (lambda a, b: nm.concat([a, b], axis=1), arrays((3, 4), (3, 2)), 1),
+        "crop": (lambda x: nm.crop(x, (1, 0), (2, 3)), arrays((3, 4)), 1),
+        "take": (lambda x: nm.take(x, np.array([2, 0, 2])), arrays((3, 4)), 1),
+        "reduce_sum": (lambda x: nm.reduce_sum(x, axis=0), arrays((3, 4)), 1),
+        "log": (nm.log, positive, 1),
+        "clip_min": (lambda x: nm.clip_min(x, 0.0), arrays((3, 4)), 1),
+        "conv2d3x3": (nm.conv2d3x3, arrays((4, 4, 2), (3, 2, 3, 3), (3,)), 1),
+    }
+
+
+RECORDING_CASES = _recording_cases()
+MULTI_INPUT_OPS = [op for op, (_, inputs, _) in RECORDING_CASES.items() if len(inputs) > 1]
+
+
+def _outputs(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+def test_the_recording_table_covers_every_public_op():
+    public = {name for name, value in vars(nm).items()
+              if callable(value) and getattr(value, "__module__", None) == nm.__name__
+              and not name.startswith("_") and not isinstance(value, type)}
+    assert public - {"as_f32", "value_of"} == set(RECORDING_CASES)
+    assert MULTI_INPUT_OPS == ["matmul", "attention", "layer_norm", "add", "mul", "div", "concat",
+                               "conv2d3x3"]
+
+
+@pytest.mark.parametrize("op", RECORDING_CASES)
+def test_untaped_op_returns_float32_arrays(op):
+    call, inputs, _ = RECORDING_CASES[op]
+    for out in _outputs(call(*inputs)):
+        assert type(out) is np.ndarray and out.dtype == np.float32
+
+
+@pytest.mark.parametrize("op", RECORDING_CASES)
+def test_op_with_one_leaf_input_records_on_that_tape_with_the_untaped_bits(op):
+    call, inputs, records = RECORDING_CASES[op]
+    plain = _outputs(call(*inputs))
+    for i in range(len(inputs)):
+        tape = nm.GradTape()
+        args = [tape.leaf(x) if j == i else x for j, x in enumerate(inputs)]
+        taped = _outputs(call(*args))
+        assert len(tape) == records, (op, i)
+        for out, want in zip(taped, plain, strict=True):
+            assert isinstance(out, nm.Node) and out.tape is tape, (op, i)
+            assert out.value.shape == want.shape, (op, i)
+            assert out.value.tobytes() == want.tobytes(), (op, i)
+
+
+@pytest.mark.parametrize("op", MULTI_INPUT_OPS)
+def test_leaves_of_two_tapes_are_rejected_without_recording(op):
+    call, inputs, _ = RECORDING_CASES[op]
+    first, second = nm.GradTape(), nm.GradTape()
+    with pytest.raises(ContractError, match="different tapes"):
+        call(first.leaf(inputs[0]), second.leaf(inputs[1]), *inputs[2:])
+    assert len(first) == len(second) == 0

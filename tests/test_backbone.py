@@ -246,3 +246,19 @@ def test_init_params_covers_every_shape_and_is_seeded():
     assert np.all(params["embed.cls"] == 0)
     assert np.all(params["backbone.block0.ln1.gamma"] == 1)
     assert np.all(np.abs(params["embed.patch.weight"]) <= 2 * 0.02 + 1e-7)
+
+
+@pytest.mark.parametrize("fields", [
+    {}, {"patch_size": 1}, {"num_blocks": 5, "mlp_ratio": 3, "num_classes": 7},
+    {"image_size": 24, "patch_size": 2, "embed_dim": 12, "num_heads": 3},
+])
+def test_parameter_count_equals_the_shape_table(fields):
+    cfg = ModelConfig(**{"image_size": 32, "patch_size": 4, "embed_dim": 32, "num_blocks": 2,
+                         "num_heads": 4, "num_classes": 2, "mlp_ratio": 2, **fields})
+    assert cfg.num_parameters == sum(math.prod(s) for s in parameter_shapes(cfg).values())
+
+
+def test_memory_budgets_take_the_toy_defaults_and_patch_size_1_at_32_px():
+    for patch in (4, 1):
+        ModelConfig(image_size=32, patch_size=patch, embed_dim=32, num_blocks=2, num_heads=4,
+                    num_classes=2, mlp_ratio=2).check_memory()

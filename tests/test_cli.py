@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenloc import ablation, cli, pipeline
+from tokenloc import ablation, cli, pipeline, training
 from tokenloc import numerics as nm
 from tokenloc import localization as loc
+from tokenloc.backbone import ModelConfig, init_params
 from tokenloc.cli import main
 from tokenloc.errors import TruncationError
 from tokenloc.formats import (
@@ -422,6 +423,8 @@ CHECKPOINT_PATCHES = [
      "invalid config entry: num_blocks must be at least 2 (backbone plus final block)"),
     (_CONFIG_AT + 1 * 4, struct.pack("<I", 5),
      "invalid config entry: image_size 32 not divisible by patch_size 5"),
+    (_CONFIG_AT + 4 * 4, struct.pack("<I", 0),
+     "invalid config entry: embed_dim and num_heads must be positive"),
     # one byte flipped to 0x7f in each extent: caught before, or by, the shape table
     (_CONFIG_AT + 3 * 4 + 3, b"\x7f",
      "config's 2130706434 blocks need 34091302960 parameters, the checkpoint holds 57"),
@@ -824,6 +827,78 @@ def test_train_toy_config_field_types_exit_4(tmp_path, capsys, section, field, v
     err = capsys.readouterr().err
     assert err == f"error: contract: {where}field {field!r} must be {kind}, got {value!r}\n"
     assert not (tmp_path / "out.ckpt").exists()
+
+
+_BUDGET = "more than the budget of 67108864"
+
+
+# toy fields, train fields, model-section fields (None: no section, the defaults), error detail
+@pytest.mark.parametrize("toy, train, model, detail", [
+    ({}, {}, {"num_heads": 0}, "embed_dim and num_heads must be positive"),
+    ({}, {}, {"embed_dim": 0}, "embed_dim and num_heads must be positive"),
+    ({}, {}, {"embed_dim": 65536},
+     f"the parameters take 309306064916 bytes of float32, {_BUDGET}"),
+    ({}, {}, {"mlp_ratio": 100_000_000},
+     f"the parameters take 163200011348 bytes of float32, {_BUDGET}"),
+    ({}, {}, {"num_blocks": 100_000_000},
+     f"the parameters take 185600009268 bytes of float32, {_BUDGET}"),
+    ({"image_size": 2048, "samples_per_epoch": 1}, {"batch_size": 1}, None,
+     f"one image's attention over 4 heads and 262145 tokens takes 2199040032800 bytes of "
+     f"float64, {_BUDGET}"),
+])
+def test_train_toy_model_sizes_out_of_bounds_exit_4_before_allocating(tmp_path, capsys,
+                                                                      monkeypatch, toy, train,
+                                                                      model, detail):
+    def refuse(*args):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(training, "make_dataset", refuse)
+    monkeypatch.setattr(training, "init_params", refuse)
+    train = dict(_TRAIN_JSON, **train, model=dict(_TRAIN_JSON["model"], **model or {}))
+    if model is None:
+        del train["model"]
+    assert main(_train_toy_argv(tmp_path, dict(_TOY_JSON, **toy), train)) == 4
+    assert capsys.readouterr().err == f"error: contract: {detail}\n"
+    assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("toy, train, detail", [
+    ({"samples_per_epoch": 8}, {"learning_rate": 1e30, "steps_phase1": 3, "steps_phase2": 1},
+     "the loss is nan at step 2 with learning_rate 1e+30"),
+    # the last update overflows: only the parameter check can see it
+    ({}, {"learning_rate": 1e300, "steps_phase1": 1, "steps_phase2": 0},
+     "3096 parameters are not finite after step 1 with learning_rate 1e+300"),
+])
+def test_train_toy_that_diverges_exits_4_with_one_line_and_writes_nothing(tmp_path, capsys,
+                                                                           toy, train, detail):
+    # numpy's overflow warnings would be errors under this suite's filterwarnings
+    train = dict(_TRAIN_JSON, **train)
+    assert main(_train_toy_argv(tmp_path, dict(_TOY_JSON, **toy), train)) == 4
+    assert capsys.readouterr().err == f"error: contract: training diverged: {detail}\n"
+    assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", *_MANIFEST_ARGS])
+def test_checkpoint_over_the_attention_budget_exits_3(workspace, capsys, command):
+    tmp, _, _, _, image = workspace
+    # patch size 1 at 64 px: 4,097 tokens, a 16 kB position table
+    cfg = ModelConfig(image_size=64, patch_size=1, embed_dim=4, num_blocks=2, num_heads=4,
+                      num_classes=2, mlp_ratio=1)
+    ckpt = tmp / "fine.ckpt"
+    write_checkpoint(ckpt, cfg, init_params(cfg, 0))
+    if command == "infer":
+        argv = ["infer", "--ckpt", str(ckpt), "--input", str(image),
+                "--out-logits", str(tmp / "a.trt"), "--out-pt", str(tmp / "b.trt")]
+    else:
+        manifest = tmp / "one.manifest"
+        manifest.write_text(f"id:a image:{image.name} label:0 boxes:12,8,20,16\n")
+        argv = [command, "--ckpt", str(ckpt), "--manifest", str(manifest),
+                *_MANIFEST_ARGS[command], str(tmp / "out.csv")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: format: invalid config entry: one image's attention over 4 heads and 4097 "
+        f"tokens takes 537133088 bytes of float64, {_BUDGET}\n")
+    assert not (tmp / "a.trt").exists() and not (tmp / "out.csv").exists()
 
 
 def test_train_toy_takes_json_integers_for_float_fields(tmp_path):

@@ -29,9 +29,10 @@ default mode (re-attention on and off) with perfbench's strategies on
 all 50 images is timed base against head and, for its noise floor, head
 against the A/A copy. Last comes the kernel-op level: forward and
 backward of each op of ``op_cases`` at the toy shapes (65 tokens, width
-32, 4 heads), base against head. A backward is timed alone, on a tape
-recorded beforehand, and includes the adjoint of the sum that reduces
-the op's output to a scalar loss.
+32, 4 heads), base against head and, for its noise floor, head against
+the A/A copy. A backward is timed alone, on a tape recorded beforehand,
+and includes the adjoint of the sum that reduces the op's output to a
+scalar loss.
 """
 
 from __future__ import annotations
@@ -282,11 +283,21 @@ def op_cases(rng) -> dict:
     (65, 32) @ (32, 32) product, softmax over (4, 65, 65) scores, 4-head
     attention over one (65, 32) sequence, layer_norm over (65, 32), gelu
     over the (65, 128) MLP hidden layer, the CAM's 3x3 convolution of the
-    8 x 8 x 32 token grid into 2 maps, and an 8 x 8 -> 32 x 32 resize."""
+    8 x 8 x 32 token grid into 2 maps, and an 8 x 8 -> 32 x 32 resize;
+    then the shape ops as the pipeline calls them: a linear layer's bias
+    add, the mask block's (1, 64) x (1, 1) reweighting, a (1, 64) scale,
+    (65, 32) rows to one (1, 65, 32) sequence, cropping the class token
+    off, taking 42 of the 64 patch tokens, the class token concatenated
+    in front of them, and a (1, 64) sum over tokens."""
+    import numpy as np
+
     side = math.isqrt(TOKENS - 1)
+    kept = 42  # the selected-token count of the toy checkpoints
 
     def arrays(*shapes):
         return [rng.standard_normal(shape).astype("float32") for shape in shapes]
+
+    picked = (np.zeros((1, 1), np.intp), np.sort(rng.permutation(TOKENS - 1)[:kept])[None])
 
     return {
         "matmul": (lambda nm, a, b: nm.matmul(a, b), arrays((TOKENS, WIDTH), (WIDTH, WIDTH))),
@@ -300,12 +311,23 @@ def op_cases(rng) -> dict:
                       arrays((side, side, WIDTH), (2, WIDTH, 3, 3), (2,))),
         "bilinear_resize": (lambda nm, m: nm.bilinear_resize(m, 4 * side, 4 * side),
                             arrays((side, side))),
+        "add": (lambda nm, a, b: nm.add(a, b), arrays((TOKENS, WIDTH), (WIDTH,))),
+        "mul": (lambda nm, a, b: nm.mul(a, b), arrays((1, TOKENS - 1), (1, 1))),
+        "scale": (lambda nm, x: nm.scale(x, 1.0 / HEADS), arrays((1, TOKENS - 1))),
+        "reshape": (lambda nm, x: nm.reshape(x, (1, TOKENS, WIDTH)), arrays((TOKENS, WIDTH))),
+        "crop": (lambda nm, x: nm.crop(x, (0, 1, 0), (1, TOKENS - 1, WIDTH)),
+                 arrays((1, TOKENS, WIDTH))),
+        "take": (lambda nm, x: nm.take(x, picked), arrays((1, TOKENS - 1, WIDTH))),
+        "concat": (lambda nm, a, b: nm.concat([a, b], axis=1),
+                   arrays((1, 1, WIDTH), (1, TOKENS - 1, WIDTH))),
+        "reduce_sum": (lambda nm, x: nm.reduce_sum(x, axis=-1, keepdims=True),
+                       arrays((1, TOKENS - 1))),
     }
 
 
-def kernel_ops(base, head) -> dict:
-    """Forward and backward of each kernel op, base against head; see
-    the module docstring."""
+def kernel_ops(packages: dict, head) -> dict:
+    """Forward and backward of each kernel op, base against head for each
+    of `packages` as in ``ablation_stage``; see the module docstring."""
     import numpy as np
 
     out = {}
@@ -319,9 +341,14 @@ def kernel_ops(base, head) -> dict:
                 return tape, nm.reduce_sum(call(nm, *[tape.leaf(a) for a in args]))
             return prepare, lambda recorded: recorded[0].backward(recorded[1])
 
-        out[op] = {direction: timed({"base": build(base.numerics), "head": build(head.numerics)},
-                                    STAGE_REPEATS, 20)
-                   for direction, build in (("forward", forward), ("backward", backward))}
+        out[op] = {}
+        for direction, build in (("forward", forward), ("backward", backward)):
+            entry = out[op][direction] = {
+                kind: timed({"base": build(base.numerics), "head": build(head.numerics)},
+                            STAGE_REPEATS, 20)
+                for kind, base in packages.items()}
+            if "ab" in entry:
+                entry["verdict"] = verdict(entry["ab"], entry["aa"])
     return out
 
 
@@ -389,7 +416,7 @@ def main(argv=None) -> int:
         report["ablation_us"] = ablation_stage(packages, head, inp)
         if not args.aa:
             report["stages_us"] = stages(packages["ab"], head, inp)
-            report["kernel_ops_us"] = kernel_ops(packages["ab"], head)
+        report["kernel_ops_us"] = kernel_ops(packages, head)
     report["outputs_correct"] = correct
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
