@@ -1,7 +1,7 @@
 """Token re-attention pipeline for weakly supervised object localization."""
 
 from .backbone import ModelConfig, init_params
-from .localization import grid_search_threshold, localize
+from .localization import localize
 from .numerics import GradTape
 from .pipeline import ForwardResult, two_branch_forward
 from .training import ToyTaskConfig, TrainConfig, train_toy
@@ -15,7 +15,6 @@ __all__ = [
     "ToyTaskConfig",
     "TrainConfig",
     "__version__",
-    "grid_search_threshold",
     "init_params",
     "localize",
     "train_toy",

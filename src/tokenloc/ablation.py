@@ -62,7 +62,7 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
             result = first if i == 0 else branch_forward(params, cfg, first.tokens, first.stack,
                                                          selector=selector)
             for reatt in modes:
-                scoring = result.refined_map if reatt else spatial_map(result.selection.priorities)
+                scoring = result.refined_map if reatt else spatial_map(result.priorities)
                 heats[i, reatt].extend(class_heats(scoring, result.cam_maps, labels, side))
     gts = [gt for _, _, gt in samples]
     rows = []

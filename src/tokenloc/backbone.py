@@ -53,9 +53,8 @@ class ModelConfig:
         if self.embed_dim < 1 or self.num_heads < 1:
             raise DimensionError("embed_dim and num_heads must be positive")
         if self.embed_dim % self.num_heads != 0:
-            raise DimensionError(
-                f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
-            )
+            raise DimensionError(f"field 'embed_dim' must be divisible by num_heads "
+                                 f"{self.num_heads}, got {self.embed_dim}")
         if self.num_blocks < 2:
             raise DimensionError("num_blocks must be at least 2 (backbone plus final block)")
         if self.num_classes < 1:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import numerics as nm
 from .ablation import parse_strategy, run_ablation
-from .errors import ContractError, DegenerateInputError, DimensionError, FormatError
+from .errors import ContractError, DimensionError, FormatError
 from .formats import (
     parse_manifest,
     read_checkpoint,
@@ -32,7 +32,6 @@ from .localization import (
     DEFAULT_GRID,
     METRIC_NAMES,
     evaluate_samples,
-    grid_search_threshold,
     localize,
     threshold_grid,
 )
@@ -122,8 +121,9 @@ def cmd_eval(args):
 def cmd_calibrate(args):
     cfg, params = read_checkpoint(args.ckpt)
     samples = _load_manifest_samples(args.manifest)
-    theta_star, table = grid_search_threshold(params, cfg, samples, grid=_parse_grid(args.grid),
-                                              selector=_selector(args))
+    theta_star, table, _ = evaluate_samples(params, cfg, samples, (),
+                                            threshold_grid(*_parse_grid(args.grid)),
+                                            selector=_selector(args))
     _write_csv(args.out_table, ("theta", "gt_known"),
                [(repr(theta), repr(acc)) for theta, acc in table])
     print(f"theta_star={theta_star!r}")
@@ -144,7 +144,7 @@ def _config_from_json(base, payload, where):
             raise ContractError(f"{where}: field {name!r} must be {what}, got {value!r}")
     try:
         return dataclasses.replace(base, **payload)
-    except (TypeError, ContractError) as exc:
+    except (TypeError, ContractError, DimensionError) as exc:
         raise ContractError(f"{where}: {exc}") from exc
 
 
@@ -282,13 +282,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: format: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: format: {exc}", file=sys.stderr)
-        return 3
-    except (ContractError, DimensionError, DegenerateInputError, ValueError) as exc:
+    except (ContractError, ValueError) as exc:
         print(f"error: contract: {exc}", file=sys.stderr)
         return 4
 

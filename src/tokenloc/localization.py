@@ -270,11 +270,3 @@ def evaluate_samples(params, cfg: ModelConfig, samples, metrics, thetas, *, sele
             results[metric] = top_k_loc_acc(top_ious, ranks, {"top1": 1, "top5": 5}[metric])
     return theta_star, table, results
 
-
-def grid_search_threshold(params, cfg: ModelConfig, samples, *, grid=None, selector=None):
-    """Pick the threshold maximising ground-truth-known accuracy (IoU > 0.5)
-    over (image, label, (G, 4) boxes) samples. Returns (theta_star, table)
-    where table rows are (theta, accuracy); ties go to the smallest theta."""
-    thetas = threshold_grid(*(grid or DEFAULT_GRID))
-    theta_star, table, _ = evaluate_samples(params, cfg, samples, (), thetas, selector=selector)
-    return theta_star, table

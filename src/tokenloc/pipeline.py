@@ -4,12 +4,12 @@ The pass runs on a (B, 3, H, W) stack: training sends a whole batch,
 single-image commands a stack of one, and evaluation consecutive
 stacks of FORWARD_CHUNK images (`forward_chunks`). Used taped
 (training) and untaped (inference). Token selection is discrete and
-runs per image in numpy: during a taped pass it is computed from the
-current priority values and treated as a constant, and a selector that
-returns one constant (threshold, mask) pins it (that is what makes
-finite-difference checks of the composed loss well-posed). Re-attention
-always runs: the map without it is the priority vector itself, which
-every result carries as `selection.priorities`.
+runs on the whole (B, N) priority stack in numpy: during a taped pass it
+is computed from the current priority values and treated as a constant,
+and a selector that returns one constant mask pins it (that is what
+makes finite-difference checks of the composed loss well-posed).
+Re-attention always runs: the map without it is the priority vector
+itself, which every result carries as `priorities`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .backbone import ModelConfig, backbone_forward, embed, patchify
 from .cam import cam_forward
 from .errors import ContractError
 from .token_refine import (
-    TokenSelection,
     adaptive,
     importance_weights,
     preliminary_attention,
@@ -53,10 +52,11 @@ class ForwardResult:
 
     tokens: object            # (B, N+1, D) output of the backbone
     stack: list               # per-block (B, H, 1, N+1) class-token attention rows
-    selection: TokenSelection
+    priorities: np.ndarray    # (B, N) preliminary priorities m
+    mask: np.ndarray          # (B, N) float32 0/1 selected tokens
+    weights: object           # (B, N) importance weights lambda, zero off the mask
     refined_map: object       # (B, sqrt(N), sqrt(N)) scoring-branch maps
     cam_maps: object          # (B, K, sqrt(N), sqrt(N))
-    cam_logits: object        # (B, K)
     p_cam: object             # (B, K) CAM-branch class probabilities
     _refine: object           # () -> p_refine
 
@@ -71,9 +71,8 @@ class ForwardResult:
 def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None) -> ForwardResult:
     """Run the whole pipeline on a (B, 3, H, W) stack of images.
 
-    `selector` maps each image's priority row to (threshold, mask)
-    through `token_refine.select`; None means
-    `adaptive(cfg.selection_mass)`.
+    `selector` is a selection rule that `token_refine.select` applies to
+    the (B, N) priority stack; None means `adaptive(cfg.selection_mass)`.
     """
     stack = nm.as_f32(images)
     expected = (3, cfg.image_size, cfg.image_size)
@@ -98,25 +97,19 @@ def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None) ->
     z_p = nm.crop(tokens, (0, 1, 0), (b, n_plus_1 - 1, d))
 
     priorities = preliminary_attention(stack)
-    m_val = nm.value_of(priorities)
-    picks = [select(row, selector) for row in m_val]
-    mask = np.stack([np.asarray(row_mask, dtype=np.float32) for _, row_mask in picks])
-    selection = TokenSelection(priorities=m_val.copy(),
-                               threshold=np.array([float(tau) for tau, _ in picks]), mask=mask)
-
-    lam = importance_weights(z_p, selection, params, cfg.num_heads)
-    selection.weights = lam
+    mask = select(nm.value_of(priorities), selector)
+    lam = importance_weights(z_p, mask, params, cfg.num_heads)
     refined = reattention(priorities, mask, lam)
-
-    cam_maps, cam_logits, p_cam = cam_forward(z_p, params, cfg)
+    cam_maps, _, p_cam = cam_forward(z_p, params, cfg)
 
     return ForwardResult(
         tokens=tokens,
         stack=stack,
-        selection=selection,
+        priorities=nm.value_of(priorities),
+        mask=mask,
+        weights=lam,
         refined_map=spatial_map(refined),
         cam_maps=cam_maps,
-        cam_logits=cam_logits,
         p_cam=p_cam,
         _refine=lambda: refine_classify(z_cls, z_p, lam, params, cfg),
     )

@@ -1,43 +1,24 @@
 """Token priority scoring and re-attention.
 
 Aggregates the class-token attention rows into a preliminary priority
-vector per image, selects tokens per image in numpy (by default
-adaptively, by cumulative attention mass), runs a transformer block over
-each image's gathered selected tokens to learn importance weights, and
-redistributes the selected attention mass accordingly.
-The discrete selection (threshold, mask, gather indices) is a constant
-for gradient purposes; gradients flow through the importance weights,
-the selected attention values and the fused embedding.
+vector per image, selects tokens for the whole stack in numpy (by
+default adaptively, by cumulative attention mass), runs a transformer
+block over each image's gathered selected tokens to learn importance
+weights, and redistributes the selected attention mass accordingly.
+The discrete selection (mask, gather indices) is a constant for gradient
+purposes; gradients flow through the importance weights, the selected
+attention values and the fused embedding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .backbone import ModelConfig, block_forward
-from .errors import ContractError, DegenerateInputError, DimensionError
-
-
-@dataclass
-class TokenSelection:
-    """Everything the selection step derives from the priorities m, one
-    row per image of the batch.
-
-    priorities (B, N); threshold: B floats; mask (B, N) with
-    mask[b, k] = 1 iff token k is selected (for the adaptive rule,
-    priorities[b, k] >= threshold[b], inclusive, so the token defining
-    the threshold is always kept); weights (lambda) is zero off each
-    image's selected support and sums to 1 per image.
-    """
-
-    priorities: np.ndarray
-    threshold: np.ndarray
-    mask: np.ndarray
-    weights: object = None   # lambda (B, N), possibly a tape Node during training
+from .errors import ContractError, DimensionError
 
 
 def preliminary_attention(stack):
@@ -62,88 +43,72 @@ def preliminary_attention(stack):
     return total
 
 
-def adaptive_select(priorities, mass: float):
-    """Threshold by cumulative attention mass: keep the smallest sorted
-    prefix reaching fraction `mass` of the total, plus all ties.
-
-    Sorting is stable descending (lower index first on ties); the
-    threshold is the raw priority at the last prefix position and the
-    mask is inclusive (p >= threshold). `adaptive` checks the mass.
-    """
-    m = nm.value_of(priorities)
-    if m.ndim != 1 or m.size == 0:
-        raise DimensionError(f"priorities must be a non-empty vector, got shape {m.shape}")
-    if np.any(m < 0):
-        raise ContractError("priorities must be nonnegative")
-    order = np.argsort(-m, kind="stable")
-    cum = np.cumsum(m[order].astype(np.float64))
-    total = cum[-1]
-    if total <= 0.0:
-        raise DegenerateInputError("priority vector has zero total mass")
-    k_star = int(np.searchsorted(cum, mass * total, side="left"))
-    k_star = min(k_star, m.size - 1)
-    tau = float(m[order[k_star]])
-    mask = (m >= tau).astype(np.float32)
-    return tau, mask
-
-
-# A selector maps one image's (N,) priority row to (threshold, mask);
-# each builder checks its parameter once, when the selector is built.
+# A selection rule maps a (B, N) float32 priority stack, every row of
+# positive total mass, to its (B, N) boolean keep mask; each builder
+# checks its parameter once, when the rule is built.
 
 def adaptive(mass: float):
-    """The paper's rule: `adaptive_select` at cumulative mass `mass`."""
+    """The paper's rule: per row, the smallest prefix of the priorities
+    sorted descending (stable, lower index first on ties) whose float64
+    running sum reaches fraction `mass` of the row total, plus every tie
+    of the prefix's last priority (the mask is inclusive)."""
     if not 0.0 < mass <= 1.0:
         raise ContractError(f"mass fraction must be in (0, 1], got {mass}")
-    return lambda m: adaptive_select(m, mass)
+
+    def rule(m):
+        order = np.argsort(-m, axis=-1, kind="stable")
+        cum = np.cumsum(np.take_along_axis(m, order, axis=-1), axis=-1, dtype=np.float64)
+        # the first prefix position whose running sum reaches the target
+        last = np.minimum((cum < mass * cum[:, -1:]).sum(axis=-1), m.shape[-1] - 1)
+        return m >= np.take_along_axis(m, np.take_along_axis(order, last[:, None], -1), -1)
+    return rule
 
 
 def top_k(k: int):
-    """The k highest priorities, lower index first on ties; the threshold
-    is the k-th priority."""
+    """The k highest priorities of each row, lower index first on ties."""
     if k < 1:
         raise ContractError(f"topk needs k >= 1, got {k}")
 
     def rule(m):
-        if k > m.size:
-            raise ContractError(f"topk k={k} exceeds {m.size} tokens")
-        order = np.argsort(-m, kind="stable")
-        mask = np.zeros(m.shape, dtype=np.float32)
-        mask[order[:k]] = 1.0
-        return float(m[order[k - 1]]), mask
+        if k > m.shape[-1]:
+            raise ContractError(f"topk k={k} exceeds {m.shape[-1]} tokens")
+        keep = np.zeros(m.shape, dtype=bool)
+        np.put_along_axis(keep, np.argsort(-m, axis=-1, kind="stable")[:, :k], True, axis=-1)
+        return keep
     return rule
 
 
 def fixed(tau):
     """Every priority at or above a fixed threshold `tau`, or at or above
-    the row's own mean for tau = "mean"."""
+    its row's own mean for tau = "mean"."""
     if tau != "mean" and not (math.isfinite(tau) and tau >= 0.0):
         raise ContractError(f"fixed threshold must be a finite number >= 0, got {tau}")
-
-    def rule(m):
-        t = float(m.mean()) if tau == "mean" else float(tau)
-        return t, (m >= t).astype(np.float32)
-    return rule
+    return lambda m: m >= (m.mean(axis=-1, keepdims=True) if tau == "mean" else float(tau))
 
 
-def select(row, selector):
-    """Apply `selector` to one priority row, returning (threshold, mask).
+def select(priorities, selector):
+    """The (B, N) float32 0/1 mask of the tokens `selector` keeps in each
+    row of a (B, N) priority stack.
 
-    A row with zero total mass, or a rule that keeps no token, selects
-    the argmax token alone (lowest index on ties) at its own priority:
-    the one fallback for every rule.
+    A row with zero total mass, or one the rule leaves empty, keeps its
+    argmax token alone (lowest index on ties): the one fallback for every
+    rule.
     """
-    m = np.asarray(row, dtype=np.float32)
-    if m.sum(dtype=np.float64) > 0.0:
-        tau, mask = selector(m)
-        if np.any(mask):
-            return tau, mask
-    mask = np.zeros(m.shape, dtype=np.float32)
-    top = int(np.argmax(m))
-    mask[top] = 1.0
-    return float(m[top]), mask
+    m = np.asarray(priorities, dtype=np.float32)
+    if m.ndim != 2:
+        raise DimensionError(f"priorities must be a (B, N) stack, got shape {m.shape}")
+    if np.any(m < 0):
+        raise ContractError("priorities must be nonnegative")
+    keep = np.zeros(m.shape, dtype=bool)
+    live = m.sum(axis=-1, dtype=np.float64) > 0.0
+    if live.any():
+        keep[live] = selector(m[live])
+    empty = np.flatnonzero(~keep.any(axis=-1))
+    keep[empty, np.argmax(m[empty], axis=-1)] = True
+    return keep.astype(np.float32)
 
 
-def importance_weights(z_p, selection: TokenSelection, params, num_heads: int):
+def importance_weights(z_p, mask, params, num_heads: int):
     """Transformer block over each image's selected patch tokens, a
     per-token scalar score and a softmax over them, scattered back to
     (B, N): zero off-support, sums to 1 per image. A selected token
@@ -151,7 +116,7 @@ def importance_weights(z_p, selection: TokenSelection, params, num_heads: int):
     gathered first in token order, padded to the stack's largest count
     m, and a (B, m, m) key-padding mask keeps the padding out of every
     softmax (an unpadded stack, every count m, runs unmasked)."""
-    mask = nm.value_of(selection.mask) > 0
+    mask = np.asarray(mask) > 0
     counts = mask.sum(axis=-1)
     if (counts < 1).any():
         raise ContractError("selection mask must keep at least one token")

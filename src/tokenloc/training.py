@@ -25,6 +25,12 @@ PROB_FLOOR = 1e-12
 MAX_TOY_DATASET_BYTES = 64 << 20  # float32 images; 85x the 64 32x32 ones of the defaults
 
 
+def _check_seed(seed: int) -> None:
+    """numpy seeds only from nonnegative integers."""
+    if seed < 0:
+        raise ContractError(f"field 'seed' must be a nonnegative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ToyTaskConfig:
     """One solid coloured square per image on a cluttered background; the
@@ -46,6 +52,7 @@ class ToyTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.num_classes < 2:
             raise ContractError("toy task needs at least 2 classes")
         if not 1 <= self.min_object <= self.max_object <= self.image_size:
@@ -74,6 +81,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         for name in ("learning_rate", "weight_decay"):
             rate = getattr(self, name)
             if not (math.isfinite(rate) and rate >= 0):

@@ -8,14 +8,20 @@ from tokenloc import pipeline
 from tokenloc.ablation import parse_strategy, run_ablation
 from tokenloc.errors import ContractError
 from tokenloc.pipeline import two_branch_forward
-from tokenloc.token_refine import adaptive, adaptive_select, fixed, select, spatial_map, top_k
+from tokenloc.token_refine import adaptive, fixed, select, spatial_map, top_k
 
 from test_localization import brightness_checkpoint, planted_image
-from tokenloc.localization import evaluate_samples, grid_search_threshold, threshold_grid
+from tokenloc.localization import evaluate_samples, threshold_grid
+from util import adaptive_row
+
+
+def select_row(m, selector):
+    """`select` on one (N,) priority row."""
+    return select(m[None], selector)[0]
 
 
 def test_parse_strategy_forms():
-    m = np.array([0.5, 0.3, 0.1, 0.1, 0.05, 0.2], np.float32)
+    m = np.array([[0.5, 0.3, 0.1, 0.1, 0.05, 0.2]], np.float32)
     for text, label, selector in [("adaptive", "adaptive", adaptive(0.65)),
                                   ("adaptive:0.8", "adaptive:0.8", adaptive(0.8)),
                                   ("topk:5", "topk:5", top_k(5)),
@@ -27,8 +33,7 @@ def test_parse_strategy_forms():
                                   ("fixed:mean", "fixed:mean", fixed("mean"))]:
         parsed_label, parsed = parse_strategy(text, 0.65)
         assert parsed_label == label
-        (tau, mask), (tau_direct, mask_direct) = parsed(m), selector(m)
-        assert tau == tau_direct and np.array_equal(mask, mask_direct), text
+        assert np.array_equal(parsed(m), selector(m)), text
     with pytest.raises(ContractError):
         parse_strategy("topk", 0.65)
     with pytest.raises(ContractError):
@@ -51,54 +56,49 @@ def test_strategy_validation():
 
 def test_topk_full_selection():
     m = np.array([0.1, 0.4, 0.2, 0.3], np.float32)
-    _, mask = select(m, top_k(4))
-    assert np.array_equal(mask, np.ones(4))
+    assert np.array_equal(select_row(m, top_k(4)), np.ones(4))
 
 
 def test_fixed_zero_threshold_selects_all():
     m = np.array([0.1, 0.4, 0.2], np.float32)
-    tau, mask = select(m, fixed(0.0))
-    assert tau == 0.0
-    assert np.array_equal(mask, np.ones(3))
+    assert np.array_equal(select_row(m, fixed(0.0)), np.ones(3))
 
 
 def test_fixed_above_max_falls_back_to_argmax():
     m = np.array([0.1, 0.4, 0.2], np.float32)
-    _, mask = select(m, fixed(0.9))
-    assert np.array_equal(mask, [0, 1, 0])
+    assert np.array_equal(select_row(m, fixed(0.9)), [0, 1, 0])
 
 
 def test_fixed_mean_threshold():
     m = np.array([0.5, 0.3, 0.1, 0.1], np.float32)
-    tau, mask = select(m, fixed("mean"))
-    assert tau == pytest.approx(float(m.mean()))
+    mask = select_row(m, fixed("mean"))
     assert np.array_equal(mask, [1, 1, 0, 0])
+    assert m[mask > 0].min() >= m.mean() > m[mask == 0].max()
 
 
 def test_topk_matches_adaptive_on_shared_prefix():
     m = np.array([0.5, 0.3, 0.2], np.float32)
-    _, topk_mask = select(m, top_k(2))
-    _, adaptive_mask = select(m, adaptive(0.7))
+    topk_mask = select_row(m, top_k(2))
+    adaptive_mask = select_row(m, adaptive(0.7))
     assert np.array_equal(topk_mask, [1, 1, 0])
     assert np.array_equal(topk_mask, adaptive_mask)
 
 
 def test_topk_tie_breaks_by_lower_index():
     m = np.array([0.3, 0.5, 0.3, 0.1], np.float32)
-    _, mask = select(m, top_k(2))
-    assert np.array_equal(mask, [1, 1, 0, 0])
+    assert np.array_equal(select_row(m, top_k(2)), [1, 1, 0, 0])
 
 
 def test_topk_exceeding_token_count_rejected():
     with pytest.raises(ContractError):
-        select(np.ones(3, np.float32), top_k(4))
+        select(np.ones((1, 3), np.float32), top_k(4))
 
 
 def test_adaptive_uses_checkpoint_default_mass():
     m = np.array([0.5, 0.3, 0.2], np.float32)
-    tau_default, mask_default = select(m, parse_strategy("adaptive", 0.7)[1])
-    tau_direct, mask_direct = adaptive_select(m, 0.7)
-    assert tau_default == tau_direct
+    mask_default = select_row(m, parse_strategy("adaptive", 0.7)[1])
+    tau_direct, mask_direct = adaptive_row(m, 0.7)
+    assert m[mask_default > 0].min() == tau_direct
     assert np.array_equal(mask_default, mask_direct)
 
 
@@ -121,7 +121,7 @@ def test_single_strategy_row_matches_grid_search():
                         reattention_on=True, grid=grid)
     assert len(rows) == 1
     label, reatt, theta, gt_known, _ = rows[0]
-    theta_direct, table = grid_search_threshold(params, cfg, samples, grid=grid)
+    theta_direct, table, _ = evaluate_samples(params, cfg, samples, (), threshold_grid(*grid))
     assert reatt is True
     assert theta == theta_direct
     assert gt_known == dict(table)[theta_direct]
@@ -139,11 +139,8 @@ def test_adaptive_mass_sweep_selection_sizes_monotone():
     cfg, params = brightness_checkpoint()
     image = planted_image(8, 8, 12)
     result = two_branch_forward(params, cfg, image[None])
-    m = result.selection.priorities[0]
-    sizes = []
-    for u in (0.25, 0.45, 0.65, 0.85):
-        _, mask = select(m, adaptive(u))
-        sizes.append(int(mask.sum()))
+    m = result.priorities[0]
+    sizes = [int(select_row(m, adaptive(u)).sum()) for u in (0.25, 0.45, 0.65, 0.85)]
     assert sizes == sorted(sizes)
 
 
@@ -163,8 +160,8 @@ def test_adaptive_equals_topk_when_masses_align():
     order = np.argsort(-m, kind="stable")
     k = 4
     mass = float(m.astype(np.float64)[order[:k]].sum() / m.astype(np.float64).sum())
-    _, adaptive_mask = select(m, adaptive(mass))
-    _, topk_mask = select(m, top_k(k))
+    adaptive_mask = select_row(m, adaptive(mass))
+    topk_mask = select_row(m, top_k(k))
     assert np.array_equal(adaptive_mask, topk_mask)
 
 
@@ -191,8 +188,8 @@ def test_reattention_flag_changes_only_refined_map(monkeypatch):
     assert np.array_equal(on_cam, nm.value_of(result.cam_maps))
     assert np.array_equal(off_cam, on_cam)
     assert np.array_equal(on, nm.value_of(result.refined_map))
-    assert np.array_equal(off, spatial_map(result.selection.priorities))
-    assert np.array_equal(off.ravel(), result.selection.priorities.ravel())
+    assert np.array_equal(off, spatial_map(result.priorities))
+    assert np.array_equal(off.ravel(), result.priorities.ravel())
     assert not np.array_equal(on, off)
 
 
@@ -214,9 +211,9 @@ def test_zero_mass_rows_fall_back_alike_in_the_ablation_and_in_eval(monkeypatch)
         b, _, _, n_plus_1 = nm.value_of(stack[0]).shape
         return np.zeros((b, n_plus_1 - 1), np.float32)
 
-    def recording_weights(z_p, selection, *args):
-        masks.append(selection.mask.copy())
-        return weights(z_p, selection, *args)
+    def recording_weights(z_p, mask, *args):
+        masks.append(mask.copy())
+        return weights(z_p, mask, *args)
 
     monkeypatch.setattr(pipeline, "preliminary_attention", zero_priorities)
     monkeypatch.setattr(pipeline, "importance_weights", recording_weights)

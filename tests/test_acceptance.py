@@ -16,9 +16,9 @@ from tokenloc.backbone import ModelConfig, block_forward, embed, init_params, mh
 from tokenloc.cli import main
 from tokenloc.errors import BadMagicError, TruncationError, UnsupportedDtypeError
 from tokenloc.formats import read_checkpoint, write_checkpoint, write_tensor, read_tensor
-from tokenloc.localization import grid_search_threshold
+from tokenloc.localization import DEFAULT_GRID, evaluate_samples, threshold_grid
 from tokenloc.pipeline import two_branch_forward
-from tokenloc.token_refine import adaptive_select, reattention
+from tokenloc.token_refine import reattention
 from tokenloc.training import (
     ToyTaskConfig,
     TrainConfig,
@@ -42,7 +42,7 @@ from test_metrics import (
     array_max_box_acc_v2,
     random_records,
 )
-from test_token_refine import selection_oracle
+from test_token_refine import adaptive_mask, selection_oracle
 
 TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=2,
                    num_heads=2, num_classes=3)
@@ -103,10 +103,8 @@ def test_criterion_gradient_suite():
     image = rng.random((1, 3, 8, 8)).astype(np.float32)
     label = [2]
     base = two_branch_forward(params, TINY, image)
-    frozen = (base.selection.threshold[0], base.selection.mask[0])
-
-    def pinned(_):
-        return frozen
+    def pinned(m):
+        return np.broadcast_to(base.mask, m.shape)
 
     tape = nm.GradTape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
@@ -175,19 +173,19 @@ def test_criterion_selection_suite():
         if float(m.sum()) == 0.0:
             m[0] = np.float32(0.5)
         u = float(rng.uniform(0.02, 1.0))
-        tau, mask = adaptive_select(m, u)
+        mask = adaptive_mask(m, u)
         tau_oracle, selected_oracle = selection_oracle(m, u)
         assert set(np.flatnonzero(mask)) == selected_oracle
-        assert tau == tau_oracle
+        assert m[mask > 0].min() == tau_oracle
 
         total = float(m.astype(np.float64).sum())
         assert float(m.astype(np.float64)[mask > 0].sum()) / total >= u - 1e-9
 
-        _, wider = adaptive_select(m, min(1.0, u + float(rng.uniform(0, 1.0 - u + 1e-9))))
+        wider = adaptive_mask(m, min(1.0, u + float(rng.uniform(0, 1.0 - u + 1e-9))))
         assert set(np.flatnonzero(mask)) <= set(np.flatnonzero(wider))
 
         for c in (0.25, 8.0):
-            _, scaled = adaptive_select((m * np.float32(c)).astype(np.float32), u)
+            scaled = adaptive_mask((m * np.float32(c)).astype(np.float32), u)
             assert np.array_equal(mask, scaled)
     _report("selection suite", time.monotonic() - start, 10.0,
             "500 random vectors vs exhaustive-prefix oracle, exact")
@@ -263,7 +261,8 @@ def test_criterion_end_to_end_synthetic(trained):
     cfg, params, _ = trained
     samples = make_dataset(replace(TOY, samples_per_epoch=50, seed=HELDOUT_SEED))
 
-    theta_star, table = grid_search_threshold(params, cfg, samples)
+    theta_star, table, _ = evaluate_samples(params, cfg, samples, (),
+                                            threshold_grid(*DEFAULT_GRID))
     gt_known = dict(table)[theta_star]
     assert gt_known >= 0.70, f"GT-known accuracy {gt_known} below 0.70"
 

@@ -95,7 +95,7 @@ def test_refine_branch_runs_only_for_commands_that_read_p_refine(workspace, monk
     n_plus_1 = result.tokens.shape[1]
     eager = real_refine(nm.crop(result.tokens, (0, 0, 0), (1, 1, cfg.embed_dim)),
                         nm.crop(result.tokens, (0, 1, 0), (1, n_plus_1 - 1, cfg.embed_dim)),
-                        result.selection.weights, params, cfg)
+                        result.weights, params, cfg)
     assert np.array_equal(read_tensor(out_pt), eager[0])
 
 
@@ -814,6 +814,11 @@ def test_manifest_line_without_boxes_exits_3(workspace, capsys, command):
                                      "(a toy dataset holds at most 67108864 bytes of float32)"),
     ("toy+train", "batch_size", 10_000_000, "at most the toy task's samples_per_epoch (4)"),
     ("toy+train", "batch_size", 5, "at most the toy task's samples_per_epoch (4)"),
+    # numpy seeds only from nonnegative integers
+    ("toy", "seed", -1, "a nonnegative integer"),
+    ("train", "seed", -1, "a nonnegative integer"),
+    # checked by ModelConfig itself
+    ("model", "embed_dim", 9, "divisible by num_heads 2"),
 ])
 def test_train_toy_config_field_types_exit_4(tmp_path, capsys, section, field, value, kind):
     toy, train = dict(_TOY_JSON), dict(_TRAIN_JSON, model=dict(_TRAIN_JSON["model"]))
@@ -858,7 +863,11 @@ def test_train_toy_model_sizes_out_of_bounds_exit_4_before_allocating(tmp_path, 
     if model is None:
         del train["model"]
     assert main(_train_toy_argv(tmp_path, dict(_TOY_JSON, **toy), train)) == 4
-    assert capsys.readouterr().err == f"error: contract: {detail}\n"
+    # ModelConfig's own checks fail while the model section is read, the
+    # budget checks only when training starts
+    section = model is not None and _BUDGET not in detail
+    where = f"{tmp_path / 'train.json'}: model section: " if section else ""
+    assert capsys.readouterr().err == f"error: contract: {where}{detail}\n"
     assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "curve.csv").exists()
 
 
@@ -952,7 +961,8 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
     # the per-image path: one forward and one predicted-class heat per image
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     samples = parse_manifest(manifest)
-    theta_star, table = loc.grid_search_threshold(params, cfg, samples)
+    theta_star, table, _ = loc.evaluate_samples(params, cfg, samples, (),
+                                                threshold_grid(*DEFAULT_GRID))
     heats = gt_heats(params, cfg, samples)
     per_level = [max(hit_fraction_oracle(heats, samples, theta, level, 32, 32)
                      for theta in threshold_grid(*DEFAULT_GRID))

@@ -15,8 +15,8 @@ from tokenloc.localization import (
     MAX_BOX_ACC_LEVELS,
     binarize,
     evaluate_heats,
+    evaluate_samples,
     fuse,
-    grid_search_threshold,
     heat_boxes,
     localize,
     max_box_acc_v2,
@@ -682,14 +682,15 @@ def test_threshold_grid_contents():
 
 def test_grid_search_singleton():
     cfg, params = brightness_checkpoint()
-    theta, table = grid_search_threshold(params, cfg, _samples(3), grid=(0.25, 0.25, 0.1))
+    theta, table, _ = evaluate_samples(params, cfg, _samples(3), (),
+                                       threshold_grid(0.25, 0.25, 0.1))
     assert theta == 0.25
     assert len(table) == 1
 
 
 def test_grid_search_best_attains_table_max():
     cfg, params = brightness_checkpoint()
-    theta, table = grid_search_threshold(params, cfg, _samples(5), grid=(0.1, 0.9, 0.2))
+    theta, table, _ = evaluate_samples(params, cfg, _samples(5), (), threshold_grid(0.1, 0.9, 0.2))
     best = max(acc for _, acc in table)
     assert dict(table)[theta] == best
     assert theta == min(t for t, acc in table if acc == best)
@@ -699,7 +700,7 @@ def test_grid_search_matches_exhaustive_per_theta_oracle():
     cfg, params = brightness_checkpoint()
     samples = _samples(10)
     grid = (0.1, 0.9, 0.1)
-    theta_star, table = grid_search_threshold(params, cfg, samples, grid=grid)
+    theta_star, table, _ = evaluate_samples(params, cfg, samples, (), threshold_grid(*grid))
 
     oracle_table = []
     for theta in threshold_grid(*grid):
@@ -717,4 +718,4 @@ def test_grid_search_matches_exhaustive_per_theta_oracle():
 def test_grid_search_empty_manifest_rejected():
     cfg, params = brightness_checkpoint()
     with pytest.raises(ContractError):
-        grid_search_threshold(params, cfg, [])
+        evaluate_samples(params, cfg, [], (), threshold_grid(*DEFAULT_GRID))

@@ -23,7 +23,7 @@ from tokenloc.pipeline import (
     forward_chunks,
     two_branch_forward,
 )
-from tokenloc.token_refine import adaptive, adaptive_select, fixed, select, top_k
+from tokenloc.token_refine import adaptive, fixed, select, top_k
 from tokenloc.training import ToyTaskConfig, make_dataset
 
 from util import gt_heats, selection_matrix
@@ -37,9 +37,8 @@ def test_degenerate_priorities_fall_back_to_argmax():
     # every rule, whatever it would keep, gets the one fallback on a zero-mass row
     for selector in (adaptive(CFG.selection_mass), adaptive(0.3), top_k(4), fixed(0.0),
                      fixed(0.01), fixed("mean")):
-        tau, mask = select(np.zeros(6, np.float32), selector)
-        assert tau == 0.0
-        assert np.array_equal(mask, [1, 0, 0, 0, 0, 0])
+        mask = select(np.zeros((1, 6), np.float32), selector)
+        assert np.array_equal(mask, [[1, 0, 0, 0, 0, 0]])
 
 
 def test_zero_model_runs_end_to_end():
@@ -57,10 +56,9 @@ def test_constant_selector_pins_selection():
     mask = np.zeros(CFG.num_tokens, np.float32)
     mask[3] = 1.0
     result = two_branch_forward(params, CFG, np.stack([image, image[:, ::-1]]),
-                                selector=lambda _: (0.5, mask))
-    assert np.array_equal(result.selection.mask, [mask, mask])
-    assert list(result.selection.threshold) == [0.5, 0.5]
-    lam = nm.value_of(result.selection.weights)
+                                selector=lambda m: np.broadcast_to(mask, m.shape))
+    assert np.array_equal(result.mask, [mask, mask])
+    lam = nm.value_of(result.weights)
     assert np.array_equal(lam, [mask, mask])  # single selected token takes all the weight
 
 
@@ -72,14 +70,14 @@ def test_custom_selector_hook():
     def take_two(m):
         calls.append(m.copy())
         mask = np.zeros_like(m)
-        mask[:2] = 1.0
-        return float(m[1]), mask
+        mask[:, :2] = 1.0
+        return mask
 
     result = two_branch_forward(params, CFG, image[None], selector=take_two)
     assert len(calls) == 1
-    assert np.array_equal(result.selection.mask[0, :2], [1, 1])
-    assert result.selection.mask[0, 2:].sum() == 0
-    assert result.selection.threshold[0] == float(calls[0][1])
+    assert np.array_equal(calls[0], result.priorities)
+    assert np.array_equal(result.mask[0, :2], [1, 1])
+    assert result.mask[0, 2:].sum() == 0
 
 
 def test_full_mass_selection_reduces_masked_attention_to_plain():
@@ -88,7 +86,7 @@ def test_full_mass_selection_reduces_masked_attention_to_plain():
     params = init_params(CFG, 4)
     rng = np.random.default_rng(5)
     m = (rng.random(CFG.num_tokens) + 0.05).astype(np.float32)
-    _, mask = adaptive_select(m, 1.0)
+    mask = select(m[None], adaptive(1.0))[0]
     assert np.array_equal(mask, np.ones(CFG.num_tokens, np.float32))
     matrix = selection_matrix(mask)
     z_p = rng.standard_normal((1, CFG.num_tokens, CFG.embed_dim)).astype(np.float32)
@@ -124,16 +122,14 @@ def test_branch_forward_on_a_result_equals_a_fresh_forward():
     image = np.random.default_rng(11).random((2, 3, 16, 16)).astype(np.float32)
 
     def take_three(m):
-        mask = np.zeros_like(m)
-        mask[np.argsort(-m, kind="stable")[:3]] = 1.0
-        return 0.0, mask
+        return np.argsort(np.argsort(-m, axis=-1, kind="stable"), axis=-1) < 3
 
     first = two_branch_forward(params, CFG, image)
     for kwargs in ({"selector": take_three}, {"selector": adaptive(0.3)}):
         fresh = two_branch_forward(params, CFG, image, **kwargs)
         reused = branch_forward(params, CFG, first.tokens, first.stack, **kwargs)
-        assert np.array_equal(reused.selection.mask, fresh.selection.mask)
-        for field in ("refined_map", "cam_maps", "cam_logits", "p_cam", "p_refine"):
+        assert np.array_equal(reused.mask, fresh.mask)
+        for field in ("refined_map", "cam_maps", "p_cam", "p_refine"):
             assert np.array_equal(nm.value_of(getattr(reused, field)),
                                   nm.value_of(getattr(fresh, field))), field
 
@@ -154,16 +150,15 @@ def test_each_image_of_a_stack_is_selected_alone():
 
     def record(m):
         seen.append(m.copy())
-        return adaptive_select(m, CFG.selection_mass)
+        return adaptive(CFG.selection_mass)(m)
 
     batched = two_branch_forward(params, CFG, images, selector=record)
-    assert len(seen) == 3
+    assert len(seen) == 1 and seen[0].shape == (3, CFG.num_tokens)
     for i in range(3):
         single = two_branch_forward(params, CFG, images[i:i + 1])
-        assert np.array_equal(seen[i], single.selection.priorities[0])
-        assert np.array_equal(batched.selection.mask[i], single.selection.mask[0])
-        assert np.array_equal(batched.selection.weights[i], single.selection.weights[0])
-        assert batched.selection.threshold[i] == single.selection.threshold[0]
+        assert np.array_equal(seen[0][i], single.priorities[0])
+        assert np.array_equal(batched.mask[i], single.mask[0])
+        assert np.array_equal(batched.weights[i], single.weights[0])
 
 
 def test_batched_forward_is_bit_identical_to_single_images_on_the_acceptance_heldout_set():
@@ -174,11 +169,9 @@ def test_batched_forward_is_bit_identical_to_single_images_on_the_acceptance_hel
     batched = two_branch_forward(params, cfg, images)
     for i in range(len(images)):
         alone = two_branch_forward(params, cfg, images[i:i + 1])
-        for field in ("refined_map", "cam_maps", "cam_logits", "p_cam", "p_refine"):
+        for field in ("refined_map", "cam_maps", "p_cam", "p_refine", "priorities", "mask",
+                      "weights"):
             assert np.array_equal(getattr(batched, field)[i], getattr(alone, field)[0]), field
-        for field in ("priorities", "threshold", "mask", "weights"):
-            assert np.array_equal(nm.value_of(getattr(batched.selection, field))[i],
-                                  nm.value_of(getattr(alone.selection, field))[0]), field
 
 
 # One untaped forward of FORWARD_CHUNK acceptance-size images, plus a

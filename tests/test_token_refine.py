@@ -8,13 +8,11 @@ import pytest
 from tokenloc import numerics as nm
 from tokenloc import pipeline
 from tokenloc.backbone import ModelConfig, init_params, mhsa
-from tokenloc.errors import ContractError, DegenerateInputError, DimensionError
+from tokenloc.errors import ContractError, DimensionError
 from tokenloc.formats import read_checkpoint
 from tokenloc.pipeline import two_branch_forward
 from tokenloc.token_refine import (
-    TokenSelection,
     adaptive,
-    adaptive_select,
     fixed,
     importance_weights,
     preliminary_attention,
@@ -33,11 +31,23 @@ from tokenloc.training import (
     make_dataset,
 )
 
-from util import masked_importance_weights, selection_matrix
+from util import (
+    adaptive_row,
+    fixed_row,
+    masked_importance_weights,
+    select_rows,
+    selection_matrix,
+    top_k_row,
+)
 from test_pipeline import ACCEPTANCE_CKPT, _acceptance_samples
 
 TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=8, num_blocks=2,
                    num_heads=2, num_classes=3)
+
+
+def adaptive_mask(m, u):
+    """`adaptive(u)` through `select` on one (N,) priority row."""
+    return select(m[None], adaptive(u))[0]
 
 
 def selection_oracle(m, u):
@@ -109,27 +119,34 @@ def test_preliminary_attention_empty_stack_rejected():
 # --- adaptive selection -----------------------------------------------------
 
 def test_adaptive_select_prefix_sum_trace():
-    tau, mask = adaptive_select(np.array([0.5, 0.3, 0.2], np.float32), 0.7)
-    assert tau == pytest.approx(0.3)
+    m = np.array([0.5, 0.3, 0.2], np.float32)
+    mask = adaptive_mask(m, 0.7)
     assert np.array_equal(mask, [1, 1, 0])
+    assert m[mask > 0].min() == np.float32(0.3)
 
 
 def test_adaptive_select_full_mass_selects_all_positive():
-    tau, mask = adaptive_select(np.array([0.5, 0.0, 0.3, 0.2, 0.0], np.float32), 1.0)
+    mask = adaptive_mask(np.array([0.5, 0.0, 0.3, 0.2, 0.0], np.float32), 1.0)
     assert np.array_equal(mask, [1, 0, 1, 1, 0])
 
 
 def test_adaptive_select_small_mass_selects_argmax_and_ties():
-    tau, mask = adaptive_select(np.array([0.4, 0.1, 0.4, 0.05], np.float32), 0.1)
-    assert tau == pytest.approx(0.4)
+    m = np.array([0.4, 0.1, 0.4, 0.05], np.float32)
+    mask = adaptive_mask(m, 0.1)
     assert np.array_equal(mask, [1, 0, 1, 0])
+    assert m[mask > 0].min() == np.float32(0.4)
 
 
 def test_adaptive_select_zero_mass_rejected():
-    with pytest.raises(DegenerateInputError):
-        adaptive_select(np.zeros(4, np.float32), 0.5)
+    # a zero mass fraction is rejected when the rule is built, and a
+    # zero-mass priority row never reaches a rule: it keeps its argmax
     with pytest.raises(ContractError):
         adaptive(0.0)
+
+    def refuse(m):
+        raise AssertionError(f"rows {m} of zero mass reached the rule")
+
+    assert np.array_equal(select(np.zeros((2, 4), np.float32), refuse), [[1, 0, 0, 0]] * 2)
 
 
 def test_adaptive_select_monotone_nesting():
@@ -139,7 +156,7 @@ def test_adaptive_select_monotone_nesting():
         masses = sorted(rng.uniform(0.05, 1.0, size=4))
         previous = None
         for u in masses:
-            _, mask = adaptive_select(m, float(u))
+            mask = adaptive_mask(m, float(u))
             selected = set(np.flatnonzero(mask))
             if previous is not None:
                 assert previous <= selected
@@ -151,9 +168,9 @@ def test_adaptive_select_scale_invariance():
     for _ in range(25):
         m = rng.random(10).astype(np.float32)
         u = float(rng.uniform(0.1, 1.0))
-        tau, mask = adaptive_select(m, u)
+        mask = adaptive_mask(m, u)
         for c in (0.25, 4.0, 1000.0):
-            tau_c, mask_c = adaptive_select((m * np.float32(c)).astype(np.float32), u)
+            mask_c = adaptive_mask((m * np.float32(c)).astype(np.float32), u)
             assert np.array_equal(mask, mask_c)
 
 
@@ -162,7 +179,7 @@ def test_adaptive_select_selected_mass_bracket():
     for _ in range(100):
         m = rng.random(int(rng.integers(2, 16))).astype(np.float32)
         u = float(rng.uniform(0.05, 1.0))
-        tau, mask = adaptive_select(m, u)
+        mask = adaptive_mask(m, u)
         total = float(m.astype(np.float64).sum())
         selected = float(m.astype(np.float64)[mask > 0].sum())
         assert selected / total >= u - 1e-9
@@ -181,10 +198,73 @@ def test_adaptive_select_matches_brute_force_oracle():
         if m.sum() == 0:
             continue
         u = float(rng.uniform(0.02, 1.0))
-        tau, mask = adaptive_select(m, u)
+        mask = adaptive_mask(m, u)
         tau_o, selected_o = selection_oracle(m, u)
         assert set(np.flatnonzero(mask)) == selected_o
-        assert tau == pytest.approx(tau_o, abs=0)
+        assert m[mask > 0].min() == tau_o
+
+
+# --- stacked selection against the per-row oracle ----------------------------
+
+def _rule_pairs(n):
+    """(stacked rule, per-row oracle rule) for rows of n tokens: adaptive
+    at several masses, topk at 1 and n, fixed at 0 and at the mean, and
+    constant selectors, one of them empty (the fallback for every row)."""
+    some = np.zeros(n, np.float32)
+    some[::3] = 1.0
+    pairs = [(adaptive(u), lambda m, u=u: adaptive_row(m, u))
+             for u in (0.02, 0.3, 0.5, 0.65, 0.9, 1.0)]
+    pairs += [(top_k(k), lambda m, k=k: top_k_row(m, k)) for k in sorted({1, min(7, n), n})]
+    pairs += [(fixed(t), lambda m, t=t: fixed_row(m, t)) for t in (0.0, 0.015, "mean")]
+    pairs += [(lambda m, c=c: np.broadcast_to(c > 0, m.shape), lambda m, c=c: (0.5, c))
+              for c in (some, np.zeros(n, np.float32))]
+    return pairs
+
+
+def _random_stacks(rng):
+    """Seeded (B, N) priority stacks: plain, tied (few distinct values),
+    sparse, all-zero, all-equal, NaN and inf rows, at several widths."""
+    stacks = []
+    for n in (1, 2, 5, 64):
+        rows = [rng.random(n) * rng.choice([1e-3, 1.0, 40.0]) for _ in range(40)]
+        rows += [rng.integers(0, 3, n) / 8.0 for _ in range(20)]        # ties, some all-zero
+        # tenths: running sums that meet the target at a float32 rounding
+        rows += [rng.integers(0, 10, n) / 10.0 for _ in range(40)]
+        rows += [np.where(rng.random(n) < 0.8, 0.0, rng.random(n)) for _ in range(10)]
+        rows += [np.zeros(n), np.full(n, 0.1), np.full(n, 3e-39)]       # zero, equal, subnormal
+        for bad in (np.nan, np.inf):
+            for _ in range(3):
+                row = rng.random(n)
+                row[rng.integers(n)] = bad
+                rows.append(row)
+            rows.append(np.full(n, bad))
+        stacks.append(np.asarray(rows, np.float32))
+    return stacks
+
+
+def _heldout_priorities(seed):
+    """(50, 64) priorities of the acceptance checkpoint on the held-out set
+    of toy seed `seed`: perfbench fixture seed - 99."""
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    samples = make_dataset(ToyTaskConfig(samples_per_epoch=50, seed=seed))
+    return np.concatenate([result.priorities for _, result in
+                           pipeline.forward_chunks(params, cfg, samples)])
+
+
+def test_stacked_selection_is_bit_identical_to_the_per_row_oracle():
+    stacks = [_heldout_priorities(99), _heldout_priorities(102)]
+    stacks += _random_stacks(np.random.default_rng(8))
+    for stack in stacks:
+        for rule, row_rule in _rule_pairs(stack.shape[1]):
+            got = select(stack, rule)
+            want = select_rows(stack, row_rule)
+            assert got.dtype == np.float32 and np.array_equal(got, want), (stack.shape, rule)
+            # one stack or one row at a time, the same rows
+            assert np.array_equal(np.concatenate([select(row[None], rule) for row in stack]), got)
+    with pytest.raises(ContractError, match="nonnegative"):
+        select(np.array([[0.5, 0.2], [0.1, -0.1]], np.float32), fixed(0.0))
+    with pytest.raises(DimensionError, match=r"\(B, N\)"):
+        select(np.ones(3, np.float32), fixed(0.0))
 
 
 # --- selection matrix -------------------------------------------------------
@@ -259,11 +339,9 @@ def test_masked_mhsa_matches_composition_oracle():
 # --- importance weights -----------------------------------------------------
 
 def _selection_for(mask):
-    """A batch-of-one selection for one mask vector, or a batch for a matrix."""
+    """A batch-of-one mask for one mask vector, or a batch for a matrix."""
     mask = np.asarray(mask, np.float32)
-    if mask.ndim == 1:
-        mask = mask[None]
-    return TokenSelection(priorities=mask.copy(), threshold=np.ones(len(mask)), mask=mask)
+    return mask[None] if mask.ndim == 1 else mask
 
 
 def test_importance_weights_single_token():
@@ -342,7 +420,7 @@ def test_importance_weights_matches_step_oracle():
 
 def _oracle_weights(params, cfg, result):
     z_p = nm.value_of(result.tokens)[:, 1:]
-    return masked_importance_weights(z_p, result.selection, params, cfg.num_heads)
+    return masked_importance_weights(z_p, result.mask, params, cfg.num_heads)
 
 
 @pytest.mark.parametrize("stack", [1, 4])
@@ -352,8 +430,8 @@ def test_gathered_weights_equal_the_masked_oracle_on_the_heldout_set(stack):
     for start in range(0, len(images), stack):
         result = two_branch_forward(params, cfg, images[start:start + stack])
         lam = _oracle_weights(params, cfg, result)
-        assert np.array_equal(result.selection.weights, lam), start
-        refined = reattention(result.selection.priorities, result.selection.mask, lam)
+        assert np.array_equal(result.weights, lam), start
+        refined = reattention(result.priorities, result.mask, lam)
         assert np.array_equal(result.refined_map, spatial_map(refined)), start
 
 
@@ -361,28 +439,27 @@ def test_gathered_weights_equal_the_masked_oracle_on_mixed_counts():
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     images = np.stack([image for image, _, _ in _acceptance_samples(4)])
     result = two_branch_forward(params, cfg, images)
-    m = result.selection.priorities
+    m = result.priorities
     mixed = np.stack([
-        select(m[0], top_k(1))[1],
-        select(m[1], fixed("mean"))[1],
-        select(np.zeros_like(m[2]), adaptive(cfg.selection_mass))[1],   # the argmax fallback
+        select(m[:1], top_k(1))[0],
+        select(m[1:2], fixed("mean"))[0],
+        select(np.zeros_like(m[2:3]), adaptive(cfg.selection_mass))[0],   # the argmax fallback
         np.ones_like(m[3]),
     ])
     assert sorted(mixed.sum(axis=-1)) == [1, 1, mixed[1].sum(), cfg.num_tokens]
     z_p = nm.value_of(result.tokens)[:, 1:]
     for mask in (mixed, np.ones_like(m)):   # the second stack has m = N
-        selection = TokenSelection(priorities=m, threshold=np.zeros(len(m)), mask=mask)
-        assert np.array_equal(importance_weights(z_p, selection, params, cfg.num_heads),
-                              masked_importance_weights(z_p, selection, params, cfg.num_heads))
+        assert np.array_equal(importance_weights(z_p, mask, params, cfg.num_heads),
+                              masked_importance_weights(z_p, mask, params, cfg.num_heads))
 
 
 def test_unpadded_stack_runs_the_mask_block_without_a_mask(monkeypatch):
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     images = np.stack([image for image, _, _ in _acceptance_samples(4)])
     result = two_branch_forward(params, cfg, images)
-    m, z_p = result.selection.priorities, nm.value_of(result.tokens)[:, 1:]
-    sevens = np.stack([select(row, top_k(7))[1] for row in m])
-    mixed = np.concatenate([select(m[0], top_k(1))[1][None], sevens[1:]])
+    m, z_p = result.priorities, nm.value_of(result.tokens)[:, 1:]
+    sevens = select(m, top_k(7))
+    mixed = np.concatenate([select(m[:1], top_k(1)), sevens[1:]])
     masks = []
     real = nm.attention
 
@@ -392,13 +469,11 @@ def test_unpadded_stack_runs_the_mask_block_without_a_mask(monkeypatch):
 
     # every image keeps 7 tokens, then the first image keeps 1
     for mask, padded in ((sevens, False), (mixed, True)):
-        selection = TokenSelection(priorities=m, threshold=np.zeros(len(m)), mask=mask)
         monkeypatch.setattr(nm, "attention", recording)
-        lam = importance_weights(z_p, selection, params, cfg.num_heads)
+        lam = importance_weights(z_p, mask, params, cfg.num_heads)
         monkeypatch.undo()
         assert len(masks) == 1 and (masks.pop() is not None) == padded
-        assert np.array_equal(lam, masked_importance_weights(z_p, selection, params,
-                                                             cfg.num_heads))
+        assert np.array_equal(lam, masked_importance_weights(z_p, mask, params, cfg.num_heads))
 
 
 def _shift_invariant(name):
@@ -410,17 +485,12 @@ def _shift_invariant(name):
         "refine.score.bias", "refine.mask_block.mlp.fc2.bias")
 
 
-def _cycling_topk():
-    """A selector keeping the top 1, 64, 7, 42, ... tokens of successive
-    images, so one stack mixes padded and unpadded images."""
-    counts = iter([1, 64, 7, 42, 1, 30, 64, 12])
-
-    def select(m):
-        mask = np.zeros_like(m)
-        mask[np.argsort(-m, kind="stable")[:next(counts)]] = 1.0
-        return 0.0, mask
-
-    return select
+def _cycling_topk(m):
+    """A selector keeping the top 1, 64, 7, 42, 1, 30, 64, 12 tokens of a
+    stack's successive images, so one stack mixes padded and unpadded
+    images."""
+    counts = np.array([1, 64, 7, 42, 1, 30, 64, 12])[:len(m), None]
+    return np.argsort(np.argsort(-m, axis=-1, kind="stable"), axis=-1) < counts
 
 
 @pytest.mark.parametrize("phase", [1, 2])
@@ -443,7 +513,7 @@ def test_gathered_weights_give_the_masked_oracle_loss_and_gradients(phase, train
                   if name.startswith("cam.") == (phase == 2)}
         if mixed:
             result = two_branch_forward({**params, **leaves}, cfg, images,
-                                        selector=_cycling_topk())
+                                        selector=_cycling_topk)
             loss = nm.reduce_sum(cross_entropy_joint(result.p_cam, result.p_refine,
                                                      [label for _, label, _ in batch]))
         else:

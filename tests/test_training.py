@@ -319,16 +319,14 @@ def test_mixed_batch_with_a_zero_mass_fallback_matches_each_image_alone():
     bright = np.random.default_rng(6).uniform(0.2, 1.0, (3, 8, 8)).astype(np.float32)
     batch = [(dark, 0, None), (bright, 1, None)]
     result = two_branch_forward(params, cfg, np.stack([dark, bright]))
-    assert np.all(result.selection.priorities[0] == 0.0)
-    assert np.array_equal(result.selection.mask[0], [1, 0, 0, 0])
-    assert result.selection.priorities[1].sum() > 0.0
+    assert np.all(result.priorities[0] == 0.0)
+    assert np.array_equal(result.mask[0], [1, 0, 0, 0])
+    assert result.priorities[1].sum() > 0.0
     for i, (image, _, _) in enumerate(batch):
         alone = two_branch_forward(params, cfg, image[None])
-        for field in ("refined_map", "cam_maps", "p_cam", "p_refine"):
+        for field in ("refined_map", "cam_maps", "p_cam", "p_refine", "priorities", "mask",
+                      "weights"):
             assert np.array_equal(getattr(result, field)[i], getattr(alone, field)[0]), field
-        for field in ("priorities", "mask", "weights", "threshold"):
-            assert np.array_equal(nm.value_of(getattr(result.selection, field))[i],
-                                  nm.value_of(getattr(alone.selection, field))[0]), field
     names = list(params)
     loss, grads = _loss_and_grads(_batch_loss, params, cfg, batch, names)
     want_loss, want_grads = _loss_and_grads(per_image_loss, params, cfg, batch, names)

@@ -12,6 +12,7 @@ from tokenloc.errors import (
     BadMagicError,
     CheckpointError,
     ContractError,
+    DegenerateInputError,
     DimensionError,
     TensorHeaderError,
     TruncationError,
@@ -110,19 +111,72 @@ def selection_matrix(mask) -> np.ndarray:
     return matrix
 
 
-def masked_importance_weights(z_p, selection, params, num_heads: int):
+def masked_importance_weights(z_p, mask, params, num_heads: int):
     """Reference for `token_refine.importance_weights`: the mask block over
     all (B, N, D) patch tokens under the (B, N, N) selection matrix, a
     per-token scalar score, and a masked softmax over each image's
     selected tokens."""
-    if (nm.value_of(selection.mask).sum(axis=-1) < 1.0).any():
+    if (nm.value_of(mask).sum(axis=-1) < 1.0).any():
         raise ContractError("selection mask must keep at least one token")
     b, n, d = nm.value_of(z_p).shape
     z, _ = block_forward(z_p, params, "refine.mask_block", num_heads,
-                         mask=selection_matrix(selection.mask))
+                         mask=selection_matrix(mask))
     scores = nm.add(nm.matmul(nm.reshape(z, (b * n, d)), params["refine.score.weight"]),
                     params["refine.score.bias"])
-    return nm.softmax(nm.reshape(scores, (b, n)), selection.mask)
+    return nm.softmax(nm.reshape(scores, (b, n)), mask)
+
+
+# Per-row reference of `token_refine.select` and its rules: one (N,)
+# priority row at a time, each rule returning (threshold, mask), as the
+# program selected before its rules ran on the whole (B, N) stack.
+
+def adaptive_row(m, mass: float):
+    """Keep the smallest sorted prefix reaching fraction `mass` of the
+    total, plus all ties: the threshold is the raw priority at the last
+    prefix position and the mask is inclusive (p >= threshold)."""
+    order = np.argsort(-m, kind="stable")
+    cum = np.cumsum(m[order].astype(np.float64))
+    total = cum[-1]
+    if total <= 0.0:
+        raise DegenerateInputError("priority vector has zero total mass")
+    k_star = int(np.searchsorted(cum, mass * total, side="left"))
+    k_star = min(k_star, m.size - 1)
+    tau = float(m[order[k_star]])
+    return tau, (m >= tau).astype(np.float32)
+
+
+def top_k_row(m, k: int):
+    """The k highest priorities, lower index first on ties; the threshold
+    is the k-th priority."""
+    if k > m.size:
+        raise ContractError(f"topk k={k} exceeds {m.size} tokens")
+    order = np.argsort(-m, kind="stable")
+    mask = np.zeros(m.shape, dtype=np.float32)
+    mask[order[:k]] = 1.0
+    return float(m[order[k - 1]]), mask
+
+
+def fixed_row(m, tau):
+    """Every priority at or above `tau`, or the row's own mean for "mean"."""
+    t = float(m.mean()) if tau == "mean" else float(tau)
+    return t, (m >= t).astype(np.float32)
+
+
+def select_rows(priorities, rule):
+    """Reference for `token_refine.select`: the (B, N) masks of
+    `rule(row)` -> (threshold, mask) on each row of positive total mass;
+    a zero-mass row, or an empty mask, selects the argmax token alone
+    (lowest index on ties)."""
+    masks = []
+    for row in np.asarray(priorities, dtype=np.float32):
+        if np.any(row < 0):
+            raise ContractError("priorities must be nonnegative")
+        _, mask = rule(row) if row.sum(dtype=np.float64) > 0.0 else (0.0, np.zeros_like(row))
+        if not np.any(mask):
+            mask = np.zeros(row.shape, dtype=np.float32)
+            mask[int(np.argmax(row))] = 1.0
+        masks.append(mask)
+    return np.stack(masks)
 
 
 def gt_heats(params, cfg, samples, selector=None) -> list:

@@ -199,6 +199,15 @@ def forks(mask) -> bool:
     return False
 
 
+def mask_block_args(package, params, cfg, images) -> tuple:
+    """``importance_weights`` arguments from `package`'s own forward of
+    `images`: its (B, N) mask, or its selection record in revisions
+    before the forward result carried the mask itself."""
+    result = package.pipeline.two_branch_forward(params, cfg, images)
+    selected = result.mask if hasattr(result, "mask") else result.selection
+    return result.tokens[:, 1:], selected, params, cfg.num_heads
+
+
 def stages(base, head, inp) -> dict:
     """Stage timings of both revisions; see the module docstring."""
     import numpy as np
@@ -228,17 +237,15 @@ def stages(base, head, inp) -> dict:
             STAGE_REPEATS, 20 if stack.ndim == 2 else 4)}
 
     images = np.stack([image for image, _, _ in samples[:8]])
-    result = head.pipeline.two_branch_forward(params, cfg, images)
-    z_p = result.tokens[:, 1:]
-    selection = result.selection
-    counts = selection.mask.sum(axis=-1)
-    args = (z_p, selection, params, cfg.num_heads)
-    same = np.array_equal(head.token_refine.importance_weights(*args),
-                          base.token_refine.importance_weights(*args))
+    args = {name: mask_block_args(package, params, cfg, images)
+            for name, package in (("base", base), ("head", head))}
+    counts = np.asarray(args["head"][1]).sum(axis=-1)
+    same = np.array_equal(head.token_refine.importance_weights(*args["head"]),
+                          base.token_refine.importance_weights(*args["base"]))
     out["mask_block"] = {"selected_per_image": sorted(set(counts.astype(int).tolist())),
                          "identical": same, **timed({
-                             "base": lambda: base.token_refine.importance_weights(*args),
-                             "head": lambda: head.token_refine.importance_weights(*args)},
+                             "base": lambda: base.token_refine.importance_weights(*args["base"]),
+                             "head": lambda: head.token_refine.importance_weights(*args["head"])},
                              STAGE_REPEATS, 10)}
 
     gts = [gt for _, _, gt in samples]
