@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import sys
 import typing
@@ -25,6 +26,7 @@ from .formats import (
     read_image,
     read_tensor,
     write_checkpoint,
+    write_file,
     write_heatmap,
     write_tensor,
 )
@@ -63,10 +65,9 @@ def _selector(args):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([header, *rows])
+    write_file(path, text.getvalue().encode("utf-8"))
 
 
 def _load_manifest_samples(path):
@@ -91,7 +92,7 @@ def cmd_localize(args):
     class_id = "predicted" if args.class_id == "auto" else int(args.class_id)
     heat, box, _, empty = localize(params, cfg, image, class_id, theta=args.theta,
                                    selector=_selector(args))
-    Path(args.out_box).write_text(" ".join(map(str, box.tolist())) + "\n", encoding="ascii")
+    write_file(args.out_box, (" ".join(map(str, box.tolist())) + "\n").encode("ascii"))
     if args.out_map:
         write_tensor(args.out_map, heat)
     if empty:

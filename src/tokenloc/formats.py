@@ -8,13 +8,21 @@ num_blocks, num_heads, mlp_ratio, num_classes, selection_mass * 1e6) and
 every other payload is an embedded tensor file. Entries are written with
 "config" first, then parameters sorted by name, so identical inputs
 always produce identical bytes.
+
+Every output goes through `write_file`, which overwrites in place, so a
+crash in mid-write can leave new bytes ahead of a stale tail: the tensor
+and checkpoint readers reject a longer tail (exit 3) but read an old file
+of the same length as a mix; a CSV or box file has no reader in the CLI
+and can keep stale tail rows.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 import re
+import stat
 import struct
 from pathlib import Path
 
@@ -96,8 +104,23 @@ def tensor_from_bytes(buffer: bytes, offset: int = 0):
     return np.ndarray(shape, _F32, buffer, offset).copy(), end
 
 
+def write_file(path, data: bytes) -> None:
+    """Write `data` over `path` in place: no O_TRUNC (dear on ext4 with
+    auto_da_alloc), then cut to `len(data)` only for a regular file, so a
+    FIFO or /dev/null works. A crash can leave new bytes before a stale tail."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_tensor(path, array) -> None:
-    Path(path).write_bytes(tensor_to_bytes(array))
+    write_file(path, tensor_to_bytes(array))
 
 
 def read_tensor(path) -> np.ndarray:
@@ -163,7 +186,7 @@ def write_checkpoint(path, cfg: ModelConfig, params: dict) -> None:
         chunks.append(_U16.pack(len(encoded)))
         chunks.append(encoded)
         chunks.append(payload)
-    Path(path).write_bytes(b"".join(chunks))
+    write_file(path, b"".join(chunks))
 
 
 def read_checkpoint(path):
@@ -328,6 +351,4 @@ def write_heatmap(path, heat, image, alpha: float) -> None:
     overlay = np.stack([heat, np.zeros_like(heat), 1.0 - heat])
     blended = alpha * overlay + (1.0 - alpha) * image
     pixels = np.clip(np.floor(blended * 255.0 + 0.5), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.transpose(1, 2, 0).tobytes())
+    write_file(path, f"P6\n{w} {h}\n255\n".encode("ascii") + pixels.transpose(1, 2, 0).tobytes())

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -984,3 +985,82 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
         ["top5", repr(_loc_acc_oracle(ranked, "top5"))],
         ["maxboxaccv2", repr(sum(per_level) / len(per_level))],
         ["theta", repr(theta_star)]]
+
+
+# each writing command on the workspace, without its output options, and those options
+def _writer_argv(tmp, ckpt, image, command):
+    if command == "infer":
+        return ["infer", "--ckpt", str(ckpt), "--input", str(image)], ["--out-logits", "--out-pt"]
+    if command == "localize":
+        return (["localize", "--ckpt", str(ckpt), "--input", str(image), "--theta", "0.5"],
+                ["--out-box", "--out-map"])
+    if command == "train-toy":
+        return _train_toy_argv(tmp)[:-4], ["--out-ckpt", "--out-curve"]
+    if command == "heatmap":
+        write_tensor(tmp / "heat.trt", np.linspace(0, 1, 1024, dtype=np.float32).reshape(32, 32))
+        return (["heatmap", "--map", str(tmp / "heat.trt"), "--image", str(image),
+                 "--alpha", "0.5"], ["--out"])
+    *argv, option, _ = _manifest_argv(tmp, ckpt, command)  # _ is its output path
+    return argv, [option]
+
+
+_WRITERS = ["infer", "localize", *_MANIFEST_ARGS, "train-toy", "heatmap"]
+# (command, output option) for every output of every writing command
+_OUTPUTS = [("infer", "--out-logits"), ("infer", "--out-pt"), ("localize", "--out-box"),
+            ("localize", "--out-map"), *[(c, _MANIFEST_ARGS[c][-1]) for c in _MANIFEST_ARGS],
+            ("train-toy", "--out-ckpt"), ("train-toy", "--out-curve"), ("heatmap", "--out")]
+
+
+def _with_outputs(argv, options, paths):
+    return argv + [str(a) for option in options for a in (option, paths[option])]
+
+
+@pytest.mark.parametrize("command", _WRITERS)
+def test_dev_null_is_an_output_path_of_every_writing_command(workspace, capsys, command):
+    tmp, cfg, params, ckpt, image = workspace
+    argv, options = _writer_argv(tmp, ckpt, image, command)
+    assert main(_with_outputs(argv, options, dict.fromkeys(options, os.devnull))) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", _OUTPUTS)
+def test_a_fifo_output_receives_the_bytes_of_a_regular_file_output(workspace, command, option):
+    tmp, cfg, params, ckpt, image = workspace
+    argv, options = _writer_argv(tmp, ckpt, image, command)
+    regular = {o: tmp / f"out{o}" for o in options}
+    assert main(_with_outputs(argv, options, regular)) == 0
+    fifo = tmp / "fifo"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    code = main(_with_outputs(argv, options, {**regular, option: fifo}))
+    if code:  # the command never opened the FIFO: let the reader see its end
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    reader.join(60)
+    assert code == 0 and not reader.is_alive()
+    assert got == [regular[option].read_bytes()]
+
+
+@pytest.mark.parametrize("kind", ["directory", "under-a-file"])
+@pytest.mark.parametrize("command, option", _OUTPUTS)
+def test_an_output_path_that_cannot_be_a_file_exits_3_naming_it(workspace, capsys, command,
+                                                                option, kind):
+    tmp, cfg, params, ckpt, image = workspace
+    argv, options = _writer_argv(tmp, ckpt, image, command)
+    if kind == "directory":
+        bad = tmp / "outdir"
+        bad.mkdir()
+    else:
+        (tmp / "file.txt").write_text("x")
+        bad = tmp / "file.txt" / "box.txt"
+    paths = {**{o: tmp / f"out{o}" for o in options}, option: bad}
+    assert main(_with_outputs(argv, options, paths)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: format: ") and err.count("\n") == 1, err
+    assert f"'{bad}'" in err, err

@@ -1,5 +1,6 @@
 """File-format tests: tensors, checkpoints, manifests, heatmaps."""
 
+import os
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from tokenloc.formats import (
     read_tensor,
     tensor_to_bytes,
     write_checkpoint,
+    write_file,
     write_heatmap,
     write_tensor,
 )
@@ -83,6 +85,24 @@ def test_tensor_trailing_garbage(tmp_path):
     path.write_bytes(tensor_to_bytes(np.zeros(2, np.float32)) + b"xx")
     with pytest.raises(TruncationError):
         read_tensor(path)
+
+
+def test_write_file_finishes_short_writes_and_cuts_the_stale_tail(tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"\xaa" * 1000)
+    data = bytes(range(256)) * 2
+    sizes = []
+    real_write = os.write
+
+    def short_write(fd, buffer):  # at most 7 bytes per call, as a pipe or signal may allow
+        sizes.append(len(buffer))
+        return real_write(fd, bytes(buffer[:7]))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", short_write)
+        write_file(path, data)
+    assert path.read_bytes() == data
+    assert sizes == list(range(len(data), 0, -7))
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -9,10 +9,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 import golden  # noqa: E402
 
+# longer than every output of the matrix, the ~122 KB checkpoints included
+STALE = b"\xaa" * (256 * 1024)
 
-def test_cli_outputs_match_the_recorded_hashes(tmp_path):
+
+def _assert_matches_the_recording(got):
     recorded = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
-    got = golden.run_matrix(tmp_path)
     mismatches = []
     for fixture in sorted(recorded["outputs"].keys() | got.keys()):
         want, have = recorded["outputs"].get(fixture, {}), got.get(fixture, {})
@@ -27,3 +29,13 @@ def test_cli_outputs_match_the_recorded_hashes(tmp_path):
     assert not mismatches, "\n".join(
         [f"{len(mismatches)} outputs differ from tests/data/golden.json:", *mismatches,
          "machine block: " + ("; ".join(moved) if moved else "unchanged")])
+
+
+def test_cli_outputs_match_the_recorded_hashes(tmp_path):
+    _assert_matches_the_recording(golden.run_matrix(tmp_path))
+
+
+def test_cli_outputs_over_longer_stale_files_match_the_recorded_hashes(tmp_path):
+    """Each output path holds 256 KiB of 0xAA before its command runs: an
+    output written in place must leave no stale tail."""
+    _assert_matches_the_recording(golden.run_matrix(tmp_path, STALE))

@@ -27,7 +27,13 @@ mask block) on an unpadded stack of 8, with the tracemalloc peak of
 ``evaluate_heats`` on all 50 heats. ``ablation.run_ablation`` in its
 default mode (re-attention on and off) with perfbench's strategies on
 all 50 images is timed base against head and, for its noise floor, head
-against the A/A copy. Last comes the kernel-op level: forward and
+against the A/A copy, and so are the writers: ``formats.write_tensor`` of
+a 32 x 32 map and ``formats.write_checkpoint`` of perfbench's acceptance
+checkpoint, each over an existing file in ``.bench_build/ab/``. What a
+writer costs depends on the filesystem (rewriting a file in place avoids
+truncating it to zero, which ext4 with ``auto_da_alloc`` makes dear and
+tmpfs much less so), so the report names the filesystem and its mount
+options. Last comes the kernel-op level: forward and
 backward of each op of ``op_cases`` at the toy shapes (65 tokens, width
 32, 4 heads), base against head and, for its noise floor, head against
 the A/A copy. A backward is timed alone, on a tape recorded beforehand,
@@ -285,6 +291,53 @@ def ablation_stage(packages: dict, head, inp) -> dict:
     return out
 
 
+def filesystem(path: Path) -> str:
+    """Type and mount options of the filesystem holding `path`, read from
+    /proc/self/mounts ("unknown" where there is none)."""
+    path, best = path.resolve(), ("", "unknown")
+    try:
+        with open("/proc/self/mounts", encoding="utf-8") as fh:
+            for line in fh:
+                _, mount, kind, options = line.split()[:4]
+                inside = path == Path(mount) or Path(mount) in path.parents
+                if inside and len(mount) >= len(best[0]):
+                    best = (mount, f"{kind} {options} (mounted on {mount})")
+    except OSError:
+        pass
+    return best[1]
+
+
+def write_stage(packages: dict, head) -> dict:
+    """The writers over existing files of BUILD, base against head for
+    each of `packages` as in ``ablation_stage``, with the bytes of both
+    checked equal; see the module docstring."""
+    import numpy as np
+
+    cfg, params = head.formats.read_checkpoint(PERFBENCH / "data" / "acceptance.ckpt")
+    heat = np.random.default_rng(0).random((32, 32), dtype=np.float32)
+    cases = {"write_tensor_32x32": lambda formats, path: formats.write_tensor(path, heat),
+             "write_checkpoint_acceptance":
+                 lambda formats, path: formats.write_checkpoint(path, cfg, params)}
+    out = {"filesystem": filesystem(BUILD),
+           "note": "the writers rewrite each file in place instead of truncating it to zero "
+                   "first; what that saves depends on the filesystem named here (much on "
+                   "ext4 with auto_da_alloc, far less on tmpfs)"}
+    for case, write in cases.items():
+        def run(package, side, case=case, write=write):
+            path = BUILD / f"{case}-{side}"
+            write(package.formats, path)   # the file exists before the clock starts
+            return lambda: write(package.formats, path)
+
+        entry = out[case] = {}
+        for kind, base in packages.items():
+            runs = {"base": run(base, "base"), "head": run(head, "head")}
+            same = (BUILD / f"{case}-base").read_bytes() == (BUILD / f"{case}-head").read_bytes()
+            entry[kind] = {"identical": same, **timed(runs, STAGE_REPEATS, 20)}
+        if "ab" in entry:
+            entry["verdict"] = verdict(entry["ab"], entry["aa"])
+    return out
+
+
 def op_cases(rng) -> dict:
     """(call(nm, *args), args) per kernel op at the toy shapes: a
     (65, 32) @ (32, 32) product, softmax over (4, 65, 65) scores, 4-head
@@ -421,6 +474,7 @@ def main(argv=None) -> int:
             if not args.aa:
                 entry["verdict"] = verdict(entry["ab"], entry["aa"])
         report["ablation_us"] = ablation_stage(packages, head, inp)
+        report["writes_us"] = write_stage(packages, head)
         if not args.aa:
             report["stages_us"] = stages(packages["ab"], head, inp)
         report["kernel_ops_us"] = kernel_ops(packages, head)

@@ -80,9 +80,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_fixture(cli, inputs, seed: int, work: Path) -> dict:
+def run_fixture(cli, inputs, seed: int, work: Path, stale: bytes = b"") -> dict:
     """{command name: {"exit": code, "stdout": sha, "stderr": sha, <file>: sha}}
-    for one fixture, built and run under `work`."""
+    for one fixture, built and run under `work`; with `stale`, each output
+    path holds those bytes before its command runs."""
     inp = inputs.build(work / "inputs", seed)
     dirs = {}
 
@@ -92,6 +93,9 @@ def run_fixture(cli, inputs, seed: int, work: Path) -> dict:
     hashes = {}
     for name, argv in commands(inp, out):
         out(name).mkdir()
+        for path in argv:
+            if stale and isinstance(path, Path) and path.parent == out(name):
+                path.write_bytes(stale)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main([str(a) for a in argv])
@@ -102,7 +106,7 @@ def run_fixture(cli, inputs, seed: int, work: Path) -> dict:
     return hashes
 
 
-def run_matrix(work: Path) -> dict:
+def run_matrix(work: Path, stale: bytes = b"") -> dict:
     """{fixture seed: run_fixture(...)} over FIXTURES; `work` must be empty."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     try:
@@ -110,7 +114,7 @@ def run_matrix(work: Path) -> dict:
         import tokenloc.cli as cli
     finally:
         del sys.path[:2]
-    return {str(seed): run_fixture(cli, inputs, seed, work / f"fixture{seed}")
+    return {str(seed): run_fixture(cli, inputs, seed, work / f"fixture{seed}", stale)
             for seed in FIXTURES}
 
 
