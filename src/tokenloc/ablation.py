@@ -16,6 +16,14 @@ from .pipeline import branch_forward, forward_chunks
 from .token_refine import adaptive, fixed, spatial_map, top_k
 
 
+def _strategy_number(text: str, arg: str, convert):
+    try:
+        return convert(arg)
+    except ValueError:
+        what = "an integer" if convert is int else "a number"
+        raise ContractError(f"strategy {text!r}: {arg!r} is not {what}") from None
+
+
 def parse_strategy(text: str, default_mass: float) -> tuple:
     """Parse a CLI form, adaptive[:u], topk:<k> or fixed:<t|mean>, into
     (label, selector); a bare `adaptive` selects at `default_mass`."""
@@ -24,19 +32,19 @@ def parse_strategy(text: str, default_mass: float) -> tuple:
     if kind == "adaptive":
         if not arg:
             return "adaptive", adaptive(default_mass)
-        mass = float(arg)
+        mass = _strategy_number(text, arg, float)
         return f"adaptive:{mass:g}", adaptive(mass)
     if kind == "topk":
         if not arg:
             raise ContractError("topk strategy needs a k value, e.g. topk:8")
-        k = int(arg)
+        k = _strategy_number(text, arg, int)
         return f"topk:{k}", top_k(k)
     if kind == "fixed":
         if not arg:
             raise ContractError("fixed strategy needs a threshold, e.g. fixed:0.01 or fixed:mean")
         if arg == "mean":
             return "fixed:mean", fixed("mean")
-        tau = float(arg)
+        tau = _strategy_number(text, arg, float)
         return f"fixed:{tau:g}", fixed(tau)
     raise ContractError(f"unknown selection strategy {kind!r}")
 
@@ -58,12 +66,13 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
     heats = {(i, reatt): [] for i in range(len(strategies)) for reatt in modes}
     for labels, first in forward_chunks(params, cfg, samples, selector=strategies[0][1]):
         for i, (_, selector) in enumerate(strategies):
-            # one backbone pass per stack: later strategies re-run only the branches
+            # one backbone and CAM pass per stack: later strategies re-run only the
+            # scoring branch
             result = first if i == 0 else branch_forward(params, cfg, first.tokens, first.stack,
                                                          selector=selector)
             for reatt in modes:
                 scoring = result.refined_map if reatt else spatial_map(result.priorities)
-                heats[i, reatt].extend(class_heats(scoring, result.cam_maps, labels, side))
+                heats[i, reatt].extend(class_heats(scoring, first.cam_maps, labels, side))
     gts = [gt for _, _, gt in samples]
     rows = []
     for (i, reatt), setting_heats in heats.items():

@@ -209,7 +209,8 @@ def _linear(rows, params, name: str):
 
 def mhsa(z, params, prefix: str, num_heads: int, mask=None):
     """Multi-head self-attention over (B, T, D) sequences, optionally
-    restricted row-wise by a (B, T, T) mask.
+    restricted row-wise by a mask of any shape that broadcasts to
+    (B, T, T), such as a (B, 1, T) key-padding mask.
 
     Returns the output-projected result as (B*T, D) rows and the
     (B, H, T, T) attention probabilities.
@@ -225,8 +226,9 @@ def mhsa(z, params, prefix: str, num_heads: int, mask=None):
 
 def block_forward(z, params, prefix: str, num_heads: int, mask=None):
     """Pre-norm transformer block over (B, T, D) sequences: attention
-    residual then GELU MLP residual. A (B, T, T) mask restricts which
-    tokens each token attends to. Returns the (B, T, D) output and the
+    residual then GELU MLP residual. A mask that broadcasts to (B, T, T),
+    such as a (B, 1, T) key-padding mask, restricts which tokens each
+    token attends to. Returns the (B, T, D) output and the
     (B, H, T, T) attention probabilities."""
     b, t, d = nm.value_of(z).shape
     attn_out, probs = mhsa(

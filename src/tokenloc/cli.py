@@ -48,15 +48,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _parse_grid(text: str) -> tuple:
+def _parse_grid(option: str, text: str) -> tuple:
+    """The (start, stop, step) of `option`'s grid[:start:stop:step] value."""
     if text == "grid":
         return DEFAULT_GRID
     parts = text.split(":")
     if parts[0] == "grid":
         parts = parts[1:]
-    if len(parts) != 3:
-        raise ContractError(f"grid must be start:stop:step, got {text!r}")
-    return tuple(float(p) for p in parts)
+    try:
+        start, stop, step = map(float, parts)
+    except ValueError:  # not three parts, or not numbers
+        raise ContractError(f"{option} must be grid[:start:stop:step] with three numbers, "
+                            f"got {text!r}") from None
+    return start, stop, step
+
+
+def _parse_theta(text: str) -> list:
+    """The thresholds of eval's --theta: one number, or a grid."""
+    if text.startswith("grid"):
+        return threshold_grid(*_parse_grid("--theta", text))
+    try:
+        return [float(text)]
+    except ValueError:
+        raise ContractError(f"--theta must be a number or grid[:start:stop:step], "
+                            f"got {text!r}") from None
+
+
+def _parse_class(text: str, num_classes: int):
+    """The class of localize's --class: "predicted" for auto, else an id
+    in [0, num_classes) written in ASCII digits."""
+    if text == "auto":
+        return "predicted"
+    if text.isascii() and text.isdigit() and int(text) < num_classes:
+        return int(text)
+    raise ContractError(f"--class must be 'auto' or a class id in [0, {num_classes}), "
+                        f"got {text!r}")
 
 
 def _selector(args):
@@ -89,7 +115,7 @@ def cmd_infer(args):
 def cmd_localize(args):
     cfg, params = read_checkpoint(args.ckpt)
     image = read_image(args.input)
-    class_id = "predicted" if args.class_id == "auto" else int(args.class_id)
+    class_id = _parse_class(args.class_id, cfg.num_classes)
     heat, box, _, empty = localize(params, cfg, image, class_id, theta=args.theta,
                                    selector=_selector(args))
     write_file(args.out_box, (" ".join(map(str, box.tolist())) + "\n").encode("ascii"))
@@ -109,8 +135,7 @@ def cmd_eval(args):
             raise ContractError(f"unknown metric {metric!r}, expected one of {METRIC_NAMES}")
     if len(set(metrics)) < len(metrics):
         raise ContractError(f"--metrics {args.metrics!r} names a metric more than once")
-    thetas = (threshold_grid(*_parse_grid(args.theta)) if args.theta.startswith("grid")
-              else [float(args.theta)])
+    thetas = _parse_theta(args.theta)
     theta_star, _, results = evaluate_samples(params, cfg, samples, metrics, thetas,
                                               selector=_selector(args))
     rows = [(metric, repr(results[metric])) for metric in metrics]
@@ -123,7 +148,7 @@ def cmd_calibrate(args):
     cfg, params = read_checkpoint(args.ckpt)
     samples = _load_manifest_samples(args.manifest)
     theta_star, table, _ = evaluate_samples(params, cfg, samples, (),
-                                            threshold_grid(*_parse_grid(args.grid)),
+                                            threshold_grid(*_parse_grid("--grid", args.grid)),
                                             selector=_selector(args))
     _write_csv(args.out_table, ("theta", "gt_known"),
                [(repr(theta), repr(acc)) for theta, acc in table])
@@ -189,7 +214,7 @@ def cmd_ablate(args):
     if len(resolved) < len(strategies):
         raise ContractError(f"--strategies {args.strategies!r} names a strategy more than once")
     modes = {"both": None, "on": True, "off": False}[args.reattention]
-    grid = _parse_grid(args.grid) if args.grid else None
+    grid = _parse_grid("--grid", args.grid) if args.grid else None
     rows = run_ablation(params, cfg, samples, strategies, reattention_on=modes, grid=grid)
     _write_csv(args.out_table, ("strategy", "reattention", "theta", "gt_known", "max_box_acc_v2"),
                [(label, "on" if reatt else "off", repr(theta), repr(gt), repr(mb))

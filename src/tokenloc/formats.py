@@ -134,9 +134,8 @@ def read_tensor(path) -> np.ndarray:
 def read_image(path) -> np.ndarray:
     """Read an image tensor, rejecting the first non-finite pixel."""
     image = read_tensor(path)
-    bad = np.argwhere(~np.isfinite(image))
-    if bad.size:
-        where = tuple(int(i) for i in bad[0])
+    if not np.isfinite(image).all():
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(image))[0])
         raise ContractError(f"{path}: non-finite pixel {image[where]} at index {where}")
     return image
 

@@ -1,7 +1,15 @@
 """Dense float32 numeric kernel with reverse-mode gradients.
 
-Values are stored as float32; reductions (dot products, softmax sums,
-mean/variance) accumulate in float64 before rounding back. No operation
+Values are stored as float32. `add`, `mul` and `div` compute in float32
+directly: for +, -, * and / of binary32 operands, rounding the exact
+result to binary64 and then to binary32 gives the same binary32 as
+rounding it once, because 53 >= 2 * 24 + 2 (Figueroa, "When is double
+rounding innocuous?", ACM SIGNUM Newsletter 30(3), 1995), so a float64
+round trip could not change a bit. The other arithmetic ops round to
+float32 once, from float64: reductions (dot products, sums, softmax,
+mean/variance) accumulate in float64, `scale` and the attention score
+scaling multiply by a binary64 constant, and layer_norm, gelu, log, the
+convolution and the resize chain several float64 steps. No operation
 mutates its inputs. Every differentiable operation carries a backward
 rule and returns through `_emit`, the one place that applies the
 recording rule: when any argument is a Node created from a GradTape, the
@@ -11,6 +19,7 @@ otherwise the plain float32 array is returned.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -224,8 +233,10 @@ def attention(q, k, v, num_heads: int, mask=None):
     """Multi-head scaled dot-product attention over a batch of sequences.
 
     q, k, v: (B, T, D), split into num_heads heads of D / num_heads
-    features; mask: optional (B, T, T), nonzero where a query may attend
-    (each row must keep at least one key). Returns the context as
+    features; mask: optional, any shape that broadcasts to (B, T, T),
+    nonzero where a query may attend (each row must keep at least one
+    key): a (B, 1, T) key-padding mask serves every query of a sequence
+    without being expanded. Returns the context as
     (B*T, D) rows, heads side by side, and the (B, H, T, T)
     probabilities. Each head rounds where the composed contract ops do:
     scores Q K^T to float32, the 1/sqrt(head_dim) scale to float32, the
@@ -244,9 +255,10 @@ def attention(q, k, v, num_heads: int, mask=None):
     keep = None
     if mask is not None:
         mv = value_of(mask)
-        if mv.shape != (b, t, t):
-            raise DimensionError(f"attention mask shape {mv.shape} does not match {(b, t, t)}")
-        keep = (mv > 0)[:, None]
+        if mv.ndim > 3 or any(n not in (1, full) for n, full in zip(mv.shape[::-1], (t, t, b))):
+            raise DimensionError(f"attention mask shape {mv.shape} does not broadcast to "
+                                 f"{(b, t, t)}")
+        keep = (mv > 0).reshape((1,) * (3 - mv.ndim) + mv.shape)[:, None]
     c = 1.0 / math.sqrt(hd)
 
     def split(x):  # (B, T, D) or (B*T, D) -> (B, H, T, hd) float64
@@ -304,14 +316,23 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6):
         raise DimensionError(
             f"layer_norm parameters {gv.shape}/{bv.shape} do not match feature size {d}"
         )
-    z = _f64(xv)
-    mu = z.mean(axis=-1, keepdims=True)
-    centred = z - mu
-    var = (centred * centred).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
+    # the float64 steps of mean, centring, variance and scaling, in that
+    # order, in two work arrays: xhat (x, then centred, then normalised)
+    # and work (the squares, then the affine output)
+    xhat = xv.astype(np.float64)
+    mu = np.add.reduce(xhat, axis=-1, keepdims=True)
+    mu /= d
+    xhat -= mu
+    work = np.multiply(xhat, xhat)
+    var = np.add.reduce(work, axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv
     g64, b64 = _f64(gv), _f64(bv)
-    out = (xhat * g64 + b64).astype(np.float32)
+    np.multiply(xhat, g64, out=work)
+    work += b64
+    out = work.astype(np.float32)
 
     def backward(g):
         lead = tuple(range(xv.ndim - 1))
@@ -344,6 +365,26 @@ def gelu(x):
     return _emit(out, backward, x)
 
 
+@functools.lru_cache(maxsize=16)
+def _resize_corners(h: int, w: int, out_h: int, out_w: int) -> tuple:
+    """(row index, column index, float64 weight) of the four corners that
+    `bilinear_resize` blends, as read-only arrays shared between calls."""
+    si = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
+    sj = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
+    i0 = np.floor(si).astype(np.int64)[:, None]
+    j0 = np.floor(sj).astype(np.int64)[None, :]
+    i1 = np.minimum(i0 + 1, h - 1)
+    j1 = np.minimum(j0 + 1, w - 1)
+    fi = si[:, None] - i0
+    fj = sj[None, :] - j0
+    corners = ((i0, j0, (1.0 - fi) * (1.0 - fj)), (i0, j1, (1.0 - fi) * fj),
+               (i1, j0, fi * (1.0 - fj)), (i1, j1, fi * fj))
+    for corner in corners:
+        for array in corner:
+            array.flags.writeable = False
+    return corners
+
+
 def bilinear_resize(m, out_h: int, out_w: int):
     """Resample the last two axes with half-pixel-centre bilinear
     interpolation; leading axes are carried through.
@@ -358,16 +399,7 @@ def bilinear_resize(m, out_h: int, out_w: int):
     if out_h < 1 or out_w < 1:
         raise DimensionError(f"output extents must be positive, got {out_h}x{out_w}")
     h, w = mv.shape[-2:]
-    si = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
-    sj = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
-    i0 = np.floor(si).astype(np.int64)[:, None]
-    j0 = np.floor(sj).astype(np.int64)[None, :]
-    i1 = np.minimum(i0 + 1, h - 1)
-    j1 = np.minimum(j0 + 1, w - 1)
-    fi = si[:, None] - i0
-    fj = sj[None, :] - j0
-    corners = ((i0, j0, (1.0 - fi) * (1.0 - fj)), (i0, j1, (1.0 - fi) * fj),
-               (i1, j0, fi * (1.0 - fj)), (i1, j1, fi * fj))
+    corners = _resize_corners(h, w, out_h, out_w)
     z = _f64(mv)
     terms = [weight * z[..., ii, jj] for ii, jj, weight in corners]
     out = (terms[0] + terms[1] + terms[2] + terms[3]).astype(np.float32)
@@ -389,8 +421,7 @@ def bilinear_resize(m, out_h: int, out_w: int):
 
 def add(a, b):
     av, bv = value_of(a), value_of(b)
-    out64 = _f64(av) + _f64(bv)
-    out = out64.astype(np.float32)
+    out = np.add(av, bv)
 
     def backward(g):
         if isinstance(a, Node):
@@ -403,28 +434,27 @@ def add(a, b):
 
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
-    a64, b64 = _f64(av), _f64(bv)
-    out = (a64 * b64).astype(np.float32)
+    out = np.multiply(av, bv)
 
     def backward(g):
         if isinstance(a, Node):
-            a.add_grad(_unbroadcast(g * b64, av.shape))
+            a.add_grad(_unbroadcast(g * _f64(bv), av.shape))
         if isinstance(b, Node):
-            b.add_grad(_unbroadcast(g * a64, bv.shape))
+            b.add_grad(_unbroadcast(g * _f64(av), bv.shape))
 
     return _emit(out, backward, a, b)
 
 
 def div(a, b):
     av, bv = value_of(a), value_of(b)
-    a64, b64 = _f64(av), _f64(bv)
-    out = (a64 / b64).astype(np.float32)
+    out = np.divide(av, bv)
 
     def backward(g):
+        b64 = _f64(bv)
         if isinstance(a, Node):
             a.add_grad(_unbroadcast(g / b64, av.shape))
         if isinstance(b, Node):
-            b.add_grad(_unbroadcast(-g * a64 / (b64 * b64), bv.shape))
+            b.add_grad(_unbroadcast(-g * _f64(av) / (b64 * b64), bv.shape))
 
     return _emit(out, backward, a, b)
 

@@ -8,8 +8,8 @@ runs on the whole (B, N) priority stack in numpy: during a taped pass it
 is computed from the current priority values and treated as a constant,
 and a selector that returns one constant mask pins it (that is what
 makes finite-difference checks of the composed loss well-posed).
-Re-attention always runs: the map without it is the priority vector
-itself, which every result carries as `priorities`.
+Re-attention has no off switch: the map without it is the priority
+vector itself, which every result carries as `priorities`.
 """
 
 from __future__ import annotations
@@ -48,23 +48,46 @@ FORWARD_CHUNK = 8
 @dataclass
 class ForwardResult:
     """Outputs of one forward pass over a (B, 3, H, W) image stack; every
-    field carries the batch axis first."""
+    field carries the batch axis first.
+
+    The branch outputs run the first time they are read, so a caller
+    runs only the branches it reads: `infer` and training never run
+    re-attention, and a taped pass records each branch at its first read.
+    """
 
     tokens: object            # (B, N+1, D) output of the backbone
     stack: list               # per-block (B, H, 1, N+1) class-token attention rows
     priorities: np.ndarray    # (B, N) preliminary priorities m
     mask: np.ndarray          # (B, N) float32 0/1 selected tokens
     weights: object           # (B, N) importance weights lambda, zero off the mask
-    refined_map: object       # (B, sqrt(N), sqrt(N)) scoring-branch maps
-    cam_maps: object          # (B, K, sqrt(N), sqrt(N))
-    p_cam: object             # (B, K) CAM-branch class probabilities
+    _reattend: object         # () -> refined_map
+    _cam: object              # () -> (cam_maps, logits, p_cam)
     _refine: object           # () -> p_refine
 
     @cached_property
+    def refined_map(self):
+        """(B, sqrt(N), sqrt(N)) scoring-branch maps: the priorities
+        re-attended by the importance weights."""
+        return self._reattend()
+
+    @cached_property
+    def _cam_outputs(self):
+        return self._cam()
+
+    @property
+    def cam_maps(self):
+        """(B, K, sqrt(N), sqrt(N)) class activation maps."""
+        return self._cam_outputs[0]
+
+    @property
+    def p_cam(self):
+        """(B, K) CAM-branch class probabilities."""
+        return self._cam_outputs[2]
+
+    @cached_property
     def p_refine(self):
-        """(B, K) scoring-branch class probabilities. The final block and
-        head run the first time this is read, so callers that only need
-        the maps never run them; a taped pass records them at that read."""
+        """(B, K) scoring-branch class probabilities, from the final block
+        and head."""
         return self._refine()
 
 
@@ -90,7 +113,9 @@ def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None) -> Fo
 def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None) -> ForwardResult:
     """Both branches on top of a backbone output (`tokens`, `stack`), with
     the selector of `two_branch_forward`. Selection rules can be compared
-    on one backbone pass by calling this on a result's tokens and stack."""
+    on one backbone pass by calling this on a result's tokens and stack;
+    the CAM branch reads only the backbone tokens, so the first result's
+    CAM outputs serve every rule."""
     selector = adaptive(cfg.selection_mass) if selector is None else selector
     b, n_plus_1, d = nm.value_of(tokens).shape
     z_cls = nm.crop(tokens, (0, 0, 0), (b, 1, d))
@@ -99,8 +124,6 @@ def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None) ->
     priorities = preliminary_attention(stack)
     mask = select(nm.value_of(priorities), selector)
     lam = importance_weights(z_p, mask, params, cfg.num_heads)
-    refined = reattention(priorities, mask, lam)
-    cam_maps, _, p_cam = cam_forward(z_p, params, cfg)
 
     return ForwardResult(
         tokens=tokens,
@@ -108,9 +131,8 @@ def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None) ->
         priorities=nm.value_of(priorities),
         mask=mask,
         weights=lam,
-        refined_map=spatial_map(refined),
-        cam_maps=cam_maps,
-        p_cam=p_cam,
+        _reattend=lambda: spatial_map(reattention(priorities, mask, lam)),
+        _cam=lambda: cam_forward(z_p, params, cfg),
         _refine=lambda: refine_classify(z_cls, z_p, lam, params, cfg),
     )
 

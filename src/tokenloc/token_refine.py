@@ -114,7 +114,7 @@ def importance_weights(z_p, mask, params, num_heads: int):
     (B, N): zero off-support, sums to 1 per image. A selected token
     attends only to selected tokens, so each image's selected rows are
     gathered first in token order, padded to the stack's largest count
-    m, and a (B, m, m) key-padding mask keeps the padding out of every
+    m, and a (B, 1, m) key-padding mask keeps the padding out of every
     softmax (an unpadded stack, every count m, runs unmasked)."""
     mask = np.asarray(mask) > 0
     counts = mask.sum(axis=-1)
@@ -124,7 +124,7 @@ def importance_weights(z_p, mask, params, num_heads: int):
     m, image = int(counts.max()), np.arange(b)[:, None]
     order = np.argsort(~mask, axis=-1, kind="stable")[:, :m]
     valid = None if (counts == m).all() else np.arange(m) < counts[:, None]
-    keys = None if valid is None else np.broadcast_to(valid[:, None], (b, m, m))
+    keys = None if valid is None else valid[:, None]
     z, _ = block_forward(nm.take(z_p, (image, order)), params, "refine.mask_block", num_heads, keys)
     scores = nm.add(nm.matmul(nm.reshape(z, (b * m, d)), params["refine.score.weight"]),
                     params["refine.score.bias"])

@@ -11,7 +11,16 @@ from tokenloc.pipeline import two_branch_forward
 from tokenloc.token_refine import adaptive, fixed, select, spatial_map, top_k
 
 from test_localization import brightness_checkpoint, planted_image
-from tokenloc.localization import evaluate_samples, threshold_grid
+from test_pipeline import ACCEPTANCE_CKPT
+from tokenloc.formats import read_checkpoint
+from tokenloc.localization import (
+    class_heats,
+    evaluate_heats,
+    evaluate_samples,
+    max_box_acc_v2,
+    threshold_grid,
+)
+from tokenloc.training import ToyTaskConfig, make_dataset
 from util import adaptive_row
 
 
@@ -261,3 +270,33 @@ def test_both_mode_rows_equal_the_on_and_off_runs_in_order():
     assert [row[:2] for row in both] == [(label, mode) for label, _ in strategies
                                         for mode in (True, False)]
     assert both == [row for pair in zip(on, off) for row in pair]
+
+
+def test_later_strategies_reuse_the_first_pass_cam_and_keep_their_rows(monkeypatch):
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    samples = make_dataset(ToyTaskConfig(samples_per_epoch=pipeline.FORWARD_CHUNK + 1, seed=99))
+    strategies = [parse_strategy(text, cfg.selection_mass)
+                  for text in ("adaptive", "fixed:mean", "topk:20")]
+    grid, side = (0.25, 0.65, 0.1), cfg.image_size
+    # the reference: each strategy on its own backbone and CAM pass
+    want = []
+    for label, selector in strategies:
+        for reatt in (True, False):
+            heats = []
+            for labels, result in pipeline.forward_chunks(params, cfg, samples, selector=selector):
+                scoring = result.refined_map if reatt else spatial_map(result.priorities)
+                heats.extend(class_heats(scoring, result.cam_maps, labels, side))
+            _, ious, table, theta, _ = evaluate_heats(heats, [gt for _, _, gt in samples],
+                                                      threshold_grid(*grid), side)
+            want.append((label, reatt, theta, dict(table)[theta], max_box_acc_v2(ious)))
+    calls = []
+    cam = pipeline.cam_forward
+
+    def counting_cam(z_p, *args):
+        calls.append(len(nm.value_of(z_p)))
+        return cam(z_p, *args)
+
+    monkeypatch.setattr(pipeline, "cam_forward", counting_cam)
+    assert run_ablation(params, cfg, samples, strategies, grid=grid) == want
+    # two stacks (8 images and 1), each through the CAM branch once
+    assert calls == [pipeline.FORWARD_CHUNK, 1]

@@ -632,6 +632,31 @@ def test_invalid_class_id_exits_4(workspace, capsys):
     code = main(["localize", "--ckpt", str(ckpt), "--input", str(image),
                  "--class", "7", "--theta", "0.5", "--out-box", str(tmp / "b.txt")])
     assert code == 4
+    assert capsys.readouterr().err == (
+        "error: contract: --class must be 'auto' or a class id in [0, 2), got '7'\n")
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("localize", "--class", "2"),
+    ("localize", "--class", "-1"),
+    ("localize", "--class", "99999999999999999999999"),
+    ("localize", "--class", "abc"),
+    ("localize", "--class", "1.0"),
+    ("localize", "--class", ""),
+    ("eval", "--theta", "abc"),
+    ("eval", "--theta", "1e"),
+])
+def test_malformed_class_or_theta_exits_4_naming_the_option_and_value(workspace, capsys, command,
+                                                                     option, value):
+    tmp, cfg, params, ckpt, image = workspace
+    assert cfg.num_classes == 2
+    if command == "localize":
+        argv = ["localize", "--ckpt", str(ckpt), "--input", str(image), "--theta", "0.5",
+                "--out-box", str(tmp / "out.txt"), option, value]
+    else:
+        argv = _manifest_argv(tmp, ckpt, command, option, value)
+    err = _assert_one_contract_line(capsys, tmp, argv)
+    assert f"{option}" in err and repr(value) in err, err
 
 
 def test_help_exits_0(capsys):
@@ -764,7 +789,8 @@ def test_selection_mass_outside_unit_interval_exits_4(workspace, capsys, command
                                       "topk:65", "fixed:-1", "fixed:nan", "fixed:inf",
                                       "nonsense:1", "adaptive,adaptive", "topk:8,topk:8",
                                       "adaptive:0.5,fixed:mean,adaptive:0.50",
-                                      "adaptive,adaptive:0.65", "adaptive:0.65,adaptive"])
+                                      "adaptive,adaptive:0.65", "adaptive:0.65,adaptive",
+                                      "topk:abc", "adaptive:x", "fixed:1e"])
 def test_malformed_selection_strategy_exits_4(workspace, capsys, strategy):
     tmp, cfg, params, ckpt, _ = workspace
     assert cfg.num_tokens == 64   # so topk:65 asks for more tokens than there are
@@ -774,10 +800,15 @@ def test_malformed_selection_strategy_exits_4(workspace, capsys, strategy):
         capsys, tmp, _manifest_argv(tmp, ckpt, "ablate-selection", "--strategies", strategy))
     if "," in strategy:
         assert f"--strategies {strategy!r} names a strategy more than once" in err
+    if strategy in ("topk:1.5", "topk:abc", "adaptive:x", "fixed:1e"):
+        kind, _, arg = strategy.partition(":")
+        what = "an integer" if kind == "topk" else "a number"
+        assert err == f"error: contract: strategy {strategy!r}: {arg!r} is not {what}\n"
 
 
 @pytest.mark.parametrize("grid", ["0:1:1e-7", "0.05:0.95:nan", "nan:0.95:0.05", "0.05:inf:0.05",
-                                  "-0.1:0.9:0.1", "0:1.5:0.1", "0.9:0.1:0.1", "0:1:0"])
+                                  "-0.1:0.9:0.1", "0:1.5:0.1", "0.9:0.1:0.1", "0:1:0",
+                                  "0.1:0.9:abc", "0.1:abc:0.1", "0.1:0.9", "0.1:0.9:0.1:1"])
 @pytest.mark.parametrize("command", ["calibrate", "eval", "ablate-selection"])
 def test_invalid_threshold_grid_exits_4(workspace, capsys, command, grid):
     # 0:1:1e-7 would ask for a (1, 10000001, 32, 32) mask stack
@@ -786,6 +817,9 @@ def test_invalid_threshold_grid_exits_4(workspace, capsys, command, grid):
     err = _assert_one_contract_line(
         capsys, tmp, _manifest_argv(tmp, ckpt, command, option, f"grid:{grid}"))
     assert "grid" in err
+    if "abc" in grid or grid.count(":") != 2:  # not three numbers: the option's own message
+        assert err == (f"error: contract: {option} must be grid[:start:stop:step] with three "
+                       f"numbers, got 'grid:{grid}'\n")
 
 
 @pytest.mark.parametrize("command", _MANIFEST_ARGS)

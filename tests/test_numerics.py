@@ -222,6 +222,108 @@ def test_gelu_is_bit_identical_to_its_oracle(x):
     assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
+def add_oracle(a, b):
+    """`add` as it computed before it rounded once: the exact sum rounded
+    to float64, then to float32."""
+    return (np.asarray(a, np.float64) + np.asarray(b, np.float64)).astype(np.float32)
+
+
+def mul_oracle(a, b):
+    return (np.asarray(a, np.float64) * np.asarray(b, np.float64)).astype(np.float32)
+
+
+def div_oracle(a, b):
+    return (np.asarray(a, np.float64) / np.asarray(b, np.float64)).astype(np.float32)
+
+
+def layer_norm_oracle(x, gamma, beta, eps=1e-6):
+    """`layer_norm` written with `mean` and a fresh array per step."""
+    z = np.asarray(x, np.float64)
+    mu = z.mean(axis=-1, keepdims=True)
+    centred = z - mu
+    var = (centred * centred).mean(axis=-1, keepdims=True)
+    xhat = centred * (1.0 / np.sqrt(var + eps))
+    return (xhat * np.asarray(gamma, np.float64) + np.asarray(beta, np.float64)).astype(
+        np.float32)
+
+
+_F32 = np.finfo(np.float32)
+# zeros of both signs, subnormals, the normal extremes, values whose sums
+# and products overflow float32, infinities and NaN
+_SPECIAL = np.array([0.0, -0.0, 1e-45, -1e-45, 3e-39, -2.5e-40, _F32.tiny, -_F32.tiny,
+                     _F32.max, -_F32.max, 0.75 * _F32.max, -0.6 * _F32.max, 2.0 ** 64, 2.0 ** -75,
+                     np.inf, -np.inf, np.nan, 1.0, -1.0, 3.0], np.float32)
+
+
+def _elementwise_operands(rng, shape):
+    """float32 values over the whole exponent range, about a quarter of
+    them drawn from _SPECIAL."""
+    signed = rng.uniform(1.0, 2.0, shape).astype(np.float32) * rng.choice([-1, 1], shape)
+    x = np.ldexp(signed.astype(np.float32), rng.integers(-150, 128, shape))
+    special = rng.random(shape) < 0.25
+    x[special] = rng.choice(_SPECIAL, int(special.sum()))
+    return x
+
+
+def _elementwise_cases():
+    rng = np.random.default_rng(43)
+    full = _elementwise_operands(rng, (2000,))
+    cases = {"seeded": (full, _elementwise_operands(rng, (2000,))),
+             "every special pair": (np.repeat(_SPECIAL, len(_SPECIAL)),
+                                    np.tile(_SPECIAL, len(_SPECIAL))),
+             "broadcast row": (_elementwise_operands(rng, (40, 30)),
+                               _elementwise_operands(rng, (30,))),
+             "broadcast column and row": (_elementwise_operands(rng, (25, 1)),
+                                          _elementwise_operands(rng, (1, 35))),
+             "0-d and array": (np.float32(_F32.max), full),
+             "0-d": (np.array(3.0, np.float32), np.array(-1e-45, np.float32))}
+    ramp = rng.uniform(1.0, 2.0, 500).astype(np.float32)
+    # the hardest cases for double rounding: results next to a float32 midpoint
+    cases["near midpoints"] = (ramp, (ramp * np.float32(1 + 2.0 ** -23)).astype(np.float32))
+    return cases
+
+
+@pytest.mark.parametrize("op, oracle", [(nm.add, add_oracle), (nm.mul, mul_oracle),
+                                        (nm.div, div_oracle)], ids=["add", "mul", "div"])
+@pytest.mark.parametrize("case", list(_elementwise_cases()))
+def test_float32_elementwise_ops_are_bit_identical_to_the_float64_round_trip(op, oracle, case):
+    a, b = _elementwise_cases()[case]
+    with np.errstate(all="ignore"):
+        for x, y in ((a, b), (b, a)):
+            got, want = op(x, y), oracle(x, y)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(np.asarray(got).view(np.uint32),
+                                  np.asarray(want).view(np.uint32)), (case, x, y)
+    if case == "every special pair":  # the pool reaches overflow, inf - inf and 0 / 0
+        with np.errstate(all="ignore"):
+            assert np.isinf(op(a, b)).any() and np.isnan(op(a, b)).any()
+
+
+def _layer_norm_cases():
+    rng = np.random.default_rng(44)
+    rows = (rng.standard_normal((6, 9, 32)) * 2.0 ** rng.integers(-20, 20, (6, 9, 1)))
+    rows = rows.astype(np.float32)
+    rows[0, 0] = 5.5                       # a constant row
+    rows[0, 1, :4] = (0.0, -0.0, 1e-45, -3e-39)
+    rows[0, 2, 7] = _F32.max               # its square overflows float32, not float64
+    rows[0, 3, 1] = np.inf
+    rows[0, 4, 2] = np.nan
+    gamma, beta = (rng.standard_normal(32).astype(np.float32) for _ in range(2))
+    beta[3] = -0.0
+    return {"stack": (rows, gamma, beta), "matrix": (rows[1], gamma, beta),
+            "vector": (rows[2, 0], gamma, beta), "special rows": (rows[0], gamma, beta),
+            "width 1": (rows[1, :, :1], gamma[:1], beta[:1])}
+
+
+@pytest.mark.parametrize("case", list(_layer_norm_cases()))
+def test_layer_norm_is_bit_identical_to_its_oracle(case):
+    x, gamma, beta = _layer_norm_cases()[case]
+    with np.errstate(all="ignore"):
+        got, want = nm.layer_norm(x, gamma, beta), layer_norm_oracle(x, gamma, beta)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def _bilinear_oracle(src, out_h, out_w):
     h, w = src.shape
     out = np.zeros((out_h, out_w))
@@ -404,14 +506,43 @@ def test_taped_and_untaped_attention_return_the_same_bits(masked):
     assert np.array_equal(probs, taped_probs.value)
 
 
+def test_key_padding_mask_equals_the_mask_broadcast_to_every_query():
+    # a (B, 1, T) mask as the mask block passes it: each sequence keeps a prefix of keys
+    rng = np.random.default_rng(45)
+    q, k, v, _ = _attention_inputs(rng, 3, 7, 8)
+    keys = (np.arange(7) < np.array([7, 3, 5])[:, None])[:, None].astype(np.float32)
+    full = np.broadcast_to(keys, (3, 7, 7))
+    w_context = rng.standard_normal((21, 8)).astype(np.float32)
+    w_probs = rng.standard_normal((3, 4, 7, 7)).astype(np.float32)
+    outputs, grads = [], []
+    for mask in (keys, full):
+        plain = nm.attention(q, k, v, 4, mask)
+        tape = nm.GradTape()
+        leaves = [tape.leaf(x) for x in (q, k, v)]
+        context, probs = nm.attention(*leaves, 4, mask)
+        tape.backward(nm.add(nm.reduce_sum(nm.mul(context, w_context)),
+                             nm.reduce_sum(nm.mul(probs, w_probs))))
+        outputs.append((*plain, context.value, probs.value))
+        grads.append([leaf.grad for leaf in leaves])
+    for got, want in zip(*outputs):
+        assert np.array_equal(got, want)
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want)
+    assert np.all(outputs[0][1][1, :, :, 3:] == 0.0)
+
+
 def test_attention_contract_errors():
     q = np.zeros((2, 3, 4), np.float32)
     with pytest.raises(DimensionError):
         nm.attention(q[0], q[0], q[0], 2)
     with pytest.raises(DimensionError):
         nm.attention(q, q, q, 3)
-    with pytest.raises(DimensionError):
-        nm.attention(q, q, q, 2, np.ones((2, 3, 4), np.float32))
+    for shape in [(2, 3, 4), (3, 1, 3), (2, 2, 3), (1, 2, 3, 3)]:
+        with pytest.raises(DimensionError, match="does not broadcast to"):
+            nm.attention(q, q, q, 2, np.ones(shape, np.float32))
+    for shape in [(2, 1, 3), (1, 3, 3), (3, 3), (3,)]:  # every query sees every key
+        assert np.array_equal(nm.attention(q, q, q, 2, np.ones(shape, np.float32))[1],
+                              nm.attention(q, q, q, 2)[1])
     empty_row = np.ones((2, 3, 3), np.float32)
     empty_row[1, 2] = 0.0
     with pytest.raises(DegenerateInputError):

@@ -335,6 +335,42 @@ def test_mixed_batch_with_a_zero_mass_fallback_matches_each_image_alone():
         assert_grads_close(grads[name], want_grads[name], rel=1e-4, floor=1e-7, what=name)
 
 
+def test_a_training_step_records_no_reattention_and_keeps_its_loss_and_gradients(monkeypatch):
+    toy = ToyTaskConfig(samples_per_epoch=8, seed=7)
+    cfg = default_model_config(toy)
+    params, batch = init_params(cfg, 9), make_dataset(toy)
+    map_records, reattended = [], []
+    reattention = pipeline.reattention
+    monkeypatch.setattr(pipeline, "reattention",
+                        lambda *args: reattended.append(1) or reattention(*args))
+
+    def step(forward):
+        monkeypatch.setattr(training, "two_branch_forward", forward)
+        tape = nm.GradTape()
+        leaves = {name: tape.leaf(value) for name, value in params.items()}
+        loss = _batch_loss({**params, **leaves}, cfg, batch)
+        return len(tape), nm.value_of(loss), backward(loss, tape, leaves)
+
+    def eager_forward(*args, **kwargs):
+        # the scoring-branch map recorded within the pass, before the CAM branch
+        result = two_branch_forward(*args, **kwargs)
+        tape = result.tokens.tape
+        before = len(tape)
+        result.refined_map
+        map_records.append(len(tape) - before)
+        return result
+
+    records, loss, grads = step(two_branch_forward)
+    assert not reattended
+    eager_records, eager_loss, eager_grads = step(eager_forward)
+    # re-attention's two sums, three products, quotient and sum, and the reshape to a grid
+    assert map_records == [8] and len(reattended) == 1
+    assert records == eager_records - 8
+    assert loss.tobytes() == eager_loss.tobytes()
+    for name in params:
+        assert grads[name].tobytes() == eager_grads[name].tobytes(), name
+
+
 def test_training_step_tape_size_and_release(monkeypatch):
     sizes = []
     real_backward = training.backward

@@ -23,7 +23,11 @@ on the fixture's held-out set: ``localization.heat_boxes`` on one stack
 of 8 heats x 19 thresholds, on one plane whose run graph is a set of
 chains and on one whose run graph forks (both at the fixture's
 calibrated threshold), and ``token_refine.importance_weights`` (the
-mask block) on an unpadded stack of 8, with the tracemalloc peak of
+mask block) on the fixture's first 8 held-out images twice: unpadded,
+under the checkpoint's adaptive rule (every image keeps the same
+count), and padded, under perfbench's ``fixed:mean`` strategy (the
+counts differ, so the block runs under a key-padding mask), with the
+tracemalloc peak of
 ``evaluate_heats`` on all 50 heats. ``ablation.run_ablation`` in its
 default mode (re-attention on and off) with perfbench's strategies on
 all 50 images is timed base against head and, for its noise floor, head
@@ -205,11 +209,15 @@ def forks(mask) -> bool:
     return False
 
 
-def mask_block_args(package, params, cfg, images) -> tuple:
+def mask_block_args(package, params, cfg, images, strategy=None) -> tuple:
     """``importance_weights`` arguments from `package`'s own forward of
-    `images`: its (B, N) mask, or its selection record in revisions
-    before the forward result carried the mask itself."""
-    result = package.pipeline.two_branch_forward(params, cfg, images)
+    `images` under the selection `strategy` (a CLI strategy text; None is
+    the checkpoint's adaptive rule): its (B, N) mask, or its selection
+    record in revisions before the forward result carried the mask
+    itself."""
+    selector = (None if strategy is None
+                else package.ablation.parse_strategy(strategy, cfg.selection_mass)[1])
+    result = package.pipeline.two_branch_forward(params, cfg, images, selector=selector)
     selected = result.mask if hasattr(result, "mask") else result.selection
     return result.tokens[:, 1:], selected, params, cfg.num_heads
 
@@ -217,6 +225,7 @@ def mask_block_args(package, params, cfg, images) -> tuple:
 def stages(base, head, inp) -> dict:
     """Stage timings of both revisions; see the module docstring."""
     import numpy as np
+    from workloads import ABLATE_STRATEGIES
 
     loc, base_loc = head.localization, base.localization
     cfg, params = head.formats.read_checkpoint(inp.checkpoint)
@@ -243,16 +252,21 @@ def stages(base, head, inp) -> dict:
             STAGE_REPEATS, 20 if stack.ndim == 2 else 4)}
 
     images = np.stack([image for image, _, _ in samples[:8]])
-    args = {name: mask_block_args(package, params, cfg, images)
-            for name, package in (("base", base), ("head", head))}
-    counts = np.asarray(args["head"][1]).sum(axis=-1)
-    same = np.array_equal(head.token_refine.importance_weights(*args["head"]),
-                          base.token_refine.importance_weights(*args["base"]))
-    out["mask_block"] = {"selected_per_image": sorted(set(counts.astype(int).tolist())),
-                         "identical": same, **timed({
-                             "base": lambda: base.token_refine.importance_weights(*args["base"]),
-                             "head": lambda: head.token_refine.importance_weights(*args["head"])},
-                             STAGE_REPEATS, 10)}
+    # the mask block on an unpadded stack, and on a stack of mixed counts that pads:
+    # perfbench's second ablation strategy, fixed:mean
+    mixed = ABLATE_STRATEGIES.split(",")[1]
+    for case, strategy in (("mask_block", None), ("mask_block_mixed", mixed)):
+        args = {name: mask_block_args(package, params, cfg, images, strategy)
+                for name, package in (("base", base), ("head", head))}
+        counts = np.asarray(args["head"][1]).sum(axis=-1)
+        same = np.array_equal(head.token_refine.importance_weights(*args["head"]),
+                              base.token_refine.importance_weights(*args["base"]))
+        out[case] = {"strategy": strategy or "adaptive",
+                     "selected_per_image": sorted(set(counts.astype(int).tolist())),
+                     "identical": same, **timed({
+                         "base": lambda a=args: base.token_refine.importance_weights(*a["base"]),
+                         "head": lambda a=args: head.token_refine.importance_weights(*a["head"])},
+                         STAGE_REPEATS, 10)}
 
     gts = [gt for _, _, gt in samples]
     peaks = {}
