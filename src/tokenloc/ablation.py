@@ -3,8 +3,9 @@
 Runs inference with adaptive, top-k or fixed-threshold selection, with
 re-attention on and off, on a fixed checkpoint (no per-strategy
 retraining) and reports ground-truth-known accuracy plus MaxBoxAccV2,
-each at its own grid-calibrated threshold. One branch pass per strategy
-serves both modes: re-attention off reads the pass's priority vector.
+each at its own grid-calibrated threshold. Re-attention on takes one
+scoring-branch pass per strategy; re-attention off reads the priority
+vector, which no selector changes, so it is scored once for all of them.
 """
 
 from __future__ import annotations
@@ -50,33 +51,42 @@ def parse_strategy(text: str, default_mass: float) -> tuple:
 
 
 def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
-                 reattention_on=None, grid=None):
-    """Evaluate each (label, selector) strategy (optionally restricted to
-    one re-attention setting; default covers on and off) on the given
-    samples.
+                 modes=(True, False), thetas=None):
+    """Evaluate each (label, selector) strategy on the given samples under
+    each re-attention mode of `modes` (True on, False off), each row at its
+    own best threshold of `thetas` (default: the DEFAULT_GRID thresholds).
 
     Returns rows of (strategy label, reattention flag, theta_star,
-    gt_known accuracy, max_box_acc_v2), strategy-major, on before off.
+    gt_known accuracy, max_box_acc_v2), strategy-major, in the order of
+    `modes`. Re-attention off scores the priority map, which no selector
+    changes, so its heats are labelled once and its row repeats under
+    every strategy; later strategies run their scoring branch only when
+    re-attention is on.
     """
     if not strategies:
         raise ContractError("ablation needs at least one strategy")
-    modes = (True, False) if reattention_on is None else (bool(reattention_on),)
-    thetas = threshold_grid(*(grid or DEFAULT_GRID))
+    thetas = threshold_grid(*DEFAULT_GRID) if thetas is None else thetas
     side = cfg.image_size
-    heats = {(i, reatt): [] for i in range(len(strategies)) for reatt in modes}
+    on_heats = {i: [] for i in range(len(strategies))} if True in modes else {}
+    off_heats = []
     for labels, first in forward_chunks(params, cfg, samples, selector=strategies[0][1]):
-        for i, (_, selector) in enumerate(strategies):
+        for i, setting_heats in on_heats.items():
             # one backbone and CAM pass per stack: later strategies re-run only the
             # scoring branch
             result = first if i == 0 else branch_forward(params, cfg, first.tokens, first.stack,
-                                                         selector=selector)
-            for reatt in modes:
-                scoring = result.refined_map if reatt else spatial_map(result.priorities)
-                heats[i, reatt].extend(class_heats(scoring, first.cam_maps, labels, side))
+                                                         selector=strategies[i][1])
+            setting_heats.extend(class_heats(result.refined_map, first.cam_maps, labels, side))
+        if False in modes:
+            off_heats.extend(class_heats(spatial_map(first.priorities), first.cam_maps, labels,
+                                         side))
     gts = [gt for _, _, gt in samples]
-    rows = []
-    for (i, reatt), setting_heats in heats.items():
+
+    def score(setting_heats):
         _, ious, table, theta_star, _ = evaluate_heats(setting_heats, gts, thetas, side)
-        rows.append((strategies[i][0], reatt, theta_star, dict(table)[theta_star],
-                     max_box_acc_v2(ious)))
-    return rows
+        return theta_star, dict(table)[theta_star], max_box_acc_v2(ious)
+
+    scores = {i: score(setting_heats) for i, setting_heats in on_heats.items()}
+    if False in modes:
+        scores["off"] = score(off_heats)
+    return [(label, reatt, *scores[i if reatt else "off"])
+            for i, (label, _) in enumerate(strategies) for reatt in modes]

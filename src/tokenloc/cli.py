@@ -21,6 +21,7 @@ from . import numerics as nm
 from .ablation import parse_strategy, run_ablation
 from .errors import ContractError, DimensionError, FormatError
 from .formats import (
+    check_alpha,
     parse_manifest,
     read_checkpoint,
     read_image,
@@ -33,6 +34,7 @@ from .formats import (
 from .localization import (
     DEFAULT_GRID,
     METRIC_NAMES,
+    check_thresholds,
     evaluate_samples,
     localize,
     threshold_grid,
@@ -48,30 +50,39 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _parse_grid(option: str, text: str) -> tuple:
-    """The (start, stop, step) of `option`'s grid[:start:stop:step] value."""
-    if text == "grid":
-        return DEFAULT_GRID
+def _checked(option: str, check, *values):
+    """check(*values), with the text of its contract error put behind the
+    option name; the commands check their values before reading a file."""
+    try:
+        return check(*values)
+    except (ContractError, DimensionError) as exc:
+        raise ContractError(f"{option}: {exc}") from None
+
+
+def _parse_grid(option: str, text: str) -> list:
+    """The thresholds of `option`'s grid[:start:stop:step] value."""
     parts = text.split(":")
     if parts[0] == "grid":
-        parts = parts[1:]
+        parts = parts[1:] or DEFAULT_GRID
     try:
         start, stop, step = map(float, parts)
     except ValueError:  # not three parts, or not numbers
         raise ContractError(f"{option} must be grid[:start:stop:step] with three numbers, "
                             f"got {text!r}") from None
-    return start, stop, step
+    return _checked(option, threshold_grid, start, stop, step)
 
 
 def _parse_theta(text: str) -> list:
     """The thresholds of eval's --theta: one number, or a grid."""
     if text.startswith("grid"):
-        return threshold_grid(*_parse_grid("--theta", text))
+        return _parse_grid("--theta", text)
     try:
-        return [float(text)]
+        theta = float(text)
     except ValueError:
         raise ContractError(f"--theta must be a number or grid[:start:stop:step], "
                             f"got {text!r}") from None
+    _checked("--theta", check_thresholds, theta)
+    return [theta]
 
 
 def _parse_class(text: str, num_classes: int):
@@ -87,7 +98,7 @@ def _parse_class(text: str, num_classes: int):
 
 def _selector(args):
     """The adaptive selector at `--u`; None leaves the checkpoint's mass."""
-    return None if args.u is None else adaptive(args.u)
+    return None if args.u is None else _checked("--u", adaptive, args.u)
 
 
 def _write_csv(path, header, rows):
@@ -104,20 +115,23 @@ def _load_manifest_samples(path):
 
 
 def cmd_infer(args):
+    selector = _selector(args)
     cfg, params = read_checkpoint(args.ckpt)
     image = read_image(args.input)
-    result = two_branch_forward(params, cfg, image[None], selector=_selector(args))
+    result = two_branch_forward(params, cfg, image[None], selector=selector)
     write_tensor(args.out_logits, nm.value_of(result.p_cam)[0])
     write_tensor(args.out_pt, nm.value_of(result.p_refine)[0])
     return 0
 
 
 def cmd_localize(args):
+    selector = _selector(args)
+    _checked("--theta", check_thresholds, args.theta)
     cfg, params = read_checkpoint(args.ckpt)
     image = read_image(args.input)
     class_id = _parse_class(args.class_id, cfg.num_classes)
     heat, box, _, empty = localize(params, cfg, image, class_id, theta=args.theta,
-                                   selector=_selector(args))
+                                   selector=selector)
     write_file(args.out_box, (" ".join(map(str, box.tolist())) + "\n").encode("ascii"))
     if args.out_map:
         write_tensor(args.out_map, heat)
@@ -127,6 +141,7 @@ def cmd_localize(args):
 
 
 def cmd_eval(args):
+    selector, thetas = _selector(args), _parse_theta(args.theta)
     cfg, params = read_checkpoint(args.ckpt)
     samples = _load_manifest_samples(args.manifest)
     metrics = [m.strip() for m in args.metrics.split(",")]
@@ -135,9 +150,8 @@ def cmd_eval(args):
             raise ContractError(f"unknown metric {metric!r}, expected one of {METRIC_NAMES}")
     if len(set(metrics)) < len(metrics):
         raise ContractError(f"--metrics {args.metrics!r} names a metric more than once")
-    thetas = _parse_theta(args.theta)
     theta_star, _, results = evaluate_samples(params, cfg, samples, metrics, thetas,
-                                              selector=_selector(args))
+                                              selector=selector)
     rows = [(metric, repr(results[metric])) for metric in metrics]
     rows.append(("theta", repr(theta_star)))
     _write_csv(args.out_report, ("metric", "value"), rows)
@@ -145,11 +159,10 @@ def cmd_eval(args):
 
 
 def cmd_calibrate(args):
+    selector, thetas = _selector(args), _parse_grid("--grid", args.grid)
     cfg, params = read_checkpoint(args.ckpt)
     samples = _load_manifest_samples(args.manifest)
-    theta_star, table, _ = evaluate_samples(params, cfg, samples, (),
-                                            threshold_grid(*_parse_grid("--grid", args.grid)),
-                                            selector=_selector(args))
+    theta_star, table, _ = evaluate_samples(params, cfg, samples, (), thetas, selector=selector)
     _write_csv(args.out_table, ("theta", "gt_known"),
                [(repr(theta), repr(acc)) for theta, acc in table])
     print(f"theta_star={theta_star!r}")
@@ -204,6 +217,7 @@ def cmd_train_toy(args):
 
 
 def cmd_ablate(args):
+    thetas = _parse_grid("--grid", args.grid) if args.grid else None
     cfg, params = read_checkpoint(args.ckpt)
     samples = _load_manifest_samples(args.manifest)
     strategies = [parse_strategy(part, cfg.selection_mass)
@@ -213,9 +227,8 @@ def cmd_ablate(args):
                 for label, _ in strategies}
     if len(resolved) < len(strategies):
         raise ContractError(f"--strategies {args.strategies!r} names a strategy more than once")
-    modes = {"both": None, "on": True, "off": False}[args.reattention]
-    grid = _parse_grid("--grid", args.grid) if args.grid else None
-    rows = run_ablation(params, cfg, samples, strategies, reattention_on=modes, grid=grid)
+    modes = {"both": (True, False), "on": (True,), "off": (False,)}[args.reattention]
+    rows = run_ablation(params, cfg, samples, strategies, modes=modes, thetas=thetas)
     _write_csv(args.out_table, ("strategy", "reattention", "theta", "gt_known", "max_box_acc_v2"),
                [(label, "on" if reatt else "off", repr(theta), repr(gt), repr(mb))
                 for label, reatt, theta, gt, mb in rows])
@@ -223,6 +236,7 @@ def cmd_ablate(args):
 
 
 def cmd_heatmap(args):
+    _checked("--alpha", check_alpha, args.alpha)
     heat = read_tensor(args.map)
     image = read_image(args.image)
     write_heatmap(args.out, heat, image, args.alpha)

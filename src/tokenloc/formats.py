@@ -330,6 +330,12 @@ def parse_manifest(path) -> list:
     return samples
 
 
+def check_alpha(alpha: float) -> None:
+    """The blending weight of `write_heatmap` must be in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise DimensionError(f"alpha must be in [0, 1], got {alpha}")
+
+
 def write_heatmap(path, heat, image, alpha: float) -> None:
     """Blend a [0,1] heat map over a 3xHxW [0,1] image into a binary PPM.
 
@@ -344,8 +350,7 @@ def write_heatmap(path, heat, image, alpha: float) -> None:
     if bad.size:
         where = tuple(int(i) for i in bad[0])
         raise ContractError(f"heat map has non-finite value {heat[where]} at index {where}")
-    if not 0.0 <= alpha <= 1.0:
-        raise DimensionError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     h, w = heat.shape
     overlay = np.stack([heat, np.zeros_like(heat), 1.0 - heat])
     blended = alpha * overlay + (1.0 - alpha) * image

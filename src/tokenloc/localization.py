@@ -57,7 +57,11 @@ def fuse(refined_map, cam_maps, class_id) -> np.ndarray:
     if (mt.ndim < 2 or mc.ndim != mt.ndim + 1 or mc.shape[:-3] != mt.shape[:-2]
             or mc.shape[-2:] != mt.shape[-2:]):
         raise DimensionError(f"map shapes disagree: {mt.shape} vs {mc.shape}")
-    ids = np.broadcast_to(np.asarray(class_id, dtype=np.int64), mt.shape[:-2])
+    try:
+        ids = np.broadcast_to(np.asarray(class_id, dtype=np.int64), mt.shape[:-2])
+    except OverflowError:  # an id past int64
+        raise ContractError(f"class id {class_id} out of range for {mc.shape[-3]} "
+                            f"classes") from None
     bad = (ids < 0) | (ids >= mc.shape[-3])
     if bad.any():
         raise ContractError(f"class id {ids[bad][0]} out of range for {mc.shape[-3]} classes")
@@ -65,13 +69,19 @@ def fuse(refined_map, cam_maps, class_id) -> np.ndarray:
     return _minmax(mt) * _minmax(np.maximum(picked, 0.0))
 
 
-def binarize(heat: np.ndarray, theta) -> np.ndarray:
-    """Foreground mask [heat >= theta]; a sequence of T thresholds gives a
-    (T, H, W) stack of masks."""
+def check_thresholds(theta) -> np.ndarray:
+    """`theta`, one threshold or a sequence of them, as float64; each must
+    be in [0, 1]."""
     thetas = np.asarray(theta, dtype=np.float64)
     if not np.all((thetas >= 0.0) & (thetas <= 1.0)):
         raise ContractError(f"threshold must be in [0, 1], got {theta}")
-    return nm.value_of(heat) >= thetas.astype(np.float32)[..., None, None]
+    return thetas
+
+
+def binarize(heat: np.ndarray, theta) -> np.ndarray:
+    """Foreground mask [heat >= theta]; a sequence of T thresholds gives a
+    (T, H, W) stack of masks."""
+    return nm.value_of(heat) >= check_thresholds(theta).astype(np.float32)[..., None, None]
 
 
 def heat_boxes(heats: np.ndarray, thetas, width: int, height: int):

@@ -125,12 +125,12 @@ def _samples(count, seed=11):
 def test_single_strategy_row_matches_grid_search():
     cfg, params = brightness_checkpoint()
     samples = _samples(4)
-    grid = (0.25, 0.65, 0.2)
+    thetas = threshold_grid(0.25, 0.65, 0.2)
     rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive", cfg.selection_mass)],
-                        reattention_on=True, grid=grid)
+                        modes=(True,), thetas=thetas)
     assert len(rows) == 1
     label, reatt, theta, gt_known, _ = rows[0]
-    theta_direct, table, _ = evaluate_samples(params, cfg, samples, (), threshold_grid(*grid))
+    theta_direct, table, _ = evaluate_samples(params, cfg, samples, (), thetas)
     assert reatt is True
     assert theta == theta_direct
     assert gt_known == dict(table)[theta_direct]
@@ -140,7 +140,7 @@ def test_duplicate_strategies_give_identical_rows():
     cfg, params = brightness_checkpoint()
     samples = _samples(3)
     rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive:0.5", 0.65)] * 2,
-                        reattention_on=True, grid=(0.3, 0.6, 0.3))
+                        modes=(True,), thetas=[0.3, 0.6])
     assert rows[0][2:] == rows[1][2:]
 
 
@@ -157,8 +157,7 @@ def test_adaptive_mass_sweep_emits_one_row_each():
     cfg, params = brightness_checkpoint()
     samples = _samples(2)
     sweep = [parse_strategy(f"adaptive:{u}", 0.65) for u in (0.25, 0.45, 0.65, 0.85)]
-    rows = run_ablation(params, cfg, samples, sweep, reattention_on=True,
-                        grid=(0.45, 0.45, 0.1))
+    rows = run_ablation(params, cfg, samples, sweep, modes=(True,), thetas=[0.45])
     assert [row[0] for row in rows] == ["adaptive:0.25", "adaptive:0.45", "adaptive:0.65",
                                         "adaptive:0.85"]
 
@@ -192,7 +191,7 @@ def test_reattention_flag_changes_only_refined_map(monkeypatch):
 
     monkeypatch.setattr(ablation, "class_heats", recording_heats)
     run_ablation(params, cfg, [(image, 0, np.array([[0, 0, 8, 8]]))],
-                 [parse_strategy("adaptive", cfg.selection_mass)], grid=(0.5, 0.5, 0.1))
+                 [parse_strategy("adaptive", cfg.selection_mass)], thetas=[0.5])
     (on, on_cam), (off, off_cam) = maps
     assert np.array_equal(on_cam, nm.value_of(result.cam_maps))
     assert np.array_equal(off_cam, on_cam)
@@ -206,7 +205,7 @@ def test_run_ablation_covers_both_modes_by_default():
     cfg, params = brightness_checkpoint()
     samples = _samples(2)
     rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive", cfg.selection_mass)],
-                        grid=(0.45, 0.45, 0.1))
+                        thetas=[0.45])
     assert [(r[1]) for r in rows] == [True, False]
 
 
@@ -226,13 +225,12 @@ def test_zero_mass_rows_fall_back_alike_in_the_ablation_and_in_eval(monkeypatch)
 
     monkeypatch.setattr(pipeline, "preliminary_attention", zero_priorities)
     monkeypatch.setattr(pipeline, "importance_weights", recording_weights)
-    grid = (0.25, 0.65, 0.2)
+    thetas = threshold_grid(0.25, 0.65, 0.2)
     rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive", cfg.selection_mass)],
-                        reattention_on=True, grid=grid)
+                        modes=(True,), thetas=thetas)
     ablation_masks = np.concatenate(masks)
     masks.clear()
-    theta, _, results = evaluate_samples(params, cfg, samples, ["gt-known"],
-                                         threshold_grid(*grid))
+    theta, _, results = evaluate_samples(params, cfg, samples, ["gt-known"], thetas)
     # both select the argmax token, the first one of an all-zero row
     one_hot = np.eye(cfg.num_tokens, dtype=np.float32)[[0] * len(samples)]
     assert np.array_equal(ablation_masks, one_hot)
@@ -252,24 +250,38 @@ def test_both_modes_run_the_mask_block_once_per_strategy_per_stack(monkeypatch):
 
     monkeypatch.setattr(pipeline, "importance_weights", counting_weights)
     strategies = [parse_strategy(text, cfg.selection_mass) for text in ("adaptive", "topk:4")]
-    rows = run_ablation(params, cfg, samples, strategies, grid=(0.45, 0.45, 0.1))
+    rows = run_ablation(params, cfg, samples, strategies, thetas=[0.45])
     assert len(rows) == 4
     # two stacks (8 images and 1), each through the mask block once per strategy
     assert calls == [pipeline.FORWARD_CHUNK, pipeline.FORWARD_CHUNK, 1, 1]
 
 
-def test_both_mode_rows_equal_the_on_and_off_runs_in_order():
+def test_both_mode_rows_equal_the_on_and_off_runs_in_order(monkeypatch):
     cfg, params = brightness_checkpoint()
     samples = _samples(5)
     strategies = [parse_strategy(text, cfg.selection_mass)
                   for text in ("adaptive", "fixed:mean", "topk:4", "adaptive")]
-    grid = (0.25, 0.65, 0.2)
-    both = run_ablation(params, cfg, samples, strategies, grid=grid)
-    on = run_ablation(params, cfg, samples, strategies, reattention_on=True, grid=grid)
-    off = run_ablation(params, cfg, samples, strategies, reattention_on=False, grid=grid)
+    thetas = threshold_grid(0.25, 0.65, 0.2)
+    calls = []
+    weights = pipeline.importance_weights
+
+    def counting_weights(*args):
+        calls.append(len(nm.value_of(args[0])))
+        return weights(*args)
+
+    monkeypatch.setattr(pipeline, "importance_weights", counting_weights)
+    both = run_ablation(params, cfg, samples, strategies, thetas=thetas)
+    on = run_ablation(params, cfg, samples, strategies, modes=(True,), thetas=thetas)
+    assert len(calls) == 2 * len(strategies)   # one stack of 5, once per strategy per run
+    calls.clear()
+    off = run_ablation(params, cfg, samples, strategies, modes=(False,), thetas=thetas)
+    # off alone takes only the first strategy's pass, which the forward runs anyway
+    assert calls == [len(samples)]
     assert [row[:2] for row in both] == [(label, mode) for label, _ in strategies
                                         for mode in (True, False)]
     assert both == [row for pair in zip(on, off) for row in pair]
+    # the priority map that off scores does not depend on the selector
+    assert len({row[2:] for row in off}) == 1
 
 
 def test_later_strategies_reuse_the_first_pass_cam_and_keep_their_rows(monkeypatch):
@@ -277,7 +289,7 @@ def test_later_strategies_reuse_the_first_pass_cam_and_keep_their_rows(monkeypat
     samples = make_dataset(ToyTaskConfig(samples_per_epoch=pipeline.FORWARD_CHUNK + 1, seed=99))
     strategies = [parse_strategy(text, cfg.selection_mass)
                   for text in ("adaptive", "fixed:mean", "topk:20")]
-    grid, side = (0.25, 0.65, 0.1), cfg.image_size
+    thetas, side = threshold_grid(0.25, 0.65, 0.1), cfg.image_size
     # the reference: each strategy on its own backbone and CAM pass
     want = []
     for label, selector in strategies:
@@ -287,7 +299,7 @@ def test_later_strategies_reuse_the_first_pass_cam_and_keep_their_rows(monkeypat
                 scoring = result.refined_map if reatt else spatial_map(result.priorities)
                 heats.extend(class_heats(scoring, result.cam_maps, labels, side))
             _, ious, table, theta, _ = evaluate_heats(heats, [gt for _, _, gt in samples],
-                                                      threshold_grid(*grid), side)
+                                                      thetas, side)
             want.append((label, reatt, theta, dict(table)[theta], max_box_acc_v2(ious)))
     calls = []
     cam = pipeline.cam_forward
@@ -297,6 +309,6 @@ def test_later_strategies_reuse_the_first_pass_cam_and_keep_their_rows(monkeypat
         return cam(z_p, *args)
 
     monkeypatch.setattr(pipeline, "cam_forward", counting_cam)
-    assert run_ablation(params, cfg, samples, strategies, grid=grid) == want
+    assert run_ablation(params, cfg, samples, strategies, thetas=thetas) == want
     # two stacks (8 images and 1), each through the CAM branch once
     assert calls == [pipeline.FORWARD_CHUNK, 1]

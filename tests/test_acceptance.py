@@ -269,7 +269,7 @@ def test_criterion_end_to_end_synthetic(trained):
     rows = run_ablation(params, cfg, samples,
                         [parse_strategy(text, cfg.selection_mass)
                          for text in ("adaptive:0.65", "fixed:mean")],
-                        reattention_on=True)
+                        modes=(True,))
     by_label = {label: acc for label, _, _, acc, _ in rows}
     assert by_label["adaptive:0.65"] >= by_label["fixed:mean"], by_label
     _report("end-to-end synthetic localization", time.monotonic() - start, 300.0,

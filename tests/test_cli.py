@@ -269,11 +269,12 @@ def test_each_grid_command_runs_the_engine_once_per_setting(workspace, monkeypat
           "--out-report", str(tmp / "r.csv")], 1, 1),
         (["calibrate", *common, "--out-table", str(tmp / "t.csv")], 1, 1),
         (["ablate-selection", *common, "--strategies", "adaptive,topk:4",
-          "--out-table", str(tmp / "a.csv")], 4, 4),
+          "--out-table", str(tmp / "a.csv")], 3, 3),
     ]:
         calls.clear()
         assert main(argv) == 0, argv
-        # one ground-truth array and one GT-class IoU table per setting; all
+        # one ground-truth array and one GT-class IoU table per setting (the
+        # ablation's re-attention off is one setting for every strategy); all
         # four metrics of eval add one IoU call for the predicted-class boxes
         assert calls == {"evaluate_heats": engine_runs, "_gt_array": engine_runs,
                          "_box_ious": ious_runs}, argv
@@ -636,18 +637,22 @@ def test_invalid_class_id_exits_4(workspace, capsys):
         "error: contract: --class must be 'auto' or a class id in [0, 2), got '7'\n")
 
 
-@pytest.mark.parametrize("command, option, value", [
-    ("localize", "--class", "2"),
-    ("localize", "--class", "-1"),
-    ("localize", "--class", "99999999999999999999999"),
-    ("localize", "--class", "abc"),
-    ("localize", "--class", "1.0"),
-    ("localize", "--class", ""),
-    ("eval", "--theta", "abc"),
-    ("eval", "--theta", "1e"),
+@pytest.mark.parametrize("command, option, value, detail", [
+    ("localize", "--class", "2", None),
+    ("localize", "--class", "-1", None),
+    ("localize", "--class", "99999999999999999999999", None),
+    ("localize", "--class", "abc", None),
+    ("localize", "--class", "1.0", None),
+    ("localize", "--class", "", None),
+    ("eval", "--theta", "abc", None),
+    ("eval", "--theta", "1e", None),
+    ("eval", "--theta", "2", "threshold must be in [0, 1], got 2.0"),
+    ("eval", "--theta", "-0.5", "threshold must be in [0, 1], got -0.5"),
+    ("localize", "--theta", "nan", "threshold must be in [0, 1], got nan"),
+    ("localize", "--theta", "1.5", "threshold must be in [0, 1], got 1.5"),
 ])
 def test_malformed_class_or_theta_exits_4_naming_the_option_and_value(workspace, capsys, command,
-                                                                     option, value):
+                                                                     option, value, detail):
     tmp, cfg, params, ckpt, image = workspace
     assert cfg.num_classes == 2
     if command == "localize":
@@ -656,7 +661,21 @@ def test_malformed_class_or_theta_exits_4_naming_the_option_and_value(workspace,
     else:
         argv = _manifest_argv(tmp, ckpt, command, option, value)
     err = _assert_one_contract_line(capsys, tmp, argv)
-    assert f"{option}" in err and repr(value) in err, err
+    if detail is None:  # not a number, or not a class of the checkpoint
+        assert f"{option}" in err and repr(value) in err, err
+    else:
+        # out of range: the library's text behind the option, checked before any file is read
+        assert err == f"error: contract: {option}: {detail}\n"
+        argv[argv.index("--ckpt") + 1] = str(tmp / "missing.ckpt")
+        assert _assert_one_contract_line(capsys, tmp, argv) == err
+
+
+@pytest.mark.parametrize("alpha", ["2", "-0.1", "nan"])
+def test_alpha_outside_unit_interval_exits_4_before_reading_a_file(tmp_path, capsys, alpha):
+    argv = ["heatmap", "--map", str(tmp_path / "missing.trt"), "--image",
+            str(tmp_path / "missing.trt"), "--alpha", alpha, "--out", str(tmp_path / "out.ppm")]
+    err = _assert_one_contract_line(capsys, tmp_path, argv)
+    assert err == f"error: contract: --alpha: alpha must be in [0, 1], got {float(alpha)}\n"
 
 
 def test_help_exits_0(capsys):
@@ -770,7 +789,7 @@ def _assert_one_contract_line(capsys, tmp, argv):
 
 
 @pytest.mark.parametrize("command", ["infer", "localize", "eval", "calibrate"])
-@pytest.mark.parametrize("u", ["0", "1.5", "nan"])
+@pytest.mark.parametrize("u", ["0", "1.5", "nan", "2"])
 def test_selection_mass_outside_unit_interval_exits_4(workspace, capsys, command, u):
     tmp, cfg, params, ckpt, image = workspace
     if command == "infer":
@@ -782,7 +801,7 @@ def test_selection_mass_outside_unit_interval_exits_4(workspace, capsys, command
     else:
         argv = _manifest_argv(tmp, ckpt, command, "--u", u)
     err = _assert_one_contract_line(capsys, tmp, argv)
-    assert f"mass fraction must be in (0, 1], got {float(u)}" in err
+    assert err == f"error: contract: --u: mass fraction must be in (0, 1], got {float(u)}\n"
 
 
 @pytest.mark.parametrize("strategy", ["adaptive:0", "adaptive:nan", "topk", "topk:0", "topk:1.5",
@@ -808,7 +827,8 @@ def test_malformed_selection_strategy_exits_4(workspace, capsys, strategy):
 
 @pytest.mark.parametrize("grid", ["0:1:1e-7", "0.05:0.95:nan", "nan:0.95:0.05", "0.05:inf:0.05",
                                   "-0.1:0.9:0.1", "0:1.5:0.1", "0.9:0.1:0.1", "0:1:0",
-                                  "0.1:0.9:abc", "0.1:abc:0.1", "0.1:0.9", "0.1:0.9:0.1:1"])
+                                  "0.5:0.1:0.1", "0.1:0.9:abc", "0.1:abc:0.1", "0.1:0.9",
+                                  "0.1:0.9:0.1:1"])
 @pytest.mark.parametrize("command", ["calibrate", "eval", "ablate-selection"])
 def test_invalid_threshold_grid_exits_4(workspace, capsys, command, grid):
     # 0:1:1e-7 would ask for a (1, 10000001, 32, 32) mask stack
@@ -816,7 +836,7 @@ def test_invalid_threshold_grid_exits_4(workspace, capsys, command, grid):
     option = "--theta" if command == "eval" else "--grid"
     err = _assert_one_contract_line(
         capsys, tmp, _manifest_argv(tmp, ckpt, command, option, f"grid:{grid}"))
-    assert "grid" in err
+    assert err.startswith(f"error: contract: {option}") and "grid" in err, err
     if "abc" in grid or grid.count(":") != 2:  # not three numbers: the option's own message
         assert err == (f"error: contract: {option} must be grid[:start:stop:step] with three "
                        f"numbers, got 'grid:{grid}'\n")

@@ -229,8 +229,9 @@ def test_fuse_stack_rows_equal_single_rows():
 
 
 def test_fuse_invalid_class_rejected():
-    with pytest.raises(ContractError):
-        fuse(np.zeros((2, 2), np.float32), np.zeros((3, 2, 2), np.float32), 3)
+    for class_id in (3, 10**30):   # 10**30 does not fit an int64
+        with pytest.raises(ContractError, match=f"class id {class_id} out of range for 3 classes"):
+            fuse(np.zeros((2, 2), np.float32), np.zeros((3, 2, 2), np.float32), class_id)
 
 
 def test_fuse_monotone_in_refined_factor():
