@@ -244,13 +244,12 @@ def block_forward(z, params, prefix: str, num_heads: int, mask=None):
 
 
 def backbone_forward(z0, params, cfg: ModelConfig):
-    """Run blocks 1..L-1 over (B, N+1, D) tokens and keep each block's
-    class-token row of its attention probabilities, (B, H, 1, N+1); the
-    rest of each (B, H, N+1, N+1) array is freed with its block."""
+    """Run blocks 1..L-1 over (B, N+1, D) tokens and keep a float32 copy,
+    off the tape, of each block's class-token attention row, (B, H, 1, N+1);
+    the rest of each (B, H, N+1, N+1) array is freed with its block."""
     z = z0
     stack = []
     for i in range(cfg.num_blocks - 1):
         z, probs = block_forward(z, params, f"backbone.block{i}", cfg.num_heads)
-        b, heads, _, t = nm.value_of(probs).shape
-        stack.append(nm.crop(probs, (0, 0, 0, 0), (b, heads, 1, t)))
+        stack.append(nm.value_of(probs)[:, :, :1].copy())
     return z, stack

@@ -142,14 +142,15 @@ def cmd_localize(args):
 
 def cmd_eval(args):
     selector, thetas = _selector(args), _parse_theta(args.theta)
-    cfg, params = read_checkpoint(args.ckpt)
-    samples = _load_manifest_samples(args.manifest)
     metrics = [m.strip() for m in args.metrics.split(",")]
     for metric in metrics:
         if metric not in METRIC_NAMES:
-            raise ContractError(f"unknown metric {metric!r}, expected one of {METRIC_NAMES}")
+            raise ContractError(f"--metrics: unknown metric {metric!r}, expected one of "
+                                f"{METRIC_NAMES}")
     if len(set(metrics)) < len(metrics):
         raise ContractError(f"--metrics {args.metrics!r} names a metric more than once")
+    cfg, params = read_checkpoint(args.ckpt)
+    samples = _load_manifest_samples(args.manifest)
     theta_star, _, results = evaluate_samples(params, cfg, samples, metrics, thetas,
                                               selector=selector)
     rows = [(metric, repr(results[metric])) for metric in metrics]

@@ -3,13 +3,13 @@
 The pass runs on a (B, 3, H, W) stack: training sends a whole batch,
 single-image commands a stack of one, and evaluation consecutive
 stacks of FORWARD_CHUNK images (`forward_chunks`). Used taped
-(training) and untaped (inference). Token selection is discrete and
-runs on the whole (B, N) priority stack in numpy: during a taped pass it
-is computed from the current priority values and treated as a constant,
-and a selector that returns one constant mask pins it (that is what
-makes finite-difference checks of the composed loss well-posed).
-Re-attention has no off switch: the map without it is the priority
-vector itself, which every result carries as `priorities`.
+(training) and untaped (inference). The priorities, token selection and
+re-attention run in float32 numpy on whole (B, N) stacks, off the tape
+even in a taped pass; a selector that returns one constant mask pins
+the selection (that is what makes finite-difference checks of the
+composed loss well-posed). Re-attention has no off switch: the map
+without it is the priority vector itself, which every result carries
+as `priorities`.
 """
 
 from __future__ import annotations
@@ -52,15 +52,15 @@ class ForwardResult:
 
     The branch outputs run the first time they are read, so a caller
     runs only the branches it reads: `infer` and training never run
-    re-attention, and a taped pass records each branch at its first read.
+    re-attention. A taped pass records CAM and the refine head at their
+    first read, and never re-attention: numpy on the result's own arrays.
     """
 
     tokens: object            # (B, N+1, D) output of the backbone
-    stack: list               # per-block (B, H, 1, N+1) class-token attention rows
+    stack: list               # per-block (B, H, 1, N+1) float32 class-token attention rows
     priorities: np.ndarray    # (B, N) preliminary priorities m
     mask: np.ndarray          # (B, N) float32 0/1 selected tokens
     weights: object           # (B, N) importance weights lambda, zero off the mask
-    _reattend: object         # () -> refined_map
     _cam: object              # () -> (cam_maps, logits, p_cam)
     _refine: object           # () -> p_refine
 
@@ -68,7 +68,7 @@ class ForwardResult:
     def refined_map(self):
         """(B, sqrt(N), sqrt(N)) scoring-branch maps: the priorities
         re-attended by the importance weights."""
-        return self._reattend()
+        return spatial_map(reattention(self.priorities, self.mask, nm.value_of(self.weights)))
 
     @cached_property
     def _cam_outputs(self):
@@ -122,16 +122,15 @@ def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None) ->
     z_p = nm.crop(tokens, (0, 1, 0), (b, n_plus_1 - 1, d))
 
     priorities = preliminary_attention(stack)
-    mask = select(nm.value_of(priorities), selector)
+    mask = select(priorities, selector)
     lam = importance_weights(z_p, mask, params, cfg.num_heads)
 
     return ForwardResult(
         tokens=tokens,
         stack=stack,
-        priorities=nm.value_of(priorities),
+        priorities=priorities,
         mask=mask,
         weights=lam,
-        _reattend=lambda: spatial_map(reattention(priorities, mask, lam)),
         _cam=lambda: cam_forward(z_p, params, cfg),
         _refine=lambda: refine_classify(z_cls, z_p, lam, params, cfg),
     )

@@ -5,9 +5,9 @@ vector per image, selects tokens for the whole stack in numpy (by
 default adaptively, by cumulative attention mass), runs a transformer
 block over each image's gathered selected tokens to learn importance
 weights, and redistributes the selected attention mass accordingly.
-The discrete selection (mask, gather indices) is a constant for gradient
-purposes; gradients flow through the importance weights, the selected
-attention values and the fused embedding.
+Priorities, selection and re-attention are float32 numpy constants for
+gradient purposes; gradients flow through the importance weights, the
+refine head and the fused embedding.
 """
 
 from __future__ import annotations
@@ -24,23 +24,19 @@ from .errors import ContractError, DimensionError
 def preliminary_attention(stack):
     """Sum the head-averaged class-token attention rows over all blocks.
 
-    `stack` holds one (B, H, R, N+1) probability array per block, whose
-    row 0 is the class token's (the backbone keeps that row alone).
-    Returns the (B, N) priorities (class column excluded). Heads are
-    added one at a time in float32, then scaled by 1/H.
+    `stack` holds one (B, H, R, N+1) float32 probability array per block,
+    whose row 0 is the class token's (the backbone keeps that row alone).
+    Returns the (B, N) float32 priorities (class column excluded). Heads
+    are added in turn and blocks summed in float32; 1/H scales in float64.
     """
     if not stack:
         raise ContractError("attention stack is empty")
-    total = None
+    rows = []
     for probs in stack:
-        b, heads, _, n_plus_1 = nm.value_of(probs).shape
-        rows = [nm.crop(probs, (0, h, 0, 1), (b, 1, 1, n_plus_1 - 1)) for h in range(heads)]
-        mean = rows[0]
-        for row in rows[1:]:
-            mean = nm.add(mean, row)
-        row = nm.reshape(nm.scale(mean, 1.0 / heads), (b, n_plus_1 - 1))
-        total = row if total is None else nm.add(total, row)
-    return total
+        heads = list(np.asarray(probs, dtype=np.float32)[:, :, 0, 1:].swapaxes(0, 1))
+        mean = sum(heads[1:], heads[0]).astype(np.float64) * (1.0 / len(heads))
+        rows.append(mean.astype(np.float32))
+    return sum(rows[1:], rows[0])
 
 
 # A selection rule maps a (B, N) float32 priority stack, every row of
@@ -136,36 +132,33 @@ def importance_weights(z_p, mask, params, num_heads: int):
 
 def reattention(priorities, mask, weights):
     """Redistribute the selected tokens' mass by the importance weights,
-    independently for each row (last axis = tokens).
+    row by row (last axis = tokens), in float32 with float64 sums.
 
     r = sum(m * b) / sum(lambda); m' = m * (1 - b) + lambda * r.
     Total mass is conserved; a row with an all-zero mask passes m through
     unchanged.
     """
-    b = nm.value_of(mask)
+    m, b, lam = (np.asarray(x, dtype=np.float32) for x in (priorities, mask, weights))
     empty = b.sum(axis=-1, keepdims=True) == 0.0
     if empty.all():
-        return nm.scale(priorities, 1.0)
-    lam_total = nm.value_of(weights).astype(np.float64).sum(axis=-1, keepdims=True)
+        return m.copy()
+    lam_total = lam.astype(np.float64).sum(axis=-1, keepdims=True)
     if np.any((lam_total == 0.0) & ~empty):
         raise ContractError("importance weights sum to zero over a non-empty selection")
-    lam_sum = nm.reduce_sum(weights, axis=-1, keepdims=True)
-    if empty.any():
-        # an empty row has nothing to redistribute: r = 0 / (sum(lambda) + 1)
-        lam_sum = nm.add(lam_sum, empty.astype(np.float32))
-    ratio = nm.div(nm.reduce_sum(nm.mul(priorities, b), axis=-1, keepdims=True), lam_sum)
-    kept = nm.mul(priorities, (1.0 - b).astype(np.float32))
-    return nm.add(kept, nm.mul(weights, ratio))
+    # an empty row has nothing to redistribute: r = 0 / (sum(lambda) + 1)
+    lam_sum = lam_total.astype(np.float32) + empty.astype(np.float32)
+    ratio = (m * b).astype(np.float64).sum(axis=-1, keepdims=True).astype(np.float32) / lam_sum
+    return m * (1.0 - b) + lam * ratio
 
 
 def spatial_map(refined):
     """Reshape (..., N) vectors to their sqrt(N) x sqrt(N) spatial grids."""
-    v = nm.value_of(refined)
+    v = np.asarray(refined, dtype=np.float32)
     n = v.shape[-1]
     side = math.isqrt(n)
     if side * side != n:
         raise DimensionError(f"vector length {n} is not a perfect square")
-    return nm.reshape(refined, (*v.shape[:-1], side, side))
+    return v.reshape(*v.shape[:-1], side, side)
 
 
 def refine_classify(z_cls, z_p, weights, params, cfg: ModelConfig):

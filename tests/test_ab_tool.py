@@ -1,5 +1,6 @@
-"""tools/ab.py's stage level: the working tree against a copy of itself on
-one `localize` request (localize, then infer) of perfbench fixture 0."""
+"""tools/ab.py's stage level, the working tree against a copy of itself on
+one `localize` request (localize, then infer) of perfbench fixture 0, and
+its kernel-op cases."""
 
 import importlib.util
 import sys
@@ -54,3 +55,21 @@ def test_stage_level_reaches_every_stage_of_the_request_on_both_sides(ab):
         assert set(entry["not_reached"]) == set(ab.STAGES) - stages
     assert sorted(path.name for path in ab.BUILD.iterdir()) == ["aa", "inputs", "work-base",
                                                                 "work-head"]
+
+
+def test_every_kernel_op_case_runs_forward_and_backward(ab):
+    import numpy as np
+    from tokenloc import numerics as nm
+
+    for op, (call, args) in ab.op_cases(np.random.default_rng(0)).items():
+        tape = nm.GradTape()
+        leaves = [tape.leaf(arg) for arg in args]
+        tape.backward(nm.reduce_sum(call(nm, *leaves)))
+        assert all(leaf.grad is not None for leaf in leaves), op
+
+
+def test_line_count_counts_newlines_of_the_package_files(ab, tmp_path):
+    (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "b.py").write_text("z = 3\n")
+    (tmp_path / "notes.txt").write_text("not counted\n")
+    assert ab.line_count(tmp_path) == 3

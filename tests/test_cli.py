@@ -650,6 +650,9 @@ def test_invalid_class_id_exits_4(workspace, capsys):
     ("eval", "--theta", "-0.5", "threshold must be in [0, 1], got -0.5"),
     ("localize", "--theta", "nan", "threshold must be in [0, 1], got nan"),
     ("localize", "--theta", "1.5", "threshold must be in [0, 1], got 1.5"),
+    ("eval", "--metrics", "bogus", f"unknown metric 'bogus', expected one of {loc.METRIC_NAMES}"),
+    ("eval", "--metrics", "top1, bogus",
+     f"unknown metric 'bogus', expected one of {loc.METRIC_NAMES}"),
 ])
 def test_malformed_class_or_theta_exits_4_naming_the_option_and_value(workspace, capsys, command,
                                                                      option, value, detail):

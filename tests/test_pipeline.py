@@ -117,6 +117,16 @@ def test_taped_forward_matches_untaped_values():
     assert np.array_equal(nm.value_of(plain.refined_map), nm.value_of(taped.refined_map))
 
 
+def test_a_taped_forward_keeps_the_priority_path_off_the_tape():
+    params = init_params(CFG, 8)
+    image = np.random.default_rng(9).random((2, 3, 16, 16)).astype(np.float32)
+    tape = nm.GradTape()
+    taped = two_branch_forward({k: tape.leaf(v) for k, v in params.items()}, CFG, image)
+    assert isinstance(taped.weights, nm.Node)    # the mask block stays on the tape
+    for value in (*taped.stack, taped.priorities, taped.refined_map):
+        assert type(value) is np.ndarray and value.dtype == np.float32
+
+
 def test_branch_forward_on_a_result_equals_a_fresh_forward():
     params = init_params(CFG, 10)
     image = np.random.default_rng(11).random((2, 3, 16, 16)).astype(np.float32)

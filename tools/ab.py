@@ -9,7 +9,9 @@ extracted with ``git archive`` into ``.bench_build/ab/`` and imported as
 ``cli.main`` and the kernel ops of ``numerics``. Each level is measured
 base against the working tree (A/B), then the working tree against a copy
 of itself (A/A, alone with ``--aa``): an A/B median pair ratio inside the
-A/A quartiles, the method's noise floor, is reported as flat.
+A/A quartiles, the method's noise floor, is reported as flat. The report
+also carries the ``src/tokenloc`` line count of the base and the working
+tree.
 
 - End to end: each workload's requests, sent through both ``cli.main`` on
   perfbench's inputs for ``--seconds`` in pairs whose order alternates;
@@ -270,14 +272,22 @@ def filesystem(path: Path) -> str:
     return best[1]
 
 
+def line_count(package: Path) -> int:
+    """Lines of the package's Python files, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+
+
 def op_cases(rng) -> dict:
     """(call(nm, *args), args) per kernel op at the shapes the toy model
-    calls it with: a block's matmul, softmax, attention, layer_norm and MLP
-    gelu, the CAM's 3x3 convolution of the token grid, the 8 x 8 -> 32 x 32
-    resize, then the shape ops (the mask block keeps 42 of the 64 tokens)."""
+    calls it with on one image: a block's matmul, softmax, attention,
+    layer_norm and MLP gelu, the CAM's 3x3 convolution of the token grid,
+    the 8 x 8 -> 32 x 32 resize, a bias add, the refine head's product of
+    the importance weights with the diagonal, the CAM logits' spatial sum
+    and scale, then the shape ops (the mask block keeps 42 of the 64
+    tokens)."""
     import numpy as np
 
-    side, kept = math.isqrt(TOKENS - 1), 42
+    side, kept, classes = math.isqrt(TOKENS - 1), 42, 2
 
     def arrays(*shapes):
         return [rng.standard_normal(shape).astype("float32") for shape in shapes]
@@ -293,20 +303,20 @@ def op_cases(rng) -> dict:
                        arrays((TOKENS, WIDTH), (WIDTH,), (WIDTH,))),
         "gelu": (lambda nm, x: nm.gelu(x), arrays((TOKENS, 4 * WIDTH))),
         "conv2d3x3": (lambda nm, x, k, b: nm.conv2d3x3(x, k, b),
-                      arrays((side, side, WIDTH), (2, WIDTH, 3, 3), (2,))),
+                      arrays((side, side, WIDTH), (classes, WIDTH, 3, 3), (classes,))),
         "bilinear_resize": (lambda nm, m: nm.bilinear_resize(m, 4 * side, 4 * side),
                             arrays((side, side))),
         "add": (lambda nm, a, b: nm.add(a, b), arrays((TOKENS, WIDTH), (WIDTH,))),
-        "mul": (lambda nm, a, b: nm.mul(a, b), arrays((1, TOKENS - 1), (1, 1))),
-        "scale": (lambda nm, x: nm.scale(x, 1.0 / HEADS), arrays((1, TOKENS - 1))),
+        "mul": (lambda nm, a, b: nm.mul(a, b), arrays((1, 1, TOKENS - 1), (1, 1, 1))),
+        "scale": (lambda nm, x: nm.scale(x, 1.0 / (TOKENS - 1)), arrays((1, classes))),
         "reshape": (lambda nm, x: nm.reshape(x, (1, TOKENS, WIDTH)), arrays((TOKENS, WIDTH))),
         "crop": (lambda nm, x: nm.crop(x, (0, 1, 0), (1, TOKENS - 1, WIDTH)),
                  arrays((1, TOKENS, WIDTH))),
         "take": (lambda nm, x: nm.take(x, picked), arrays((1, TOKENS - 1, WIDTH))),
         "concat": (lambda nm, a, b: nm.concat([a, b], axis=1),
                    arrays((1, 1, WIDTH), (1, TOKENS - 1, WIDTH))),
-        "reduce_sum": (lambda nm, x: nm.reduce_sum(x, axis=-1, keepdims=True),
-                       arrays((1, TOKENS - 1))),
+        "reduce_sum": (lambda nm, x: nm.reduce_sum(x, axis=(-2, -1)),
+                       arrays((1, classes, side, side))),
     }
 
 
@@ -364,16 +374,18 @@ def main(argv=None) -> int:
     inp.expected = inputs.load_expected(args.seed)
     base_rev = None if args.aa else git("rev-parse", args.base)
     dirty = git("status", "--porcelain", "src/tokenloc") and " + uncommitted src/tokenloc changes"
+    sides = [("aa", None)] if args.aa else [("ab", base_rev), ("aa", None)]
+    bases = {kind: import_base(base_package(rev)) for kind, rev in sides}
     report = {"base_commit": base_rev or "working tree (A/A)",
               "head": git("rev-parse", "HEAD") + dirty,
+              "src_tokenloc_lines": {"base": line_count(Path(bases[sides[0][0]].__file__).parent),
+                                     "head": line_count(SRC / "tokenloc")},
               "machine": {**machine_block(), "filesystem": filesystem(BUILD)},
               "method": (f"tools/ab.py on perfbench fixture seed {args.seed}: end to end "
                          f"{args.seconds:g} s of request pairs per workload and comparison, "
                          f"stages {args.seconds / 3:g} s (at least {STAGE_PAIRS} pairs) under "
                          "cProfile; see its docstring"),
               "end_to_end": {}, "stages": {}}
-    sides = [("aa", None)] if args.aa else [("ab", base_rev), ("aa", None)]
-    bases = {kind: import_base(base_package(rev)) for kind, rev in sides}
     pairs = {kind: {"base": base, "head": head} for kind, base in bases.items()}
     correct = True
     for name in names:
