@@ -3,9 +3,9 @@
 Runs inference with adaptive, top-k or fixed-threshold selection, with
 re-attention on and off, on a fixed checkpoint (no per-strategy
 retraining) and reports ground-truth-known accuracy plus MaxBoxAccV2,
-each at its own grid-calibrated threshold. Re-attention on takes one
-scoring-branch pass per strategy; re-attention off reads the priority
-vector, which no selector changes, so it is scored once for all of them.
+each at its own grid-calibrated threshold. The strategies share each
+stack's backbone, priority and CAM pass; re-attention off reads the
+priority vector, which no selector changes, so it is scored once for all.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from .backbone import ModelConfig
 from .errors import ContractError
 from .localization import DEFAULT_GRID, class_heats, evaluate_heats, max_box_acc_v2, threshold_grid
-from .pipeline import branch_forward, forward_chunks
+from .pipeline import forward_chunks, rescored
 from .token_refine import adaptive, fixed, spatial_map, top_k
 
 
@@ -25,14 +25,15 @@ def _strategy_number(text: str, arg: str, convert):
         raise ContractError(f"strategy {text!r}: {arg!r} is not {what}") from None
 
 
-def parse_strategy(text: str, default_mass: float) -> tuple:
+def parse_strategy(text: str) -> tuple:
     """Parse a CLI form, adaptive[:u], topk:<k> or fixed:<t|mean>, into
-    (label, selector); a bare `adaptive` selects at `default_mass`."""
+    (label, selector); a bare `adaptive` has selector None, which selects
+    at the checkpoint's own mass as in `pipeline.two_branch_forward`."""
     kind, _, arg = text.partition(":")
     kind = kind.strip()
     if kind == "adaptive":
         if not arg:
-            return "adaptive", adaptive(default_mass)
+            return "adaptive", None
         mass = _strategy_number(text, arg, float)
         return f"adaptive:{mass:g}", adaptive(mass)
     if kind == "topk":
@@ -71,10 +72,9 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
     off_heats = []
     for labels, first in forward_chunks(params, cfg, samples, selector=strategies[0][1]):
         for i, setting_heats in on_heats.items():
-            # one backbone and CAM pass per stack: later strategies re-run only the
-            # scoring branch
-            result = first if i == 0 else branch_forward(params, cfg, first.tokens, first.stack,
-                                                         selector=strategies[i][1])
+            # one backbone, priority and CAM pass per stack: later strategies re-run
+            # only the selection and the mask block
+            result = first if i == 0 else rescored(first, strategies[i][1])
             setting_heats.extend(class_heats(result.refined_map, first.cam_maps, labels, side))
         if False in modes:
             off_heats.extend(class_heats(spatial_map(first.priorities), first.cam_maps, labels,

@@ -11,7 +11,8 @@ all sequences go through one fused attention op, with scores scaled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,11 +83,11 @@ class ModelConfig:
 
     @property
     def num_parameters(self) -> int:
-        """Entries of all `parameter_shapes(self)`, counted without building them."""
-        d, h, k = self.embed_dim, self.mlp_hidden, self.num_classes
-        block = 4 * d * d + 2 * d * h + 9 * d + h
-        return (d * (self.patch_dim + self.num_tokens + 3 + 10 * k) + 1 + 2 * k
-                + (self.num_blocks + 1) * block)
+        """Entries of all `parameter_shapes(self)`: the two-block table's,
+        plus one block's per further block, so any depth costs the same."""
+        two, block = (sum(map(math.prod, shapes.values())) for shapes in
+                      (parameter_shapes(replace(self, num_blocks=2)), _block_shapes(self, "")))
+        return two + (self.num_blocks - 2) * block
 
     def check_memory(self) -> None:
         """Raise DimensionError unless the parameters and one image's

@@ -17,6 +17,8 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import numerics as nm
 from .ablation import parse_strategy, run_ablation
 from .errors import ContractError, DimensionError, FormatError
@@ -85,15 +87,14 @@ def _parse_theta(text: str) -> list:
     return [theta]
 
 
-def _parse_class(text: str, num_classes: int):
+def _parse_class(text: str):
     """The class of localize's --class: "predicted" for auto, else an id
-    in [0, num_classes) written in ASCII digits."""
+    written in ASCII digits (checked against the checkpoint once read)."""
     if text == "auto":
         return "predicted"
-    if text.isascii() and text.isdigit() and int(text) < num_classes:
+    if text.isascii() and text.isdigit():
         return int(text)
-    raise ContractError(f"--class must be 'auto' or a class id in [0, {num_classes}), "
-                        f"got {text!r}")
+    raise ContractError(f"--class: expected 'auto' or a class id in ASCII digits, got {text!r}")
 
 
 def _selector(args):
@@ -125,11 +126,13 @@ def cmd_infer(args):
 
 
 def cmd_localize(args):
-    selector = _selector(args)
+    selector, class_id = _selector(args), _parse_class(args.class_id)
     _checked("--theta", check_thresholds, args.theta)
     cfg, params = read_checkpoint(args.ckpt)
+    if class_id != "predicted" and class_id >= cfg.num_classes:
+        raise ContractError(f"--class must be 'auto' or a class id in [0, {cfg.num_classes}), "
+                            f"got {args.class_id!r}")
     image = read_image(args.input)
-    class_id = _parse_class(args.class_id, cfg.num_classes)
     heat, box, _, empty = localize(params, cfg, image, class_id, theta=args.theta,
                                    selector=selector)
     write_file(args.out_box, (" ".join(map(str, box.tolist())) + "\n").encode("ascii"))
@@ -218,16 +221,22 @@ def cmd_train_toy(args):
 
 
 def cmd_ablate(args):
+    strategies = [_checked("--strategies", parse_strategy, part)
+                  for part in args.strategies.split(",") if part]
+    if not strategies:
+        raise ContractError(f"--strategies: no strategy in {args.strategies!r}")
     thetas = _parse_grid("--grid", args.grid) if args.grid else None
     cfg, params = read_checkpoint(args.ckpt)
-    samples = _load_manifest_samples(args.manifest)
-    strategies = [parse_strategy(part, cfg.selection_mass)
-                  for part in args.strategies.split(",") if part]
     # compared as resolved: a bare `adaptive` selects at the checkpoint's mass
     resolved = {f"adaptive:{cfg.selection_mass:g}" if label == "adaptive" else label
                 for label, _ in strategies}
     if len(resolved) < len(strategies):
-        raise ContractError(f"--strategies {args.strategies!r} names a strategy more than once")
+        raise ContractError(f"--strategies: {args.strategies!r} names a strategy more than once")
+    # a rule's bounds on the token count, such as topk's k <= N
+    for _, selector in strategies:
+        if selector is not None:
+            _checked("--strategies", selector, np.ones((1, cfg.num_tokens), np.float32))
+    samples = _load_manifest_samples(args.manifest)
     modes = {"both": (True, False), "on": (True,), "off": (False,)}[args.reattention]
     rows = run_ablation(params, cfg, samples, strategies, modes=modes, thetas=thetas)
     _write_csv(args.out_table, ("strategy", "reattention", "theta", "gt_known", "max_box_acc_v2"),

@@ -9,12 +9,12 @@ even in a taped pass; a selector that returns one constant mask pins
 the selection (that is what makes finite-difference checks of the
 composed loss well-posed). Re-attention has no off switch: the map
 without it is the priority vector itself, which every result carries
-as `priorities`.
+as `priorities`. `rescored` re-selects a result's tokens by another rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -39,8 +39,8 @@ from .token_refine import (
 # the size is chosen by peak memory: the backbone keeps only each block's
 # class-token attention rows, and the untaped attention frees its float64
 # work arrays before the context is merged, so at the toy model size one
-# stack's forward plus a second branch pass peaks at 1.17 MB
-# (tracemalloc) with 4 images and 2.32 MB with 8, under the 2.385 MB
+# stack's forward plus a re-scored selection peaks at 1.17 MB
+# (tracemalloc) with 4 images and 2.33 MB with 8, under the 2.385 MB
 # one-stack budget that tests/test_pipeline.py holds it to.
 FORWARD_CHUNK = 8
 
@@ -50,19 +50,22 @@ class ForwardResult:
     """Outputs of one forward pass over a (B, 3, H, W) image stack; every
     field carries the batch axis first.
 
-    The branch outputs run the first time they are read, so a caller
-    runs only the branches it reads: `infer` and training never run
-    re-attention. A taped pass records CAM and the refine head at their
-    first read, and never re-attention: numpy on the result's own arrays.
+    `refined_map` and `p_refine` run from the result's fields the first
+    time they are read: only the fusing commands run re-attention (numpy,
+    never taped), and only `infer` and training the refine head, which a
+    taped pass records after the importance weights and CAM.
     """
 
-    tokens: object            # (B, N+1, D) output of the backbone
+    params: dict              # the weights of the pass
+    cfg: ModelConfig
+    z_cls: object             # (B, 1, D) class token out of the backbone
+    z_p: object               # (B, N, D) patch tokens out of the backbone
     stack: list               # per-block (B, H, 1, N+1) float32 class-token attention rows
     priorities: np.ndarray    # (B, N) preliminary priorities m
     mask: np.ndarray          # (B, N) float32 0/1 selected tokens
     weights: object           # (B, N) importance weights lambda, zero off the mask
-    _cam: object              # () -> (cam_maps, logits, p_cam)
-    _refine: object           # () -> p_refine
+    cam_maps: object          # (B, K, sqrt(N), sqrt(N)) class activation maps
+    p_cam: object             # (B, K) CAM-branch class probabilities
 
     @cached_property
     def refined_map(self):
@@ -71,24 +74,17 @@ class ForwardResult:
         return spatial_map(reattention(self.priorities, self.mask, nm.value_of(self.weights)))
 
     @cached_property
-    def _cam_outputs(self):
-        return self._cam()
-
-    @property
-    def cam_maps(self):
-        """(B, K, sqrt(N), sqrt(N)) class activation maps."""
-        return self._cam_outputs[0]
-
-    @property
-    def p_cam(self):
-        """(B, K) CAM-branch class probabilities."""
-        return self._cam_outputs[2]
-
-    @cached_property
     def p_refine(self):
         """(B, K) scoring-branch class probabilities, from the final block
         and head."""
-        return self._refine()
+        return refine_classify(self.z_cls, self.z_p, self.weights, self.params, self.cfg)
+
+
+def _selected(params, cfg: ModelConfig, z_p, priorities, selector) -> tuple:
+    """The (B, N) mask that `selector` (None: `adaptive(cfg.selection_mass)`)
+    keeps of the priorities, and the mask block's importance weights."""
+    mask = select(priorities, adaptive(cfg.selection_mass) if selector is None else selector)
+    return mask, importance_weights(z_p, mask, params, cfg.num_heads)
 
 
 def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None) -> ForwardResult:
@@ -107,33 +103,24 @@ def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None) -> Fo
                             f"{expected}")
     z0 = embed(patchify(stack, cfg.patch_size), params, cfg)
     tokens, attention = backbone_forward(z0, params, cfg)
-    return branch_forward(params, cfg, tokens, attention, selector=selector)
-
-
-def branch_forward(params, cfg: ModelConfig, tokens, stack, *, selector=None) -> ForwardResult:
-    """Both branches on top of a backbone output (`tokens`, `stack`), with
-    the selector of `two_branch_forward`. Selection rules can be compared
-    on one backbone pass by calling this on a result's tokens and stack;
-    the CAM branch reads only the backbone tokens, so the first result's
-    CAM outputs serve every rule."""
-    selector = adaptive(cfg.selection_mass) if selector is None else selector
     b, n_plus_1, d = nm.value_of(tokens).shape
     z_cls = nm.crop(tokens, (0, 0, 0), (b, 1, d))
     z_p = nm.crop(tokens, (0, 1, 0), (b, n_plus_1 - 1, d))
+    priorities = preliminary_attention(attention)
+    mask, lam = _selected(params, cfg, z_p, priorities, selector)
+    cam_maps, _, p_cam = cam_forward(z_p, params, cfg)
+    return ForwardResult(params=params, cfg=cfg, z_cls=z_cls, z_p=z_p, stack=attention,
+                         priorities=priorities, mask=mask, weights=lam, cam_maps=cam_maps,
+                         p_cam=p_cam)
 
-    priorities = preliminary_attention(stack)
-    mask = select(priorities, selector)
-    lam = importance_weights(z_p, mask, params, cfg.num_heads)
 
-    return ForwardResult(
-        tokens=tokens,
-        stack=stack,
-        priorities=priorities,
-        mask=mask,
-        weights=lam,
-        _cam=lambda: cam_forward(z_p, params, cfg),
-        _refine=lambda: refine_classify(z_cls, z_p, lam, params, cfg),
-    )
+def rescored(result: ForwardResult, selector) -> ForwardResult:
+    """`result` with its tokens selected by `selector` (as in
+    `two_branch_forward`) instead: only the selection and the mask block
+    run again, and the backbone tokens, priorities and CAM outputs are
+    shared with `result`."""
+    mask, lam = _selected(result.params, result.cfg, result.z_p, result.priorities, selector)
+    return replace(result, mask=mask, weights=lam)
 
 
 def forward_chunks(params, cfg: ModelConfig, samples, *, selector=None):

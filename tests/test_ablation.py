@@ -6,6 +6,7 @@ import pytest
 from tokenloc import numerics as nm
 from tokenloc import pipeline
 from tokenloc.ablation import parse_strategy, run_ablation
+from tokenloc.backbone import ModelConfig, init_params
 from tokenloc.errors import ContractError
 from tokenloc.pipeline import two_branch_forward
 from tokenloc.token_refine import adaptive, fixed, select, spatial_map, top_k
@@ -31,8 +32,8 @@ def select_row(m, selector):
 
 def test_parse_strategy_forms():
     m = np.array([[0.5, 0.3, 0.1, 0.1, 0.05, 0.2]], np.float32)
-    for text, label, selector in [("adaptive", "adaptive", adaptive(0.65)),
-                                  ("adaptive:0.8", "adaptive:0.8", adaptive(0.8)),
+    assert parse_strategy("adaptive") == ("adaptive", None)   # the checkpoint's mass
+    for text, label, selector in [("adaptive:0.8", "adaptive:0.8", adaptive(0.8)),
                                   ("topk:5", "topk:5", top_k(5)),
                                   ("fixed:0.25", "fixed:0.25", fixed(0.25)),
                                   ("fixed:0.123456789", "fixed:0.123457", fixed(0.123456789)),
@@ -40,13 +41,13 @@ def test_parse_strategy_forms():
                                    adaptive(0.123456789)),
                                   ("topk:05", "topk:5", top_k(5)),
                                   ("fixed:mean", "fixed:mean", fixed("mean"))]:
-        parsed_label, parsed = parse_strategy(text, 0.65)
+        parsed_label, parsed = parse_strategy(text)
         assert parsed_label == label
         assert np.array_equal(parsed(m), selector(m)), text
     with pytest.raises(ContractError):
-        parse_strategy("topk", 0.65)
+        parse_strategy("topk")
     with pytest.raises(ContractError):
-        parse_strategy("nonsense:1", 0.65)
+        parse_strategy("nonsense:1")
 
 
 def test_strategy_validation():
@@ -104,11 +105,18 @@ def test_topk_exceeding_token_count_rejected():
 
 
 def test_adaptive_uses_checkpoint_default_mass():
-    m = np.array([0.5, 0.3, 0.2], np.float32)
-    mask_default = select_row(m, parse_strategy("adaptive", 0.7)[1])
+    cfg = ModelConfig(image_size=16, patch_size=4, embed_dim=8, num_blocks=2, num_heads=2,
+                      num_classes=3, selection_mass=0.7)
+    image = np.random.default_rng(3).random((1, 3, 16, 16)).astype(np.float32)
+    _, selector = parse_strategy("adaptive")
+    params = init_params(cfg, 2)
+    first = two_branch_forward(params, cfg, image, selector=selector)
+    m = first.priorities[0]
     tau_direct, mask_direct = adaptive_row(m, 0.7)
-    assert m[mask_default > 0].min() == tau_direct
-    assert np.array_equal(mask_default, mask_direct)
+    assert m[first.mask[0] > 0].min() == tau_direct
+    assert np.array_equal(first.mask[0], mask_direct)
+    other = two_branch_forward(params, cfg, image, selector=top_k(1))
+    assert np.array_equal(pipeline.rescored(other, selector).mask[0], mask_direct)
 
 
 def _samples(count, seed=11):
@@ -126,7 +134,7 @@ def test_single_strategy_row_matches_grid_search():
     cfg, params = brightness_checkpoint()
     samples = _samples(4)
     thetas = threshold_grid(0.25, 0.65, 0.2)
-    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive", cfg.selection_mass)],
+    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive")],
                         modes=(True,), thetas=thetas)
     assert len(rows) == 1
     label, reatt, theta, gt_known, _ = rows[0]
@@ -139,7 +147,7 @@ def test_single_strategy_row_matches_grid_search():
 def test_duplicate_strategies_give_identical_rows():
     cfg, params = brightness_checkpoint()
     samples = _samples(3)
-    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive:0.5", 0.65)] * 2,
+    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive:0.5")] * 2,
                         modes=(True,), thetas=[0.3, 0.6])
     assert rows[0][2:] == rows[1][2:]
 
@@ -156,7 +164,7 @@ def test_adaptive_mass_sweep_selection_sizes_monotone():
 def test_adaptive_mass_sweep_emits_one_row_each():
     cfg, params = brightness_checkpoint()
     samples = _samples(2)
-    sweep = [parse_strategy(f"adaptive:{u}", 0.65) for u in (0.25, 0.45, 0.65, 0.85)]
+    sweep = [parse_strategy(f"adaptive:{u}") for u in (0.25, 0.45, 0.65, 0.85)]
     rows = run_ablation(params, cfg, samples, sweep, modes=(True,), thetas=[0.45])
     assert [row[0] for row in rows] == ["adaptive:0.25", "adaptive:0.45", "adaptive:0.65",
                                         "adaptive:0.85"]
@@ -191,7 +199,7 @@ def test_reattention_flag_changes_only_refined_map(monkeypatch):
 
     monkeypatch.setattr(ablation, "class_heats", recording_heats)
     run_ablation(params, cfg, [(image, 0, np.array([[0, 0, 8, 8]]))],
-                 [parse_strategy("adaptive", cfg.selection_mass)], thetas=[0.5])
+                 [parse_strategy("adaptive")], thetas=[0.5])
     (on, on_cam), (off, off_cam) = maps
     assert np.array_equal(on_cam, nm.value_of(result.cam_maps))
     assert np.array_equal(off_cam, on_cam)
@@ -204,7 +212,7 @@ def test_reattention_flag_changes_only_refined_map(monkeypatch):
 def test_run_ablation_covers_both_modes_by_default():
     cfg, params = brightness_checkpoint()
     samples = _samples(2)
-    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive", cfg.selection_mass)],
+    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive")],
                         thetas=[0.45])
     assert [(r[1]) for r in rows] == [True, False]
 
@@ -226,7 +234,7 @@ def test_zero_mass_rows_fall_back_alike_in_the_ablation_and_in_eval(monkeypatch)
     monkeypatch.setattr(pipeline, "preliminary_attention", zero_priorities)
     monkeypatch.setattr(pipeline, "importance_weights", recording_weights)
     thetas = threshold_grid(0.25, 0.65, 0.2)
-    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive", cfg.selection_mass)],
+    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive")],
                         modes=(True,), thetas=thetas)
     ablation_masks = np.concatenate(masks)
     masks.clear()
@@ -249,7 +257,7 @@ def test_both_modes_run_the_mask_block_once_per_strategy_per_stack(monkeypatch):
         return weights(z_p, *args)
 
     monkeypatch.setattr(pipeline, "importance_weights", counting_weights)
-    strategies = [parse_strategy(text, cfg.selection_mass) for text in ("adaptive", "topk:4")]
+    strategies = [parse_strategy(text) for text in ("adaptive", "topk:4")]
     rows = run_ablation(params, cfg, samples, strategies, thetas=[0.45])
     assert len(rows) == 4
     # two stacks (8 images and 1), each through the mask block once per strategy
@@ -259,7 +267,7 @@ def test_both_modes_run_the_mask_block_once_per_strategy_per_stack(monkeypatch):
 def test_both_mode_rows_equal_the_on_and_off_runs_in_order(monkeypatch):
     cfg, params = brightness_checkpoint()
     samples = _samples(5)
-    strategies = [parse_strategy(text, cfg.selection_mass)
+    strategies = [parse_strategy(text)
                   for text in ("adaptive", "fixed:mean", "topk:4", "adaptive")]
     thetas = threshold_grid(0.25, 0.65, 0.2)
     calls = []
@@ -287,7 +295,7 @@ def test_both_mode_rows_equal_the_on_and_off_runs_in_order(monkeypatch):
 def test_later_strategies_reuse_the_first_pass_cam_and_keep_their_rows(monkeypatch):
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     samples = make_dataset(ToyTaskConfig(samples_per_epoch=pipeline.FORWARD_CHUNK + 1, seed=99))
-    strategies = [parse_strategy(text, cfg.selection_mass)
+    strategies = [parse_strategy(text)
                   for text in ("adaptive", "fixed:mean", "topk:20")]
     thetas, side = threshold_grid(0.25, 0.65, 0.1), cfg.image_size
     # the reference: each strategy on its own backbone and CAM pass

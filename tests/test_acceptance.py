@@ -267,7 +267,7 @@ def test_criterion_end_to_end_synthetic(trained):
     assert gt_known >= 0.70, f"GT-known accuracy {gt_known} below 0.70"
 
     rows = run_ablation(params, cfg, samples,
-                        [parse_strategy(text, cfg.selection_mass)
+                        [parse_strategy(text)
                          for text in ("adaptive:0.65", "fixed:mean")],
                         modes=(True,))
     by_label = {label: acc for label, _, _, acc, _ in rows}

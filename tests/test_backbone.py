@@ -251,6 +251,8 @@ def test_init_params_covers_every_shape_and_is_seeded():
 @pytest.mark.parametrize("fields", [
     {}, {"patch_size": 1}, {"num_blocks": 5, "mlp_ratio": 3, "num_classes": 7},
     {"image_size": 24, "patch_size": 2, "embed_dim": 12, "num_heads": 3},
+    {"num_blocks": 3}, {"image_size": 8, "patch_size": 8, "num_classes": 1, "mlp_ratio": 1},
+    {"num_blocks": 12, "embed_dim": 16, "num_heads": 8, "num_classes": 10, "mlp_ratio": 4},
 ])
 def test_parameter_count_equals_the_shape_table(fields):
     cfg = ModelConfig(**{"image_size": 32, "patch_size": 4, "embed_dim": 32, "num_blocks": 2,

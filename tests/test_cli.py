@@ -93,11 +93,35 @@ def test_refine_branch_runs_only_for_commands_that_read_p_refine(workspace, monk
                  "--out-logits", str(tmp / "pc.trt"), "--out-pt", str(out_pt)]) == 0
     assert len(calls) == 1
     result = pipeline.two_branch_forward(params, cfg, read_tensor(image)[None])
-    n_plus_1 = result.tokens.shape[1]
-    eager = real_refine(nm.crop(result.tokens, (0, 0, 0), (1, 1, cfg.embed_dim)),
-                        nm.crop(result.tokens, (0, 1, 0), (1, n_plus_1 - 1, cfg.embed_dim)),
-                        result.weights, params, cfg)
+    eager = real_refine(result.z_cls, result.z_p, result.weights, params, cfg)
     assert np.array_equal(read_tensor(out_pt), eager[0])
+
+
+def test_ablation_runs_one_backbone_priority_and_cam_pass_per_stack(workspace, monkeypatch):
+    # three strategies in both modes share each stack's pass: only the
+    # selection and the mask block run again for the later ones
+    tmp, cfg, params, ckpt, _ = workspace
+    manifest = _write_manifest(tmp, cfg, params, count=FORWARD_CHUNK + 1)
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    for name in ("backbone_forward", "preliminary_attention", "cam_forward",
+                 "importance_weights"):
+        counting(name)
+    assert main(["ablate-selection", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                 "--strategies", "adaptive,topk:4,fixed:mean", "--reattention", "both",
+                 "--out-table", str(tmp / "a.csv")]) == 0
+    stacks = 2   # FORWARD_CHUNK images, then one
+    assert calls == {"backbone_forward": stacks, "preliminary_attention": stacks,
+                     "cam_forward": stacks, "importance_weights": 3 * stacks}
+    assert len(_read_csv(tmp / "a.csv")) == 1 + 3 * 2
 
 
 def test_localize_writes_box_and_map(workspace):
@@ -639,11 +663,19 @@ def test_invalid_class_id_exits_4(workspace, capsys):
 
 @pytest.mark.parametrize("command, option, value, detail", [
     ("localize", "--class", "2", None),
-    ("localize", "--class", "-1", None),
     ("localize", "--class", "99999999999999999999999", None),
-    ("localize", "--class", "abc", None),
-    ("localize", "--class", "1.0", None),
-    ("localize", "--class", "", None),
+    ("localize", "--class", "-1", "expected 'auto' or a class id in ASCII digits, got '-1'"),
+    ("localize", "--class", "abc", "expected 'auto' or a class id in ASCII digits, got 'abc'"),
+    ("localize", "--class", "1.0", "expected 'auto' or a class id in ASCII digits, got '1.0'"),
+    ("localize", "--class", "", "expected 'auto' or a class id in ASCII digits, got ''"),
+    ("localize", "--class", "\u0663", "expected 'auto' or a class id in ASCII digits, got '\u0663'"),
+    ("ablate-selection", "--strategies", "topk:0", "topk needs k >= 1, got 0"),
+    ("ablate-selection", "--strategies", "topk:abc", "strategy 'topk:abc': 'abc' is not an integer"),
+    ("ablate-selection", "--strategies", "adaptive,fixed:nan",
+     "fixed threshold must be a finite number >= 0, got nan"),
+    ("ablate-selection", "--strategies", "adaptive:0", "mass fraction must be in (0, 1], got 0.0"),
+    ("ablate-selection", "--strategies", "nonsense:1", "unknown selection strategy 'nonsense'"),
+    ("ablate-selection", "--strategies", ",", "no strategy in ','"),
     ("eval", "--theta", "abc", None),
     ("eval", "--theta", "1e", None),
     ("eval", "--theta", "2", "threshold must be in [0, 1], got 2.0"),
@@ -664,10 +696,10 @@ def test_malformed_class_or_theta_exits_4_naming_the_option_and_value(workspace,
     else:
         argv = _manifest_argv(tmp, ckpt, command, option, value)
     err = _assert_one_contract_line(capsys, tmp, argv)
-    if detail is None:  # not a number, or not a class of the checkpoint
+    if detail is None:  # not a class of the checkpoint
         assert f"{option}" in err and repr(value) in err, err
     else:
-        # out of range: the library's text behind the option, checked before any file is read
+        # the library's text behind the option, checked before any file is read
         assert err == f"error: contract: {option}: {detail}\n"
         argv[argv.index("--ckpt") + 1] = str(tmp / "missing.ckpt")
         assert _assert_one_contract_line(capsys, tmp, argv) == err
@@ -820,12 +852,17 @@ def test_malformed_selection_strategy_exits_4(workspace, capsys, strategy):
     write_checkpoint(ckpt, replace(cfg, selection_mass=0.65), params)
     err = _assert_one_contract_line(
         capsys, tmp, _manifest_argv(tmp, ckpt, "ablate-selection", "--strategies", strategy))
+    assert err.startswith("error: contract: --strategies: "), err
     if "," in strategy:
-        assert f"--strategies {strategy!r} names a strategy more than once" in err
+        assert err == (f"error: contract: --strategies: {strategy!r} names a strategy more "
+                       f"than once\n")
+    if strategy == "topk:65":   # a bound that needs the checkpoint's token count
+        assert err == "error: contract: --strategies: topk k=65 exceeds 64 tokens\n"
     if strategy in ("topk:1.5", "topk:abc", "adaptive:x", "fixed:1e"):
         kind, _, arg = strategy.partition(":")
         what = "an integer" if kind == "topk" else "a number"
-        assert err == f"error: contract: strategy {strategy!r}: {arg!r} is not {what}\n"
+        assert err == (f"error: contract: --strategies: strategy {strategy!r}: {arg!r} "
+                       f"is not {what}\n")
 
 
 @pytest.mark.parametrize("grid", ["0:1:1e-7", "0.05:0.95:nan", "nan:0.95:0.05", "0.05:inf:0.05",

@@ -19,8 +19,8 @@ from tokenloc.localization import (
 )
 from tokenloc.pipeline import (
     FORWARD_CHUNK,
-    branch_forward,
     forward_chunks,
+    rescored,
     two_branch_forward,
 )
 from tokenloc.token_refine import adaptive, fixed, select, top_k
@@ -127,21 +127,27 @@ def test_a_taped_forward_keeps_the_priority_path_off_the_tape():
         assert type(value) is np.ndarray and value.dtype == np.float32
 
 
-def test_branch_forward_on_a_result_equals_a_fresh_forward():
+def test_a_rescored_result_equals_a_fresh_forward():
     params = init_params(CFG, 10)
     image = np.random.default_rng(11).random((2, 3, 16, 16)).astype(np.float32)
 
     def take_three(m):
         return np.argsort(np.argsort(-m, axis=-1, kind="stable"), axis=-1) < 3
 
-    first = two_branch_forward(params, CFG, image)
-    for kwargs in ({"selector": take_three}, {"selector": adaptive(0.3)}):
-        fresh = two_branch_forward(params, CFG, image, **kwargs)
-        reused = branch_forward(params, CFG, first.tokens, first.stack, **kwargs)
-        assert np.array_equal(reused.mask, fresh.mask)
-        for field in ("refined_map", "cam_maps", "p_cam", "p_refine"):
+    first = two_branch_forward(params, CFG, image, selector=top_k(1))
+    _ = first.refined_map, first.p_refine   # a cached read must not carry over
+    for selector in (take_three, adaptive(0.3), None):
+        fresh = two_branch_forward(params, CFG, image, selector=selector)
+        reused = rescored(first, selector)
+        assert reused.z_p is first.z_p and reused.cam_maps is first.cam_maps
+        for field in ("mask", "weights", "refined_map", "cam_maps", "p_cam", "p_refine"):
             assert np.array_equal(nm.value_of(getattr(reused, field)),
                                   nm.value_of(getattr(fresh, field))), field
+
+
+def test_a_result_holds_no_callable():
+    result = two_branch_forward(init_params(CFG, 10), CFG, np.zeros((1, 3, 16, 16), np.float32))
+    assert not [name for name, value in vars(result).items() if callable(value)]
 
 
 @pytest.mark.parametrize("shape", [(3, 16, 16), (1, 3, 32, 32), (2, 3, 16, 8), (1, 1, 16, 16)])
@@ -185,13 +191,14 @@ def test_batched_forward_is_bit_identical_to_single_images_on_the_acceptance_hel
 
 
 # One untaped forward of FORWARD_CHUNK acceptance-size images, plus a
-# second `branch_forward` on its backbone output, allocated about 0.5 MB
-# per image at its peak when this budget was set (2.07 MB at 4 images,
-# 4.06 MB at 8; 1.23 MB and 2.46 MB once the mask block ran on the
-# gathered selected tokens; 1.17 MB and 2.32 MB since the backbone keeps
-# only the class-token attention rows and the untaped attention frees
-# its float64 work array and V copy before the merge, which lets
-# FORWARD_CHUNK be 8). The budget, that first peak at 4 images plus 15%,
+# second selection and mask block on the same pass (once a second
+# branch pass on its backbone output), allocated about 0.5 MB per image
+# at its peak when this budget was set (2.07 MB at 4 images, 4.06 MB at
+# 8; 1.23 MB and 2.46 MB once the mask block ran on the gathered
+# selected tokens; 1.17 MB and 2.32 MB since the backbone keeps only the
+# class-token attention rows and the untaped attention frees its float64
+# work array and V copy before the merge, which lets FORWARD_CHUNK be 8;
+# 1.17 MB and 2.32 MB with CAM run inside the pass). The budget, that first peak at 4 images plus 15%,
 # keeps the chunk at a size whose evaluation peak RSS stays near the
 # single-image one and catches float64 temporaries coming back into the
 # forward.
@@ -245,10 +252,8 @@ def test_one_chunk_forward_stays_under_its_memory_budget():
     tracemalloc.start()
     try:
         for _, result in forward_chunks(params, cfg, samples):
-            # the maps run when first read; read them in the order the pass once ran them
-            _ = result.refined_map, result.cam_maps
-            second = branch_forward(params, cfg, result.tokens, result.stack)
-            _ = second.refined_map, second.cam_maps
+            _ = result.refined_map
+            _ = rescored(result, None).refined_map
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -419,7 +419,7 @@ def test_importance_weights_matches_step_oracle():
 # --- gathered mask block against the masked oracle --------------------------
 
 def _oracle_weights(params, cfg, result):
-    z_p = nm.value_of(result.tokens)[:, 1:]
+    z_p = nm.value_of(result.z_p)
     return masked_importance_weights(z_p, result.mask, params, cfg.num_heads)
 
 
@@ -447,7 +447,7 @@ def test_gathered_weights_equal_the_masked_oracle_on_mixed_counts():
         np.ones_like(m[3]),
     ])
     assert sorted(mixed.sum(axis=-1)) == [1, 1, mixed[1].sum(), cfg.num_tokens]
-    z_p = nm.value_of(result.tokens)[:, 1:]
+    z_p = nm.value_of(result.z_p)
     for mask in (mixed, np.ones_like(m)):   # the second stack has m = N
         assert np.array_equal(importance_weights(z_p, mask, params, cfg.num_heads),
                               masked_importance_weights(z_p, mask, params, cfg.num_heads))
@@ -457,7 +457,7 @@ def test_unpadded_stack_runs_the_mask_block_without_a_mask(monkeypatch):
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     images = np.stack([image for image, _, _ in _acceptance_samples(4)])
     result = two_branch_forward(params, cfg, images)
-    m, z_p = result.priorities, nm.value_of(result.tokens)[:, 1:]
+    m, z_p = result.priorities, nm.value_of(result.z_p)
     sevens = select(m, top_k(7))
     mixed = np.concatenate([select(m[:1], top_k(1)), sevens[1:]])
     masks = []

@@ -277,14 +277,14 @@ def test_taped_loss_reads_p_refine_where_an_eager_forward_computes_it(monkeypatc
     lazy = {phase: _loss_and_grads(_batch_loss, params, cfg, batch,
                                    [n for n in params if n.startswith("cam.") == (phase == 2)])
             for phase in (1, 2)}
-    real_branch_forward = pipeline.branch_forward
+    real_forward = pipeline.two_branch_forward
 
-    def eager_branch_forward(*args, **kwargs):
-        result = real_branch_forward(*args, **kwargs)
+    def eager_forward(*args, **kwargs):
+        result = real_forward(*args, **kwargs)
         result.p_refine
         return result
 
-    monkeypatch.setattr(pipeline, "branch_forward", eager_branch_forward)
+    monkeypatch.setattr(training, "two_branch_forward", eager_forward)
     for phase, (loss, grads) in lazy.items():
         want_loss, want_grads = _loss_and_grads(
             _batch_loss, params, cfg, batch, list(grads))
@@ -352,9 +352,9 @@ def test_a_training_step_records_no_reattention_and_keeps_its_loss_and_gradients
         return len(tape), nm.value_of(loss), backward(loss, tape, leaves)
 
     def eager_forward(*args, **kwargs):
-        # the scoring-branch map read within the taped pass, before the CAM branch
+        # the scoring-branch map read within the taped pass, before the loss
         result = two_branch_forward(*args, **kwargs)
-        tape = result.tokens.tape
+        tape = result.z_p.tape
         before = len(tape)
         result.refined_map
         map_records.append(len(tape) - before)

@@ -51,6 +51,11 @@ def commands(inp, out) -> list:
         ("eval --theta 0.5 --u 0.8 --metrics maxboxaccv2,gt-known",
          manifest + ["--theta", "0.5", "--u", "0.8", "--metrics", "maxboxaccv2,gt-known",
                      "--out-report", Out("report.csv")]),
+        # the matrix's own checkpoint: its top class misses the label on some images, so
+        # this row reaches eval's predicted-class heats
+        ("eval --theta grid --metrics top1,top5 (train-toy checkpoint)",
+         ["--ckpt", out("train-toy") / "train.ckpt", "--manifest", inp.manifest,
+          "--theta", "grid", "--metrics", "top1,top5", "--out-report", Out("report.csv")]),
         (f"ablate-selection --strategies {SIX_STRATEGIES}",
          manifest + ["--strategies", SIX_STRATEGIES, "--out-table", Out("table.csv")]),
         ("ablate-selection --reattention on",
