@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics as nm
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 
 PARAM_STD = 0.02
 # float32 parameter bytes; the toy defaults need 119,828
@@ -88,6 +88,14 @@ class ModelConfig:
         two, block = (sum(map(math.prod, shapes.values())) for shapes in
                       (parameter_shapes(replace(self, num_blocks=2)), _block_shapes(self, "")))
         return two + (self.num_blocks - 2) * block
+
+    def check_image(self, shape) -> None:
+        """Raise ContractError unless `shape` is the (3, S, S) of this
+        model's images."""
+        expected = (3, self.image_size, self.image_size)
+        if tuple(shape) != expected:
+            raise ContractError(f"image shape {tuple(shape)} does not match the checkpoint's "
+                                f"{expected}")
 
     def check_memory(self) -> None:
         """Raise DimensionError unless the parameters and one image's

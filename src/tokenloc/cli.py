@@ -24,6 +24,7 @@ from .ablation import parse_strategy, run_ablation
 from .errors import ContractError, DimensionError, FormatError
 from .formats import (
     check_alpha,
+    mass_fixed_point,
     parse_manifest,
     read_checkpoint,
     read_image,
@@ -108,17 +109,24 @@ def _write_csv(path, header, rows):
     write_file(path, text.getvalue().encode("utf-8"))
 
 
-def _load_manifest_samples(path):
-    samples = parse_manifest(path)
+def _load_manifest_samples(path, cfg):
+    samples = parse_manifest(path, cfg)
     if not samples:
         raise ContractError(f"manifest {path} is empty")
     return samples
 
 
+def _read_input(path, cfg):
+    """The --input image, checked to fit the checkpoint's `cfg`."""
+    image = read_image(path)
+    _checked(path, cfg.check_image, image.shape)
+    return image
+
+
 def cmd_infer(args):
     selector = _selector(args)
     cfg, params = read_checkpoint(args.ckpt)
-    image = read_image(args.input)
+    image = _read_input(args.input, cfg)
     result = two_branch_forward(params, cfg, image[None], selector=selector)
     write_tensor(args.out_logits, nm.value_of(result.p_cam)[0])
     write_tensor(args.out_pt, nm.value_of(result.p_refine)[0])
@@ -132,7 +140,7 @@ def cmd_localize(args):
     if class_id != "predicted" and class_id >= cfg.num_classes:
         raise ContractError(f"--class must be 'auto' or a class id in [0, {cfg.num_classes}), "
                             f"got {args.class_id!r}")
-    image = read_image(args.input)
+    image = _read_input(args.input, cfg)
     heat, box, _, empty = localize(params, cfg, image, class_id, theta=args.theta,
                                    selector=selector)
     write_file(args.out_box, (" ".join(map(str, box.tolist())) + "\n").encode("ascii"))
@@ -153,7 +161,7 @@ def cmd_eval(args):
     if len(set(metrics)) < len(metrics):
         raise ContractError(f"--metrics {args.metrics!r} names a metric more than once")
     cfg, params = read_checkpoint(args.ckpt)
-    samples = _load_manifest_samples(args.manifest)
+    samples = _load_manifest_samples(args.manifest, cfg)
     theta_star, _, results = evaluate_samples(params, cfg, samples, metrics, thetas,
                                               selector=selector)
     rows = [(metric, repr(results[metric])) for metric in metrics]
@@ -165,7 +173,7 @@ def cmd_eval(args):
 def cmd_calibrate(args):
     selector, thetas = _selector(args), _parse_grid("--grid", args.grid)
     cfg, params = read_checkpoint(args.ckpt)
-    samples = _load_manifest_samples(args.manifest)
+    samples = _load_manifest_samples(args.manifest, cfg)
     theta_star, table, _ = evaluate_samples(params, cfg, samples, (), thetas, selector=selector)
     _write_csv(args.out_table, ("theta", "gt_known"),
                [(repr(theta), repr(acc)) for theta, acc in table])
@@ -213,6 +221,7 @@ def cmd_train_toy(args):
     if not isinstance(model, dict):
         raise ContractError(f"{where}: expected a JSON object")
     model = _config_from_json(default_model_config(toy), model, where)
+    _checked(where, mass_fixed_point, model.selection_mass)
     cfg, params, curve = train_toy(toy, train, model)
     write_checkpoint(args.out_ckpt, cfg, params)
     _write_csv(args.out_curve, ("step", "phase", "loss"),
@@ -236,7 +245,7 @@ def cmd_ablate(args):
     for _, selector in strategies:
         if selector is not None:
             _checked("--strategies", selector, np.ones((1, cfg.num_tokens), np.float32))
-    samples = _load_manifest_samples(args.manifest)
+    samples = _load_manifest_samples(args.manifest, cfg)
     modes = {"both": (True, False), "on": (True,), "off": (False,)}[args.reattention]
     rows = run_ablation(params, cfg, samples, strategies, modes=modes, thetas=thetas)
     _write_csv(args.out_table, ("strategy", "reattention", "theta", "gt_known", "max_box_acc_v2"),

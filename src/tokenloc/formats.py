@@ -57,6 +57,16 @@ MASS_FIXED_POINT = 10 ** 6
 _DECIMAL = re.compile("[0-9]{1,18}")
 
 
+def mass_fixed_point(mass: float) -> int:
+    """The whole millionths of `mass` that a checkpoint stores; a mass
+    they do not read back exactly is a contract error."""
+    fixed = round(mass * MASS_FIXED_POINT)
+    if fixed / MASS_FIXED_POINT != mass:
+        raise ContractError(f"field 'selection_mass' must be a whole number of millionths, as a "
+                            f"checkpoint stores it, got {mass!r}")
+    return fixed
+
+
 def tensor_to_bytes(array) -> bytes:
     arr = np.ascontiguousarray(np.asarray(array, dtype="<f4"))
     if arr.ndim < 1:
@@ -144,7 +154,7 @@ def _config_to_bytes(cfg: ModelConfig) -> bytes:
     return _CONFIG_STRUCT.pack(
         cfg.image_size, cfg.patch_size, cfg.embed_dim, cfg.num_blocks,
         cfg.num_heads, cfg.mlp_ratio, cfg.num_classes,
-        round(cfg.selection_mass * MASS_FIXED_POINT),
+        mass_fixed_point(cfg.selection_mass),
     )
 
 
@@ -267,8 +277,9 @@ def _parse_boxes(text: str, width: int, height: int) -> np.ndarray:
     return np.array(rows, np.int64)
 
 
-def parse_manifest(path) -> list:
-    """Parse the line-based dataset manifest.
+def parse_manifest(path, cfg: ModelConfig) -> list:
+    """Parse the line-based dataset manifest of samples for the model
+    of `cfg`.
 
     Each non-blank line holds space-separated key:value fields,
     e.g. `id:img0 image:img0.trt label:1 boxes:4,5,20,21;0,0,8,8`.
@@ -276,9 +287,11 @@ def parse_manifest(path) -> list:
     line's image is read once, with `read_image`, and its shape bounds
     the boxes. The label and the box coordinates are ASCII decimal
     integers. A key repeated on one line and an id repeated across lines
-    are errors. Errors cite the 1-based line number (and the image, for
-    a malformed image file or a non-finite pixel). Returns one (image,
-    label, (G, 4) int64 boxes) sample per line.
+    are errors. An image of another shape than the model's and a label
+    outside its classes are contract errors. Errors cite the 1-based
+    line number (and the image, for a malformed image file or a
+    non-finite pixel). Returns one (image, label, (G, 4) int64 boxes)
+    sample per line.
     """
     path = Path(path)
     base = path.parent
@@ -318,15 +331,19 @@ def parse_manifest(path) -> list:
                     image = read_image(image_path)
                 except FormatError as exc:
                     raise ValueError(f"{image_path}: {exc}") from exc
-                except ContractError as exc:  # a non-finite pixel: still a contract error
-                    raise ContractError(f"{path}:{line_no}: {exc}") from exc
                 if image.ndim != 3 or image.shape[0] != 3:
                     raise ValueError(f"image tensor must be 3xHxW, got {image.shape}")
+                label = _decimal(fields["label"], "label")
+                cfg.check_image(image.shape)
+                if label >= cfg.num_classes:
+                    raise ContractError(f"class id {label} out of range for {cfg.num_classes} "
+                                        f"classes")
                 _, height, width = image.shape
-                samples.append((image, _decimal(fields["label"], "label"),
-                                _parse_boxes(fields["boxes"], width, height)))
+                samples.append((image, label, _parse_boxes(fields["boxes"], width, height)))
             except (ValueError, OSError) as exc:
                 raise ManifestError(f"{path}:{line_no}: {exc}") from exc
+            except ContractError as exc:  # a non-finite pixel, or a sample the model cannot read
+                raise ContractError(f"{path}:{line_no}: {exc}") from exc
     return samples
 
 

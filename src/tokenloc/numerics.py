@@ -1,6 +1,6 @@
 """Dense float32 numeric kernel with reverse-mode gradients.
 
-Values are stored as float32. `add`, `mul` and `div` compute in float32
+Values are stored as float32. `add` and `mul` compute in float32
 directly: for +, -, * and / of binary32 operands, rounding the exact
 result to binary64 and then to binary32 gives the same binary32 as
 rounding it once, because 53 >= 2 * 24 + 2 (Figueroa, "When is double
@@ -51,10 +51,6 @@ class Node:
         self.value = value
         self.grad = None  # float64, allocated on first contribution
         self.tape = tape
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def add_grad(self, g) -> None:
         g = np.asarray(g, dtype=np.float64)
@@ -445,38 +441,12 @@ def mul(a, b):
     return _emit(out, backward, a, b)
 
 
-def div(a, b):
-    av, bv = value_of(a), value_of(b)
-    out = np.divide(av, bv)
-
-    def backward(g):
-        b64 = _f64(bv)
-        if isinstance(a, Node):
-            a.add_grad(_unbroadcast(g / b64, av.shape))
-        if isinstance(b, Node):
-            b.add_grad(_unbroadcast(-g * _f64(av) / (b64 * b64), bv.shape))
-
-    return _emit(out, backward, a, b)
-
-
 def scale(x, c: float):
     xv = value_of(x)
     out = (_f64(xv) * float(c)).astype(np.float32)
 
     def backward(g):
         x.add_grad(g * float(c))
-
-    return _emit(out, backward, x)
-
-
-def transpose(x):
-    xv = value_of(x)
-    if xv.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {xv.shape}")
-    out = np.ascontiguousarray(xv.T)
-
-    def backward(g):
-        x.add_grad(g.T)
 
     return _emit(out, backward, x)
 

@@ -60,8 +60,7 @@ class ForwardResult:
     cfg: ModelConfig
     z_cls: object             # (B, 1, D) class token out of the backbone
     z_p: object               # (B, N, D) patch tokens out of the backbone
-    stack: list               # per-block (B, H, 1, N+1) float32 class-token attention rows
-    priorities: np.ndarray    # (B, N) preliminary priorities m
+    priorities: np.ndarray    # (B, N) priorities m, the backbone's summed class-token attention
     mask: np.ndarray          # (B, N) float32 0/1 selected tokens
     weights: object           # (B, N) importance weights lambda, zero off the mask
     cam_maps: object          # (B, K, sqrt(N), sqrt(N)) class activation maps
@@ -94,13 +93,10 @@ def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None) -> Fo
     the (B, N) priority stack; None means `adaptive(cfg.selection_mass)`.
     """
     stack = nm.as_f32(images)
-    expected = (3, cfg.image_size, cfg.image_size)
     if stack.ndim != 4:
-        raise ContractError(f"expected a (B, {', '.join(map(str, expected))}) image stack, "
-                            f"got shape {stack.shape}")
-    if stack.shape[1:] != expected:
-        raise ContractError(f"image shape {stack.shape[1:]} does not match the checkpoint's "
-                            f"{expected}")
+        raise ContractError(f"expected a (B, 3, {cfg.image_size}, {cfg.image_size}) image "
+                            f"stack, got shape {stack.shape}")
+    cfg.check_image(stack.shape[1:])
     z0 = embed(patchify(stack, cfg.patch_size), params, cfg)
     tokens, attention = backbone_forward(z0, params, cfg)
     b, n_plus_1, d = nm.value_of(tokens).shape
@@ -109,9 +105,8 @@ def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None) -> Fo
     priorities = preliminary_attention(attention)
     mask, lam = _selected(params, cfg, z_p, priorities, selector)
     cam_maps, _, p_cam = cam_forward(z_p, params, cfg)
-    return ForwardResult(params=params, cfg=cfg, z_cls=z_cls, z_p=z_p, stack=attention,
-                         priorities=priorities, mask=mask, weights=lam, cam_maps=cam_maps,
-                         p_cam=p_cam)
+    return ForwardResult(params=params, cfg=cfg, z_cls=z_cls, z_p=z_p, priorities=priorities,
+                         mask=mask, weights=lam, cam_maps=cam_maps, p_cam=p_cam)
 
 
 def rescored(result: ForwardResult, selector) -> ForwardResult:

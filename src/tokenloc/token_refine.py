@@ -140,8 +140,6 @@ def reattention(priorities, mask, weights):
     """
     m, b, lam = (np.asarray(x, dtype=np.float32) for x in (priorities, mask, weights))
     empty = b.sum(axis=-1, keepdims=True) == 0.0
-    if empty.all():
-        return m.copy()
     lam_total = lam.astype(np.float64).sum(axis=-1, keepdims=True)
     if np.any((lam_total == 0.0) & ~empty):
         raise ContractError("importance weights sum to zero over a non-empty selection")

@@ -68,6 +68,19 @@ def test_every_kernel_op_case_runs_forward_and_backward(ab):
         assert all(leaf.grad is not None for leaf in leaves), op
 
 
+@pytest.mark.parametrize("output, counts", [
+    ("....\n664 passed in 31.53s\n", {"passed": 664, "failed": 0}),
+    ("F.\nFAILED tests/x.py::t\n1 failed, 663 passed, 2 warnings in 30.10s\n",
+     {"passed": 663, "failed": 1, "warnings": 2}),
+    ("E\n1 error in 0.50s\n", {"passed": 0, "failed": 0, "errors": 1}),
+    ("2 failed, 5 passed, 1 skipped, 3 errors in 3723.00s (1:02:03)\n",
+     {"passed": 5, "failed": 2, "skipped": 1, "errors": 3}),
+    ("", {"passed": 0, "failed": 0}),
+])
+def test_tier1_counts_read_pytest_s_summary_line(ab, output, counts):
+    assert ab.tier1_counts(output) == counts
+
+
 def test_line_count_counts_newlines_of_the_package_files(ab, tmp_path):
     (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
     (tmp_path / "b.py").write_text("z = 3\n")

@@ -78,25 +78,15 @@ def test_mul_broadcast_backward():
                        [_rand(4, 6), _rand(6)], what="mul broadcast")
 
 
-def test_div_backward():
-    w = _rand(5)
-    denom = (_rand(5) * 0.5 + 2.0).astype(np.float32)  # away from zero
-    check_op_gradients(lambda a, b: nm.reduce_sum(nm.mul(nm.div(a, b), w)),
-                       [_rand(5), denom], what="div")
-
-
 def test_scale_neg_backward():
     w = _rand(6)
     check_op_gradients(lambda x: nm.reduce_sum(nm.mul(nm.scale(x, -2.5), w)),
                        [_rand(6)], what="scale")
 
 
-def test_transpose_reshape_backward():
-    w = _rand(4, 3)
-    check_op_gradients(lambda x: nm.reduce_sum(nm.mul(nm.transpose(x), w)),
-                       [_rand(3, 4)], what="transpose")
-    w2 = _rand(12)
-    check_op_gradients(lambda x: nm.reduce_sum(nm.mul(nm.reshape(x, (12,)), w2)),
+def test_reshape_backward():
+    w = _rand(12)
+    check_op_gradients(lambda x: nm.reduce_sum(nm.mul(nm.reshape(x, (12,)), w)),
                        [_rand(3, 4)], what="reshape")
 
 
@@ -266,9 +256,7 @@ def _recording_cases():
         "bilinear_resize": (lambda m: nm.bilinear_resize(m, 5, 6), arrays((3, 4)), 1),
         "add": (nm.add, arrays((3, 4), (4,)), 1),
         "mul": (nm.mul, arrays((3, 4), (3, 1)), 1),
-        "div": (nm.div, arrays((3, 4)) + positive, 1),
         "scale": (lambda x: nm.scale(x, -1.5), arrays((3, 4)), 1),
-        "transpose": (nm.transpose, arrays((3, 4)), 1),
         "reshape": (lambda x: nm.reshape(x, (2, 6)), arrays((3, 4)), 1),
         "concat": (lambda a, b: nm.concat([a, b], axis=1), arrays((3, 4), (3, 2)), 1),
         "crop": (lambda x: nm.crop(x, (1, 0), (2, 3)), arrays((3, 4)), 1),
@@ -293,7 +281,7 @@ def test_the_recording_table_covers_every_public_op():
               if callable(value) and getattr(value, "__module__", None) == nm.__name__
               and not name.startswith("_") and not isinstance(value, type)}
     assert public - {"as_f32", "value_of"} == set(RECORDING_CASES)
-    assert MULTI_INPUT_OPS == ["matmul", "attention", "layer_norm", "add", "mul", "div", "concat",
+    assert MULTI_INPUT_OPS == ["matmul", "attention", "layer_norm", "add", "mul", "concat",
                                "conv2d3x3"]
 
 

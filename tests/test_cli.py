@@ -197,7 +197,7 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     lines = manifest.read_text().splitlines()
     lines[1::2] = [line.replace("label:0", "label:1") for line in lines[1::2]]
     manifest.write_text("\n".join(lines) + "\n")
-    samples = parse_manifest(manifest)
+    samples = parse_manifest(manifest, cfg)
     thetas = threshold_grid(*DEFAULT_GRID)
 
     forwards, boxed = [], []
@@ -561,7 +561,7 @@ def test_non_finite_pixel_exits_4(workspace, capsys, value):
                        f"at index (1, 5, 7)\n"), err
 
 
-def test_image_size_mismatch_exits_4(workspace, capsys):
+def test_image_size_mismatch_exits_4(workspace, capsys, monkeypatch):
     tmp, cfg, params, ckpt, _ = workspace
     small = tmp / "small.trt"
     write_tensor(small, np.zeros((3, 16, 16), np.float32))
@@ -571,12 +571,14 @@ def test_image_size_mismatch_exits_4(workspace, capsys):
         ["localize", "--ckpt", str(ckpt), "--input", str(small), "--theta", "0.5",
          "--out-box", str(tmp / "box.txt")],
     ]
+    forwards = _count_forwards(monkeypatch)
     for argv in commands:
         assert main(argv) == 4, argv[0]
         err = capsys.readouterr().err
-        assert err == ("error: contract: image shape (3, 16, 16) does not match the "
+        assert err == (f"error: contract: {small}: image shape (3, 16, 16) does not match the "
                        "checkpoint's (3, 32, 32)\n"), err
     assert not (tmp / "a.trt").exists() and not (tmp / "box.txt").exists()
+    assert forwards == []
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -823,6 +825,42 @@ def _assert_one_contract_line(capsys, tmp, argv):
     return err
 
 
+def _count_forwards(monkeypatch) -> list:
+    """Record every two_branch_forward call the commands make."""
+    calls, real = [], pipeline.two_branch_forward
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (pipeline, cli, loc, training):
+        monkeypatch.setattr(module, "two_branch_forward", counting)
+    return calls
+
+
+_FITS = "id:a image:img.trt label:0 boxes:12,8,20,16"
+_MISFIT = "image shape (3, 16, 16) does not match the checkpoint's (3, 32, 32)"
+
+
+# command, the manifest's lines, the cited line, the error after it
+@pytest.mark.parametrize("command, lines, line_no, detail", [
+    *[(command, [_FITS, "id:b image:img.trt label:7 boxes:12,8,20,16"], 2,
+       "class id 7 out of range for 2 classes") for command in _MANIFEST_ARGS],
+    *[(command, [_FITS, "id:b image:small.trt label:0 boxes:0,0,8,8"], 2, _MISFIT)
+      for command in _MANIFEST_ARGS],
+    ("eval", ["id:b image:small.trt label:0 boxes:0,0,8,8"], 1, _MISFIT),
+])
+def test_a_manifest_sample_that_does_not_fit_the_checkpoint_exits_4_naming_its_line(
+        workspace, capsys, monkeypatch, command, lines, line_no, detail):
+    tmp, cfg, params, ckpt, _ = workspace
+    write_tensor(tmp / "small.trt", np.zeros((3, 16, 16), np.float32))
+    argv = _manifest_argv(tmp, ckpt, command, lines="\n".join(lines) + "\n")
+    forwards = _count_forwards(monkeypatch)
+    err = _assert_one_contract_line(capsys, tmp, argv)
+    assert err == f"error: contract: {tmp / 'one.manifest'}:{line_no}: {detail}\n"
+    assert forwards == []
+
+
 @pytest.mark.parametrize("command", ["infer", "localize", "eval", "calibrate"])
 @pytest.mark.parametrize("u", ["0", "1.5", "nan", "2"])
 def test_selection_mass_outside_unit_interval_exits_4(workspace, capsys, command, u):
@@ -893,6 +931,9 @@ def test_manifest_line_without_boxes_exits_3(workspace, capsys, command):
     assert not (tmp / "out.csv").exists()
 
 
+_MILLIONTHS = "a whole number of millionths, as a checkpoint stores it"
+
+
 @pytest.mark.parametrize("section, field, value, kind", [
     ("train", "batch_size", 2.5, "an integer"),
     ("train", "seed", 1.5, "an integer"),
@@ -914,8 +955,13 @@ def test_manifest_line_without_boxes_exits_3(workspace, capsys, command):
     ("train", "seed", -1, "a nonnegative integer"),
     # checked by ModelConfig itself
     ("model", "embed_dim", 9, "divisible by num_heads 2"),
+    # a mass the checkpoint's millionths cannot hold
+    ("model", "selection_mass", 1e-9, _MILLIONTHS),
+    ("model", "selection_mass", 0.6500004, _MILLIONTHS),
+    ("model", "selection_mass", 0.1 + 0.2, _MILLIONTHS),
 ])
-def test_train_toy_config_field_types_exit_4(tmp_path, capsys, section, field, value, kind):
+def test_train_toy_config_field_types_exit_4(tmp_path, capsys, monkeypatch, section, field,
+                                             value, kind):
     toy, train = dict(_TOY_JSON), dict(_TRAIN_JSON, model=dict(_TRAIN_JSON["model"]))
     target = {"toy": toy, "train": train, "toy+train": train, "model": train["model"]}[section]
     target[field] = value
@@ -923,10 +969,12 @@ def test_train_toy_config_field_types_exit_4(tmp_path, capsys, section, field, v
     # a field checked against the other config's fields cites neither file
     where = {"toy": f"{tmp_path / 'toy.json'}: ", "train": f"{tmp_path / 'train.json'}: ",
              "model": f"{tmp_path / 'train.json'}: model section: ", "toy+train": ""}[section]
+    forwards = _count_forwards(monkeypatch)
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err == f"error: contract: {where}field {field!r} must be {kind}, got {value!r}\n"
     assert not (tmp_path / "out.ckpt").exists()
+    assert forwards == []
 
 
 _BUDGET = "more than the budget of 67108864"
@@ -1055,7 +1103,7 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
 
     # the per-image path: one forward and one predicted-class heat per image
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
-    samples = parse_manifest(manifest)
+    samples = parse_manifest(manifest, cfg)
     theta_star, table, _ = loc.evaluate_samples(params, cfg, samples, (),
                                                 threshold_grid(*DEFAULT_GRID))
     heats = gt_heats(params, cfg, samples)

@@ -2,6 +2,7 @@
 
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from tokenloc.backbone import ModelConfig, init_params, parameter_shapes
 from tokenloc.errors import (
     BadMagicError,
     CheckpointError,
+    ContractError,
     ManifestError,
     TensorHeaderError,
     TruncationError,
     UnsupportedDtypeError,
 )
 from tokenloc.formats import (
+    MASS_FIXED_POINT,
+    mass_fixed_point,
     parse_manifest,
     read_checkpoint,
     read_tensor,
@@ -201,6 +205,22 @@ def test_checkpoint_mass_fixed_point(tmp_path):
     assert cfg_back.selection_mass == pytest.approx(0.123456, abs=1e-6)
 
 
+@pytest.mark.parametrize("mass", [1e-9, 0.6500004, 0.1 + 0.2])
+def test_checkpoint_writer_rejects_a_mass_its_millionths_cannot_hold(tmp_path, mass):
+    cfg = replace(CFG, selection_mass=mass)
+    path = tmp_path / "u.ckpt"
+    with pytest.raises(ContractError, match="whole number of millionths"):
+        write_checkpoint(path, cfg, init_params(cfg, 6))
+    assert not path.exists()
+
+
+def test_a_whole_number_of_millionths_reads_back_as_the_same_mass():
+    for fixed in [*range(1, MASS_FIXED_POINT, 997), MASS_FIXED_POINT - 1, MASS_FIXED_POINT]:
+        mass = float(f"0.{fixed:06d}") if fixed < MASS_FIXED_POINT else 1.0
+        assert mass_fixed_point(mass) == fixed
+        assert mass_fixed_point(mass) / MASS_FIXED_POINT == mass
+
+
 def _write_image(tmp_path, name, shape=(3, 8, 8)):
     path = tmp_path / name
     write_tensor(path, np.zeros(shape, np.float32))
@@ -210,7 +230,7 @@ def _write_image(tmp_path, name, shape=(3, 8, 8)):
 def test_manifest_empty_file(tmp_path):
     path = tmp_path / "empty.manifest"
     path.write_text("")
-    assert parse_manifest(path) == []
+    assert parse_manifest(path, CFG) == []
 
 
 def test_manifest_three_line_fixture(tmp_path):
@@ -224,7 +244,7 @@ def test_manifest_three_line_fixture(tmp_path):
     ]
     path = tmp_path / "m.manifest"
     path.write_text("\n".join(lines) + "\n")
-    samples = parse_manifest(path)
+    samples = parse_manifest(path, CFG)
     assert [label for _, label, _ in samples] == [0, 1, 0]
     assert all(image.shape == (3, 8, 8) for image, _, _ in samples)
     assert samples[1][2].tolist() == [[1, 2, 5, 6], [0, 0, 8, 8]]
@@ -237,7 +257,7 @@ def test_manifest_inverted_box_cites_line(tmp_path):
     path.write_text("id:a image:a.trt label:0 boxes:0,0,4,4\n"
                     "id:b image:a.trt label:0 boxes:5,0,5,4\n")
     with pytest.raises(ManifestError, match=":2:"):
-        parse_manifest(path)
+        parse_manifest(path, CFG)
 
 
 def test_manifest_out_of_bounds_box(tmp_path):
@@ -245,7 +265,7 @@ def test_manifest_out_of_bounds_box(tmp_path):
     path = tmp_path / "m.manifest"
     path.write_text("id:a image:a.trt label:0 boxes:0,0,9,4\n")
     with pytest.raises(ManifestError, match=":1:"):
-        parse_manifest(path)
+        parse_manifest(path, CFG)
 
 
 def test_manifest_missing_field(tmp_path):
@@ -253,7 +273,7 @@ def test_manifest_missing_field(tmp_path):
     path = tmp_path / "m.manifest"
     path.write_text("id:a image:a.trt boxes:0,0,4,4\n")
     with pytest.raises(ManifestError, match="label"):
-        parse_manifest(path)
+        parse_manifest(path, CFG)
 
 
 def test_manifest_repeated_key_cites_line(tmp_path):
@@ -262,7 +282,7 @@ def test_manifest_repeated_key_cites_line(tmp_path):
     path.write_text("id:a image:a.trt label:0 boxes:0,0,4,4\n"
                     "id:b image:a.trt label:1 boxes:0,0,4,4 boxes:1,1,2,2\n")
     with pytest.raises(ManifestError, match=":2: key 'boxes' repeated"):
-        parse_manifest(path)
+        parse_manifest(path, CFG)
 
 
 def test_manifest_repeated_id_cites_both_lines(tmp_path):
@@ -271,14 +291,14 @@ def test_manifest_repeated_id_cites_both_lines(tmp_path):
     path.write_text("id:a image:a.trt label:0 boxes:0,0,4,4\n\n"
                     "id:a image:a.trt label:1 boxes:0,0,4,4\n")
     with pytest.raises(ManifestError, match=":3: id 'a' already used on line 1"):
-        parse_manifest(path)
+        parse_manifest(path, CFG)
 
 
 def test_manifest_missing_image_file(tmp_path):
     path = tmp_path / "m.manifest"
     path.write_text("id:a image:gone.trt label:0 boxes:0,0,4,4\n")
     with pytest.raises(ManifestError, match=":1:"):
-        parse_manifest(path)
+        parse_manifest(path, CFG)
 
 
 def test_heatmap_colormap_endpoints(tmp_path):

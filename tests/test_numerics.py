@@ -232,10 +232,6 @@ def mul_oracle(a, b):
     return (np.asarray(a, np.float64) * np.asarray(b, np.float64)).astype(np.float32)
 
 
-def div_oracle(a, b):
-    return (np.asarray(a, np.float64) / np.asarray(b, np.float64)).astype(np.float32)
-
-
 def layer_norm_oracle(x, gamma, beta, eps=1e-6):
     """`layer_norm` written with `mean` and a fresh array per step."""
     z = np.asarray(x, np.float64)
@@ -283,8 +279,8 @@ def _elementwise_cases():
     return cases
 
 
-@pytest.mark.parametrize("op, oracle", [(nm.add, add_oracle), (nm.mul, mul_oracle),
-                                        (nm.div, div_oracle)], ids=["add", "mul", "div"])
+@pytest.mark.parametrize("op, oracle", [(nm.add, add_oracle), (nm.mul, mul_oracle)],
+                         ids=["add", "mul"])
 @pytest.mark.parametrize("case", list(_elementwise_cases()))
 def test_float32_elementwise_ops_are_bit_identical_to_the_float64_round_trip(op, oracle, case):
     a, b = _elementwise_cases()[case]
@@ -294,7 +290,7 @@ def test_float32_elementwise_ops_are_bit_identical_to_the_float64_round_trip(op,
             assert type(got) is type(want) and np.shape(got) == np.shape(want)
             assert np.array_equal(np.asarray(got).view(np.uint32),
                                   np.asarray(want).view(np.uint32)), (case, x, y)
-    if case == "every special pair":  # the pool reaches overflow, inf - inf and 0 / 0
+    if case == "every special pair":  # the pool reaches overflow, inf - inf and 0 * inf
         with np.errstate(all="ignore"):
             assert np.isinf(op(a, b)).any() and np.isnan(op(a, b)).any()
 
@@ -439,7 +435,8 @@ def per_head_attention(q, k, v, num_heads, mask=None):
         qh = nm.crop(q, (0, head * hd), (n, hd))
         kh = nm.crop(k, (0, head * hd), (n, hd))
         vh = nm.crop(v, (0, head * hd), (n, hd))
-        scores = nm.scale(nm.matmul(qh, nm.transpose(kh)), 1.0 / math.sqrt(hd))
+        kh_t = nm.take(kh, (np.arange(n)[None, :], np.arange(hd)[:, None]))
+        scores = nm.scale(nm.matmul(qh, kh_t), 1.0 / math.sqrt(hd))
         a = nm.softmax(scores, mask)
         probs.append(a)
         contexts.append(nm.matmul(a, vh))

@@ -123,7 +123,7 @@ def test_a_taped_forward_keeps_the_priority_path_off_the_tape():
     tape = nm.GradTape()
     taped = two_branch_forward({k: tape.leaf(v) for k, v in params.items()}, CFG, image)
     assert isinstance(taped.weights, nm.Node)    # the mask block stays on the tape
-    for value in (*taped.stack, taped.priorities, taped.refined_map):
+    for value in (taped.priorities, taped.refined_map):
         assert type(value) is np.ndarray and value.dtype == np.float32
 
 

@@ -546,6 +546,15 @@ def test_reattention_all_zero_mask_passthrough():
     m = np.array([0.4, 0.1], np.float32)
     refined = reattention(m, np.zeros(2, np.float32), np.zeros(2, np.float32))
     assert np.array_equal(refined, m)
+    # m * 1 + lambda * 0 is m bit for bit for any finite nonnegative m and
+    # lambda, zeros and subnormals included
+    rng = np.random.default_rng(19)
+    m = np.ldexp(rng.random((4, 9)).astype(np.float32), rng.integers(-149, 127, (4, 9)))
+    m[0] = 0.0
+    lam = np.ldexp(rng.random((4, 9)).astype(np.float32), rng.integers(-149, 127, (4, 9)))
+    lam[1] = 0.0
+    refined = reattention(m, np.zeros_like(m), lam)
+    assert refined.dtype == np.float32 and refined.tobytes() == m.tobytes()
 
 
 def test_reattention_zero_weights_rejected():

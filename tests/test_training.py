@@ -9,6 +9,7 @@ from tokenloc import numerics as nm
 from tokenloc import pipeline, training
 from tokenloc.backbone import ModelConfig, init_params
 from tokenloc.errors import ContractError, DimensionError
+from tokenloc.localization import localize
 from tokenloc.pipeline import two_branch_forward
 from tokenloc.training import (
     ToyTaskConfig,
@@ -394,3 +395,26 @@ def test_training_step_tape_size_and_release(monkeypatch):
     assert dead1 == dead2 == 0          # every record receives a gradient
     assert not any(name.startswith("cam.") for name in names1)
     assert names2 == ["cam.conv.bias", "cam.conv.weight"]
+
+
+def test_every_public_kernel_op_is_called_by_training_or_localize(monkeypatch):
+    # a kernel op that neither a taped phase-1 step, a phase-2 step nor an
+    # untaped localize calls is dead code
+    public = {name: op for name, op in vars(nm).items()
+              if callable(op) and getattr(op, "__module__", None) == nm.__name__
+              and not name.startswith("_") and not isinstance(op, type)}
+    called = set()
+
+    def counting(name, op):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return op(*args, **kwargs)
+        return wrapper
+
+    for name, op in public.items():
+        monkeypatch.setattr(nm, name, counting(name, op))
+    toy = ToyTaskConfig(samples_per_epoch=2, seed=7)
+    cfg, params, _ = train_toy(toy, TrainConfig(steps_phase1=1, steps_phase2=1, batch_size=2,
+                                                seed=9))
+    localize(params, cfg, make_dataset(toy)[0][0], theta=0.5)
+    assert sorted(set(public) - called) == []

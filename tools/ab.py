@@ -28,6 +28,8 @@ tree.
 - Kernel ops: forward and backward of each op of ``op_cases`` at the toy
   shapes (65 tokens, width 32, 4 heads). A backward is timed alone on a
   tape recorded beforehand, with the adjoint of the sum to a scalar loss.
+- Tier-1: the working tree's wall time and outcome counts from one child
+  run of TIER1, the suite's Tier-1 command, after the other levels.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import json
 import math
 import os
 import pstats
+import re
 import shutil
 import statistics
 import subprocess
@@ -73,6 +76,7 @@ STAGES = {
     "training backward": ("training", "backward"), "training sgd": ("training", "sgd_step")}
 # the CLI's default-mode ablation, which only the stage level sends
 DEFAULT_ABLATION = "ablate-selection --reattention both"
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")  # after the interpreter
 
 
 def quartiles(values) -> dict:
@@ -277,6 +281,30 @@ def line_count(package: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
 
 
+def tier1_counts(output: str) -> dict:
+    """The outcome counts of pytest's closing summary line in `output`,
+    e.g. ``1 failed, 663 passed, 2 errors in 30.1s``; passed and failed
+    are always present."""
+    lines = output.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {"passed": 0, "failed": 0}
+    for number, outcome in re.findall(r"(\d+) ([a-z]+)", summary):
+        counts[{"error": "errors", "warning": "warnings"}.get(outcome, outcome)] = int(number)
+    return counts
+
+
+def tier1() -> dict:
+    """Wall seconds, exit code and outcome counts of one run of TIER1 on
+    the working tree, in a child process with src first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=ROOT, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1),
+            "wall_s": round(time.perf_counter() - start, 2), "exit_code": done.returncode,
+            **tier1_counts(done.stdout)}
+
+
 def op_cases(rng) -> dict:
     """(call(nm, *args), args) per kernel op at the shapes the toy model
     calls it with on one image: a block's matmul, softmax, attention,
@@ -404,6 +432,7 @@ def main(argv=None) -> int:
             stages["verdict"] = {command: verdict(stages["ab"]["commands"][command], aa)
                                  for command, aa in stages["aa"]["commands"].items()}
     report["kernel_ops_us"] = kernel_ops(bases, head)
+    report["tier1"] = tier1()
     report["outputs_correct"] = correct
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
