@@ -76,7 +76,7 @@ def test_every_kernel_op_case_runs_forward_and_backward(ab):
     ("2 failed, 5 passed, 1 skipped, 3 errors in 3723.00s (1:02:03)\n",
      {"passed": 5, "failed": 2, "skipped": 1, "errors": 3}),
     ("", {"passed": 0, "failed": 0}),
-])
+], ids=["passed", "failed", "error", "every kind", "no output"])
 def test_tier1_counts_read_pytest_s_summary_line(ab, output, counts):
     assert ab.tier1_counts(output) == counts
 
