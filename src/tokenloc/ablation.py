@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .backbone import ModelConfig
 from .errors import ContractError
-from .localization import DEFAULT_GRID, class_heats, evaluate_heats, max_box_acc_v2, threshold_grid
+from .localization import class_heats, evaluate_heats, max_box_acc_v2
 from .pipeline import forward_chunks, rescored
 from .token_refine import adaptive, fixed, spatial_map, top_k
 
@@ -51,11 +51,11 @@ def parse_strategy(text: str) -> tuple:
     raise ContractError(f"unknown selection strategy {kind!r}")
 
 
-def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
-                 modes=(True, False), thetas=None):
+def run_ablation(params, cfg: ModelConfig, samples, strategies, *, thetas,
+                 modes=(True, False)):
     """Evaluate each (label, selector) strategy on the given samples under
     each re-attention mode of `modes` (True on, False off), each row at its
-    own best threshold of `thetas` (default: the DEFAULT_GRID thresholds).
+    own best threshold of `thetas`.
 
     Returns rows of (strategy label, reattention flag, theta_star,
     gt_known accuracy, max_box_acc_v2), strategy-major, in the order of
@@ -66,7 +66,6 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *,
     """
     if not strategies:
         raise ContractError("ablation needs at least one strategy")
-    thetas = threshold_grid(*DEFAULT_GRID) if thetas is None else thetas
     side = cfg.image_size
     on_heats = {i: [] for i in range(len(strategies))} if True in modes else {}
     off_heats = []

@@ -44,7 +44,7 @@ from .localization import (
 )
 from .pipeline import two_branch_forward
 from .token_refine import adaptive
-from .training import ToyTaskConfig, TrainConfig, default_model_config, train_toy
+from .training import ToyTaskConfig, TrainConfig, check_model_fits, default_model_config, train_toy
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,16 +187,15 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 def _config_from_json(base, payload, where):
     """Config dataclass `base` with the fields of a JSON object put over
-    it, checking each field's JSON type first."""
-    for name, kind in typing.get_type_hints(type(base)).items():
-        types, what = _JSON_TYPES[kind]
-        value = payload.get(name)
-        if name in payload and (isinstance(value, bool) or not isinstance(value, types)):
+    it, checking each field's name and JSON type first."""
+    hints = typing.get_type_hints(type(base))
+    for name, value in payload.items():
+        if name not in hints:
+            raise ContractError(f"{where}: unknown field {name!r}")
+        types, what = _JSON_TYPES[hints[name]]
+        if isinstance(value, bool) or not isinstance(value, types):
             raise ContractError(f"{where}: field {name!r} must be {what}, got {value!r}")
-    try:
-        return dataclasses.replace(base, **payload)
-    except (TypeError, ContractError, DimensionError) as exc:
-        raise ContractError(f"{where}: {exc}") from exc
+    return _checked(where, functools.partial(dataclasses.replace, base, **payload))
 
 
 def _read_json_object(path) -> dict:
@@ -222,6 +221,7 @@ def cmd_train_toy(args):
         raise ContractError(f"{where}: expected a JSON object")
     model = _config_from_json(default_model_config(toy), model, where)
     _checked(where, mass_fixed_point, model.selection_mass)
+    _checked(where, check_model_fits, toy, model)
     cfg, params, curve = train_toy(toy, train, model)
     write_checkpoint(args.out_ckpt, cfg, params)
     _write_csv(args.out_curve, ("step", "phase", "loss"),
@@ -234,7 +234,7 @@ def cmd_ablate(args):
                   for part in args.strategies.split(",") if part]
     if not strategies:
         raise ContractError(f"--strategies: no strategy in {args.strategies!r}")
-    thetas = _parse_grid("--grid", args.grid) if args.grid else None
+    thetas = _parse_grid("--grid", args.grid)
     cfg, params = read_checkpoint(args.ckpt)
     # compared as resolved: a bare `adaptive` selects at the checkpoint's mass
     resolved = {f"adaptive:{cfg.selection_mass:g}" if label == "adaptive" else label
@@ -258,7 +258,10 @@ def cmd_heatmap(args):
     _checked("--alpha", check_alpha, args.alpha)
     heat = read_tensor(args.map)
     image = read_image(args.image)
-    write_heatmap(args.out, heat, image, args.alpha)
+    try:
+        write_heatmap(args.out, heat, image, args.alpha)
+    except DimensionError as exc:  # the shapes: alpha is checked above
+        raise DimensionError(f"--map {args.map}, --image {args.image}: {exc}") from None
     return 0
 
 
@@ -320,7 +323,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strategies", required=True,
                    help="comma list: adaptive[:u], topk:<k>, fixed:<t|mean>")
     p.add_argument("--reattention", choices=("both", "on", "off"), default="both")
-    p.add_argument("--grid", default=None)
+    p.add_argument("--grid", default="grid")
     p.add_argument("--out-table", required=True)
     p.set_defaults(func=cmd_ablate)
 

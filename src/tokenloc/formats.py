@@ -18,6 +18,7 @@ and can keep stale tail rows.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
@@ -133,11 +134,21 @@ def write_tensor(path, array) -> None:
     write_file(path, tensor_to_bytes(array))
 
 
+@contextlib.contextmanager
+def _citing(path):
+    """Put `path` in front of the message of a FormatError raised inside."""
+    try:
+        yield
+    except FormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def read_tensor(path) -> np.ndarray:
     data = Path(path).read_bytes()
-    array, offset = tensor_from_bytes(data)
-    if offset != len(data):
-        raise TruncationError(f"{len(data) - offset} trailing bytes after tensor payload")
+    with _citing(path):
+        array, offset = tensor_from_bytes(data)
+        if offset != len(data):
+            raise TruncationError(f"{len(data) - offset} trailing bytes after tensor payload")
     return array
 
 
@@ -201,6 +212,12 @@ def write_checkpoint(path, cfg: ModelConfig, params: dict) -> None:
 def read_checkpoint(path):
     """Read and validate a checkpoint, returning (config, params dict)."""
     data = Path(path).read_bytes()
+    with _citing(path):
+        return _checkpoint_from_bytes(data)
+
+
+def _checkpoint_from_bytes(data: bytes):
+    """Decode and validate checkpoint bytes, returning (config, params dict)."""
     size = len(data)
     if data[:4] != CHECKPOINT_MAGIC:
         if size < 4:
@@ -326,11 +343,7 @@ def parse_manifest(path, cfg: ModelConfig) -> list:
                     raise ValueError(
                         f"id {fields['id']!r} already used on line {id_lines[fields['id']]}")
                 id_lines[fields["id"]] = line_no
-                image_path = base / fields["image"]
-                try:
-                    image = read_image(image_path)
-                except FormatError as exc:
-                    raise ValueError(f"{image_path}: {exc}") from exc
+                image = read_image(base / fields["image"])
                 if image.ndim != 3 or image.shape[0] != 3:
                     raise ValueError(f"image tensor must be 3xHxW, got {image.shape}")
                 label = _decimal(fields["label"], "label")
@@ -340,7 +353,7 @@ def parse_manifest(path, cfg: ModelConfig) -> list:
                                         f"classes")
                 _, height, width = image.shape
                 samples.append((image, label, _parse_boxes(fields["boxes"], width, height)))
-            except (ValueError, OSError) as exc:
+            except (ValueError, OSError, FormatError) as exc:
                 raise ManifestError(f"{path}:{line_no}: {exc}") from exc
             except ContractError as exc:  # a non-finite pixel, or a sample the model cannot read
                 raise ContractError(f"{path}:{line_no}: {exc}") from exc

@@ -192,8 +192,7 @@ def train_toy(toy: ToyTaskConfig, train: TrainConfig, model: ModelConfig | None 
     """
     if model is None:
         model = default_model_config(toy)
-    if model.image_size != toy.image_size or model.num_classes != toy.num_classes:
-        raise ContractError("model config does not match the toy task")
+    check_model_fits(toy, model)
     if train.batch_size > toy.samples_per_epoch:
         raise ContractError(f"field 'batch_size' must be at most the toy task's samples_per_epoch "
                             f"({toy.samples_per_epoch}), got {train.batch_size}")
@@ -233,6 +232,14 @@ def train_toy(toy: ToyTaskConfig, train: TrainConfig, model: ModelConfig | None 
         raise ContractError(f"training diverged: {bad} parameters are not finite after step "
                             f"{step} with learning_rate {train.learning_rate!r}")
     return model, params, curve
+
+
+def check_model_fits(toy: ToyTaskConfig, model: ModelConfig) -> None:
+    """The model must take the toy task's images and classes."""
+    for name in ("image_size", "num_classes"):
+        if getattr(model, name) != getattr(toy, name):
+            raise ContractError(f"field {name!r} must be the toy task's {name} "
+                                f"{getattr(toy, name)}, got {getattr(model, name)!r}")
 
 
 def default_model_config(toy: ToyTaskConfig) -> ModelConfig:

@@ -1,9 +1,12 @@
-"""tools/ab.py's stage level, the working tree against a copy of itself on
-one `localize` request (localize, then infer) of perfbench fixture 0, and
-its kernel-op cases."""
+"""tools/ab.py: the rotation of the sides in each round, the ratio sets of a
+report entry, the stage level on three copies of the working tree for one
+`localize` request (localize, then infer) of perfbench fixture 0, and its
+kernel-op cases."""
 
 import importlib.util
 import sys
+import time
+import types
 from pathlib import Path
 
 import pytest
@@ -29,32 +32,102 @@ def ab(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "BUILD", tmp_path / "ab")
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     yield module
-    for name in [m for m in sys.modules if m == "tk_base" or m.startswith("tk_base.")]:
+    for name in [m for m in sys.modules if m.split(".")[0] in ("tk_base", "tk_copy")]:
         del sys.modules[name]
 
 
-def test_stage_level_reaches_every_stage_of_the_request_on_both_sides(ab):
+SIDES = ("base", "head", "copy")
+
+
+def assert_each_side_in_each_position_equally_often(order, rounds):
+    """`order` lists the sides as they ran, one round of SIDES after another."""
+    assert len(order) == rounds * len(SIDES)
+    for position in range(len(SIDES)):
+        seen = [order[r * len(SIDES) + position] for r in range(rounds)]
+        assert {side: seen.count(side) for side in SIDES} == dict.fromkeys(
+            SIDES, rounds // len(SIDES)), position
+
+
+def fake_packages(order) -> dict:
+    """Sides whose ``cli.main`` appends the side to `order` and exits 1,
+    which perfbench's check fails without reading an output, after 2 ms:
+    the host-speed probe of the end-to-end level fires every 10 ms."""
+    def package(side):
+        def main(argv):
+            order.append(side)
+            time.sleep(0.002)
+            return 1
+        return types.SimpleNamespace(cli=types.SimpleNamespace(main=main))
+    return {side: package(side) for side in SIDES}
+
+
+FAKE_INPUTS = types.SimpleNamespace(images=["image.trt"] * 50, checkpoint="c.ckpt",
+                                    manifest="m.manifest")
+
+
+def test_run_pairs_rotates_the_sides_through_every_position(ab):
+    order = []
+    # asked for 4 rounds, it ends the rotation at 6
+    times, failed = ab.run_pairs(["calibrate"], fake_packages(order), FAKE_INPUTS,
+                                 lambda i: i < 4)
+    assert_each_side_in_each_position_equally_often(order, 6)
+    assert all(len(times[side, "calibrate"]) == 6 for side in SIDES)
+    assert failed == {side: [f"calibrate #{i}: calibrate exit code 1" for i in range(6)]
+                      for side in SIDES}
+
+
+def test_end_to_end_entry_carries_head_s_ratios_to_base_and_copy_and_a_verdict(ab):
+    order = []
+    workload = types.SimpleNamespace(commands=("calibrate",), images_per_request=50)
+    entry = ab.compare(workload, fake_packages(order), FAKE_INPUTS, seconds=0.0)
+    # 10 rounds at least, to the end of the rotation
+    assert entry["rounds"] == 12 and len(order) == 36
+    assert all(len(entry["failed"][side]) == 12 for side in SIDES)
+    for key in ("ratio_head_over_base", "ratio_head_over_copy", *(f"{side}_ms" for side in SIDES)):
+        assert set(entry[key]) == {"q1", "median", "q3"}, key
+    assert entry["verdict"] == ab.verdict(entry)
+
+
+def test_timed_rotates_the_sides_and_reports_head_s_ratios_to_base_and_copy(ab):
+    order = []
+    cases = {side: (lambda: None, lambda _, side=side: order.append(side)) for side in SIDES}
+    entry = ab.timed(cases, repeats=6, inner=1)
+    assert order[:3] == list(SIDES)   # the warm-up
+    assert_each_side_in_each_position_equally_often(order[3:], 6)
+    assert set(entry) == {*SIDES, "ratio_head_over_base", "ratio_head_over_copy"}
+    for key in entry:
+        assert set(entry[key]) == {"q1", "median", "q3"}, key
+    assert ab.verdict(entry) in ("flat (inside the A/A quartiles)", "faster", "slower")
+
+
+def test_stage_level_reaches_every_stage_of_the_request_on_every_side(ab):
     import inputs
     from workloads import WORKLOADS
 
     inp = inputs.build(ab.BUILD / "inputs", 0)
     inp.expected = inputs.load_expected(0)
-    packages = {"base": ab.import_base(ab.base_package(None)),
-                "head": ab.import_package("tokenloc")}
-    out = ab.profile_stages(WORKLOADS["localize"], packages, inp, seconds=0.0, pairs=1)
-    # perfbench's check passed every output of both sides
-    assert out["failed"] == {"base": [], "head": []}
+    packages = {"base": ab.load_package("tk_base"), "head": ab.import_package("tokenloc"),
+                "copy": ab.load_package("tk_copy")}
+    assert list(packages) == list(SIDES)
+    out = ab.profile_stages(WORKLOADS["localize"], packages, inp, seconds=0.0, rounds=1)
+    # one whole rotation; perfbench's check passed every output of every side
+    assert out["rounds"] == 3
+    assert out["failed"] == {side: [] for side in SIDES}
     assert out["absent"] == []
     assert list(out["commands"]) == list(REACHED)
     for command, stages in REACHED.items():
         entry = out["commands"][command]
+        assert "verdict" not in entry
+        assert {"ratio_head_over_base", "ratio_head_over_copy"} <= set(entry)
         for side in packages:
             rows = entry[side]["stages"]
             assert set(rows) == stages, (command, side)
             assert all(row["calls"] > 0 for row in rows.values()), (command, side)
         assert set(entry["not_reached"]) == set(ab.STAGES) - stages
-    assert sorted(path.name for path in ab.BUILD.iterdir()) == ["aa", "inputs", "work-base",
-                                                                "work-head"]
+    assert sorted(path.name for path in ab.BUILD.iterdir()) == [
+        "inputs", "packages", "work-base", "work-copy", "work-head"]
+    assert sorted(path.name for path in (ab.BUILD / "packages").iterdir()) == ["tk_base",
+                                                                                "tk_copy"]
 
 
 def test_every_kernel_op_case_runs_forward_and_backward(ab):

@@ -266,7 +266,7 @@ def test_criterion_end_to_end_synthetic(trained):
     rows = run_ablation(params, cfg, samples,
                         [parse_strategy(text)
                          for text in ("adaptive:0.65", "fixed:mean")],
-                        modes=(True,))
+                        modes=(True,), thetas=threshold_grid(*DEFAULT_GRID))
     by_label = {label: acc for label, _, _, acc, _ in rows}
     assert by_label["adaptive:0.65"] >= by_label["fixed:mean"], by_label
     _report("end-to-end synthetic localization", time.monotonic() - start, 300.0,

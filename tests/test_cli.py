@@ -24,6 +24,7 @@ from tokenloc.formats import (
     parse_manifest,
     read_checkpoint,
     read_tensor,
+    tensor_to_bytes,
     write_checkpoint,
     write_tensor,
 )
@@ -481,7 +482,7 @@ def test_checkpoint_decode_errors_exit_3(workspace, capsys, offset, patch, detai
     for argv in commands:
         assert main(argv) == 3, argv[0]
         err = capsys.readouterr().err
-        assert err == f"error: format: {detail}\n", err
+        assert err == f"error: format: {bad}: {detail}\n", err
     assert not (tmp / "a.trt").exists() and not (tmp / "r.csv").exists()
 
 
@@ -495,9 +496,8 @@ def test_tensor_extent_overflow_exits_3(workspace, capsys):
     code = main(["infer", "--ckpt", str(ckpt), "--input", str(huge),
                  "--out-logits", str(tmp / "a.trt"), "--out-pt", str(tmp / "b.trt")])
     assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: format: file ended inside tensor payload")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == (f"error: format: {huge}: file ended inside tensor payload "
+                                       f"({6 + 4 * 8 + 4 * 2 ** 248} > {6 + 4 * 8} bytes)\n")
 
 
 # a 3x32x32 zero image, everything after its magic
@@ -519,7 +519,7 @@ def test_malformed_tensor_header_exits_3(workspace, capsys, header, detail, comm
     if command == "infer":
         argv = ["infer", "--ckpt", str(ckpt), "--input", str(bad),
                 "--out-logits", str(tmp / "a.trt"), "--out-pt", str(tmp / "b.trt")]
-        want = f"error: format: {detail}\n"
+        want = f"error: format: {bad}: {detail}\n"
     else:
         manifest = tmp / "bad.manifest"
         manifest.write_text("id:bad image:bad.trt label:0 boxes:12,8,20,16\n")
@@ -529,6 +529,38 @@ def test_malformed_tensor_header_exits_3(workspace, capsys, header, detail, comm
     assert main(argv) == 3
     assert capsys.readouterr().err == want
     assert not (tmp / "a.trt").exists() and not (tmp / "r.csv").exists()
+
+
+# (command and the option whose file is bad, the bad file's bytes from the
+# workspace checkpoint's and image's, the error line with {bad} its path)
+@pytest.mark.parametrize("command, bad, line", [
+    ("infer --input", lambda ckpt, image: b"XXXX" + image[4:],
+     "format: {bad}: expected magic b'TRT1', found b'XXXX'"),
+    ("infer --ckpt", lambda ckpt, image: ckpt[:100],
+     "format: {bad}: file ended inside tensor payload (119 > 100 bytes)"),
+    ("infer --ckpt", lambda ckpt, image: image,
+     "format: {bad}: expected magic b'TRTC', found b'TRT1'"),
+    ("heatmap --map", lambda ckpt, image: tensor_to_bytes(np.zeros((8, 8), np.float32)),
+     "contract: --map {bad}, --image {image}: heat (8, 8) does not match image (3, 32, 32)"),
+    ("heatmap --map", lambda ckpt, image: image[:-1],
+     "format: {bad}: file ended inside tensor payload (12306 > 12305 bytes)"),
+    ("heatmap --image", lambda ckpt, image: image + b"x",
+     "format: {bad}: 1 trailing bytes after tensor payload"),
+])
+def test_file_errors_name_the_file(workspace, capsys, command, bad, line):
+    tmp, cfg, params, ckpt, image = workspace
+    bad_path = tmp / "bad.trt"
+    bad_path.write_bytes(bad(ckpt.read_bytes(), image.read_bytes()))
+    write_tensor(tmp / "heat.trt", np.full((32, 32), 0.5, np.float32))
+    name, option = command.split()
+    argv = {"infer": ["infer", "--ckpt", ckpt, "--input", image, "--out-logits",
+                      tmp / "out.trt", "--out-pt", tmp / "out-pt.trt"],
+            "heatmap": ["heatmap", "--map", tmp / "heat.trt", "--image", image,
+                        "--alpha", "0.5", "--out", tmp / "out.ppm"]}[name]
+    argv[argv.index(option) + 1] = bad_path
+    assert main([str(arg) for arg in argv]) == (3 if line.startswith("format") else 4)
+    assert capsys.readouterr().err == "error: " + line.format(bad=bad_path, image=image) + "\n"
+    assert not any(tmp.glob("out*"))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -959,6 +991,13 @@ _MILLIONTHS = "a whole number of millionths, as a checkpoint stores it"
     ("model", "selection_mass", 1e-9, _MILLIONTHS),
     ("model", "selection_mass", 0.6500004, _MILLIONTHS),
     ("model", "selection_mass", 0.1 + 0.2, _MILLIONTHS),
+    # the model must take the toy task's images and classes
+    ("model", "image_size", 16, "the toy task's image_size 32"),
+    ("model", "num_classes", 3, "the toy task's num_classes 2"),
+    # a field the config does not have (kind None)
+    ("toy", "bogus", 1, None),
+    ("train", "bogus", 1, None),
+    ("model", "depth", 2, None),
 ])
 def test_train_toy_config_field_types_exit_4(tmp_path, capsys, monkeypatch, section, field,
                                              value, kind):
@@ -972,7 +1011,9 @@ def test_train_toy_config_field_types_exit_4(tmp_path, capsys, monkeypatch, sect
     forwards = _count_forwards(monkeypatch)
     assert main(argv) == 4
     err = capsys.readouterr().err
-    assert err == f"error: contract: {where}field {field!r} must be {kind}, got {value!r}\n"
+    detail = f"unknown field {field!r}" if kind is None else (f"field {field!r} must be {kind}, "
+                                                              f"got {value!r}")
+    assert err == f"error: contract: {where}{detail}\n"
     assert not (tmp_path / "out.ckpt").exists()
     assert forwards == []
 
@@ -1048,8 +1089,8 @@ def test_checkpoint_over_the_attention_budget_exits_3(workspace, capsys, command
                 *_MANIFEST_ARGS[command], str(tmp / "out.csv")]
     assert main(argv) == 3
     assert capsys.readouterr().err == (
-        "error: format: invalid config entry: one image's attention over 4 heads and 4097 "
-        f"tokens takes 537133088 bytes of float64, {_BUDGET}\n")
+        f"error: format: {ckpt}: invalid config entry: one image's attention over 4 heads and "
+        f"4097 tokens takes 537133088 bytes of float64, {_BUDGET}\n")
     assert not (tmp / "a.trt").exists() and not (tmp / "out.csv").exists()
 
 
@@ -1069,8 +1110,7 @@ def test_train_toy_model_section_overrides_the_defaults_field_by_field(tmp_path,
     train = dict(_TRAIN_JSON, model={"embed_dim": 8, "depth": 2})
     assert main(_train_toy_argv(tmp_path, train=train)) == 4
     assert capsys.readouterr().err == (
-        f"error: contract: {tmp_path / 'train.json'}: model section: "
-        "ModelConfig.__init__() got an unexpected keyword argument 'depth'\n")
+        f"error: contract: {tmp_path / 'train.json'}: model section: unknown field 'depth'\n")
     assert not (tmp_path / "out.ckpt").exists()
 
 

@@ -348,6 +348,13 @@ def _decode_outcome(decode, data):
         return type(exc), str(exc)
 
 
+def _cited(path, outcome):
+    """An oracle's outcome as a reader of `path` reports it: an error's
+    message behind the path."""
+    kind, result = outcome
+    return outcome if kind == "ok" else (kind, f"{path}: {result}")
+
+
 def _assert_same_decode(got, want, what):
     assert got[0] == want[0], (what, got, want)
     if got[0] != "ok":
@@ -440,7 +447,8 @@ def test_checkpoint_decoder_matches_the_sliced_oracle(tmp_path):
     for what, data in _checkpoint_cases().items():
         path.write_bytes(data)
         got = _decode_outcome(read_checkpoint, path)
-        _assert_same_decode(got, _decode_outcome(read_checkpoint_oracle, data), what)
+        _assert_same_decode(got, _cited(path, _decode_outcome(read_checkpoint_oracle, data)),
+                            what)
         outcomes.add(got[0])
     # every class of outcome the format has shows up in the table
     assert {"ok", BadMagicError, CheckpointError, TruncationError,
@@ -468,7 +476,7 @@ def test_tensor_decoder_matches_the_sliced_oracle(tmp_path):
     for what, data in cases.items():
         path.write_bytes(data)
         got = _decode_outcome(read_tensor, path)
-        _assert_same_decode(got, _decode_outcome(read_tensor_oracle, data), what)
+        _assert_same_decode(got, _cited(path, _decode_outcome(read_tensor_oracle, data)), what)
         outcomes.add(got[0])
     assert {"ok", BadMagicError, TruncationError, UnsupportedDtypeError,
             TensorHeaderError} <= outcomes

@@ -1,33 +1,40 @@
-"""Paired in-process A/B of two tokenloc revisions, with an A/A noise floor.
+"""Paired in-process A/B of two tokenloc revisions, with an A/A noise floor
+from the same rounds.
 
     python3 tools/ab.py --base 5d2b143 --workloads evaluate,localize,train --out BENCH_20.json
-    python3 tools/ab.py --aa --seconds 20
+    python3 tools/ab.py --base HEAD --seconds 20    # A/A only, on a clean tree
 
-Run from the repository root. The base revision's ``src/tokenloc`` is
-extracted with ``git archive`` into ``.bench_build/ab/`` and imported as
-``tk_base`` next to the working tree's ``tokenloc``, reached only through
-``cli.main`` and the kernel ops of ``numerics``. Each level is measured
-base against the working tree (A/B), then the working tree against a copy
-of itself (A/A, alone with ``--aa``): an A/B median pair ratio inside the
-A/A quartiles, the method's noise floor, is reported as flat. The report
-also carries the ``src/tokenloc`` line count of the base and the working
-tree.
+Run from the repository root. Each level is one pass of rounds over three
+sides, in an order that rotates every round: ``base``, the ``git archive``
+of ``--base``'s ``src/tokenloc`` imported as ``tk_base``; ``head``, the
+working tree's ``tokenloc``; and ``copy``, a copy of the working tree's package
+imported as ``tk_copy`` (both under ``.bench_build/ab/packages``). Each is
+reached only through ``cli.main`` and the kernel ops of ``numerics``. A row
+gives the quartiles of the per-round ratios head/base (A/B) and head/copy
+(A/A); where it has a verdict, an A/B median inside the A/A quartiles, the
+method's noise floor, is flat. Head has the same role in both ratios, so a
+bias tied to the working-tree package sits in the floor: identical code
+reads 0.5-5% apart on the sub-5 us forwards, with no side found slower.
+The report also carries the ``src/tokenloc`` line count of the base and
+the working tree.
 
-- End to end: each workload's requests, sent through both ``cli.main`` on
-  perfbench's inputs for ``--seconds`` in pairs whose order alternates;
-  perfbench/workloads.py's ``check`` checks every output. Wall ms per
-  request, with perfbench's host-speed probe alongside.
-- Stages: a third as long (STAGE_PAIRS pairs at least) under ``cProfile``
-  around ``cli.main``: per command and side, calls and cumulative ms per
-  request of each STAGES function; one that only one side reaches is
-  ``absent``. The profiler slows small calls most, so the rows attribute
-  time; the profiled and plain ms per request stand beside them.
-  ``evaluate`` also sends ``ablate-selection`` in the CLI's default mode
-  (re-attention on and off), which perfbench never runs; both sides'
-  tables must be equal.
+- End to end: each workload's requests, sent through every side's
+  ``cli.main`` on perfbench's inputs for ``--seconds`` (10 rounds at
+  least); perfbench/workloads.py's ``check`` checks every output. Wall ms
+  per request, with perfbench's host-speed probe alongside, and a verdict.
+- Stages: a third as long (STAGE_ROUNDS rounds at least) under
+  ``cProfile`` around ``cli.main``: per command and side, calls and
+  cumulative ms per request of each STAGES function; one that only some
+  sides reach is ``absent``. The profiler slows small calls most, so the
+  rows attribute time; the profiled and plain ms per request stand beside
+  them. Stage rows carry ratios but no verdict: at ten rounds the quartile
+  rule calls unchanged commands faster or slower. ``evaluate`` also sends
+  ``ablate-selection`` in the CLI's default mode (re-attention on and
+  off), which perfbench never runs; every side's table must equal base's.
 - Kernel ops: forward and backward of each op of ``op_cases`` at the toy
-  shapes (65 tokens, width 32, 4 heads). A backward is timed alone on a
-  tape recorded beforehand, with the adjoint of the sum to a scalar loss.
+  shapes (65 tokens, width 32, 4 heads), each with a verdict. A backward
+  is timed alone on a tape recorded beforehand, with the adjoint of the
+  sum to a scalar loss.
 - Tier-1: the working tree's wall time and outcome counts from one child
   run of TIER1, the suite's Tier-1 command, after the other levels.
 """
@@ -59,7 +66,7 @@ PERFBENCH = ROOT / "perfbench"
 BUILD = ROOT / ".bench_build" / "ab"
 WORKLOADS = ("evaluate", "localize", "train")
 MODULES = ("cli", "numerics")
-STAGE_PAIRS = 10
+STAGE_ROUNDS = 10
 OP_REPEATS = 60
 TOKENS, WIDTH, HEADS = 65, 32, 4
 # pipeline stage -> the (module, function) whose cumulative time is the stage
@@ -86,29 +93,31 @@ def quartiles(values) -> dict:
     return {"q1": q1, "median": q2, "q3": q3}
 
 
+def head_ratios(samples: dict) -> dict:
+    """Quartiles of head's per-round ratios to base (A/B) and to copy (A/A)."""
+    head = samples["head"]
+    return {f"ratio_head_over_{side}": quartiles(h / o for h, o in zip(head, samples[side]))
+            for side in ("base", "copy")}
+
+
+def verdict(entry: dict) -> str:
+    ratio = entry["ratio_head_over_base"]["median"]
+    floor = entry["ratio_head_over_copy"]
+    if floor["q1"] <= ratio <= floor["q3"]:
+        return "flat (inside the A/A quartiles)"
+    return "faster" if ratio < floor["q1"] else "slower"
+
+
+def rotation(sides, i: int) -> list:
+    """`sides` in round i's order: over a multiple of len(sides) rounds,
+    each side takes each position equally often."""
+    sides = list(sides)
+    return sides[i % len(sides):] + sides[:i % len(sides)]
+
+
 def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
-
-
-def base_package(rev: str | None) -> str:
-    """Write the base package as BUILD/<tag>/tk_base and return the tag:
-    ``git archive`` of `rev`, or a copy of the working tree when None."""
-    tag = "aa" if rev is None else "rev-" + rev.replace("/", "_")
-    target = BUILD / tag / "tk_base"
-    shutil.rmtree(target.parent, ignore_errors=True)
-    target.parent.mkdir(parents=True)
-    if rev is None:
-        shutil.copytree(SRC / "tokenloc", target,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-    else:
-        data = subprocess.run(["git", "archive", rev, "src/tokenloc"], cwd=ROOT, check=True,
-                              capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-            tar.extractall(target.parent, filter="data")
-        (target.parent / "src" / "tokenloc").rename(target)
-        shutil.rmtree(target.parent / "src")
-    return tag
 
 
 def import_package(name: str):
@@ -118,31 +127,40 @@ def import_package(name: str):
     return sys.modules[name]
 
 
-def import_base(tag: str):
-    """Import BUILD/<tag>/tk_base fresh, dropping any earlier tk_base."""
-    for name in [m for m in sys.modules if m == "tk_base" or m.startswith("tk_base.")]:
-        del sys.modules[name]
-    sys.path.insert(0, str(BUILD / tag))
+def load_package(name: str, rev: str | None = None):
+    """Write BUILD/packages/<name>, the ``git archive`` of `rev`'s
+    src/tokenloc or a copy of the working tree's when None, and import it."""
+    target = BUILD / "packages" / name
+    shutil.rmtree(target, ignore_errors=True)
+    if rev is None:
+        shutil.copytree(SRC / "tokenloc", target, ignore=shutil.ignore_patterns("__pycache__"))
+    else:
+        data = subprocess.run(["git", "archive", f"{rev}:src/tokenloc"], cwd=ROOT, check=True,
+                              capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+            tar.extractall(target, filter="data")
+    sys.path.insert(0, str(target.parent))
     try:
-        return import_package("tk_base")
+        return import_package(name)
     finally:
         sys.path.pop(0)
 
 
 def run_pairs(commands, packages: dict, inp, more, profiles=None) -> tuple:
-    """Send a request, the `commands` in order, through both `packages`'
-    ``cli.main`` ("base", "head") per pair i while more(i), the order
-    alternating, under the cProfile.Profile of `profiles` if given. Returns
-    the wall ms per pair of each (side, command) and each side's failures."""
+    """Send a request, the `commands` in order, through every one of
+    `packages`' ``cli.main`` in round i while more(i), in rotation order,
+    then to the end of the rotation, under the cProfile.Profile of
+    `profiles` if given. Returns the wall ms per round of each (side,
+    command) and each side's failures."""
     from workloads import call_cli, check, command_argv
 
     times = {(side, command): [] for side in packages for command in commands}
     failed = {side: [] for side in packages}
     states = {side: {} for side in packages}
     i = 0
-    while more(i):
+    while more(i) or i % len(packages):
         tables = {}
-        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+        for side in rotation(packages, i):
             work = BUILD / f"work-{side}"
             work.mkdir(parents=True, exist_ok=True)
             for command in commands:
@@ -163,8 +181,9 @@ def run_pairs(commands, packages: dict, inp, more, profiles=None) -> tuple:
                     error = check(command, inp, work, i, code, stdout, states[side])
                 if error:
                     failed[side].append(f"{command} #{i}: {error}")
-        if len(set(tables.values())) > 1:
-            failed["head"].append(f"{DEFAULT_ABLATION} #{i}: table differs from the base's")
+        for side, table in tables.items():
+            if table != tables["base"]:
+                failed[side].append(f"{DEFAULT_ABLATION} #{i}: table differs from the base's")
         i += 1
     return times, failed
 
@@ -175,53 +194,44 @@ def per_request(times: dict, side: str, commands) -> list:
 
 
 def compare(workload, packages: dict, inp, seconds: float) -> dict:
-    """The end-to-end level of `workload` for `seconds` (an even number of
-    pairs, at least 10); per-request wall times in ms."""
+    """The end-to-end level of `workload` for `seconds` (at least 10
+    rounds); per-request wall times in ms."""
     from hostspeed import HostSpeed
 
     with HostSpeed() as host:
         first_probe = host.mark()
         deadline = time.perf_counter() + seconds
         times, failed = run_pairs(workload.commands, packages, inp,
-                                  lambda i: i < 10 or i % 2 or time.perf_counter() < deadline)
+                                  lambda i: i < 10 or time.perf_counter() < deadline)
     requests = {side: per_request(times, side, workload.commands) for side in packages}
-    ratios = [h / b for b, h in zip(requests["base"], requests["head"])]
-    out = {"pairs": len(ratios), "host_probe": host.summary(first_probe)}
+    out = {"rounds": len(requests["head"]), "host_probe": host.summary(first_probe),
+           "failed": failed}
     for side in packages:
         out[f"{side}_ms"] = quartiles(requests[side])
         out[f"{side}_images_per_s"] = (workload.images_per_request * 1e3
                                        / statistics.median(requests[side]))
-        out[f"{side}_failed"] = failed[side]
-    out["pair_ratio_head_over_base"] = quartiles(ratios)
-    out["head_faster_pairs"] = sum(r < 1.0 for r in ratios)
+    out.update(head_ratios(requests))
+    out["verdict"] = verdict(out)
     return out
 
 
-def verdict(ab: dict, aa: dict) -> str:
-    ratio = ab["pair_ratio_head_over_base"]["median"]
-    floor = aa["pair_ratio_head_over_base"]
-    if floor["q1"] <= ratio <= floor["q3"]:
-        return "flat (inside the A/A quartiles)"
-    return "faster" if ratio < floor["q1"] else "slower"
-
-
-def profile_stages(workload, packages: dict, inp, seconds: float, pairs: int = STAGE_PAIRS):
-    """The stage level of `workload`: `pairs` pairs, and more until `seconds`
-    have passed (see the module docstring)."""
+def profile_stages(workload, packages: dict, inp, seconds: float, rounds: int = STAGE_ROUNDS):
+    """The stage level of `workload`: `rounds` rounds, and more until
+    `seconds` have passed (see the module docstring)."""
     commands = list(workload.commands)
     if "ablate-selection" in commands:
         commands.append(DEFAULT_ABLATION)
     profiles = {(side, command): cProfile.Profile() for side in packages for command in commands}
     deadline = time.perf_counter() + seconds
     times, failed = run_pairs(commands, packages, inp,
-                              lambda i: i < pairs or time.perf_counter() < deadline, profiles)
-    pairs = len(times["head", commands[0]])
-    out = {"pairs": pairs, "failed": failed, "absent": [], "commands": {},
+                              lambda i: i < rounds or time.perf_counter() < deadline, profiles)
+    rounds = len(times["head", commands[0]])
+    out = {"rounds": rounds, "failed": failed, "absent": [], "commands": {},
            "profiled_ms": {side: statistics.median(per_request(times, side, workload.commands))
                            for side in packages}}
     for command in commands:
-        entry = out["commands"][command] = {"pair_ratio_head_over_base": quartiles(
-            h / b for b, h in zip(times["base", command], times["head", command]))}
+        entry = out["commands"][command] = head_ratios({side: times[side, command]
+                                                        for side in packages})
         for side, package in packages.items():
             # every STAGES function is a module-level one, so (file, name) is unique
             found = {(path, name): (calls, cumulative) for (path, _, name), (_, calls, _,
@@ -230,7 +240,7 @@ def profile_stages(workload, packages: dict, inp, seconds: float, pairs: int = S
             hits = {stage: found.get((str(folder / f"{module}.py"), function))
                     for stage, (module, function) in STAGES.items()}
             entry[side] = {"profiled_ms": statistics.median(times[side, command]), "stages": {
-                stage: {"calls": hit[0] / pairs, "ms": round(hit[1] * 1e3 / pairs, 3)}
+                stage: {"calls": hit[0] / rounds, "ms": round(hit[1] * 1e3 / rounds, 3)}
                 for stage, hit in hits.items() if hit}}
         reached = [[stage in entry[side]["stages"] for side in packages] for stage in STAGES]
         out["absent"] += [f"{command}: {stage} absent on {side}"
@@ -241,24 +251,23 @@ def profile_stages(workload, packages: dict, inp, seconds: float, pairs: int = S
 
 
 def timed(cases: dict, repeats: int, inner: int) -> dict:
-    """Median and quartiles in microseconds per call of the "base" and
-    "head" cases, interleaved and their order reversed every repeat, and
-    the per-repeat ratio head / base. A case is a (prepare, run) pair:
-    `inner` prepare() results are made before the clock starts and
-    run(prepared) is timed on each."""
-    samples = {name: [] for name in ("base", "head")}
+    """Quartiles in microseconds per call of each side's case, the sides in
+    rotation order every repeat, and head's ratios per repeat. A case is a
+    (prepare, run) pair: `inner` prepare() results are made before the
+    clock starts and run(prepared) is timed on each."""
+    samples = {side: [] for side in cases}
     for prepare, run in cases.values():
         run(prepare())   # warm-up
     for r in range(repeats):
-        for name in (("base", "head") if r % 2 == 0 else ("head", "base")):
-            prepare, run = cases[name]
+        for side in rotation(cases, r):
+            prepare, run = cases[side]
             states = [prepare() for _ in range(inner)]
             start = time.perf_counter()
             for state in states:
                 run(state)
-            samples[name].append((time.perf_counter() - start) / inner * 1e6)
-    return {**{name: quartiles(values) for name, values in samples.items()},
-            "pair_ratio_head_over_base": quartiles(h / b for b, h in zip(*samples.values()))}
+            samples[side].append((time.perf_counter() - start) / inner * 1e6)
+    return {**{side: quartiles(values) for side, values in samples.items()},
+            **head_ratios(samples)}
 
 
 def filesystem(path: Path) -> str:
@@ -348,9 +357,9 @@ def op_cases(rng) -> dict:
     }
 
 
-def kernel_ops(packages: dict, head) -> dict:
-    """Forward and backward of each kernel op, base against head for each
-    of `packages` ("ab", "aa"); see the module docstring."""
+def kernel_ops(packages: dict) -> dict:
+    """Forward and backward of each kernel op on every side of `packages`;
+    see the module docstring."""
     import numpy as np
 
     out = {}
@@ -366,23 +375,19 @@ def kernel_ops(packages: dict, head) -> dict:
 
         out[op] = {}
         for direction, build in (("forward", forward), ("backward", backward)):
-            entry = out[op][direction] = {
-                kind: timed({"base": build(base.numerics), "head": build(head.numerics)},
-                            OP_REPEATS, 20)
-                for kind, base in packages.items()}
-            if "ab" in entry:
-                entry["verdict"] = verdict(entry["ab"], entry["aa"])
+            entry = out[op][direction] = timed(
+                {side: build(package.numerics) for side, package in packages.items()},
+                OP_REPEATS, 20)
+            entry["verdict"] = verdict(entry)
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--aa", action="store_true",
-                        help="compare the working tree with a copy of itself only")
     parser.add_argument("--workloads", default="evaluate,localize",
                         help=f"comma-separated subset of {','.join(WORKLOADS)}")
-    parser.add_argument("--seconds", type=float, default=30.0, help="per workload and comparison")
+    parser.add_argument("--seconds", type=float, default=30.0, help="per workload")
     parser.add_argument("--seed", type=int, default=0, help="perfbench fixture seed")
     parser.add_argument("--out", help="write the JSON report here (default: stdout)")
     args = parser.parse_args(argv)
@@ -393,45 +398,34 @@ def main(argv=None) -> int:
     import inputs
     from workloads import WORKLOADS as PERFBENCH_WORKLOADS
 
-    head = import_package("tokenloc")
     names = args.workloads.split(",")
     if not set(names) <= set(WORKLOADS):
         parser.error(f"unknown workload in {args.workloads!r}")
 
     inp = inputs.build(BUILD / "inputs", args.seed)
     inp.expected = inputs.load_expected(args.seed)
-    base_rev = None if args.aa else git("rev-parse", args.base)
+    base_rev = git("rev-parse", args.base)
     dirty = git("status", "--porcelain", "src/tokenloc") and " + uncommitted src/tokenloc changes"
-    sides = [("aa", None)] if args.aa else [("ab", base_rev), ("aa", None)]
-    bases = {kind: import_base(base_package(rev)) for kind, rev in sides}
-    report = {"base_commit": base_rev or "working tree (A/A)",
-              "head": git("rev-parse", "HEAD") + dirty,
-              "src_tokenloc_lines": {"base": line_count(Path(bases[sides[0][0]].__file__).parent),
+    packages = {"base": load_package("tk_base", base_rev), "head": import_package("tokenloc"),
+                "copy": load_package("tk_copy")}
+    report = {"base_commit": base_rev, "head": git("rev-parse", "HEAD") + dirty,
+              "src_tokenloc_lines": {"base": line_count(BUILD / "packages" / "tk_base"),
                                      "head": line_count(SRC / "tokenloc")},
               "machine": {**machine_block(), "filesystem": filesystem(BUILD)},
-              "method": (f"tools/ab.py on perfbench fixture seed {args.seed}: end to end "
-                         f"{args.seconds:g} s of request pairs per workload and comparison, "
-                         f"stages {args.seconds / 3:g} s (at least {STAGE_PAIRS} pairs) under "
-                         "cProfile; see its docstring"),
+              "method": (f"tools/ab.py on perfbench fixture seed {args.seed}: base, head and "
+                         f"copy in rotating order each round, end to end {args.seconds:g} s per "
+                         f"workload, stages {args.seconds / 3:g} s (at least {STAGE_ROUNDS} "
+                         "rounds) under cProfile; see its docstring"),
               "end_to_end": {}, "stages": {}}
-    pairs = {kind: {"base": base, "head": head} for kind, base in bases.items()}
     correct = True
     for name in names:
-        e2e, stages = report["end_to_end"][name], report["stages"][name] = {}, {}
-        for kind in pairs:
-            e2e[kind] = compare(PERFBENCH_WORKLOADS[name], pairs[kind], inp, args.seconds)
-        for kind in pairs:
-            stages[kind] = profile_stages(PERFBENCH_WORKLOADS[name], pairs[kind], inp,
-                                          args.seconds / 3)
-            stages[kind]["plain_ms"] = {side: e2e[kind][f"{side}_ms"]["median"]
-                                        for side in ("base", "head")}
-            correct = correct and not any([e2e[kind]["base_failed"], e2e[kind]["head_failed"],
-                                           *stages[kind]["failed"].values()])
-        if not args.aa:
-            e2e["verdict"] = verdict(e2e["ab"], e2e["aa"])
-            stages["verdict"] = {command: verdict(stages["ab"]["commands"][command], aa)
-                                 for command, aa in stages["aa"]["commands"].items()}
-    report["kernel_ops_us"] = kernel_ops(bases, head)
+        workload = PERFBENCH_WORKLOADS[name]
+        e2e = report["end_to_end"][name] = compare(workload, packages, inp, args.seconds)
+        stages = report["stages"][name] = profile_stages(workload, packages, inp,
+                                                         args.seconds / 3)
+        stages["plain_ms"] = {side: e2e[f"{side}_ms"]["median"] for side in packages}
+        correct = correct and not any([*e2e["failed"].values(), *stages["failed"].values()])
+    report["kernel_ops_us"] = kernel_ops(packages)
     report["tier1"] = tier1()
     report["outputs_correct"] = correct
     text = json.dumps(report, indent=1) + "\n"
