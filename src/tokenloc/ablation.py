@@ -5,7 +5,8 @@ re-attention on and off, on a fixed checkpoint (no per-strategy
 retraining) and reports ground-truth-known accuracy plus MaxBoxAccV2,
 each at its own grid-calibrated threshold. The strategies share each
 stack's backbone, priority and CAM pass; re-attention off reads the
-priority vector, which no selector changes, so it is scored once for all.
+priority vector, which no selector changes, so it is scored once for all
+and runs no mask block.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def run_ablation(params, cfg: ModelConfig, samples, strategies, *, thetas,
     gt_known accuracy, max_box_acc_v2), strategy-major, in the order of
     `modes`. Re-attention off scores the priority map, which no selector
     changes, so its heats are labelled once and its row repeats under
-    every strategy; later strategies run their scoring branch only when
-    re-attention is on.
+    every strategy; the strategies run their mask block, and later ones
+    their selection, only when re-attention is on.
     """
     if not strategies:
         raise ContractError("ablation needs at least one strategy")

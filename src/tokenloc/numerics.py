@@ -10,11 +10,16 @@ float32 once, from float64: reductions (dot products, sums, softmax,
 mean/variance) accumulate in float64, `scale` and the attention score
 scaling multiply by a binary64 constant, and layer_norm, gelu, log, the
 convolution and the resize chain several float64 steps. No operation
-mutates its inputs. Every differentiable operation carries a backward
-rule and returns through `_emit`, the one place that applies the
-recording rule: when any argument is a Node created from a GradTape, the
-result is a Node and the adjoint step is recorded on that tape;
-otherwise the plain float32 array is returned.
+writes into its inputs or its output, so an output may share memory
+with an input (`reshape` returns a view). Every differentiable operation
+carries a backward rule and returns through `_emit`, the one place that
+applies the recording rule: when any argument is a Node created from a
+GradTape, the result is a Node and the adjoint step is recorded on that
+tape; otherwise the plain float32 array is returned. The tape keeps the
+float32 operands, which a backward rule widens to float64 (exactly)
+when it runs, and float64 arrays only where an adjoint reads a value
+that was never rounded: the softmax probabilities, layer_norm's
+normalised input and gelu's CDF.
 """
 
 from __future__ import annotations
@@ -156,14 +161,13 @@ def matmul(a, b):
         raise DimensionError(f"matmul expects matrices, got {av.shape} and {bv.shape}")
     if av.shape[1] != bv.shape[0]:
         raise DimensionError(f"matmul inner extents disagree: {av.shape} vs {bv.shape}")
-    a64, b64 = _f64(av), _f64(bv)
-    out = (a64 @ b64).astype(np.float32)
+    out = (_f64(av) @ _f64(bv)).astype(np.float32)
 
     def backward(g):
         if isinstance(a, Node):
-            a.add_grad(g @ b64.T)
+            a.add_grad(g @ _f64(bv).T)
         if isinstance(b, Node):
-            b.add_grad(a64.T @ g)
+            b.add_grad(_f64(av).T @ g)
 
     return _emit(out, backward, a, b)
 
@@ -268,8 +272,7 @@ def attention(q, k, v, num_heads: int, mask=None):
     # one float64 and one float32 array hold the raw scores, then the
     # scaled scores, then the probabilities
     probs64 = q64 @ k64.swapaxes(-1, -2)
-    if tape is None:
-        del q64, k64  # only the backward rule reads them again
+    del q64, k64  # the backward rules rebuild them from qv and kv
     probs = probs64.astype(np.float32)
     np.multiply(probs, c, out=probs64, dtype=np.float64)
     np.copyto(probs, probs64, casting="same_kind")
@@ -283,23 +286,24 @@ def attention(q, k, v, num_heads: int, mask=None):
     np.copyto(p64, probs)
     context = p64 @ v64
     if tape is None:
-        del probs64, p64, v64  # freed before the context is rounded and merged
+        del probs64  # freed before the context is rounded and merged
+    del p64, v64
     context = merge(context.astype(np.float32)).reshape(b * t, d)
 
     def probs_backward(g):
         g_raw = _softmax_adjoint(g, probs64) * c
         if isinstance(q, Node):
-            q.add_grad(merge(g_raw @ k64))
+            q.add_grad(merge(g_raw @ split(kv)))
         if isinstance(k, Node):
-            k.add_grad(merge(g_raw.swapaxes(-1, -2) @ q64))
+            k.add_grad(merge(g_raw.swapaxes(-1, -2) @ split(qv)))
 
     probs = _emit(probs, probs_backward, q, k, v)
 
     def context_backward(g):
         g_heads = split(g)
-        probs.add_grad(g_heads @ v64.swapaxes(-1, -2))
+        probs.add_grad(g_heads @ split(vv).swapaxes(-1, -2))
         if isinstance(v, Node):
-            v.add_grad(merge(p64.swapaxes(-1, -2) @ g_heads))
+            v.add_grad(merge(_f64(probs.value).swapaxes(-1, -2) @ g_heads))
 
     return _emit(context, context_backward, probs, v), probs
 
@@ -355,6 +359,7 @@ def gelu(x):
     out = (z * cdf).astype(np.float32)
 
     def backward(g):
+        z = _f64(xv)
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
         x.add_grad(g * (cdf + z * pdf))
 
@@ -456,7 +461,7 @@ def reshape(x, shape):
     shape = tuple(map(int, shape))
     if math.prod(shape) != xv.size:
         raise DimensionError(f"cannot reshape {xv.shape} into {shape}")
-    out = xv.reshape(shape).copy()
+    out = xv.reshape(shape)
 
     def backward(g):
         x.add_grad(g.reshape(xv.shape))
@@ -568,9 +573,9 @@ def conv2d3x3(x, kernel, bias):
     k = kv.shape[0]
     if bv.shape != (k,):
         raise DimensionError(f"bias shape {bv.shape} does not match {k} output channels")
-    x64, k64, b64 = _f64(xv), _f64(kv), _f64(bv)
-    xp = np.zeros((*lead, h + 2, w + 2, c), dtype=np.float64)
-    xp[..., 1:-1, 1:-1, :] = x64
+    k64, b64, padded = _f64(kv), _f64(bv), (*lead, h + 2, w + 2, c)
+    xp = np.zeros(padded, dtype=np.float64)
+    xp[..., 1:-1, 1:-1, :] = xv
     out64 = np.zeros((*lead, k, h, w), dtype=np.float64)
     for di in range(3):
         for dj in range(3):
@@ -581,6 +586,8 @@ def conv2d3x3(x, kernel, bias):
 
     def backward(g):
         if isinstance(kernel, Node):
+            xp = np.zeros(padded, dtype=np.float64)  # the forward's, rebuilt from x
+            xp[..., 1:-1, 1:-1, :] = xv
             g_rows, xp_rows = g.reshape(-1, k, h, w), xp.reshape(-1, h + 2, w + 2, c)
             gk = np.zeros((k, c, 3, 3), dtype=np.float64)
             for di in range(3):
@@ -589,7 +596,7 @@ def conv2d3x3(x, kernel, bias):
                                                  xp_rows[:, di:di + h, dj:dj + w])
             kernel.add_grad(gk)
         if isinstance(x, Node):
-            gxp = np.zeros(xp.shape, dtype=np.float64)
+            gxp = np.zeros(padded, dtype=np.float64)
             for di in range(3):
                 for dj in range(3):
                     gxp[..., di:di + h, dj:dj + w, :] += np.einsum("...kij,kc->...ijc", g,

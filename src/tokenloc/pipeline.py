@@ -50,10 +50,13 @@ class ForwardResult:
     """Outputs of one forward pass over a (B, 3, H, W) image stack; every
     field carries the batch axis first.
 
-    `refined_map` and `p_refine` run from the result's fields the first
-    time they are read: only the fusing commands run re-attention (numpy,
-    never taped), and only `infer` and training the refine head, which a
-    taped pass records after the importance weights and CAM.
+    `weights`, `refined_map` and `p_refine` run from the result's fields
+    the first time they are read: only a taped pass and scoring with
+    re-attention run the mask block, only the fusing commands run
+    re-attention (numpy, never taped), and only `infer` and training the
+    refine head. A taped pass records the importance weights, then CAM
+    (which `two_branch_forward` sets), then the head: that order fixes
+    how z_p sums its adjoints.
     """
 
     params: dict              # the weights of the pass
@@ -62,9 +65,13 @@ class ForwardResult:
     z_p: object               # (B, N, D) patch tokens out of the backbone
     priorities: np.ndarray    # (B, N) priorities m, the backbone's summed class-token attention
     mask: np.ndarray          # (B, N) float32 0/1 selected tokens
-    weights: object           # (B, N) importance weights lambda, zero off the mask
-    cam_maps: object          # (B, K, sqrt(N), sqrt(N)) class activation maps
-    p_cam: object             # (B, K) CAM-branch class probabilities
+    cam_maps: object = None   # (B, K, sqrt(N), sqrt(N)) class activation maps
+    p_cam: object = None      # (B, K) CAM-branch class probabilities
+
+    @cached_property
+    def weights(self):
+        """(B, N) importance weights lambda of the mask block, zero off the mask."""
+        return importance_weights(self.z_p, self.mask, self.params, self.cfg.num_heads)
 
     @cached_property
     def refined_map(self):
@@ -79,11 +86,10 @@ class ForwardResult:
         return refine_classify(self.z_cls, self.z_p, self.weights, self.params, self.cfg)
 
 
-def _selected(params, cfg: ModelConfig, z_p, priorities, selector) -> tuple:
+def _selected(cfg: ModelConfig, priorities, selector) -> np.ndarray:
     """The (B, N) mask that `selector` (None: `adaptive(cfg.selection_mass)`)
-    keeps of the priorities, and the mask block's importance weights."""
-    mask = select(priorities, adaptive(cfg.selection_mass) if selector is None else selector)
-    return mask, importance_weights(z_p, mask, params, cfg.num_heads)
+    keeps of the priorities."""
+    return select(priorities, adaptive(cfg.selection_mass) if selector is None else selector)
 
 
 def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None) -> ForwardResult:
@@ -103,19 +109,20 @@ def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None) -> Fo
     z_cls = nm.crop(tokens, (0, 0, 0), (b, 1, d))
     z_p = nm.crop(tokens, (0, 1, 0), (b, n_plus_1 - 1, d))
     priorities = preliminary_attention(attention)
-    mask, lam = _selected(params, cfg, z_p, priorities, selector)
-    cam_maps, _, p_cam = cam_forward(z_p, params, cfg)
-    return ForwardResult(params=params, cfg=cfg, z_cls=z_cls, z_p=z_p, priorities=priorities,
-                         mask=mask, weights=lam, cam_maps=cam_maps, p_cam=p_cam)
+    result = ForwardResult(params=params, cfg=cfg, z_cls=z_cls, z_p=z_p, priorities=priorities,
+                           mask=_selected(cfg, priorities, selector))
+    if isinstance(z_p, nm.Node):  # a taped pass records the mask block before CAM
+        _ = result.weights
+    result.cam_maps, _, result.p_cam = cam_forward(z_p, params, cfg)
+    return result
 
 
 def rescored(result: ForwardResult, selector) -> ForwardResult:
     """`result` with its tokens selected by `selector` (as in
-    `two_branch_forward`) instead: only the selection and the mask block
-    run again, and the backbone tokens, priorities and CAM outputs are
-    shared with `result`."""
-    mask, lam = _selected(result.params, result.cfg, result.z_p, result.priorities, selector)
-    return replace(result, mask=mask, weights=lam)
+    `two_branch_forward`) instead: only the selection runs again, and the
+    mask block when `weights` is read; the backbone tokens, priorities and
+    CAM outputs are shared with `result`."""
+    return replace(result, mask=_selected(result.cfg, result.priorities, selector))
 
 
 def forward_chunks(params, cfg: ModelConfig, samples, *, selector=None):

@@ -1,7 +1,7 @@
 """tools/ab.py: the rotation of the sides in each round, the ratio sets of a
 report entry, the stage level on three copies of the working tree for one
-`localize` request (localize, then infer) of perfbench fixture 0, and its
-kernel-op cases."""
+`localize` request (localize, then infer) of perfbench fixture 0, its
+kernel-op cases and its tape row."""
 
 import importlib.util
 import sys
@@ -139,6 +139,14 @@ def test_every_kernel_op_case_runs_forward_and_backward(ab):
         leaves = [tape.leaf(arg) for arg in args]
         tape.backward(nm.reduce_sum(call(nm, *leaves)))
         assert all(leaf.grad is not None for leaf in leaves), op
+
+
+def test_tape_step_reads_a_phase1_step_s_records_and_bytes(ab):
+    import tokenloc
+
+    step = ab.tape_step(tokenloc)
+    assert step["records"] == 119
+    assert 0 < step["held_bytes"] <= step["peak_bytes"]
 
 
 @pytest.mark.parametrize("output, counts", [

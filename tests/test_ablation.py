@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tokenloc import numerics as nm
-from tokenloc import pipeline
+from tokenloc import ablation, pipeline
 from tokenloc.ablation import parse_strategy, run_ablation
 from tokenloc.backbone import ModelConfig, init_params
 from tokenloc.errors import ContractError
@@ -279,12 +279,21 @@ def test_both_mode_rows_equal_the_on_and_off_runs_in_order(monkeypatch):
 
     monkeypatch.setattr(pipeline, "importance_weights", counting_weights)
     both = run_ablation(params, cfg, samples, strategies, thetas=thetas)
+    assert calls == [len(samples)] * len(strategies)   # one stack of 5, once per strategy
+    calls.clear()
+    labelled, scored = [], []
+    for name, log in (("class_heats", labelled), ("evaluate_heats", scored)):
+        real = getattr(ablation, name)
+        monkeypatch.setattr(ablation, name, lambda *args, log=log, real=real:
+                            log.append(1) or real(*args))
     on = run_ablation(params, cfg, samples, strategies, modes=(True,), thetas=thetas)
-    assert len(calls) == 2 * len(strategies)   # one stack of 5, once per strategy per run
+    assert calls == [len(samples)] * len(strategies)
+    # on alone labels and scores no off-mode heats
+    assert len(labelled) == len(scored) == len(strategies)
     calls.clear()
     off = run_ablation(params, cfg, samples, strategies, modes=(False,), thetas=thetas)
-    # off alone takes only the first strategy's pass, which the forward runs anyway
-    assert calls == [len(samples)]
+    # off alone scores the priority map and runs no mask block
+    assert calls == []
     assert [row[:2] for row in both] == [(label, mode) for label, _ in strategies
                                         for mode in (True, False)]
     assert both == [row for pair in zip(on, off) for row in pair]

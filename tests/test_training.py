@@ -1,6 +1,7 @@
 """Loss, optimiser and toy-training tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,11 @@ def per_image_loss(params, cfg, batch):
     return nm.scale(total, 1.0 / len(batch))
 
 
+def _phase_names(params, phase):
+    """The parameters that a step of `phase` trains."""
+    return [name for name in params if name.startswith("cam.") == (phase == 2)]
+
+
 def _loss_and_grads(loss_fn, params, cfg, batch, names):
     tape = nm.GradTape()
     leaves = {name: tape.leaf(params[name]) for name in names}
@@ -260,7 +266,7 @@ def test_batched_loss_and_gradients_match_the_per_image_loop(phase):
     cfg = default_model_config(toy)
     params = init_params(cfg, 4)
     batch = make_dataset(toy)
-    names = [name for name in params if name.startswith("cam.") == (phase == 2)]
+    names = _phase_names(params, phase)
     loss, grads = _loss_and_grads(_batch_loss, params, cfg, batch, names)
     want_loss, want_grads = _loss_and_grads(per_image_loss, params, cfg, batch, names)
     assert loss == pytest.approx(want_loss, rel=1e-6)
@@ -395,6 +401,59 @@ def test_training_step_tape_size_and_release(monkeypatch):
     assert dead1 == dead2 == 0          # every record receives a gradient
     assert not any(name.startswith("cam.") for name in names1)
     assert names2 == ["cam.conv.bias", "cam.conv.weight"]
+
+
+# The tracemalloc peak of one taped phase-1 step (forward and backward) at
+# the toy defaults, a batch of 8, was 12.29 MB (11.73 MiB) when the tape
+# held float64 copies of matmul, attention, gelu and convolution operands
+# and a copy per reshape, and 6.99 MB (6.66 MiB) once it keeps the float32
+# values and the backward rules rebuild the float64 copies. The budget,
+# that peak plus 15%, catches float64 operand copies coming back onto the
+# tape.
+TRAIN_STEP_BUDGET = 8_045_000
+
+
+def test_one_phase1_step_stays_under_its_memory_budget():
+    toy = ToyTaskConfig(samples_per_epoch=TrainConfig().batch_size, seed=7)
+    cfg = default_model_config(toy)
+    params, batch = init_params(cfg, 9), make_dataset(toy)
+    tracemalloc.start()
+    try:
+        _loss_and_grads(_batch_loss, params, cfg, batch, _phase_names(params, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= TRAIN_STEP_BUDGET, f"one phase-1 step peaked at {peak} bytes"
+
+
+def test_read_only_parameters_images_and_op_outputs_give_the_same_bits(monkeypatch):
+    # no op writes into its inputs or outputs, so a value may share memory
+    # with the value it was made from (reshape returns a view)
+    toy = ToyTaskConfig(samples_per_epoch=4, seed=7)
+    cfg = default_model_config(toy)
+    emit = nm._emit
+
+    def read_only_emit(out_value, *args):
+        np.asarray(out_value).flags.writeable = False
+        return emit(out_value, *args)
+
+    def outputs(writeable):
+        params, batch = init_params(cfg, 9), make_dataset(toy)
+        images = np.stack([image for image, _, _ in batch])
+        for array in [*params.values(), *(image for image, _, _ in batch), images]:
+            array.flags.writeable = writeable
+        out = []
+        for phase in (1, 2):
+            loss, grads = _loss_and_grads(_batch_loss, params, cfg, batch,
+                                          _phase_names(params, phase))
+            out += [np.float64(loss), *(grads[name] for name in sorted(grads))]
+        result = two_branch_forward(params, cfg, images)
+        out += [result.refined_map, nm.value_of(result.p_refine)]
+        return [array.tobytes() for array in out]
+
+    want = outputs(True)
+    monkeypatch.setattr(nm, "_emit", read_only_emit)
+    assert outputs(False) == want
 
 
 def test_every_public_kernel_op_is_called_by_training_or_localize(monkeypatch):

@@ -35,6 +35,8 @@ the working tree.
   shapes (65 tokens, width 32, 4 heads), each with a verdict. A backward
   is timed alone on a tape recorded beforehand, with the adjoint of the
   sum to a scalar loss.
+- Tape: per side, the records of one taped phase-1 step at the toy
+  defaults and its bytes (tracemalloc) held after the forward and at peak.
 - Tier-1: the working tree's wall time and outcome counts from one child
   run of TIER1, the suite's Tier-1 command, after the other levels.
 """
@@ -382,6 +384,27 @@ def kernel_ops(packages: dict) -> dict:
     return out
 
 
+def tape_step(package) -> dict:
+    """Records, held bytes after the forward and peak bytes of one taped
+    phase-1 step through `package`; see the module docstring."""
+    import tracemalloc
+
+    training = importlib.import_module(f"{package.__name__}.training")
+    toy = training.ToyTaskConfig(samples_per_epoch=training.TrainConfig().batch_size)
+    cfg = training.default_model_config(toy)
+    params, batch = training.init_params(cfg, 9), training.make_dataset(toy)
+    tracemalloc.start()
+    tape = package.numerics.GradTape()
+    leaves = {name: tape.leaf(value) for name, value in params.items()
+              if not name.startswith("cam.")}
+    loss = training._batch_loss({**params, **leaves}, cfg, batch)
+    records, (held, _) = len(tape), tracemalloc.get_traced_memory()
+    training.backward(loss, tape, leaves)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {"records": records, "held_bytes": held, "peak_bytes": peak}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
@@ -426,6 +449,7 @@ def main(argv=None) -> int:
         stages["plain_ms"] = {side: e2e[f"{side}_ms"]["median"] for side in packages}
         correct = correct and not any([*e2e["failed"].values(), *stages["failed"].values()])
     report["kernel_ops_us"] = kernel_ops(packages)
+    report["tape_step"] = {side: tape_step(package) for side, package in packages.items()}
     report["tier1"] = tier1()
     report["outputs_correct"] = correct
     text = json.dumps(report, indent=1) + "\n"
