@@ -136,10 +136,10 @@ def write_tensor(path, array) -> None:
 
 @contextlib.contextmanager
 def _citing(path):
-    """Put `path` in front of the message of a FormatError raised inside."""
+    """Put `path` in front of the message of a FormatError or ContractError raised inside."""
     try:
         yield
-    except FormatError as exc:
+    except (FormatError, ContractError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
@@ -181,7 +181,8 @@ def _config_from_bytes(raw: bytes) -> ModelConfig:
 
 def _check_params(cfg: ModelConfig, params: dict) -> None:
     """Raise CheckpointError unless `params` holds exactly the parameters
-    `cfg` implies, each of its shape."""
+    `cfg` implies, each of its shape, and ContractError unless every
+    value is finite."""
     expected = parameter_shapes(cfg)
     if expected.keys() != params.keys():
         missing = sorted(expected.keys() - params.keys())
@@ -193,6 +194,13 @@ def _check_params(cfg: ModelConfig, params: dict) -> None:
         if np.shape(params[name]) != shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {np.shape(params[name])}, config implies {shape}")
+    finite = np.isfinite(np.concatenate(list(params.values()), axis=None))
+    if not finite.all():  # the offending parameter is looked up only on failure
+        name = next(name for name in expected if not np.isfinite(params[name]).all())
+        value = np.asarray(params[name])
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(value))[0])
+        raise ContractError(f"parameter {name!r} has non-finite value {value[where]} "
+                            f"at index {where}")
 
 
 def write_checkpoint(path, cfg: ModelConfig, params: dict) -> None:

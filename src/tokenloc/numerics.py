@@ -11,14 +11,16 @@ mean/variance) accumulate in float64, `scale` and the attention score
 scaling multiply by a binary64 constant, and layer_norm, gelu, log, the
 convolution and the resize chain several float64 steps. No operation
 writes into its inputs or its output, so an output may share memory
-with an input (`reshape` returns a view). Every differentiable operation
-carries a backward rule and returns through `_emit`, the one place that
-applies the recording rule: when any argument is a Node created from a
-GradTape, the result is a Node and the adjoint step is recorded on that
-tape; otherwise the plain float32 array is returned. The tape keeps the
-float32 operands, which a backward rule widens to float64 (exactly)
-when it runs, and float64 arrays only where an adjoint reads a value
-that was never rounded: the softmax probabilities, layer_norm's
+with an input (`reshape` returns a view). Every operation but
+`bilinear_resize` carries a backward rule and returns through `_emit`,
+the one place that applies the recording rule: when any argument is a
+Node created from a GradTape, the result is a Node and the adjoint step
+is recorded on that tape; otherwise the plain float32 array is returned.
+Only inference resizes, so `bilinear_resize` returns a plain array for a
+Node too; it stays here until it moves into `localization`. The tape
+keeps the float32 operands, which a backward rule widens to float64
+(exactly) when it runs, and float64 arrays only where an adjoint reads a
+value that was never rounded: the softmax probabilities, layer_norm's
 normalised input and gelu's CDF.
 """
 
@@ -392,7 +394,7 @@ def bilinear_resize(m, out_h: int, out_w: int):
 
     The source coordinate of output (i, j) is
     ((i+0.5)*h/out_h - 0.5, (j+0.5)*w/out_w - 0.5), clamped to the valid
-    range, then blended from the 4 surrounding samples.
+    range, then blended from the 4 surrounding samples. Never taped.
     """
     mv = value_of(m)
     if mv.ndim < 2:
@@ -403,17 +405,7 @@ def bilinear_resize(m, out_h: int, out_w: int):
     corners = _resize_corners(h, w, out_h, out_w)
     z = _f64(mv)
     terms = [weight * z[..., ii, jj] for ii, jj, weight in corners]
-    out = (terms[0] + terms[1] + terms[2] + terms[3]).astype(np.float32)
-
-    def backward(g):
-        g = g.reshape(-1, out_h, out_w)
-        gm = np.zeros((len(g), h, w), dtype=np.float64)
-        rows = np.arange(len(g))[:, None, None]
-        for ii, jj, weight in corners:
-            np.add.at(gm, (rows, ii, jj), g * weight)
-        m.add_grad(gm.reshape(mv.shape))
-
-    return _emit(out, backward, m)
+    return (terms[0] + terms[1] + terms[2] + terms[3]).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +511,14 @@ def take(x, index):
     return _emit(out, backward, x)
 
 
-def reduce_sum(x, axis=None, keepdims: bool = False):
+def reduce_sum(x, axis=None):
     """Sum over the given axes (all axes when None), float64 accumulation."""
     xv = value_of(x)
-    out64 = _f64(xv).sum(axis=axis, keepdims=keepdims)
-    out = np.asarray(out64, dtype=np.float32)
+    out = np.asarray(_f64(xv).sum(axis=axis), dtype=np.float32)
 
     def backward(g):
         expanded = np.asarray(g, dtype=np.float64)
-        if not keepdims and axis is not None:  # a sum over all axes broadcasts as it is
+        if axis is not None:  # a sum over all axes broadcasts as it is
             expanded = np.expand_dims(expanded, axis)
         x.add_grad(np.broadcast_to(expanded, xv.shape))
 

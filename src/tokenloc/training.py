@@ -131,11 +131,10 @@ def cross_entropy_joint(p_cam, p_refine, labels):
         raise DimensionError(f"{labels.size} labels for probabilities of shape {shape}")
     if np.any((labels < 0) | (labels >= k)):
         raise ContractError(f"class id out of range for {k} classes: {labels.tolist()}")
-    one_hot = (np.arange(k) == labels[..., None]).astype(np.float32)
+    index = (*np.indices(labels.shape, sparse=True), labels)
 
     def pick_log(p):
-        entry = nm.reduce_sum(nm.mul(p, one_hot), axis=-1)
-        return nm.log(nm.clip_min(entry, PROB_FLOOR))
+        return nm.log(nm.clip_min(nm.take(p, index), PROB_FLOOR))
 
     return nm.scale(nm.add(pick_log(p_cam), pick_log(p_refine)), -1.0)
 

@@ -593,6 +593,33 @@ def test_non_finite_pixel_exits_4(workspace, capsys, value):
                        f"at index (1, 5, 7)\n"), err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_checkpoint_parameter_exits_4(workspace, capsys, value):
+    tmp, cfg, params, ckpt, image = workspace
+    data = bytearray(ckpt.read_bytes())
+    # the first value of embed.pos, after its tensor record's 6 + 4 * 2 header bytes
+    at = data.find(tensor_to_bytes(params["embed.pos"])) + 14
+    data[at:at + 4] = struct.pack("<f", value)
+    bad = tmp / "bad.ckpt"
+    bad.write_bytes(bytes(data))
+    manifest = tmp / "one.manifest"
+    manifest.write_text(f"id:a image:{image.name} label:0 boxes:12,8,20,16\n")
+    commands = [
+        ["infer", "--ckpt", str(bad), "--input", str(image),
+         "--out-logits", str(tmp / "a.trt"), "--out-pt", str(tmp / "b.trt")],
+        ["localize", "--ckpt", str(bad), "--input", str(image), "--theta", "0.5",
+         "--out-box", str(tmp / "box.txt")],
+        ["eval", "--ckpt", str(bad), "--manifest", str(manifest), "--theta", "0.5",
+         "--out-report", str(tmp / "r.csv")],
+    ]
+    for argv in commands:
+        assert main(argv) == 4, argv[0]
+        err = capsys.readouterr().err
+        assert err == (f"error: contract: {bad}: parameter 'embed.pos' has non-finite value "
+                       f"{np.float32(value)} at index (0, 0)\n"), err
+    assert not any((tmp / name).exists() for name in ("a.trt", "box.txt", "r.csv"))
+
+
 def test_image_size_mismatch_exits_4(workspace, capsys, monkeypatch):
     tmp, cfg, params, ckpt, _ = workspace
     small = tmp / "small.trt"

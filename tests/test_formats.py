@@ -214,6 +214,16 @@ def test_checkpoint_writer_rejects_a_mass_its_millionths_cannot_hold(tmp_path, m
     assert not path.exists()
 
 
+def test_checkpoint_writer_rejects_a_non_finite_parameter(tmp_path):
+    params = init_params(CFG, 6)
+    params["cam.conv.weight"][1, 2, 0, 1] = np.inf
+    path = tmp_path / "u.ckpt"
+    with pytest.raises(ContractError, match=r"^parameter 'cam.conv.weight' has non-finite value "
+                                            r"inf at index \(1, 2, 0, 1\)$"):
+        write_checkpoint(path, CFG, params)
+    assert not path.exists()
+
+
 def test_a_whole_number_of_millionths_reads_back_as_the_same_mass():
     for fixed in [*range(1, MASS_FIXED_POINT, 997), MASS_FIXED_POINT - 1, MASS_FIXED_POINT]:
         mass = float(f"0.{fixed:06d}") if fixed < MASS_FIXED_POINT else 1.0

@@ -60,6 +60,48 @@ def test_cross_entropy_nonnegative_and_floored():
     assert loss == pytest.approx(-2.0 * math.log(1e-12), rel=1e-6)
 
 
+def one_hot_pick_loss(p_cam, p_refine, labels):
+    """Oracle for the loss's pick: each image's label probability read as
+    the sum of its probabilities times a one-hot row."""
+    labels = np.asarray(labels)
+    one_hot = (np.arange(nm.value_of(p_cam).shape[-1]) == labels[..., None]).astype(np.float32)
+
+    def pick_log(p):
+        entry = nm.reduce_sum(nm.mul(p, one_hot), axis=-1)
+        return nm.log(nm.clip_min(entry, training.PROB_FLOOR))
+
+    return nm.scale(nm.add(pick_log(p_cam), pick_log(p_refine)), -1.0)
+
+
+def _pick_cases():
+    """(p_cam, p_refine, labels) of random (B, K) probabilities, a single
+    K-vector with a 0-d label, and probabilities at and below the floor."""
+    rng = np.random.default_rng(8)
+    floor = np.float32(training.PROB_FLOOR)
+    tiny = np.array([floor, np.nextafter(floor, np.float32(1)), np.nextafter(floor, np.float32(0)),
+                     floor / 2, np.float32(1e-45), 0.0], np.float32)
+    return {
+        "batch": (*rng.dirichlet(np.ones(5), size=(2, 6)).astype(np.float32),
+                  rng.integers(5, size=6)),
+        "0-d label": (*rng.dirichlet(np.ones(4), size=2).astype(np.float32), np.int64(3)),
+        "floor": (np.tile(tiny, (6, 1)), np.tile(tiny[::-1], (6, 1)), np.arange(6)),
+    }
+
+
+@pytest.mark.parametrize("case", ["batch", "0-d label", "floor"])
+def test_loss_pick_matches_the_one_hot_product_bit_for_bit(case):
+    p_cam, p_refine, labels = _pick_cases()[case]
+    weights = np.random.default_rng(9).uniform(-1.0, 1.0, np.shape(labels)).astype(np.float32)
+    out = []
+    for loss_fn in (cross_entropy_joint, one_hot_pick_loss):
+        tape = nm.GradTape()
+        leaves = [tape.leaf(p_cam), tape.leaf(p_refine)]
+        losses = loss_fn(*leaves, labels)
+        tape.backward(nm.reduce_sum(nm.mul(losses, weights)))
+        out.append([nm.value_of(losses).tobytes(), *(leaf.grad.tobytes() for leaf in leaves)])
+    assert out[0] == out[1]
+
+
 def test_backward_zero_for_unused_parameters():
     tape = nm.GradTape()
     leaves = {"a": tape.leaf(np.ones(3, np.float32)),
@@ -395,7 +437,7 @@ def test_training_step_tape_size_and_release(monkeypatch):
     (phase1, after1, names1, dead1), (phase2, after2, names2, dead2) = sizes
     # one taped forward over the batch; the priority path is not recorded, so a
     # record that no gradient reaches would raise the count
-    assert phase1 == 119, phase1
+    assert phase1 == 117, phase1
     assert phase2 <= 20, phase2         # only the CAM branch is taped in phase 2
     assert after1 == after2 == 0        # a replayed tape holds no records
     assert dead1 == dead2 == 0          # every record receives a gradient
@@ -458,16 +500,22 @@ def test_read_only_parameters_images_and_op_outputs_give_the_same_bits(monkeypat
 
 def test_every_public_kernel_op_is_called_by_training_or_localize(monkeypatch):
     # a kernel op that neither a taped phase-1 step, a phase-2 step nor an
-    # untaped localize calls is dead code
+    # untaped localize calls is dead code, and so is the backward rule of
+    # an op that no training step records: every op but the untaped
+    # bilinear_resize must return a Node recorded on a step's tape
     public = {name: op for name, op in vars(nm).items()
               if callable(op) and getattr(op, "__module__", None) == nm.__name__
               and not name.startswith("_") and not isinstance(op, type)}
-    called = set()
+    called, recorded = set(), set()
 
     def counting(name, op):
         def wrapper(*args, **kwargs):
             called.add(name)
-            return op(*args, **kwargs)
+            out = op(*args, **kwargs)
+            first = out[0] if isinstance(out, tuple) else out
+            if isinstance(first, nm.Node) and first.tape._records[-1][0] is first:
+                recorded.add(name)
+            return out
         return wrapper
 
     for name, op in public.items():
@@ -475,5 +523,6 @@ def test_every_public_kernel_op_is_called_by_training_or_localize(monkeypatch):
     toy = ToyTaskConfig(samples_per_epoch=2, seed=7)
     cfg, params, _ = train_toy(toy, TrainConfig(steps_phase1=1, steps_phase2=1, batch_size=2,
                                                 seed=9))
+    assert sorted(set(public) - recorded) == ["as_f32", "bilinear_resize", "value_of"]
     localize(params, cfg, make_dataset(toy)[0][0], theta=0.5)
     assert sorted(set(public) - called) == []

@@ -320,10 +320,10 @@ def op_cases(rng) -> dict:
     """(call(nm, *args), args) per kernel op at the shapes the toy model
     calls it with on one image: a block's matmul, softmax, attention,
     layer_norm and MLP gelu, the CAM's 3x3 convolution of the token grid,
-    the 8 x 8 -> 32 x 32 resize, a bias add, the refine head's product of
-    the importance weights with the diagonal, the CAM logits' spatial sum
-    and scale, then the shape ops (the mask block keeps 42 of the 64
-    tokens)."""
+    a bias add, the refine head's product of the importance weights with
+    the diagonal, the CAM logits' spatial sum and scale, then the shape
+    ops (the mask block keeps 42 of the 64 tokens). The untaped
+    bilinear_resize has no backward to time."""
     import numpy as np
 
     side, kept, classes = math.isqrt(TOKENS - 1), 42, 2
@@ -343,8 +343,6 @@ def op_cases(rng) -> dict:
         "gelu": (lambda nm, x: nm.gelu(x), arrays((TOKENS, 4 * WIDTH))),
         "conv2d3x3": (lambda nm, x, k, b: nm.conv2d3x3(x, k, b),
                       arrays((side, side, WIDTH), (classes, WIDTH, 3, 3), (classes,))),
-        "bilinear_resize": (lambda nm, m: nm.bilinear_resize(m, 4 * side, 4 * side),
-                            arrays((side, side))),
         "add": (lambda nm, a, b: nm.add(a, b), arrays((TOKENS, WIDTH), (WIDTH,))),
         "mul": (lambda nm, a, b: nm.mul(a, b), arrays((1, 1, TOKENS - 1), (1, 1, 1))),
         "scale": (lambda nm, x: nm.scale(x, 1.0 / (TOKENS - 1)), arrays((1, classes))),
