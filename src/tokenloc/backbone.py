@@ -260,5 +260,5 @@ def backbone_forward(z0, params, cfg: ModelConfig):
     stack = []
     for i in range(cfg.num_blocks - 1):
         z, probs = block_forward(z, params, f"backbone.block{i}", cfg.num_heads)
-        stack.append(nm.value_of(probs)[:, :, :1].copy())
+        stack.append(probs[:, :, :1].copy())
     return z, stack

@@ -8,6 +8,7 @@ violation. Every failure writes a single line to stderr of the form
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -123,13 +124,27 @@ def _read_input(path, cfg):
     return image
 
 
+@contextlib.contextmanager
+def _finite_forward(path):
+    """Trap numpy's overflow and invalid-value results inside: an input
+    whose values carry the forward out of the float32 range is a contract
+    error that names `path`, not a warning followed by NaN outputs."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise ContractError(f"{path}: the forward pass is not finite ({exc})") from None
+
+
 def cmd_infer(args):
     selector = _selector(args)
     cfg, params = read_checkpoint(args.ckpt)
     image = _read_input(args.input, cfg)
-    result = two_branch_forward(params, cfg, image[None], selector=selector)
-    write_tensor(args.out_logits, nm.value_of(result.p_cam)[0])
-    write_tensor(args.out_pt, nm.value_of(result.p_refine)[0])
+    with _finite_forward(args.input):
+        result = two_branch_forward(params, cfg, image[None], selector=selector)
+        p_cam, p_refine = nm.value_of(result.p_cam)[0], nm.value_of(result.p_refine)[0]
+    write_tensor(args.out_logits, p_cam)
+    write_tensor(args.out_pt, p_refine)
     return 0
 
 
@@ -141,8 +156,9 @@ def cmd_localize(args):
         raise ContractError(f"--class must be 'auto' or a class id in [0, {cfg.num_classes}), "
                             f"got {args.class_id!r}")
     image = _read_input(args.input, cfg)
-    heat, box, _, empty = localize(params, cfg, image, class_id, theta=args.theta,
-                                   selector=selector)
+    with _finite_forward(args.input):
+        heat, box, _, empty = localize(params, cfg, image, class_id, theta=args.theta,
+                                       selector=selector)
     write_file(args.out_box, (" ".join(map(str, box.tolist())) + "\n").encode("ascii"))
     if args.out_map:
         write_tensor(args.out_map, heat)
@@ -162,8 +178,9 @@ def cmd_eval(args):
         raise ContractError(f"--metrics {args.metrics!r} names a metric more than once")
     cfg, params = read_checkpoint(args.ckpt)
     samples = _load_manifest_samples(args.manifest, cfg)
-    theta_star, _, results = evaluate_samples(params, cfg, samples, metrics, thetas,
-                                              selector=selector)
+    with _finite_forward(args.manifest):
+        theta_star, _, results = evaluate_samples(params, cfg, samples, metrics, thetas,
+                                                  selector=selector)
     rows = [(metric, repr(results[metric])) for metric in metrics]
     rows.append(("theta", repr(theta_star)))
     _write_csv(args.out_report, ("metric", "value"), rows)
@@ -174,7 +191,9 @@ def cmd_calibrate(args):
     selector, thetas = _selector(args), _parse_grid("--grid", args.grid)
     cfg, params = read_checkpoint(args.ckpt)
     samples = _load_manifest_samples(args.manifest, cfg)
-    theta_star, table, _ = evaluate_samples(params, cfg, samples, (), thetas, selector=selector)
+    with _finite_forward(args.manifest):
+        theta_star, table, _ = evaluate_samples(params, cfg, samples, (), thetas,
+                                                selector=selector)
     _write_csv(args.out_table, ("theta", "gt_known"),
                [(repr(theta), repr(acc)) for theta, acc in table])
     print(f"theta_star={theta_star!r}")
@@ -247,7 +266,8 @@ def cmd_ablate(args):
             _checked("--strategies", selector, np.ones((1, cfg.num_tokens), np.float32))
     samples = _load_manifest_samples(args.manifest, cfg)
     modes = {"both": (True, False), "on": (True,), "off": (False,)}[args.reattention]
-    rows = run_ablation(params, cfg, samples, strategies, modes=modes, thetas=thetas)
+    with _finite_forward(args.manifest):
+        rows = run_ablation(params, cfg, samples, strategies, modes=modes, thetas=thetas)
     _write_csv(args.out_table, ("strategy", "reattention", "theta", "gt_known", "max_box_acc_v2"),
                [(label, "on" if reatt else "off", repr(theta), repr(gt), repr(mb))
                 for label, reatt, theta, gt, mb in rows])

@@ -152,12 +152,18 @@ def read_tensor(path) -> np.ndarray:
     return array
 
 
+def _check_finite(array: np.ndarray, what: str) -> None:
+    """Raise ContractError `<what> <value> at index <index>` for the first
+    non-finite element of `array`, if it holds one."""
+    if not np.isfinite(array).all():
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(array))[0])
+        raise ContractError(f"{what} {array[where]} at index {where}")
+
+
 def read_image(path) -> np.ndarray:
     """Read an image tensor, rejecting the first non-finite pixel."""
     image = read_tensor(path)
-    if not np.isfinite(image).all():
-        where = tuple(int(i) for i in np.argwhere(~np.isfinite(image))[0])
-        raise ContractError(f"{path}: non-finite pixel {image[where]} at index {where}")
+    _check_finite(image, f"{path}: non-finite pixel")
     return image
 
 
@@ -197,10 +203,7 @@ def _check_params(cfg: ModelConfig, params: dict) -> None:
     finite = np.isfinite(np.concatenate(list(params.values()), axis=None))
     if not finite.all():  # the offending parameter is looked up only on failure
         name = next(name for name in expected if not np.isfinite(params[name]).all())
-        value = np.asarray(params[name])
-        where = tuple(int(i) for i in np.argwhere(~np.isfinite(value))[0])
-        raise ContractError(f"parameter {name!r} has non-finite value {value[where]} "
-                            f"at index {where}")
+        _check_finite(np.asarray(params[name]), f"parameter {name!r} has non-finite value")
 
 
 def write_checkpoint(path, cfg: ModelConfig, params: dict) -> None:
@@ -384,10 +387,7 @@ def write_heatmap(path, heat, image, alpha: float) -> None:
     image = np.asarray(image, dtype=np.float64)
     if heat.ndim != 2 or image.shape != (3,) + heat.shape:
         raise DimensionError(f"heat {heat.shape} does not match image {image.shape}")
-    bad = np.argwhere(~np.isfinite(heat))
-    if bad.size:
-        where = tuple(int(i) for i in bad[0])
-        raise ContractError(f"heat map has non-finite value {heat[where]} at index {where}")
+    _check_finite(heat, "heat map has non-finite value")
     check_alpha(alpha)
     h, w = heat.shape
     overlay = np.stack([heat, np.zeros_like(heat), 1.0 - heat])

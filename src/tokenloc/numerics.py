@@ -16,12 +16,14 @@ with an input (`reshape` returns a view). Every operation but
 the one place that applies the recording rule: when any argument is a
 Node created from a GradTape, the result is a Node and the adjoint step
 is recorded on that tape; otherwise the plain float32 array is returned.
-Only inference resizes, so `bilinear_resize` returns a plain array for a
-Node too; it stays here until it moves into `localization`. The tape
-keeps the float32 operands, which a backward rule widens to float64
-(exactly) when it runs, and float64 arrays only where an adjoint reads a
-value that was never rounded: the softmax probabilities, layer_norm's
-normalised input and gelu's CDF.
+A call records at most one step and returns at most one Node: the
+resize is for inference only, so `bilinear_resize` records nothing (it
+stays here until it moves into `localization`), and `attention`'s
+probabilities, which no gradient flows into, stay plain on a tape. The
+tape keeps the float32 operands, which a backward rule widens to
+float64 (exactly) when it runs, and float64 arrays only where an
+adjoint reads a value that was never rounded: the softmax
+probabilities, layer_norm's normalised input and gelu's CDF.
 """
 
 from __future__ import annotations
@@ -243,8 +245,9 @@ def attention(q, k, v, num_heads: int, mask=None):
     probabilities. Each head rounds where the composed contract ops do:
     scores Q K^T to float32, the 1/sqrt(head_dim) scale to float32, the
     (masked) softmax computed in float64 to float32, and the context
-    P V accumulated in float64 to float32. Gradients flow from both
-    outputs into q, k and v; none flows into the mask.
+    P V accumulated in float64 to float32. Only the context is recorded;
+    the probabilities are plain float32 even on a tape, and no gradient
+    flows into them or into the mask.
     """
     qv, kv, vv = value_of(q), value_of(k), value_of(v)
     if qv.ndim != 3 or kv.shape != qv.shape or vv.shape != qv.shape:
@@ -292,22 +295,17 @@ def attention(q, k, v, num_heads: int, mask=None):
     del p64, v64
     context = merge(context.astype(np.float32)).reshape(b * t, d)
 
-    def probs_backward(g):
-        g_raw = _softmax_adjoint(g, probs64) * c
+    def backward(g):
+        g_heads = split(g)
+        if isinstance(v, Node):
+            v.add_grad(merge(_f64(probs).swapaxes(-1, -2) @ g_heads))
+        g_raw = _softmax_adjoint(g_heads @ split(vv).swapaxes(-1, -2), probs64) * c
         if isinstance(q, Node):
             q.add_grad(merge(g_raw @ split(kv)))
         if isinstance(k, Node):
             k.add_grad(merge(g_raw.swapaxes(-1, -2) @ split(qv)))
 
-    probs = _emit(probs, probs_backward, q, k, v)
-
-    def context_backward(g):
-        g_heads = split(g)
-        probs.add_grad(g_heads @ split(vv).swapaxes(-1, -2))
-        if isinstance(v, Node):
-            v.add_grad(merge(_f64(probs.value).swapaxes(-1, -2) @ g_heads))
-
-    return _emit(context, context_backward, probs, v), probs
+    return _emit(context, backward, q, k, v), probs
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6):

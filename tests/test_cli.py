@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -918,6 +919,30 @@ def test_a_manifest_sample_that_does_not_fit_the_checkpoint_exits_4_naming_its_l
     err = _assert_one_contract_line(capsys, tmp, argv)
     assert err == f"error: contract: {tmp / 'one.manifest'}:{line_no}: {detail}\n"
     assert forwards == []
+
+
+@pytest.mark.parametrize("command", ["infer", "localize", *_MANIFEST_ARGS])
+def test_an_image_that_overflows_the_forward_exits_4_naming_the_input(workspace, capsys,
+                                                                      command):
+    # every pixel is finite, but times 1e38 the forward leaves the float32 range
+    tmp, cfg, params, ckpt, image = workspace
+    huge = tmp / "huge.trt"
+    write_tensor(huge, read_tensor(image) * np.float32(1e38))
+    if command == "infer":
+        argv = ["infer", "--ckpt", str(ckpt), "--input", str(huge),
+                "--out-logits", str(tmp / "out.trt"), "--out-pt", str(tmp / "out2.trt")]
+    elif command == "localize":
+        argv = ["localize", "--ckpt", str(ckpt), "--input", str(huge), "--theta", "0.5",
+                "--out-box", str(tmp / "out.txt")]
+    else:
+        argv = _manifest_argv(tmp, ckpt, command,
+                              lines="id:a image:huge.trt label:0 boxes:12,8,20,16\n")
+    cited = huge if command in ("infer", "localize") else tmp / "one.manifest"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _assert_one_contract_line(capsys, tmp, argv)
+    assert caught == []
+    assert err.startswith(f"error: contract: {cited}: the forward pass is not finite ("), err
 
 
 @pytest.mark.parametrize("command", ["infer", "localize", "eval", "calibrate"])
