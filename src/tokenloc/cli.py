@@ -357,7 +357,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Once per process, have glibc keep freed heap pages until exit
+    (M_TRIM_THRESHOLD 1 GiB) and serve blocks under 32 MiB from the heap
+    (M_MMAP_THRESHOLD), so a step's temporaries are not page-faulted in
+    anew. Without glibc's mallopt this does nothing."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD; a 0 returned (refused) changes nothing
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's 64-bit maximum
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import ModelConfig, parameter_shapes
+from .backbone import MAX_PARAM_BYTES, ModelConfig, parameter_shapes
 from .errors import (
     BadMagicError,
     CheckpointError,
@@ -54,6 +54,10 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _F32 = np.dtype("<f4")
 MASS_FIXED_POINT = 10 ** 6
+# the most bytes a reader takes from a file that is not a regular one (a
+# FIFO, /dev/zero): twice the parameter budget, room for any checkpoint's headers
+MAX_STREAM_BYTES = 2 * MAX_PARAM_BYTES
+_STREAM_CHUNK = 1 << 20
 # ASCII digits only (no sign, underscore or other script), and few enough for an int64
 _DECIMAL = re.compile("[0-9]{1,18}")
 
@@ -130,6 +134,21 @@ def write_file(path, data: bytes) -> None:
         os.close(fd)
 
 
+def read_file(path) -> bytes:
+    """The bytes of `path`: a regular file in one read, anything else in
+    chunks up to MAX_STREAM_BYTES, so an endless stream is a FormatError."""
+    with open(path, "rb") as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return fh.read()
+        data = bytearray()
+        while chunk := fh.read(_STREAM_CHUNK):
+            data += chunk
+            if len(data) > MAX_STREAM_BYTES:
+                raise FormatError(f"{path}: not a regular file, and longer than "
+                                  f"{MAX_STREAM_BYTES} bytes")
+        return bytes(data)
+
+
 def write_tensor(path, array) -> None:
     write_file(path, tensor_to_bytes(array))
 
@@ -144,7 +163,7 @@ def _citing(path):
 
 
 def read_tensor(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    data = read_file(path)
     with _citing(path):
         array, offset = tensor_from_bytes(data)
         if offset != len(data):
@@ -222,7 +241,7 @@ def write_checkpoint(path, cfg: ModelConfig, params: dict) -> None:
 
 def read_checkpoint(path):
     """Read and validate a checkpoint, returning (config, params dict)."""
-    data = Path(path).read_bytes()
+    data = read_file(path)
     with _citing(path):
         return _checkpoint_from_bytes(data)
 
@@ -325,7 +344,7 @@ def parse_manifest(path, cfg: ModelConfig) -> list:
     base = path.parent
     samples = []
     id_lines = {}
-    data = path.read_bytes()
+    data = read_file(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

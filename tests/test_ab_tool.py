@@ -1,9 +1,11 @@
 """tools/ab.py: the rotation of the sides in each round, the ratio sets of a
 report entry, the stage level on three copies of the working tree for one
 `localize` request (localize, then infer) of perfbench fixture 0, its
-kernel-op cases and its tape row."""
+kernel-op cases, its tape row, and its fresh-process level on fake child
+commands."""
 
 import importlib.util
+import os
 import sys
 import time
 import types
@@ -167,3 +169,40 @@ def test_line_count_counts_newlines_of_the_package_files(ab, tmp_path):
     (tmp_path / "b.py").write_text("z = 3\n")
     (tmp_path / "notes.txt").write_text("not counted\n")
     assert ab.line_count(tmp_path) == 3
+
+
+_FAKE_CHILD = ("import sys; log, side, out, text, code = sys.argv[1:]; "
+               "open(log, 'a').write(side + '\\n'); open(out, 'w').write(text); "
+               "sys.exit(int(code))")
+
+
+def test_fresh_process_level_runs_one_child_at_a_time_alternating_the_first_side(ab, tmp_path):
+    log = tmp_path / "order.log"
+
+    def side(name, code, text):
+        """Three children: one exits `code`, and the last writes `text`."""
+        work = tmp_path / name
+        work.mkdir()
+        child = [sys.executable, "-S", "-c", _FAKE_CHILD, str(log), name]
+        return work, dict(os.environ), {"ok": [*child, str(work / "a.txt"), "same", "0"],
+                                        "fails": [*child, str(work / "b.txt"), "same", code],
+                                        "writes": [*child, str(work / "c.txt"), text, "0"]}
+
+    ballast = b"\1" * (64 << 20)   # a child forked from this process would read its RSS
+    start = time.perf_counter()
+    out = ab.fresh_process({"base": side("base", "0", "same"),
+                            "head": side("head", "3", "other")}, rounds=2)
+    assert time.perf_counter() - start < 2
+    # each side runs its three children in a row, the first side alternating
+    assert log.read_text().split() == ["base"] * 3 + ["head"] * 6 + ["base"] * 3
+    assert out["rounds"] == 2
+    assert out["failed"] == {"base": [], "head": [
+        message for i in range(2) for message in (
+            f"fails #{i}: exit code 3", f"round #{i}: outputs differ from the first side's")]}
+    for name in ("ok", "fails", "writes"):
+        assert set(out[name]) == {"base", "head"}
+        for entry in out[name].values():
+            assert set(entry) == {"wall_ms", "user_s", "sys_s", "minor_faults", "peak_rss_mb"}
+            assert entry["wall_ms"] > 0 and entry["minor_faults"] > 0
+            assert 0 < entry["peak_rss_mb"] < 64, entry
+    del ballast

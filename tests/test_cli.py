@@ -1,8 +1,10 @@
 """Command-line surface tests: exit codes, file outputs, cross-command consistency."""
 
+import contextlib
 import csv
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenloc import ablation, cli, pipeline, training
+from tokenloc import ablation, cli, formats, pipeline, training
 from tokenloc import numerics as nm
 from tokenloc import localization as loc
 from tokenloc.backbone import ModelConfig, init_params
@@ -1298,3 +1300,179 @@ def test_an_output_path_that_cannot_be_a_file_exits_3_naming_it(workspace, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: format: ") and err.count("\n") == 1, err
     assert f"'{bad}'" in err, err
+
+
+class _FakeLibc:
+    """A libc whose mallopt records its calls and returns `result`."""
+
+    def __init__(self, calls, result=1):
+        self.mallopt = lambda param, value: calls.append((param, value)) or result
+
+
+@pytest.fixture()
+def heap_policy(monkeypatch):
+    """A call through(cdll) makes the next main() set the heap policy
+    again, through `cdll` in place of ctypes.CDLL."""
+    import ctypes
+
+    def through(cdll):
+        cli._keep_freed_heap.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+
+    yield through
+    cli._keep_freed_heap.cache_clear()
+
+
+def _policy_argvs(tmp, ckpt, image):
+    """A success that writes tmp/box.txt, a usage error and a format error."""
+    box = tmp / "box.txt"
+    return [["localize", "--ckpt", str(ckpt), "--input", str(image), "--theta", "0.45",
+             "--out-box", str(box)], ["localize", "--theta", "oops"],
+            ["infer", "--ckpt", str(tmp / "missing.ckpt"), "--input", str(image),
+             "--out-logits", str(tmp / "pc.trt"), "--out-pt", str(tmp / "pt.trt")]]
+
+
+def test_main_sets_the_heap_policy_once_per_process(workspace, capsys, heap_policy):
+    tmp, cfg, params, ckpt, image = workspace
+    calls = []
+    heap_policy(lambda name: _FakeLibc(calls))
+    for argv in _policy_argvs(tmp, ckpt, image) * 2 + [["--help"]]:
+        main(argv)
+    # M_TRIM_THRESHOLD at 1 GiB, then M_MMAP_THRESHOLD at 32 MiB
+    assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
+
+
+def _no_libc(name):
+    raise OSError("no libc")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc,
+                                  lambda name: _FakeLibc([], result=0)],
+                         ids=["no-mallopt", "cdll-raises", "mallopt-refuses"])
+def test_a_libc_without_the_heap_policy_changes_no_output(workspace, capsys, heap_policy, cdll):
+    tmp, cfg, params, ckpt, image = workspace
+
+    def run_all():
+        out = []
+        for argv in _policy_argvs(tmp, ckpt, image):
+            code = main(argv)
+            box = tmp / "box.txt"
+            out.append((code, capsys.readouterr(), box.exists() and box.read_bytes()))
+            box.unlink(missing_ok=True)
+        return out
+
+    main(["--help"])   # the policy of this process, set through the real libc
+    capsys.readouterr()
+    with_policy = run_all()
+    heap_policy(cdll)
+    assert run_all() == with_policy
+    assert cli._keep_freed_heap.cache_info().misses == 1
+
+
+_FAULTS_CHILD = """
+import json, resource, sys
+from tokenloc import cli
+argv = ["train-toy", "--toy-config", sys.argv[1], "--train-config", sys.argv[2],
+        "--out-ckpt", sys.argv[3], "--out-curve", sys.argv[4]]
+assert cli.main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is glibc's mallopt")
+def test_a_steady_state_training_step_takes_few_page_faults(tmp_path):
+    """The second of two train-toy runs in one process reuses the heap
+    pages of the first: without the policy a step took about 1,000 minor
+    faults, with it under 4."""
+    (tmp_path / "toy.json").write_text("{}")
+    (tmp_path / "train.json").write_text(json.dumps({"steps_phase1": 20, "steps_phase2": 5}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _FAULTS_CHILD, *(str(tmp_path / name) for name in
+                           ("toy.json", "train.json", "out.ckpt", "curve.csv"))],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 32 * 25, done.stdout
+
+
+_ENDLESS_CHILD = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from tokenloc import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        results.append((cli.main(argv), err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and os.path.exists("/dev/zero")),
+                    reason="needs RLIMIT_AS and /dev/zero")
+def test_an_endless_input_exits_3_naming_it_under_an_address_space_cap(workspace):
+    tmp, cfg, params, ckpt, image = workspace
+    zero_line = tmp / "zero.manifest"
+    zero_line.write_text("id:a image:/dev/zero label:0 boxes:12,8,20,16\n")
+    outputs = ["--out-logits", str(tmp / "pc.trt"), "--out-pt", str(tmp / "pt.trt")]
+    cases = [  # (argv, the path the error names)
+        (["infer", "--ckpt", str(ckpt), "--input", "/dev/zero", *outputs], "/dev/zero"),
+        (["infer", "--ckpt", "/dev/zero", "--input", str(image), *outputs], "/dev/zero"),
+        (["eval", "--ckpt", str(ckpt), "--manifest", "/dev/zero", "--theta", "0.5",
+          "--out-report", str(tmp / "out.csv")], "/dev/zero"),
+        (["eval", "--ckpt", str(ckpt), "--manifest", str(zero_line), "--theta", "0.5",
+          "--out-report", str(tmp / "out.csv")], f"{zero_line}:1: /dev/zero")]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _ENDLESS_CHILD,
+                           json.dumps([argv for argv, _ in cases])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    for (argv, where), (code, err) in zip(cases, results):
+        assert (code, err) == (3, f"error: format: {where}: not a regular file, and longer "
+                                  f"than {formats.MAX_STREAM_BYTES} bytes\n"), argv
+    assert not any(tmp.glob("out*")) and not any(tmp.glob("p?.trt"))
+
+
+@pytest.mark.parametrize("option", ["--ckpt", "--input", "--manifest", "manifest image"])
+def test_a_fifo_input_gives_the_outputs_of_a_regular_file(workspace, capsys, option):
+    tmp, cfg, params, ckpt, image = workspace
+    manifest = tmp / "one.manifest"
+    manifest.write_text("id:a image:img.trt label:0 boxes:12,8,20,16\n")
+    if option in ("--manifest", "manifest image"):
+        argv = ["eval", "--ckpt", ckpt, "--manifest", manifest, "--theta", "0.5",
+                "--out-report", tmp / "out.csv"]
+        outputs = ["out.csv"]
+    else:
+        argv = ["infer", "--ckpt", ckpt, "--input", image,
+                "--out-logits", tmp / "out-pc.trt", "--out-pt", tmp / "out-pt.trt"]
+        outputs = ["out-pc.trt", "out-pt.trt"]
+    assert main([str(a) for a in argv]) == 0
+    regular = [(tmp / name).read_bytes() for name in outputs]
+    for name in outputs:
+        (tmp / name).unlink()
+    fifo = tmp / "fifo"
+    os.mkfifo(fifo)
+    if option == "manifest image":
+        source = image
+        manifest.write_text(f"id:a image:{fifo.name} label:0 boxes:12,8,20,16\n")
+    else:
+        source = argv[argv.index(option) + 1]
+        argv[argv.index(option) + 1] = fifo
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(Path(source).read_bytes())
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    code = main([str(a) for a in argv])
+    if code:  # the command never opened the FIFO: let the writer see its end
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+    writer.join(60)
+    assert code == 0, capsys.readouterr().err
+    assert [(tmp / name).read_bytes() for name in outputs] == regular

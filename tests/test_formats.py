@@ -1,17 +1,21 @@
 """File-format tests: tensors, checkpoints, manifests, heatmaps."""
 
+import contextlib
 import os
 import struct
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tokenloc.backbone import ModelConfig, init_params, parameter_shapes
+from tokenloc import formats
 from tokenloc.errors import (
     BadMagicError,
     CheckpointError,
     ContractError,
+    FormatError,
     ManifestError,
     TensorHeaderError,
     TruncationError,
@@ -490,3 +494,31 @@ def test_tensor_decoder_matches_the_sliced_oracle(tmp_path):
         outcomes.add(got[0])
     assert {"ok", BadMagicError, TruncationError, UnsupportedDtypeError,
             TensorHeaderError} <= outcomes
+
+
+@pytest.mark.parametrize("size", [0, 1, 99, 100, 101, 250])
+def test_a_stream_is_read_up_to_the_cap_and_no_further(tmp_path, monkeypatch, size):
+    monkeypatch.setattr(formats, "MAX_STREAM_BYTES", 100)
+    monkeypatch.setattr(formats, "_STREAM_CHUNK", 7)
+    data = bytes(range(256))[:size]
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:   # the reader may stop
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        if size <= 100:
+            assert formats.read_file(fifo) == data
+        else:
+            with pytest.raises(FormatError, match=f"^{fifo}: not a regular file, and longer "
+                                                  "than 100 bytes$"):
+                formats.read_file(fifo)
+    finally:
+        writer.join(60)
+    regular = tmp_path / "regular"
+    regular.write_bytes(data)
+    assert formats.read_file(regular) == data   # a regular file has no cap

@@ -1,5 +1,5 @@
-"""Paired in-process A/B of two tokenloc revisions, with an A/A noise floor
-from the same rounds.
+"""Paired A/B of two tokenloc revisions: in-process levels with an A/A noise
+floor from the same rounds, and a fresh-process level.
 
     python3 tools/ab.py --base 5d2b143 --workloads evaluate,localize,train --out BENCH_20.json
     python3 tools/ab.py --base HEAD --seconds 20    # A/A only, on a clean tree
@@ -39,6 +39,19 @@ the working tree.
   defaults and its bytes (tracemalloc) held after the forward and at peak.
 - Tier-1: the working tree's wall time and outcome counts from one child
   run of TIER1, the suite's Tier-1 command, after the other levels.
+- Fresh processes: FRESH_ROUNDS rounds of base's and head's FRESH_CHILDREN,
+  one child process at a time (never a pool), with base and head taking
+  turns to go first: ``python -c "import <package>.cli"``, a ``train-toy``
+  at the default configs and one ``localize`` on perfbench's inputs. Per
+  side and child, the medians of its wall ms and of what ``os.wait4``
+  reads of its own use: user and system CPU seconds, minor page faults and
+  peak RSS. Every round, both sides' children must exit 0 and leave the
+  same output bytes.
+
+The in-process levels share one process, and so one C allocator: once head's
+``cli.main`` has set its heap policy (glibc's ``mallopt``), base runs under
+it too, and a change of that policy reads flat there. Only the fresh-process
+level measures it.
 """
 
 from __future__ import annotations
@@ -69,6 +82,22 @@ BUILD = ROOT / ".bench_build" / "ab"
 WORKLOADS = ("evaluate", "localize", "train")
 MODULES = ("cli", "numerics")
 STAGE_ROUNDS = 10
+FRESH_ROUNDS = 6
+# each fresh child's code after `python -c`, for the package's name
+_MAIN = "import sys; from {}.cli import main; sys.exit(main())"
+FRESH_CHILDREN = {"import": "import {}.cli", "train-toy": _MAIN, "localize": _MAIN}
+# Linux starts a child's peak RSS at the RSS of the process it was forked
+# from, so each child is forked from this small one, which prints what
+# os.wait4 reads of the child's own use
+LAUNCHER = """import json, os, subprocess, sys, time
+start = time.perf_counter()
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)   # reaped here, not by Popen
+print(json.dumps({"exit_code": child.returncode, "wall_ms": (time.perf_counter() - start) * 1e3,
+                  "user_s": usage.ru_utime, "sys_s": usage.ru_stime,
+                  "minor_faults": usage.ru_minflt, "peak_rss_mb": usage.ru_maxrss / 1024}))
+"""
 OP_REPEATS = 60
 TOKENS, WIDTH, HEADS = 65, 32, 4
 # pipeline stage -> the (module, function) whose cumulative time is the stage
@@ -250,6 +279,64 @@ def profile_stages(workload, packages: dict, inp, seconds: float, rounds: int = 
                           for side, hit in zip(packages, seen) if not hit]
         entry["not_reached"] = [stage for stage, seen in zip(STAGES, reached) if not any(seen)]
     return out
+
+
+def run_child(argv, env) -> dict:
+    """Exit code, wall ms and the resource use ``os.wait4`` reads of one
+    child process running `argv`, started by LAUNCHER."""
+    done = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, *argv], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def fresh_process(sides: dict, rounds: int = FRESH_ROUNDS) -> dict:
+    """The fresh-process level: `sides` maps each side to (work folder,
+    env, {child: argv}); see the module docstring."""
+    samples = {(side, name): [] for side, (_, _, children) in sides.items() for name in children}
+    failed = {side: [] for side in sides}
+    for i in range(rounds):
+        for side in rotation(sides, i):
+            work, env, children = sides[side]
+            for name, argv in children.items():
+                sample = run_child(argv, env)
+                code = sample.pop("exit_code")
+                if code:
+                    failed[side].append(f"{name} #{i}: exit code {code}")
+                samples[side, name].append(sample)
+        outputs = [{path.name: path.read_bytes() for path in sorted(work.iterdir())}
+                   for work, _, _ in sides.values()]
+        for side, files in zip(sides, outputs):
+            if files != outputs[0]:
+                failed[side].append(f"round #{i}: outputs differ from the first side's")
+    out = {"rounds": rounds, "failed": failed}
+    for (side, name), runs in samples.items():
+        out.setdefault(name, {})[side] = {key: statistics.median(run[key] for run in runs)
+                                          for key in runs[0]}
+    return out
+
+
+def fresh_sides(inp) -> dict:
+    """base's and head's children of the fresh-process level, each side
+    writing into its own work folder."""
+    from workloads import command_argv
+
+    configs = BUILD / "fresh-configs"
+    configs.mkdir(parents=True, exist_ok=True)
+    for name in ("toy.json", "train.json"):
+        (configs / name).write_text("{}", encoding="utf-8")
+    sides = {}
+    for side, package, path in (("base", "tk_base", BUILD / "packages"), ("head", "tokenloc", SRC)):
+        work = BUILD / f"fresh-{side}"
+        work.mkdir(parents=True, exist_ok=True)
+        args = {"import": [],
+                "train-toy": ["train-toy", "--toy-config", configs / "toy.json",
+                              "--train-config", configs / "train.json",
+                              "--out-ckpt", work / "train.ckpt", "--out-curve", work / "curve.csv"],
+                "localize": command_argv("localize", inp, work, 0)}
+        sides[side] = (work, {**os.environ, "PYTHONPATH": str(path)}, {
+            name: [sys.executable, "-c", code.format(package), *map(str, args[name])]
+            for name, code in FRESH_CHILDREN.items()})
+    return sides
 
 
 def timed(cases: dict, repeats: int, inner: int) -> dict:
@@ -436,7 +523,8 @@ def main(argv=None) -> int:
               "method": (f"tools/ab.py on perfbench fixture seed {args.seed}: base, head and "
                          f"copy in rotating order each round, end to end {args.seconds:g} s per "
                          f"workload, stages {args.seconds / 3:g} s (at least {STAGE_ROUNDS} "
-                         "rounds) under cProfile; see its docstring"),
+                         f"rounds) under cProfile, fresh processes {FRESH_ROUNDS} rounds; see "
+                         "its docstring"),
               "end_to_end": {}, "stages": {}}
     correct = True
     for name in names:
@@ -448,6 +536,8 @@ def main(argv=None) -> int:
         correct = correct and not any([*e2e["failed"].values(), *stages["failed"].values()])
     report["kernel_ops_us"] = kernel_ops(packages)
     report["tape_step"] = {side: tape_step(package) for side, package in packages.items()}
+    report["fresh_process"] = fresh = fresh_process(fresh_sides(inp))
+    correct = correct and not any(fresh["failed"].values())
     report["tier1"] = tier1()
     report["outputs_correct"] = correct
     text = json.dumps(report, indent=1) + "\n"
