@@ -181,14 +181,12 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
 
 def patchify(image, patch_size: int) -> np.ndarray:
     """Split 3xHxW images (any leading batch axes) into rows of flattened
-    non-overlapping patches.
+    non-overlapping patches; `ModelConfig.check_image` checks the shape.
 
     Row n holds patch n (raster order over the patch grid) flattened
     channel-major, then row, then column.
     """
     img = nm.as_f32(image)
-    if img.ndim < 3 or img.shape[-3] != 3:
-        raise DimensionError(f"expected 3xHxW images, got shape {img.shape}")
     *lead, _, h, w = img.shape
     if h % patch_size != 0 or w % patch_size != 0:
         raise DimensionError(f"image {h}x{w} not divisible by patch size {patch_size}")

@@ -16,20 +16,19 @@ import io
 import json
 import sys
 import typing
-from pathlib import Path
 
 import numpy as np
 
 from . import numerics as nm
 from .ablation import parse_strategy, run_ablation
-from .errors import ContractError, DimensionError, FormatError
+from .errors import ContractError, FormatError, cited
 from .formats import (
     check_alpha,
     mass_fixed_point,
     parse_manifest,
     read_checkpoint,
+    read_file,
     read_image,
-    read_tensor,
     write_checkpoint,
     write_file,
     write_heatmap,
@@ -54,15 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _checked(option: str, check, *values):
-    """check(*values), with the text of its contract error put behind the
-    option name; the commands check their values before reading a file."""
-    try:
-        return check(*values)
-    except (ContractError, DimensionError) as exc:
-        raise ContractError(f"{option}: {exc}") from None
-
-
 def _parse_grid(option: str, text: str) -> list:
     """The thresholds of `option`'s grid[:start:stop:step] value."""
     parts = text.split(":")
@@ -73,7 +63,8 @@ def _parse_grid(option: str, text: str) -> list:
     except ValueError:  # not three parts, or not numbers
         raise ContractError(f"{option} must be grid[:start:stop:step] with three numbers, "
                             f"got {text!r}") from None
-    return _checked(option, threshold_grid, start, stop, step)
+    with cited(option):
+        return threshold_grid(start, stop, step)
 
 
 def _parse_theta(text: str) -> list:
@@ -85,7 +76,8 @@ def _parse_theta(text: str) -> list:
     except ValueError:
         raise ContractError(f"--theta must be a number or grid[:start:stop:step], "
                             f"got {text!r}") from None
-    _checked("--theta", check_thresholds, theta)
+    with cited("--theta"):
+        check_thresholds(theta)
     return [theta]
 
 
@@ -101,7 +93,8 @@ def _parse_class(text: str):
 
 def _selector(args):
     """The adaptive selector at `--u`; None leaves the checkpoint's mass."""
-    return None if args.u is None else _checked("--u", adaptive, args.u)
+    with cited("--u"):
+        return None if args.u is None else adaptive(args.u)
 
 
 def _write_csv(path, header, rows):
@@ -120,7 +113,8 @@ def _load_manifest_samples(path, cfg):
 def _read_input(path, cfg):
     """The --input image, checked to fit the checkpoint's `cfg`."""
     image = read_image(path)
-    _checked(path, cfg.check_image, image.shape)
+    with cited(path):
+        cfg.check_image(image.shape)
     return image
 
 
@@ -150,7 +144,8 @@ def cmd_infer(args):
 
 def cmd_localize(args):
     selector, class_id = _selector(args), _parse_class(args.class_id)
-    _checked("--theta", check_thresholds, args.theta)
+    with cited("--theta"):
+        check_thresholds(args.theta)
     cfg, params = read_checkpoint(args.ckpt)
     if class_id != "predicted" and class_id >= cfg.num_classes:
         raise ContractError(f"--class must be 'auto' or a class id in [0, {cfg.num_classes}), "
@@ -205,27 +200,33 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 
 def _config_from_json(base, payload, where):
-    """Config dataclass `base` with the fields of a JSON object put over
-    it, checking each field's name and JSON type first."""
-    hints = typing.get_type_hints(type(base))
-    for name, value in payload.items():
-        if name not in hints:
-            raise ContractError(f"{where}: unknown field {name!r}")
-        types, what = _JSON_TYPES[hints[name]]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ContractError(f"{where}: field {name!r} must be {what}, got {value!r}")
-    return _checked(where, functools.partial(dataclasses.replace, base, **payload))
+    """Config dataclass `base` with the fields of the JSON object `payload` put
+    over it, checking each field's name and JSON type first; errors cite `where`."""
+    with cited(where):
+        if not isinstance(payload, dict):
+            raise ContractError("expected a JSON object")
+        hints = typing.get_type_hints(type(base))
+        for name, value in payload.items():
+            if name not in hints:
+                raise ContractError(f"unknown field {name!r}")
+            types, what = _JSON_TYPES[hints[name]]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ContractError(f"field {name!r} must be {what}, got {value!r}")
+        return dataclasses.replace(base, **payload)
 
 
 def _read_json_object(path) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: expected a JSON object")
+    """The JSON object in `path`, decoded with universal newlines."""
+    data = read_file(path)
+    with cited(path):
+        try:
+            payload = json.loads(io.StringIO(data.decode("utf-8"), newline=None).getvalue())
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8 at byte {exc.start}: {exc.reason}") from exc
+        except (ValueError, RecursionError) as exc:  # bad JSON, a long integer, deep nesting
+            raise FormatError(str(exc)) from exc
+        if not isinstance(payload, dict):
+            raise FormatError("expected a JSON object")
     return payload
 
 
@@ -234,13 +235,13 @@ def cmd_train_toy(args):
     sections = _read_json_object(args.train_config)
     train = _config_from_json(TrainConfig(), {k: v for k, v in sections.items() if k != "model"},
                               args.train_config)
-    # a partial "model" object overrides the defaults field by field
-    model, where = sections.get("model", {}), f"{args.train_config}: model section"
-    if not isinstance(model, dict):
-        raise ContractError(f"{where}: expected a JSON object")
-    model = _config_from_json(default_model_config(toy), model, where)
-    _checked(where, mass_fixed_point, model.selection_mass)
-    _checked(where, check_model_fits, toy, model)
+    # a partial "model" object overrides the defaults field by field; else the toy task sets them
+    where = f"{args.train_config}: model section" if "model" in sections else args.toy_config
+    model = _config_from_json(default_model_config(toy), sections.get("model", {}), where)
+    with cited(where):  # the budgets too, ahead of train_toy's own unnamed check
+        mass_fixed_point(model.selection_mass)
+        check_model_fits(toy, model)
+        model.check_memory()
     cfg, params, curve = train_toy(toy, train, model)
     write_checkpoint(args.out_ckpt, cfg, params)
     _write_csv(args.out_curve, ("step", "phase", "loss"),
@@ -249,21 +250,22 @@ def cmd_train_toy(args):
 
 
 def cmd_ablate(args):
-    strategies = [_checked("--strategies", parse_strategy, part)
-                  for part in args.strategies.split(",") if part]
-    if not strategies:
-        raise ContractError(f"--strategies: no strategy in {args.strategies!r}")
+    with cited("--strategies"):
+        strategies = [parse_strategy(part) for part in args.strategies.split(",") if part]
+        if not strategies:
+            raise ContractError(f"no strategy in {args.strategies!r}")
     thetas = _parse_grid("--grid", args.grid)
     cfg, params = read_checkpoint(args.ckpt)
     # compared as resolved: a bare `adaptive` selects at the checkpoint's mass
     resolved = {f"adaptive:{cfg.selection_mass:g}" if label == "adaptive" else label
                 for label, _ in strategies}
-    if len(resolved) < len(strategies):
-        raise ContractError(f"--strategies: {args.strategies!r} names a strategy more than once")
-    # a rule's bounds on the token count, such as topk's k <= N
-    for _, selector in strategies:
-        if selector is not None:
-            _checked("--strategies", selector, np.ones((1, cfg.num_tokens), np.float32))
+    with cited("--strategies"):
+        if len(resolved) < len(strategies):
+            raise ContractError(f"{args.strategies!r} names a strategy more than once")
+        # a rule's bounds on the token count, such as topk's k <= N
+        for _, selector in strategies:
+            if selector is not None:
+                selector(np.ones((1, cfg.num_tokens), np.float32))
     samples = _load_manifest_samples(args.manifest, cfg)
     modes = {"both": (True, False), "on": (True,), "off": (False,)}[args.reattention]
     with _finite_forward(args.manifest):
@@ -275,13 +277,11 @@ def cmd_ablate(args):
 
 
 def cmd_heatmap(args):
-    _checked("--alpha", check_alpha, args.alpha)
-    heat = read_tensor(args.map)
-    image = read_image(args.image)
-    try:
+    with cited("--alpha"):
+        check_alpha(args.alpha)
+    heat, image = read_image(args.map, "heat map has non-finite value"), read_image(args.image)
+    with cited(f"--map {args.map}, --image {args.image}"):  # only the shapes can fail here
         write_heatmap(args.out, heat, image, args.alpha)
-    except DimensionError as exc:  # the shapes: alpha is checked above
-        raise DimensionError(f"--map {args.map}, --image {args.image}: {exc}") from None
     return 0
 
 

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: format/IO problems exit 3, contract
 violations (bad arguments, degenerate inputs, misuse of the tape) exit 4.
 """
 
+import contextlib
+
 
 class DimensionError(ValueError):
     """Shapes or extents disagree with an operation's contract."""
@@ -43,3 +45,13 @@ class CheckpointError(FormatError):
 
 class ManifestError(FormatError):
     """Manifest line failed to parse; message carries the line number."""
+
+
+@contextlib.contextmanager
+def cited(where):
+    """Put `where: ` (the file, config field or option at fault) in front of a FormatError,
+    ContractError or DimensionError raised inside, keeping its class and so its exit code."""
+    try:
+        yield
+    except (FormatError, ContractError, DimensionError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc

@@ -18,7 +18,6 @@ and can keep stale tail rows.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import math
 import os
@@ -40,6 +39,7 @@ from .errors import (
     TensorHeaderError,
     TruncationError,
     UnsupportedDtypeError,
+    cited,
 )
 
 TENSOR_MAGIC = b"TRT1"
@@ -153,18 +153,9 @@ def write_tensor(path, array) -> None:
     write_file(path, tensor_to_bytes(array))
 
 
-@contextlib.contextmanager
-def _citing(path):
-    """Put `path` in front of the message of a FormatError or ContractError raised inside."""
-    try:
-        yield
-    except (FormatError, ContractError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
 def read_tensor(path) -> np.ndarray:
     data = read_file(path)
-    with _citing(path):
+    with cited(path):
         array, offset = tensor_from_bytes(data)
         if offset != len(data):
             raise TruncationError(f"{len(data) - offset} trailing bytes after tensor payload")
@@ -179,10 +170,12 @@ def _check_finite(array: np.ndarray, what: str) -> None:
         raise ContractError(f"{what} {array[where]} at index {where}")
 
 
-def read_image(path) -> np.ndarray:
-    """Read an image tensor, rejecting the first non-finite pixel."""
+def read_image(path, what: str = "non-finite pixel") -> np.ndarray:
+    """Read an image tensor (or by `what` another tensor that must be finite,
+    such as a heat map), rejecting its first non-finite element."""
     image = read_tensor(path)
-    _check_finite(image, f"{path}: non-finite pixel")
+    with cited(path):
+        _check_finite(image, what)
     return image
 
 
@@ -242,7 +235,7 @@ def write_checkpoint(path, cfg: ModelConfig, params: dict) -> None:
 def read_checkpoint(path):
     """Read and validate a checkpoint, returning (config, params dict)."""
     data = read_file(path)
-    with _citing(path):
+    with cited(path):
         return _checkpoint_from_bytes(data)
 
 
@@ -325,8 +318,7 @@ def _parse_boxes(text: str, width: int, height: int) -> np.ndarray:
 
 
 def parse_manifest(path, cfg: ModelConfig) -> list:
-    """Parse the line-based dataset manifest of samples for the model
-    of `cfg`.
+    """Parse the line-based dataset manifest of samples for the model of `cfg`.
 
     Each non-blank line holds space-separated key:value fields,
     e.g. `id:img0 image:img0.trt label:1 boxes:4,5,20,21;0,0,8,8`.
@@ -334,11 +326,10 @@ def parse_manifest(path, cfg: ModelConfig) -> list:
     line's image is read once, with `read_image`, and its shape bounds
     the boxes. The label and the box coordinates are ASCII decimal
     integers. A key repeated on one line and an id repeated across lines
-    are errors. An image of another shape than the model's and a label
-    outside its classes are contract errors. Errors cite the 1-based
-    line number (and the image, for a malformed image file or a
-    non-finite pixel). Returns one (image, label, (G, 4) int64 boxes)
-    sample per line.
+    are errors. An image not of `cfg.check_image`'s shape and a label
+    outside its classes are contract errors. Errors cite the 1-based line
+    number (an image's own errors follow it). Returns one (image, label,
+    (G, 4) int64 boxes) sample per line.
     """
     path = Path(path)
     base = path.parent
@@ -357,36 +348,33 @@ def parse_manifest(path, cfg: ModelConfig) -> list:
             line = line.strip()
             if not line:
                 continue
-            try:
-                fields = {}
-                for token in line.split():
-                    key, sep, value = token.partition(":")
-                    if not sep:
-                        raise ValueError(f"token {token!r} is not key:value")
-                    if key in fields:
-                        raise ValueError(f"key {key!r} repeated")
-                    fields[key] = value
-                for key in ("id", "image", "label", "boxes"):
-                    if key not in fields:
-                        raise ValueError(f"missing field {key!r}")
-                if fields["id"] in id_lines:
-                    raise ValueError(
-                        f"id {fields['id']!r} already used on line {id_lines[fields['id']]}")
-                id_lines[fields["id"]] = line_no
-                image = read_image(base / fields["image"])
-                if image.ndim != 3 or image.shape[0] != 3:
-                    raise ValueError(f"image tensor must be 3xHxW, got {image.shape}")
-                label = _decimal(fields["label"], "label")
-                cfg.check_image(image.shape)
-                if label >= cfg.num_classes:
-                    raise ContractError(f"class id {label} out of range for {cfg.num_classes} "
-                                        f"classes")
-                _, height, width = image.shape
-                samples.append((image, label, _parse_boxes(fields["boxes"], width, height)))
-            except (ValueError, OSError, FormatError) as exc:
-                raise ManifestError(f"{path}:{line_no}: {exc}") from exc
-            except ContractError as exc:  # a non-finite pixel, or a sample the model cannot read
-                raise ContractError(f"{path}:{line_no}: {exc}") from exc
+            with cited(f"{path}:{line_no}"):
+                try:
+                    fields = {}
+                    for token in line.split():
+                        key, sep, value = token.partition(":")
+                        if not sep:
+                            raise ValueError(f"token {token!r} is not key:value")
+                        if key in fields:
+                            raise ValueError(f"key {key!r} repeated")
+                        fields[key] = value
+                    for key in ("id", "image", "label", "boxes"):
+                        if key not in fields:
+                            raise ValueError(f"missing field {key!r}")
+                    if fields["id"] in id_lines:
+                        raise ValueError(
+                            f"id {fields['id']!r} already used on line {id_lines[fields['id']]}")
+                    id_lines[fields["id"]] = line_no
+                    image = read_image(base / fields["image"])
+                    label = _decimal(fields["label"], "label")
+                    cfg.check_image(image.shape)
+                    if label >= cfg.num_classes:
+                        raise ContractError(f"class id {label} out of range for {cfg.num_classes} "
+                                            f"classes")
+                    _, height, width = image.shape
+                    samples.append((image, label, _parse_boxes(fields["boxes"], width, height)))
+                except (ValueError, OSError, FormatError) as exc:
+                    raise ManifestError(str(exc)) from exc
     return samples
 
 

@@ -655,7 +655,7 @@ def test_non_finite_heat_map_exits_4(workspace, capsys, value):
                  "--alpha", "0.5", "--out", str(out)])
     assert code == 4
     err = capsys.readouterr().err
-    assert err == (f"error: contract: heat map has non-finite value {value} "
+    assert err == (f"error: contract: {heat_path}: heat map has non-finite value {value} "
                    f"at index (3, 4)\n"), err
     assert not out.exists()
 
@@ -868,6 +868,26 @@ def test_non_utf8_input_exits_3(workspace, capsys, command):
     assert not (tmp / "out.csv").exists() and not (tmp / "out.ckpt").exists()
 
 
+# a config's text, and the detail of its error
+@pytest.mark.parametrize("text, detail", [
+    # universal newlines: a CRLF or CR file has the offsets of its LF twin
+    *[(newline.join(["{", ' "seed": 0,', ' "steps"1', "}"]),
+       "Expecting ':' delimiter: line 3 column 9 (char 22)") for newline in ("\n", "\r\n", "\r")],
+    ('{"seed": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits) for integer string"),
+    ('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth exceeded"),
+], ids=["lf", "crlf", "cr", "long-integer", "deep-nesting"])
+@pytest.mark.parametrize("config", ["toy", "train"])
+def test_a_json_config_that_does_not_parse_exits_3_naming_it(tmp_path, capsys, config, text,
+                                                             detail):
+    argv = _train_toy_argv(tmp_path)
+    bad = tmp_path / f"{config}.json"
+    bad.write_bytes(text.encode("ascii"))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: format: {bad}: {detail}") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.ckpt").exists()
+
+
 def _manifest_argv(tmp, ckpt, command, *extra,
                    lines="id:a image:img.trt label:0 boxes:12,8,20,16\n"):
     """`command` on tmp/one.manifest holding `lines` (by default one line
@@ -911,11 +931,14 @@ _MISFIT = "image shape (3, 16, 16) does not match the checkpoint's (3, 32, 32)"
     *[(command, [_FITS, "id:b image:small.trt label:0 boxes:0,0,8,8"], 2, _MISFIT)
       for command in _MANIFEST_ARGS],
     ("eval", ["id:b image:small.trt label:0 boxes:0,0,8,8"], 1, _MISFIT),
+    ("eval", ["id:b image:gray.trt label:0 boxes:0,0,8,8"], 1,
+     "image shape (1, 32, 32) does not match the checkpoint's (3, 32, 32)"),
 ])
 def test_a_manifest_sample_that_does_not_fit_the_checkpoint_exits_4_naming_its_line(
         workspace, capsys, monkeypatch, command, lines, line_no, detail):
     tmp, cfg, params, ckpt, _ = workspace
     write_tensor(tmp / "small.trt", np.zeros((3, 16, 16), np.float32))
+    write_tensor(tmp / "gray.trt", np.zeros((1, 32, 32), np.float32))
     argv = _manifest_argv(tmp, ckpt, command, lines="\n".join(lines) + "\n")
     forwards = _count_forwards(monkeypatch)
     err = _assert_one_contract_line(capsys, tmp, argv)
@@ -1101,10 +1124,9 @@ def test_train_toy_model_sizes_out_of_bounds_exit_4_before_allocating(tmp_path, 
     if model is None:
         del train["model"]
     assert main(_train_toy_argv(tmp_path, dict(_TOY_JSON, **toy), train)) == 4
-    # ModelConfig's own checks fail while the model section is read, the
-    # budget checks only when training starts
-    section = model is not None and _BUDGET not in detail
-    where = f"{tmp_path / 'train.json'}: model section: " if section else ""
+    # without a model section, the toy config's image_size sets the default model
+    where = (f"{tmp_path / 'train.json'}: model section: " if model is not None
+             else f"{tmp_path / 'toy.json'}: ")
     assert capsys.readouterr().err == f"error: contract: {where}{detail}\n"
     assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "curve.csv").exists()
 
@@ -1424,7 +1446,9 @@ def test_an_endless_input_exits_3_naming_it_under_an_address_space_cap(workspace
         (["eval", "--ckpt", str(ckpt), "--manifest", "/dev/zero", "--theta", "0.5",
           "--out-report", str(tmp / "out.csv")], "/dev/zero"),
         (["eval", "--ckpt", str(ckpt), "--manifest", str(zero_line), "--theta", "0.5",
-          "--out-report", str(tmp / "out.csv")], f"{zero_line}:1: /dev/zero")]
+          "--out-report", str(tmp / "out.csv")], f"{zero_line}:1: /dev/zero"),
+        *[(_train_toy_argv(tmp) + [config, "/dev/zero"], "/dev/zero")
+          for config in ("--toy-config", "--train-config")]]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, "-c", _ENDLESS_CHILD,
