@@ -5,8 +5,8 @@ Tokens carry a leading batch axis: (B, T, D). The backbone runs blocks
 which is all that token scoring reads; the final (L-th) block lives in
 the token-refinement classification head. Blocks are pre-norm with a
 GELU MLP; the linear layers run on the B*T token rows, and all heads of
-all sequences go through one fused attention op, with scores scaled by
-1/sqrt(head_dim).
+all sequences go through one fused attention op on those rows, with
+scores scaled by 1/sqrt(head_dim).
 """
 
 from __future__ import annotations
@@ -210,43 +210,41 @@ def embed(patches, params, cfg: ModelConfig):
     return nm.add(nm.concat([cls, projected], axis=1), params["embed.pos"])
 
 
-def _linear(rows, params, name: str):
+def linear(rows, params, name: str):
+    """rows @ params[name.weight] + params[name.bias]."""
     return nm.add(nm.matmul(rows, params[f"{name}.weight"]), params[f"{name}.bias"])
 
 
-def mhsa(z, params, prefix: str, num_heads: int, mask=None):
-    """Multi-head self-attention over (B, T, D) sequences, optionally
-    restricted row-wise by a mask of any shape that broadcasts to
-    (B, T, T), such as a (B, 1, T) key-padding mask.
+def mhsa(rows, params, prefix: str, num_heads: int, seq_len: int, mask=None):
+    """Multi-head self-attention over (B*T, D) token rows, B sequences of
+    seq_len = T rows, optionally restricted row-wise by a mask of any shape
+    that broadcasts to (B, T, T), such as a (B, 1, T) key-padding mask.
 
     Returns the output-projected result as (B*T, D) rows and the
     (B, H, T, T) attention probabilities.
     """
-    b, t, d = nm.value_of(z).shape
-    rows = nm.reshape(z, (b * t, d))
-    q, k, v = (nm.reshape(_linear(rows, params, f"{prefix}.attn.{name}"), (b, t, d))
-               for name in ("q", "k", "v"))
-    del rows  # freed before the attention allocates its work arrays
-    context, probs = nm.attention(q, k, v, num_heads, mask)
-    return _linear(context, params, f"{prefix}.attn.out"), probs
+    q, k, v = (linear(rows, params, f"{prefix}.attn.{name}") for name in ("q", "k", "v"))
+    context, probs = nm.attention(q, k, v, num_heads, seq_len, mask)
+    return linear(context, params, f"{prefix}.attn.out"), probs
 
 
 def block_forward(z, params, prefix: str, num_heads: int, mask=None):
     """Pre-norm transformer block over (B, T, D) sequences: attention
-    residual then GELU MLP residual. A mask that broadcasts to (B, T, T),
-    such as a (B, 1, T) key-padding mask, restricts which tokens each
-    token attends to. Returns the (B, T, D) output and the
-    (B, H, T, T) attention probabilities."""
+    residual then GELU MLP residual, on the B*T token rows. A mask that
+    broadcasts to (B, T, T), such as a (B, 1, T) key-padding mask,
+    restricts which tokens each token attends to. Returns the (B, T, D)
+    output and the (B, H, T, T) attention probabilities."""
     b, t, d = nm.value_of(z).shape
+    rows = nm.reshape(z, (b * t, d))
     attn_out, probs = mhsa(
-        nm.layer_norm(z, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"]),
-        params, prefix, num_heads, mask,
+        nm.layer_norm(rows, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"]),
+        params, prefix, num_heads, t, mask,
     )
-    mid = nm.add(nm.reshape(z, (b * t, d)), attn_out)
-    hidden = nm.gelu(_linear(
+    mid = nm.add(rows, attn_out)
+    hidden = nm.gelu(linear(
         nm.layer_norm(mid, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"]),
         params, f"{prefix}.mlp.fc1"))
-    out = nm.add(mid, _linear(hidden, params, f"{prefix}.mlp.fc2"))
+    out = nm.add(mid, linear(hidden, params, f"{prefix}.mlp.fc2"))
     return nm.reshape(out, (b, t, d)), probs
 
 

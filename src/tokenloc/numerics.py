@@ -11,11 +11,12 @@ mean/variance) accumulate in float64, `scale` and the attention score
 scaling multiply by a binary64 constant, and layer_norm, gelu, log, the
 convolution and the resize chain several float64 steps. No operation
 writes into its inputs or its output, so an output may share memory
-with an input (`reshape` returns a view). Every operation but
-`bilinear_resize` carries a backward rule and returns through `_emit`,
-the one place that applies the recording rule: when any argument is a
-Node created from a GradTape, the result is a Node and the adjoint step
-is recorded on that tape; otherwise the plain float32 array is returned.
+with an input (`reshape` and a sliced `take` return views). Every
+operation but `bilinear_resize` carries a backward rule and returns
+through `_emit`, the one place that applies the recording rule: when any
+argument is a Node created from a GradTape, the result is a Node and the
+adjoint step is recorded on that tape; otherwise the plain float32 array
+is returned.
 A call records at most one step and returns at most one Node: the
 resize is for inference only, so `bilinear_resize` records nothing (it
 stays here until it moves into `localization`), and `attention`'s
@@ -233,15 +234,15 @@ def softmax(x, keep=None):
     return _emit(out, backward, x)
 
 
-def attention(q, k, v, num_heads: int, mask=None):
+def attention(q, k, v, num_heads: int, seq_len: int, mask=None):
     """Multi-head scaled dot-product attention over a batch of sequences.
 
-    q, k, v: (B, T, D), split into num_heads heads of D / num_heads
-    features; mask: optional, any shape that broadcasts to (B, T, T),
-    nonzero where a query may attend (each row must keep at least one
-    key): a (B, 1, T) key-padding mask serves every query of a sequence
-    without being expanded. Returns the context as
-    (B*T, D) rows, heads side by side, and the (B, H, T, T)
+    q, k, v: (B*T, D) token rows, B sequences of seq_len = T rows each,
+    split into num_heads heads of D / num_heads features; mask: optional,
+    any shape that broadcasts to (B, T, T), nonzero where a query may
+    attend (each row must keep at least one key): a (B, 1, T) key-padding
+    mask serves every query of a sequence without being expanded. Returns
+    the context as (B*T, D) rows, heads side by side, and the (B, H, T, T)
     probabilities. Each head rounds where the composed contract ops do:
     scores Q K^T to float32, the 1/sqrt(head_dim) scale to float32, the
     (masked) softmax computed in float64 to float32, and the context
@@ -250,10 +251,11 @@ def attention(q, k, v, num_heads: int, mask=None):
     flows into them or into the mask.
     """
     qv, kv, vv = value_of(q), value_of(k), value_of(v)
-    if qv.ndim != 3 or kv.shape != qv.shape or vv.shape != qv.shape:
-        raise DimensionError(
-            f"attention expects equal (B, T, D) operands, got {qv.shape}, {kv.shape}, {vv.shape}")
-    b, t, d = qv.shape
+    if (qv.ndim != 2 or kv.shape != qv.shape or vv.shape != qv.shape or seq_len < 1
+            or len(qv) % seq_len):
+        raise DimensionError(f"attention expects equal (B*T, D) operands with T = {seq_len}, "
+                             f"got {qv.shape}, {kv.shape}, {vv.shape}")
+    b, t, d = len(qv) // seq_len, seq_len, qv.shape[1]
     if d % num_heads != 0:
         raise DimensionError(f"embedding size {d} not divisible by {num_heads} heads")
     hd = d // num_heads
@@ -266,11 +268,11 @@ def attention(q, k, v, num_heads: int, mask=None):
         keep = (mv > 0).reshape((1,) * (3 - mv.ndim) + mv.shape)[:, None]
     c = 1.0 / math.sqrt(hd)
 
-    def split(x):  # (B, T, D) or (B*T, D) -> (B, H, T, hd) float64
+    def split(x):  # (B*T, D) -> (B, H, T, hd) float64
         return _f64(x).reshape(b, t, num_heads, hd).transpose(0, 2, 1, 3)
 
-    def merge(x):  # (B, H, T, hd) -> (B, T, D)
-        return x.transpose(0, 2, 1, 3).reshape(b, t, d)
+    def merge(x):  # (B, H, T, hd) -> (B*T, D)
+        return x.transpose(0, 2, 1, 3).reshape(b * t, d)
 
     tape = _tape_of((q, k, v))  # only to free what no backward rule will read
     q64, k64 = split(qv), split(kv)
@@ -293,7 +295,7 @@ def attention(q, k, v, num_heads: int, mask=None):
     if tape is None:
         del probs64  # freed before the context is rounded and merged
     del p64, v64
-    context = merge(context.astype(np.float32)).reshape(b * t, d)
+    context = merge(context.astype(np.float32))
 
     def backward(g):
         g_heads = split(g)
@@ -475,35 +477,19 @@ def concat(parts, axis: int = 0):
     return _emit(out, backward, *parts)
 
 
-def crop(x, starts, sizes):
-    """Contiguous sub-block x[s0:s0+n0, s1:s1+n1, ...] as a fresh array."""
-    xv = value_of(x)
-    if len(starts) != xv.ndim or len(sizes) != xv.ndim:
-        raise DimensionError(f"crop bounds rank {len(starts)} does not match shape {xv.shape}")
-    for s, n, extent in zip(starts, sizes, xv.shape):
-        if s < 0 or n < 1 or s + n > extent:
-            raise DimensionError(f"crop {starts}+{sizes} exceeds shape {xv.shape}")
-    index = tuple(slice(s, s + n) for s, n in zip(starts, sizes))
-    out = xv[index].copy()
-
-    def backward(g):
-        gx = np.zeros(xv.shape, dtype=np.float64)
-        gx[index] = g
-        x.add_grad(gx)
-
-    return _emit(out, backward, x)
-
-
 def take(x, index):
-    """Entries of x picked by integer arrays: x[index], where one array
-    picks rows and a tuple of broadcasting arrays picks along the leading
-    axes. Entries picked more than once sum their gradients."""
+    """x[index]: a view for basic slices and integers; a copy for integer
+    arrays (one picks rows, a tuple of broadcasting arrays picks along the
+    leading axes), whose entries picked more than once sum their gradients."""
     xv = value_of(x)
     out = xv[index]
 
     def backward(g):
         gx = np.zeros(xv.shape, dtype=np.float64)
-        np.add.at(gx, index, g)
+        if np.may_share_memory(out, xv):  # a view: basic indexing picks no entry twice
+            gx[index] = g
+        else:
+            np.add.at(gx, index, g)
         x.add_grad(gx)
 
     return _emit(out, backward, x)

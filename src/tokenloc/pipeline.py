@@ -105,9 +105,7 @@ def two_branch_forward(params, cfg: ModelConfig, images, *, selector=None) -> Fo
     cfg.check_image(stack.shape[1:])
     z0 = embed(patchify(stack, cfg.patch_size), params, cfg)
     tokens, attention = backbone_forward(z0, params, cfg)
-    b, n_plus_1, d = nm.value_of(tokens).shape
-    z_cls = nm.crop(tokens, (0, 0, 0), (b, 1, d))
-    z_p = nm.crop(tokens, (0, 1, 0), (b, n_plus_1 - 1, d))
+    z_cls, z_p = nm.take(tokens, np.s_[:, :1]), nm.take(tokens, np.s_[:, 1:])
     priorities = preliminary_attention(attention)
     result = ForwardResult(params=params, cfg=cfg, z_cls=z_cls, z_p=z_p, priorities=priorities,
                            mask=_selected(cfg, priorities, selector))

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import numerics as nm
-from .backbone import ModelConfig, block_forward
+from .backbone import ModelConfig, block_forward, linear
 from .errors import ContractError, DimensionError
 
 
@@ -122,8 +122,7 @@ def importance_weights(z_p, mask, params, num_heads: int):
     valid = None if (counts == m).all() else np.arange(m) < counts[:, None]
     keys = None if valid is None else valid[:, None]
     z, _ = block_forward(nm.take(z_p, (image, order)), params, "refine.mask_block", num_heads, keys)
-    scores = nm.add(nm.matmul(nm.reshape(z, (b * m, d)), params["refine.score.weight"]),
-                    params["refine.score.bias"])
+    scores = linear(nm.reshape(z, (b * m, d)), params, "refine.score")
     lam = nm.softmax(nm.reshape(scores, (b, m)), valid)
     # each selected token reads its slot, every other token the zero column
     slots = np.where(mask, np.cumsum(mask, axis=-1) - 1, m)
@@ -175,6 +174,4 @@ def refine_classify(z_cls, z_p, weights, params, cfg: ModelConfig):
     fusion = nm.matmul(lam_rows, nm.reshape(z_p, (b * n, d)))
     seq = nm.concat([z_cls, nm.reshape(fusion, (b, 1, d))], axis=1)
     out, _ = block_forward(seq, params, "refine.final_block", cfg.num_heads)
-    cls_rows = nm.reshape(nm.crop(out, (0, 0, 0), (b, 1, d)), (b, d))
-    logits = nm.add(nm.matmul(cls_rows, params["refine.head.weight"]), params["refine.head.bias"])
-    return nm.softmax(logits)
+    return nm.softmax(linear(nm.take(out, np.s_[:, 0]), params, "refine.head"))

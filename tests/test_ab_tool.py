@@ -143,11 +143,47 @@ def test_every_kernel_op_case_runs_forward_and_backward(ab):
         assert all(leaf.grad is not None for leaf in leaves), op
 
 
+def test_a_kernel_op_that_a_side_cannot_take_is_absent_there(ab, monkeypatch):
+    import numpy as np
+    from tokenloc import numerics as nm
+    from tokenloc.errors import DimensionError
+
+    cases = ab.op_cases(np.random.default_rng(0))
+    monkeypatch.setattr(ab, "op_cases", lambda rng: {
+        op: cases[op] for op in ("add", "attention", "take slice", "reshape")})
+    monkeypatch.setattr(ab, "OP_REPEATS", 3)
+
+    def attention(q, k, v, num_heads):   # takes no seq_len
+        return nm.attention(q, k, v, num_heads, len(q))
+
+    def take(x, index):   # rejects slices
+        raise DimensionError("take expects integer arrays")
+
+    # base's numerics lacks add and has the attention and take above
+    base = {name: value for name, value in vars(nm).items() if name != "add"}
+    base.update(attention=attention, take=take)
+    packages = {"base": types.SimpleNamespace(numerics=types.SimpleNamespace(**base)),
+                "head": types.SimpleNamespace(numerics=nm),
+                "copy": types.SimpleNamespace(numerics=nm)}
+    out = ab.kernel_ops(packages)
+    assert {op: {side: error.split(":")[0] for side, error in entry["absent"].items()}
+            for op, entry in out.items() if "absent" in entry} == {
+        "add": {"base": "AttributeError"}, "attention": {"base": "TypeError"},
+        "take slice": {"base": "DimensionError"}}
+    for op, entry in out.items():
+        for direction in ("forward", "backward"):
+            if op == "reshape":
+                assert set(entry[direction]) == {*SIDES, "ratio_head_over_base",
+                                                 "ratio_head_over_copy", "verdict"}
+            else:   # head's ratio to the copy, and no verdict without base
+                assert set(entry[direction]) == {"head", "copy", "ratio_head_over_copy"}
+
+
 def test_tape_step_reads_a_phase1_step_s_records_and_bytes(ab):
     import tokenloc
 
     step = ab.tape_step(tokenloc)
-    assert step["records"] == 114
+    assert step["records"] == 101
     assert 0 < step["held_bytes"] <= step["peak_bytes"]
 
 

@@ -148,8 +148,8 @@ def test_criterion_attention_contracts():
         if b.sum() == 0:
             b[int(rng.integers(n))] = 1.0
         matrix = selection_matrix(b)
-        z_p = rng.standard_normal((1, n, cfg.embed_dim)).astype(np.float32)
-        _, masked = mhsa(z_p, params, "refine.mask_block", heads, mask=matrix[None])
+        rows = rng.standard_normal((n, cfg.embed_dim)).astype(np.float32)
+        _, masked = mhsa(rows, params, "refine.mask_block", heads, n, mask=matrix[None])
         for a in masked[0]:
             assert np.all(a[matrix == 0] == 0.0)
             assert np.all(a >= 0)

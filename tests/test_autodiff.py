@@ -78,13 +78,19 @@ def test_reshape_backward():
                        [_rand(3, 4)], what="reshape")
 
 
-def test_concat_crop_backward():
+def test_concat_backward():
     w = _rand(5, 3)
     check_op_gradients(lambda a, b: nm.reduce_sum(nm.mul(nm.concat([a, b], axis=0), w)),
                        [_rand(2, 3), _rand(3, 3)], what="concat")
-    w2 = _rand(2, 2)
-    check_op_gradients(lambda x: nm.reduce_sum(nm.mul(nm.crop(x, (1, 0), (2, 2)), w2)),
-                       [_rand(4, 3)], what="crop")
+
+
+def test_take_slice_backward():
+    w = _rand(2, 2)
+    check_op_gradients(lambda x: nm.reduce_sum(nm.mul(nm.take(x, np.s_[1:3, :2]), w)),
+                       [_rand(4, 3)], what="take slice")
+    w2 = _rand(2, 3)
+    check_op_gradients(lambda x: nm.reduce_sum(nm.mul(nm.take(x, np.s_[:, 0]), w2)),
+                       [_rand(2, 4, 3)], what="take slice and integer")
 
 
 def test_reduce_sum_backward():
@@ -127,10 +133,10 @@ def test_attention_backward(masked):
     w_context = _rand(8, 4)
 
     def fold(q, k, v):  # the probabilities are plain: the context carries every gradient
-        context, _ = nm.attention(q, k, v, 2, mask)
+        context, _ = nm.attention(q, k, v, 2, 4, mask)
         return nm.reduce_sum(nm.mul(context, w_context))
 
-    check_op_gradients(fold, [_rand(2, 4, 4) * 2, _rand(2, 4, 4) * 2, _rand(2, 4, 4)],
+    check_op_gradients(fold, [_rand(8, 4) * 2, _rand(8, 4) * 2, _rand(8, 4)],
                        what=f"attention (masked={masked})")
 
 
@@ -238,7 +244,7 @@ def _recording_cases():
     return {
         "matmul": (nm.matmul, arrays((3, 4), (4, 2)), 1),
         "softmax": (nm.softmax, arrays((2, 5)), 1),
-        "attention": (lambda q, k, v: nm.attention(q, k, v, 2), arrays(*[(1, 3, 4)] * 3), 1),
+        "attention": (lambda q, k, v: nm.attention(q, k, v, 2, 3), arrays(*[(3, 4)] * 3), 1),
         "layer_norm": (nm.layer_norm, arrays((3, 4), (4,), (4,)), 1),
         "gelu": (nm.gelu, arrays((3, 4)), 1),
         "bilinear_resize": (lambda m: nm.bilinear_resize(m, 5, 6), arrays((3, 4)), 0),
@@ -247,7 +253,6 @@ def _recording_cases():
         "scale": (lambda x: nm.scale(x, -1.5), arrays((3, 4)), 1),
         "reshape": (lambda x: nm.reshape(x, (2, 6)), arrays((3, 4)), 1),
         "concat": (lambda a, b: nm.concat([a, b], axis=1), arrays((3, 4), (3, 2)), 1),
-        "crop": (lambda x: nm.crop(x, (1, 0), (2, 3)), arrays((3, 4)), 1),
         "take": (lambda x: nm.take(x, np.array([2, 0, 2])), arrays((3, 4)), 1),
         "reduce_sum": (lambda x: nm.reduce_sum(x, axis=0), arrays((3, 4)), 1),
         "log": (nm.log, positive, 1),

@@ -100,8 +100,8 @@ def test_embed_matches_composition_oracle():
 def test_mhsa_rows_sum_to_one():
     rng = np.random.default_rng(3)
     params = init_params(TINY, 4)
-    z = rng.standard_normal((3, 5, 8)).astype(np.float32)
-    _, attn = mhsa(z, params, "backbone.block0", TINY.num_heads)
+    rows = rng.standard_normal((3 * 5, 8)).astype(np.float32)
+    _, attn = mhsa(rows, params, "backbone.block0", TINY.num_heads, 5)
     assert attn.shape == (3, TINY.num_heads, 5, 5)
     assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
 
@@ -111,8 +111,8 @@ def test_mhsa_equal_keys_give_uniform_attention():
     params = init_params(TINY, 5)
     params = dict(params)
     params["backbone.block0.attn.k.weight"] = np.zeros((8, 8), np.float32)
-    z = rng.standard_normal((2, 5, 8)).astype(np.float32)
-    _, attn = mhsa(z, params, "backbone.block0", TINY.num_heads)
+    rows = rng.standard_normal((2 * 5, 8)).astype(np.float32)
+    _, attn = mhsa(rows, params, "backbone.block0", TINY.num_heads, 5)
     assert np.allclose(attn, 1.0 / 5.0, atol=1e-6)
 
 
@@ -126,7 +126,7 @@ def test_mhsa_single_head_matches_step_oracle():
         params[f"blk.attn.{name}.bias"] = rng.standard_normal(d).astype(np.float32)
     z = rng.standard_normal((n, d)).astype(np.float32)
 
-    out, attn = mhsa(z[None], params, "blk", 1)
+    out, attn = mhsa(z, params, "blk", 1, n)
 
     z64 = z.astype(np.float64)
     q = z64 @ params["blk.attn.q.weight"] + params["blk.attn.q.bias"]
@@ -166,6 +166,20 @@ def test_block_preserves_shape():
     assert attn.shape == (3, TINY.num_heads, 5, 5)
 
 
+def test_block_reshapes_its_tokens_only_on_the_way_in_and_out():
+    # the linears, both layer norms, attention and the residuals all run on
+    # the (B*T, D) rows, so the tape of a block holds two reshapes
+    rng = np.random.default_rng(10)
+    params = init_params(TINY, 11)
+    tape = nm.GradTape()
+    out, _ = block_forward(tape.leaf(rng.standard_normal((3, 5, 8))), params,
+                           "backbone.block0", TINY.num_heads)
+    ops = [backward.__qualname__.split(".")[0] for _, backward in tape._records]
+    assert ops.count("reshape") == 2 and ops[0] == ops[-1] == "reshape", ops
+    assert ops.count("attention") == 1
+    assert out.value.shape == (3, 5, 8)
+
+
 def test_block_matches_composition_oracle():
     rng = np.random.default_rng(8)
     params = init_params(TINY, 9)
@@ -174,7 +188,7 @@ def test_block_matches_composition_oracle():
 
     attn_in = nm.layer_norm(z, params["backbone.block0.ln1.gamma"],
                             params["backbone.block0.ln1.beta"])
-    attn_out, _ = mhsa(attn_in[None], params, "backbone.block0", TINY.num_heads)
+    attn_out, _ = mhsa(attn_in, params, "backbone.block0", TINY.num_heads, 5)
     mid = nm.add(z, attn_out)
     hidden = nm.gelu(nm.add(nm.matmul(
         nm.layer_norm(mid, params["backbone.block0.ln2.gamma"],

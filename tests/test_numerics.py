@@ -397,7 +397,7 @@ def test_finite_diff_matches_backward_on_softmax_pick_first():
 
     tape = nm.GradTape()
     leaf = tape.leaf(x)
-    loss = nm.reshape(nm.crop(nm.softmax(leaf), (0,), (1,)), ())
+    loss = nm.reshape(nm.take(nm.softmax(leaf), np.s_[:1]), ())
     tape.backward(loss)
 
     def oracle(v):
@@ -417,7 +417,7 @@ def test_operations_do_not_mutate_inputs():
     nm.matmul(a, b)
     nm.softmax(a)
     nm.softmax(a, np.eye(4, dtype=np.float32))
-    nm.attention(a[None], a[None], b[None], 2)
+    nm.attention(a, a, b, 2, 4)
     nm.layer_norm(a, np.ones(4, np.float32), np.zeros(4, np.float32))
     nm.gelu(a)
     nm.bilinear_resize(a, 7, 3)
@@ -425,16 +425,14 @@ def test_operations_do_not_mutate_inputs():
 
 
 def per_head_attention(q, k, v, num_heads, mask=None):
-    """Oracle for `attention` on one (T, D) sequence: the per-head
-    composition of contract ops it replaced (crop each head, Q K^T,
-    scale, (masked) softmax, P V, concatenate the heads)."""
+    """Oracle for `attention` on the (T, D) rows of one sequence: the
+    per-head composition of contract ops it replaced (slice each head,
+    Q K^T, scale, (masked) softmax, P V, concatenate the heads)."""
     n, d = nm.value_of(q).shape
     hd = d // num_heads
     contexts, probs = [], []
     for head in range(num_heads):
-        qh = nm.crop(q, (0, head * hd), (n, hd))
-        kh = nm.crop(k, (0, head * hd), (n, hd))
-        vh = nm.crop(v, (0, head * hd), (n, hd))
+        qh, kh, vh = (nm.take(x, np.s_[:, head * hd:(head + 1) * hd]) for x in (q, k, v))
         kh_t = nm.take(kh, (np.arange(n)[None, :], np.arange(hd)[:, None]))
         scores = nm.scale(nm.matmul(qh, kh_t), 1.0 / math.sqrt(hd))
         a = nm.softmax(scores, mask)
@@ -444,7 +442,8 @@ def per_head_attention(q, k, v, num_heads, mask=None):
 
 
 def _attention_inputs(rng, b, t, d):
-    q, k, v = (rng.standard_normal((b, t, d)).astype(np.float32) * 2 for _ in range(3))
+    """(B*T, D) rows of q, k and v, and a (B, T, T) mask keeping the diagonal."""
+    q, k, v = (rng.standard_normal((b * t, d)).astype(np.float32) * 2 for _ in range(3))
     keep = (rng.random((b, t, t)) < 0.5).astype(np.float32)
     keep[:, np.arange(t), np.arange(t)] = 1.0
     return q, k, v, keep
@@ -455,10 +454,11 @@ def _attention_inputs(rng, b, t, d):
 def test_attention_is_bit_identical_to_the_per_head_oracle(heads, masked):
     rng = np.random.default_rng(30 + heads)
     q, k, v, keep = _attention_inputs(rng, 3, 7, 8)
-    context, probs = nm.attention(q, k, v, heads, keep if masked else None)
+    context, probs = nm.attention(q, k, v, heads, 7, keep if masked else None)
     assert context.shape == (3 * 7, 8) and probs.shape == (3, heads, 7, 7)
     for i in range(3):
-        want_context, want_probs = per_head_attention(q[i], k[i], v[i], heads,
+        rows = np.s_[i * 7:(i + 1) * 7]
+        want_context, want_probs = per_head_attention(q[rows], k[rows], v[rows], heads,
                                                       keep[i] if masked else None)
         assert np.array_equal(context[i * 7:(i + 1) * 7], want_context)
         for h in range(heads):
@@ -474,15 +474,16 @@ def test_attention_gradients_equal_the_per_head_oracle():
     for mask in (None, keep):
         tape = nm.GradTape()
         leaves = [tape.leaf(x) for x in (q, k, v)]
-        context, _ = nm.attention(*leaves, 2, mask)
+        context, _ = nm.attention(*leaves, 2, 5, mask)
         tape.backward(nm.reduce_sum(nm.mul(context, w_context)))
         for i in range(2):
+            rows = np.s_[i * 5:(i + 1) * 5]
             tape_i = nm.GradTape()
-            leaves_i = [tape_i.leaf(x[i]) for x in (q, k, v)]
+            leaves_i = [tape_i.leaf(x[rows]) for x in (q, k, v)]
             context_i, _ = per_head_attention(*leaves_i, 2, None if mask is None else mask[i])
-            tape_i.backward(nm.reduce_sum(nm.mul(context_i, w_context[i * 5:(i + 1) * 5])))
+            tape_i.backward(nm.reduce_sum(nm.mul(context_i, w_context[rows])))
             for leaf, leaf_i in zip(leaves, leaves_i):
-                assert_grads_close(leaf.grad[i], leaf_i.grad, rel=1e-9, floor=1e-12,
+                assert_grads_close(leaf.grad[rows], leaf_i.grad, rel=1e-9, floor=1e-12,
                                    what="attention vs per-head oracle")
 
 
@@ -490,9 +491,9 @@ def test_attention_gradients_equal_the_per_head_oracle():
 def test_taped_and_untaped_attention_return_the_same_bits(masked):
     q, k, v, keep = _attention_inputs(np.random.default_rng(42), 2, 9, 8)
     mask = keep if masked else None
-    context, probs = nm.attention(q, k, v, 4, mask)
+    context, probs = nm.attention(q, k, v, 4, 9, mask)
     tape = nm.GradTape()
-    taped_context, taped_probs = nm.attention(*(tape.leaf(x) for x in (q, k, v)), 4, mask)
+    taped_context, taped_probs = nm.attention(*(tape.leaf(x) for x in (q, k, v)), 4, 9, mask)
     assert len(tape) == 1
     assert np.array_equal(context, taped_context.value)
     # the probabilities stay off the tape: a plain float32 array with the untaped bits
@@ -509,10 +510,10 @@ def test_key_padding_mask_equals_the_mask_broadcast_to_every_query():
     w_context = rng.standard_normal((21, 8)).astype(np.float32)
     outputs, grads = [], []
     for mask in (keys, full):
-        plain = nm.attention(q, k, v, 4, mask)
+        plain = nm.attention(q, k, v, 4, 7, mask)
         tape = nm.GradTape()
         leaves = [tape.leaf(x) for x in (q, k, v)]
-        context, probs = nm.attention(*leaves, 4, mask)
+        context, probs = nm.attention(*leaves, 4, 7, mask)
         tape.backward(nm.reduce_sum(nm.mul(context, w_context)))
         outputs.append((*plain, context.value, probs))
         grads.append([leaf.grad for leaf in leaves])
@@ -524,21 +525,26 @@ def test_key_padding_mask_equals_the_mask_broadcast_to_every_query():
 
 
 def test_attention_contract_errors():
-    q = np.zeros((2, 3, 4), np.float32)
+    q = np.zeros((6, 4), np.float32)   # two sequences of three rows
+    with pytest.raises(DimensionError, match="operands"):
+        nm.attention(q[None], q[None], q[None], 2, 3)
+    with pytest.raises(DimensionError, match="operands"):
+        nm.attention(q, q[:3], q, 2, 3)
+    for seq_len in (0, 4, 5, 7):   # rows that are not a whole number of sequences
+        with pytest.raises(DimensionError, match=f"T = {seq_len}"):
+            nm.attention(q, q, q, 2, seq_len)
     with pytest.raises(DimensionError):
-        nm.attention(q[0], q[0], q[0], 2)
-    with pytest.raises(DimensionError):
-        nm.attention(q, q, q, 3)
+        nm.attention(q, q, q, 3, 3)
     for shape in [(2, 3, 4), (3, 1, 3), (2, 2, 3), (1, 2, 3, 3)]:
         with pytest.raises(DimensionError, match="does not broadcast to"):
-            nm.attention(q, q, q, 2, np.ones(shape, np.float32))
+            nm.attention(q, q, q, 2, 3, np.ones(shape, np.float32))
     for shape in [(2, 1, 3), (1, 3, 3), (3, 3), (3,)]:  # every query sees every key
-        assert np.array_equal(nm.attention(q, q, q, 2, np.ones(shape, np.float32))[1],
-                              nm.attention(q, q, q, 2)[1])
+        assert np.array_equal(nm.attention(q, q, q, 2, 3, np.ones(shape, np.float32))[1],
+                              nm.attention(q, q, q, 2, 3)[1])
     empty_row = np.ones((2, 3, 3), np.float32)
     empty_row[1, 2] = 0.0
     with pytest.raises(DegenerateInputError):
-        nm.attention(q, q, q, 2, empty_row)
+        nm.attention(q, q, q, 2, 3, empty_row)
 
 
 def test_conv2d3x3_batch_rows_equal_single_images():

@@ -89,9 +89,10 @@ def test_full_mass_selection_reduces_masked_attention_to_plain():
     mask = select(m[None], adaptive(1.0))[0]
     assert np.array_equal(mask, np.ones(CFG.num_tokens, np.float32))
     matrix = selection_matrix(mask)
-    z_p = rng.standard_normal((1, CFG.num_tokens, CFG.embed_dim)).astype(np.float32)
-    masked_out, _ = mhsa(z_p, params, "refine.mask_block", CFG.num_heads, mask=matrix[None])
-    plain_out, _ = mhsa(z_p, params, "refine.mask_block", CFG.num_heads)
+    n = CFG.num_tokens
+    rows = rng.standard_normal((n, CFG.embed_dim)).astype(np.float32)
+    masked_out, _ = mhsa(rows, params, "refine.mask_block", CFG.num_heads, n, mask=matrix[None])
+    plain_out, _ = mhsa(rows, params, "refine.mask_block", CFG.num_heads, n)
     assert np.allclose(masked_out, plain_out, atol=1e-6)
 
 

@@ -287,10 +287,10 @@ def test_selection_matrix_row_expansion():
 def test_masked_mhsa_all_ones_equals_plain():
     rng = np.random.default_rng(6)
     params = init_params(TINY, 7)
-    z_p = rng.standard_normal((1, 4, 8)).astype(np.float32)
+    rows = rng.standard_normal((4, 8)).astype(np.float32)
     ones = np.ones((1, 4, 4), np.float32)
-    masked_out, masked_attn = mhsa(z_p, params, "refine.mask_block", 2, mask=ones)
-    plain_out, plain_attn = mhsa(z_p, params, "refine.mask_block", 2)
+    masked_out, masked_attn = mhsa(rows, params, "refine.mask_block", 2, 4, mask=ones)
+    plain_out, plain_attn = mhsa(rows, params, "refine.mask_block", 2, 4)
     assert np.allclose(masked_out, plain_out, atol=1e-6)
     assert masked_attn.shape == plain_attn.shape == (1, 2, 4, 4)
     assert np.allclose(masked_attn, plain_attn, atol=1e-6)
@@ -299,9 +299,9 @@ def test_masked_mhsa_all_ones_equals_plain():
 def test_masked_mhsa_mask_contract():
     rng = np.random.default_rng(7)
     params = init_params(TINY, 8)
-    z_p = rng.standard_normal((2, 4, 8)).astype(np.float32)
+    rows = rng.standard_normal((2 * 4, 8)).astype(np.float32)
     matrix = selection_matrix(np.array([[1, 0, 0, 1], [0, 1, 0, 0]], np.float32))
-    _, attn = mhsa(z_p, params, "refine.mask_block", 2, mask=matrix)
+    _, attn = mhsa(rows, params, "refine.mask_block", 2, 4, mask=matrix)
     for image in range(2):
         for a in attn[image]:
             assert np.all(a[matrix[image] == 0] == 0.0)
@@ -318,7 +318,7 @@ def test_masked_mhsa_matches_composition_oracle():
     z_p = rng.standard_normal((n, d)).astype(np.float32)
     matrix = selection_matrix(np.array([1, 0, 1], np.float32))
 
-    out, attn = mhsa(z_p[None], params, "mb", 1, mask=matrix[None])
+    out, attn = mhsa(z_p, params, "mb", 1, n, mask=matrix[None])
     attn = attn[:, 0]
 
     z64 = z_p.astype(np.float64)
@@ -463,9 +463,9 @@ def test_unpadded_stack_runs_the_mask_block_without_a_mask(monkeypatch):
     masks = []
     real = nm.attention
 
-    def recording(q, k, v, num_heads, mask=None):
+    def recording(q, k, v, num_heads, seq_len, mask=None):
         masks.append(mask)
-        return real(q, k, v, num_heads, mask)
+        return real(q, k, v, num_heads, seq_len, mask)
 
     # every image keeps 7 tokens, then the first image keeps 1
     for mask, padded in ((sevens, False), (mixed, True)):

@@ -437,7 +437,7 @@ def test_training_step_tape_size_and_release(monkeypatch):
     (phase1, after1, names1, dead1), (phase2, after2, names2, dead2) = sizes
     # one taped forward over the batch; the priority path is not recorded, so a
     # record that no gradient reaches would raise the count
-    assert phase1 == 114, phase1
+    assert phase1 == 101, phase1
     assert phase2 <= 20, phase2         # only the CAM branch is taped in phase 2
     assert after1 == after2 == 0        # a replayed tape holds no records
     assert dead1 == dead2 == 0          # every record receives a gradient
@@ -470,9 +470,9 @@ def test_one_phase1_step_stays_under_its_memory_budget():
 
 def test_read_only_parameters_images_and_op_outputs_give_the_same_bits(monkeypatch):
     # no op writes into its inputs or outputs, so a value may share memory
-    # with the value it was made from (reshape returns a view); attention's
-    # probabilities skip `_emit`, and its backward rule reads them, so no
-    # caller may write into them before the backward either
+    # with the value it was made from (reshape and a sliced take return
+    # views); attention's probabilities skip `_emit`, and its backward rule
+    # reads them, so no caller may write into them before the backward either
     toy = ToyTaskConfig(samples_per_epoch=4, seed=7)
     cfg = default_model_config(toy)
     emit, attention = nm._emit, nm.attention

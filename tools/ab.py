@@ -34,7 +34,10 @@ the working tree.
 - Kernel ops: forward and backward of each op of ``op_cases`` at the toy
   shapes (65 tokens, width 32, 4 heads), each with a verdict. A backward
   is timed alone on a tape recorded beforehand, with the adjoint of the
-  sum to a scalar loss.
+  sum to a scalar loss. A side whose numerics lacks the op or rejects the
+  call (TypeError, AttributeError or ValueError, which a DimensionError
+  is) is ``absent`` for that op, with the error, and the op has no
+  verdict.
 - Tape: per side, the records of one taped phase-1 step at the toy
   defaults and its bytes (tracemalloc) held after the forward and at peak.
 - Tier-1: the working tree's wall time and outcome counts from one child
@@ -125,10 +128,11 @@ def quartiles(values) -> dict:
 
 
 def head_ratios(samples: dict) -> dict:
-    """Quartiles of head's per-round ratios to base (A/B) and to copy (A/A)."""
-    head = samples["head"]
+    """Quartiles of head's per-round ratios to base (A/B) and to copy (A/A),
+    for those of the three sides that `samples` holds."""
+    head = samples.get("head")
     return {f"ratio_head_over_{side}": quartiles(h / o for h, o in zip(head, samples[side]))
-            for side in ("base", "copy")}
+            for side in ("base", "copy") if head is not None and side in samples}
 
 
 def verdict(entry: dict) -> str:
@@ -423,8 +427,8 @@ def op_cases(rng) -> dict:
     return {
         "matmul": (lambda nm, a, b: nm.matmul(a, b), arrays((TOKENS, WIDTH), (WIDTH, WIDTH))),
         "softmax": (lambda nm, x: nm.softmax(x), arrays((HEADS, TOKENS, TOKENS))),
-        "attention": (lambda nm, q, k, v: nm.attention(q, k, v, HEADS)[0],
-                      arrays(*[(1, TOKENS, WIDTH)] * 3)),
+        "attention": (lambda nm, q, k, v: nm.attention(q, k, v, HEADS, TOKENS)[0],
+                      arrays(*[(TOKENS, WIDTH)] * 3)),
         "layer_norm": (lambda nm, x, g, b: nm.layer_norm(x, g, b),
                        arrays((TOKENS, WIDTH), (WIDTH,), (WIDTH,))),
         "gelu": (lambda nm, x: nm.gelu(x), arrays((TOKENS, 4 * WIDTH))),
@@ -434,8 +438,8 @@ def op_cases(rng) -> dict:
         "mul": (lambda nm, a, b: nm.mul(a, b), arrays((1, 1, TOKENS - 1), (1, 1, 1))),
         "scale": (lambda nm, x: nm.scale(x, 1.0 / (TOKENS - 1)), arrays((1, classes))),
         "reshape": (lambda nm, x: nm.reshape(x, (1, TOKENS, WIDTH)), arrays((TOKENS, WIDTH))),
-        "crop": (lambda nm, x: nm.crop(x, (0, 1, 0), (1, TOKENS - 1, WIDTH)),
-                 arrays((1, TOKENS, WIDTH))),
+        "take slice": (lambda nm, x: nm.take(x, (slice(None), slice(1, None))),
+                       arrays((1, TOKENS, WIDTH))),
         "take": (lambda nm, x: nm.take(x, picked), arrays((1, TOKENS - 1, WIDTH))),
         "concat": (lambda nm, a, b: nm.concat([a, b], axis=1),
                    arrays((1, 1, WIDTH), (1, TOKENS - 1, WIDTH))),
@@ -445,12 +449,21 @@ def op_cases(rng) -> dict:
 
 
 def kernel_ops(packages: dict) -> dict:
-    """Forward and backward of each kernel op on every side of `packages`;
-    see the module docstring."""
+    """Forward and backward of each kernel op on every side of `packages`
+    whose numerics takes the case; see the module docstring."""
     import numpy as np
 
     out = {}
     for op, (call, args) in op_cases(np.random.default_rng(0)).items():
+        sides, absent = {}, {}
+        for side, package in packages.items():
+            try:
+                call(package.numerics, *args)
+            except (TypeError, AttributeError, ValueError) as exc:
+                absent[side] = f"{type(exc).__name__}: {exc}"
+            else:
+                sides[side] = package.numerics
+
         def forward(nm, call=call, args=args):
             return (lambda: None), (lambda _: call(nm, *args))
 
@@ -460,12 +473,12 @@ def kernel_ops(packages: dict) -> dict:
                 return tape, nm.reduce_sum(call(nm, *[tape.leaf(a) for a in args]))
             return prepare, lambda recorded: recorded[0].backward(recorded[1])
 
-        out[op] = {}
-        for direction, build in (("forward", forward), ("backward", backward)):
-            entry = out[op][direction] = timed(
-                {side: build(package.numerics) for side, package in packages.items()},
-                OP_REPEATS, 20)
-            entry["verdict"] = verdict(entry)
+        out[op] = {"absent": absent} if absent else {}
+        for direction, build in (("forward", forward), ("backward", backward)) if sides else ():
+            entry = out[op][direction] = timed({side: build(nm) for side, nm in sides.items()},
+                                               OP_REPEATS, 20)
+            if not absent:
+                entry["verdict"] = verdict(entry)
     return out
 
 

@@ -7,14 +7,16 @@ reference. For perfbench fixtures 0 and 3 (built by perfbench/inputs.py)
 it runs the command matrix of ``commands`` in-process through
 ``tokenloc.cli.main`` and writes tests/data/golden.json: per fixture and
 command, the exit code and the SHA-256 of stdout, stderr and every file
-the command wrote, plus the machine block (Python, numpy, scipy, BLAS)
-of the recording. Re-record only for a deliberate change of output
-bits, and list each changed hash with its reason in CHANGES.md.
+the command wrote, plus the machine block (Python, numpy, scipy, BLAS,
+the OpenBLAS core and numpy's active SIMD targets) of the recording.
+Re-record only for a deliberate change of output bits, and list each
+changed hash with its reason in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -123,6 +125,32 @@ def run_matrix(work: Path, stale: bytes = b"") -> dict:
             for seed in FIXTURES}
 
 
+def openblas_core() -> str:
+    """The CPU kernel set that numpy's bundled OpenBLAS runs ("SkylakeX",
+    "Haswell", ...; OPENBLAS_CORETYPE overrides it), or "unknown"."""
+    import numpy as np
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):   # not loadable, or no such symbol
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def simd_targets() -> list:
+    """numpy's SIMD dispatch targets that this CPU runs, less those that
+    NPY_DISABLE_CPU_FEATURES turns off."""
+    import numpy as np
+
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath   # numpy 2 or 1
+    return [target for target in getattr(umath, "__cpu_dispatch__", [])
+            if umath.__cpu_features__.get(target)]
+
+
 def machine() -> dict:
     """What the output bits may depend on besides the code."""
     import numpy as np
@@ -134,7 +162,8 @@ def machine() -> dict:
     except (TypeError, KeyError):
         blas = "unknown"
     return {"python": platform.python_version(), "machine": platform.machine(),
-            "numpy": np.__version__, "scipy": scipy.__version__, "blas": blas}
+            "numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
+            "openblas_core": openblas_core(), "numpy_simd": simd_targets()}
 
 
 def main() -> int:
