@@ -118,11 +118,14 @@ def heat_boxes(heats: np.ndarray, thetas, width: int, height: int):
         # hook the larger root of each edge to the smaller, then jump every run to its
         # root: head[a] <= a throughout, so each component ends on its first run
         head = np.arange(n)
-        while (head[above] != head[below]).any():
-            low, high = np.sort([head[above], head[below]], axis=0)
-            np.minimum.at(head, high, low)
-            while (head[head] != head).any():
-                head = head[head]
+        roots_above, roots_below = above, below   # every run is its own root so far
+        while (roots_above != roots_below).any():
+            np.minimum.at(head, np.maximum(roots_above, roots_below),
+                          np.minimum(roots_above, roots_below))
+            jumped = head[head]
+            while (jumped != head).any():
+                head, jumped = jumped, jumped[jumped]
+            roots_above, roots_below = head[above], head[below]
         # a component is named by its head, its first run: per plane the largest
         # size wins, then the first head, by one key per run (0 off the heads)
         size = np.bincount(head, stop - start, minlength=n).astype(np.int64)

@@ -9,7 +9,10 @@ round trip could not change a bit. The other arithmetic ops round to
 float32 once, from float64: reductions (dot products, sums, softmax,
 mean/variance) accumulate in float64, `scale` and the attention score
 scaling multiply by a binary64 constant, and layer_norm, gelu, log, the
-convolution and the resize chain several float64 steps. No operation
+convolution and the resize chain several float64 steps. The
+convolution's forward is one float64 BLAS product of every tap (float32
+operands multiply exactly) summed tap by tap in a fixed order; the resize
+gathers its corners with `take` from the flattened plane. No operation
 writes into its inputs or its output, so an output may share memory
 with an input (`reshape` and a sliced `take` return views). Every
 operation but `bilinear_resize` carries a backward rule and returns
@@ -370,8 +373,9 @@ def gelu(x):
 
 @functools.lru_cache(maxsize=16)
 def _resize_corners(h: int, w: int, out_h: int, out_w: int) -> tuple:
-    """(row index, column index, float64 weight) of the four corners that
-    `bilinear_resize` blends, as read-only arrays shared between calls."""
+    """(flat index into the h*w source plane, float64 weight), both
+    (out_h, out_w), of the four corners that `bilinear_resize` blends, as
+    read-only arrays shared between calls."""
     si = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
     sj = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
     i0 = np.floor(si).astype(np.int64)[:, None]
@@ -380,8 +384,8 @@ def _resize_corners(h: int, w: int, out_h: int, out_w: int) -> tuple:
     j1 = np.minimum(j0 + 1, w - 1)
     fi = si[:, None] - i0
     fj = sj[None, :] - j0
-    corners = ((i0, j0, (1.0 - fi) * (1.0 - fj)), (i0, j1, (1.0 - fi) * fj),
-               (i1, j0, fi * (1.0 - fj)), (i1, j1, fi * fj))
+    corners = ((i0 * w + j0, (1.0 - fi) * (1.0 - fj)), (i0 * w + j1, (1.0 - fi) * fj),
+               (i1 * w + j0, fi * (1.0 - fj)), (i1 * w + j1, fi * fj))
     for corner in corners:
         for array in corner:
             array.flags.writeable = False
@@ -403,8 +407,8 @@ def bilinear_resize(m, out_h: int, out_w: int):
         raise DimensionError(f"output extents must be positive, got {out_h}x{out_w}")
     h, w = mv.shape[-2:]
     corners = _resize_corners(h, w, out_h, out_w)
-    z = _f64(mv)
-    terms = [weight * z[..., ii, jj] for ii, jj, weight in corners]
+    z = _f64(mv).reshape(*mv.shape[:-2], h * w)
+    terms = [weight * np.take(z, flat, axis=-1) for flat, weight in corners]
     return (terms[0] + terms[1] + terms[2] + terms[3]).astype(np.float32)
 
 
@@ -538,6 +542,14 @@ def conv2d3x3(x, kernel, bias):
 
     x: (..., H, W, C) with any leading batch axes; kernel: (K, C, 3, 3);
     bias: (K,). Returns (..., K, H, W).
+
+    The forward is one float64 BLAS product of the zero-padded grid with
+    every tap's weights, (..., H+2, W+2, C) @ (C, 9K), whose nine shifted
+    tap slices are added in raster (di, dj) order, then the bias, and
+    rounded to float32 once. Float32 operands multiply exactly in float64,
+    so fused multiply-adds change no bit; each tap's sum over C runs in
+    BLAS's order, as `matmul`'s does. The backward keeps one einsum per
+    tap, since its float64 adjoints do not multiply exactly.
     """
     xv, kv, bv = value_of(x), value_of(kernel), value_of(bias)
     if xv.ndim < 3:
@@ -551,13 +563,15 @@ def conv2d3x3(x, kernel, bias):
     k64, b64, padded = _f64(kv), _f64(bv), (*lead, h + 2, w + 2, c)
     xp = np.zeros(padded, dtype=np.float64)
     xp[..., 1:-1, 1:-1, :] = xv
-    out64 = np.zeros((*lead, k, h, w), dtype=np.float64)
+    # every tap's (C -> K) product at every padded position, tap-major columns
+    taps = (xp.reshape(-1, c) @ k64.transpose(1, 2, 3, 0).reshape(c, 9 * k)).reshape(
+        *padded[:-1], 9, k)
+    out64 = np.zeros((*lead, h, w, k), dtype=np.float64)
     for di in range(3):
         for dj in range(3):
-            out64 += np.einsum("...ijc,kc->...kij", xp[..., di:di + h, dj:dj + w, :],
-                               k64[:, :, di, dj])
-    out64 += b64[:, None, None]
-    out = out64.astype(np.float32)
+            out64 += taps[..., di:di + h, dj:dj + w, 3 * di + dj, :]
+    out64 += b64
+    out = np.moveaxis(out64, -1, -3).astype(np.float32, order="C")
 
     def backward(g):
         if isinstance(kernel, Node):

@@ -52,11 +52,12 @@ def adaptive(mass: float):
         raise ContractError(f"mass fraction must be in (0, 1], got {mass}")
 
     def rule(m):
-        order = np.argsort(-m, axis=-1, kind="stable")
-        cum = np.cumsum(np.take_along_axis(m, order, axis=-1), axis=-1, dtype=np.float64)
+        rows = np.arange(len(m))[:, None]
+        ranked = m[rows, np.argsort(-m, axis=-1, kind="stable")]
+        cum = np.cumsum(ranked, axis=-1, dtype=np.float64)
         # the first prefix position whose running sum reaches the target
         last = np.minimum((cum < mass * cum[:, -1:]).sum(axis=-1), m.shape[-1] - 1)
-        return m >= np.take_along_axis(m, np.take_along_axis(order, last[:, None], -1), -1)
+        return m >= ranked[rows, last[:, None]]
     return rule
 
 

@@ -132,14 +132,18 @@ def test_stage_level_reaches_every_stage_of_the_request_on_every_side(ab):
                                                                                 "tk_copy"]
 
 
-def test_every_kernel_op_case_runs_forward_and_backward(ab):
+def test_every_kernel_op_case_runs_forward_and_backward_but_the_resize(ab):
     import numpy as np
     from tokenloc import numerics as nm
 
     for op, (call, args) in ab.op_cases(np.random.default_rng(0)).items():
         tape = nm.GradTape()
         leaves = [tape.leaf(arg) for arg in args]
-        tape.backward(nm.reduce_sum(call(nm, *leaves)))
+        loss = nm.reduce_sum(call(nm, *leaves))
+        if op == "bilinear_resize":   # forward only: it records no tape step
+            assert not isinstance(loss, nm.Node) and len(tape) == 0
+            continue
+        tape.backward(loss)
         assert all(leaf.grad is not None for leaf in leaves), op
 
 
@@ -150,7 +154,7 @@ def test_a_kernel_op_that_a_side_cannot_take_is_absent_there(ab, monkeypatch):
 
     cases = ab.op_cases(np.random.default_rng(0))
     monkeypatch.setattr(ab, "op_cases", lambda rng: {
-        op: cases[op] for op in ("add", "attention", "take slice", "reshape")})
+        op: cases[op] for op in ("add", "attention", "take slice", "reshape", "bilinear_resize")})
     monkeypatch.setattr(ab, "OP_REPEATS", 3)
 
     def attention(q, k, v, num_heads):   # takes no seq_len
@@ -170,6 +174,11 @@ def test_a_kernel_op_that_a_side_cannot_take_is_absent_there(ab, monkeypatch):
             for op, entry in out.items() if "absent" in entry} == {
         "add": {"base": "AttributeError"}, "attention": {"base": "TypeError"},
         "take slice": {"base": "DimensionError"}}
+    # the untaped resize: a forward with a verdict, and a backward absent on every side
+    assert set(out["bilinear_resize"]["forward"]) == {*SIDES, "ratio_head_over_base",
+                                                      "ratio_head_over_copy", "verdict"}
+    assert out.pop("bilinear_resize")["backward"] == {
+        "absent": dict.fromkeys(SIDES, "records no tape step")}
     for op, entry in out.items():
         for direction in ("forward", "backward"):
             if op == "reshape":

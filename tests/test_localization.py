@@ -536,6 +536,68 @@ def test_heat_boxes_adversarial_planes(planes, expected):
         assert oracle_boxes(heat, [0.5]) == [(tuple(box), not heat.any())]
 
 
+def _serpentine(side):
+    """Full rows joined at alternate ends: one chain of runs down the plane."""
+    plane = np.zeros((side, side), np.float32)
+    plane[::2] = 1.0
+    plane[1::4, -1] = plane[3::4, 0] = 1.0
+    return plane
+
+
+def _teeth(side):
+    """Teeth in every other column, reaching to the bottom row from tops
+    at bit-reversed heights: the tooth in column 2i starts at row
+    reverse_bits(i) // 2, so the teeth's first runs, which name them, rise
+    and fall in raster order along the row at every scale."""
+    plane, n = np.zeros((side, side), np.float32), side // 2
+    for i in range(n):
+        plane[int(format(i, f"0{n.bit_length() - 1}b")[::-1], 2) // 2:, 2 * i] = 1.0
+    return plane
+
+
+def _comb_joined_at_the_bottom(side):
+    plane = _teeth(side)
+    plane[-1] = 1.0
+    return plane
+
+
+def _ladder(side):
+    """The teeth joined pairwise by rungs in two alternating rows: each
+    hooking round merges only neighbouring pieces, so a side of 2**k takes
+    k - 1 rounds (4 at 32, 5 at 64)."""
+    plane = _teeth(side)
+    for i in range(side // 2 - 1):
+        plane[side - 6 + 2 * (i % 2), 2 * i:2 * i + 3] = 1.0
+    return plane
+
+
+def _diagonal_chains(side):
+    """8-connected diagonals one pixel per row: falling ones three columns
+    apart (never touching), and rising ones two columns apart, which meet
+    only at corners; every pixel is a run of its own."""
+    y, x = np.indices((side, side))
+    falling = (x - y) % 3 == 0
+    rising = (x + y) % 2 == 0
+    return np.where(x < side // 2, falling, rising & (y % 4 != 3)).astype(np.float32)
+
+
+@pytest.mark.parametrize("side", [32, 64])
+def test_heat_boxes_equal_the_stacked_pixel_labeller_on_long_chains_and_deep_hooks(side):
+    """Planes whose labelling takes several hooking rounds and long
+    pointer chains, as 0/1 heats and with seeded values in [0.5, 1] on
+    their foreground, so the higher thresholds cut them into pieces."""
+    rng = np.random.default_rng(side)
+    planes = [_serpentine(side), _comb_joined_at_the_bottom(side), _ladder(side),
+              _diagonal_chains(side), _diagonal_chains(side)[::-1], _serpentine(side).T]
+    heats = np.stack(planes + [plane * rng.uniform(0.5, 1.0, plane.shape).astype(np.float32)
+                               for plane in planes])
+    boxes, empty = assert_matches_stacked_labeller(heats, threshold_grid(*DEFAULT_GRID))
+    assert not empty.any()
+    # under every value, the serpentines, the comb and the ladder are one component each
+    assert boxes[[0, 1, 2, 5], 0].tolist() == [[0, 0, side, side]] * 2 + [
+        [0, 0, side - 1, side], [0, 0, side, side]]
+
+
 def test_heat_boxes_at_one_threshold_match_the_oracle():
     rng = np.random.default_rng(14)
     for _ in range(40):

@@ -375,6 +375,38 @@ def test_bilinear_reproduces_ramp():
             assert abs(float(out[i, j]) - (a + b * si + c * sj)) < 1e-5
 
 
+
+def bilinear_resize_oracle(m, out_h, out_w):
+    """`bilinear_resize` as it gathered its corners before, by broadcast
+    (row, column) indexing of the 2-D planes: the same source coordinates,
+    weights, four products and summation order."""
+    z = np.asarray(m, np.float64)
+    h, w = z.shape[-2:]
+    si = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
+    sj = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
+    i0 = np.floor(si).astype(np.int64)[:, None]
+    j0 = np.floor(sj).astype(np.int64)[None, :]
+    i1, j1 = np.minimum(i0 + 1, h - 1), np.minimum(j0 + 1, w - 1)
+    fi, fj = si[:, None] - i0, sj[None, :] - j0
+    terms = [weight * z[..., ii, jj] for ii, jj, weight in (
+        (i0, j0, (1.0 - fi) * (1.0 - fj)), (i0, j1, (1.0 - fi) * fj),
+        (i1, j0, fi * (1.0 - fj)), (i1, j1, fi * fj))]
+    return (terms[0] + terms[1] + terms[2] + terms[3]).astype(np.float32)
+
+
+@pytest.mark.parametrize("lead, src, out", [
+    ((), (8, 8), (32, 32)), ((8,), (8, 8), (32, 32)), ((2, 3), (4, 4), (16, 16)),   # up
+    ((), (32, 32), (8, 8)), ((5,), (13, 9), (4, 3)),                                  # down
+    ((), (5, 11), (17, 4)), ((3,), (1, 7), (6, 1)), ((2, 2), (1, 1), (3, 5)),         # mixed
+    ((4,), (8, 8), (8, 8))])
+def test_bilinear_resize_is_bit_identical_to_the_2d_gather_oracle(lead, src, out):
+    rng = np.random.default_rng(sum(src) * 31 + sum(out))
+    m = (rng.standard_normal((*lead, *src)) * 10.0 ** rng.integers(-20, 20, (*lead, 1, 1)))
+    m = m.astype(np.float32)
+    got, want = nm.bilinear_resize(m, *out), bilinear_resize_oracle(m, *out)
+    assert got.dtype == np.float32 and got.shape == want.shape == (*lead, *out)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
 def test_finite_diff_quadratic():
     h = 1e-3
     grad = finite_diff_grad(lambda x: float((x.astype(np.float64) ** 2).sum()),
@@ -556,3 +588,48 @@ def test_conv2d3x3_batch_rows_equal_single_images():
     assert out.shape == (3, 2, 5, 4)
     for i in range(3):
         assert np.array_equal(out[i], nm.conv2d3x3(x[i], kernel, bias))
+
+
+def conv2d3x3_oracle(x, kernel, bias):
+    """`conv2d3x3`'s forward as one einsum per tap: each (di, dj) tap of
+    the zero-padded float64 grid contracted with that tap's (K, C) weights
+    and added in raster tap order into a (..., K, H, W) float64 sum, then
+    the bias, then one rounding to float32."""
+    xv, k64, b64 = np.asarray(x), np.asarray(kernel, np.float64), np.asarray(bias, np.float64)
+    *lead, h, w, c = xv.shape
+    xp = np.zeros((*lead, h + 2, w + 2, c))
+    xp[..., 1:-1, 1:-1, :] = xv
+    out64 = np.zeros((*lead, len(k64), h, w))
+    for di in range(3):
+        for dj in range(3):
+            out64 += np.einsum("...ijc,kc->...kij", xp[..., di:di + h, dj:dj + w, :],
+                               k64[:, :, di, dj])
+    out64 += b64[:, None, None]
+    return out64.astype(np.float32)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_conv2d3x3_is_bit_identical_to_the_per_tap_einsum_oracle(lead):
+    """Seeded cases at K in {1, 2, 3}, C in {1, 5, 32}, square and
+    non-square grids down to 1x1 and inputs scaled from 1e-30 to 1e30, an
+    all-zero input and a cancelling one."""
+    rng = np.random.default_rng(45 + len(lead))
+    cases = []
+    for k in (1, 2, 3):
+        for c in (1, 5, 32):
+            for grid in ((8, 8), (5, 3), (1, 1), (1, 6)):
+                x = rng.standard_normal((*lead, *grid, c)) * 10.0 ** rng.integers(
+                    -30, 31, (*lead, 1, 1, 1))
+                cases.append((x.astype(np.float32),
+                               rng.standard_normal((k, c, 3, 3)).astype(np.float32),
+                               rng.standard_normal(k).astype(np.float32)))
+    cases.append((np.zeros((*lead, 8, 8, 32), np.float32), *cases[-4][1:]))  # K 3, C 32
+    # at C = 1 each tap is one exact product and only the tap order can move a
+    # bit: +-2**70 cancel before or after a 1 is absorbed, by that order
+    cancelling = rng.choice(np.float32([2.0 ** 70, -2.0 ** 70, 1.0, -1.0, 0.0]), (*lead, 8, 8, 1))
+    cases.append((cancelling, rng.choice(np.float32([1.0, -1.0]), (3, 1, 3, 3)),
+                  np.zeros(3, np.float32)))
+    for x, kernel, bias in cases:
+        got, want = nm.conv2d3x3(x, kernel, bias), conv2d3x3_oracle(x, kernel, bias)
+        assert got.dtype == np.float32 and got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (x.shape, kernel.shape)

@@ -267,6 +267,25 @@ def test_stacked_selection_is_bit_identical_to_the_per_row_oracle():
         select(np.ones(3, np.float32), fixed(0.0))
 
 
+
+def adaptive_take_along_axis(mass):
+    """`adaptive(mass)` as it gathered with `take_along_axis`: the sorted
+    priorities, then the order's entry at the last prefix position, then
+    the priority there."""
+    def rule(m):
+        order = np.argsort(-m, axis=-1, kind="stable")
+        cum = np.cumsum(np.take_along_axis(m, order, axis=-1), axis=-1, dtype=np.float64)
+        last = np.minimum((cum < mass * cum[:, -1:]).sum(axis=-1), m.shape[-1] - 1)
+        return m >= np.take_along_axis(m, np.take_along_axis(order, last[:, None], -1), -1)
+    return rule
+
+
+def test_adaptive_rule_is_bit_identical_to_its_take_along_axis_form():
+    # the raw rule, also on the zero, NaN and inf rows that `select` falls back on
+    for stack in [_heldout_priorities(99)] + _random_stacks(np.random.default_rng(9)):
+        for u in (0.02, 0.3, 0.65, 1.0):
+            assert np.array_equal(adaptive(u)(stack), adaptive_take_along_axis(u)(stack))
+
 # --- selection matrix -------------------------------------------------------
 
 def test_selection_matrix_all_ones():

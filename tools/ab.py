@@ -32,12 +32,15 @@ the working tree.
   ``ablate-selection`` in the CLI's default mode (re-attention on and
   off), which perfbench never runs; every side's table must equal base's.
 - Kernel ops: forward and backward of each op of ``op_cases`` at the toy
-  shapes (65 tokens, width 32, 4 heads), each with a verdict. A backward
-  is timed alone on a tape recorded beforehand, with the adjoint of the
-  sum to a scalar loss. A side whose numerics lacks the op or rejects the
+  shapes (65 tokens, width 32, 4 heads), and the convolution and resize
+  at the evaluate stack of 8 images, each with a verdict. A backward is
+  timed alone on a tape recorded beforehand, with the adjoint of the sum
+  to a scalar loss. A side whose numerics lacks the op or rejects the
   call (TypeError, AttributeError or ValueError, which a DimensionError
   is) is ``absent`` for that op, with the error, and the op has no
-  verdict.
+  verdict. A side on which the op records no tape step, as the untaped
+  bilinear_resize, has its backward ``absent``: only the forward is
+  timed there.
 - Tape: per side, the records of one taped phase-1 step at the toy
   defaults and its bytes (tracemalloc) held after the forward and at peak.
 - Tier-1: the working tree's wall time and outcome counts from one child
@@ -103,6 +106,7 @@ print(json.dumps({"exit_code": child.returncode, "wall_ms": (time.perf_counter()
 """
 OP_REPEATS = 60
 TOKENS, WIDTH, HEADS = 65, 32, 4
+STACK = 8   # images per forward stack, pipeline.FORWARD_CHUNK
 # pipeline stage -> the (module, function) whose cumulative time is the stage
 STAGES = {
     "checkpoint decode": ("formats", "read_checkpoint"), "image read": ("formats", "read_image"),
@@ -413,8 +417,8 @@ def op_cases(rng) -> dict:
     layer_norm and MLP gelu, the CAM's 3x3 convolution of the token grid,
     a bias add, the refine head's product of the importance weights with
     the diagonal, the CAM logits' spatial sum and scale, then the shape
-    ops (the mask block keeps 42 of the 64 tokens). The untaped
-    bilinear_resize has no backward to time."""
+    ops (the mask block keeps 42 of the 64 tokens); then the convolution
+    and the untaped bilinear_resize at the evaluate stack of 8 images."""
     import numpy as np
 
     side, kept, classes = math.isqrt(TOKENS - 1), 42, 2
@@ -445,6 +449,10 @@ def op_cases(rng) -> dict:
                    arrays((1, 1, WIDTH), (1, TOKENS - 1, WIDTH))),
         "reduce_sum": (lambda nm, x: nm.reduce_sum(x, axis=(-2, -1)),
                        arrays((1, classes, side, side))),
+        "conv2d3x3 stack": (lambda nm, x, k, b: nm.conv2d3x3(x, k, b),
+                            arrays((STACK, side, side, WIDTH), (classes, WIDTH, 3, 3), (classes,))),
+        "bilinear_resize": (lambda nm, m: nm.bilinear_resize(m, 4 * side, 4 * side),
+                            arrays((STACK, side, side))),
     }
 
 
@@ -473,11 +481,16 @@ def kernel_ops(packages: dict) -> dict:
                 return tape, nm.reduce_sum(call(nm, *[tape.leaf(a) for a in args]))
             return prepare, lambda recorded: recorded[0].backward(recorded[1])
 
+        untaped = {side: "records no tape step" for side, nm in sides.items()
+                   if not isinstance(backward(nm)[0]()[1], nm.Node)}
         out[op] = {"absent": absent} if absent else {}
-        for direction, build in (("forward", forward), ("backward", backward)) if sides else ():
-            entry = out[op][direction] = timed({side: build(nm) for side, nm in sides.items()},
-                                               OP_REPEATS, 20)
-            if not absent:
+        for direction, build, skip in (("forward", forward, {}),
+                                       ("backward", backward, untaped)) if sides else ():
+            timed_sides = {side: build(nm) for side, nm in sides.items() if side not in skip}
+            entry = out[op][direction] = timed(timed_sides, OP_REPEATS, 20) if timed_sides else {}
+            if skip:
+                entry["absent"] = skip
+            elif not absent:
                 entry["verdict"] = verdict(entry)
     return out
 
