@@ -20,7 +20,6 @@ import typing
 import numpy as np
 
 from . import numerics as nm
-from .ablation import parse_strategy, run_ablation
 from .errors import ContractError, FormatError, cited
 from .formats import (
     check_alpha,
@@ -43,7 +42,7 @@ from .localization import (
     threshold_grid,
 )
 from .pipeline import two_branch_forward
-from .token_refine import adaptive
+from .token_refine import adaptive, parse_strategy
 from .training import ToyTaskConfig, TrainConfig, check_model_fits, default_model_config, train_toy
 
 
@@ -175,7 +174,7 @@ def cmd_eval(args):
     samples = _load_manifest_samples(args.manifest, cfg)
     with _finite_forward(args.manifest):
         theta_star, _, results = evaluate_samples(params, cfg, samples, metrics, thetas,
-                                                  selector=selector)
+                                                  selectors=[selector])[0]
     rows = [(metric, repr(results[metric])) for metric in metrics]
     rows.append(("theta", repr(theta_star)))
     _write_csv(args.out_report, ("metric", "value"), rows)
@@ -188,7 +187,7 @@ def cmd_calibrate(args):
     samples = _load_manifest_samples(args.manifest, cfg)
     with _finite_forward(args.manifest):
         theta_star, table, _ = evaluate_samples(params, cfg, samples, (), thetas,
-                                                selector=selector)
+                                                selectors=[selector])[0]
     _write_csv(args.out_table, ("theta", "gt_known"),
                [(repr(theta), repr(acc)) for theta, acc in table])
     print(f"theta_star={theta_star!r}")
@@ -269,10 +268,13 @@ def cmd_ablate(args):
     samples = _load_manifest_samples(args.manifest, cfg)
     modes = {"both": (True, False), "on": (True,), "off": (False,)}[args.reattention]
     with _finite_forward(args.manifest):
-        rows = run_ablation(params, cfg, samples, strategies, modes=modes, thetas=thetas)
+        rows = evaluate_samples(params, cfg, samples, ("gt-known", "maxboxaccv2"), thetas,
+                                selectors=[selector for _, selector in strategies], modes=modes)
+    settings = [(label, reatt) for label, _ in strategies for reatt in modes]
     _write_csv(args.out_table, ("strategy", "reattention", "theta", "gt_known", "max_box_acc_v2"),
-               [(label, "on" if reatt else "off", repr(theta), repr(gt), repr(mb))
-                for label, reatt, theta, gt, mb in rows])
+               [(label, "on" if reatt else "off", repr(theta),
+                 repr(results["gt-known"]), repr(results["maxboxaccv2"]))
+                for (label, reatt), (theta, _, results) in zip(settings, rows)])
     return 0
 
 

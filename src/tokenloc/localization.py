@@ -11,7 +11,9 @@ heats into a box table, its best-IoU table and the calibrated threshold;
 GT-known, top-1 and top-5 localization accuracy and MaxBoxAccV2 (Choe et
 al., CVPR 2020) read those IoUs: strict comparisons, each sample against
 its best-matching ground-truth box. `evaluate_samples` is the one loop
-from samples to heats to metrics, behind both `calibrate` and `eval`.
+from samples to heats to metrics, behind `calibrate`, `eval` and
+`ablate-selection`: one forward pass per stack serves every selection
+rule, with re-attention on and off.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from . import numerics as nm
 from . import pipeline
 from .backbone import ModelConfig
 from .errors import ContractError, DimensionError
-from .pipeline import forward_chunks, two_branch_forward
+from .pipeline import forward_chunks, rescored, two_branch_forward
+from .token_refine import spatial_map
 
 DEFAULT_GRID = (0.05, 0.95, 0.05)
 # the 0:1:1e-4 grid: a labelling call holds FORWARD_CHUNK * T image-size masks
@@ -237,49 +240,70 @@ def top_k_loc_acc(ious, ranks, k: int) -> float:
     return int(np.count_nonzero((ious > 0.5) & (np.asarray(ranks) < k))) / len(ious)
 
 
-def evaluate_samples(params, cfg: ModelConfig, samples, metrics, thetas, *, selector=None):
-    """The engine behind `calibrate` and `eval` on (image, label, (G, 4)
-    boxes) samples: returns (theta_star, table, {metric: value}).
+def evaluate_samples(params, cfg: ModelConfig, samples, metrics, thetas, *, selectors=(None,),
+                     modes=(True,)) -> list:
+    """The engine behind `calibrate`, `eval` and `ablate-selection`: on
+    (image, label, (G, 4) boxes) samples, returns one (theta_star, table,
+    {metric: value}) per (selector, re-attention mode) pair, selector-major,
+    in the order of `modes` (True on, False off).
 
     theta_star maximises GT-known accuracy over `thetas` (a fixed
     threshold is a grid of one), table holds the (theta, GT-known) rows,
     and `metrics` names any of METRIC_NAMES: the class-aware ones are
     computed at theta_star, and maxboxaccv2 takes each IoU level's own
-    best threshold. The images go through the forward pass once each, in
-    stacks of `pipeline.FORWARD_CHUNK`, and `evaluate_heats` boxes and
-    scores the GT-class heats. A predicted-class heat is fused only where
-    the top-ranked class is not the GT class, and all of them are labelled
-    at theta_star in one call. Classes rank by CAM-branch probability,
-    ties by id.
+    best threshold. Each stack of `pipeline.FORWARD_CHUNK` images gets one
+    forward pass, with the first selector, which later selectors re-select
+    (`pipeline.rescored`); re-attention off scores the priority map, once
+    for all selectors and with no mask block. For top1/top5 a
+    predicted-class heat is fused only where the top-ranked class (by
+    CAM-branch probability, ties by id) is not the GT class, and each
+    setting's are labelled at its theta_star in one call.
     """
+    if not selectors:
+        raise ContractError("evaluation needs at least one selector")
     side = cfg.image_size
     ranked_metrics = any(m in metrics for m in ("top1", "top5"))
-    ranks, heats_gt, pred_rows, heats_pred = [], [], [], []
-    for labels, result in forward_chunks(params, cfg, samples, selector=selector):
-        order = np.argsort(-nm.value_of(result.p_cam), axis=1, kind="stable")
-        heats_gt.extend(class_heats(result.refined_map, result.cam_maps, labels, side))
+    # setting -> (GT-class heats, predicted-class heats): a selector's index, or "off"
+    heats = {i: ([], []) for i in range(len(selectors)) if True in modes}
+    if False in modes:
+        heats["off"] = ([], [])
+    ranks, pred_rows = [], []
+    for labels, first in forward_chunks(params, cfg, samples, selector=selectors[0]):
+        order = np.argsort(-nm.value_of(first.p_cam), axis=1, kind="stable")
         # a predicted-class heat is needed only where that class is not the GT class
         differ = np.flatnonzero(order[:, 0] != labels)
-        if ranked_metrics and differ.size:
-            heats_pred.extend(class_heats(result.refined_map[differ], result.cam_maps[differ],
-                                          order[differ, 0], side))
-            pred_rows.extend(len(ranks) + differ)
+        for setting, (heats_gt, heats_pred) in heats.items():
+            if setting == "off":
+                scoring = spatial_map(first.priorities)
+            else:
+                # one backbone, priority and CAM pass per stack for every selector
+                scoring = (first if setting == 0 else rescored(first, selectors[setting])
+                           ).refined_map
+            heats_gt.extend(class_heats(scoring, first.cam_maps, labels, side))
+            if ranked_metrics and differ.size:
+                heats_pred.extend(class_heats(scoring[differ], first.cam_maps[differ],
+                                              order[differ, 0], side))
+        pred_rows.extend(len(ranks) + differ)
         ranks.extend((order == np.array(labels)[:, None]).argmax(axis=1))
-    boxes, ious, table, theta_star, gt = evaluate_heats(heats_gt, [g for _, _, g in samples],
-                                                        thetas, side)
-    if ranked_metrics:
-        # where the top-ranked class is the GT class, its box is already in the table
-        top_boxes = boxes[:, thetas.index(theta_star)].copy()
-        if heats_pred:
-            top_boxes[pred_rows] = heat_boxes(heats_pred, [theta_star], side, side)[0][:, 0]
-        top_ious = best_ious(top_boxes[:, None], gt)[:, 0]
-    results = {}
-    for metric in metrics:
-        if metric == "gt-known":
-            results[metric] = dict(table)[theta_star]
-        elif metric == "maxboxaccv2":
-            results[metric] = max_box_acc_v2(ious)
-        else:
-            results[metric] = top_k_loc_acc(top_ious, ranks, {"top1": 1, "top5": 5}[metric])
-    return theta_star, table, results
+    gts = [g for _, _, g in samples]
 
+    def score(heats_gt, heats_pred):
+        boxes, ious, table, theta_star, gt = evaluate_heats(heats_gt, gts, thetas, side)
+        if ranked_metrics:
+            # where the top-ranked class is the GT class, its box is already in the table
+            top_boxes = boxes[:, thetas.index(theta_star)].copy()
+            if heats_pred:
+                top_boxes[pred_rows] = heat_boxes(heats_pred, [theta_star], side, side)[0][:, 0]
+            top_ious = best_ious(top_boxes[:, None], gt)[:, 0]
+        results = {}
+        for metric in metrics:
+            if metric == "gt-known":
+                results[metric] = dict(table)[theta_star]
+            elif metric == "maxboxaccv2":
+                results[metric] = max_box_acc_v2(ious)
+            else:
+                results[metric] = top_k_loc_acc(top_ious, ranks, {"top1": 1, "top5": 5}[metric])
+        return theta_star, table, results
+
+    scores = {setting: score(*setting_heats) for setting, setting_heats in heats.items()}
+    return [scores[i if reatt else "off"] for i in range(len(selectors)) for reatt in modes]

@@ -9,7 +9,9 @@ even in a taped pass; a selector that returns one constant mask pins
 the selection (that is what makes finite-difference checks of the
 composed loss well-posed). Re-attention has no off switch: the map
 without it is the priority vector itself, which every result carries
-as `priorities`. `rescored` re-selects a result's tokens by another rule.
+as `priorities`. `rescored` re-selects a result's tokens by another rule,
+which is how `localization.evaluate_samples` scores several rules on one
+`forward_chunks` pass.
 """
 
 from __future__ import annotations

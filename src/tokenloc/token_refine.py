@@ -2,7 +2,8 @@
 
 Aggregates the class-token attention rows into a preliminary priority
 vector per image, selects tokens for the whole stack in numpy (by
-default adaptively, by cumulative attention mass), runs a transformer
+default adaptively, by cumulative attention mass; `parse_strategy` reads
+the command line's forms of the rules), runs a transformer
 block over each image's gathered selected tokens to learn importance
 weights, and redistributes the selected attention mass accordingly.
 Priorities, selection and re-attention are float32 numpy constants for
@@ -81,6 +82,37 @@ def fixed(tau):
     if tau != "mean" and not (math.isfinite(tau) and tau >= 0.0):
         raise ContractError(f"fixed threshold must be a finite number >= 0, got {tau}")
     return lambda m: m >= (m.mean(axis=-1, keepdims=True) if tau == "mean" else float(tau))
+
+
+# each selection strategy's command-line name, and an example of its form
+_STRATEGY_FORMS = {"adaptive": "adaptive:0.65", "topk": "topk:8",
+                  "fixed": "fixed:0.01 or fixed:mean"}
+
+
+def parse_strategy(text: str) -> tuple:
+    """Parse a CLI form, adaptive[:u], topk:<k> or fixed:<t|mean>, into
+    (label, selector); k is written in ASCII digits and u and t are read
+    by float(), as `--u` is. A bare `adaptive` has selector None, which
+    selects at the checkpoint's own mass as in `pipeline.two_branch_forward`."""
+    kind, colon, arg = text.partition(":")
+    kind = kind.strip()
+    if kind not in _STRATEGY_FORMS:
+        raise ContractError(f"unknown selection strategy {kind!r}")
+    if kind == "adaptive" and not colon:
+        return "adaptive", None
+    if not arg:
+        raise ContractError(f"{kind} strategy needs a value, e.g. {_STRATEGY_FORMS[kind]}")
+    if kind == "topk":
+        if not (arg.isascii() and arg.isdigit()):
+            raise ContractError(f"strategy {text!r}: {arg!r} is not an integer")
+        return f"topk:{int(arg)}", top_k(int(arg))
+    if kind == "fixed" and arg == "mean":
+        return "fixed:mean", fixed("mean")
+    try:
+        value = float(arg)
+    except ValueError:
+        raise ContractError(f"strategy {text!r}: {arg!r} is not a number") from None
+    return f"{kind}:{value:g}", (adaptive if kind == "adaptive" else fixed)(value)
 
 
 def select(priorities, selector):

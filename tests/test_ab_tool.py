@@ -213,7 +213,7 @@ def test_line_count_counts_newlines_of_the_package_files(ab, tmp_path):
     (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
     (tmp_path / "b.py").write_text("z = 3\n")
     (tmp_path / "notes.txt").write_text("not counted\n")
-    assert ab.line_count(tmp_path) == 3
+    assert ab.line_count(tmp_path) == {"total": 3, "modules": {"a.py": 2, "b.py": 1}}
 
 
 _FAKE_CHILD = ("import sys; log, side, out, text, code = sys.argv[1:]; "

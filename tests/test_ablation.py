@@ -1,20 +1,21 @@
-"""Selection-strategy ablation harness tests."""
+"""Selection-strategy ablation tests: the rules, their command-line forms
+and the evaluation engine's rows per (selector, re-attention mode)."""
 
 import numpy as np
 import pytest
 
 from tokenloc import numerics as nm
-from tokenloc import ablation, pipeline
-from tokenloc.ablation import parse_strategy, run_ablation
+from tokenloc import localization, pipeline
 from tokenloc.backbone import ModelConfig, init_params
 from tokenloc.errors import ContractError
 from tokenloc.pipeline import two_branch_forward
-from tokenloc.token_refine import adaptive, fixed, select, spatial_map, top_k
+from tokenloc.token_refine import adaptive, fixed, parse_strategy, select, spatial_map, top_k
 
 from test_localization import brightness_checkpoint, planted_image
 from test_pipeline import ACCEPTANCE_CKPT
 from tokenloc.formats import read_checkpoint
 from tokenloc.localization import (
+    METRIC_NAMES,
     class_heats,
     evaluate_heats,
     evaluate_samples,
@@ -44,10 +45,11 @@ def test_parse_strategy_forms():
         parsed_label, parsed = parse_strategy(text)
         assert parsed_label == label
         assert np.array_equal(parsed(m), selector(m)), text
-    with pytest.raises(ContractError):
-        parse_strategy("topk")
-    with pytest.raises(ContractError):
-        parse_strategy("nonsense:1")
+    # k in ASCII digits only, as --class; an empty value after the colon is no value
+    for bad in ("topk", "topk:", "topk:\u0664", "topk:1_0", "topk:+4", "topk: 4 ", "adaptive:",
+                "fixed:", "nonsense:1"):
+        with pytest.raises(ContractError):
+            parse_strategy(bad)
 
 
 def test_strategy_validation():
@@ -134,22 +136,21 @@ def test_single_strategy_row_matches_grid_search():
     cfg, params = brightness_checkpoint()
     samples = _samples(4)
     thetas = threshold_grid(0.25, 0.65, 0.2)
-    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive")],
-                        modes=(True,), thetas=thetas)
+    rows = evaluate_samples(params, cfg, samples, ["gt-known"], thetas,
+                            selectors=[parse_strategy("adaptive")[1]])
     assert len(rows) == 1
-    label, reatt, theta, gt_known, _ = rows[0]
-    theta_direct, table, _ = evaluate_samples(params, cfg, samples, (), thetas)
-    assert reatt is True
+    theta, _, results = rows[0]
+    theta_direct, table, _ = evaluate_samples(params, cfg, samples, (), thetas)[0]
     assert theta == theta_direct
-    assert gt_known == dict(table)[theta_direct]
+    assert results["gt-known"] == dict(table)[theta_direct]
 
 
 def test_duplicate_strategies_give_identical_rows():
     cfg, params = brightness_checkpoint()
     samples = _samples(3)
-    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive:0.5")] * 2,
-                        modes=(True,), thetas=[0.3, 0.6])
-    assert rows[0][2:] == rows[1][2:]
+    rows = evaluate_samples(params, cfg, samples, ["gt-known", "maxboxaccv2"], [0.3, 0.6],
+                            selectors=[parse_strategy("adaptive:0.5")[1]] * 2)
+    assert rows[0] == rows[1]
 
 
 def test_adaptive_mass_sweep_selection_sizes_monotone():
@@ -165,9 +166,11 @@ def test_adaptive_mass_sweep_emits_one_row_each():
     cfg, params = brightness_checkpoint()
     samples = _samples(2)
     sweep = [parse_strategy(f"adaptive:{u}") for u in (0.25, 0.45, 0.65, 0.85)]
-    rows = run_ablation(params, cfg, samples, sweep, modes=(True,), thetas=[0.45])
-    assert [row[0] for row in rows] == ["adaptive:0.25", "adaptive:0.45", "adaptive:0.65",
-                                        "adaptive:0.85"]
+    rows = evaluate_samples(params, cfg, samples, (), [0.45],
+                            selectors=[selector for _, selector in sweep])
+    assert len(rows) == len(sweep)
+    assert [label for label, _ in sweep] == ["adaptive:0.25", "adaptive:0.45", "adaptive:0.65",
+                                             "adaptive:0.85"]
 
 
 def test_adaptive_equals_topk_when_masses_align():
@@ -182,24 +185,21 @@ def test_adaptive_equals_topk_when_masses_align():
 
 
 def test_reattention_flag_changes_only_refined_map(monkeypatch):
-    from tokenloc import ablation
-    from tokenloc.backbone import ModelConfig, init_params
-
     cfg = ModelConfig(image_size=16, patch_size=4, embed_dim=8, num_blocks=2,
                       num_heads=2, num_classes=3)
     params = init_params(cfg, 13)
     image = np.random.default_rng(14).random((3, 16, 16)).astype(np.float32)
     result = two_branch_forward(params, cfg, image[None])
     maps = []
-    real_heats = ablation.class_heats
+    real_heats = localization.class_heats
 
     def recording_heats(scoring_map, cam_maps, class_ids, side):
         maps.append((nm.value_of(scoring_map).copy(), nm.value_of(cam_maps).copy()))
         return real_heats(scoring_map, cam_maps, class_ids, side)
 
-    monkeypatch.setattr(ablation, "class_heats", recording_heats)
-    run_ablation(params, cfg, [(image, 0, np.array([[0, 0, 8, 8]]))],
-                 [parse_strategy("adaptive")], thetas=[0.5])
+    monkeypatch.setattr(localization, "class_heats", recording_heats)
+    evaluate_samples(params, cfg, [(image, 0, np.array([[0, 0, 8, 8]]))], (), [0.5],
+                     modes=(True, False))
     (on, on_cam), (off, off_cam) = maps
     assert np.array_equal(on_cam, nm.value_of(result.cam_maps))
     assert np.array_equal(off_cam, on_cam)
@@ -209,12 +209,13 @@ def test_reattention_flag_changes_only_refined_map(monkeypatch):
     assert not np.array_equal(on, off)
 
 
-def test_run_ablation_covers_both_modes_by_default():
+def test_the_engine_scores_reattention_on_alone_unless_asked_for_both():
     cfg, params = brightness_checkpoint()
     samples = _samples(2)
-    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive")],
-                        thetas=[0.45])
-    assert [(r[1]) for r in rows] == [True, False]
+    rows = evaluate_samples(params, cfg, samples, ["gt-known"], [0.45])
+    both = evaluate_samples(params, cfg, samples, ["gt-known"], [0.45], modes=(True, False))
+    assert len(rows) == 1
+    assert len(both) == 2 and both[0] == rows[0]
 
 
 def test_zero_mass_rows_fall_back_alike_in_the_ablation_and_in_eval(monkeypatch):
@@ -234,16 +235,16 @@ def test_zero_mass_rows_fall_back_alike_in_the_ablation_and_in_eval(monkeypatch)
     monkeypatch.setattr(pipeline, "preliminary_attention", zero_priorities)
     monkeypatch.setattr(pipeline, "importance_weights", recording_weights)
     thetas = threshold_grid(0.25, 0.65, 0.2)
-    rows = run_ablation(params, cfg, samples, [parse_strategy("adaptive")],
-                        modes=(True,), thetas=thetas)
+    rows = evaluate_samples(params, cfg, samples, ["gt-known", "maxboxaccv2"], thetas,
+                            selectors=[parse_strategy("adaptive")[1]])
     ablation_masks = np.concatenate(masks)
     masks.clear()
-    theta, _, results = evaluate_samples(params, cfg, samples, ["gt-known"], thetas)
+    theta, _, results = evaluate_samples(params, cfg, samples, ["gt-known"], thetas)[0]
     # both select the argmax token, the first one of an all-zero row
     one_hot = np.eye(cfg.num_tokens, dtype=np.float32)[[0] * len(samples)]
     assert np.array_equal(ablation_masks, one_hot)
     assert np.array_equal(np.concatenate(masks), one_hot)
-    assert rows[0][2:4] == (theta, results["gt-known"])
+    assert (rows[0][0], rows[0][2]["gt-known"]) == (theta, results["gt-known"])
 
 
 def test_both_modes_run_the_mask_block_once_per_strategy_per_stack(monkeypatch):
@@ -257,8 +258,9 @@ def test_both_modes_run_the_mask_block_once_per_strategy_per_stack(monkeypatch):
         return weights(z_p, *args)
 
     monkeypatch.setattr(pipeline, "importance_weights", counting_weights)
-    strategies = [parse_strategy(text) for text in ("adaptive", "topk:4")]
-    rows = run_ablation(params, cfg, samples, strategies, thetas=[0.45])
+    selectors = [parse_strategy(text)[1] for text in ("adaptive", "topk:4")]
+    rows = evaluate_samples(params, cfg, samples, (), [0.45], selectors=selectors,
+                            modes=(True, False))
     assert len(rows) == 4
     # two stacks (8 images and 1), each through the mask block once per strategy
     assert calls == [pipeline.FORWARD_CHUNK, pipeline.FORWARD_CHUNK, 1, 1]
@@ -267,9 +269,9 @@ def test_both_modes_run_the_mask_block_once_per_strategy_per_stack(monkeypatch):
 def test_both_mode_rows_equal_the_on_and_off_runs_in_order(monkeypatch):
     cfg, params = brightness_checkpoint()
     samples = _samples(5)
-    strategies = [parse_strategy(text)
-                  for text in ("adaptive", "fixed:mean", "topk:4", "adaptive")]
-    thetas = threshold_grid(0.25, 0.65, 0.2)
+    selectors = [parse_strategy(text)[1]
+                 for text in ("adaptive", "fixed:mean", "topk:4", "adaptive")]
+    metrics, thetas = ["gt-known", "maxboxaccv2"], threshold_grid(0.25, 0.65, 0.2)
     calls = []
     weights = pipeline.importance_weights
 
@@ -278,27 +280,28 @@ def test_both_mode_rows_equal_the_on_and_off_runs_in_order(monkeypatch):
         return weights(*args)
 
     monkeypatch.setattr(pipeline, "importance_weights", counting_weights)
-    both = run_ablation(params, cfg, samples, strategies, thetas=thetas)
-    assert calls == [len(samples)] * len(strategies)   # one stack of 5, once per strategy
+    both = evaluate_samples(params, cfg, samples, metrics, thetas, selectors=selectors,
+                            modes=(True, False))
+    assert calls == [len(samples)] * len(selectors)   # one stack of 5, once per strategy
     calls.clear()
     labelled, scored = [], []
     for name, log in (("class_heats", labelled), ("evaluate_heats", scored)):
-        real = getattr(ablation, name)
-        monkeypatch.setattr(ablation, name, lambda *args, log=log, real=real:
+        real = getattr(localization, name)
+        monkeypatch.setattr(localization, name, lambda *args, log=log, real=real:
                             log.append(1) or real(*args))
-    on = run_ablation(params, cfg, samples, strategies, modes=(True,), thetas=thetas)
-    assert calls == [len(samples)] * len(strategies)
+    on = evaluate_samples(params, cfg, samples, metrics, thetas, selectors=selectors)
+    assert calls == [len(samples)] * len(selectors)
     # on alone labels and scores no off-mode heats
-    assert len(labelled) == len(scored) == len(strategies)
+    assert len(labelled) == len(scored) == len(selectors)
     calls.clear()
-    off = run_ablation(params, cfg, samples, strategies, modes=(False,), thetas=thetas)
+    off = evaluate_samples(params, cfg, samples, metrics, thetas, selectors=selectors,
+                           modes=(False,))
     # off alone scores the priority map and runs no mask block
     assert calls == []
-    assert [row[:2] for row in both] == [(label, mode) for label, _ in strategies
-                                        for mode in (True, False)]
+    assert len(both) == len(selectors) * 2
     assert both == [row for pair in zip(on, off) for row in pair]
     # the priority map that off scores does not depend on the selector
-    assert len({row[2:] for row in off}) == 1
+    assert all(row == off[0] for row in off)
 
 
 def test_later_strategies_reuse_the_first_pass_cam_and_keep_their_rows(monkeypatch):
@@ -309,7 +312,7 @@ def test_later_strategies_reuse_the_first_pass_cam_and_keep_their_rows(monkeypat
     thetas, side = threshold_grid(0.25, 0.65, 0.1), cfg.image_size
     # the reference: each strategy on its own backbone and CAM pass
     want = []
-    for label, selector in strategies:
+    for _, selector in strategies:
         for reatt in (True, False):
             heats = []
             for labels, result in pipeline.forward_chunks(params, cfg, samples, selector=selector):
@@ -317,7 +320,8 @@ def test_later_strategies_reuse_the_first_pass_cam_and_keep_their_rows(monkeypat
                 heats.extend(class_heats(scoring, result.cam_maps, labels, side))
             _, ious, table, theta, _ = evaluate_heats(heats, [gt for _, _, gt in samples],
                                                       thetas, side)
-            want.append((label, reatt, theta, dict(table)[theta], max_box_acc_v2(ious)))
+            want.append((theta, table, {"gt-known": dict(table)[theta],
+                                        "maxboxaccv2": max_box_acc_v2(ious)}))
     calls = []
     cam = pipeline.cam_forward
 
@@ -326,6 +330,38 @@ def test_later_strategies_reuse_the_first_pass_cam_and_keep_their_rows(monkeypat
         return cam(z_p, *args)
 
     monkeypatch.setattr(pipeline, "cam_forward", counting_cam)
-    assert run_ablation(params, cfg, samples, strategies, thetas=thetas) == want
+    assert evaluate_samples(params, cfg, samples, ["gt-known", "maxboxaccv2"], thetas,
+                            selectors=[selector for _, selector in strategies],
+                            modes=(True, False)) == want
     # two stacks (8 images and 1), each through the CAM branch once
     assert calls == [pipeline.FORWARD_CHUNK, 1]
+
+
+def test_every_engine_row_equals_its_single_setting_call(monkeypatch):
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    samples = make_dataset(ToyTaskConfig(samples_per_epoch=pipeline.FORWARD_CHUNK + 2, seed=99))
+    # every third label flipped, so that top-1 misses and predicted-class heats are fused
+    samples = [(image, (label + 1) % cfg.num_classes if i % 3 == 0 else label, boxes)
+               for i, (image, label, boxes) in enumerate(samples)]
+    selectors, modes = [None, top_k(4), fixed("mean")], (True, False)
+    thetas = threshold_grid(0.25, 0.65, 0.1)
+    predicted = []
+    real_heats = localization.class_heats
+
+    def recording_heats(scoring_map, cam_maps, class_ids, side):
+        # the predicted classes come as an array, the labels as a list
+        if isinstance(class_ids, np.ndarray):
+            predicted.append(len(class_ids))
+        return real_heats(scoring_map, cam_maps, class_ids, side)
+
+    monkeypatch.setattr(localization, "class_heats", recording_heats)
+    rows = evaluate_samples(params, cfg, samples, METRIC_NAMES, thetas, selectors=selectors,
+                            modes=modes)
+    # each stack with a miss fuses predicted-class heats for 3 selectors on and for off
+    assert predicted and len(predicted) % 4 == 0
+    monkeypatch.undo()
+    assert rows == [evaluate_samples(params, cfg, samples, METRIC_NAMES, thetas,
+                                     selectors=[selector], modes=(reatt,))[0]
+                    for selector in selectors for reatt in modes]
+    with pytest.raises(ContractError):
+        evaluate_samples(params, cfg, samples, METRIC_NAMES, thetas, selectors=[])

@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from tokenloc import numerics as nm
-from tokenloc.ablation import parse_strategy, run_ablation
 from tokenloc.backbone import ModelConfig, block_forward, embed, init_params, mhsa, patchify
 from tokenloc.cli import main
 from tokenloc.errors import BadMagicError, TruncationError, UnsupportedDtypeError
 from tokenloc.formats import read_checkpoint, write_checkpoint, write_tensor, read_tensor
 from tokenloc.localization import DEFAULT_GRID, evaluate_samples, threshold_grid
 from tokenloc.pipeline import two_branch_forward
-from tokenloc.token_refine import preliminary_attention, reattention
+from tokenloc.token_refine import parse_strategy, preliminary_attention, reattention
 from tokenloc.training import (
     ToyTaskConfig,
     TrainConfig,
@@ -257,15 +256,14 @@ def test_criterion_end_to_end_synthetic(trained):
     samples = make_dataset(replace(TOY, samples_per_epoch=50, seed=HELDOUT_SEED))
 
     theta_star, table, _ = evaluate_samples(params, cfg, samples, (),
-                                            threshold_grid(*DEFAULT_GRID))
+                                            threshold_grid(*DEFAULT_GRID))[0]
     gt_known = dict(table)[theta_star]
     assert gt_known >= 0.70, f"GT-known accuracy {gt_known} below 0.70"
 
-    rows = run_ablation(params, cfg, samples,
-                        [parse_strategy(text)
-                         for text in ("adaptive:0.65", "fixed:mean")],
-                        modes=(True,), thetas=threshold_grid(*DEFAULT_GRID))
-    by_label = {label: acc for label, _, _, acc, _ in rows}
+    strategies = [parse_strategy(text) for text in ("adaptive:0.65", "fixed:mean")]
+    rows = evaluate_samples(params, cfg, samples, ["gt-known"], threshold_grid(*DEFAULT_GRID),
+                            selectors=[selector for _, selector in strategies])
+    by_label = {label: results["gt-known"] for (label, _), (_, _, results) in zip(strategies, rows)}
     assert by_label["adaptive:0.65"] >= by_label["fixed:mean"], by_label
     _report("end-to-end synthetic localization", time.monotonic() - start, 300.0,
             f"GT-known {gt_known:.2f} at theta*={theta_star:.2f}; "

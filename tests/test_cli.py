@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenloc import ablation, cli, formats, pipeline, training
+from tokenloc import cli, formats, pipeline, training
 from tokenloc import numerics as nm
 from tokenloc import localization as loc
 from tokenloc.backbone import ModelConfig, init_params
@@ -286,7 +286,7 @@ def test_each_grid_command_runs_the_engine_once_per_setting(workspace, monkeypat
         for module in modules:
             monkeypatch.setattr(module, name, counting)
 
-    count("evaluate_heats", loc, ablation)
+    count("evaluate_heats", loc)
     count("_gt_array", loc)
     count("_box_ious", loc)
     common = ["--ckpt", str(ckpt), "--manifest", str(manifest)]
@@ -735,6 +735,14 @@ def test_invalid_class_id_exits_4(workspace, capsys):
     ("localize", "--class", "\u0663", "expected 'auto' or a class id in ASCII digits, got '\u0663'"),
     ("ablate-selection", "--strategies", "topk:0", "topk needs k >= 1, got 0"),
     ("ablate-selection", "--strategies", "topk:abc", "strategy 'topk:abc': 'abc' is not an integer"),
+    ("ablate-selection", "--strategies", "topk:\u0664",
+     "strategy 'topk:\u0664': '\u0664' is not an integer"),
+    ("ablate-selection", "--strategies", "topk:1_0", "strategy 'topk:1_0': '1_0' is not an integer"),
+    ("ablate-selection", "--strategies", "topk:+4", "strategy 'topk:+4': '+4' is not an integer"),
+    ("ablate-selection", "--strategies", "topk: 4 ",
+     "strategy 'topk: 4 ': ' 4 ' is not an integer"),
+    ("ablate-selection", "--strategies", "adaptive:",
+     "adaptive strategy needs a value, e.g. adaptive:0.65"),
     ("ablate-selection", "--strategies", "adaptive,fixed:nan",
      "fixed threshold must be a finite number >= 0, got nan"),
     ("ablate-selection", "--strategies", "adaptive:0", "mass fraction must be in (0, 1], got 0.0"),
@@ -1221,7 +1229,7 @@ def test_eval_fuses_predicted_class_heats_only_where_the_top_class_differs(tmp_p
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     samples = parse_manifest(manifest, cfg)
     theta_star, table, _ = loc.evaluate_samples(params, cfg, samples, (),
-                                                threshold_grid(*DEFAULT_GRID))
+                                                threshold_grid(*DEFAULT_GRID))[0]
     heats = gt_heats(params, cfg, samples)
     per_level = [max(hit_fraction_oracle(heats, samples, theta, level, 32, 32)
                      for theta in threshold_grid(*DEFAULT_GRID))

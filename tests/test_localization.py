@@ -746,14 +746,15 @@ def test_threshold_grid_contents():
 def test_grid_search_singleton():
     cfg, params = brightness_checkpoint()
     theta, table, _ = evaluate_samples(params, cfg, _samples(3), (),
-                                       threshold_grid(0.25, 0.25, 0.1))
+                                       threshold_grid(0.25, 0.25, 0.1))[0]
     assert theta == 0.25
     assert len(table) == 1
 
 
 def test_grid_search_best_attains_table_max():
     cfg, params = brightness_checkpoint()
-    theta, table, _ = evaluate_samples(params, cfg, _samples(5), (), threshold_grid(0.1, 0.9, 0.2))
+    theta, table, _ = evaluate_samples(params, cfg, _samples(5), (),
+                                       threshold_grid(0.1, 0.9, 0.2))[0]
     best = max(acc for _, acc in table)
     assert dict(table)[theta] == best
     assert theta == min(t for t, acc in table if acc == best)
@@ -763,7 +764,7 @@ def test_grid_search_matches_exhaustive_per_theta_oracle():
     cfg, params = brightness_checkpoint()
     samples = _samples(10)
     grid = (0.1, 0.9, 0.1)
-    theta_star, table, _ = evaluate_samples(params, cfg, samples, (), threshold_grid(*grid))
+    theta_star, table, _ = evaluate_samples(params, cfg, samples, (), threshold_grid(*grid))[0]
 
     oracle_table = []
     for theta in threshold_grid(*grid):

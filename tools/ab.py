@@ -16,7 +16,7 @@ method's noise floor, is flat. Head has the same role in both ratios, so a
 bias tied to the working-tree package sits in the floor: identical code
 reads 0.5-5% apart on the sub-5 us forwards, with no side found slower.
 The report also carries the ``src/tokenloc`` line count of the base and
-the working tree.
+the working tree, in total and per module.
 
 - End to end: each workload's requests, sent through every side's
   ``cli.main`` on perfbench's inputs for ``--seconds`` (10 rounds at
@@ -382,9 +382,11 @@ def filesystem(path: Path) -> str:
     return best[1]
 
 
-def line_count(package: Path) -> int:
-    """Lines of the package's Python files, as ``wc -l`` counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+def line_count(package: Path) -> dict:
+    """Lines of the package's Python files, as ``wc -l`` counts them: the
+    total and each module's, by file name."""
+    modules = {path.name: path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py"))}
+    return {"total": sum(modules.values()), "modules": modules}
 
 
 def tier1_counts(output: str) -> dict:
