@@ -214,12 +214,23 @@ def _config_from_json(base, payload, where):
         return dataclasses.replace(base, **payload)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key is a FormatError."""
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise FormatError(f"key {key!r} repeated")
+        payload[key] = value
+    return payload
+
+
 def _read_json_object(path) -> dict:
-    """The JSON object in `path`, decoded with universal newlines."""
+    """The JSON object in `path`, decoded with universal newlines, no key repeated."""
     data = read_file(path)
     with cited(path):
         try:
-            payload = json.loads(io.StringIO(data.decode("utf-8"), newline=None).getvalue())
+            payload = json.loads(io.StringIO(data.decode("utf-8"), newline=None).getvalue(),
+                                 object_pairs_hook=_unique_keys)
         except UnicodeDecodeError as exc:
             raise FormatError(f"not UTF-8 at byte {exc.start}: {exc.reason}") from exc
         except (ValueError, RecursionError) as exc:  # bad JSON, a long integer, deep nesting

@@ -6,12 +6,12 @@ upsampled to image resolution, thresholded, and reduced to the tight
 bounding box of the largest 8-connected foreground component. Fusion
 runs over a stack of scoring and class maps, and a stack of heat maps
 is labelled by foreground runs at every threshold of a grid in one call.
-A box is a half-open (x0, y0, x1, y1) int64 row. `evaluate_heats` turns
-heats into a box table, its best-IoU table and the calibrated threshold;
-GT-known, top-1 and top-5 localization accuracy and MaxBoxAccV2 (Choe et
-al., CVPR 2020) read those IoUs: strict comparisons, each sample against
-its best-matching ground-truth box. `evaluate_samples` is the one loop
-from samples to heats to metrics, behind `calibrate`, `eval` and
+A box is a half-open (x0, y0, x1, y1) int64 row. GT-known accuracy and
+its calibrated threshold, top-1 and top-5 localization accuracy and
+MaxBoxAccV2 (Choe et al., CVPR 2020) are functions of a box table's
+(S, T) best IoUs: strict comparisons, each sample against its
+best-matching ground-truth box. `evaluate_samples` is the one loop from
+samples to heats to boxes to metrics, behind `calibrate`, `eval` and
 `ablate-selection`: one forward pass per stack serves every selection
 rule, with re-attention on and off.
 """
@@ -26,7 +26,7 @@ from . import numerics as nm
 from . import pipeline
 from .backbone import ModelConfig
 from .errors import ContractError, DimensionError
-from .pipeline import forward_chunks, rescored, two_branch_forward
+from .pipeline import rescored, two_branch_forward
 from .token_refine import spatial_map
 
 DEFAULT_GRID = (0.05, 0.95, 0.05)
@@ -166,16 +166,18 @@ def localize(params, cfg: ModelConfig, image, class_id="predicted", *,
 
 def threshold_grid(start: float, stop: float, step: float) -> list:
     """Inclusive arithmetic grid of thresholds in [0, 1], at most
-    MAX_GRID_THRESHOLDS of them."""
+    MAX_GRID_THRESHOLDS of them, rounded to 1e-9; a value past `stop` by
+    less than the 1e-9 tolerance is `stop` itself."""
     if not (all(map(math.isfinite, (start, stop, step))) and 0.0 <= start <= stop <= 1.0
-            and step > 0):
+            and step >= 1e-9):
         raise ContractError(f"invalid grid {start}:{stop}:{step}: need finite "
-                            f"0 <= start <= stop <= 1 and step > 0")
+                            f"0 <= start <= stop <= 1 and step >= 1e-9")
     count = np.floor((stop - start) / step + 1e-9) + 1
     if count > MAX_GRID_THRESHOLDS:
         raise ContractError(f"grid {start}:{stop}:{step} has {count:.0f} thresholds, "
                             f"more than {MAX_GRID_THRESHOLDS}")
-    return [float(round(start + i * step, 9)) for i in range(int(count))]
+    first = round(start, 9)   # a lattice point: values a step >= 1e-9 apart round apart
+    return [float(min(round(first + i * step, 9), stop)) for i in range(int(count))]
 
 
 def _box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -204,24 +206,12 @@ def best_ious(boxes, gt) -> np.ndarray:
     return _box_ious(boxes[:, :, None], gt[:, None]).max(axis=2)
 
 
-def evaluate_heats(heats, gts, thetas, side: int) -> tuple:
-    """Box S heat maps at every threshold and score the boxes against
-    `gts`, each sample's (G, 4) ground-truth boxes. The heats are labelled
-    one stack of `pipeline.FORWARD_CHUNK` at a time (one call for all of
-    them would hold every sample's labels at once). Returns the (S, T, 4)
-    box table, its (S, T) best IoUs, the (theta, GT-known accuracy) rows
-    at IoU level 0.5, the best theta (ties to the smallest) and the
-    (S, G, 4) ground-truth array."""
-    if not len(gts):
-        raise ContractError("localization metrics need at least one sample")
-    step = pipeline.FORWARD_CHUNK
-    boxes = np.concatenate([heat_boxes(heats[start:start + step], thetas, side, side)[0]
-                            for start in range(0, len(heats), step)])
-    gt = _gt_array(gts)
-    ious = best_ious(boxes, gt)
+def gt_known_table(ious, thetas) -> tuple:
+    """The (theta, GT-known accuracy) rows of an (S, T) best-IoU table over
+    `thetas`, at IoU level 0.5, and the best theta (ties to the smallest)."""
     table = list(zip(thetas, (np.count_nonzero(ious > 0.5, axis=0) / len(ious)).tolist()))
     theta_star, _ = max(table, key=lambda row: (row[1], -row[0]))
-    return boxes, ious, table, theta_star, gt
+    return table, theta_star
 
 
 def max_box_acc_v2(ious) -> float:
@@ -247,63 +237,62 @@ def evaluate_samples(params, cfg: ModelConfig, samples, metrics, thetas, *, sele
     {metric: value}) per (selector, re-attention mode) pair, selector-major,
     in the order of `modes` (True on, False off).
 
-    theta_star maximises GT-known accuracy over `thetas` (a fixed
-    threshold is a grid of one), table holds the (theta, GT-known) rows,
-    and `metrics` names any of METRIC_NAMES: the class-aware ones are
-    computed at theta_star, and maxboxaccv2 takes each IoU level's own
-    best threshold. Each stack of `pipeline.FORWARD_CHUNK` images gets one
-    forward pass, with the first selector, which later selectors re-select
-    (`pipeline.rescored`); re-attention off scores the priority map, once
-    for all selectors and with no mask block. For top1/top5 a
-    predicted-class heat is fused only where the top-ranked class (by
-    CAM-branch probability, ties by id) is not the GT class, and each
-    setting's are labelled at its theta_star in one call.
+    theta_star and table are `gt_known_table` over `thetas` (a fixed
+    threshold is a grid of one); `metrics` names any of METRIC_NAMES, the
+    class-aware ones computed at theta_star. Each stack of
+    `pipeline.FORWARD_CHUNK` images gets one forward pass, with the first
+    selector, which later selectors re-select (`pipeline.rescored`);
+    re-attention off scores the priority map, once for all selectors and
+    with no mask block. After the last pass each setting's heats are
+    labelled one stack per call, and for top1/top5 the predicted-class
+    heats, fused only where the top-ranked class (by CAM-branch
+    probability, ties by id) is not the GT class, in one call at its
+    theta_star.
     """
-    if not selectors:
-        raise ContractError("evaluation needs at least one selector")
-    side = cfg.image_size
+    if not (len(selectors) and len(samples)):
+        raise ContractError("evaluation needs at least one selector and one sample")
+    side, step = cfg.image_size, pipeline.FORWARD_CHUNK
     ranked_metrics = any(m in metrics for m in ("top1", "top5"))
-    # setting -> (GT-class heats, predicted-class heats): a selector's index, or "off"
+    # setting -> (GT-class heats by stack, predicted-class heats): a selector's index, or "off"
     heats = {i: ([], []) for i in range(len(selectors)) if True in modes}
     if False in modes:
         heats["off"] = ([], [])
     ranks, pred_rows = [], []
-    for labels, first in forward_chunks(params, cfg, samples, selector=selectors[0]):
+    for start in range(0, len(samples), step):
+        images, labels, _ = zip(*samples[start:start + step])
+        first = two_branch_forward(params, cfg, np.stack(images), selector=selectors[0])
         order = np.argsort(-nm.value_of(first.p_cam), axis=1, kind="stable")
         # a predicted-class heat is needed only where that class is not the GT class
         differ = np.flatnonzero(order[:, 0] != labels)
-        for setting, (heats_gt, heats_pred) in heats.items():
+        for setting, (stacks_gt, heats_pred) in heats.items():
             if setting == "off":
                 scoring = spatial_map(first.priorities)
             else:
                 # one backbone, priority and CAM pass per stack for every selector
                 scoring = (first if setting == 0 else rescored(first, selectors[setting])
                            ).refined_map
-            heats_gt.extend(class_heats(scoring, first.cam_maps, labels, side))
+            stacks_gt.append(class_heats(scoring, first.cam_maps, labels, side))
             if ranked_metrics and differ.size:
                 heats_pred.extend(class_heats(scoring[differ], first.cam_maps[differ],
                                               order[differ, 0], side))
-        pred_rows.extend(len(ranks) + differ)
+        pred_rows.extend(start + differ)
         ranks.extend((order == np.array(labels)[:, None]).argmax(axis=1))
-    gts = [g for _, _, g in samples]
+    gt = _gt_array([boxes for _, _, boxes in samples])
 
-    def score(heats_gt, heats_pred):
-        boxes, ious, table, theta_star, gt = evaluate_heats(heats_gt, gts, thetas, side)
+    def score(stacks_gt, heats_pred):
+        boxes = np.concatenate([heat_boxes(stack, thetas, side, side)[0] for stack in stacks_gt])
+        ious = best_ious(boxes, gt)
+        table, theta_star = gt_known_table(ious, thetas)
+        results = {"gt-known": dict(table)[theta_star], "maxboxaccv2": max_box_acc_v2(ious)}
         if ranked_metrics:
             # where the top-ranked class is the GT class, its box is already in the table
             top_boxes = boxes[:, thetas.index(theta_star)].copy()
             if heats_pred:
                 top_boxes[pred_rows] = heat_boxes(heats_pred, [theta_star], side, side)[0][:, 0]
             top_ious = best_ious(top_boxes[:, None], gt)[:, 0]
-        results = {}
-        for metric in metrics:
-            if metric == "gt-known":
-                results[metric] = dict(table)[theta_star]
-            elif metric == "maxboxaccv2":
-                results[metric] = max_box_acc_v2(ious)
-            else:
-                results[metric] = top_k_loc_acc(top_ious, ranks, {"top1": 1, "top5": 5}[metric])
-        return theta_star, table, results
+            results.update(top1=top_k_loc_acc(top_ious, ranks, 1),
+                           top5=top_k_loc_acc(top_ious, ranks, 5))
+        return theta_star, table, {metric: results[metric] for metric in metrics}
 
     scores = {setting: score(*setting_heats) for setting, setting_heats in heats.items()}
     return [scores[i if reatt else "off"] for i in range(len(selectors)) for reatt in modes]

@@ -1,17 +1,17 @@
 """Full two-branch forward pass: backbone, token refinement, CAM.
 
 The pass runs on a (B, 3, H, W) stack: training sends a whole batch,
-single-image commands a stack of one, and evaluation consecutive
-stacks of FORWARD_CHUNK images (`forward_chunks`). Used taped
-(training) and untaped (inference). The priorities, token selection and
-re-attention run in float32 numpy on whole (B, N) stacks, off the tape
-even in a taped pass; a selector that returns one constant mask pins
-the selection (that is what makes finite-difference checks of the
-composed loss well-posed). Re-attention has no off switch: the map
-without it is the priority vector itself, which every result carries
-as `priorities`. `rescored` re-selects a result's tokens by another rule,
-which is how `localization.evaluate_samples` scores several rules on one
-`forward_chunks` pass.
+single-image commands a stack of one, and evaluation consecutive stacks
+of FORWARD_CHUNK images. Used taped (training) and untaped (inference).
+The priorities, token selection and re-attention run in float32 numpy
+on whole (B, N) stacks, off the tape even in a taped pass; a selector
+that returns one constant mask pins the selection (that is what makes
+finite-difference checks of the composed loss well-posed). Re-attention
+has no off switch: the map without it is the priority vector itself,
+which every result carries as `priorities`. `rescored` re-selects a
+result's tokens by another rule, which is how
+`localization.evaluate_samples` scores several rules on one pass per
+stack.
 """
 
 from __future__ import annotations
@@ -124,14 +124,3 @@ def rescored(result: ForwardResult, selector) -> ForwardResult:
     CAM outputs are shared with `result`."""
     return replace(result, mask=_selected(result.cfg, result.priorities, selector))
 
-
-def forward_chunks(params, cfg: ModelConfig, samples, *, selector=None):
-    """Untaped forward passes over (image, label, ...) samples in
-    consecutive stacks of FORWARD_CHUNK images (the last stack may be
-    shorter), in order, with `selector` as in `two_branch_forward`.
-    Yields (labels, result) per stack."""
-    for start in range(0, len(samples), FORWARD_CHUNK):
-        chunk = samples[start:start + FORWARD_CHUNK]
-        images = np.stack([sample[0] for sample in chunk])
-        yield ([int(sample[1]) for sample in chunk],
-               two_branch_forward(params, cfg, images, selector=selector))

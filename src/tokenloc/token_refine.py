@@ -109,7 +109,7 @@ def parse_strategy(text: str) -> tuple:
     if kind == "fixed" and arg == "mean":
         return "fixed:mean", fixed("mean")
     try:
-        value = float(arg)
+        value = float(arg) + 0.0   # -0 is 0, in the label too
     except ValueError:
         raise ContractError(f"strategy {text!r}: {arg!r} is not a number") from None
     return f"{kind}:{value:g}", (adaptive if kind == "adaptive" else fixed)(value)

@@ -243,10 +243,9 @@ def check_model_fits(toy: ToyTaskConfig, model: ModelConfig) -> None:
 
 def default_model_config(toy: ToyTaskConfig) -> ModelConfig:
     """Desk-scale defaults sized to the toy task."""
-    patch = 4 if toy.image_size % 4 == 0 else 1
     return ModelConfig(
         image_size=toy.image_size,
-        patch_size=patch,
+        patch_size=4,   # ToyTaskConfig takes only image sizes divisible by 4
         embed_dim=32,
         num_blocks=2,
         num_heads=4,

@@ -16,9 +16,12 @@ from test_pipeline import ACCEPTANCE_CKPT
 from tokenloc.formats import read_checkpoint
 from tokenloc.localization import (
     METRIC_NAMES,
+    _gt_array,
+    best_ious,
     class_heats,
-    evaluate_heats,
     evaluate_samples,
+    gt_known_table,
+    heat_boxes,
     max_box_acc_v2,
     threshold_grid,
 )
@@ -41,6 +44,8 @@ def test_parse_strategy_forms():
                                   ("adaptive:0.123456789", "adaptive:0.123457",
                                    adaptive(0.123456789)),
                                   ("topk:05", "topk:5", top_k(5)),
+                                  ("fixed:-0", "fixed:0", fixed(0.0)),   # -0 is 0
+                                  ("fixed:-0.0", "fixed:0", fixed(0.0)),
                                   ("fixed:mean", "fixed:mean", fixed("mean"))]:
         parsed_label, parsed = parse_strategy(text)
         assert parsed_label == label
@@ -285,7 +290,7 @@ def test_both_mode_rows_equal_the_on_and_off_runs_in_order(monkeypatch):
     assert calls == [len(samples)] * len(selectors)   # one stack of 5, once per strategy
     calls.clear()
     labelled, scored = [], []
-    for name, log in (("class_heats", labelled), ("evaluate_heats", scored)):
+    for name, log in (("class_heats", labelled), ("gt_known_table", scored)):
         real = getattr(localization, name)
         monkeypatch.setattr(localization, name, lambda *args, log=log, real=real:
                             log.append(1) or real(*args))
@@ -310,16 +315,17 @@ def test_later_strategies_reuse_the_first_pass_cam_and_keep_their_rows(monkeypat
     strategies = [parse_strategy(text)
                   for text in ("adaptive", "fixed:mean", "topk:20")]
     thetas, side = threshold_grid(0.25, 0.65, 0.1), cfg.image_size
-    # the reference: each strategy on its own backbone and CAM pass
+    # the reference: each strategy on its own backbone and CAM pass, over one
+    # stack of every image
+    images, labels, gts = zip(*samples)
     want = []
     for _, selector in strategies:
+        result = two_branch_forward(params, cfg, np.stack(images), selector=selector)
         for reatt in (True, False):
-            heats = []
-            for labels, result in pipeline.forward_chunks(params, cfg, samples, selector=selector):
-                scoring = result.refined_map if reatt else spatial_map(result.priorities)
-                heats.extend(class_heats(scoring, result.cam_maps, labels, side))
-            _, ious, table, theta, _ = evaluate_heats(heats, [gt for _, _, gt in samples],
-                                                      thetas, side)
+            scoring = result.refined_map if reatt else spatial_map(result.priorities)
+            heats = class_heats(scoring, result.cam_maps, list(labels), side)
+            ious = best_ious(heat_boxes(heats, thetas, side, side)[0], _gt_array(gts))
+            table, theta = gt_known_table(ious, thetas)
             want.append((theta, table, {"gt-known": dict(table)[theta],
                                         "maxboxaccv2": max_box_acc_v2(ious)}))
     calls = []

@@ -215,7 +215,7 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
         boxed.append((np.array(heats, np.float32), list(thetas)))
         return real_boxes(heats, thetas, width, height)
 
-    monkeypatch.setattr(pipeline, "two_branch_forward", counting_forward)
+    monkeypatch.setattr(loc, "two_branch_forward", counting_forward)
     monkeypatch.setattr(cli, "two_branch_forward", counting_forward)
     monkeypatch.setattr(loc, "heat_boxes", recording_boxes)
     report = tmp / "report.csv"
@@ -286,7 +286,7 @@ def test_each_grid_command_runs_the_engine_once_per_setting(workspace, monkeypat
         for module in modules:
             monkeypatch.setattr(module, name, counting)
 
-    count("evaluate_heats", loc)
+    count("gt_known_table", loc)
     count("_gt_array", loc)
     count("_box_ious", loc)
     common = ["--ckpt", str(ckpt), "--manifest", str(manifest)]
@@ -301,10 +301,11 @@ def test_each_grid_command_runs_the_engine_once_per_setting(workspace, monkeypat
     ]:
         calls.clear()
         assert main(argv) == 0, argv
-        # one ground-truth array and one GT-class IoU table per setting (the
-        # ablation's re-attention off is one setting for every strategy); all
-        # four metrics of eval add one IoU call for the predicted-class boxes
-        assert calls == {"evaluate_heats": engine_runs, "_gt_array": engine_runs,
+        # one ground-truth array per command, and one GT-class IoU table and
+        # GT-known table per setting (the ablation's re-attention off is one
+        # setting for every strategy); all four metrics of eval add one IoU
+        # call for the predicted-class boxes
+        assert calls == {"gt_known_table": engine_runs, "_gt_array": 1,
                          "_box_ious": ious_runs}, argv
 
 
@@ -883,7 +884,10 @@ def test_non_utf8_input_exits_3(workspace, capsys, command):
        "Expecting ':' delimiter: line 3 column 9 (char 22)") for newline in ("\n", "\r\n", "\r")],
     ('{"seed": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits) for integer string"),
     ('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth exceeded"),
-], ids=["lf", "crlf", "cr", "long-integer", "deep-nesting"])
+    # a repeated key, at the top or in the model section, would silently take the last value
+    ('{"steps_phase1": 1, "seed": 0, "steps_phase1": 2}', "key 'steps_phase1' repeated"),
+    ('{"model": {"embed_dim": 16, "embed_dim": 32}}', "key 'embed_dim' repeated"),
+], ids=["lf", "crlf", "cr", "long-integer", "deep-nesting", "repeated-key", "repeated-model-key"])
 @pytest.mark.parametrize("config", ["toy", "train"])
 def test_a_json_config_that_does_not_parse_exits_3_naming_it(tmp_path, capsys, config, text,
                                                              detail):
@@ -999,7 +1003,7 @@ def test_selection_mass_outside_unit_interval_exits_4(workspace, capsys, command
                                       "nonsense:1", "adaptive,adaptive", "topk:8,topk:8",
                                       "adaptive:0.5,fixed:mean,adaptive:0.50",
                                       "adaptive,adaptive:0.65", "adaptive:0.65,adaptive",
-                                      "topk:abc", "adaptive:x", "fixed:1e"])
+                                      "topk:abc", "adaptive:x", "fixed:1e", "fixed:0,fixed:-0"])
 def test_malformed_selection_strategy_exits_4(workspace, capsys, strategy):
     tmp, cfg, params, ckpt, _ = workspace
     assert cfg.num_tokens == 64   # so topk:65 asks for more tokens than there are
@@ -1023,7 +1027,7 @@ def test_malformed_selection_strategy_exits_4(workspace, capsys, strategy):
 @pytest.mark.parametrize("grid", ["0:1:1e-7", "0.05:0.95:nan", "nan:0.95:0.05", "0.05:inf:0.05",
                                   "-0.1:0.9:0.1", "0:1.5:0.1", "0.9:0.1:0.1", "0:1:0",
                                   "0.5:0.1:0.1", "0.1:0.9:abc", "0.1:abc:0.1", "0.1:0.9",
-                                  "0.1:0.9:0.1:1"])
+                                  "0.1:0.9:0.1:1", "0:0.000001:0.0000000002", "0.3:0.3:9e-10"])
 @pytest.mark.parametrize("command", ["calibrate", "eval", "ablate-selection"])
 def test_invalid_threshold_grid_exits_4(workspace, capsys, command, grid):
     # 0:1:1e-7 would ask for a (1, 10000001, 32, 32) mask stack
@@ -1035,6 +1039,14 @@ def test_invalid_threshold_grid_exits_4(workspace, capsys, command, grid):
     if "abc" in grid or grid.count(":") != 2:  # not three numbers: the option's own message
         assert err == (f"error: contract: {option} must be grid[:start:stop:step] with three "
                        f"numbers, got 'grid:{grid}'\n")
+
+
+@pytest.mark.parametrize("grid, thetas", [("0:1:1.0000000008", ["0.0", "1.0"]),
+                                          ("0:0.9:0.9000000008", ["0.0", "0.9"])])
+def test_a_grid_value_past_stop_by_less_than_the_tolerance_is_stop(workspace, grid, thetas):
+    tmp, cfg, params, ckpt, _ = workspace
+    assert main(_manifest_argv(tmp, ckpt, "calibrate", "--grid", f"grid:{grid}")) == 0
+    assert [theta for theta, _ in _read_csv(tmp / "out.csv")[1:]] == thetas
 
 
 @pytest.mark.parametrize("command", _MANIFEST_ARGS)

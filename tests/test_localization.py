@@ -13,10 +13,11 @@ from tokenloc.errors import ContractError, DimensionError
 from tokenloc.localization import (
     DEFAULT_GRID,
     MAX_BOX_ACC_LEVELS,
+    best_ious,
     binarize,
-    evaluate_heats,
     evaluate_samples,
     fuse,
+    gt_known_table,
     heat_boxes,
     localize,
     max_box_acc_v2,
@@ -431,7 +432,7 @@ def test_heat_boxes_match_oracle_on_non_square_heats(shape):
         assert_labeller_matches_oracle(nm.bilinear_resize(coarse, *shape), thetas)
 
 
-def test_stacked_heat_boxes_equal_per_heat_calls_and_the_oracle(monkeypatch):
+def test_stacked_heat_boxes_equal_per_heat_calls_and_the_oracle():
     rng = np.random.default_rng(16)
     thetas = threshold_grid(*DEFAULT_GRID)
     ties = np.zeros((32, 32), np.float32)
@@ -459,18 +460,11 @@ def test_stacked_heat_boxes_equal_per_heat_calls_and_the_oracle(monkeypatch):
     assert np.array_equal(square[1], degenerate[:8].reshape(2, 4, len(thetas)))
     at_half, _ = heat_boxes(np.stack(heats), [0.5], 32, 32)
     assert np.array_equal(at_half[:, 0], boxes[:, thetas.index(0.5)])
-    # evaluate_heats' box table: full stacks of FORWARD_CHUNK heats and a short final one
-    calls = []
-    real = loc.heat_boxes
-
-    def recording(stack, *args):
-        calls.append(len(stack))
-        return real(stack, *args)
-
-    monkeypatch.setattr(loc, "heat_boxes", recording)
-    box_table, *_ = evaluate_heats(heats, [np.array([[0, 0, 1, 1]])] * len(heats), thetas, 32)
-    assert np.array_equal(box_table, boxes)
-    assert calls == [FORWARD_CHUNK, 3]
+    # the engine's box table: full stacks of FORWARD_CHUNK heats and a short final one
+    stacks = [heat_boxes(np.stack(heats[start:start + FORWARD_CHUNK]), thetas, 32, 32)[0]
+              for start in range(0, len(heats), FORWARD_CHUNK)]
+    assert [len(stack) for stack in stacks] == [FORWARD_CHUNK, 3]
+    assert np.array_equal(np.concatenate(stacks), boxes)
 
 
 def test_heat_boxes_equal_the_stacked_pixel_labeller_on_random_stacks():
@@ -629,9 +623,9 @@ def test_box_table_matches_hit_fraction_oracle():
                              min(side, x1 + dx), min(side, y1 + dy)))
         heats.append(heat)
         samples.append((None, 0, np.array(gt_boxes)))
-    boxes, ious, table, theta_star, _ = evaluate_heats(heats, [gt for _, _, gt in samples],
-                                                       thetas, side)
-    assert np.array_equal(boxes, heat_boxes(np.stack(heats), thetas, side, side)[0])
+    boxes = heat_boxes(np.stack(heats), thetas, side, side)[0]
+    ious = best_ious(boxes, loc._gt_array([gt for _, _, gt in samples]))
+    table, theta_star = gt_known_table(ious, thetas)
     assert table == [
         (theta, hit_fraction_oracle(heats, samples, theta, 0.5, side, side)) for theta in thetas]
     assert all(type(theta) is float and type(acc) is float for theta, acc in table)
@@ -735,12 +729,30 @@ def test_threshold_grid_contents():
         [round(0.05 * i, 9) for i in range(1, 20)])
     assert threshold_grid(0.3, 0.3, 0.1) == [0.3]
     assert len(threshold_grid(0.0, 1.0, 1e-4)) == loc.MAX_GRID_THRESHOLDS == 10_001
+    # a last value past stop by less than the tolerance is stop itself
+    assert threshold_grid(0.0, 1.0, 1.0000000008) == [0.0, 1.0]
+    assert threshold_grid(0.0, 0.9, 0.9000000008) == [0.0, 0.9]
+    assert threshold_grid(0.0, 0.5, 0.50000000091) == [0.0]
+    assert threshold_grid(0.0, 1e-6, 1e-9) == [round(1e-9 * i, 9) for i in range(1001)]
     nan, inf = float("nan"), float("inf")
     for bad in [(0.5, 0.3, 0.1), (0.0, 1.0, 1e-7), (0.0, 1.0, 5e-324), (0.05, 0.95, nan),
                 (nan, 0.95, 0.05), (0.05, inf, 0.05), (-0.1, 0.9, 0.1), (0.0, 1.5, 0.1),
-                (0.0, 1.0, 0.0), (0.0, 1.0, -0.1)]:
+                (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (0.0, 1e-6, 2e-10), (0.3, 0.3, 9.99e-10)]:
         with pytest.raises(ContractError):
             threshold_grid(*bad)
+
+
+def test_threshold_grid_values_are_distinct_and_inside_the_requested_range():
+    # steps near the 1e-9 rounding unit, from starts on and between its lattice points
+    rng = np.random.default_rng(35)
+    for _ in range(3000):
+        offset = float(rng.choice([0.0, 5e-10, rng.random() * 1e-9]))
+        start = min(1.0, int(rng.integers(0, 10**9)) * 1e-9 + offset)
+        step = float(rng.choice([1e-9, 1e-9 * (1 + rng.random()), 1e-9 * int(rng.integers(1, 20))]))
+        stop = min(1.0, start + step * (int(rng.integers(0, 30)) + float(rng.random())))
+        grid = threshold_grid(start, stop, step)
+        assert grid == sorted(set(grid)) and grid[-1] <= stop, (start, stop, step)
+        assert all(abs(theta - (start + i * step)) <= 1e-9 for i, theta in enumerate(grid))
 
 
 def test_grid_search_singleton():

@@ -1,5 +1,6 @@
-"""Metric tests: the array metrics of `tokenloc.localization`, read
-from `evaluate_heats`, against independent brute-force oracles."""
+"""Metric tests: the array metrics of `tokenloc.localization`, each a
+function of the best-IoU table that `heat_boxes` and `best_ious` build,
+against independent brute-force oracles."""
 
 from collections import namedtuple
 
@@ -7,7 +8,16 @@ import numpy as np
 import pytest
 
 from tokenloc.errors import ContractError
-from tokenloc.localization import _box_ious, evaluate_heats, max_box_acc_v2, top_k_loc_acc
+from tokenloc.localization import (
+    _box_ious,
+    _gt_array,
+    best_ious,
+    evaluate_samples,
+    gt_known_table,
+    heat_boxes,
+    max_box_acc_v2,
+    top_k_loc_acc,
+)
 
 from util import iou
 
@@ -41,15 +51,16 @@ def random_records(rng, count, num_classes=6, size=30):
 
 
 def _evaluate(records):
-    """`evaluate_heats` at threshold 0.5 on one heat per record that is 1
-    inside the record's box and 0 elsewhere, so the box table holds the
+    """The engine's box table at threshold 0.5 on one heat per record that
+    is 1 inside the record's box and 0 elsewhere, so the table holds the
     records' boxes. Returns the (S, 1) best IoUs, the one-row GT-known
     table and each label's rank, as `eval` hands them to the metrics."""
     heats = np.zeros((len(records), SIDE, SIDE), np.float32)
     for heat, (x0, y0, x1, y1) in zip(heats, (r.box for r in records)):
         heat[y0:y1, x0:x1] = 1.0
-    boxes, ious, table, _, _ = evaluate_heats(heats, [np.array(r.gt_boxes) for r in records],
-                                              [0.5], SIDE)
+    boxes, _ = heat_boxes(heats, [0.5], SIDE, SIDE)
+    ious = best_ious(boxes, _gt_array([np.array(r.gt_boxes) for r in records]))
+    table, _ = gt_known_table(ious, [0.5])
     assert boxes[:, 0].tolist() == [list(r.box) for r in records]
     return ious, table, [r.class_ranking.index(r.gt_class) for r in records]
 
@@ -125,11 +136,10 @@ def test_loc_acc_strict_threshold():
 
 
 def test_loc_acc_empty_rejected():
-    # the metrics read the engine's IoU tables, and the engine takes no empty set
+    # the metrics read the engine's IoU tables, and the engine takes no empty
+    # set: it refuses one before it reads the model or runs a forward pass
     with pytest.raises(ContractError):
-        evaluate_heats(np.zeros((0, SIDE, SIDE), np.float32), [], [0.5], SIDE)
-    with pytest.raises(ContractError):
-        evaluate_heats([], [], [0.5], SIDE)
+        evaluate_samples(None, None, [], ["gt-known"], [0.5])
 
 
 def test_max_box_acc_single_record_two_thirds():

@@ -10,16 +10,17 @@ from tokenloc import numerics as nm
 from tokenloc.backbone import ModelConfig, init_params, parameter_shapes, mhsa
 from tokenloc.errors import ContractError
 from tokenloc.formats import read_checkpoint
+from tokenloc import localization
 from tokenloc.localization import (
     DEFAULT_GRID,
     class_heats,
-    evaluate_heats,
+    evaluate_samples,
     fuse,
+    heat_boxes,
     threshold_grid,
 )
 from tokenloc.pipeline import (
     FORWARD_CHUNK,
-    forward_chunks,
     rescored,
     two_branch_forward,
 )
@@ -217,18 +218,27 @@ def _single_image_heat(params, cfg, image, class_id):
     return alone, nm.bilinear_resize(fused, cfg.image_size, cfg.image_size)
 
 
+def _stack_forward(params, cfg, samples):
+    """One untaped forward over the images of `samples`, as the evaluation
+    engine runs each of its stacks."""
+    return two_branch_forward(params, cfg, np.stack([image for image, _, _ in samples]))
+
+
 @pytest.mark.parametrize("count", [1, 3, 4, 5, 9])
-def test_forward_chunks_are_bit_identical_to_single_image_forwards(count):
+def test_forward_stacks_are_bit_identical_to_single_image_forwards(count):
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     samples = _acceptance_samples(count)
-    chunks = list(forward_chunks(params, cfg, samples))
-    assert [len(labels) for labels, _ in chunks] == [
-        min(FORWARD_CHUNK, count - start) for start in range(0, count, FORWARD_CHUNK)]
-    assert sum((labels for labels, _ in chunks), []) == [label for _, label, _ in samples]
-    p_cam = np.concatenate([nm.value_of(result.p_cam) for _, result in chunks])
-    p_refine = np.concatenate([nm.value_of(result.p_refine) for _, result in chunks])
-    heats = gt_heats(params, cfg, samples)
+    # the engine's stacks: FORWARD_CHUNK images at a time, the last one shorter
+    stacks = [_stack_forward(params, cfg, samples[start:start + FORWARD_CHUNK])
+              for start in range(0, count, FORWARD_CHUNK)]
+    p_cam = np.concatenate([nm.value_of(result.p_cam) for result in stacks])
+    p_refine = np.concatenate([nm.value_of(result.p_refine) for result in stacks])
+    labels = [label for _, label, _ in samples]
+    heats = np.concatenate([class_heats(result.refined_map, result.cam_maps,
+                                        labels[start:start + FORWARD_CHUNK], cfg.image_size)
+                            for start, result in zip(range(0, count, FORWARD_CHUNK), stacks)])
     assert len(heats) == count
+    assert np.array_equal(gt_heats(params, cfg, samples), heats)   # one stack of all
     for i, (image, label, _) in enumerate(samples):
         alone, heat = _single_image_heat(params, cfg, image, label)
         assert np.array_equal(p_cam[i], nm.value_of(alone.p_cam)[0])
@@ -252,9 +262,9 @@ def test_one_chunk_forward_stays_under_its_memory_budget():
     samples = _acceptance_samples(FORWARD_CHUNK)
     tracemalloc.start()
     try:
-        for _, result in forward_chunks(params, cfg, samples):
-            _ = result.refined_map
-            _ = rescored(result, None).refined_map
+        result = _stack_forward(params, cfg, samples)
+        _ = result.refined_map
+        _ = rescored(result, None).refined_map
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -265,23 +275,43 @@ def test_one_chunk_forward_stays_under_its_memory_budget():
 # grid, one stack of FORWARD_CHUNK heats per call, peaked at 1,921,440 B
 # (tracemalloc) when this budget was set, with the pixel labeller
 # (`ndimage.label`); the budget is that peak plus 15%. The run labeller
-# peaks at 556,293 B, and one call over all 50 heats at 3,288,919 B (the
-# pixel labeller: 10,160,682 B), so this still catches the table being
-# labelled in one call again. Scoring the table in `evaluate_heats`
-# stays well under it.
+# peaks at 556,293 B (566,120 B traced through the engine from its first
+# labelling call, its IoUs and metrics included), and one call over all
+# 50 heats at 3,288,919 B (the pixel labeller: 10,160,682 B), so this
+# still catches the table being labelled in one call again.
 BOX_TABLE_BUDGET = 2_210_000
 
 
-def test_box_table_labels_one_stack_at_a_time_under_its_memory_budget():
+def test_box_table_labels_one_stack_at_a_time_under_its_memory_budget(monkeypatch):
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     samples = _acceptance_samples(50)
-    heats = gt_heats(params, cfg, samples)
     thetas = threshold_grid(*DEFAULT_GRID)
-    tracemalloc.start()
+    calls, real = [], localization.heat_boxes
+
+    def tracing(heats, *args):
+        # the heats are fused before the first call: trace from there, as a
+        # labelling of heats already in memory
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+        calls.append(len(heats))
+        return real(heats, *args)
+
+    monkeypatch.setattr(localization, "heat_boxes", tracing)
     try:
-        boxes, *_ = evaluate_heats(heats, [gt for _, _, gt in samples], thetas, cfg.image_size)
+        (_, table, _), = evaluate_samples(params, cfg, samples, ["gt-known", "maxboxaccv2"],
+                                          thetas)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert boxes.shape == (50, len(thetas), 4)
-    assert peak <= BOX_TABLE_BUDGET, f"labelling the box table peaked at {peak} bytes"
+    assert len(table) == len(thetas)
+    assert calls == [FORWARD_CHUNK] * 6 + [2]
+    assert peak <= BOX_TABLE_BUDGET, f"labelling and scoring the box table peaked at {peak} B"
+    # the budget tells the two apart: one call over every heat goes past it
+    heats = gt_heats(params, cfg, samples)
+    tracemalloc.start()
+    try:
+        heat_boxes(heats, thetas, cfg.image_size, cfg.image_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > BOX_TABLE_BUDGET, f"labelling all 50 heats in one call peaked at {peak} B"

@@ -247,8 +247,8 @@ def _heldout_priorities(seed):
     of toy seed `seed`: perfbench fixture seed - 99."""
     cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
     samples = make_dataset(ToyTaskConfig(samples_per_epoch=50, seed=seed))
-    return np.concatenate([result.priorities for _, result in
-                           pipeline.forward_chunks(params, cfg, samples)])
+    images = np.stack([image for image, _, _ in samples])
+    return pipeline.two_branch_forward(params, cfg, images).priorities
 
 
 def test_stacked_selection_is_bit_identical_to_the_per_row_oracle():

@@ -27,7 +27,7 @@ from tokenloc.formats import (
     _config_from_bytes,
 )
 from tokenloc.localization import class_heats
-from tokenloc.pipeline import forward_chunks
+from tokenloc.pipeline import two_branch_forward
 
 
 def assert_grads_close(analytic, numeric, rel=1e-3, floor=1e-4, what=""):
@@ -179,13 +179,14 @@ def select_rows(priorities, rule):
     return np.stack(masks)
 
 
-def gt_heats(params, cfg, samples, selector=None) -> list:
-    """Fused map per (image, label, ...) sample for that sample's label,
-    as the evaluation loop builds them."""
-    heats = []
-    for labels, result in forward_chunks(params, cfg, samples, selector=selector):
-        heats.extend(class_heats(result.refined_map, result.cam_maps, labels, cfg.image_size))
-    return heats
+def gt_heats(params, cfg, samples, selector=None) -> np.ndarray:
+    """(S, side, side) fused maps of (image, label, boxes) samples for their
+    labels, from one forward pass over all of them: bit-identical to the
+    evaluation engine's stacks, since a forward's rows do not depend on
+    the stack they run in."""
+    images, labels, _ = zip(*samples)
+    result = two_branch_forward(params, cfg, np.stack(images), selector=selector)
+    return class_heats(result.refined_map, result.cam_maps, list(labels), cfg.image_size)
 
 
 def iou(a, b) -> float:
