@@ -86,7 +86,7 @@ class ModelConfig:
         """Entries of all `parameter_shapes(self)`: the two-block table's,
         plus one block's per further block, so any depth costs the same."""
         two, block = (sum(map(math.prod, shapes.values())) for shapes in
-                      (parameter_shapes(replace(self, num_blocks=2)), _block_shapes(self, "")))
+                      (parameter_shapes(replace(self, num_blocks=2)), block_shapes(self, "")))
         return two + (self.num_blocks - 2) * block
 
     def check_image(self, shape) -> None:
@@ -113,7 +113,8 @@ class ModelConfig:
                                  f"budget of {MAX_ATTENTION_BYTES}")
 
 
-def _block_shapes(cfg: ModelConfig, prefix: str) -> dict:
+def block_shapes(cfg: ModelConfig, prefix: str) -> dict:
+    """Name -> shape map of one transformer block's parameters, under `prefix`."""
     d, hidden = cfg.embed_dim, cfg.mlp_hidden
     shapes = {
         f"{prefix}.ln1.gamma": (d,),
@@ -146,9 +147,9 @@ def parameter_shapes(cfg: ModelConfig) -> dict:
         "cam.conv.bias": (k,),
     }
     for i in range(cfg.num_blocks - 1):
-        shapes.update(_block_shapes(cfg, f"backbone.block{i}"))
-    shapes.update(_block_shapes(cfg, "refine.mask_block"))
-    shapes.update(_block_shapes(cfg, "refine.final_block"))
+        shapes.update(block_shapes(cfg, f"backbone.block{i}"))
+    shapes.update(block_shapes(cfg, "refine.mask_block"))
+    shapes.update(block_shapes(cfg, "refine.final_block"))
     return shapes
 
 

@@ -261,9 +261,12 @@ def cmd_train_toy(args):
 
 def cmd_ablate(args):
     with cited("--strategies"):
-        strategies = [parse_strategy(part) for part in args.strategies.split(",") if part]
-        if not strategies:
+        parts = args.strategies.split(",")
+        if not any(parts):
             raise ContractError(f"no strategy in {args.strategies!r}")
+        if not all(parts):
+            raise ContractError(f"{args.strategies!r} has an empty item")
+        strategies = [parse_strategy(part) for part in parts]
     thetas = _parse_grid("--grid", args.grid)
     cfg, params = read_checkpoint(args.ckpt)
     # compared as resolved: a bare `adaptive` selects at the checkpoint's mass

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import MAX_PARAM_BYTES, ModelConfig, parameter_shapes
+from .backbone import MAX_PARAM_BYTES, ModelConfig, block_shapes, parameter_shapes
 from .errors import (
     BadMagicError,
     CheckpointError,
@@ -281,11 +281,12 @@ def _checkpoint_from_bytes(data: bytes):
         raise CheckpointError(f"{len(data) - offset} trailing bytes after the last entry")
     if cfg is None:
         raise CheckpointError("checkpoint has no config entry")
-    # 16 parameters per block: the entry count bounds num_blocks before a
+    # the entries of num_blocks + 1 transformer blocks bound num_blocks before a
     # shape table is built, and the stored shapes bound the other extents
-    if 16 * (cfg.num_blocks + 1) > len(params):
-        raise CheckpointError(f"config's {cfg.num_blocks} blocks need {16 * (cfg.num_blocks + 1)} "
-                              f"parameters, the checkpoint holds {len(params)}")
+    need = len(block_shapes(cfg, "")) * (cfg.num_blocks + 1)
+    if need > len(params):
+        raise CheckpointError(f"config's {cfg.num_blocks} blocks need {need} parameters, the "
+                              f"checkpoint holds {len(params)}")
     _check_params(cfg, params)
     # after the shapes, so that a corrupt extent is named by the checks above
     try:

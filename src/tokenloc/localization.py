@@ -10,10 +10,10 @@ A box is a half-open (x0, y0, x1, y1) int64 row. GT-known accuracy and
 its calibrated threshold, top-1 and top-5 localization accuracy and
 MaxBoxAccV2 (Choe et al., CVPR 2020) are functions of a box table's
 (S, T) best IoUs: strict comparisons, each sample against its
-best-matching ground-truth box. `evaluate_samples` is the one loop from
-samples to heats to boxes to metrics, behind `calibrate`, `eval` and
-`ablate-selection`: one forward pass per stack serves every selection
-rule, with re-attention on and off.
+best-matching ground-truth box. `evaluate_samples`, behind `calibrate`,
+`eval` and `ablate-selection`, runs one forward pass per stack for every
+selection rule, with re-attention on and off, and keeps token-grid maps:
+a stack's image-size heats live only while it is scored.
 """
 
 from __future__ import annotations
@@ -239,60 +239,53 @@ def evaluate_samples(params, cfg: ModelConfig, samples, metrics, thetas, *, sele
 
     theta_star and table are `gt_known_table` over `thetas` (a fixed
     threshold is a grid of one); `metrics` names any of METRIC_NAMES, the
-    class-aware ones computed at theta_star. Each stack of
+    class-aware ones read at theta_star. Each stack of
     `pipeline.FORWARD_CHUNK` images gets one forward pass, with the first
     selector, which later selectors re-select (`pipeline.rescored`);
     re-attention off scores the priority map, once for all selectors and
-    with no mask block. After the last pass each setting's heats are
-    labelled one stack per call, and for top1/top5 the predicted-class
-    heats, fused only where the top-ranked class (by CAM-branch
-    probability, ties by id) is not the GT class, in one call at its
-    theta_star.
+    with no mask block. The passes keep token-grid maps; after the last,
+    each stack is scored: one call labels its GT-class heats over the
+    grid and, for top1/top5, one more the heats of the top-ranked class
+    (by CAM-branch probability, ties by id) where it is not the GT class.
     """
     if not (len(selectors) and len(samples)):
         raise ContractError("evaluation needs at least one selector and one sample")
     side, step = cfg.image_size, pipeline.FORWARD_CHUNK
     ranked_metrics = any(m in metrics for m in ("top1", "top5"))
-    # setting -> (GT-class heats by stack, predicted-class heats): a selector's index, or "off"
-    heats = {i: ([], []) for i in range(len(selectors)) if True in modes}
-    if False in modes:
-        heats["off"] = ([], [])
-    ranks, pred_rows = [], []
+    # a setting is a selector's index, or "off"
+    settings = [*range(len(selectors))] * (True in modes) + ["off"] * (False in modes)
+    gt = _gt_array([boxes for _, _, boxes in samples])
+    stacks, ranks = [], []   # per stack: labels, top classes, CAM maps, GT boxes, scoring maps
     for start in range(0, len(samples), step):
         images, labels, _ = zip(*samples[start:start + step])
         first = two_branch_forward(params, cfg, np.stack(images), selector=selectors[0])
         order = np.argsort(-nm.value_of(first.p_cam), axis=1, kind="stable")
-        # a predicted-class heat is needed only where that class is not the GT class
-        differ = np.flatnonzero(order[:, 0] != labels)
-        for setting, (stacks_gt, heats_pred) in heats.items():
-            if setting == "off":
-                scoring = spatial_map(first.priorities)
-            else:
-                # one backbone, priority and CAM pass per stack for every selector
-                scoring = (first if setting == 0 else rescored(first, selectors[setting])
-                           ).refined_map
-            stacks_gt.append(class_heats(scoring, first.cam_maps, labels, side))
-            if ranked_metrics and differ.size:
-                heats_pred.extend(class_heats(scoring[differ], first.cam_maps[differ],
-                                              order[differ, 0], side))
-        pred_rows.extend(start + differ)
-        ranks.extend((order == np.array(labels)[:, None]).argmax(axis=1))
-    gt = _gt_array([boxes for _, _, boxes in samples])
+        # one backbone, priority and CAM pass per stack for every selector
+        maps = {s: spatial_map(first.priorities) if s == "off" else
+                (first if s == 0 else rescored(first, selectors[s])).refined_map for s in settings}
+        stacks.append((labels, order[:, 0], first.cam_maps, gt[start:start + step], maps))
+        ranks += (order == np.array(labels)[:, None]).argmax(axis=1).tolist()
 
-    def score(stacks_gt, heats_pred):
-        boxes = np.concatenate([heat_boxes(stack, thetas, side, side)[0] for stack in stacks_gt])
-        ious = best_ious(boxes, gt)
+    def score(setting):
+        ious, top_ious = [], []   # the GT-class and top-class (S, T) IoU tables, by stack
+        for labels, top, cam_maps, rows, maps in stacks:
+            heats = class_heats(maps[setting], cam_maps, labels, side)
+            ious.append(best_ious(heat_boxes(heats, thetas, side, side)[0], rows))
+            if ranked_metrics:   # the GT-class rows, but where the top class misses
+                miss = np.flatnonzero(top != labels)
+                top_ious.append(ious[-1].copy())
+                if miss.size:
+                    heats = class_heats(maps[setting][miss], cam_maps[miss], top[miss], side)
+                    top_ious[-1][miss] = best_ious(heat_boxes(heats, thetas, side, side)[0],
+                                                   rows[miss])
+        ious = np.concatenate(ious)
         table, theta_star = gt_known_table(ious, thetas)
         results = {"gt-known": dict(table)[theta_star], "maxboxaccv2": max_box_acc_v2(ious)}
         if ranked_metrics:
-            # where the top-ranked class is the GT class, its box is already in the table
-            top_boxes = boxes[:, thetas.index(theta_star)].copy()
-            if heats_pred:
-                top_boxes[pred_rows] = heat_boxes(heats_pred, [theta_star], side, side)[0][:, 0]
-            top_ious = best_ious(top_boxes[:, None], gt)[:, 0]
+            top_ious = np.concatenate(top_ious)[:, thetas.index(theta_star)]
             results.update(top1=top_k_loc_acc(top_ious, ranks, 1),
                            top5=top_k_loc_acc(top_ious, ranks, 5))
         return theta_star, table, {metric: results[metric] for metric in metrics}
 
-    scores = {setting: score(*setting_heats) for setting, setting_heats in heats.items()}
+    scores = {setting: score(setting) for setting in settings}
     return [scores[i if reatt else "off"] for i in range(len(selectors)) for reatt in modes]

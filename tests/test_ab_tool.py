@@ -1,8 +1,8 @@
 """tools/ab.py: the rotation of the sides in each round, the ratio sets of a
 report entry, the stage level on three copies of the working tree for one
 `localize` request (localize, then infer) of perfbench fixture 0, its
-kernel-op cases, its tape row, and its fresh-process level on fake child
-commands."""
+kernel-op cases, its tape row, its machine block, and its fresh-process
+level on fake child commands."""
 
 import importlib.util
 import os
@@ -33,6 +33,7 @@ def ab(tmp_path, monkeypatch):
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "BUILD", tmp_path / "ab")
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
     yield module
     for name in [m for m in sys.modules if m.split(".")[0] in ("tk_base", "tk_copy")]:
         del sys.modules[name]
@@ -145,6 +146,25 @@ def test_every_kernel_op_case_runs_forward_and_backward_but_the_resize(ab):
             continue
         tape.backward(loss)
         assert all(leaf.grad is not None for leaf in leaves), op
+
+
+def test_the_stacked_op_cases_take_head_s_forward_chunk(ab, monkeypatch):
+    import numpy as np
+    from tokenloc import pipeline
+
+    monkeypatch.setattr(pipeline, "FORWARD_CHUNK", 3)
+    cases = ab.op_cases(np.random.default_rng(0))
+    assert len(cases["conv2d3x3 stack"][1][0]) == len(cases["bilinear_resize"][1][0]) == 3
+
+
+def test_the_machine_block_names_the_blas_kernel_and_the_simd_targets(ab, monkeypatch):
+    import golden
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")   # perfbench's block reads it
+    block = ab.machine()
+    assert block["openblas_core"] == golden.openblas_core() != ""
+    assert block["numpy_simd"] == golden.simd_targets()
+    assert {"cpu", "numpy", "blas", "blas_threads", "filesystem"} <= set(block)
 
 
 def test_a_kernel_op_that_a_side_cannot_take_is_absent_there(ab, monkeypatch):

@@ -140,13 +140,23 @@ def test_localize_writes_box_and_map(workspace):
     assert read_tensor(out_map).shape == (32, 32)
 
 
-def test_localize_theta_zero_full_image_box(workspace):
+# a blank image or the workspace's, --theta and the warning on stderr
+@pytest.mark.parametrize("blank, theta, warning", [
+    (False, "0.0", ""),   # every pixel is foreground
+    # a blank image's maps are constant, so its heat is all zero
+    (True, "1", "warning: empty foreground, emitted the full-image box\n"),
+], ids=["theta-0", "empty-foreground"])
+def test_localize_emits_the_full_image_box(workspace, capsys, blank, theta, warning):
     tmp, cfg, params, ckpt, image = workspace
+    if blank:
+        image = tmp / "blank.trt"
+        write_tensor(image, np.zeros((3, 32, 32), np.float32))
     out_box = tmp / "box.txt"
     code = main(["localize", "--ckpt", str(ckpt), "--input", str(image),
-                 "--class", "auto", "--theta", "0.0", "--out-box", str(out_box)])
+                 "--class", "auto", "--theta", theta, "--out-box", str(out_box)])
     assert code == 0
     assert out_box.read_text().split() == ["0", "0", "32", "32"]
+    assert capsys.readouterr().err == warning
 
 
 def _write_manifest(tmp, cfg, params, count=5, theta=0.45):
@@ -229,13 +239,16 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     assert stacks[-1] < FORWARD_CHUNK  # a short final stack
     assert [len(stack) for stack in forwards] == stacks
     assert np.array_equal(np.concatenate(forwards), np.stack([image for image, _, _ in samples]))
-    # one labelling call per stack of GT-class heats over the whole grid, then
-    # one call for every predicted-class heat that differs from it, at theta_star
+    # per stack, one labelling call of its GT-class heats over the whole grid,
+    # then one of the predicted-class heats that differ from them
     mispredicted = [i for i, (image, label, _) in enumerate(samples)
                     if localize(params, cfg, image, "predicted", theta=0.5)[2] != label]
     assert 0 < len(mispredicted) < images
-    assert [len(heats) for heats, _ in boxed] == stacks + [len(mispredicted)]
-    assert [len(call_thetas) for _, call_thetas in boxed] == [len(thetas)] * len(stacks) + [1]
+    missed = [sum(start <= i < start + FORWARD_CHUNK for i in mispredicted)
+              for start in range(0, images, FORWARD_CHUNK)]
+    assert all(missed)
+    assert [len(heats) for heats, _ in boxed] == [n for pair in zip(stacks, missed) for n in pair]
+    assert all(call_thetas == thetas for _, call_thetas in boxed)
     # `heat_boxes` labels internally, so each of its calls is one labelling
     for heats, call_thetas in boxed:
         assert heats.shape[1:] == (32, 32)
@@ -251,11 +264,11 @@ def test_eval_grid_labels_each_pair_once_with_one_forward_per_image(workspace, m
     assert rows["theta"] == repr(theta_star)
     assert rows["gt-known"] == repr(dict(table)[theta_star])
     assert rows["maxboxaccv2"] == repr(sum(per_level) / len(per_level))
-    # every (image, theta) pair boxed once: each GT-class heat over the grid,
-    # and each differing predicted-class heat at theta_star
+    # every (image, theta) pair boxed once: each GT-class heat and each
+    # differing predicted-class heat over the grid
     expected = Counter((heat.tobytes(), theta) for heat in heats for theta in thetas)
     expected.update((localize(params, cfg, samples[i][0], "predicted", theta=theta_star)[0]
-                     .tobytes(), theta_star) for i in mispredicted)
+                     .tobytes(), theta) for i in mispredicted for theta in thetas)
     assert Counter((heat.tobytes(), theta) for stack, call_thetas in boxed
                    for heat in stack for theta in call_thetas) == expected
     top1 = 0
@@ -290,21 +303,22 @@ def test_each_grid_command_runs_the_engine_once_per_setting(workspace, monkeypat
     count("_gt_array", loc)
     count("_box_ious", loc)
     common = ["--ckpt", str(ckpt), "--manifest", str(manifest)]
+    stacks = 2   # FORWARD_CHUNK images, then two; each holds a flipped label
     for argv, engine_runs, ious_runs in [
-        (["eval", *common, "--theta", "grid", "--out-report", str(tmp / "r.csv")], 1, 2),
-        (["eval", *common, "--theta", "0.45", "--out-report", str(tmp / "r.csv")], 1, 2),
+        (["eval", *common, "--theta", "grid", "--out-report", str(tmp / "r.csv")], 1, 2 * stacks),
+        (["eval", *common, "--theta", "0.45", "--out-report", str(tmp / "r.csv")], 1, 2 * stacks),
         (["eval", *common, "--theta", "grid", "--metrics", "gt-known,maxboxaccv2",
-          "--out-report", str(tmp / "r.csv")], 1, 1),
-        (["calibrate", *common, "--out-table", str(tmp / "t.csv")], 1, 1),
+          "--out-report", str(tmp / "r.csv")], 1, stacks),
+        (["calibrate", *common, "--out-table", str(tmp / "t.csv")], 1, stacks),
         (["ablate-selection", *common, "--strategies", "adaptive,topk:4",
-          "--out-table", str(tmp / "a.csv")], 3, 3),
+          "--out-table", str(tmp / "a.csv")], 3, 3 * stacks),
     ]:
         calls.clear()
         assert main(argv) == 0, argv
-        # one ground-truth array per command, and one GT-class IoU table and
-        # GT-known table per setting (the ablation's re-attention off is one
-        # setting for every strategy); all four metrics of eval add one IoU
-        # call for the predicted-class boxes
+        # one ground-truth array per command, one GT-known table per setting
+        # (the ablation's re-attention off is one setting for every strategy)
+        # and one GT-class IoU call per setting and stack; all four metrics of
+        # eval add one IoU call for each stack's mispredicted rows
         assert calls == {"gt_known_table": engine_runs, "_gt_array": 1,
                          "_box_ious": ious_runs}, argv
 
@@ -544,6 +558,9 @@ def test_malformed_tensor_header_exits_3(workspace, capsys, header, detail, comm
      "format: {bad}: file ended inside tensor payload (119 > 100 bytes)"),
     ("infer --ckpt", lambda ckpt, image: image,
      "format: {bad}: expected magic b'TRTC', found b'TRT1'"),
+    ("infer --ckpt", lambda ckpt, image: ckpt[:_CONFIG_AT + 20],
+     f"format: {{bad}}: file ended inside config block ({_CONFIG_AT + 32} > {_CONFIG_AT + 20} "
+     f"bytes)"),
     ("heatmap --map", lambda ckpt, image: tensor_to_bytes(np.zeros((8, 8), np.float32)),
      "contract: --map {bad}, --image {image}: heat (8, 8) does not match image (3, 32, 32)"),
     ("heatmap --map", lambda ckpt, image: image[:-1],
@@ -666,10 +683,13 @@ def test_non_finite_heat_map_exits_4(workspace, capsys, value):
     (["id:a image:img.trt label:0 boxes:12,8,20,16",
       "id:b image:img.trt label:0 boxes:12,8,20,16",
       "id:a image:img.trt label:1 boxes:12,8,20,16"], 3, "id 'a' already used on line 1"),
+    (["id:a image:img.trt label:0 12,8,20,16"], 1, "token '12,8,20,16' is not key:value"),
+    (["id:a image:img.trt label:0 boxes:12,8,20,16;12,8,20"], 1, "box needs 4 coordinates, got 3"),
+    (["id:a image:img.trt label:0 boxes:12,8,20,16,4"], 1, "box needs 4 coordinates, got 5"),
 ])
-def test_duplicate_manifest_key_or_id_exits_3(workspace, capsys, lines, line_no, what):
+def test_a_malformed_manifest_line_exits_3_naming_it(workspace, capsys, lines, line_no, what):
     tmp, cfg, params, ckpt, _ = workspace
-    manifest = tmp / "dup.manifest"
+    manifest = tmp / "bad.manifest"
     manifest.write_text("\n".join(lines) + "\n")
     code = main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--theta", "0.5",
                  "--out-report", str(tmp / "r.csv")])
@@ -887,7 +907,9 @@ def test_non_utf8_input_exits_3(workspace, capsys, command):
     # a repeated key, at the top or in the model section, would silently take the last value
     ('{"steps_phase1": 1, "seed": 0, "steps_phase1": 2}', "key 'steps_phase1' repeated"),
     ('{"model": {"embed_dim": 16, "embed_dim": 32}}', "key 'embed_dim' repeated"),
-], ids=["lf", "crlf", "cr", "long-integer", "deep-nesting", "repeated-key", "repeated-model-key"])
+    ("[1, 2]", "expected a JSON object"),
+], ids=["lf", "crlf", "cr", "long-integer", "deep-nesting", "repeated-key", "repeated-model-key",
+        "not-an-object"])
 @pytest.mark.parametrize("config", ["toy", "train"])
 def test_a_json_config_that_does_not_parse_exits_3_naming_it(tmp_path, capsys, config, text,
                                                              detail):
@@ -1003,16 +1025,22 @@ def test_selection_mass_outside_unit_interval_exits_4(workspace, capsys, command
                                       "nonsense:1", "adaptive,adaptive", "topk:8,topk:8",
                                       "adaptive:0.5,fixed:mean,adaptive:0.50",
                                       "adaptive,adaptive:0.65", "adaptive:0.65,adaptive",
-                                      "topk:abc", "adaptive:x", "fixed:1e", "fixed:0,fixed:-0"])
+                                      "topk:abc", "adaptive:x", "fixed:1e", "fixed:0,fixed:-0",
+                                      "adaptive,,topk:4", "adaptive,", ",adaptive"])
 def test_malformed_selection_strategy_exits_4(workspace, capsys, strategy):
     tmp, cfg, params, ckpt, _ = workspace
     assert cfg.num_tokens == 64   # so topk:65 asks for more tokens than there are
     # a bare `adaptive` selects at the checkpoint's mass, so it duplicates adaptive:0.65
     write_checkpoint(ckpt, replace(cfg, selection_mass=0.65), params)
+    empty_item = "" in strategy.split(",")
+    if empty_item:   # rejected before any file is read: the checkpoint is not needed
+        ckpt.unlink()
     err = _assert_one_contract_line(
         capsys, tmp, _manifest_argv(tmp, ckpt, "ablate-selection", "--strategies", strategy))
     assert err.startswith("error: contract: --strategies: "), err
-    if "," in strategy:
+    if empty_item:
+        assert err == f"error: contract: --strategies: {strategy!r} has an empty item\n"
+    elif "," in strategy:
         assert err == (f"error: contract: --strategies: {strategy!r} names a strategy more "
                        f"than once\n")
     if strategy == "topk:65":   # a bound that needs the checkpoint's token count
@@ -1049,15 +1077,23 @@ def test_a_grid_value_past_stop_by_less_than_the_tolerance_is_stop(workspace, gr
     assert [theta for theta, _ in _read_csv(tmp / "out.csv")[1:]] == thetas
 
 
+# the manifest's text, the exit code and the error line, with {manifest} its path
+@pytest.mark.parametrize("lines, code, error", [
+    ("id:a image:img.trt label:0 boxes:12,8,20,16\nid:b image:img.trt label:0 boxes:\n", 3,
+     "format: {manifest}:2: line has no ground-truth boxes"),
+    ("", 4, "contract: manifest {manifest} is empty"),
+    ("\n  \n\t\n", 4, "contract: manifest {manifest} is empty"),
+], ids=["no-boxes", "empty", "blank-lines"])
 @pytest.mark.parametrize("command", _MANIFEST_ARGS)
-def test_manifest_line_without_boxes_exits_3(workspace, capsys, command):
+def test_a_manifest_without_a_sample_or_a_box_exits_naming_it(workspace, capsys, monkeypatch,
+                                                              command, lines, code, error):
     tmp, cfg, params, ckpt, _ = workspace
-    argv = _manifest_argv(tmp, ckpt, command, lines="id:a image:img.trt label:0 boxes:12,8,20,16\n"
-                                                    "id:b image:img.trt label:0 boxes:\n")
-    assert main(argv) == 3
-    assert capsys.readouterr().err == (f"error: format: {tmp / 'one.manifest'}:2: "
-                                       f"line has no ground-truth boxes\n")
+    argv = _manifest_argv(tmp, ckpt, command, lines=lines)
+    forwards = _count_forwards(monkeypatch)
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {error.format(manifest=tmp / 'one.manifest')}\n"
     assert not (tmp / "out.csv").exists()
+    assert forwards == []
 
 
 _MILLIONTHS = "a whole number of millionths, as a checkpoint stores it"
@@ -1118,35 +1154,49 @@ def test_train_toy_config_field_types_exit_4(tmp_path, capsys, monkeypatch, sect
 _BUDGET = "more than the budget of 67108864"
 
 
-# toy fields, train fields, model-section fields (None: no section, the defaults), error detail
-@pytest.mark.parametrize("toy, train, model, detail", [
-    ({}, {}, {"num_heads": 0}, "embed_dim and num_heads must be positive"),
-    ({}, {}, {"embed_dim": 0}, "embed_dim and num_heads must be positive"),
-    ({}, {}, {"embed_dim": 65536},
+# toy fields, train fields, model-section fields (None: no section, the defaults), the
+# config the error cites, error detail
+@pytest.mark.parametrize("toy, train, model, cited, detail", [
+    ({}, {}, {"num_heads": 0}, "model", "embed_dim and num_heads must be positive"),
+    ({}, {}, {"embed_dim": 0}, "model", "embed_dim and num_heads must be positive"),
+    ({}, {}, {"embed_dim": 65536}, "model",
      f"the parameters take 309306064916 bytes of float32, {_BUDGET}"),
-    ({}, {}, {"mlp_ratio": 100_000_000},
+    ({}, {}, {"mlp_ratio": 100_000_000}, "model",
      f"the parameters take 163200011348 bytes of float32, {_BUDGET}"),
-    ({}, {}, {"num_blocks": 100_000_000},
+    ({}, {}, {"num_blocks": 100_000_000}, "model",
      f"the parameters take 185600009268 bytes of float32, {_BUDGET}"),
-    ({"image_size": 2048, "samples_per_epoch": 1}, {"batch_size": 1}, None,
+    # without a model section, the toy config's image_size sets the default model
+    ({"image_size": 2048, "samples_per_epoch": 1}, {"batch_size": 1}, None, "toy",
      f"one image's attention over 4 heads and 262145 tokens takes 2199040032800 bytes of "
      f"float64, {_BUDGET}"),
+    # the checks of ModelConfig, ToyTaskConfig and TrainConfig themselves
+    ({}, {}, {"patch_size": 0}, "model", "image_size and patch_size must be positive"),
+    ({}, {}, {"num_classes": 0}, "model", "num_classes must be positive"),
+    ({}, {}, {"mlp_ratio": 0}, "model", "mlp_ratio must be at least 1"),
+    ({}, {}, [], "model", "expected a JSON object"),
+    ({"num_classes": 1}, {}, None, "toy", "toy task needs at least 2 classes"),
+    ({"min_object": 25}, {}, None, "toy", "object size range must fit inside the image"),
+    ({"noise_level": 1.5}, {}, None, "toy", "noise level must be in [0, 1]"),
+    ({"samples_per_epoch": 0}, {}, None, "toy", "samples_per_epoch must be positive"),
+    ({"image_size": 30}, {}, None, "toy", "image_size must be divisible by 4"),
+    ({}, {"steps_phase2": -1}, None, "train", "step and batch counts must be positive"),
+    ({}, {"batch_size": 0}, None, "train", "step and batch counts must be positive"),
 ])
-def test_train_toy_model_sizes_out_of_bounds_exit_4_before_allocating(tmp_path, capsys,
-                                                                      monkeypatch, toy, train,
-                                                                      model, detail):
+def test_train_toy_config_values_out_of_bounds_exit_4_before_allocating(tmp_path, capsys,
+                                                                        monkeypatch, toy, train,
+                                                                        model, cited, detail):
     def refuse(*args):
         raise AssertionError("allocated before the budget check")
 
     monkeypatch.setattr(training, "make_dataset", refuse)
     monkeypatch.setattr(training, "init_params", refuse)
-    train = dict(_TRAIN_JSON, **train, model=dict(_TRAIN_JSON["model"], **model or {}))
+    train = dict(_TRAIN_JSON, **train, model=dict(_TRAIN_JSON["model"], **model)
+                 if isinstance(model, dict) else model)
     if model is None:
         del train["model"]
     assert main(_train_toy_argv(tmp_path, dict(_TOY_JSON, **toy), train)) == 4
-    # without a model section, the toy config's image_size sets the default model
-    where = (f"{tmp_path / 'train.json'}: model section: " if model is not None
-             else f"{tmp_path / 'toy.json'}: ")
+    where = {"model": f"{tmp_path / 'train.json'}: model section: ",
+             "toy": f"{tmp_path / 'toy.json'}: ", "train": f"{tmp_path / 'train.json'}: "}[cited]
     assert capsys.readouterr().err == f"error: contract: {where}{detail}\n"
     assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "curve.csv").exists()
 

@@ -275,7 +275,7 @@ def test_one_chunk_forward_stays_under_its_memory_budget():
 # grid, one stack of FORWARD_CHUNK heats per call, peaked at 1,921,440 B
 # (tracemalloc) when this budget was set, with the pixel labeller
 # (`ndimage.label`); the budget is that peak plus 15%. The run labeller
-# peaks at 556,293 B (566,120 B traced through the engine from its first
+# peaks at 556,293 B (568,549 B traced through the engine from its first
 # labelling call, its IoUs and metrics included), and one call over all
 # 50 heats at 3,288,919 B (the pixel labeller: 10,160,682 B), so this
 # still catches the table being labelled in one call again.
@@ -315,3 +315,40 @@ def test_box_table_labels_one_stack_at_a_time_under_its_memory_budget(monkeypatc
     finally:
         tracemalloc.stop()
     assert peak > BOX_TABLE_BUDGET, f"labelling all 50 heats in one call peaked at {peak} B"
+
+
+# Growth of `evaluate_samples`' tracemalloc peak per sample, from 16 to 112
+# acceptance held-out samples (seed 99, every third label flipped, so top-1
+# misses). The passes keep each stack's CAM maps and each setting's
+# token-grid scoring map, and the scoring keeps IoU rows. When these bounds
+# were set, this test read about 1,180 B per sample for all four metrics
+# and 2,320-2,350 B for four strategies in both modes (a fresh process:
+# 1,045 B and 2,285 B from 48 to 400 samples); each bound is that plus
+# about 50%. Keeping every setting's 32x32 heats until the last pass read
+# 6,500 B and 20,820 B here.
+PER_SAMPLE_GROWTH = {"all metrics": 1_800, "four strategies, both modes": 3_500}
+
+
+@pytest.mark.parametrize("case", PER_SAMPLE_GROWTH)
+def test_evaluation_memory_grows_by_token_grid_maps_per_sample(case):
+    cfg, params = read_checkpoint(ACCEPTANCE_CKPT)
+    small, large = 16, 112
+    samples = [(image, 1 - label if i % 3 == 0 else label, boxes)
+               for i, (image, label, boxes) in enumerate(_acceptance_samples(large))]
+    thetas = threshold_grid(*DEFAULT_GRID)
+    if case == "all metrics":
+        kwargs = {"metrics": localization.METRIC_NAMES}
+    else:
+        kwargs = {"metrics": ("gt-known", "maxboxaccv2"), "modes": (True, False),
+                  "selectors": (None, top_k(8), fixed("mean"), adaptive(0.5))}
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            evaluate_samples(params, cfg, samples[:count], thetas=thetas, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = (peak(large) - peak(small)) / (large - small)
+    assert growth <= PER_SAMPLE_GROWTH[case], f"{growth:.0f} B per sample"

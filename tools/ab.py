@@ -16,7 +16,9 @@ method's noise floor, is flat. Head has the same role in both ratios, so a
 bias tied to the working-tree package sits in the floor: identical code
 reads 0.5-5% apart on the sub-5 us forwards, with no side found slower.
 The report also carries the ``src/tokenloc`` line count of the base and
-the working tree, in total and per module.
+the working tree, in total and per module, and the machine: perfbench's
+block, plus the OpenBLAS kernel set and numpy SIMD targets that the
+golden hashes depend on (``tools/golden.py``).
 
 - End to end: each workload's requests, sent through every side's
   ``cli.main`` on perfbench's inputs for ``--seconds`` (10 rounds at
@@ -33,9 +35,9 @@ the working tree, in total and per module.
   off), which perfbench never runs; every side's table must equal base's.
 - Kernel ops: forward and backward of each op of ``op_cases`` at the toy
   shapes (65 tokens, width 32, 4 heads), and the convolution and resize
-  at the evaluate stack of 8 images, each with a verdict. A backward is
-  timed alone on a tape recorded beforehand, with the adjoint of the sum
-  to a scalar loss. A side whose numerics lacks the op or rejects the
+  at the evaluate stack of head's ``pipeline.FORWARD_CHUNK`` images, each
+  with a verdict. A backward is timed alone on a tape recorded
+  beforehand, with the adjoint of the sum to a scalar loss. A side whose numerics lacks the op or rejects the
   call (TypeError, AttributeError or ValueError, which a DimensionError
   is) is ``absent`` for that op, with the error, and the op has no
   verdict. A side on which the op records no tape step, as the untaped
@@ -106,7 +108,6 @@ print(json.dumps({"exit_code": child.returncode, "wall_ms": (time.perf_counter()
 """
 OP_REPEATS = 60
 TOKENS, WIDTH, HEADS = 65, 32, 4
-STACK = 8   # images per forward stack, pipeline.FORWARD_CHUNK
 # pipeline stage -> the (module, function) whose cumulative time is the stage
 STAGES = {
     "checkpoint decode": ("formats", "read_checkpoint"), "image read": ("formats", "read_image"),
@@ -382,6 +383,16 @@ def filesystem(path: Path) -> str:
     return best[1]
 
 
+def machine() -> dict:
+    """perfbench's machine block, plus the OpenBLAS kernel set and numpy SIMD
+    targets that tools/golden.py records and the filesystem under BUILD."""
+    from golden import openblas_core, simd_targets
+    from run import machine_block
+
+    return {**machine_block(), "openblas_core": openblas_core(), "numpy_simd": simd_targets(),
+            "filesystem": filesystem(BUILD)}
+
+
 def line_count(package: Path) -> dict:
     """Lines of the package's Python files, as ``wc -l`` counts them: the
     total and each module's, by file name."""
@@ -420,8 +431,10 @@ def op_cases(rng) -> dict:
     a bias add, the refine head's product of the importance weights with
     the diagonal, the CAM logits' spatial sum and scale, then the shape
     ops (the mask block keeps 42 of the 64 tokens); then the convolution
-    and the untaped bilinear_resize at the evaluate stack of 8 images."""
+    and the untaped bilinear_resize at the evaluate stack of head's
+    FORWARD_CHUNK images."""
     import numpy as np
+    from tokenloc.pipeline import FORWARD_CHUNK as stack
 
     side, kept, classes = math.isqrt(TOKENS - 1), 42, 2
 
@@ -452,9 +465,9 @@ def op_cases(rng) -> dict:
         "reduce_sum": (lambda nm, x: nm.reduce_sum(x, axis=(-2, -1)),
                        arrays((1, classes, side, side))),
         "conv2d3x3 stack": (lambda nm, x, k, b: nm.conv2d3x3(x, k, b),
-                            arrays((STACK, side, side, WIDTH), (classes, WIDTH, 3, 3), (classes,))),
+                            arrays((stack, side, side, WIDTH), (classes, WIDTH, 3, 3), (classes,))),
         "bilinear_resize": (lambda nm, m: nm.bilinear_resize(m, 4 * side, 4 * side),
-                            arrays((STACK, side, side))),
+                            arrays((stack, side, side))),
     }
 
 
@@ -529,7 +542,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path[:0] = [str(SRC), str(PERFBENCH)]
-    from run import BLAS_THREAD_VARS, BLAS_THREADS, machine_block
+    from run import BLAS_THREAD_VARS, BLAS_THREADS
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, BLAS_THREADS))   # before numpy is imported
     import inputs
     from workloads import WORKLOADS as PERFBENCH_WORKLOADS
@@ -547,7 +560,7 @@ def main(argv=None) -> int:
     report = {"base_commit": base_rev, "head": git("rev-parse", "HEAD") + dirty,
               "src_tokenloc_lines": {"base": line_count(BUILD / "packages" / "tk_base"),
                                      "head": line_count(SRC / "tokenloc")},
-              "machine": {**machine_block(), "filesystem": filesystem(BUILD)},
+              "machine": machine(),
               "method": (f"tools/ab.py on perfbench fixture seed {args.seed}: base, head and "
                          f"copy in rotating order each round, end to end {args.seconds:g} s per "
                          f"workload, stages {args.seconds / 3:g} s (at least {STAGE_ROUNDS} "
